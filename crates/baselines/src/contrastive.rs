@@ -142,7 +142,10 @@ impl Contrastive {
             }
             let batch = match SubgraphBatch::build(graph, &views, gp_datasets::REL_FEAT_DIM) {
                 Ok(b) => b,
-                // gp-lint: allow(R1) — structurally impossible: sampled subgraphs are non-empty and anchored
+                #[expect(
+                    clippy::unreachable,
+                    reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
+                )]
                 Err(e) => unreachable!("subgraph fusion failed: {e}"),
             };
             let masked = mask_features(&batch.features, cfg.feature_mask, &mut rng);
@@ -192,7 +195,10 @@ impl Contrastive {
         let sgs = gp_core::sample_datapoint_subgraphs(graph, sampler, points, task, rng);
         let batch = match SubgraphBatch::build(graph, &sgs, gp_datasets::REL_FEAT_DIM) {
             Ok(b) => b,
-            // gp-lint: allow(R1) — structurally impossible: sampled subgraphs are non-empty and anchored
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
+            )]
             Err(e) => unreachable!("subgraph fusion failed: {e}"),
         };
         let mut sess = Session::new(&self.store);

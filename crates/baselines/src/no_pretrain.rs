@@ -14,6 +14,10 @@ pub struct NoPretrain {
 
 impl NoPretrain {
     /// Build with fresh random weights.
+    #[expect(
+        clippy::expect_used,
+        reason = "only the model config is set and every ModelConfig the suite builds is valid; an invalid one is a programming error"
+    )]
     pub fn new(cfg: ModelConfig) -> Self {
         Self {
             engine: Engine::builder()

@@ -34,6 +34,10 @@ impl Ofa {
     pub const LOW_RESOURCE_FRACTION: f32 = 0.2;
 
     /// Pre-train with the low-resource budget derived from `pre_cfg`.
+    #[expect(
+        clippy::expect_used,
+        reason = "baseline configs come from the experiment suite, which only builds valid ones; an invalid one is a programming error"
+    )]
     pub fn pretrain(source: &Dataset, model_cfg: ModelConfig, pre_cfg: &PretrainConfig) -> Self {
         let mut lr_cfg = pre_cfg.clone();
         lr_cfg.steps = ((pre_cfg.steps as f32 * Self::LOW_RESOURCE_FRACTION) as usize).max(1);

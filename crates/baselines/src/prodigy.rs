@@ -23,6 +23,10 @@ pub struct Prodigy {
 
 impl Prodigy {
     /// Pre-train on `source` with the plain Prodigy objective.
+    #[expect(
+        clippy::expect_used,
+        reason = "baseline configs come from the experiment suite, which only builds valid ones; an invalid one is a programming error"
+    )]
     pub fn pretrain(source: &Dataset, model_cfg: ModelConfig, pre_cfg: &PretrainConfig) -> Self {
         let mut engine = Engine::builder()
             .model_config(model_cfg)

@@ -82,13 +82,19 @@ impl ProG {
         let p_batch = match SubgraphBatch::build(&dataset.graph, &p_sgs, gp_datasets::REL_FEAT_DIM)
         {
             Ok(b) => b,
-            // gp-lint: allow(R1) — structurally impossible: sampled subgraphs are non-empty and anchored
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
+            )]
             Err(e) => unreachable!("subgraph fusion failed: {e}"),
         };
         let q_batch = match SubgraphBatch::build(&dataset.graph, &q_sgs, gp_datasets::REL_FEAT_DIM)
         {
             Ok(b) => b,
-            // gp-lint: allow(R1) — structurally impossible: sampled subgraphs are non-empty and anchored
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
+            )]
             Err(e) => unreachable!("subgraph fusion failed: {e}"),
         };
 

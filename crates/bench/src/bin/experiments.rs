@@ -33,6 +33,10 @@ use gp_bench::{Ctx, GraphPrompterMethod, Suite};
 use gp_datasets::presets;
 use gp_eval::MeanStd;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "progress timing printed to stderr; it never feeds a result"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -89,6 +93,7 @@ fn main() {
             let section = experiments::run(id, &mut ctx).expect("id checked above");
             println!("{section}");
             eprintln!("[{id} finished in {:?}]", t0.elapsed());
+            exit_on_artifact_errors(&ctx);
         }
         other => {
             eprintln!("unknown experiment '{other}'");
@@ -105,6 +110,10 @@ fn main() {
 /// backend and write the committed BENCH_inference.json artifact. The
 /// disk-warm row uses `--embed-store-dir` when given, else a scratch
 /// directory under the OS temp dir (wiped afterwards either way).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "progress timing printed to stderr; it never feeds a result"
+)]
 fn bench_inference(
     smoke: bool,
     threads: Option<usize>,
@@ -136,6 +145,10 @@ fn bench_inference(
 
 /// Load-test the gp-serve server and write the committed
 /// BENCH_serve.json artifact.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "progress timing printed to stderr; it never feeds a result"
+)]
 fn bench_serve(smoke: bool, max_batch: usize) {
     let t0 = Instant::now();
     let report = match gp_bench::serve_bench::run(smoke, max_batch) {
@@ -163,6 +176,10 @@ fn bench_serve(smoke: bool, max_batch: usize) {
 }
 
 /// Run every experiment and write EXPERIMENTS.md.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "progress timing printed to stderr; it never feeds a result"
+)]
 fn run_all(suite: Suite) {
     let mut ctx = Ctx::new(suite);
     let mut doc = experiments::preamble(&ctx);
@@ -172,6 +189,7 @@ fn run_all(suite: Suite) {
         eprintln!("[{:?}] running {id}...", t0.elapsed());
         let section = experiments::run(id, &mut ctx).expect("known id");
         eprintln!("[{:?}] {id} done in {:?}", t0.elapsed(), started.elapsed());
+        exit_on_artifact_errors(&ctx);
         doc.push('\n');
         doc.push_str(&section);
     }
@@ -179,8 +197,20 @@ fn run_all(suite: Suite) {
     eprintln!("[{:?}] EXPERIMENTS.md written", t0.elapsed());
 }
 
+/// Fail the run when an experiment could not write its `results/` files.
+fn exit_on_artifact_errors(ctx: &Ctx) {
+    if let Err(why) = ctx.artifacts_written() {
+        eprintln!("experiments: {why}");
+        std::process::exit(1);
+    }
+}
+
 /// Quick shape check: GraphPrompter vs Prodigy vs chance on the headline
 /// cross-domain transfers.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "progress timing printed to stderr; it never feeds a result"
+)]
 fn calibrate(suite: &Suite) {
     let t0 = Instant::now();
     let protocol = suite.protocol();

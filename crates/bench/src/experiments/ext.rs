@@ -104,6 +104,10 @@ pub fn cache_policy(ctx: &mut Ctx) -> String {
 
 /// Ablation benches for this reproduction's own design choices
 /// (DESIGN.md's calibration findings #1 and #3).
+#[expect(
+    clippy::expect_used,
+    reason = "the suite's configs with one knob flipped are valid by construction; a failure is a bug worth aborting the experiment over"
+)]
 pub fn design_choices(ctx: &mut Ctx) -> String {
     let suite = ctx.suite.clone();
     let protocol = suite.protocol();

@@ -72,17 +72,15 @@ pub fn run(ctx: &mut Ctx) -> String {
             svg_series.push(Series::new(name.to_string(), points));
             table.row(&row);
         }
-        std::fs::create_dir_all("results").ok();
-        std::fs::write(
-            format!("results/fig3_{key}_ablation.svg"),
+        ctx.write_result(
+            &format!("fig3_{key}_ablation.svg"),
             line_chart(
                 &format!("Fig. 3: {} ablation", ds.name),
                 "ways",
                 "accuracy (%)",
                 &svg_series,
             ),
-        )
-        .ok();
+        );
         out += &table.to_markdown();
         out += "\n";
     }

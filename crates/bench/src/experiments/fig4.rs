@@ -16,6 +16,10 @@ const PAPER: &str = "Paper Fig. 4: the GraphSAGE-based generator outperforms the
                      large pre-training graphs).";
 
 /// Run the experiment; returns a markdown section.
+#[expect(
+    clippy::expect_used,
+    reason = "the suite's configs with one knob flipped are valid by construction; a failure is a bug worth aborting the experiment over"
+)]
 pub fn run(ctx: &mut Ctx) -> String {
     let suite = ctx.suite.clone();
     let protocol = suite.protocol();

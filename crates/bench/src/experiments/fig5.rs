@@ -70,17 +70,15 @@ pub fn run(ctx: &mut Ctx) -> String {
         out += &table.to_markdown();
         out += "\n";
     }
-    std::fs::create_dir_all("results").ok();
-    std::fs::write(
-        "results/fig5_cache_size.svg",
+    ctx.write_result(
+        "fig5_cache_size.svg",
         line_chart(
             "Fig. 5: accuracy vs cache size (5-way)",
             "cache size c",
             "accuracy (%)",
             &svg_series,
         ),
-    )
-    .ok();
+    );
     out += "Plot written to `results/fig5_cache_size.svg`.\n\n";
 
     small_avg /= 8.0; // 4 sizes × 2 datasets

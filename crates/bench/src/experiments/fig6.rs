@@ -75,9 +75,8 @@ pub fn run(ctx: &mut Ctx) -> String {
             pr_pts.push((k as f32, p.mean));
             table.row(&[k.to_string(), g.to_string(), p.to_string()]);
         }
-        std::fs::create_dir_all("results").ok();
-        std::fs::write(
-            format!("results/fig6_{key}_shots.svg"),
+        ctx.write_result(
+            &format!("fig6_{key}_shots.svg"),
             line_chart(
                 &format!("Fig. 6: {} accuracy vs shots (5-way)", ds.name),
                 "shots k",
@@ -87,8 +86,7 @@ pub fn run(ctx: &mut Ctx) -> String {
                     Series::new("Prodigy", pr_pts),
                 ],
             ),
-        )
-        .ok();
+        );
         out += &table.to_markdown();
         out += "\n";
     }

@@ -40,8 +40,6 @@ pub fn run(ctx: &mut Ctx) -> String {
     let mut gp_tighter = 0usize;
     let mut total = 0usize;
 
-    std::fs::create_dir_all("results").ok();
-
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
             ctx.fb_ref()
@@ -86,7 +84,6 @@ pub fn run(ctx: &mut Ctx) -> String {
                         ..TsneConfig::default()
                     },
                 );
-                let path = format!("results/fig7_{key}_{method}_{shots}shot.csv");
                 let mut csv = String::from("x,y,label\n");
                 let mut pts = Vec::with_capacity(coords.rows());
                 for r in 0..coords.rows() {
@@ -98,16 +95,15 @@ pub fn run(ctx: &mut Ctx) -> String {
                     );
                     pts.push((coords.get(r, 0), coords.get(r, 1)));
                 }
-                std::fs::write(&path, csv).ok();
-                std::fs::write(
-                    format!("results/fig7_{key}_{method}_{shots}shot.svg"),
+                ctx.write_result(&format!("fig7_{key}_{method}_{shots}shot.csv"), csv);
+                ctx.write_result(
+                    &format!("fig7_{key}_{method}_{shots}shot.svg"),
                     scatter_plot(
                         &format!("Fig. 7: {} {method} t-SNE ({shots}-shot, 5-way)", ds.name),
                         &pts,
                         &res.query_labels,
                     ),
-                )
-                .ok();
+                );
             }
             total += 1;
             // Embeddings themselves differ only via the reconstruction

@@ -69,9 +69,8 @@ pub fn run(ctx: &mut Ctx) -> String {
             pr_pts.push((l as f32, p.mean));
             table.row(&[l.to_string(), g.to_string(), p.to_string()]);
         }
-        std::fs::create_dir_all("results").ok();
-        std::fs::write(
-            format!("results/fig8_{key}_hops.svg"),
+        ctx.write_result(
+            &format!("fig8_{key}_hops.svg"),
             line_chart(
                 &format!("Fig. 8: {} accuracy vs hops (5-way)", ds.name),
                 "hops l",
@@ -81,8 +80,7 @@ pub fn run(ctx: &mut Ctx) -> String {
                     Series::new("Prodigy", pr_pts),
                 ],
             ),
-        )
-        .ok();
+        );
         if gp_means.windows(2).all(|w| w[1] <= w[0] + 3.0) {
             declines += 1;
         }

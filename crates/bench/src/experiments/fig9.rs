@@ -36,7 +36,6 @@ pub fn run(ctx: &mut Ctx) -> String {
         ]);
     }
 
-    std::fs::create_dir_all("results").ok();
     let series = |vals: &[f32], steps: &[usize]| -> Vec<(f32, f32)> {
         steps
             .iter()
@@ -44,8 +43,8 @@ pub fn run(ctx: &mut Ctx) -> String {
             .map(|(&s, &v)| (s as f32, v))
             .collect()
     };
-    std::fs::write(
-        "results/fig9_loss.svg",
+    ctx.write_result(
+        "fig9_loss.svg",
         line_chart(
             "Fig. 9: pre-training loss on wiki-like",
             "step",
@@ -55,10 +54,9 @@ pub fn run(ctx: &mut Ctx) -> String {
                 Series::new("Prodigy", series(&pr_curve.loss, &pr_curve.steps)),
             ],
         ),
-    )
-    .ok();
-    std::fs::write(
-        "results/fig9_accuracy.svg",
+    );
+    ctx.write_result(
+        "fig9_accuracy.svg",
         line_chart(
             "Fig. 9: pre-training episode accuracy on wiki-like",
             "step",
@@ -68,8 +66,7 @@ pub fn run(ctx: &mut Ctx) -> String {
                 Series::new("Prodigy", series(&pr_curve.accuracy, &pr_curve.steps)),
             ],
         ),
-    )
-    .ok();
+    );
 
     let (gp_first, gp_last) = first_and_last_tenth(&gp_curve.loss);
     let (pr_first, pr_last) = first_and_last_tenth(&pr_curve.loss);

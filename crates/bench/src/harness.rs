@@ -1,6 +1,15 @@
 //! Shared experiment plumbing: standard configurations, a lazily-trained
 //! model/dataset registry ([`Ctx`]), and the GraphPrompter method wrapper.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "the lazy registry unwraps the slot each accessor filled just above, and engines are built from the suite's known-good configs"
+)]
+
+use std::cell::RefCell;
+use std::path::Path;
+
 use gp_baselines::{
     Contrastive, ContrastiveConfig, EvalProtocol, Finetune, IclBaseline, NoPretrain, Ofa, ProG,
     Prodigy,
@@ -227,6 +236,8 @@ pub struct Ctx {
     ofa_wiki: Option<Ofa>,
     contrastive_mag: Option<Contrastive>,
     contrastive_wiki: Option<Contrastive>,
+    /// Figure artifacts that could not be written, see [`Ctx::write_result`].
+    artifact_errors: RefCell<Vec<String>>,
 }
 
 macro_rules! lazy_dataset {
@@ -247,6 +258,31 @@ impl Ctx {
         Self {
             suite,
             ..Default::default()
+        }
+    }
+
+    /// Write one figure artifact to `results/<name>`, creating the
+    /// directory first. A failure is recorded, not swallowed:
+    /// [`Ctx::artifacts_written`] reports it, so an unwritable `results/`
+    /// fails the run instead of leaving stale files behind.
+    pub fn write_result(&self, name: &str, contents: impl AsRef<[u8]>) {
+        let path = Path::new("results").join(name);
+        let written =
+            std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents));
+        if let Err(e) = written {
+            self.artifact_errors
+                .borrow_mut()
+                .push(format!("cannot write {}: {e}", path.display()));
+        }
+    }
+
+    /// `Err` naming every artifact [`Ctx::write_result`] failed to write.
+    pub fn artifacts_written(&self) -> Result<(), String> {
+        let errors = self.artifact_errors.borrow();
+        if errors.is_empty() {
+            Ok(())
+        } else {
+            Err(errors.join("\n"))
         }
     }
 

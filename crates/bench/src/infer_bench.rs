@@ -306,6 +306,10 @@ impl InferBenchReport {
 /// wide axis: each output element is a length-`inner` dot product, the
 /// shape the scalar reference kernel cannot vectorize (serial float
 /// dependency chain) and the SIMD kernels fold 32 lanes at a time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark: wall time is the measurement"
+)]
 fn wide_matmul_bench(smoke: bool) -> WideMatmul {
     let (rows, inner, cols) = (64, 512, 64);
     let reps = if smoke { 10 } else { 400 };
@@ -360,6 +364,18 @@ fn wide_matmul_bench(smoke: bool) -> WideMatmul {
 /// timed — the gp-serve restart-with-warm-shards scenario. Shards are
 /// written f32, so the warm answers are asserted bit-identical to the
 /// writer's. The directory is wiped before and after.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark: wall time is the measurement"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "bench harness: every engine is built from the suite's known-good knobs, and snapshots restore onto identically-configured models; a failure is a bug worth aborting the measurement over"
+)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the disk-warm scratch directory before and after its rows"
+)]
 pub fn run(
     smoke: bool,
     threads: Option<usize>,
@@ -506,7 +522,6 @@ pub fn run(
                 model
                     .store
                     .try_restore(&snapshot)
-                    // gp-lint: allow(R1) — bench harness: the snapshot came from an identically-configured model two lines up; a mismatch is a bug worth aborting the measurement over
                     .expect("snapshot restores onto an identically-shaped model");
                 Engine::builder()
                     .model(model)
@@ -516,7 +531,6 @@ pub fn run(
                     .backend(b)
                     .embed_store_dir(&dir)
                     .try_build()
-                    // gp-lint: allow(R1) — bench harness: same knobs the suite engine above already built with; abort loudly rather than skip the row
                     .expect("bench engine config must be valid")
             };
             let writer = build();

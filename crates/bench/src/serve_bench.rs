@@ -176,6 +176,10 @@ const QUERIES: usize = 32;
 /// measure cache hits, not classification.
 fn classify_once(addr: SocketAddr, seed: u64) -> (u16, u64) {
     let body = format!("{{\"ways\": {WAYS}, \"queries\": {QUERIES}, \"seed\": {seed}}}");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side request latency is the measurement"
+    )]
     let started = Instant::now();
     let status = request_status(addr, &body);
     (status, started.elapsed().as_micros() as u64)
@@ -315,6 +319,10 @@ fn classify_keepalive(stream: &mut TcpStream, seed: u64) -> std::io::Result<(u16
         "POST /v1/classify HTTP/1.1\r\nHost: b\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side request latency is the measurement"
+    )]
     let started = Instant::now();
     stream.write_all(req.as_bytes())?;
     let (status, resp_body) = gp_serve::http::read_response(stream)?;
@@ -340,9 +348,15 @@ fn batched_phase(max_batch: usize, rounds: usize) -> Result<BatchedPhase, String
     let addr = server.handle.addr();
 
     let barrier = Arc::new(std::sync::Barrier::new(max_batch));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the phase's wall time is the measurement"
+    )]
     let phase_start = Instant::now();
-    #[allow(clippy::disallowed_methods)]
-    // load-generator client threads, outside the engine's compute budget
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load-generator client threads, outside the engine's compute budget"
+    )]
     let clients: Vec<_> = (0..max_batch)
         .map(|c| {
             let barrier = Arc::clone(&barrier);
@@ -404,6 +418,14 @@ fn batched_phase(max_batch: usize, rounds: usize) -> Result<BatchedPhase, String
 /// pass (a handful of requests; the numbers are real but noisy).
 /// `max_batch > 1` adds the batched phase with that coalescer cap;
 /// `max_batch ≤ 1` skips it (`"batched": null` in the artifact).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a load generator: phase wall times are the measurement, and the result channels are drained in this fn while the phase runs"
+)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "sends race the phase's end and joins reap finished load-generator threads; a lost sample shows up as a missing result, never a wrong one"
+)]
 pub fn run(smoke: bool, max_batch: usize) -> Result<ServeBenchReport, String> {
     // One server worker per physical core this box actually has (CI
     // containers here expose a single CPU; more workers would only
@@ -455,8 +477,10 @@ pub fn run(smoke: bool, max_batch: usize) -> Result<ServeBenchReport, String> {
     // the true clearing rate.
     let cap_clients = workers * 2;
     let tc = Instant::now();
-    #[allow(clippy::disallowed_methods)]
-    // load-generator client threads, outside the engine's compute budget
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load-generator client threads, outside the engine's compute budget"
+    )]
     let cap_threads: Vec<_> = (0..cap_clients)
         .map(|t| {
             std::thread::spawn(move || {
@@ -497,8 +521,10 @@ pub fn run(smoke: bool, max_batch: usize) -> Result<ServeBenchReport, String> {
     let (tx, rx) = mpsc::channel::<(u16, u64)>();
     let (depth_tx, depth_rx) = mpsc::channel::<u64>();
     let sampler_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    #[allow(clippy::disallowed_methods)]
-    // a queue-depth probe thread, outside the engine's compute budget
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a queue-depth probe thread, outside the engine's compute budget"
+    )]
     let sampler = {
         let done = Arc::clone(&sampler_done);
         std::thread::spawn(move || {
@@ -513,8 +539,10 @@ pub fn run(smoke: bool, max_batch: usize) -> Result<ServeBenchReport, String> {
 
     let t1 = Instant::now();
     let ticket = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    #[allow(clippy::disallowed_methods)]
-    // load-generator client threads, outside the engine's compute budget
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load-generator client threads, outside the engine's compute budget"
+    )]
     let clients: Vec<_> = (0..client_pool)
         .map(|_| {
             let tx = tx.clone();

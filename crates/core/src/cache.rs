@@ -84,9 +84,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             return None;
         }
         let evicted = if self.entries.len() >= self.capacity {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "min_by_key over per-entry stamps; the clock is strictly monotonic so the minimum is unique and independent of map iteration order"
+            )]
             let victim = self
                 .entries
-                // gp-lint: allow(D1) — min_by_key over per-entry stamps; the clock is strictly monotonic so the minimum is unique and independent of map iteration order
                 .iter()
                 .min_by_key(|(_, (_, stamp))| *stamp)
                 .map(|(k, _)| k.clone())?;
@@ -99,8 +102,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Iterate `(key, value)` in arbitrary order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-erased diagnostic API; result-affecting callers go through AnyCache::sorted_iter"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        // gp-lint: allow(D1) — order-erased diagnostic API; result-affecting callers go through AnyCache::sorted_iter
         self.entries.iter().map(|(k, (v, _))| (k, v))
     }
 }
@@ -117,6 +123,10 @@ impl<K: Eq + Hash + Clone, V> FifoCache<K, V> {
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the queue holds one key per entry and insert evicts at capacity, so it never outgrows the cap"
+    )]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "FifoCache capacity must be positive");
         Self {

@@ -326,11 +326,19 @@ pub(crate) fn write_tagged_container(
         }
     }
     if let Err(e) = std::fs::rename(&tmp, path) {
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort temp cleanup; the rename error is what the caller needs"
+        )]
         std::fs::remove_file(&tmp).ok();
         return Err(CheckpointError::Io(e));
     }
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(d) = std::fs::File::open(dir) {
+            #[expect(
+                clippy::unused_result_ok,
+                reason = "directory fsync is best-effort: not every filesystem supports it, and the file itself is already synced"
+            )]
             d.sync_all().ok();
         }
     }

@@ -23,8 +23,11 @@ pub struct Deadline {
 
 impl Deadline {
     /// A deadline `budget` from now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the clock only gates stage-boundary aborts; completed results never depend on it"
+    )]
     pub fn after(budget: Duration) -> Self {
-        // gp-lint: allow(D4) — the clock only gates stage-boundary aborts; completed results never depend on it
         let at = Instant::now() + budget;
         Self { at }
     }
@@ -41,14 +44,20 @@ impl Deadline {
     }
 
     /// True once the deadline has passed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the clock only gates stage-boundary aborts; completed results never depend on it"
+    )]
     pub fn expired(&self) -> bool {
-        // gp-lint: allow(D4) — the clock only gates stage-boundary aborts; completed results never depend on it
         Instant::now() >= self.at
     }
 
     /// Time left before expiry (zero once expired).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the clock only gates stage-boundary aborts; completed results never depend on it"
+    )]
     pub fn remaining(&self) -> Duration {
-        // gp-lint: allow(D4) — the clock only gates stage-boundary aborts; completed results never depend on it
         self.at.saturating_duration_since(Instant::now())
     }
 

@@ -322,6 +322,10 @@ struct Shard {
 }
 
 impl Shard {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the queue holds one key per entry and Shard::insert evicts down to the tier capacity"
+    )]
     fn empty(dataset_id: u64, revision: u64, weights_fp: u64) -> Self {
         Self {
             dataset_id,
@@ -578,12 +582,20 @@ impl DiskTier {
                 // (a restart with another checkpoint, or another backend):
                 // stale, not corrupt. Cold-start and reclaim the file.
                 STALE_SHARDS.inc();
+                #[expect(
+                    clippy::unused_result_ok,
+                    reason = "best-effort reclaim: a shard file that survives is rejected again on the next load"
+                )]
                 std::fs::remove_file(&path).ok();
                 Shard::empty(dataset_id, revision, weights_fp)
             }
             Err(_) => {
                 self.corrupt_shards += 1;
                 CORRUPT_SHARDS.inc();
+                #[expect(
+                    clippy::unused_result_ok,
+                    reason = "best-effort reclaim: a shard file that survives is rejected again on the next load"
+                )]
                 std::fs::remove_file(&path).ok();
                 Shard::empty(dataset_id, revision, weights_fp)
             }
@@ -601,6 +613,10 @@ impl DiskTier {
             let Some(n) = name.to_str() else { continue };
             if let Some((ds, rev)) = parse_shard_name(n) {
                 if ds == dataset_id && rev != revision {
+                    #[expect(
+                        clippy::unused_result_ok,
+                        reason = "best-effort sweep: a file that survives is swept again on the next open"
+                    )]
                     std::fs::remove_file(e.path()).ok();
                 }
             }
@@ -643,6 +659,10 @@ impl DiskTier {
     /// full cold start (`clear`).
     pub(crate) fn invalidate(&mut self) {
         for shard in self.shards.drain(..) {
+            #[expect(
+                clippy::unused_result_ok,
+                reason = "best-effort delete, like the pre-existing cleanup it mirrors; the open shards are dropped either way"
+            )]
             std::fs::remove_file(shard.path(&self.cfg.dir)).ok();
         }
         self.pending = 0;

@@ -314,7 +314,8 @@ impl EmbeddingStore {
     /// external callers only need it when driving the store directly.
     pub fn set_weights_context(&self, revision: u64, weights_fp: u64) {
         let mut inner = self.lock();
-        // gp-lint: allow(C2) — sync_revision may drop stale shards on disk; the inner mutex IS the store's single-writer serialization point (tiered design)
+        // `sync_revision` may drop stale shards on disk; the inner mutex IS the store's
+        // single-writer serialization point (tiered design).
         self.sync_revision(&mut inner, revision);
         if inner.revision == revision {
             inner.weights_fp = Some(weights_fp);
@@ -343,7 +344,8 @@ impl EmbeddingStore {
             use_reconstruction,
         );
         let mut inner = self.lock();
-        // gp-lint: allow(C2) — revision sync under the store lock is the design: a lookup must never race a shard invalidation
+        // Revision sync under the store lock is the design: a lookup must never race a shard
+        // invalidation.
         self.sync_revision(&mut inner, revision);
         if inner.revision == revision {
             if let Some(entry) = inner.l0.get(&key) {
@@ -395,7 +397,10 @@ impl EmbeddingStore {
     /// revision than the store's current one is silently discarded (it
     /// belongs to weights that no longer exist). The RAM tier's LFU
     /// eviction victim is demoted to the disk tier when one is armed.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the store key's six components plus the value, each already held separately by the callers"
+    )]
     pub fn insert(
         &self,
         revision: u64,
@@ -415,7 +420,8 @@ impl EmbeddingStore {
             use_reconstruction,
         );
         let mut inner = self.lock();
-        // gp-lint: allow(C2) — same single-writer contract as lookup: insert and revision sync are atomic under the inner mutex
+        // Same single-writer contract as lookup: insert and revision sync are atomic under the
+        // inner mutex.
         self.sync_revision(&mut inner, revision);
         if inner.revision != revision || inner.l0.peek(&key).is_some() {
             // Stale revision (weights moved since this embedding was
@@ -433,12 +439,14 @@ impl EmbeddingStore {
         );
         if let (Some((vk, ve)), Some(fp)) = (evicted, inner.weights_fp) {
             if let Some(disk) = inner.disk.as_mut() {
-                // gp-lint: allow(C2) — demotion quantizes into the in-memory shard buffer; actual disk writes batch up behind should_autoflush
+                // Demotion quantizes into the in-memory shard buffer; actual disk writes batch up
+                // behind should_autoflush.
                 disk.demote(vk, &ve, inner.revision, fp);
                 inner.demotions += 1;
                 DEMOTIONS.inc();
                 if disk.should_autoflush() {
-                    // gp-lint: allow(C2) — autoflush under the lock is deliberate: a consistent shard snapshot needs the store frozen while rows serialize
+                    // Autoflush under the lock is deliberate: a consistent shard snapshot needs the
+                    // store frozen while rows serialize.
                     disk.flush();
                 }
             }
@@ -453,7 +461,8 @@ impl EmbeddingStore {
         let inner = &mut *inner;
         inner.l0 = LfuCache::new(self.capacity);
         if let Some(disk) = inner.disk.as_mut() {
-            // gp-lint: allow(C2) — clear() must atomically drop RAM and disk tiers; unlocking between them would let a reader see half a store
+            // `clear()` must atomically drop RAM and disk tiers; unlocking between them would let a
+            // reader see half a store.
             disk.invalidate();
         }
         inner.refresh_gauges();
@@ -468,7 +477,8 @@ impl EmbeddingStore {
     /// [`crate::embed_disk::DiskTierConfig::flush_every`] demotions.
     pub fn flush(&self) -> usize {
         let mut inner = self.lock();
-        // gp-lint: allow(C2) — flush-under-lock is the persistence contract: the shard on disk is a frozen snapshot of the locked store
+        // Flush-under-lock is the persistence contract: the shard on disk is a frozen snapshot of
+        // the locked store.
         self.flush_locked(&mut inner, None)
     }
 
@@ -478,7 +488,7 @@ impl EmbeddingStore {
     #[doc(hidden)]
     pub fn flush_with_fault(&self, fault: crate::checkpoint::WriteFault) -> usize {
         let mut inner = self.lock();
-        // gp-lint: allow(C2) — fault-injection twin of flush(); same frozen-snapshot contract
+        // Fault-injection twin of flush(); same frozen-snapshot contract.
         self.flush_locked(&mut inner, Some(fault))
     }
 
@@ -530,7 +540,8 @@ impl Drop for EmbeddingStore {
         // Best-effort persistence, then retract this store's contribution
         // to the aggregate gauges so surviving stores keep them accurate.
         let mut inner = self.lock();
-        // gp-lint: allow(C2) — drop-time flush; the store is unreachable so the held guard cannot stall any other thread
+        // Drop-time flush; the store is unreachable so the held guard cannot stall any other
+        // thread.
         self.flush_locked(&mut inner, None);
         if inner.reported_len != 0 {
             LEN.offset(-inner.reported_len);
@@ -788,7 +799,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // raw threads on purpose: hammer the store from outside any pool
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "raw threads on purpose: hammer the store from outside any pool"
+    )]
     fn concurrent_access_is_safe() {
         let store = EmbeddingStore::new(64);
         std::thread::scope(|s| {

@@ -301,7 +301,8 @@ impl Engine {
         match slot.as_ref() {
             Some(pool) if pool.budget() == want => Arc::clone(pool),
             _ => {
-                // gp-lint: allow(C2) — pool construction happens once per budget change; the slot lock guards exactly this memoization and is never nested
+                // Pool construction happens once per budget change; the slot lock guards exactly
+                // this memoization and is never nested.
                 let pool = Arc::new(WorkerPool::with_budget(want));
                 *slot = Some(Arc::clone(&pool));
                 pool

@@ -216,6 +216,10 @@ pub struct GuardRail {
 
 impl GuardRail {
     /// A guard rail with the given policy and an empty trailing window.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trailing window is trimmed to cfg.window on every push and restore"
+    )]
     pub fn new(cfg: GuardRailConfig) -> Self {
         Self {
             cfg,

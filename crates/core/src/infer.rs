@@ -160,13 +160,20 @@ fn embed_points(
                     dataset.task,
                     &mut rng,
                 );
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the sampler returns one subgraph per input point"
+                )]
                 sgs.push(one.pop().expect("one subgraph per point"));
             }
         }
         let _span = RECONSTRUCTION_MICROS.span();
         let batch = match SubgraphBatch::build(&dataset.graph, &sgs, model.config().rel_dim) {
             Ok(b) => b,
-            // gp-lint: allow(R1) — structurally impossible: `missing` is non-empty and sampled subgraphs always carry their anchors
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: `missing` is non-empty and sampled subgraphs always carry their anchors"
+            )]
             Err(e) => unreachable!("subgraph fusion failed: {e}"),
         };
         let mut sess = Session::new(&model.store);
@@ -195,6 +202,10 @@ fn embed_points(
     let mut data = Vec::with_capacity(points.len() * dim);
     let mut importances = Vec::with_capacity(points.len());
     for row in rows {
+        #[expect(
+            clippy::expect_used,
+            reason = "every row is filled above, from the store or from the fresh embedding pass"
+        )]
         let (emb, imp) = row.expect("every row resolved");
         debug_assert_eq!(emb.len(), dim);
         data.extend_from_slice(&emb);
@@ -224,7 +235,10 @@ impl StageClock {
         if !self.active {
             return f();
         }
-        // gp-lint: allow(D4) — deadline-abort diagnostics only; never feeds a prediction
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline-abort diagnostics only; never feeds a prediction"
+        )]
         let started = Instant::now();
         let out = f();
         self.add(stage, started.elapsed().as_micros() as u64);
@@ -274,7 +288,10 @@ pub(crate) fn run_episode_impl(
 ) -> EpisodeResult {
     match run_episode_deadline_impl(model, dataset, task, cfg, cache, None) {
         Ok(res) => res,
-        // gp-lint: allow(R1) — structurally impossible: a None deadline never expires
+        #[expect(
+            clippy::unreachable,
+            reason = "structurally impossible: a None deadline never expires"
+        )]
         Err(_) => unreachable!("an episode without a deadline cannot time out"),
     }
 }
@@ -330,7 +347,10 @@ fn run_episode_inner(
     let stages = cfg.stages;
     let random_pseudo_labels = cfg.pseudo_labels == PseudoLabelPolicy::UniformRandom;
 
-    // gp-lint: allow(D4) — wall time feeds only the EpisodeResult timing diagnostics, never a prediction
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time feeds only the EpisodeResult timing diagnostics, never a prediction"
+    )]
     let started = Instant::now();
     let mut embed_nanos = 0u128;
     if let Some(p) = prepared {
@@ -344,7 +364,10 @@ fn run_episode_inner(
     // across episodes when a cache is present: candidate subgraph RNGs
     // derive from `candidate_seed`, not the episode seed).
     let (cand_points, cand_labels): (Vec<_>, Vec<_>) = task.candidates.iter().copied().unzip();
-    // gp-lint: allow(D4) — wall time feeds only the EpisodeResult timing diagnostics, never a prediction
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time feeds only the EpisodeResult timing diagnostics, never a prediction"
+    )]
     let embed_started = Instant::now();
     let (cand_embs, cand_imps) = embed_points(
         model,
@@ -395,7 +418,10 @@ fn run_episode_inner(
             None => {
                 // Query embeddings are never memoized: their RNG stream is
                 // per-episode (`cfg.seed`), and each query appears once.
-                // gp-lint: allow(D4) — wall time feeds only the EpisodeResult timing diagnostics, never a prediction
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall time feeds only the EpisodeResult timing diagnostics, never a prediction"
+                )]
                 let embed_started = Instant::now();
                 let out = embed_points(
                     model,
@@ -615,7 +641,10 @@ pub(crate) fn run_episodes_batched_impl(
         }
     };
 
-    // gp-lint: allow(D4) — wall time feeds only timing diagnostics, never a prediction
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time feeds only timing diagnostics, never a prediction"
+    )]
     let cand_started = Instant::now();
     if !union_points.is_empty() {
         let _ = embed_points(
@@ -659,7 +688,10 @@ pub(crate) fn run_episodes_batched_impl(
     let mut fused = None;
     let mut fused_q_micros = 0u64;
     if !q_points.is_empty() {
-        // gp-lint: allow(D4) — wall time feeds only timing diagnostics, never a prediction
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time feeds only timing diagnostics, never a prediction"
+        )]
         let q_started = Instant::now();
         fused = Some(embed_points(
             model,
@@ -701,7 +733,10 @@ pub(crate) fn run_episodes_batched_impl(
         .into_iter()
         .map(|r| match r {
             Some(r) => r,
-            // gp-lint: allow(R1) — structurally impossible: every index is either expired above or in `live`
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: every index is either expired above or in `live`"
+            )]
             None => unreachable!("batched episode slot left unfilled"),
         })
         .collect()

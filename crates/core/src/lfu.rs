@@ -101,6 +101,10 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
     /// Bump a key's use count without reading it (a "hit" in the paper's
     /// Prompt Augmenter: similar queries refresh cached prompts). The key
     /// moves from its old frequency bucket to the new one eagerly.
+    #[expect(
+        clippy::expect_used,
+        reason = "contains_key is checked on entry; intrusive bucket-list invariant: every link and bucket member names a live entry"
+    )]
     pub fn touch(&mut self, key: &K) -> bool {
         if !self.entries.contains_key(key) {
             return false;
@@ -144,8 +148,11 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
     }
 
     /// Iterate `(key, value, freq)` in arbitrary order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-erased diagnostic API; result-affecting callers go through AnyCache::sorted_iter"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V, u64)> {
-        // gp-lint: allow(D1) — order-erased diagnostic API; result-affecting callers go through AnyCache::sorted_iter
         self.entries.iter().map(|(k, e)| (k, &e.value, e.freq))
     }
 
@@ -168,6 +175,10 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
 
     /// Remove and return the least frequently used entry (FIFO within the
     /// minimum frequency).
+    #[expect(
+        clippy::expect_used,
+        reason = "intrusive bucket-list invariant: every link and bucket member names a live entry"
+    )]
     pub fn evict(&mut self) -> Option<(K, V)> {
         let victim = self.buckets.first_key_value()?.1 .0.clone();
         self.unlink(&victim);
@@ -181,6 +192,10 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
     /// equals [`LfuCache::len`] — the churn test and the augmenter's
     /// `augmenter.lfu_bucket_members` gauge use it as a regression
     /// tripwire against stale-entry growth.
+    #[expect(
+        clippy::expect_used,
+        reason = "intrusive bucket-list invariant: every link and bucket member names a live entry"
+    )]
     pub fn bucket_members(&self) -> usize {
         let mut n = 0usize;
         for (head, _) in self.buckets.values() {
@@ -200,6 +215,10 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
 
     /// Detach `key` from its frequency bucket, pruning the bucket when it
     /// empties. The entry stays in `entries` with cleared links.
+    #[expect(
+        clippy::expect_used,
+        reason = "intrusive bucket-list invariant: every link and bucket member names a live entry"
+    )]
     fn unlink(&mut self, key: &K) {
         let (freq, prev, next) = {
             let e = self.entries.get_mut(key).expect("unlink of live key");
@@ -226,6 +245,10 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
     }
 
     /// Append `key` (links already cleared) to the tail of bucket `freq`.
+    #[expect(
+        clippy::expect_used,
+        reason = "intrusive bucket-list invariant: every link and bucket member names a live entry"
+    )]
     fn push_tail(&mut self, freq: u64, key: K) {
         match self.buckets.get_mut(&freq) {
             Some((_, tail)) => {

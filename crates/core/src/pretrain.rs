@@ -47,7 +47,10 @@ pub struct TrainingCurve {
 /// block-diagonal batch, applies selection-layer importance weighting to
 /// the prompt rows (`G'_p = G_p · I_p`) when enabled, runs the task graph,
 /// and returns `(loss, #correct)` for the episode.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one episode's inputs as both pre-training tasks hand them over; a struct would only be unpacked again"
+)]
 pub(crate) fn episode_loss(
     model: &GraphPrompterModel,
     sess: &mut Session<'_>,
@@ -64,7 +67,10 @@ pub(crate) fn episode_loss(
     let all: Vec<Subgraph> = prompt_sgs.iter().chain(query_sgs).cloned().collect();
     let batch = match SubgraphBatch::build(graph, &all, model.config().rel_dim) {
         Ok(b) => b,
-        // gp-lint: allow(R1) — structurally impossible: sampled subgraphs are non-empty and anchored
+        #[expect(
+            clippy::unreachable,
+            reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
+        )]
         Err(e) => unreachable!("subgraph fusion failed: {e}"),
     };
     let emb = model.embed_batch(sess, &batch, stages.use_reconstruction);
@@ -267,7 +273,6 @@ pub fn pretrain_with_validation(
 /// checkpoint — corrupt ones are skipped and reported, and the resumed
 /// run's curve and final parameters are bit-identical to an uninterrupted
 /// run with the same configuration.
-#[allow(clippy::too_many_arguments)]
 pub fn pretrain_resumable(
     model: &mut GraphPrompterModel,
     dataset: &Dataset,
@@ -452,6 +457,10 @@ fn validation_accuracy(
 ///
 /// Panics if the configured guard rail aborts; use [`try_pretrain`] for a
 /// `Result`-returning variant.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking twin of try_pretrain; callers that must survive a guard-rail abort use try_pretrain"
+)]
 pub fn pretrain(
     model: &mut GraphPrompterModel,
     dataset: &Dataset,
@@ -604,6 +613,10 @@ fn pretrain_steps(
                 let pre = model.store.snapshot();
                 opt.step(&mut model.store, &grads);
                 let finite = model.store.iter().all(|(_, t)| t.all_finite());
+                #[expect(
+                    clippy::expect_used,
+                    reason = "this branch runs only when guard.is_some()"
+                )]
                 let rail = guard.as_deref_mut().expect("guard checked above");
                 if let Some(err) = rail.after_step(abs_step, finite) {
                     model.store.restore(&pre);

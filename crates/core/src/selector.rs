@@ -74,7 +74,10 @@ pub struct SelectionOutcome {
 ///
 /// # Panics
 /// Panics on shape mismatches between the inputs.
-#[allow(clippy::too_many_arguments)] // mirrors Eq. 7's inputs one-to-one
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors Eq. 7's inputs one-to-one"
+)]
 pub fn select_prompts(
     prompt_embs: &Tensor,
     prompt_imps: &[f32],
@@ -103,7 +106,10 @@ pub fn select_prompts(
 }
 
 /// As [`select_prompts`] with an explicit kNN distance metric.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors Eq. 7's inputs one-to-one, plus the kNN metric"
+)]
 pub fn select_prompts_with_metric(
     prompt_embs: &Tensor,
     prompt_imps: &[f32],

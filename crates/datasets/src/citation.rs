@@ -171,8 +171,7 @@ impl CitationConfig {
         let (mut train, mut valid, test) = stratified_split(&graph, points, self.num_classes);
         // Sorted node order: iterating the HashSet directly would hand the
         // train/valid assignment (`i % 5`) to the hash seed, making the
-        // generated splits differ run to run (gp-lint rule D1).
-        // gp-lint: allow(D1) — drained into a Vec and sorted on the next line; hash order never escapes
+        // generated splits differ run to run.
         let mut corrupted_sorted: Vec<u32> = corrupted.into_iter().collect();
         corrupted_sorted.sort_unstable();
         for (i, n) in corrupted_sorted.iter().enumerate() {

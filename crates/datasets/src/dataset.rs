@@ -88,6 +88,10 @@ impl Dataset {
     /// # Panics
     /// Panics on the first inconsistency; use [`Dataset::try_validate`]
     /// for data loaded from external files.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panicking twin of try_validate, for tests and the experiment harness; data from files goes through try_validate"
+    )]
     pub fn validate(&self) {
         self.try_validate().unwrap_or_else(|e| panic!("{e}"));
     }

@@ -213,8 +213,7 @@ impl KgConfig {
         // Noisy facts live only in the candidate pool (train) and valid.
         // Sorted edge order: iterating the HashSet directly would hand the
         // train/valid assignment (`i % 5`) to the hash seed, making the
-        // generated splits differ run to run (gp-lint rule D1).
-        // gp-lint: allow(D1) — drained into a Vec and sorted on the next line; hash order never escapes
+        // generated splits differ run to run.
         let mut corrupted_sorted: Vec<u32> = corrupted.into_iter().collect();
         corrupted_sorted.sort_unstable();
         for (i, eid) in corrupted_sorted.iter().enumerate() {
@@ -290,8 +289,8 @@ mod tests {
         let g = &ds.graph;
         // Count triples whose endpoints match the modal type pair for the
         // relation; with 10% noise per endpoint most should match.
-        use std::collections::HashMap;
-        let mut modal: HashMap<u16, HashMap<(usize, usize), usize>> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut modal: BTreeMap<u16, BTreeMap<(usize, usize), usize>> = BTreeMap::new();
         let ty = |n: u32| (n as usize) % cfg.num_entity_types;
         for t in g.triples() {
             *modal

@@ -4,7 +4,10 @@
 //! charts (Figs. 3, 5, 6, 8, 9) and labelled scatter plots (Fig. 7's
 //! t-SNE embeddings).
 
-#![allow(clippy::write_with_newline)] // raw-string SVG fragments keep their own newlines
+#![expect(
+    clippy::write_with_newline,
+    reason = "raw-string SVG fragments keep their own newlines"
+)]
 
 use std::fmt::Write as _;
 
@@ -69,6 +72,10 @@ fn sy(y: f32, min_y: f32, max_y: f32) -> f32 {
     HEIGHT - MARGIN - (y - min_y) / (max_y - min_y) * (HEIGHT - 2.0 * MARGIN)
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String never fails"
+)]
 fn header(title: &str, x_label: &str, y_label: &str) -> String {
     let mut s = format!(
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">"#
@@ -92,6 +99,10 @@ fn header(title: &str, x_label: &str, y_label: &str) -> String {
     s
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String never fails"
+)]
 fn axes(min_x: f32, max_x: f32, min_y: f32, max_y: f32) -> String {
     let mut s = String::new();
     let (x0, y0) = (MARGIN, HEIGHT - MARGIN);
@@ -132,6 +143,10 @@ fn escape(s: &str) -> String {
 }
 
 /// Render a multi-series line chart to an SVG string.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String never fails"
+)]
 pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> String {
     let (min_x, max_x, min_y, max_y) = bounds(series.iter().flat_map(|s| s.points.iter().copied()));
     let mut svg = header(title, x_label, y_label);
@@ -181,6 +196,10 @@ pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) 
 }
 
 /// Render a class-colored scatter plot (e.g. t-SNE embeddings) to SVG.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String never fails"
+)]
 pub fn scatter_plot(title: &str, points: &[(f32, f32)], labels: &[usize]) -> String {
     assert_eq!(points.len(), labels.len(), "one label per point");
     let (min_x, max_x, min_y, max_y) = bounds(points.iter().copied());

@@ -44,6 +44,10 @@ impl Table {
     }
 
     /// Render as github-flavored markdown with padded columns.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write into a String never fails"
+    )]
     pub fn to_markdown(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();

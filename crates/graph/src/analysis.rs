@@ -106,7 +106,10 @@ pub fn connected_components(graph: &Graph) -> (usize, usize) {
 
     let mut components = 0usize;
     let mut largest = 0usize;
-    #[allow(clippy::needless_range_loop)] // `find` needs &mut parent while v indexes `size`
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`find` needs &mut parent while v indexes `size`"
+    )]
     for v in 0..n {
         if find(&mut parent, v) == v {
             components += 1;

@@ -105,9 +105,17 @@ impl GraphBuilder {
         }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
+        #[expect(
+            clippy::unwrap_used,
+            reason = "offsets starts with 0, so it is never empty"
+        )]
         for d in &degree {
             offsets.push(offsets.last().unwrap() + d);
         }
+        #[expect(
+            clippy::unwrap_used,
+            reason = "offsets starts with 0, so it is never empty"
+        )]
         let total = *offsets.last().unwrap();
         let mut neighbors = vec![0u32; total];
         let mut adj_rel = vec![0u16; total];
@@ -220,6 +228,10 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if the graph carries no relation features.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: callers check rel_features() first, as the Panics section says"
+    )]
     pub fn rel_feature_row(&self, rel: u16) -> &[f32] {
         self.rel_features
             .as_ref()
@@ -237,6 +249,10 @@ impl Graph {
     ///
     /// # Panics
     /// Panics if the graph carries no node labels.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: only node-labelled datasets call it, as the Panics section says"
+    )]
     pub fn node_label(&self, node: u32) -> u16 {
         self.node_labels.as_ref().expect("graph has no node labels")[node as usize]
     }

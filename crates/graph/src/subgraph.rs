@@ -34,6 +34,10 @@ impl Subgraph {
     ///
     /// # Panics
     /// Panics if an anchor is not contained in `nodes`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: samplers always include their anchors in the node set"
+    )]
     pub fn induce(graph: &Graph, nodes: Vec<u32>, anchor_ids: &[u32]) -> Self {
         let local: HashMap<u32, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let anchors = anchor_ids

@@ -1,42 +1,31 @@
-//! **gp-lint** — GraphPrompter's zero-dependency determinism &
-//! robustness linter.
+//! **gp-lint** — GraphPrompter's zero-dependency linter for the
+//! repo-specific invariants clippy cannot express: D2 (NaN-safe
+//! comparators), A1 (`std::arch` confined to the tensor backend), C1 (no
+//! nested locking within a function), M1 (`METRICS.md` drift) and P1
+//! (pragma hygiene); see [`rules`] for the rationale. The generic
+//! determinism and robustness rules are clippy lints and `clippy.toml`
+//! bans that CI runs (README, "Static analysis").
 //!
-//! The workspace promises bit-identical results across runs and thread
-//! counts (prompt scores Eq. 7, class votes Eq. 8, `WorkerPool`
-//! fixed-order reduction). That promise dies quietly: one
-//! `HashMap::iter()` feeding a float accumulation, one
-//! `partial_cmp(..).unwrap_or(Equal)` comparator, one `thread_rng()`,
-//! and runs stop reproducing with no test failing. `gp-lint` walks
-//! every `.rs` file with a hand-rolled token scanner (no `syn` — the
-//! build container has no network, so the linter depends on nothing)
-//! and enforces the invariants mechanically; see [`rules`] for the
-//! rule-by-rule rationale and [`baseline`] for the R1 ratchet.
-//!
-//! Entry points:
-//! * [`run_cli`] — what `gp-lint` (and `gp lint`) call: parse args,
-//!   lint, return `(report, exit_code)`;
-//! * [`runner::run`] — programmatic access to the full [`runner::Outcome`];
-//! * [`rules::lint_source`] — lint one in-memory file (what the
-//!   fixture-based integration tests use);
-//! * [`scanner::scan`] — the raw strip/regions/pragmas pass.
-//!
-//! Since v2 the linter is **two-pass**: [`facts::extract`] reduces each
-//! file to per-function facts (guard live ranges, call sites, blocking
-//! operations, metric registrations, discarded `Result`s) and
-//! [`graph::analyze`] runs the cross-file concurrency rules (C1
-//! lock-order cycles, C2 blocking-under-guard) over the merged fact
-//! base. Per-file rules stay in [`rules`].
+//! A hand-rolled token scanner ([`scanner::scan`]) walks every `.rs` file —
+//! no `syn`, so the linter builds offline before anything else.
+//! [`run_cli`] is what `gp-lint` and `gp lint` call; [`runner::run`]
+//! returns the full [`runner::Outcome`]; [`rules::lint_source`] lints one
+//! in-memory file; [`facts::extract`] yields the per-function lock facts
+//! behind C1 and the metric registrations behind M1.
 
-pub mod baseline;
 pub mod facts;
-pub mod graph;
 pub mod rules;
 pub mod runner;
 pub mod scanner;
 
-pub use baseline::{Baseline, RatchetReport};
+#[cfg(test)]
+#[path = "../tests/support/clippy_fixture.rs"]
+mod clippy_fixture;
+#[cfg(test)]
+#[path = "../tests/support/soup.rs"]
+mod soup;
+
 pub use facts::{extract, FileFacts};
-pub use graph::{analyze, Analysis};
 pub use rules::{classify, lint_source, FileKind, Rule, Violation};
-pub use runner::{run, run_cli, Options, Outcome, BASELINE_FILE};
+pub use runner::{run, run_cli, Options, Outcome};
 pub use scanner::{scan, Scanned};

@@ -1,22 +1,13 @@
-//! The determinism & robustness rules gp-lint enforces.
+//! The repo-specific rules gp-lint enforces.
 //!
 //! GraphPrompter's pipeline is specified to be **bit-identical across
 //! runs and thread counts**: prompt scores (Eq. 7) and class votes
-//! (Eq. 8) are ranked with total comparators, the `WorkerPool` reduces
-//! partial results in a fixed order, and every cache dump is sorted
-//! before it can feed a downstream computation. Each rule below guards
-//! one way that property has historically been lost in this codebase:
-//!
-//! * **D1 — no hash-order iteration in result-affecting crates.**
-//!   `std::collections::HashMap`/`HashSet` use a per-instance random
-//!   hasher seed, so `.iter()`/`.keys()`/`.values()`/`.drain()` (and
-//!   `for .. in &map`) yield a different order every process. If that
-//!   order reaches an accumulation (e.g. the augmenter's label-embedding
-//!   sums) the floating-point result changes run to run even though the
-//!   math is "the same". Result-affecting crates
-//!   ([`RESULT_AFFECTING_CRATES`]) must iterate sorted snapshots
-//!   (`AnyCache::sorted_iter`, `BTreeMap`) or carry a
-//!   `// gp-lint: allow(D1) — <why order cannot escape>` pragma.
+//! (Eq. 8) are ranked with total comparators and the `WorkerPool`
+//! reduces partial results in a fixed order. The generic hazards to that
+//! contract (hash-order iteration, wall-clock reads, panics, unbounded
+//! queues, stdout from libraries, swallowed errors) are clippy lints and
+//! `clippy.toml` bans, run by CI. gp-lint keeps only what clippy cannot
+//! express:
 //!
 //! * **D2 — no `partial_cmp` in float comparators.** `partial_cmp`
 //!   returns `None` for NaN, which `sort_by(|a, b|
@@ -28,34 +19,6 @@
 //!   are bit-identical to `partial_cmp` on NaN-free data and rank NaN
 //!   last otherwise.
 //!
-//! * **D4 — no wall-clock in result-affecting crates.**
-//!   `Instant::now()`/`SystemTime::now()` in library code invites
-//!   time-dependent behavior (timeouts, time-keyed caching). Timing
-//!   belongs in `gp-obs`, `gp-bench` and binaries; the only sanctioned
-//!   library uses are diagnostics fields that never feed a prediction,
-//!   each carrying an `allow(D4)` pragma saying so.
-//!
-//! * **R1 — no `unwrap`/`expect`/`panic!`/`unreachable!` in library
-//!   code.** Enforced as a **ratchet**, not an absolute ban: the
-//!   committed `lint-baseline.toml` records today's per-crate counts;
-//!   CI fails when a count rises and `--update-baseline` rewrites the
-//!   file when counts fall. The floor only moves down.
-//!
-//! * **B1 — no unbounded channel/queue construction in library code.**
-//!   `mpsc::channel()` and `VecDeque::new()` have no capacity bound, so
-//!   a producer that outruns its consumer turns back-pressure into
-//!   unbounded memory growth — the failure mode gp-serve's admission
-//!   queue exists to prevent. Bound it (`mpsc::sync_channel(n)`,
-//!   `gp_serve::BoundedQueue`), size it (`VecDeque::with_capacity(n)`
-//!   plus an explicit cap check), or justify the site with
-//!   `// gp-lint: allow(B1) — <why depth is bounded by construction>`.
-//!   Ratcheted like R1: `lint-baseline.toml` records today's per-crate
-//!   counts and the floor only moves down.
-//!
-//! * **O1 — no `println!`/`eprintln!` in library crates.** Libraries
-//!   report through return values and `gp-obs`; stdout belongs to the
-//!   binaries.
-//!
 //! * **A1 — no `std::arch`/`core::arch` outside the tensor backend.**
 //!   Architecture-specific intrinsics live in exactly one place,
 //!   `crates/tensor/src/backend`, behind the `ComputeBackend` dispatch
@@ -64,25 +27,12 @@
 //!   trap on older hosts) and forks the numerics outside the
 //!   reference-vs-fast tolerance contract.
 //!
-//! * **C1 — no lock-acquisition-order cycles.** Pass 2 (see
-//!   [`crate::graph`]) builds the workspace lock-order graph from the
-//!   per-function facts of [`crate::facts`] — an edge when a guard of
-//!   lock A is live while lock B is acquired, locks identified by
-//!   type+field path — and fails on any strongly connected component,
-//!   reporting the full witness chain with file:line per edge. Two
-//!   threads taking the same pair of locks in opposite orders is the
-//!   one deadlock no test reliably reproduces.
-//!
-//! * **C2 — no guard held across a blocking operation.** A condvar
-//!   wait that re-acquires a *different* lock, socket/file I/O, a
-//!   `JoinHandle::join`, or a bounded-queue push/pop under a held
-//!   guard turns one slow peer into a stall for every other holder —
-//!   the exact shape that would freeze the request coalescer.
-//!
-//! * **E1 — no discarded `Result` in library code.** `let _ = f()` and
-//!   bare `.ok();` erase failures the caller was owed; drain/shutdown
-//!   paths that swallow join errors hide worker panics. Ratcheted
-//!   per-crate in `lint-baseline.toml` exactly like R1.
+//! * **C1 — no nested locking within a function.** A `.lock()` taken
+//!   while another let-bound guard of the same function is still live
+//!   fixes an acquisition order; two functions taking the same pair in
+//!   opposite orders is the one deadlock no test reliably reproduces.
+//!   Take one lock at a time, or justify the order with an `allow(C1)`
+//!   pragma (see DESIGN.md's lock-hierarchy note).
 //!
 //! * **M1 — metric-manifest drift.** Every metric name registered via
 //!   `gp-obs` must appear in the committed `METRICS.md` manifest and
@@ -94,110 +44,61 @@
 //!   pragma that cannot be verified is itself an error (never silently
 //!   ignored).
 
-use crate::scanner::{scan, Scanned};
-
-/// Crates whose code can change reported numbers: everything upstream
-/// of an `EpisodeResult`. `gp-obs`, `gp-bench` and `gp-eval` only
-/// observe/aggregate and are exempt from D1/D4.
-pub const RESULT_AFFECTING_CRATES: &[&str] = &[
-    "gp-core",
-    "gp-tensor",
-    "gp-nn",
-    "gp-graph",
-    "gp-datasets",
-    "gp-baselines",
-];
-
-/// `(crate, module-path prefix)` pairs where D1 is allowed wholesale.
-/// Deliberately empty: every real exception is documented at its site
-/// with an inline `allow(D1)` pragma, which keeps the reason next to
-/// the code it excuses. The mechanism stays so a future module whose
-/// *entire purpose* is order-free (e.g. a counting sketch) can opt out
-/// without a pragma on every line.
-pub const D1_ALLOWED_MODULES: &[(&str, &str)] = &[];
+use crate::facts::{self, MetricReg};
+use crate::scanner::scan;
 
 /// Rule identifiers, in report order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Hash-order iteration in a result-affecting crate.
-    D1,
     /// `partial_cmp` in a sort/max/min comparator or bare-unwrapped.
     D2,
-    /// Wall-clock reads in a result-affecting library crate.
-    D4,
-    /// `unwrap`/`expect`/`panic!`/`unreachable!` in library code (ratcheted).
-    R1,
-    /// Unbounded channel/queue construction in library code (ratcheted).
-    B1,
-    /// `println!`-family output from a library crate.
-    O1,
     /// `std::arch`/`core::arch` outside `crates/tensor/src/backend`.
     A1,
-    /// Lock-acquisition-order cycle across the workspace (pass 2).
+    /// A `.lock()` while another guard of the same function is live.
     C1,
-    /// Guard held across a blocking operation (pass 2).
-    C2,
-    /// Discarded `Result` in library code (ratcheted).
-    E1,
     /// Metric name drift between registrations and `METRICS.md`.
     M1,
     /// Malformed or unknown suppression pragma.
     P1,
 }
 
+/// Every rule, in report order (also the SARIF driver rule table).
+pub const ALL_RULES: &[Rule] = &[Rule::D2, Rule::A1, Rule::C1, Rule::M1, Rule::P1];
+
 impl Rule {
     /// Stable id used in reports and pragmas.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "D1",
             Rule::D2 => "D2",
-            Rule::D4 => "D4",
-            Rule::R1 => "R1",
-            Rule::B1 => "B1",
-            Rule::O1 => "O1",
             Rule::A1 => "A1",
             Rule::C1 => "C1",
-            Rule::C2 => "C2",
-            Rule::E1 => "E1",
             Rule::M1 => "M1",
             Rule::P1 => "P1",
         }
     }
 
-    /// Human category shown before the id, e.g. `determinism[D1]`.
+    /// Human category shown before the id, e.g. `determinism[D2]`.
     pub fn category(self) -> &'static str {
         match self {
-            Rule::D1 | Rule::D2 | Rule::D4 => "determinism",
-            Rule::R1 | Rule::B1 => "robustness",
-            Rule::C1 | Rule::C2 => "concurrency",
-            Rule::E1 => "error-flow",
-            Rule::M1 => "observability",
-            Rule::O1 => "hygiene",
+            Rule::D2 => "determinism",
             Rule::A1 => "isolation",
+            Rule::C1 => "concurrency",
+            Rule::M1 => "observability",
             Rule::P1 => "pragma",
         }
     }
 
     /// All rules a pragma may name.
     pub fn suppressible() -> &'static [&'static str] {
-        &[
-            "D1", "D2", "D4", "R1", "B1", "O1", "A1", "C1", "C2", "E1", "M1",
-        ]
+        &["D2", "A1", "C1", "M1"]
     }
 
     /// One-line description for `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::D1 => "no HashMap/HashSet iteration in result-affecting crates",
             Rule::D2 => "no partial_cmp in float comparators; use total_cmp / rank_asc",
-            Rule::D4 => "no Instant::now/SystemTime::now in result-affecting crates",
-            Rule::R1 => "no unwrap/expect/panic!/unreachable! in library code (ratcheted)",
-            Rule::B1 => "no unbounded channel/queue construction in library code (ratcheted)",
-            Rule::O1 => "no println!/eprintln! in library crates",
             Rule::A1 => "no std::arch/core::arch outside crates/tensor/src/backend",
-            Rule::C1 => "no lock-acquisition-order cycles across the workspace",
-            Rule::C2 => "no guard held across a blocking operation (wait/IO/join/queue)",
-            Rule::E1 => "no discarded Result in library code (let _ = / bare .ok();) (ratcheted)",
+            Rule::C1 => "no .lock() while another guard of the same fn is live",
             Rule::M1 => "every registered metric name appears in METRICS.md and vice versa",
             Rule::P1 => "suppression pragmas must name known rules and give a reason",
         }
@@ -207,9 +108,9 @@ impl Rule {
 /// How a file participates in the build, derived from its path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code — all rules apply.
+    /// Library code: what clippy's `--lib` run covers.
     Lib,
-    /// Binary target (`src/main.rs`, `src/bin/*`): D4/R1/O1 waived.
+    /// Binary target (`src/main.rs`, `src/bin/*`): same rules as `Lib`.
     Bin,
     /// Tests, benches, examples: only P1 applies.
     Harness,
@@ -267,21 +168,17 @@ impl Violation {
 /// Everything the rules found in one file.
 #[derive(Clone, Debug, Default)]
 pub struct FileReport {
-    /// Hard violations (D1, D2, D4, O1, P1) — each one fails `--check`.
+    /// Violations, sorted by `(line, rule)`; each one fails `--check`.
     pub violations: Vec<Violation>,
-    /// R1 sites, reported only when the crate exceeds its baseline.
-    pub r1_sites: Vec<Violation>,
-    /// B1 sites (unbounded channel/queue), ratcheted like R1.
-    pub b1_sites: Vec<Violation>,
-    /// E1 sites (discarded `Result`), ratcheted like R1.
-    pub e1_sites: Vec<Violation>,
     /// Sites silenced by a verified pragma (for `--json` stats).
     pub suppressed: usize,
+    /// gp-obs metric registrations, for the workspace-wide M1 check.
+    pub metrics: Vec<MetricReg>,
 }
 
-/// Lint one file's source. `path` is used only for labeling; the
-/// walker (see [`crate::runner`]) decides which paths get here.
-pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -> FileReport {
+/// Lint one file's source. `path` labels the findings and places A1;
+/// the walker (see [`crate::runner`]) decides which paths get here.
+pub fn lint_source(path: &str, kind: FileKind, source: &str) -> FileReport {
     let sc = scan(source);
     let mut rep = FileReport::default();
 
@@ -301,7 +198,11 @@ pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -
                     file: path.to_string(),
                     line: p.line,
                     rule: Rule::P1,
-                    message: format!("pragma names unknown rule `{r}`"),
+                    message: format!(
+                        "pragma names unknown rule `{r}` — gp-lint checks D2, A1, C1 and M1; \
+                         the generic rules are clippy lints, excused with \
+                         #[expect(clippy::…, reason = \"…\")]"
+                    ),
                 });
             }
         }
@@ -315,50 +216,23 @@ pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -
     let chars: Vec<char> = sc.code.chars().collect();
     let lines = line_index(&chars);
     let words = collect_words(&chars);
-    let result_affecting = RESULT_AFFECTING_CRATES.contains(&crate_name);
 
     let push = |rep: &mut FileReport, rule: Rule, line: usize, msg: String| {
         if sc.is_test_line(line) {
             return;
         }
-        if is_suppressed(&sc, rule, line) {
+        if sc.suppressed_lines(rule.id()).contains(&line) {
             rep.suppressed += 1;
             return;
         }
-        let v = Violation {
+        rep.violations.push(Violation {
             file: path.to_string(),
             line,
             rule,
             message: msg,
-        };
-        if rule == Rule::R1 {
-            rep.r1_sites.push(v);
-        } else if rule == Rule::B1 {
-            rep.b1_sites.push(v);
-        } else if rule == Rule::E1 {
-            rep.e1_sites.push(v);
-        } else {
-            rep.violations.push(v);
-        }
+        });
     };
 
-    if result_affecting && !d1_module_allowed(crate_name, &sc, &lines) {
-        for (line, recv) in d1_hits(&chars, &lines, &words) {
-            if d1_line_allowed(crate_name, &sc, line) {
-                continue;
-            }
-            push(
-                &mut rep,
-                Rule::D1,
-                line,
-                format!(
-                    "iteration over hash-ordered `{recv}` — order varies per process; \
-                     sort first (AnyCache::sorted_iter, BTreeMap) or justify with \
-                     `// gp-lint: allow(D1) — <reason>`"
-                ),
-            );
-        }
-    }
     for line in d2_hits(&chars, &lines, &words) {
         push(
             &mut rep,
@@ -369,26 +243,12 @@ pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -
                 .to_string(),
         );
     }
-    if result_affecting && kind == FileKind::Lib {
-        for (line, tok) in d4_hits(&chars, &lines, &words) {
-            push(
-                &mut rep,
-                Rule::D4,
-                line,
-                format!(
-                    "`{tok}` in a result-affecting crate — move timing to gp-obs/gp-bench \
-                     or justify with `// gp-lint: allow(D4) — <reason>`"
-                ),
-            );
-        }
-    }
-    // A1 applies to libraries AND binaries (only the harness is exempt):
-    // intrinsics in a bin would dodge runtime feature detection just as
-    // badly. The backend module is the one sanctioned home.
-    if kind != FileKind::Harness
-        && !path
-            .replace('\\', "/")
-            .contains("crates/tensor/src/backend")
+    // A1 applies to libraries AND binaries: intrinsics in a bin would
+    // dodge runtime feature detection just as badly. The backend module
+    // is the one sanctioned home.
+    if !path
+        .replace('\\', "/")
+        .contains("crates/tensor/src/backend")
     {
         for (line, tok) in a1_hits(&chars, &lines, &words) {
             push(
@@ -403,87 +263,29 @@ pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, source: &str) -
             );
         }
     }
-    if kind == FileKind::Lib {
-        for (line, tok) in r1_hits(&chars, &lines, &words) {
+    let facts = facts::from_scanned(&sc, source);
+    for f in &facts.fns {
+        for a in f.acquires.iter().filter(|a| !a.held.is_empty()) {
             push(
                 &mut rep,
-                Rule::R1,
-                line,
-                format!("`{tok}` in library code — return a Result or restructure"),
-            );
-        }
-        for (line, tok) in o1_hits(&chars, &lines, &words) {
-            push(
-                &mut rep,
-                Rule::O1,
-                line,
-                format!("`{tok}` from a library crate — report through gp-obs or return values"),
-            );
-        }
-        for (line, tok) in b1_hits(&chars, &lines, &words) {
-            push(
-                &mut rep,
-                Rule::B1,
-                line,
+                Rule::C1,
+                a.line,
                 format!(
-                    "`{tok}` has no capacity bound — use mpsc::sync_channel / \
-                     gp_serve::BoundedQueue / VecDeque::with_capacity, or justify with \
-                     `// gp-lint: allow(B1) — <reason>`"
-                ),
-            );
-        }
-        for d in crate::facts::find_discards(&sc) {
-            push(
-                &mut rep,
-                Rule::E1,
-                d.line,
-                format!(
-                    "`{}` discards a fallible result — handle the error, count it into \
-                     an error counter, or justify with `// gp-lint: allow(E1) — <reason>`",
-                    d.what
+                    "`{}` locks `{}` while still holding `{}` — a second fn taking the \
+                     pair in the opposite order deadlocks; take one lock at a time or \
+                     justify the order with `// gp-lint: allow(C1) — <reason>`",
+                    f.name,
+                    a.lock,
+                    a.held.join("`, `")
                 ),
             );
         }
     }
-    // Per-file stability: detectors run rule-by-rule, so line order
-    // needs restoring before anything downstream sees the report.
+    rep.metrics = facts.metrics;
+    // Detectors run rule-by-rule, so line order needs restoring before
+    // anything downstream sees the report.
     rep.violations.sort_by_key(|a| (a.line, a.rule));
-    rep.r1_sites.sort_by_key(|v| v.line);
-    rep.b1_sites.sort_by_key(|v| v.line);
-    rep.e1_sites.sort_by_key(|v| v.line);
     rep
-}
-
-fn is_suppressed(sc: &Scanned, rule: Rule, line: usize) -> bool {
-    sc.suppressed_lines(rule.id()).contains(&line)
-}
-
-/// Whole-module D1 allowlist: true when *every* line's module path in
-/// this file starts with an allowlisted prefix for this crate. (With
-/// the table empty this is always false; kept for the documented
-/// opt-out mechanism.)
-fn d1_module_allowed(crate_name: &str, sc: &Scanned, _lines: &[usize]) -> bool {
-    let prefixes: Vec<&str> = D1_ALLOWED_MODULES
-        .iter()
-        .filter(|(c, _)| *c == crate_name)
-        .map(|(_, m)| *m)
-        .collect();
-    if prefixes.is_empty() {
-        return false;
-    }
-    sc.module_path
-        .iter()
-        .all(|p| prefixes.iter().any(|pre| p.starts_with(pre)))
-}
-
-/// Per-line D1 allowlist check against the module path of `line`.
-fn d1_line_allowed(crate_name: &str, sc: &Scanned, line: usize) -> bool {
-    let Some(path) = sc.module_path.get(line.saturating_sub(1)) else {
-        return false;
-    };
-    D1_ALLOWED_MODULES
-        .iter()
-        .any(|(c, m)| *c == crate_name && path.starts_with(m))
 }
 
 // ---------------------------------------------------------------------------
@@ -539,6 +341,24 @@ pub(crate) fn next_nonws(chars: &[char], mut i: usize) -> Option<(usize, char)> 
     None
 }
 
+/// Index of the closer matching the opener at `chars[i]` (or `len` if
+/// unbalanced).
+pub(crate) fn matching(chars: &[char], mut i: usize, open: char, close: char) -> usize {
+    let mut depth = 0usize;
+    while i < chars.len() {
+        if chars[i] == open {
+            depth += 1;
+        } else if chars[i] == close {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return i;
+            }
+        }
+        i += 1;
+    }
+    chars.len()
+}
+
 /// Previous non-whitespace char strictly before `i`.
 pub(crate) fn prev_nonws(chars: &[char], i: usize) -> Option<(usize, char)> {
     let mut j = i;
@@ -549,191 +369,6 @@ pub(crate) fn prev_nonws(chars: &[char], i: usize) -> Option<(usize, char)> {
         }
     }
     None
-}
-
-/// Identifier ending at (exclusive) `end`, scanned backward.
-pub(crate) fn ident_before(chars: &[char], end: usize) -> Option<String> {
-    let mut start = end;
-    while start > 0 && (chars[start - 1].is_alphanumeric() || chars[start - 1] == '_') {
-        start -= 1;
-    }
-    if start == end {
-        None
-    } else {
-        Some(chars[start..end].iter().collect())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// D1 — hash-order iteration.
-
-const D1_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "retain",
-    "into_keys",
-    "into_values",
-];
-
-/// Identifiers the file binds to a HashMap/HashSet: `name: HashMap<…>`
-/// (fields, params, ascriptions, incl. `&`/`&mut` borrows) and
-/// `name = HashMap::…` (constructor bindings). Deliberately
-/// conservative — a false positive costs one documented pragma; a
-/// false negative costs silent nondeterminism.
-fn hash_bound_idents(chars: &[char], words: &[(usize, usize)]) -> Vec<String> {
-    // Non-whitespace separator chars between two adjacent words.
-    let sep = |a: (usize, usize), b: (usize, usize)| -> String {
-        chars[a.1..b.0]
-            .iter()
-            .filter(|c| !c.is_whitespace())
-            .collect()
-    };
-    let mut bound = Vec::new();
-    for (wi, &w) in words.iter().enumerate() {
-        let name = word_at(chars, w);
-        if name != "HashMap" && name != "HashSet" {
-            continue;
-        }
-        // Step back over `seg::` path qualifiers (`std::collections::`).
-        let mut head = wi;
-        while head > 0 && sep(words[head - 1], words[head]) == "::" {
-            head -= 1;
-        }
-        if head == 0 {
-            continue;
-        }
-        // `m: Map`, `m: &Map`, `m: &mut Map`, `m = Map::new()`.
-        let mut prev = head - 1;
-        let mut s = sep(words[prev], words[head]);
-        if word_at(chars, words[prev]) == "mut" {
-            if prev == 0 {
-                continue;
-            }
-            s = format!("{}{}", sep(words[prev - 1], words[prev]), s);
-            prev -= 1;
-        }
-        let shape_ok = (s.starts_with(':') && !s.starts_with("::"))
-            || (s.starts_with('=') && !s.starts_with("=="));
-        if !shape_ok {
-            continue;
-        }
-        let ident = word_at(chars, words[prev]);
-        if ident == "let" || ident == "mut" || ident.is_empty() {
-            continue;
-        }
-        if !bound.contains(&ident) {
-            bound.push(ident);
-        }
-    }
-    bound
-}
-
-/// `(line, receiver)` for each hash-ordered iteration site.
-fn d1_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<(usize, String)> {
-    let bound = hash_bound_idents(chars, words);
-    let mut hits = Vec::new();
-    if bound.is_empty() {
-        return d1_for_loop_hits(chars, lines, words, &bound);
-    }
-    for &w in words {
-        let name = word_at(chars, w);
-        if !D1_METHODS.contains(&name.as_str()) {
-            continue;
-        }
-        // Must be a method call: `.name(`.
-        let Some((_, prev)) = prev_nonws(chars, w.0) else {
-            continue;
-        };
-        if prev != '.' {
-            continue;
-        }
-        if next_nonws(chars, w.1).map(|(_, c)| c) != Some('(') {
-            continue;
-        }
-        // Receiver identifier just before the dot.
-        let Some((dot, _)) = prev_nonws(chars, w.0) else {
-            continue;
-        };
-        let Some(recv) = ident_before(chars, dot).or_else(|| {
-            prev_nonws(chars, dot).and_then(|(e, c)| {
-                if c.is_alphanumeric() || c == '_' {
-                    ident_before(chars, e + 1)
-                } else {
-                    None
-                }
-            })
-        }) else {
-            continue;
-        };
-        if bound.contains(&recv) {
-            hits.push((line_of(lines, w.0), format!("{recv}.{name}()")));
-        }
-    }
-    hits.extend(d1_for_loop_hits(chars, lines, words, &bound));
-    hits
-}
-
-/// `for pat in [&[mut ]]path.ident {` where `ident` is hash-bound, or
-/// the collection literally is `HashMap`/`HashSet` (e.g. a fresh temp).
-fn d1_for_loop_hits(
-    chars: &[char],
-    lines: &[usize],
-    words: &[(usize, usize)],
-    bound: &[String],
-) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    let mut wi = 0usize;
-    while wi < words.len() {
-        if word_at(chars, words[wi]) != "for" {
-            wi += 1;
-            continue;
-        }
-        // Find the matching `in` within the next few words (patterns can
-        // be tuples: `for (k, v) in`).
-        let mut ji = wi + 1;
-        let mut found_in = None;
-        while ji < words.len() && ji < wi + 12 {
-            if word_at(chars, words[ji]) == "in" {
-                found_in = Some(ji);
-                break;
-            }
-            ji += 1;
-        }
-        let Some(in_i) = found_in else {
-            wi += 1;
-            continue;
-        };
-        // The iterated expression: words after `in` up to `{`. If it
-        // contains a call `(`, the method rule already covers it.
-        let expr_start = words[in_i].1;
-        let mut k = expr_start;
-        let mut expr = String::new();
-        while k < chars.len() && chars[k] != '{' && chars[k] != '\n' && chars[k] != ';' {
-            expr.push(chars[k]);
-            k += 1;
-        }
-        if chars.get(k) == Some(&'{') && !expr.contains('(') {
-            let last = expr
-                .trim()
-                .trim_start_matches('&')
-                .trim_start_matches("mut ")
-                .split('.')
-                .next_back()
-                .unwrap_or("")
-                .trim()
-                .to_string();
-            if !last.is_empty() && bound.contains(&last) {
-                hits.push((line_of(lines, expr_start), format!("for .. in {last}")));
-            }
-        }
-        wi = in_i + 1;
-    }
-    hits
 }
 
 // ---------------------------------------------------------------------------
@@ -776,21 +411,7 @@ fn d2_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<usi
         let Some((open, '(')) = next_nonws(chars, w.1) else {
             continue;
         };
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < chars.len() {
-            match chars[j] {
-                '(' => depth += 1,
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        let j = matching(chars, open, '(', ')');
         if j >= chars.len() {
             continue;
         }
@@ -799,31 +420,6 @@ fn d2_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<usi
             if after.starts_with("unwrap") || after.starts_with("expect") {
                 hits.push(line);
             }
-        }
-    }
-    hits
-}
-
-// ---------------------------------------------------------------------------
-// D4 — wall-clock reads.
-
-fn d4_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    for (wi, &w) in words.iter().enumerate() {
-        let name = word_at(chars, w);
-        if name != "Instant" && name != "SystemTime" {
-            continue;
-        }
-        let Some(&next) = words.get(wi + 1) else {
-            continue;
-        };
-        let sep: String = chars[w.1..next.0]
-            .iter()
-            .collect::<String>()
-            .trim()
-            .to_string();
-        if sep == "::" && word_at(chars, next) == "now" {
-            hits.push((line_of(lines, w.0), format!("{name}::now()")));
         }
     }
     hits
@@ -854,107 +450,12 @@ fn a1_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<(us
     hits
 }
 
-// ---------------------------------------------------------------------------
-// R1 — panicking constructs in library code.
-
-fn r1_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    for &w in words {
-        let name = word_at(chars, w);
-        match name.as_str() {
-            "unwrap" | "expect" => {
-                // Method-call shape: `.name(` — excludes unwrap_or,
-                // expect_err etc. by word boundary, and bare fn names.
-                let is_method = prev_nonws(chars, w.0).map(|(_, c)| c) == Some('.');
-                let called = next_nonws(chars, w.1).map(|(_, c)| c) == Some('(');
-                if is_method && called {
-                    hits.push((line_of(lines, w.0), format!(".{name}()")));
-                }
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if next_nonws(chars, w.1).map(|(_, c)| c) == Some('!') =>
-            {
-                // `#[should_panic]` never gets here (word boundary),
-                // but `debug_assert!`-style macros with other names
-                // are intentionally not counted.
-                hits.push((line_of(lines, w.0), format!("{name}!")));
-            }
-            _ => {}
-        }
-    }
-    hits
-}
-
-// ---------------------------------------------------------------------------
-// B1 — unbounded channel/queue construction.
-
-fn b1_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<(usize, String)> {
-    // Non-whitespace separator chars between two adjacent words.
-    let sep = |a: (usize, usize), b: (usize, usize)| -> String {
-        chars[a.1..b.0]
-            .iter()
-            .filter(|c| !c.is_whitespace())
-            .collect()
-    };
-    let mut hits = Vec::new();
-    for (wi, &w) in words.iter().enumerate() {
-        let name = word_at(chars, w);
-        match name.as_str() {
-            "channel" => {
-                // Only `mpsc::channel(` (incl. turbofish) — `sync_channel`
-                // is a different word, and a local fn named `channel`
-                // without the mpsc qualifier is not implicated.
-                let qualified = wi >= 1
-                    && word_at(chars, words[wi - 1]) == "mpsc"
-                    && sep(words[wi - 1], w) == "::";
-                let invoked = matches!(
-                    next_nonws(chars, w.1).map(|(_, c)| c),
-                    Some('(') | Some(':')
-                );
-                if qualified && invoked {
-                    hits.push((line_of(lines, w.0), "mpsc::channel()".to_string()));
-                }
-            }
-            "VecDeque" => {
-                // `VecDeque::new()` — `with_capacity` signals a conscious
-                // size decision and is allowed (pair it with a cap check).
-                if let Some(&next) = words.get(wi + 1) {
-                    if sep(w, next) == "::"
-                        && word_at(chars, next) == "new"
-                        && next_nonws(chars, next.1).map(|(_, c)| c) == Some('(')
-                    {
-                        hits.push((line_of(lines, w.0), "VecDeque::new()".to_string()));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    hits
-}
-
-// ---------------------------------------------------------------------------
-// O1 — stdout/stderr from libraries.
-
-fn o1_hits(chars: &[char], lines: &[usize], words: &[(usize, usize)]) -> Vec<(usize, String)> {
-    let mut hits = Vec::new();
-    for &w in words {
-        let name = word_at(chars, w);
-        if matches!(name.as_str(), "println" | "eprintln" | "print" | "eprint")
-            && next_nonws(chars, w.1).map(|(_, c)| c) == Some('!')
-        {
-            hits.push((line_of(lines, w.0), format!("{name}!")));
-        }
-    }
-    hits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint_lib(src: &str) -> FileReport {
-        lint_source("x/src/lib.rs", "gp-core", FileKind::Lib, src)
+        lint_source("x/src/lib.rs", FileKind::Lib, src)
     }
 
     #[test]
@@ -967,49 +468,6 @@ mod tests {
             classify("crates/core/benches/infer_bench.rs"),
             FileKind::Harness
         );
-    }
-
-    #[test]
-    fn d1_flags_bound_map_iteration() {
-        let src = "struct C { entries: std::collections::HashMap<u64, u32> }\n\
-                   impl C { fn f(&self) { for x in self.entries.iter() { use_(x); } } }\n";
-        let rep = lint_lib(src);
-        assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
-        assert_eq!(rep.violations[0].rule, Rule::D1);
-        assert_eq!(rep.violations[0].line, 2);
-    }
-
-    #[test]
-    fn d1_flags_constructor_binding_and_for_loop() {
-        let src = "fn f() { let mut m = HashMap::new(); m.insert(1, 2);\n\
-                   for (k, v) in &m { sink(k, v); } }\n";
-        let rep = lint_lib(src);
-        assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
-        assert_eq!(rep.violations[0].rule, Rule::D1);
-    }
-
-    #[test]
-    fn d1_ignores_vec_iteration_and_other_crates() {
-        let src = "fn f(v: &Vec<u32>, m: &HashMap<u32, u32>) { for x in v.iter() { m.get(x); } }\n";
-        let rep = lint_lib(src);
-        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-        let rep2 = lint_source(
-            "crates/obs/src/lib.rs",
-            "gp-obs",
-            FileKind::Lib,
-            "fn f(m: &HashMap<u32, u32>) { for x in m.keys() { sink(x); } }",
-        );
-        assert!(rep2.violations.is_empty(), "gp-obs is not result-affecting");
-    }
-
-    #[test]
-    fn d1_pragma_suppresses_with_reason() {
-        let src = "fn f(m: &HashMap<u32, u32>) {\n\
-                   // gp-lint: allow(D1) — membership only, order never escapes\n\
-                   for x in m.keys() { sink(x); } }\n";
-        let rep = lint_lib(src);
-        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-        assert_eq!(rep.suppressed, 1);
     }
 
     #[test]
@@ -1034,112 +492,16 @@ mod tests {
     }
 
     #[test]
-    fn d4_flags_wall_clock_in_result_affecting_lib_only() {
-        let src = "fn f() { let t = Instant::now(); let s = SystemTime::now(); }\n";
-        let rep = lint_lib(src);
-        assert_eq!(rep.violations.len(), 2);
-        assert!(rep.violations.iter().all(|v| v.rule == Rule::D4));
-        let obs = lint_source("crates/obs/src/l.rs", "gp-obs", FileKind::Lib, src);
-        assert!(obs.violations.is_empty(), "gp-obs may read the clock");
-        let bin = lint_source("src/bin/gp.rs", "graphprompter", FileKind::Bin, src);
-        assert!(bin.violations.is_empty(), "binaries may read the clock");
-    }
-
-    #[test]
-    fn r1_counts_panicking_constructs_with_word_boundaries() {
-        let src = "fn f(o: Option<u32>) -> u32 {\n\
-                   let a = o.unwrap();\n\
-                   let b = o.expect(\"msg\");\n\
-                   let c = o.unwrap_or(3);\n\
-                   let d = o.unwrap_or_else(|| 4);\n\
-                   if a > b { panic!(\"boom\") } else { unreachable!() }\n\
-                   }\n";
-        let rep = lint_lib(src);
-        assert!(rep.violations.is_empty());
-        assert_eq!(rep.r1_sites.len(), 4, "{:?}", rep.r1_sites);
-    }
-
-    #[test]
-    fn r1_ignores_test_code_and_bins() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { None::<u32>.unwrap(); } }\n";
-        assert!(lint_lib(src).r1_sites.is_empty());
-        let bin = lint_source(
-            "src/main.rs",
-            "graphprompter",
-            FileKind::Bin,
-            "fn main() { std::fs::read(\"x\").unwrap(); }",
-        );
-        assert!(bin.r1_sites.is_empty());
-    }
-
-    #[test]
-    fn b1_flags_unbounded_channel_and_vecdeque() {
-        let src = "fn f() { let (tx, rx) = mpsc::channel::<u32>(); sink(tx, rx);\n\
-                   let mut q = VecDeque::new(); q.push_back(1); }\n";
-        let rep = lint_lib(src);
-        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-        assert_eq!(rep.b1_sites.len(), 2, "{:?}", rep.b1_sites);
-        assert!(rep.b1_sites.iter().all(|v| v.rule == Rule::B1));
-        assert_eq!(rep.b1_sites[0].line, 1);
-        assert_eq!(rep.b1_sites[1].line, 2);
-    }
-
-    #[test]
-    fn b1_allows_bounded_constructions() {
-        let src = "fn f() { let (tx, rx) = mpsc::sync_channel(8); sink(tx, rx);\n\
-                   let q: VecDeque<u32> = VecDeque::with_capacity(8); use_(q); }\n";
-        let rep = lint_lib(src);
-        assert!(rep.b1_sites.is_empty(), "{:?}", rep.b1_sites);
-    }
-
-    #[test]
-    fn b1_ignores_harness_bins_and_unqualified_channel() {
-        let src = "fn f() { let (tx, rx) = mpsc::channel(); sink(tx, rx); }\n";
-        let harness = lint_source(
-            "crates/serve/tests/t.rs",
-            "gp-serve",
-            FileKind::Harness,
-            src,
-        );
-        assert!(harness.b1_sites.is_empty());
-        let bin = lint_source("src/bin/gp.rs", "graphprompter", FileKind::Bin, src);
-        assert!(bin.b1_sites.is_empty());
-        // A fn merely named `channel` with no mpsc qualifier is fine.
-        let local = lint_lib("fn f() { let c = channel(); use_(c); }\n");
-        assert!(local.b1_sites.is_empty(), "{:?}", local.b1_sites);
-    }
-
-    #[test]
-    fn b1_pragma_suppresses_with_reason() {
-        let src = "fn f() {\n\
-                   // gp-lint: allow(B1) — one message per worker, depth bounded by the pool budget\n\
-                   let (tx, rx) = mpsc::channel(); sink(tx, rx); }\n";
-        let rep = lint_lib(src);
-        assert!(rep.b1_sites.is_empty(), "{:?}", rep.b1_sites);
-        assert_eq!(rep.suppressed, 1);
-    }
-
-    #[test]
-    fn o1_flags_println_in_lib_not_bin() {
-        let src = "fn f() { println!(\"x\"); eprintln!(\"y\"); }\n";
-        let rep = lint_lib(src);
-        assert_eq!(rep.violations.len(), 2);
-        assert!(rep.violations.iter().all(|v| v.rule == Rule::O1));
-        let bin = lint_source("src/bin/gp.rs", "graphprompter", FileKind::Bin, src);
-        assert!(bin.violations.is_empty());
-    }
-
-    #[test]
     fn a1_flags_arch_intrinsics_outside_backend() {
         let src = "use std::arch::x86_64::*;\nfn f() { core::arch::asm!(\"nop\"); }\n";
         let rep = lint_lib(src);
         assert_eq!(rep.violations.len(), 2, "{:?}", rep.violations);
         assert!(rep.violations.iter().all(|v| v.rule == Rule::A1));
         // Binaries are NOT exempt — intrinsics there dodge detection too.
-        let bin = lint_source("src/bin/gp.rs", "graphprompter", FileKind::Bin, src);
+        let bin = lint_source("src/bin/gp.rs", FileKind::Bin, src);
         assert_eq!(bin.violations.len(), 2, "{:?}", bin.violations);
         // Harness code may poke at intrinsics for test scaffolding.
-        let harness = lint_source("tests/x.rs", "graphprompter", FileKind::Harness, src);
+        let harness = lint_source("tests/x.rs", FileKind::Harness, src);
         assert!(harness.violations.is_empty(), "{:?}", harness.violations);
     }
 
@@ -1150,16 +512,11 @@ mod tests {
             "crates/tensor/src/backend/fast.rs",
             "crates/tensor/src/backend/mod.rs",
         ] {
-            let rep = lint_source(path, "gp-tensor", FileKind::Lib, src);
+            let rep = lint_source(path, FileKind::Lib, src);
             assert!(rep.violations.is_empty(), "{path}: {:?}", rep.violations);
         }
         // The rest of gp-tensor is not exempt.
-        let rep = lint_source(
-            "crates/tensor/src/tensor.rs",
-            "gp-tensor",
-            FileKind::Lib,
-            src,
-        );
+        let rep = lint_source("crates/tensor/src/tensor.rs", FileKind::Lib, src);
         assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
         assert_eq!(rep.violations[0].rule, Rule::A1);
     }
@@ -1174,8 +531,68 @@ mod tests {
     }
 
     #[test]
+    fn c1_flags_a_lock_taken_under_another_guard() {
+        let src = "impl P {\n\
+                   fn ab(&self) { let g = self.a.lock().unwrap();\n\
+                   let h = self.b.lock().unwrap(); drop(h); drop(g); }\n\
+                   fn one_at_a_time(&self) { let g = self.a.lock().unwrap(); drop(g);\n\
+                   let h = self.b.lock().unwrap(); drop(h); }\n\
+                   }\n";
+        let rep = lint_lib(src);
+        assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
+        let v = &rep.violations[0];
+        assert_eq!((v.rule, v.line), (Rule::C1, 3));
+        assert!(
+            v.message
+                .contains("`ab` locks `self.b` while still holding `self.a`"),
+            "{}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn c1_pragma_suppresses_and_counts() {
+        let src = "fn bad(&self) { let a = self.aux.lock().unwrap();\n\
+                   // gp-lint: allow(C1) - aux is always taken first; nothing locks it under m\n\
+                   let g = self.m.lock().unwrap(); drop(g); drop(a); }\n";
+        let rep = lint_lib(src);
+        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
+        assert_eq!(rep.suppressed, 1);
+    }
+
+    #[test]
+    fn c1_coalescer_shape_is_clean() {
+        // leader/follower: the guard moves into helpers and waits; no
+        // second lock is ever taken under it — mirrors
+        // crates/serve/src/coalesce.rs
+        let src = "impl C {\n\
+                   fn lock(&self) -> MutexGuard<'_, St> { self.state.lock().unwrap() }\n\
+                   fn wait<'a>(&'a self, g: MutexGuard<'a, St>, d: Duration) -> MutexGuard<'a, St> { self.cv.wait_timeout(g, d).unwrap().0 }\n\
+                   fn submit(&self) { let st = self.lock(); self.lead(st); }\n\
+                   fn lead(&self, mut st: MutexGuard<'_, St>) { st = self.wait(st, D); drop(st); let mut st = self.lock(); drop(st); }\n\
+                   }\n";
+        let rep = lint_lib(src);
+        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
+    }
+
+    #[test]
+    fn c1_flags_a_second_guard_held_across_a_wait() {
+        // Waiting on `m` while `aux` is held starts by locking `m` under
+        // `aux`: that nesting alone fails.
+        let src = "impl W { fn bad(&self) { let a = self.aux.lock().unwrap();\n\
+                   let mut g = self.m.lock().unwrap(); g = self.cv.wait(g).unwrap(); drop(g); drop(a); } }\n";
+        let rep = lint_lib(src);
+        assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
+        let v = &rep.violations[0];
+        assert_eq!((v.rule, v.line), (Rule::C1, 2));
+        assert!(v
+            .message
+            .contains("locks `self.m` while still holding `self.aux`"));
+    }
+
+    #[test]
     fn p1_fires_for_missing_reason_and_unknown_rule() {
-        let src = "// gp-lint: allow(D1)\nfn f() {}\n// gp-lint: allow(Z9) — whatever\n";
+        let src = "// gp-lint: allow(D2)\nfn f() {}\n// gp-lint: allow(Z9) — whatever\n";
         let rep = lint_lib(src);
         assert_eq!(rep.violations.len(), 2, "{:?}", rep.violations);
         assert!(rep.violations.iter().all(|v| v.rule == Rule::P1));
@@ -1183,19 +600,18 @@ mod tests {
 
     #[test]
     fn p1_applies_even_in_harness_files() {
-        let src = "// gp-lint: allow(D1)\nfn t() {}\n";
-        let rep = lint_source("tests/x.rs", "graphprompter", FileKind::Harness, src);
+        let src = "// gp-lint: allow(D2)\nfn t() {}\n";
+        let rep = lint_source("tests/x.rs", FileKind::Harness, src);
         assert_eq!(rep.violations.len(), 1);
         assert_eq!(rep.violations[0].rule, Rule::P1);
     }
 
     #[test]
     fn rule_mentions_in_comments_and_strings_do_not_fire() {
-        let src = "// thread_rng() and partial_cmp and Instant::now()\n\
-                   fn f() -> &'static str { \"println! unwrap() HashMap .iter()\" }\n";
+        let src = "// partial_cmp and std::arch and x.lock() under a guard\n\
+                   fn f() -> &'static str { \"sort_by(|a, b| a.partial_cmp(b).unwrap()) core::arch\" }\n";
         let rep = lint_lib(src);
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-        assert!(rep.r1_sites.is_empty());
     }
 
     #[test]
@@ -1210,5 +626,102 @@ mod tests {
             v.render(),
             "crates/core/src/selector.rs:42: determinism[D2] msg"
         );
+    }
+
+    // D1, D4, R1, B1 and O1 are clippy's now (`clippy.toml` bans and CI's
+    // `$LIB_LINTS`). These hold clippy to the fixture crate in
+    // `tests/fixtures/clippy`: each `// lint: <key>` site must be
+    // reported, and the sites named here must stay clean.
+    use crate::clippy_fixture::{assert_clean, assert_family, reported};
+
+    const R1: &[&str] = &[
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+    ];
+
+    /// `--lib` leaves the fixture's binary out of the library-only lints.
+    fn assert_no_bin_sites() {
+        if let Some(r) = reported() {
+            assert!(
+                r.iter().all(|(_, k)| !k.starts_with("src/main.rs")),
+                "{r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn d1_flags_bound_map_iteration() {
+        assert_family(|k| k.starts_with("std::collections::Hash"));
+    }
+
+    #[test]
+    fn d1_flags_constructor_binding_and_for_loop() {
+        assert_family(|k| k == "iter_over_hash_type");
+    }
+
+    #[test]
+    fn d1_ignores_vec_iteration_and_other_crates() {
+        // The result-affecting crate list is gone (the ban is global);
+        // ordered iteration and point lookups stay clean.
+        assert_clean(&["v.iter().sum()", "self.by_node.get(&id)"]);
+    }
+
+    #[test]
+    fn d1_pragma_suppresses_with_reason() {
+        assert_clean(&["hash order never escapes", "seen.iter().copied()"]);
+    }
+
+    #[test]
+    fn d4_flags_wall_clock_in_result_affecting_lib_only() {
+        // Every crate now; timing code carries a reasoned #[expect].
+        assert_family(|k| k.starts_with("std::time::"));
+        assert_clean(&["diagnostics field only", "SystemTime::now().duration_since"]);
+    }
+
+    #[test]
+    fn r1_counts_panicking_constructs_with_word_boundaries() {
+        assert_family(|k| R1.contains(&k));
+        assert_clean(&["o.unwrap_or(0)"]);
+    }
+
+    #[test]
+    fn r1_ignores_test_code_and_bins() {
+        assert_clean(&["Some(2u32).unwrap()"]);
+        assert_no_bin_sites();
+    }
+
+    #[test]
+    fn b1_flags_unbounded_channel_and_vecdeque() {
+        assert_family(|k| {
+            k == "std::sync::mpsc::channel" || k == "std::collections::VecDeque::new"
+        });
+    }
+
+    #[test]
+    fn b1_allows_bounded_constructions() {
+        assert_clean(&["mpsc::sync_channel::<u32>(8)", "VecDeque::with_capacity(8)"]);
+    }
+
+    #[test]
+    fn b1_ignores_harness_bins_and_unqualified_channel() {
+        // The ban covers every target now (harness and bin sites carry
+        // #[expect]); a local fn merely named `channel` is not the
+        // banned path.
+        assert_clean(&["q.capacity() + channel()"]);
+    }
+
+    #[test]
+    fn b1_pragma_suppresses_with_reason() {
+        assert_clean(&["depth bounded by the pool budget", "mpsc::channel().1"]);
+    }
+
+    #[test]
+    fn o1_flags_println_in_lib_not_bin() {
+        assert_family(|k| k.starts_with("print_"));
+        assert_no_bin_sites();
     }
 }

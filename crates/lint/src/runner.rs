@@ -1,250 +1,73 @@
-//! Workspace walker, aggregation, ratchet enforcement and the CLI.
+//! Workspace walker, the M1 manifest check, reports and the CLI.
 //!
 //! Library-side everything is pure: [`run`] returns an [`Outcome`] and
 //! [`run_cli`] returns `(report_text, exit_code)` — printing is the
-//! binary's job, so gp-lint passes its own O1 rule ("no `println!` in
-//! library crates") and its own R1/B1/E1 ratchets (zero panicking
-//! constructs, zero unbounded queues, zero swallowed Results: every
-//! fallible step routes through `Result<_, String>`).
-//!
-//! Since v2 the runner is **two-pass**: while walking it both lints
-//! each file ([`crate::rules::lint_source`]) and extracts its facts
-//! ([`crate::facts::extract`]); after the walk it runs the cross-file
-//! concurrency rules ([`crate::graph::analyze`]) and the M1
-//! metric-manifest check over the merged fact base.
+//! binary's job, and every fallible step routes through
+//! `Result<_, String>`. The walker lints each file with
+//! [`crate::rules::lint_source`] and then checks the metric names the
+//! files registered against the committed `METRICS.md`.
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Baseline, RatchetReport};
-use crate::facts::{self, FileFacts};
-use crate::rules::{classify, lint_source, FileKind, Rule, Violation};
-
-/// Default name of the committed ratchet file, at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.toml";
+use crate::facts::MetricReg;
+use crate::rules::{classify, lint_source, Rule, Violation, ALL_RULES};
 
 /// Name of the committed metric manifest M1 checks, at the workspace
 /// root.
 pub const METRICS_FILE: &str = "METRICS.md";
 
-/// Parsed command line.
+/// What to lint.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Workspace root (autodetected from cwd when not given).
     pub root: PathBuf,
-    /// Emit the report as JSON instead of text.
-    pub json: bool,
-    /// Emit the report as SARIF 2.1.0 (for CI code-scanning upload).
-    pub sarif: bool,
-    /// Rewrite the baseline file with the observed R1/B1/E1 counts.
-    pub update_baseline: bool,
-    /// Path to the baseline file (default `<root>/lint-baseline.toml`).
-    pub baseline: PathBuf,
     /// Only report findings in files changed since this git ref. The
-    /// whole workspace is still analyzed (pass 2 needs every file);
-    /// ratchet regressions stay global — a rising count fails even if
-    /// the offending file predates the ref.
+    /// whole workspace is still analyzed (M1 needs every file).
     pub changed: Option<String>,
 }
 
 /// Everything one lint run produced.
 #[derive(Clone, Debug, Default)]
 pub struct Outcome {
-    /// Hard violations (D1, D2, D4, O1, P1 plus over-baseline R1/B1), sorted
-    /// by `(file, line, rule)` so output is byte-stable across runs.
+    /// Violations sorted by `(file, line, rule)` so output is
+    /// byte-stable across runs.
     pub violations: Vec<Violation>,
-    /// Per-crate observed R1 counts (library code, unsuppressed), sorted.
-    pub r1_counts: Vec<(String, usize)>,
-    /// Per-crate observed B1 counts (library code, unsuppressed), sorted.
-    pub b1_counts: Vec<(String, usize)>,
-    /// Per-crate observed E1 counts (library code, unsuppressed), sorted.
-    pub e1_counts: Vec<(String, usize)>,
-    /// R1 ratchet comparison against the committed baseline.
-    pub ratchet: RatchetReport,
-    /// B1 ratchet comparison against the committed baseline.
-    pub ratchet_b1: RatchetReport,
-    /// E1 ratchet comparison against the committed baseline.
-    pub ratchet_e1: RatchetReport,
     /// Total sites silenced by verified pragmas.
     pub suppressed: usize,
     /// Number of `.rs` files linted.
     pub files_scanned: usize,
-    /// True when the baseline file was rewritten this run.
-    pub baseline_updated: bool,
 }
 
 impl Outcome {
-    /// Did the run pass (no hard violations, no ratchet regressions)?
+    /// Did the run pass (no violations)?
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
 }
 
 /// Lint every `.rs` file under `opts.root` (skipping `target/`, dot
-/// directories and the linter's own fixture corpus), run the pass-2
-/// workspace rules (C1/C2/M1) over the merged facts, and enforce the
-/// R1/B1/E1 ratchets against `opts.baseline`.
+/// directories and the linter's own fixture corpus), then run the M1
+/// manifest check over every registered metric.
 pub fn run(opts: &Options) -> Result<Outcome, String> {
-    let files = collect_rs_files(&opts.root)?;
-    let mut crate_names: CrateNameCache = HashMap::new();
     let mut out = Outcome::default();
-    let mut r1_by_crate: Vec<(String, usize)> = Vec::new();
-    let mut r1_sites_by_crate: Vec<(String, Vec<Violation>)> = Vec::new();
-    let mut b1_by_crate: Vec<(String, usize)> = Vec::new();
-    let mut b1_sites_by_crate: Vec<(String, Vec<Violation>)> = Vec::new();
-    let mut e1_by_crate: Vec<(String, usize)> = Vec::new();
-    let mut e1_sites_by_crate: Vec<(String, Vec<Violation>)> = Vec::new();
-    let mut fact_files: Vec<FileFacts> = Vec::new();
-
-    for path in &files {
-        let rel = rel_label(&opts.root, path);
-        let crate_name = crate_name_for(&mut crate_names, &opts.root, path)?;
-        let kind = classify(&rel);
+    let mut metrics: Vec<(String, MetricReg)> = Vec::new();
+    for path in collect_rs_files(&opts.root)? {
+        let rel = rel_label(&opts.root, &path);
         let source =
-            fs::read_to_string(path).map_err(|e| format!("gp-lint: cannot read {rel}: {e}"))?;
-        let rep = lint_source(&rel, &crate_name, kind, &source);
-        if kind != FileKind::Harness {
-            // Pass-1 fact extraction: C1/C2/M1 cover binaries too — a
-            // deadlock in `gp serve` is no less a deadlock.
-            fact_files.push(facts::extract(&rel, &crate_name, kind, &source));
-        }
+            fs::read_to_string(&path).map_err(|e| format!("gp-lint: cannot read {rel}: {e}"))?;
+        let rep = lint_source(&rel, classify(&rel), &source);
         out.files_scanned += 1;
         out.suppressed += rep.suppressed;
         out.violations.extend(rep.violations);
-        if !rep.r1_sites.is_empty() {
-            bump(&mut r1_by_crate, &crate_name, rep.r1_sites.len());
-            match r1_sites_by_crate.iter_mut().find(|(c, _)| c == &crate_name) {
-                Some((_, sites)) => sites.extend(rep.r1_sites),
-                None => r1_sites_by_crate.push((crate_name.clone(), rep.r1_sites)),
-            }
-        } else if kind == FileKind::Lib {
-            // Record the crate with zero sites so clean crates appear in
-            // the baseline and stay ratcheted at zero.
-            bump(&mut r1_by_crate, &crate_name, 0);
-        }
-        if !rep.b1_sites.is_empty() {
-            bump(&mut b1_by_crate, &crate_name, rep.b1_sites.len());
-            match b1_sites_by_crate.iter_mut().find(|(c, _)| c == &crate_name) {
-                Some((_, sites)) => sites.extend(rep.b1_sites),
-                None => b1_sites_by_crate.push((crate_name.clone(), rep.b1_sites)),
-            }
-        } else if kind == FileKind::Lib {
-            bump(&mut b1_by_crate, &crate_name, 0);
-        }
-        if !rep.e1_sites.is_empty() {
-            bump(&mut e1_by_crate, &crate_name, rep.e1_sites.len());
-            match e1_sites_by_crate.iter_mut().find(|(c, _)| c == &crate_name) {
-                Some((_, sites)) => sites.extend(rep.e1_sites),
-                None => e1_sites_by_crate.push((crate_name.clone(), rep.e1_sites)),
-            }
-        } else if kind == FileKind::Lib {
-            bump(&mut e1_by_crate, &crate_name, 0);
-        }
+        metrics.extend(rep.metrics.into_iter().map(|m| (rel.clone(), m)));
     }
-    r1_by_crate.sort_by(|a, b| a.0.cmp(&b.0));
-    out.r1_counts = r1_by_crate;
-    b1_by_crate.sort_by(|a, b| a.0.cmp(&b.0));
-    out.b1_counts = b1_by_crate;
-    e1_by_crate.sort_by(|a, b| a.0.cmp(&b.0));
-    out.e1_counts = e1_by_crate;
 
-    // Pass 2: cross-file concurrency rules over the merged fact base.
-    let analysis = crate::graph::analyze(&fact_files);
-    out.suppressed += analysis.suppressed;
-    out.violations.extend(analysis.violations);
-
-    // M1: registered metric names vs the committed manifest.
-    let (m1_violations, m1_suppressed) = check_metrics_manifest(&opts.root, &fact_files);
-    out.suppressed += m1_suppressed;
-    out.violations.extend(m1_violations);
-
-    // Ratchet: load the committed baseline (absent file = empty = all
-    // zeros, so a fresh workspace must start clean or commit a baseline).
-    let baseline = match fs::read_to_string(&opts.baseline) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => {
-            return Err(format!(
-                "gp-lint: cannot read {}: {e}",
-                opts.baseline.display()
-            ))
-        }
-    };
-    out.ratchet = RatchetReport::compare(&baseline.r1, &out.r1_counts);
-    out.ratchet_b1 = RatchetReport::compare(&baseline.b1, &out.b1_counts);
-    out.ratchet_e1 = RatchetReport::compare(&baseline.e1, &out.e1_counts);
-
-    if opts.update_baseline {
-        let next = Baseline::from_counts(&out.r1_counts, &out.b1_counts, &out.e1_counts);
-        fs::write(&opts.baseline, next.render())
-            .map_err(|e| format!("gp-lint: cannot write {}: {e}", opts.baseline.display()))?;
-        out.baseline_updated = true;
-    } else {
-        // Regressions become hard violations: the per-crate summary plus
-        // every site in the regressed crate (the new one is among them).
-        let baseline_label = rel_label(&opts.root, &opts.baseline);
-        for (name, allowed, observed) in &out.ratchet.regressed {
-            out.violations.push(Violation {
-                file: baseline_label.clone(),
-                line: 1,
-                rule: Rule::R1,
-                message: format!(
-                    "crate {name} has {observed} panicking sites but the ratchet allows \
-                     {allowed} — remove the new unwrap/expect/panic (all {name} sites listed)"
-                ),
-            });
-            if let Some((_, sites)) = r1_sites_by_crate.iter().find(|(c, _)| c == name) {
-                out.violations.extend(sites.iter().cloned());
-            }
-        }
-        for (name, allowed, observed) in &out.ratchet_b1.regressed {
-            out.violations.push(Violation {
-                file: baseline_label.clone(),
-                line: 1,
-                rule: Rule::B1,
-                message: format!(
-                    "crate {name} has {observed} unbounded channel/queue sites but the \
-                     ratchet allows {allowed} — bound the new queue (all {name} sites listed)"
-                ),
-            });
-            if let Some((_, sites)) = b1_sites_by_crate.iter().find(|(c, _)| c == name) {
-                out.violations.extend(sites.iter().cloned());
-            }
-        }
-        for (name, allowed, observed) in &out.ratchet_e1.regressed {
-            out.violations.push(Violation {
-                file: baseline_label.clone(),
-                line: 1,
-                rule: Rule::E1,
-                message: format!(
-                    "crate {name} has {observed} discarded-Result sites but the ratchet \
-                     allows {allowed} — handle or count the new error (all {name} sites listed)"
-                ),
-            });
-            if let Some((_, sites)) = e1_sites_by_crate.iter().find(|(c, _)| c == name) {
-                out.violations.extend(sites.iter().cloned());
-            }
-        }
-    }
+    check_metrics_manifest(&opts.root, &metrics, &mut out);
 
     if let Some(git_ref) = &opts.changed {
         let changed = changed_files(&opts.root, git_ref)?;
-        let baseline_label = rel_label(&opts.root, &opts.baseline);
-        out.violations.retain(|v| {
-            // Ratchet summaries are global: a rising count must fail a
-            // pre-commit run even when the new site is the only change.
-            if v.file == baseline_label {
-                return true;
-            }
-            if changed.contains(&v.file) {
-                return true;
-            }
-            // A C1 cycle's anchor file may be unchanged while a changed
-            // file contributed the closing edge — keep it if any changed
-            // file appears in the witness chain.
-            v.rule == Rule::C1 && changed.iter().any(|f| v.message.contains(f.as_str()))
-        });
+        out.violations.retain(|v| changed.contains(&v.file));
     }
 
     out.violations
@@ -286,66 +109,50 @@ fn changed_files(root: &Path, git_ref: &str) -> Result<Vec<String>, String> {
 }
 
 /// M1: every metric name registered via gp-obs appears in the committed
-/// `METRICS.md` and vice versa. Returns `(violations, suppressed)`.
-fn check_metrics_manifest(root: &Path, fact_files: &[FileFacts]) -> (Vec<Violation>, usize) {
-    let mut registered: Vec<(&str, &str, &str, usize, bool)> = Vec::new(); // name, kind, file, line, allowed
-    for f in fact_files {
-        for m in &f.metrics {
-            registered.push((
-                &m.name,
-                m.kind,
-                &f.path,
-                m.line,
-                f.allow_m1.contains(&m.line),
-            ));
-        }
-    }
+/// `METRICS.md` and vice versa. `registered` pairs each registration
+/// with its file.
+fn check_metrics_manifest(root: &Path, registered: &[(String, MetricReg)], out: &mut Outcome) {
     if registered.is_empty() {
-        return (Vec::new(), 0);
+        return;
     }
-    let mut violations = Vec::new();
-    let mut suppressed = 0usize;
-    let manifest_path = root.join(METRICS_FILE);
-    let text = match fs::read_to_string(&manifest_path) {
-        Ok(t) => t,
-        Err(_) => {
-            violations.push(Violation {
-                file: METRICS_FILE.to_string(),
-                line: 1,
-                rule: Rule::M1,
-                message: format!(
-                    "{} metric names are registered but {METRICS_FILE} does not exist — \
-                     commit the manifest (name, type, subsystem, meaning per metric)",
-                    registered.len()
-                ),
-            });
-            return (violations, 0);
-        }
-    };
-    let manifest = manifest_metric_names(&text);
-    for (name, kind, file, line, allowed) in &registered {
-        if manifest.iter().any(|(n, _)| n == name) {
-            continue;
-        }
-        if *allowed {
-            suppressed += 1;
-            continue;
-        }
-        violations.push(Violation {
-            file: (*file).to_string(),
-            line: *line,
+    let Ok(text) = fs::read_to_string(root.join(METRICS_FILE)) else {
+        out.violations.push(Violation {
+            file: METRICS_FILE.to_string(),
+            line: 1,
             rule: Rule::M1,
             message: format!(
-                "{kind} `{name}` is registered but missing from {METRICS_FILE} — \
-                 document it (or justify with `// gp-lint: allow(M1) — <reason>`)"
+                "{} metric names are registered but {METRICS_FILE} does not exist — \
+                 commit the manifest (name, type, subsystem, meaning per metric)",
+                registered.len()
+            ),
+        });
+        return;
+    };
+    let manifest = manifest_metric_names(&text);
+    for (file, m) in registered {
+        if manifest.iter().any(|(n, _)| *n == m.name) {
+            continue;
+        }
+        if m.allowed {
+            out.suppressed += 1;
+            continue;
+        }
+        out.violations.push(Violation {
+            file: file.clone(),
+            line: m.line,
+            rule: Rule::M1,
+            message: format!(
+                "{} `{}` is registered but missing from {METRICS_FILE} — \
+                 document it (or justify with `// gp-lint: allow(M1) — <reason>`)",
+                m.kind, m.name
             ),
         });
     }
     for (name, line) in &manifest {
-        if registered.iter().any(|(n, ..)| n == name) {
+        if registered.iter().any(|(_, m)| m.name == *name) {
             continue;
         }
-        violations.push(Violation {
+        out.violations.push(Violation {
             file: METRICS_FILE.to_string(),
             line: *line,
             rule: Rule::M1,
@@ -355,7 +162,6 @@ fn check_metrics_manifest(root: &Path, fact_files: &[FileFacts]) -> (Vec<Violati
             ),
         });
     }
-    (violations, suppressed)
 }
 
 /// Metric names out of the manifest: the first cell of each markdown
@@ -383,15 +189,6 @@ fn manifest_metric_names(text: &str) -> Vec<(String, usize)> {
     out
 }
 
-type CrateNameCache = HashMap<PathBuf, String>;
-
-fn bump(counts: &mut Vec<(String, usize)>, name: &str, by: usize) {
-    match counts.iter_mut().find(|(c, _)| c == name) {
-        Some((_, n)) => *n += by,
-        None => counts.push((name.to_string(), by)),
-    }
-}
-
 /// Repo-relative, `/`-separated label for reports.
 fn rel_label(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
@@ -409,26 +206,21 @@ fn collect_rs_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     while let Some(dir) = stack.pop() {
         let rd = fs::read_dir(&dir)
             .map_err(|e| format!("gp-lint: cannot list {}: {e}", dir.display()))?;
-        let mut entries: Vec<PathBuf> = Vec::new();
         for entry in rd {
-            let entry =
-                entry.map_err(|e| format!("gp-lint: walk error in {}: {e}", dir.display()))?;
-            entries.push(entry.path());
-        }
-        entries.sort();
-        for path in entries {
+            let path = entry
+                .map_err(|e| format!("gp-lint: walk error in {}: {e}", dir.display()))?
+                .path();
             let name = path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
             if path.is_dir() {
-                if name == "target" || name.starts_with('.') {
-                    continue;
+                if name != "target"
+                    && !name.starts_with('.')
+                    && rel_label(root, &path) != "crates/lint/tests/fixtures"
+                {
+                    stack.push(path);
                 }
-                if rel_label(root, &path) == "crates/lint/tests/fixtures" {
-                    continue;
-                }
-                stack.push(path);
             } else if name.ends_with(".rs") {
                 files.push(path);
             }
@@ -438,97 +230,20 @@ fn collect_rs_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-/// Package name from the nearest ancestor `Cargo.toml` (cached per
-/// directory). Falls back to the directory name if no manifest declares
-/// a `[package] name`.
-fn crate_name_for(cache: &mut CrateNameCache, root: &Path, file: &Path) -> Result<String, String> {
-    let mut dir = file.parent().map(Path::to_path_buf);
-    while let Some(d) = dir {
-        if let Some(name) = cache.get(&d) {
-            return Ok(name.clone());
-        }
-        let manifest = d.join("Cargo.toml");
-        if manifest.is_file() {
-            let text = fs::read_to_string(&manifest)
-                .map_err(|e| format!("gp-lint: cannot read {}: {e}", manifest.display()))?;
-            if let Some(name) = package_name(&text) {
-                cache.insert(d, name.clone());
-                return Ok(name);
-            }
-        }
-        if d == root {
-            break;
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    Ok(file
-        .parent()
-        .and_then(Path::file_name)
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "unknown".to_string()))
-}
-
-/// `name = "…"` out of a manifest's `[package]` section.
-fn package_name(manifest: &str) -> Option<String> {
-    let mut in_package = false;
-    for raw in manifest.lines() {
-        let line = raw.trim();
-        if line.starts_with('[') {
-            in_package = line == "[package]";
-            continue;
-        }
-        if !in_package {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        if key.trim() == "name" {
-            return Some(value.trim().trim_matches('"').to_string());
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Reports.
 
-/// Stable text report: sorted violations, ratchet notices, a summary line.
+/// Stable text report: sorted violations, then a summary line.
 pub fn render_text(out: &Outcome) -> String {
     let mut s = String::new();
     for v in &out.violations {
         s.push_str(&v.render());
         s.push('\n');
     }
-    for (name, allowed, observed) in &out.ratchet.improved {
-        s.push_str(&format!(
-            "notice: crate {name} improved to {observed} panicking sites (baseline {allowed}) — \
-             run `gp-lint --update-baseline` to ratchet\n"
-        ));
-    }
-    for (name, allowed, observed) in &out.ratchet_b1.improved {
-        s.push_str(&format!(
-            "notice: crate {name} improved to {observed} unbounded-queue sites (baseline \
-             {allowed}) — run `gp-lint --update-baseline` to ratchet\n"
-        ));
-    }
-    for (name, allowed, observed) in &out.ratchet_e1.improved {
-        s.push_str(&format!(
-            "notice: crate {name} improved to {observed} discarded-Result sites (baseline \
-             {allowed}) — run `gp-lint --update-baseline` to ratchet\n"
-        ));
-    }
-    if out.baseline_updated {
-        s.push_str("baseline updated\n");
-    }
     if out.ok() {
         s.push_str(&format!(
-            "gp-lint: clean — {} files, {} suppressed sites, R1 total {}, B1 total {}, E1 total {}\n",
-            out.files_scanned,
-            out.suppressed,
-            out.r1_counts.iter().map(|(_, n)| n).sum::<usize>(),
-            out.b1_counts.iter().map(|(_, n)| n).sum::<usize>(),
-            out.e1_counts.iter().map(|(_, n)| n).sum::<usize>()
+            "gp-lint: clean — {} files, {} suppressed sites\n",
+            out.files_scanned, out.suppressed
         ));
     } else {
         s.push_str(&format!(
@@ -561,28 +276,7 @@ pub fn render_json(out: &Outcome) -> String {
             json_str(&v.message)
         ));
     }
-    s.push_str("\n  ],\n  \"r1_counts\": {");
-    for (i, (name, n)) in out.r1_counts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    {}: {}", json_str(name), n));
-    }
-    s.push_str("\n  },\n  \"b1_counts\": {");
-    for (i, (name, n)) in out.b1_counts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    {}: {}", json_str(name), n));
-    }
-    s.push_str("\n  },\n  \"e1_counts\": {");
-    for (i, (name, n)) in out.e1_counts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    {}: {}", json_str(name), n));
-    }
-    s.push_str("\n  }\n}\n");
+    s.push_str("\n  ]\n}\n");
     s
 }
 
@@ -649,32 +343,29 @@ fn json_str(s: &str) -> String {
 // CLI.
 
 const USAGE: &str = "\
-gp-lint — GraphPrompter determinism & robustness linter (zero deps)
+gp-lint — GraphPrompter's repo-specific linter (zero deps); the generic
+rules (hash-order iteration, wall clock, panics, unbounded queues, stdout,
+discarded results) are clippy lints run by CI
 
 USAGE:
-    gp-lint [--check] [--json] [--sarif] [--update-baseline]
-            [--changed <ref>] [--root <dir>] [--baseline <file>]
+    gp-lint [--check] [--json] [--sarif] [--changed <ref>] [--root <dir>]
             [--list-rules]
 
     --check              lint and exit nonzero on violations (default)
     --json               machine-readable report
     --sarif              SARIF 2.1.0 report (CI code-scanning upload)
-    --update-baseline    rewrite the R1/B1/E1 ratchet file with observed counts
     --changed <ref>      report only findings in files changed since <ref>
-                         (whole workspace still analyzed; ratchets stay global)
+                         (the whole workspace is still analyzed)
     --root <dir>         workspace root (default: autodetect from cwd)
-    --baseline <file>    ratchet file (default: <root>/lint-baseline.toml)
     --list-rules         print the rule table and exit
 ";
 
 /// Parse args and run. Returns `(text_to_print, exit_code)`; the binary
-/// prints — the library never touches stdout (its own O1 rule).
+/// prints — the library never touches stdout.
 pub fn run_cli(args: &[String]) -> (String, i32) {
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut json = false;
     let mut sarif = false;
-    let mut update_baseline = false;
     let mut changed: Option<String> = None;
     let mut i = 0usize;
     while i < args.len() {
@@ -682,7 +373,6 @@ pub fn run_cli(args: &[String]) -> (String, i32) {
             "--check" => {}
             "--json" => json = true,
             "--sarif" => sarif = true,
-            "--update-baseline" => update_baseline = true,
             "--changed" => {
                 i += 1;
                 let Some(v) = args.get(i) else {
@@ -697,13 +387,6 @@ pub fn run_cli(args: &[String]) -> (String, i32) {
                 };
                 root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return (format!("gp-lint: --baseline needs a value\n{USAGE}"), 2);
-                };
-                baseline = Some(PathBuf::from(v));
-            }
             "--list-rules" => return (list_rules(), 0),
             "--help" | "-h" => return (USAGE.to_string(), 0),
             other => {
@@ -716,20 +399,11 @@ pub fn run_cli(args: &[String]) -> (String, i32) {
         Ok(r) => r,
         Err(e) => return (format!("{e}\n"), 2),
     };
-    let baseline = baseline.unwrap_or_else(|| root.join(BASELINE_FILE));
-    let opts = Options {
-        root,
-        json,
-        sarif,
-        update_baseline,
-        baseline,
-        changed,
-    };
-    match run(&opts) {
+    match run(&Options { root, changed }) {
         Ok(out) => {
-            let text = if opts.sarif {
+            let text = if sarif {
                 render_sarif(&out)
-            } else if opts.json {
+            } else if json {
                 render_json(&out)
             } else {
                 render_text(&out)
@@ -739,22 +413,6 @@ pub fn run_cli(args: &[String]) -> (String, i32) {
         Err(e) => (format!("{e}\n"), 2),
     }
 }
-
-/// Every rule, in report order (also the SARIF driver rule table).
-const ALL_RULES: &[Rule] = &[
-    Rule::D1,
-    Rule::D2,
-    Rule::D4,
-    Rule::R1,
-    Rule::B1,
-    Rule::O1,
-    Rule::A1,
-    Rule::C1,
-    Rule::C2,
-    Rule::E1,
-    Rule::M1,
-    Rule::P1,
-];
 
 fn list_rules() -> String {
     let mut s = String::new();
@@ -792,32 +450,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn package_name_parses_the_package_section_only() {
-        let m = "[workspace]\nmembers = [\"x\"]\n[package]\nname = \"gp-core\"\n\
-                 [dependencies]\nname = \"decoy\"\n";
-        assert_eq!(package_name(m), Some("gp-core".to_string()));
-        assert_eq!(package_name("[workspace]\n"), None);
-    }
-
-    #[test]
     fn json_strings_are_escaped() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]
     fn cli_rejects_unknown_flags() {
-        let (msg, code) = run_cli(&["--frobnicate".to_string()]);
-        assert_eq!(code, 2);
-        assert!(msg.contains("unknown argument"));
+        for flag in ["--frobnicate", "--update-baseline", "--baseline"] {
+            let (msg, code) = run_cli(&[flag.to_string()]);
+            assert_eq!(code, 2, "{flag}");
+            assert!(msg.contains("unknown argument"), "{msg}");
+        }
     }
 
     #[test]
     fn cli_lists_rules() {
         let (msg, code) = run_cli(&["--list-rules".to_string()]);
         assert_eq!(code, 0);
-        for id in [
-            "D1", "D2", "D4", "R1", "B1", "O1", "A1", "C1", "C2", "E1", "M1", "P1",
-        ] {
+        assert_eq!(msg.lines().count(), 5, "{msg}");
+        for id in ["D2", "A1", "C1", "M1", "P1"] {
             assert!(msg.contains(&format!("[{id}]")), "missing {id}");
         }
     }
@@ -845,8 +496,8 @@ mod tests {
             violations: vec![Violation {
                 file: "crates/core/src/x.rs".into(),
                 line: 3,
-                rule: Rule::C2,
-                message: "held across \"join\"".into(),
+                rule: Rule::C1,
+                message: "locks \"b\" under \"a\"".into(),
             }],
             ..Outcome::default()
         };
@@ -857,7 +508,7 @@ mod tests {
             "\"runs\"",
             "\"driver\"",
             "\"name\": \"gp-lint\"",
-            "\"ruleId\": \"C2\"",
+            "\"ruleId\": \"C1\"",
             "\"level\": \"error\"",
             "\"artifactLocation\"",
             "\"startLine\": 3",

@@ -10,7 +10,6 @@
 //!   literals, while keeping lifetimes (`'a`) intact;
 //! * track `#[cfg(test)]` / `#[test]` regions and `mod tests { … }`
 //!   blocks so test code is exempt from the rules;
-//! * track the current module path for diagnostics;
 //! * collect `// gp-lint: allow(<rules>) — <reason>` suppression pragmas
 //!   and reject malformed ones (missing reason, unknown shape).
 //!
@@ -50,9 +49,6 @@ pub struct Scanned {
     /// Per line (0-based index = line - 1): was any part of it inside a
     /// `#[cfg(test)]` / `#[test]` / `mod tests` region?
     pub in_test: Vec<bool>,
-    /// Per line: innermost `mod` path at the end of the line (empty at
-    /// file scope), e.g. `"tests"` or `"imp::detail"`.
-    pub module_path: Vec<String>,
     /// Well-formed suppression pragmas.
     pub pragmas: Vec<Pragma>,
     /// Pragma-shaped comments that failed verification.
@@ -60,11 +56,6 @@ pub struct Scanned {
 }
 
 impl Scanned {
-    /// The stripped text of a 1-based line (empty for out-of-range).
-    pub fn line(&self, line: usize) -> &str {
-        self.code.lines().nth(line.saturating_sub(1)).unwrap_or("")
-    }
-
     /// Is the 1-based line inside test-only code?
     pub fn is_test_line(&self, line: usize) -> bool {
         line >= 1 && self.in_test.get(line - 1).copied().unwrap_or(false)
@@ -340,11 +331,9 @@ pub fn scan(source: &str) -> Scanned {
         );
     }
 
-    let (in_test, module_path) = track_regions(&out);
     Scanned {
+        in_test: track_regions(&out),
         code: out,
-        in_test,
-        module_path,
         pragmas,
         malformed,
     }
@@ -400,11 +389,9 @@ fn closes_raw(bytes: &[char], i: usize, hashes: usize) -> bool {
 /// identifier follows and the char after it is not `'`.
 fn is_lifetime(bytes: &[char], i: usize) -> bool {
     let mut j = i + 1;
-    let first = match bytes.get(j) {
-        Some(&c) if c.is_alphabetic() || c == '_' => c,
-        _ => return false,
-    };
-    let _ = first;
+    if !matches!(bytes.get(j), Some(&c) if c.is_alphabetic() || c == '_') {
+        return false;
+    }
     while matches!(bytes.get(j), Some(&c) if c.is_alphanumeric() || c == '_') {
         j += 1;
     }
@@ -485,40 +472,26 @@ fn check_pragma(
     });
 }
 
-/// Walk stripped code, tracking brace depth to label test regions and
-/// module paths per line. A region starts at the `{` following a
-/// `#[cfg(test)]` / `#[test]` attribute or a `mod tests` header and ends
-/// at its matching `}`.
-fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
-    struct Frame {
-        test: bool,
-        module: Option<String>,
-    }
+/// Walk stripped code, tracking brace depth to label test regions per
+/// line. A region starts at the `{` following a `#[cfg(test)]` /
+/// `#[test]` attribute or a `mod tests` header and ends at its matching
+/// `}`.
+fn track_regions(code: &str) -> Vec<bool> {
     let chars: Vec<char> = code.chars().collect();
-    let mut stack: Vec<Frame> = Vec::new();
+    // One entry per open brace: does it open a test region?
+    let mut stack: Vec<bool> = Vec::new();
     let mut pending_test = false;
-    let mut pending_mod: Option<String> = None;
     let mut in_test_lines = Vec::new();
-    let mut module_lines = Vec::new();
     let mut line_was_test = false;
     let mut i = 0usize;
-
-    let flush_line = |stack: &Vec<Frame>,
-                      line_was_test: bool,
-                      in_test_lines: &mut Vec<bool>,
-                      module_lines: &mut Vec<String>| {
-        let any_test = line_was_test || stack.iter().any(|f| f.test);
-        in_test_lines.push(any_test);
-        let path: Vec<&str> = stack.iter().filter_map(|f| f.module.as_deref()).collect();
-        module_lines.push(path.join("::"));
-    };
+    let in_test = |stack: &[bool]| stack.contains(&true);
 
     while i < chars.len() {
         let c = chars[i];
         match c {
             '\n' => {
-                flush_line(&stack, line_was_test, &mut in_test_lines, &mut module_lines);
-                line_was_test = stack.iter().any(|f| f.test);
+                in_test_lines.push(line_was_test || in_test(&stack));
+                line_was_test = in_test(&stack);
                 i += 1;
             }
             '#' if chars.get(i + 1) == Some(&'[') => {
@@ -530,21 +503,12 @@ fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
                     match chars[j] {
                         '[' => depth += 1,
                         ']' => depth -= 1,
-                        ch => {
-                            if depth >= 1 && ch != '\n' {
-                                attr.push(ch);
-                            }
-                            if ch == '\n' {
-                                flush_line(
-                                    &stack,
-                                    line_was_test,
-                                    &mut in_test_lines,
-                                    &mut module_lines,
-                                );
-                                line_was_test = stack.iter().any(|f| f.test);
-                                attr.push(' ');
-                            }
+                        '\n' => {
+                            in_test_lines.push(line_was_test || in_test(&stack));
+                            line_was_test = in_test(&stack);
+                            attr.push(' ');
                         }
+                        ch => attr.push(ch),
                     }
                     j += 1;
                 }
@@ -554,10 +518,7 @@ fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
                 i = j;
             }
             '{' => {
-                stack.push(Frame {
-                    test: pending_test || stack.iter().any(|f| f.test),
-                    module: pending_mod.take(),
-                });
+                stack.push(pending_test);
                 if pending_test {
                     line_was_test = true;
                 }
@@ -569,9 +530,8 @@ fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
                 i += 1;
             }
             ';' => {
-                // An item ended without a body: pending markers die.
+                // An item ended without a body: a pending marker dies.
                 pending_test = false;
-                pending_mod = None;
                 i += 1;
             }
             c if c.is_alphabetic() || c == '_' => {
@@ -581,7 +541,7 @@ fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
                 }
                 let word: String = chars[start..i].iter().collect();
                 if word == "mod" {
-                    // Grab the module name that follows.
+                    // A `mod tests` / `mod test_*` header opens a test region.
                     let mut j = i;
                     while matches!(chars.get(j), Some(&ch) if ch.is_whitespace()) {
                         j += 1;
@@ -590,12 +550,9 @@ fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
                     while matches!(chars.get(j), Some(&ch) if ch.is_alphanumeric() || ch == '_') {
                         j += 1;
                     }
-                    if j > name_start {
-                        let name: String = chars[name_start..j].iter().collect();
-                        if name == "tests" || name.starts_with("test_") {
-                            pending_test = true;
-                        }
-                        pending_mod = Some(name);
+                    let name: String = chars[name_start..j].iter().collect();
+                    if name == "tests" || name.starts_with("test_") {
+                        pending_test = true;
                     }
                     i = j;
                 }
@@ -605,8 +562,8 @@ fn track_regions(code: &str) -> (Vec<bool>, Vec<String>) {
             }
         }
     }
-    flush_line(&stack, line_was_test, &mut in_test_lines, &mut module_lines);
-    (in_test_lines, module_lines)
+    in_test_lines.push(line_was_test || in_test(&stack));
+    in_test_lines
 }
 
 /// Does an attribute body (brackets stripped) put the next item in test
@@ -736,14 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn module_path_is_tracked() {
-        let src = "mod outer {\n    mod inner {\n        fn f() {}\n    }\n}\n";
-        let s = scan(src);
-        assert_eq!(s.module_path[2], "outer::inner");
-        assert_eq!(s.module_path[4], "");
-    }
-
-    #[test]
     fn well_formed_pragma_is_collected() {
         let src = "// gp-lint: allow(D1, R1) — membership only, order never escapes\nx.iter();\n";
         let s = scan(src);
@@ -810,8 +759,9 @@ mod tests {
         let src = "a\n/* x\ny */\nb \"s\ntr\" c\n";
         let s = scan(src);
         assert_eq!(s.code.lines().count(), src.lines().count());
-        assert_eq!(s.line(1), "a");
-        assert!(s.line(4).starts_with('b'));
+        let lines: Vec<&str> = s.code.lines().collect();
+        assert_eq!(lines[0], "a");
+        assert!(lines[3].starts_with('b'));
     }
 
     /// Scanning is idempotent: stripped output re-scanned strips to
@@ -826,51 +776,17 @@ mod tests {
         assert_eq!(once.in_test, twice.in_test);
     }
 
-    /// Deterministic fuzz (fixed-seed companion of tests/proptests.rs): token
-    /// soup never panics and scanning is idempotent.
+    /// Fixed-seed companion of tests/proptests.rs over the scanner and
+    /// fact atoms together: token soup never panics and scanning is
+    /// idempotent.
     #[test]
     fn fuzz_token_soup_never_panics_and_is_idempotent() {
-        let atoms = [
-            "\"",
-            "'",
-            "\\",
-            "r#\"",
-            "\"#",
-            "//",
-            "/*",
-            "*/",
-            "\n",
-            "{",
-            "}",
-            ";",
-            "#[cfg(test)]",
-            "mod tests",
-            "b\"",
-            "br##\"",
-            "x",
-            " ",
-            "'a",
-            "gp-lint: allow(D1) — r",
-            "r#ident",
-            "'\\''",
-            "ün",
-        ];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..500 {
-            let len = (rng() % 40) as usize;
-            let mut src = String::new();
-            for _ in 0..len {
-                src.push_str(atoms[(rng() % atoms.len() as u64) as usize]);
-            }
-            let once = scan(&src);
+        let atoms = [crate::soup::SCANNER_ATOMS, crate::soup::FACT_ATOMS].concat();
+        gp_tensor::rng::check(500, |rng| {
+            let once = scan(&crate::soup::soup(rng, &atoms));
             let twice = scan(&once.code);
-            assert_eq!(once.code, twice.code, "idempotence failed on {src:?}");
-        }
+            assert_eq!(once.code, twice.code);
+            assert_eq!(once.in_test, twice.in_test);
+        });
     }
 }

@@ -1,6 +1,7 @@
 //! Dirty fixture (never compiled): file A of a two-file lock-order
 //! cycle. Takes `Pair::first` before `Pair::second`; the reverse order
-//! lives in `dirty_lock_cycle_b.rs`, and C1 must connect the two.
+//! lives in `dirty_lock_cycle_b.rs`. Per-function C1 fails each half on
+//! its own: the second `.lock()` is taken under a live guard.
 
 use std::sync::Mutex;
 

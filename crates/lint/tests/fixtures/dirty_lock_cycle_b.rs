@@ -1,7 +1,7 @@
 //! Dirty fixture (never compiled): file B of the two-file lock-order
 //! cycle — takes `Pair::second` before `Pair::first`, closing the loop
-//! opened by `dirty_lock_cycle_a.rs`. Guard identity is type+field
-//! path, so this file needs no struct definition of its own.
+//! opened by `dirty_lock_cycle_a.rs`. C1 needs no cross-file view to
+//! fail it: the nesting alone is the finding.
 
 pub fn backward(p: &Pair) -> u32 {
     let b = p.second.lock().unwrap();

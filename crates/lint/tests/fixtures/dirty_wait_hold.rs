@@ -1,6 +1,7 @@
 //! Dirty fixture (never compiled): a condvar wait that re-acquires one
-//! lock while a guard of a *different* lock stays live — the classic
-//! shape C2 exists for. A lost wakeup here stalls every `stats` user.
+//! lock while a guard of a *different* lock stays live. A lost wakeup
+//! here stalls every `stats` user; C1 fails the nested `.lock()` that
+//! sets the shape up.
 
 use std::sync::{Condvar, Mutex};
 

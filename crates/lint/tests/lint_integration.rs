@@ -1,38 +1,36 @@
-//! Integration tests: run the linter over the deliberately-dirty fixture
-//! corpus (as text — the fixtures are never compiled) and over a
-//! synthetic on-disk workspace exercising the walker + ratchet end to end.
+//! Integration tests, in two halves.
+//!
+//! * gp-lint over its deliberately-dirty text fixtures (never compiled)
+//!   and over a synthetic on-disk workspace, end to end through the
+//!   walker, the M1 manifest check and `--changed`.
+//! * clippy over the compiled fixture crate in `fixtures/clippy`, with
+//!   the repo's `clippy.toml` and CI's `$LIB_LINTS`: every site the
+//!   fixture marks `// lint: <key>` must be reported, and nothing else.
+//!   The per-rule checks of that crate are gp-lint's unit tests.
 
-use gp_lint::{analyze, extract, lint_source, runner, Baseline, FileKind, Options, Rule};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-const DIRTY_MAP: &str = include_str!("fixtures/dirty_map_iter.rs");
+use gp_lint::{lint_source, runner, FileKind, Options, Rule};
+
+#[path = "support/clippy_fixture.rs"]
+mod clippy_fixture;
+use clippy_fixture::{assert_clean, assert_family, marked, reported, reported_at};
+
 const DIRTY_SORT: &str = include_str!("fixtures/dirty_sort.rs");
-const DIRTY_MISC: &str = include_str!("fixtures/dirty_misc.rs");
+const DIRTY_PRAGMA: &str = include_str!("fixtures/dirty_pragma.rs");
 const DIRTY_CYCLE_A: &str = include_str!("fixtures/dirty_lock_cycle_a.rs");
 const DIRTY_CYCLE_B: &str = include_str!("fixtures/dirty_lock_cycle_b.rs");
 const DIRTY_WAIT: &str = include_str!("fixtures/dirty_wait_hold.rs");
-const DIRTY_DISCARD: &str = include_str!("fixtures/dirty_discard.rs");
 const DIRTY_METRIC: &str = include_str!("fixtures/dirty_metric_drift.rs");
 
 fn hits(src: &str, rule: Rule) -> Vec<usize> {
-    let rep = lint_source("fixture.rs", "gp-core", FileKind::Lib, src);
-    let pool = match rule {
-        Rule::R1 => &rep.r1_sites,
-        Rule::E1 => &rep.e1_sites,
-        _ => &rep.violations,
-    };
-    pool.iter()
+    lint_source("fixture.rs", FileKind::Lib, src)
+        .violations
+        .iter()
         .filter(|v| v.rule == rule)
         .map(|v| v.line)
         .collect()
-}
-
-#[test]
-fn catches_hashmap_iteration_in_fixture() {
-    assert_eq!(hits(DIRTY_MAP, Rule::D1), vec![14, 19, 27]);
-    // Point lookups (`get`) stay clean, and the same file linted as a
-    // non-result-affecting crate raises nothing.
-    let rep = lint_source("f.rs", "gp-obs", FileKind::Lib, DIRTY_MAP);
-    assert!(rep.violations.is_empty(), "{:?}", rep.violations);
 }
 
 #[test]
@@ -41,158 +39,168 @@ fn catches_partial_cmp_sorts_in_fixture() {
 }
 
 #[test]
-fn catches_clock_panics_prints_and_bad_pragmas_in_fixture() {
-    assert_eq!(
-        hits(DIRTY_MISC, Rule::D4),
-        vec![7, 8],
-        "suppressed site must not appear"
-    );
-    assert_eq!(
-        hits(DIRTY_MISC, Rule::R1),
-        vec![15, 16, 18],
-        "test-mod unwraps exempt"
-    );
-    assert_eq!(hits(DIRTY_MISC, Rule::O1), vec![25]);
-    assert_eq!(
-        hits(DIRTY_MISC, Rule::P1),
-        vec![28],
-        "reason-less pragma is an error"
-    );
-    let rep = lint_source("f.rs", "gp-core", FileKind::Lib, DIRTY_MISC);
-    assert_eq!(
-        rep.suppressed, 1,
-        "the justified allow(D4) counts as suppressed"
-    );
-}
-
-#[test]
 fn fixtures_are_rule_free_when_linted_as_harness_code() {
-    for src in [DIRTY_MAP, DIRTY_SORT] {
-        let rep = lint_source("crates/x/tests/t.rs", "gp-core", FileKind::Harness, src);
-        assert!(rep.violations.is_empty());
-        assert!(rep.r1_sites.is_empty());
+    for src in [DIRTY_SORT, DIRTY_CYCLE_A, DIRTY_WAIT] {
+        let rep = lint_source("crates/x/tests/t.rs", FileKind::Harness, src);
+        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
     }
     // …except pragma hygiene, which holds everywhere.
-    let rep = lint_source(
-        "crates/x/tests/t.rs",
-        "gp-core",
-        FileKind::Harness,
-        DIRTY_MISC,
-    );
-    assert_eq!(rep.violations.len(), 1);
-    assert_eq!(rep.violations[0].rule, Rule::P1);
+    let rep = lint_source("crates/x/tests/t.rs", FileKind::Harness, DIRTY_PRAGMA);
+    assert_eq!(rep.violations.len(), 2, "{:?}", rep.violations);
+    assert!(rep.violations.iter().all(|v| v.rule == Rule::P1));
 }
 
 #[test]
 fn report_lines_are_sorted_and_stably_formatted() {
-    let rep = lint_source("crates/core/src/x.rs", "gp-core", FileKind::Lib, DIRTY_MISC);
+    let rep = lint_source("crates/core/src/x.rs", FileKind::Lib, DIRTY_PRAGMA);
     let rendered: Vec<String> = rep.violations.iter().map(|v| v.render()).collect();
-    for line in &rendered {
-        assert!(
-            line.starts_with("crates/core/src/x.rs:"),
-            "bad prefix: {line}"
-        );
-    }
-    assert!(rendered.iter().any(|l| l.contains("determinism[D4]")));
-    assert!(rendered.iter().any(|l| l.contains("hygiene[O1]")));
-    assert!(rendered.iter().any(|l| l.contains("pragma[P1]")));
+    assert_eq!(
+        rendered
+            .iter()
+            .map(|l| l.split(':').nth(1))
+            .collect::<Vec<_>>(),
+        vec![Some("5"), Some("8"), Some("16")],
+        "{rendered:?}"
+    );
+    assert!(rendered[0].starts_with("crates/core/src/x.rs:5: determinism[D2] "));
+    assert!(rendered[1].starts_with("crates/core/src/x.rs:8: pragma[P1] "));
+    assert_eq!(rep.suppressed, 1, "the justified allow(D2) counts");
 }
-
-// ---------------------------------------------------------------------------
-// Two-pass (facts → graph) rules over the dirty cross-file fixtures.
 
 #[test]
 fn catches_two_file_lock_cycle_in_fixtures() {
-    let a = extract(
-        "crates/core/src/cycle_a.rs",
-        "gp-core",
-        FileKind::Lib,
-        DIRTY_CYCLE_A,
-    );
-    let b = extract(
-        "crates/core/src/cycle_b.rs",
-        "gp-core",
-        FileKind::Lib,
-        DIRTY_CYCLE_B,
-    );
-    // Each half alone is a consistent order…
-    assert!(analyze(std::slice::from_ref(&a)).violations.is_empty());
-    assert!(analyze(std::slice::from_ref(&b)).violations.is_empty());
-    // …and only the merged workspace pass sees the inversion.
-    let out = analyze(&[a, b]);
-    let c1: Vec<_> = out
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::C1)
-        .collect();
-    assert_eq!(c1.len(), 1, "{:?}", out.violations);
-    let msg = &c1[0].message;
-    assert!(msg.contains("lock-order cycle"), "{msg}");
-    assert!(
-        msg.contains("Pair::first") && msg.contains("Pair::second"),
-        "full chain names both locks: {msg}"
-    );
-    assert!(
-        msg.contains("crates/core/src/cycle_a.rs:15")
-            && msg.contains("crates/core/src/cycle_b.rs:8"),
-        "each witness edge carries file:line: {msg}"
-    );
+    // Per-function C1 needs no cross-file view: each half of the cycle
+    // nests one lock under the other, and that alone fails.
+    for (path, src, line, lock, held) in [
+        (
+            "crates/core/src/cycle_a.rs",
+            DIRTY_CYCLE_A,
+            16,
+            "self.second",
+            "self.first",
+        ),
+        (
+            "crates/core/src/cycle_b.rs",
+            DIRTY_CYCLE_B,
+            8,
+            "p.first",
+            "p.second",
+        ),
+    ] {
+        let rep = lint_source(path, FileKind::Lib, src);
+        assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
+        let v = &rep.violations[0];
+        assert_eq!((v.rule, v.line), (Rule::C1, line), "{v:?}");
+        assert!(
+            v.message
+                .contains(&format!("locks `{lock}` while still holding `{held}`")),
+            "{}",
+            v.message
+        );
+    }
 }
 
 #[test]
 fn catches_wait_holding_second_guard_in_fixture() {
-    let f = extract(
-        "crates/core/src/queue.rs",
-        "gp-core",
-        FileKind::Lib,
-        DIRTY_WAIT,
-    );
-    let out = analyze(std::slice::from_ref(&f));
-    assert!(
-        out.violations.iter().any(|v| v.rule == Rule::C2
-            && v.message.contains("condvar wait")
-            && v.message.contains("Queue::stats")
-            && v.message.contains("Queue::items")),
-        "{:?}",
-        out.violations
-    );
-    assert!(
-        !out.violations.iter().any(|v| v.rule == Rule::C1),
-        "the consistent stats-then-items order is not a cycle: {:?}",
-        out.violations
-    );
+    let rep = lint_source("crates/core/src/queue.rs", FileKind::Lib, DIRTY_WAIT);
+    assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
+    let v = &rep.violations[0];
+    assert_eq!((v.rule, v.line), (Rule::C1, 17));
+    assert!(v
+        .message
+        .contains("`self.items` while still holding `self.stats`"));
+}
+
+// ---------------------------------------------------------------------------
+// Clippy over the compiled fixture crate (see `support/clippy_fixture.rs`).
+
+#[test]
+fn catches_hashmap_iteration_in_fixture() {
+    // Every banned HashMap/HashSet method and the `for` loops over a
+    // set and a map; `get`, Vec iteration and the excused sorted
+    // snapshot stay clean.
+    assert_family(|k| k.starts_with("std::collections::Hash") || k == "iter_over_hash_type");
+}
+
+#[test]
+fn catches_clock_panics_prints_and_bad_pragmas_in_fixture() {
+    assert_family(|k| k.starts_with("std::time::"));
+    assert_family(|k| {
+        matches!(
+            k,
+            "unwrap_used" | "expect_used" | "panic" | "unreachable" | "todo" | "unimplemented"
+        )
+    });
+    assert_family(|k| k.starts_with("print_"));
+    // Pragma hygiene stays with gp-lint: a reason-less pragma and one
+    // naming a rule that moved to clippy are both errors.
+    assert_eq!(hits(DIRTY_PRAGMA, Rule::P1), vec![8, 16]);
 }
 
 #[test]
 fn catches_discarded_results_in_fixture() {
-    assert_eq!(hits(DIRTY_DISCARD, Rule::E1), vec![6, 10]);
-    let rep = lint_source("f.rs", "gp-core", FileKind::Lib, DIRTY_DISCARD);
-    assert_eq!(rep.suppressed, 1, "the justified allow(E1) is counted");
-    // Harness code may discard freely: nothing fires there.
-    let rep = lint_source(
-        "crates/x/tests/t.rs",
-        "gp-core",
-        FileKind::Harness,
-        DIRTY_DISCARD,
+    // The excused best-effort cleanup is not reported.
+    assert_family(|k| k == "let_underscore_must_use" || k == "unused_result_ok");
+}
+
+#[test]
+fn expect_ratchet_end_to_end() {
+    // A fulfilled #[expect] silences its site; one whose site was fixed
+    // fails by itself, so exceptions only ever ratchet down.
+    assert_family(|k| k == "unfulfilled_lint_expectations");
+}
+
+/// The `#[expect]` on the `stale` line is reported as unfulfilled; the
+/// `live` lines stay clean.
+fn assert_ratchets(stale: &str, live: &[&str]) {
+    if let Some(keys) = reported_at(stale) {
+        assert_eq!(keys, ["unfulfilled_lint_expectations"]);
+    }
+    assert_clean(live);
+}
+
+#[test]
+fn b1_ratchet_end_to_end() {
+    // An excused unbounded channel is silent; once the channel is
+    // bounded, the exception left behind fails by itself.
+    assert_ratchets(
+        "the channel this excused is bounded now",
+        &["depth bounded by the pool budget", "mpsc::channel().1"],
     );
-    assert!(rep.e1_sites.is_empty(), "{:?}", rep.e1_sites);
+}
+
+#[test]
+fn e1_ratchet_end_to_end() {
+    // Likewise for a discarded Result whose error is now returned.
+    assert_ratchets(
+        "the error this dropped is returned now",
+        &[
+            "best-effort temp cleanup",
+            "let _ = std::fs::remove_file(path);",
+        ],
+    );
+}
+
+#[test]
+fn clippy_fixture_reports_exactly_the_marked_sites() {
+    if let Some(reported) = reported() {
+        assert_eq!(reported, &marked());
+    }
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: walker + crate resolution + ratchet on a synthetic workspace.
+// End-to-end: walker + M1 + reports on a synthetic workspace.
 
+const DIRTY_LIB: &str =
+    "pub fn f(v: &mut [f32]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
+const CLEAN_LIB: &str = "pub fn f(v: &mut [f32]) { v.sort_by(|a, b| a.total_cmp(b)); }\n";
+
+/// A scratch workspace under cargo's per-target temp dir.
 struct TempWs {
-    root: std::path::PathBuf,
+    root: PathBuf,
 }
 
 impl TempWs {
-    fn new(tag: &str) -> Self {
-        let root = std::env::temp_dir().join(format!("gp-lint-it-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).unwrap();
-        Self { root }
-    }
-
     fn write(&self, rel: &str, content: &str) {
         let p = self.root.join(rel);
         std::fs::create_dir_all(p.parent().unwrap()).unwrap();
@@ -202,255 +210,129 @@ impl TempWs {
     fn opts(&self) -> Options {
         Options {
             root: self.root.clone(),
-            json: false,
-            sarif: false,
-            update_baseline: false,
-            baseline: self.root.join(runner::BASELINE_FILE),
             changed: None,
         }
     }
 }
 
-impl Drop for TempWs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
 fn mini_workspace(tag: &str) -> TempWs {
-    let ws = TempWs::new(tag);
-    ws.write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
-    ws.write(
-        "crates/core/Cargo.toml",
-        "[package]\nname = \"gp-core\"\nversion = \"0.1.0\"\n",
-    );
-    ws.write(
-        "crates/core/src/lib.rs",
-        "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n",
-    );
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("gp-lint-ws-{tag}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let ws = TempWs { root };
+    ws.write("crates/core/src/lib.rs", CLEAN_LIB);
     ws.write(
         "crates/core/tests/t.rs",
-        "#[test]\nfn t() { assert_eq!(gp_core::f(Some(1)), 1); }\n",
+        "#[test]\nfn t() { gp_core::f(&mut [1.0]); }\n",
     );
     // target/ and dotdirs must be skipped even when full of horrors.
-    ws.write("target/debug/gen.rs", "pub fn x() { thread_rng(); }\n");
-    ws.write(".hidden/x.rs", "pub fn x() { thread_rng(); }\n");
+    ws.write("target/debug/gen.rs", DIRTY_LIB);
+    ws.write(".hidden/x.rs", DIRTY_LIB);
     ws
 }
 
+/// The ratchet is gone: every gp-lint finding fails the run, and fixing
+/// the sites makes it pass again.
 #[test]
 fn walker_ratchet_end_to_end() {
     let ws = mini_workspace("e2e");
-    // 1. No baseline: the single unwrap regresses against an implicit 0.
     let out = runner::run(&ws.opts()).unwrap();
     assert_eq!(out.files_scanned, 2, "target/ and .hidden/ are skipped");
-    assert!(!out.ok());
-    assert_eq!(out.r1_counts, vec![("gp-core".to_string(), 1)]);
-    assert_eq!(out.ratchet.regressed, vec![("gp-core".to_string(), 0, 1)]);
-
-    // 2. --update-baseline writes the ratchet; a rerun is clean.
-    let mut upd = ws.opts();
-    upd.update_baseline = true;
-    let out = runner::run(&upd).unwrap();
-    assert!(out.baseline_updated);
-    let text = std::fs::read_to_string(ws.root.join(runner::BASELINE_FILE)).unwrap();
-    let parsed = Baseline::parse(&text).unwrap();
-    assert_eq!(parsed.get("gp-core"), 1);
-    let out = runner::run(&ws.opts()).unwrap();
     assert!(out.ok(), "{:?}", out.violations);
 
-    // 3. A new unwrap in the same crate regresses the ratchet again.
+    // Violations in two files come back sorted by file, then line.
+    ws.write("crates/core/src/lib.rs", DIRTY_LIB);
     ws.write(
-        "crates/core/src/extra.rs",
-        "pub fn g(o: Option<u32>) -> u32 { o.expect(\"x\") }\n",
+        "crates/core/src/arch.rs",
+        "pub fn f() { std::arch::x86_64::_mm_pause(); }\n",
     );
     let out = runner::run(&ws.opts()).unwrap();
     assert!(!out.ok());
-    assert_eq!(out.ratchet.regressed, vec![("gp-core".to_string(), 1, 2)]);
-    // The summary + both candidate sites are reported.
-    assert!(out
+    let got: Vec<(&str, usize, Rule)> = out
         .violations
         .iter()
-        .any(|v| v.file == "lint-baseline.toml"));
-    assert!(out
-        .violations
-        .iter()
-        .any(|v| v.file == "crates/core/src/extra.rs" && v.line == 1));
-
-    // 4. Fixing both sites makes the run pass and report an improvement.
-    ws.write(
-        "crates/core/src/lib.rs",
-        "pub fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) }\n",
-    );
-    ws.write(
-        "crates/core/src/extra.rs",
-        "pub fn g(o: Option<u32>) -> u32 { o.unwrap_or(0) }\n",
-    );
-    let out = runner::run(&ws.opts()).unwrap();
-    assert!(out.ok());
-    assert_eq!(out.ratchet.improved, vec![("gp-core".to_string(), 1, 0)]);
-    let text = runner::render_text(&out);
-    assert!(text.contains("--update-baseline"), "{text}");
-}
-
-#[test]
-fn b1_ratchet_end_to_end() {
-    let ws = mini_workspace("b1");
-    ws.write(
-        "crates/core/src/chan.rs",
-        "pub fn c() { let (tx, rx) = std::sync::mpsc::channel::<u32>(); drop((tx, rx)); }\n",
-    );
-    // Both ratchets regress against the implicit all-zero baseline.
-    let out = runner::run(&ws.opts()).unwrap();
-    assert_eq!(out.b1_counts, vec![("gp-core".to_string(), 1)]);
+        .map(|v| (v.file.as_str(), v.line, v.rule))
+        .collect();
     assert_eq!(
-        out.ratchet_b1.regressed,
-        vec![("gp-core".to_string(), 0, 1)]
+        got,
+        vec![
+            ("crates/core/src/arch.rs", 1, Rule::A1),
+            ("crates/core/src/lib.rs", 1, Rule::D2),
+        ]
     );
-    assert!(out.violations.iter().any(|v| v.rule == Rule::B1));
+    assert!(runner::render_text(&out).ends_with("gp-lint: 2 violations in 3 files\n"));
 
-    // --update-baseline records both sections; the rerun is clean.
-    let mut upd = ws.opts();
-    upd.update_baseline = true;
-    runner::run(&upd).unwrap();
-    let text = std::fs::read_to_string(ws.root.join(runner::BASELINE_FILE)).unwrap();
-    let parsed = Baseline::parse(&text).unwrap();
-    assert_eq!(parsed.get("gp-core"), 1, "[R1] section: the seeded unwrap");
-    assert_eq!(parsed.get_b1("gp-core"), 1, "[B1] section: the channel");
+    // Fixing both sites makes the run pass.
+    ws.write("crates/core/src/lib.rs", CLEAN_LIB);
+    ws.write("crates/core/src/arch.rs", "pub fn f() {}\n");
     let out = runner::run(&ws.opts()).unwrap();
     assert!(out.ok(), "{:?}", out.violations);
-
-    // Bounding the channel passes and reports a B1 improvement.
-    ws.write(
-        "crates/core/src/chan.rs",
-        "pub fn c() { let (tx, rx) = std::sync::mpsc::sync_channel::<u32>(1); drop((tx, rx)); }\n",
-    );
-    let out = runner::run(&ws.opts()).unwrap();
-    assert!(out.ok(), "{:?}", out.violations);
-    assert_eq!(out.ratchet_b1.improved, vec![("gp-core".to_string(), 1, 0)]);
-    let text = runner::render_text(&out);
-    assert!(text.contains("unbounded-queue"), "{text}");
+    assert!(runner::render_text(&out).contains("gp-lint: clean — 3 files"));
 }
 
 #[test]
 fn hard_violations_fail_regardless_of_baseline() {
+    // A `lint-baseline.toml` left over from the removed ratchet excuses
+    // nothing.
     let ws = mini_workspace("hard");
     ws.write(
-        "crates/core/src/clocky.rs",
-        "pub fn r() -> std::time::Instant { std::time::Instant::now() }\n",
+        "lint-baseline.toml",
+        "[R1]\ngp-core = 9\n\n[E1]\ngp-core = 9\n",
     );
-    let mut upd = ws.opts();
-    upd.update_baseline = true;
-    runner::run(&upd).unwrap(); // ratchet the unwrap away
+    ws.write("crates/core/src/lib.rs", DIRTY_LIB);
     let out = runner::run(&ws.opts()).unwrap();
-    assert!(!out.ok(), "D4 is not ratcheted — it always fails");
-    assert_eq!(out.violations.len(), 1);
-    assert_eq!(out.violations[0].rule, Rule::D4);
-    assert_eq!(out.violations[0].file, "crates/core/src/clocky.rs");
-}
-
-#[test]
-fn e1_ratchet_end_to_end() {
-    let ws = mini_workspace("e1");
-    ws.write(
-        "crates/core/src/drop_err.rs",
-        "pub fn d() { let _ = std::fs::remove_file(\"x\"); }\n",
-    );
-    // Regresses against the implicit all-zero baseline.
-    let out = runner::run(&ws.opts()).unwrap();
-    assert_eq!(out.e1_counts, vec![("gp-core".to_string(), 1)]);
-    assert_eq!(
-        out.ratchet_e1.regressed,
-        vec![("gp-core".to_string(), 0, 1)]
-    );
-    assert!(out.violations.iter().any(|v| v.rule == Rule::E1));
-    assert!(out
+    let got: Vec<(&str, Rule)> = out
         .violations
         .iter()
-        .any(|v| v.file == "crates/core/src/drop_err.rs" && v.rule == Rule::E1));
-
-    // --update-baseline records the [E1] section byte-stably.
-    let mut upd = ws.opts();
-    upd.update_baseline = true;
-    runner::run(&upd).unwrap();
-    let text = std::fs::read_to_string(ws.root.join(runner::BASELINE_FILE)).unwrap();
-    assert!(text.contains("[E1]"), "{text}");
-    let parsed = Baseline::parse(&text).unwrap();
-    assert_eq!(parsed.get_e1("gp-core"), 1, "[E1] records the discard");
-    assert_eq!(parsed.render(), text, "render(parse(file)) == file");
-    let out = runner::run(&ws.opts()).unwrap();
-    assert!(out.ok(), "{:?}", out.violations);
-
-    // Handling the error passes and reports an E1 improvement.
-    ws.write(
-        "crates/core/src/drop_err.rs",
-        "pub fn d() -> std::io::Result<()> { std::fs::remove_file(\"x\") }\n",
-    );
-    let out = runner::run(&ws.opts()).unwrap();
-    assert!(out.ok(), "{:?}", out.violations);
-    assert_eq!(out.ratchet_e1.improved, vec![("gp-core".to_string(), 1, 0)]);
-    let text = runner::render_text(&out);
-    assert!(text.contains("discarded-Result"), "{text}");
+        .map(|v| (v.file.as_str(), v.rule))
+        .collect();
+    assert_eq!(got, vec![("crates/core/src/lib.rs", Rule::D2)]);
 }
 
 #[test]
 fn metric_manifest_drift_fails_both_directions() {
     let ws = mini_workspace("m1");
     ws.write("crates/core/src/metrics.rs", DIRTY_METRIC);
-    // Ratchet away the seeded unwrap so only M1 is in play.
-    let mut upd = ws.opts();
-    upd.update_baseline = true;
-    runner::run(&upd).unwrap();
+    let m1 = |ws: &TempWs| -> Vec<(String, usize, String)> {
+        let out = runner::run(&ws.opts()).unwrap();
+        let m1 = out.violations.into_iter().filter(|v| v.rule == Rule::M1);
+        m1.map(|v| (v.file, v.line, v.message)).collect()
+    };
 
     // 1. No METRICS.md at all: one M1 pointing at the missing manifest.
-    let out = runner::run(&ws.opts()).unwrap();
-    let m1: Vec<_> = out
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::M1)
-        .collect();
-    assert_eq!(m1.len(), 1, "{:?}", out.violations);
-    assert_eq!(m1[0].file, runner::METRICS_FILE);
-    assert!(
-        m1[0].message.contains("does not exist"),
-        "{}",
-        m1[0].message
+    let got = m1(&ws);
+    assert_eq!(
+        (got.len(), got[0].0.as_str(), got[0].1),
+        (1, "METRICS.md", 1)
     );
+    assert!(got[0].2.contains("does not exist"), "{got:?}");
 
     // 2. A manifest that misses the registered name fails at the
     //    registration site, and its stale row fails at the row.
+    let header = "| Name | Type |\n|------|------|\n";
     ws.write(
         "METRICS.md",
-        "| Name | Type |\n|------|------|\n| `fixture.other` | counter |\n",
+        &format!("{header}| `fixture.other` | counter |\n"),
     );
-    let out = runner::run(&ws.opts()).unwrap();
-    assert!(
-        out.violations.iter().any(|v| v.rule == Rule::M1
-            && v.file == "crates/core/src/metrics.rs"
-            && v.message.contains("fixture.ghost_total")),
-        "{:?}",
-        out.violations
+    let got = m1(&ws);
+    assert_eq!(got.len(), 2, "{got:?}");
+    assert_eq!((got[0].0.as_str(), got[0].1), ("METRICS.md", 3));
+    assert!(got[0].2.contains("stale"), "{got:?}");
+    assert_eq!(
+        (got[1].0.as_str(), got[1].1),
+        ("crates/core/src/metrics.rs", 6)
     );
-    assert!(
-        out.violations.iter().any(|v| v.rule == Rule::M1
-            && v.file == runner::METRICS_FILE
-            && v.line == 3
-            && v.message.contains("stale")),
-        "{:?}",
-        out.violations
-    );
+    assert!(got[1].2.contains("fixture.ghost_total"), "{got:?}");
 
     // 3. A manifest matching the registrations exactly is clean.
     ws.write(
         "METRICS.md",
-        "| Name | Type |\n|------|------|\n| `fixture.ghost_total` | counter |\n",
+        &format!("{header}| `fixture.ghost_total` | counter |\n"),
     );
-    let out = runner::run(&ws.opts()).unwrap();
-    assert!(out.ok(), "{:?}", out.violations);
+    assert!(m1(&ws).is_empty());
 }
 
-fn git(root: &std::path::Path, args: &[&str]) {
-    let st = std::process::Command::new("git")
+fn git(root: &Path, args: &[&str]) {
+    let st = Command::new("git")
         .args(["-c", "user.email=t@t", "-c", "user.name=t"])
         .args(args)
         .current_dir(root)
@@ -462,18 +344,12 @@ fn git(root: &std::path::Path, args: &[&str]) {
 #[test]
 fn changed_filter_scopes_report_to_touched_files() {
     let ws = mini_workspace("chg");
-    let mut upd = ws.opts();
-    upd.update_baseline = true;
-    runner::run(&upd).unwrap();
     git(&ws.root, &["init", "-q"]);
     git(&ws.root, &["add", "-A"]);
     git(&ws.root, &["commit", "-qm", "seed"]);
 
-    // A committed hard violation predates the ref…
-    ws.write(
-        "crates/core/src/clocky.rs",
-        "pub fn r() -> std::time::Instant { std::time::Instant::now() }\n",
-    );
+    // A committed violation predates the ref…
+    ws.write("crates/core/src/sorty.rs", DIRTY_LIB);
     git(&ws.root, &["add", "-A"]);
     git(&ws.root, &["commit", "-qm", "dirty"]);
     let mut chg = ws.opts();
@@ -485,30 +361,25 @@ fn changed_filter_scopes_report_to_touched_files() {
     assert!(!out.ok(), "the full run keeps the backstop");
 
     // An untracked new file with a violation IS caught pre-commit.
-    ws.write(
-        "crates/core/src/clocky2.rs",
-        "pub fn r2() -> std::time::Instant { std::time::Instant::now() }\n",
-    );
+    ws.write("crates/core/src/sorty2.rs", DIRTY_LIB);
     let out = runner::run(&chg).unwrap();
     assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
-    assert_eq!(out.violations[0].file, "crates/core/src/clocky2.rs");
-    assert_eq!(out.violations[0].rule, Rule::D4);
+    assert_eq!(out.violations[0].file, "crates/core/src/sorty2.rs");
+    assert_eq!(out.violations[0].rule, Rule::D2);
 }
 
 #[test]
 fn sarif_output_from_workspace_run_is_well_formed() {
     let ws = mini_workspace("sarif");
+    ws.write("crates/core/src/lib.rs", DIRTY_LIB);
     let out = runner::run(&ws.opts()).unwrap();
-    assert!(!out.ok(), "the seeded unwrap regresses");
+    assert!(!out.ok(), "the seeded partial_cmp sort fails");
     let s = runner::render_sarif(&out);
     assert!(s.contains("\"version\": \"2.1.0\""), "{s}");
     assert!(s.contains("sarif-2.1.0.json"), "{s}");
     assert!(s.contains("\"gp-lint\""), "{s}");
     assert!(s.contains("\"results\""), "{s}");
-    assert!(
-        s.contains("\"R1\""),
-        "the ratchet summary lands in results: {s}"
-    );
+    assert!(s.contains("\"ruleId\": \"D2\""), "{s}");
     assert_eq!(s.matches('{').count(), s.matches('}').count());
     assert_eq!(s.matches('[').count(), s.matches(']').count());
 }
@@ -516,11 +387,12 @@ fn sarif_output_from_workspace_run_is_well_formed() {
 #[test]
 fn json_report_is_well_formed_enough() {
     let ws = mini_workspace("json");
+    ws.write("crates/core/src/lib.rs", DIRTY_LIB);
     let out = runner::run(&ws.opts()).unwrap();
     let json = runner::render_json(&out);
     assert!(json.contains("\"ok\": false"));
-    assert!(json.contains("\"rule\": \"R1\""));
-    assert!(json.contains("\"gp-core\": 1"));
+    assert!(json.contains("\"rule\": \"D2\""));
+    assert!(json.contains("\"files_scanned\": 2"));
     // Balanced braces/brackets as a cheap structural check.
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -1,109 +1,14 @@
 //! Property tests for the token scanner: on *arbitrary* input — not
 //! just valid Rust — scanning never panics, preserves line structure,
-//! and is idempotent (stripped output re-strips to itself).
-//!
-//! These complement the deterministic xorshift fuzz test in
-//! `scanner::tests` with a wider, seeded token soup.
+//! and is idempotent (stripped output re-strips to itself); the rule
+//! pass and fact extraction never panic either.
 
-use gp_lint::{analyze, extract, lint_source, scan, FileKind};
-use gp_tensor::rng::{check, StdRng};
+use gp_lint::{extract, lint_source, scan, FileKind};
+use gp_tensor::rng::check;
 
-/// Atoms biased toward the scanner's tricky cases.
-const SCANNER_ATOMS: &[&str] = &[
-    "\"",
-    "'",
-    "\\",
-    "r#\"",
-    "\"#",
-    "r#ident",
-    "b\"",
-    "br##\"",
-    "//",
-    "/*",
-    "*/",
-    "\n",
-    "{",
-    "}",
-    ";",
-    "#[cfg(test)]",
-    "mod tests",
-    "'a",
-    "'\\''",
-    "gp-lint: allow(D1) — reason",
-    "partial_cmp",
-    ".unwrap()",
-];
-
-/// Atoms biased toward the fact extractor on top of the scanner's:
-/// fn/struct/impl headers, lock and condvar shapes, call chains,
-/// discards, metric registrations.
-const FACT_ATOMS: &[&str] = &[
-    "fn f",
-    "fn",
-    "struct S",
-    "impl S",
-    "for",
-    "static X:",
-    "Mutex<",
-    "RwLock<State>",
-    "Condvar",
-    "MutexGuard<'_, T>",
-    "(&self)",
-    "self.state.lock()",
-    ".lock()",
-    ".read(",
-    ".write(",
-    ".wait(g)",
-    ".wait_timeout(",
-    ".join()",
-    "let g =",
-    "let mut",
-    "let _ =",
-    ".ok();",
-    "drop(g)",
-    "Counter::new(\"m.x\")",
-    "-> MutexGuard<'_, u32>",
-    "::",
-    "<",
-    ">",
-    "(",
-    ")",
-    "{",
-    "}",
-    ";",
-    ",",
-    "\n",
-    "\"",
-    "/*",
-    "gp-lint: allow(C2) — reason",
-];
-
-/// Up to 63 pieces, each a fixed atom or a short random run of printable
-/// ASCII (up to 6 chars) or of non-control Unicode (up to 4 chars).
-fn soup(rng: &mut StdRng, atoms: &[&str]) -> String {
-    let mut out = String::new();
-    for _ in 0..rng.gen_range(0..64) {
-        match rng.gen_range(0..atoms.len() + 2) {
-            i if i < atoms.len() => out.push_str(atoms[i]),
-            i if i == atoms.len() => {
-                for _ in 0..rng.gen_range(0..=6) {
-                    out.push(char::from(b' ' + rng.gen_range(0..95) as u8));
-                }
-            }
-            _ => {
-                let mut left = rng.gen_range(0..=4);
-                while left > 0 {
-                    let c = char::from_u32(rng.gen_range(0..0x3_0000) as u32);
-                    if let Some(c) = c.filter(|c| !c.is_control()) {
-                        out.push(c);
-                        left -= 1;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
+#[path = "support/soup.rs"]
+mod soup;
+use soup::{soup, FACT_ATOMS, SCANNER_ATOMS};
 
 #[test]
 fn scan_never_panics_and_preserves_lines() {
@@ -115,7 +20,11 @@ fn scan_never_panics_and_preserves_lines() {
             src.chars().filter(|&c| c == '\n').count(),
             "stripping must keep the newline structure"
         );
-        assert_eq!(out.in_test.len(), out.module_path.len());
+        assert_eq!(
+            out.in_test.len(),
+            src.chars().filter(|&c| c == '\n').count() + 1,
+            "one test-region flag per line"
+        );
     });
 }
 
@@ -136,7 +45,7 @@ fn lint_never_panics_on_soup() {
         // for every file kind.
         let src = soup(rng, SCANNER_ATOMS);
         for kind in [FileKind::Lib, FileKind::Bin, FileKind::Harness] {
-            let _ = lint_source("soup.rs", "gp-core", kind, &src);
+            let _ = lint_source("soup.rs", kind, &src);
         }
     });
 }
@@ -144,15 +53,16 @@ fn lint_never_panics_on_soup() {
 #[test]
 fn fact_extraction_never_panics_and_is_deterministic() {
     check(256, |rng| {
-        // Pass 1 on garbage: must terminate, and two extractions of the
-        // same bytes must agree fact-for-fact (the ratchet and the
-        // lock-order graph both depend on that stability).
+        // Extraction on garbage must terminate, and two extractions of
+        // the same bytes must agree fact-for-fact (C1 and M1 reports
+        // depend on that stability). Extracting from the stripped code
+        // finds the same functions: stripping only blanks literals.
         let src = soup(rng, FACT_ATOMS);
-        let f1 = extract("soup.rs", "gp-core", FileKind::Lib, &src);
-        let f2 = extract("soup.rs", "gp-core", FileKind::Lib, &src);
-        assert_eq!(&f1, &f2);
-        // And pass 2 must swallow whatever pass 1 produced.
-        let _ = analyze(&[f1, f2]);
+        let facts = extract(&src);
+        assert_eq!(facts, extract(&src));
+        let stripped = extract(&scan(&src).code);
+        assert_eq!(facts.fns, stripped.fns);
+        assert_eq!(facts.metrics.len(), stripped.metrics.len());
     });
 }
 
@@ -161,12 +71,7 @@ fn fact_extraction_never_panics_on_scanner_soup() {
     check(256, |rng| {
         // The scanner-focused soup exercises string/comment edge cases
         // the fact soup does not.
-        let f = extract(
-            "soup.rs",
-            "gp-core",
-            FileKind::Lib,
-            &soup(rng, SCANNER_ATOMS),
-        );
-        let _ = analyze(std::slice::from_ref(&f));
+        let f = extract(&soup(rng, SCANNER_ATOMS));
+        assert!(f.fns.iter().all(|g| !g.name.is_empty()));
     });
 }

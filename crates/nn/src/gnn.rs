@@ -98,6 +98,10 @@ pub struct GraphSage {
 
 impl GraphSage {
     /// `dims = [in, h1, ..., out]`; ReLU between layers.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "dims.len() >= 2 is asserted on entry, so dims.last() is Some"
+    )]
     pub fn new(store: &mut ParamStore, rng_: &mut StdRng, name: &str, dims: &[usize]) -> Self {
         assert!(dims.len() >= 2, "GraphSage needs at least [in, out]");
         let last = dims.len() - 2;
@@ -168,6 +172,10 @@ pub struct Gcn {
 
 impl Gcn {
     /// `dims = [in, h1, ..., out]`; ReLU between layers.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "dims.len() >= 2 is asserted on entry, so dims.last() is Some"
+    )]
     pub fn new(store: &mut ParamStore, rng_: &mut StdRng, name: &str, dims: &[usize]) -> Self {
         assert!(dims.len() >= 2, "Gcn needs at least [in, out]");
         let last = dims.len() - 2;
@@ -253,6 +261,10 @@ impl Gat {
     ///
     /// # Panics
     /// Panics if a layer width is not divisible by `heads`.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "dims.len() >= 2 is asserted on entry, so dims.last() is Some"
+    )]
     pub fn with_heads(
         store: &mut ParamStore,
         rng_: &mut StdRng,

@@ -159,6 +159,10 @@ impl Mlp {
     }
 
     /// Output width.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "Mlp::new asserts at least [in, out] dims, so there is always a last layer"
+    )]
     pub fn out_dim(&self) -> usize {
         self.layers.last().unwrap().out_dim()
     }

@@ -31,7 +31,10 @@ pub struct OptimState {
 }
 
 fn sorted_moments(map: &HashMap<usize, Tensor>) -> Vec<(usize, Tensor)> {
-    // gp-lint: allow(D1) — collected then sorted by param index on the next line, so map order never escapes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collected then sorted by param index on the next line, so map order never escapes"
+    )]
     let mut out: Vec<(usize, Tensor)> = map.iter().map(|(k, t)| (*k, t.clone())).collect();
     out.sort_by_key(|(k, _)| *k);
     out
@@ -185,9 +188,7 @@ impl AdamW {
     /// exact update sequence of an uninterrupted run.
     pub fn restore_state(&mut self, state: &OptimState) {
         self.t = state.t;
-        // gp-lint: allow(D1) — OptimState.m/.v are index-sorted Vecs (same field names as AdamW's hash maps); rebuilding a map from them is order-free
         self.m = state.m.iter().map(|(k, t)| (*k, t.clone())).collect();
-        // gp-lint: allow(D1) — OptimState.m/.v are index-sorted Vecs (same field names as AdamW's hash maps); rebuilding a map from them is order-free
         self.v = state.v.iter().map(|(k, t)| (*k, t.clone())).collect();
     }
 }
@@ -219,7 +220,10 @@ impl Optimizer for AdamW {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the Adam hyper-parameters travel as scalars so the shared update stays a plain fn over the store"
+)]
 fn adam_update(
     store: &mut ParamStore,
     grads: &[(ParamId, Tensor)],

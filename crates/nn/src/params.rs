@@ -122,6 +122,10 @@ impl ParamStore {
     /// # Panics
     /// Panics on shape mismatch; use [`ParamStore::try_set`] where the
     /// tensor comes from untrusted input (files, snapshots).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking twin of try_set for in-process tensors; untrusted input goes through try_set"
+    )]
     pub fn set(&mut self, id: ParamId, tensor: Tensor) {
         self.try_set(id, tensor)
             .unwrap_or_else(|e| panic!("ParamStore::set: {e}"));
@@ -180,6 +184,10 @@ impl ParamStore {
     /// # Panics
     /// Panics if the snapshot does not match the store layout; use
     /// [`ParamStore::try_restore`] for snapshots loaded from disk.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking twin of try_restore for in-process snapshots; snapshots from disk go through try_restore"
+    )]
     pub fn restore(&mut self, snapshot: &[Tensor]) {
         self.try_restore(snapshot)
             .unwrap_or_else(|e| panic!("ParamStore::restore: {e}"));

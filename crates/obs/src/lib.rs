@@ -44,7 +44,7 @@
 //! The registry is global: [`snapshot`] returns every instrument the
 //! process has touched, sorted by name, and renders as text or JSON.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -81,12 +81,14 @@ pub fn set_enabled(on: bool) {
 // and shared with request threads that may panic (gp-serve isolates such
 // panics per request). Every write under these locks is a single map
 // insert or an atomic-cell store, so a poisoned lock never guards torn
-// data — metrics must keep flowing after one observer crashes.
+// data — metrics must keep flowing after one observer crashes. The maps
+// are ordered so snapshots come out sorted by name; instruments register
+// once (through their `OnceLock`), so the hot path never touches them.
 #[derive(Default)]
 struct Registry {
-    counters: Mutex<HashMap<&'static str, Arc<AtomicU64>>>,
-    gauges: Mutex<HashMap<&'static str, Arc<AtomicI64>>>,
-    histograms: Mutex<HashMap<&'static str, Arc<Mutex<HistoInner>>>>,
+    counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    gauges: Mutex<BTreeMap<&'static str, Arc<AtomicI64>>>,
+    histograms: Mutex<BTreeMap<&'static str, Arc<Mutex<HistoInner>>>>,
 }
 
 fn registry() -> &'static Registry {
@@ -333,6 +335,10 @@ impl Histogram {
     /// Start an RAII timer: elapsed microseconds are recorded when the
     /// guard drops. While collection is disabled no clock is read.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "gp-obs is where timing lives: a span only feeds its histogram, never a result"
+    )]
     pub fn span(&self) -> SpanGuard<'_> {
         SpanGuard {
             histogram: self,
@@ -505,23 +511,21 @@ impl MetricsSnapshot {
 /// `gp --metrics`).
 pub fn snapshot() -> MetricsSnapshot {
     let reg = registry();
-    let mut counters: Vec<(String, u64)> = reg
+    let counters: Vec<(String, u64)> = reg
         .counters
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
         .collect();
-    counters.sort();
-    let mut gauges: Vec<(String, i64)> = reg
+    let gauges: Vec<(String, i64)> = reg
         .gauges
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
         .collect();
-    gauges.sort();
-    let mut histograms: Vec<HistogramSnapshot> = reg
+    let histograms: Vec<HistogramSnapshot> = reg
         .histograms
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -538,7 +542,6 @@ pub fn snapshot() -> MetricsSnapshot {
             }
         })
         .collect();
-    histograms.sort_by(|a, b| a.name.cmp(&b.name));
     MetricsSnapshot {
         counters,
         gauges,

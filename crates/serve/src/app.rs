@@ -88,7 +88,6 @@ impl SessionHost {
     /// the warm tier instead of re-embedding. Session names are hashed
     /// into the subdirectory name, so hostile session strings can never
     /// traverse outside the store root.
-    #[allow(clippy::too_many_arguments)]
     pub fn with_embed_store(
         model: &GraphPrompterModel,
         dataset: Dataset,
@@ -204,6 +203,10 @@ impl SessionHost {
     /// (durability barrier for graceful drain); returns total entries
     /// persisted. A no-op (0) when the host has no disk tier.
     pub fn flush_embed_stores(&self) -> usize {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each session flushes its own store; the summed count does not depend on the order"
+        )]
         let engines: Vec<Arc<Engine>> = self.lock_sessions().values().cloned().collect();
         engines.iter().map(|e| e.flush_embed_store()).sum()
     }
@@ -600,6 +603,10 @@ mod tests {
         SessionHost::new(&model, dataset, infer, pool, 3, Backend::Reference).expect("host builds")
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test fixture: requests are admitted at the real clock"
+    )]
     fn ctx() -> ServeContext {
         ServeContext {
             admitted_at: Instant::now(),
@@ -834,6 +841,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test backdates admission against the real clock"
+    )]
     fn expired_deadline_is_504_with_stage_evidence() {
         let app = ClassifyApp::new(tiny_host());
         // Admitted long ago with a 1ms budget: the deadline is already

@@ -128,6 +128,10 @@ fn timeout_kind(e: &std::io::Error) -> bool {
 /// Read one full request within the limits. The overall header+body
 /// deadline is `2 × read_timeout` from entry, so a client dribbling one
 /// byte per `read_timeout - ε` cannot hold a worker forever.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the overall read deadline bounds slow clients; it never touches a request's content"
+)]
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, ReadError> {
     let started = Instant::now();
     let overall = limits.read_timeout * 2;
@@ -315,7 +319,10 @@ pub fn drain_pending(stream: &TcpStream) {
             Ok(n) => total += n,
         }
     }
-    // gp-lint: allow(E1) — best-effort restore of blocking mode; a failed fcntl surfaces on the next read/write anyway
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort restore of blocking mode; a failed fcntl surfaces on the next read/write anyway"
+    )]
     let _ = stream.set_nonblocking(false);
 }
 
@@ -409,7 +416,10 @@ pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // raw client/producer threads drive the code under test from outside any pool
+#[expect(
+    clippy::disallowed_methods,
+    reason = "raw client/producer threads drive the code under test from outside any pool"
+)]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};

@@ -106,7 +106,10 @@ impl<T> BoundedQueue<T> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // raw client/producer threads drive the code under test from outside any pool
+#[expect(
+    clippy::disallowed_methods,
+    reason = "raw client/producer threads drive the code under test from outside any pool"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

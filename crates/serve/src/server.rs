@@ -147,6 +147,10 @@ impl ServeContext {
     /// Context carrying a config's request caps, admitted now with an
     /// empty queue — what the worker builds per request, minus the live
     /// admission data. Test fixtures use it to avoid restating caps.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "admission timestamps start the request deadline; they never touch a response body"
+    )]
     pub fn for_config(cfg: &ServerConfig) -> Self {
         Self {
             admitted_at: Instant::now(),
@@ -215,8 +219,10 @@ impl Server {
                 let handler = Arc::clone(&handler);
                 let cfg = config.clone();
                 let stop = Arc::clone(&stop);
-                #[allow(clippy::disallowed_methods)]
-                // connection workers block on sockets; engine compute still fans out through the pool
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "connection workers block on sockets; engine compute still fans out through the pool"
+                )]
                 std::thread::Builder::new()
                     .name(format!("gp-serve-worker-{i}"))
                     .spawn(move || worker_loop(&queue, handler.as_ref(), &cfg, &stop))
@@ -227,8 +233,10 @@ impl Server {
             let stop = Arc::clone(&stop);
             let queue = Arc::clone(&queue);
             let cfg = config.clone();
-            #[allow(clippy::disallowed_methods)]
-            // the accept loop blocks on the listener; it does no engine compute
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the accept loop blocks on the listener; it does no engine compute"
+            )]
             std::thread::Builder::new()
                 .name("gp-serve-accept".to_string())
                 .spawn(move || accept_loop(listener, &stop, &queue, &cfg, &limits))?
@@ -291,6 +299,10 @@ pub struct DrainStats {
     pub join_failures: usize,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "admission timestamps start the request deadline; they never touch a response body"
+)]
 fn accept_loop(
     listener: TcpListener,
     stop: &AtomicBool,
@@ -311,7 +323,10 @@ fn accept_loop(
                 // Nagle only adds delayed-ACK stalls on keep-alive
                 // connections. Best-effort: a socket we cannot
                 // configure still gets served.
-                // gp-lint: allow(E1) — TCP_NODELAY is a latency tweak, not a correctness need; serving proceeds either way
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "TCP_NODELAY is a latency tweak, not a correctness need; serving proceeds either way"
+                )]
                 let _ = stream.set_nodelay(true);
                 let conn = Conn {
                     stream,
@@ -359,6 +374,10 @@ fn accept_loop(
     queue.close();
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "admission timestamps start the request deadline and the per-request trace; they never touch a response body"
+)]
 fn worker_loop<H: Handler + ?Sized>(
     queue: &BoundedQueue<Conn>,
     handler: &H,

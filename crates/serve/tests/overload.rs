@@ -3,9 +3,10 @@
 //! running server. The crate rustdoc's mechanism table names these
 //! tests; renaming one here means updating `crates/serve/src/lib.rs`.
 
-// Raw client threads on purpose: they play the network's side of the
-// socket, outside the server's worker pool.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "raw client threads on purpose: they play the network's side of the socket, outside the server's worker pool"
+)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

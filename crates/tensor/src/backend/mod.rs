@@ -267,7 +267,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // a raw thread on purpose: it must not inherit the pool's backend
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw thread on purpose: it must not inherit the pool's backend"
+    )]
     fn install_is_per_thread() {
         let _guard = Backend::Fast.install();
         let other = std::thread::spawn(installed_backend)

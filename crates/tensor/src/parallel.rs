@@ -204,6 +204,10 @@ impl WorkerPool {
     /// Build a pool with the given thread budget (clamped to ≥ 1).
     pub fn with_budget(budget: usize) -> Self {
         let budget = budget.max(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "every submitter blocks until its own tasks drain, so the queue never holds more than the tasks of the jobs in flight"
+        )]
         let shared = Arc::new(PoolShared {
             budget,
             queue: Mutex::new(VecDeque::new()),
@@ -217,7 +221,11 @@ impl WorkerPool {
         let mut handles = Vec::with_capacity(budget - 1);
         for i in 0..budget - 1 {
             let s = Arc::clone(&shared);
-            #[allow(clippy::disallowed_methods)] // the one sanctioned spawn site
+            #[expect(clippy::disallowed_methods, reason = "the one sanctioned spawn site")]
+            #[expect(
+                clippy::expect_used,
+                reason = "a pool that cannot start its workers cannot honor its thread budget; fail loudly rather than run serially"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("gp-pool-{i}"))
                 .spawn(move || worker_loop(s))
@@ -292,7 +300,10 @@ impl Drop for WorkerPool {
         self.shared.work_cv.notify_all();
         POOL_WORKERS_GAUGE.offset(-(self.handles.len() as i64));
         for handle in self.handles.drain(..) {
-            // gp-lint: allow(E1) — Drop cannot propagate a worker panic; the panic already surfaced as a poisoned result upstream
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot propagate a worker panic; the panic already surfaced as a poisoned result upstream"
+            )]
             let _ = handle.join();
         }
     }

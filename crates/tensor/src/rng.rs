@@ -156,12 +156,15 @@ impl SampleRange for RangeInclusive<f32> {
 /// seeded with a seed derived from `i`. A failing case re-panics with its
 /// seed, and `StdRng::seed_from_u64(seed)` replays exactly that case.
 /// There is no shrinking.
+#[expect(
+    clippy::panic,
+    reason = "a test helper: a failing property must fail its test, naming the replay seed"
+)]
 pub fn check(cases: u32, mut property: impl FnMut(&mut StdRng)) {
     for case in 0..cases {
         let seed = splitmix64(&mut u64::from(case));
         let mut rng = StdRng::seed_from_u64(seed);
         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| property(&mut rng))) {
-            // gp-lint: allow(R1) — a test helper: a failing property must fail its test, naming the replay seed
             panic!(
                 "property failed on case {case}; replay with StdRng::seed_from_u64({seed}): {}",
                 panic_message(payload.as_ref())

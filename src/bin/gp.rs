@@ -117,9 +117,10 @@ fn main() {
 
 type CliResult = Result<(), String>;
 
-/// `gp lint [gp-lint flags]` — the determinism & robustness linter,
-/// delegated to [`graphprompter::lint::run_cli`] (same engine as the
-/// standalone `gp-lint` binary; see `gp lint --help` for its flags).
+/// `gp lint [gp-lint flags]` — the repo-specific linter (D2, A1, C1, M1,
+/// P1; the generic rules are clippy lints), delegated to
+/// [`graphprompter::lint::run_cli`] (same engine as the standalone
+/// `gp-lint` binary; see `gp lint --help` for its flags).
 fn lint_cmd(args: &[String]) -> CliResult {
     let (report, code) = graphprompter::lint::run_cli(args);
     if code == 0 {
@@ -199,6 +200,19 @@ fn resolve_dataset(args: &[String], seed: u64) -> Result<Dataset, String> {
     }
     let name = flag(args, "--dataset").ok_or("missing --dataset <name> or --dataset-path <dir>")?;
     dataset_by_name(&name, seed)
+}
+
+/// An episode needs at least two classes and cannot have more than the
+/// dataset offers (the bound gp-serve enforces on `"ways"`).
+fn check_ways(ways: usize, ds: &Dataset) -> CliResult {
+    if (2..=ds.num_classes).contains(&ways) {
+        Ok(())
+    } else {
+        Err(format!(
+            "--ways must be in 2..={} for {} (got {ways})",
+            ds.num_classes, ds.name
+        ))
+    }
 }
 
 fn dataset_by_name(name: &str, seed: u64) -> Result<Dataset, String> {
@@ -299,6 +313,10 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
         .try_build()
         .map_err(|e| format!("invalid configuration: {e}"))?;
     eprintln!("pre-training on {} for {steps} steps...", ds.name);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the elapsed time is reported to the user, not fed to training"
+    )]
     let started = std::time::Instant::now();
 
     let curve = if let Some(dir) = flag(args, "--checkpoint-dir") {
@@ -533,6 +551,7 @@ fn evaluate_cmd(args: &[String]) -> CliResult {
         .map_err(|_| "--seed must be an integer")?;
 
     let ds = resolve_dataset(args, seed)?;
+    check_ways(ways, &ds)?;
     let stages = if has_flag(args, "--prodigy") {
         StageConfig::prodigy()
     } else if ds.task == Task::NodeClassification {
@@ -584,6 +603,7 @@ fn episode_cmd(args: &[String]) -> CliResult {
         .map_err(|_| "--seed must be an integer")?;
 
     let ds = resolve_dataset(args, 0)?;
+    check_ways(ways, &ds)?;
     let (store_dir, embed_quant) = embed_store_flags(args)?;
     let mut builder = Engine::builder()
         .model(model)

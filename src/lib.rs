@@ -12,7 +12,7 @@
 //! * [`baselines`] — comparison methods ([`gp_baselines`])
 //! * [`eval`] — metrics, t-SNE, tables ([`gp_eval`])
 //! * [`obs`] — zero-dependency metrics registry ([`gp_obs`])
-//! * [`lint`] — workspace determinism & robustness linter ([`gp_lint`])
+//! * [`lint`] — linter for the repo-specific invariants clippy cannot express ([`gp_lint`])
 //! * [`serve`] — overload-safe HTTP inference server ([`gp_serve`])
 //!
 //! The public entry point is [`Engine`] (built through the fallible
