@@ -45,12 +45,9 @@ use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
 use crate::embed_disk::{DiskTierConfig, Quantization};
 use crate::embed_store::{EmbedCacheStats, EmbeddingStore};
-use crate::error::EngineError;
+use crate::error::{DeadlineExceeded, EngineError};
 use crate::guard::DivergenceError;
-use crate::infer::{
-    evaluate_episodes_impl, run_episode_deadline_impl, run_episode_impl, run_episodes_batched_impl,
-    EpisodeResult,
-};
+use crate::infer::{evaluate_episode, run_episodes, EpisodeResult};
 use crate::model::GraphPrompterModel;
 use crate::planner::EpisodeRequest;
 use crate::pretrain::{pretrain, try_pretrain, TrainingCurve};
@@ -348,15 +345,33 @@ impl Engine {
         store.set_weights_context(revision, fp);
     }
 
-    /// Episode-level workers for an `episodes`-episode evaluation: 1 in
-    /// timing mode, else up to the whole budget (kernel fan-out inside
-    /// the episodes shares the same pool either way).
-    fn episode_workers(&self, pool: &WorkerPool, episodes: usize) -> usize {
-        if self.timing_mode {
-            1
-        } else {
-            pool.budget().min(episodes.max(1))
-        }
+    /// Run `f` with the engine's worker pool and backend installed and
+    /// its embedding store armed: the preamble of every inference entry
+    /// point. `f` receives the installed pool.
+    fn with_runtime<T>(&self, f: impl FnOnce(&WorkerPool) -> T) -> T {
+        let pool = self.thread_pool();
+        let _ctx = pool.install();
+        let _be = self.backend.install();
+        self.prepare_embed_store();
+        f(&pool)
+    }
+
+    /// Alg. 2 over `requests` under `cfg`, one fused batch.
+    fn run_batch(
+        &self,
+        dataset: &Dataset,
+        requests: &[EpisodeRequest<'_>],
+        cfg: &InferenceConfig,
+    ) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
+        self.with_runtime(|_| {
+            run_episodes(
+                &self.model,
+                dataset,
+                requests,
+                cfg,
+                self.embed_store.as_ref(),
+            )
+        })
     }
 
     /// Pre-train on `dataset` (Alg. 1) with the engine's pretrain config;
@@ -406,21 +421,12 @@ impl Engine {
         queries_per_episode: usize,
         episodes: usize,
     ) -> Vec<f32> {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        let _be = self.backend.install();
-        self.prepare_embed_store();
-        let episode_workers = self.episode_workers(&pool, episodes);
-        evaluate_episodes_impl(
-            &self.model,
+        self.evaluate_with(
             dataset,
             ways,
             queries_per_episode,
             episodes,
             &self.infer_cfg,
-            self.embed_store.as_ref(),
-            Some(&pool),
-            episode_workers,
         )
     }
 
@@ -431,6 +437,12 @@ impl Engine {
     /// sampler geometry, seed and stage flags, so entries from different
     /// configs — or from different datasets evaluated on one engine —
     /// never collide.
+    ///
+    /// Outside timing mode the episodes run as tasks on the engine's
+    /// pool, whose queue also executes the kernel fan-out inside them, so
+    /// total live threads never exceed the budget. Results land in fixed
+    /// per-episode slots: accuracies are bit-identical to a sequential
+    /// run for any budget.
     pub fn evaluate_with(
         &self,
         dataset: &Dataset,
@@ -439,37 +451,42 @@ impl Engine {
         episodes: usize,
         cfg: &InferenceConfig,
     ) -> Vec<f32> {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        let _be = self.backend.install();
-        self.prepare_embed_store();
-        let episode_workers = self.episode_workers(&pool, episodes);
-        evaluate_episodes_impl(
-            &self.model,
-            dataset,
-            ways,
-            queries_per_episode,
-            episodes,
-            cfg,
-            self.embed_store.as_ref(),
-            Some(&pool),
-            episode_workers,
-        )
+        let store = self.embed_store.as_ref();
+        let one = |i| {
+            evaluate_episode(
+                &self.model,
+                dataset,
+                ways,
+                queries_per_episode,
+                cfg,
+                store,
+                i,
+            )
+        };
+        self.with_runtime(|pool| {
+            if self.timing_mode {
+                return (0..episodes).map(one).collect();
+            }
+            let mut accs = vec![0.0f32; episodes];
+            let slots: Vec<Mutex<&mut f32>> = accs.iter_mut().map(Mutex::new).collect();
+            pool.for_each_index(episodes, |i| {
+                // Pool workers have their own thread-local backend slot;
+                // without this, pooled episodes would run on Reference.
+                let _be = self.backend.install();
+                let acc = one(i);
+                // Each slot is touched by exactly one task; a poisoned lock
+                // can only mean that task already panicked, so recovery is
+                // safe.
+                **slots[i].lock().unwrap_or_else(PoisonError::into_inner) = acc;
+            });
+            drop(slots);
+            accs
+        })
     }
 
     /// Run Alg. 2 over one explicit episode.
     pub fn run_episode(&self, dataset: &Dataset, task: &FewShotTask) -> EpisodeResult {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        let _be = self.backend.install();
-        self.prepare_embed_store();
-        run_episode_impl(
-            &self.model,
-            dataset,
-            task,
-            &self.infer_cfg,
-            self.embed_store.as_ref(),
-        )
+        self.run_episode_with(dataset, task, &self.infer_cfg)
     }
 
     /// As [`Engine::run_episode`], enforcing `deadline` at the stage
@@ -485,31 +502,33 @@ impl Engine {
         task: &FewShotTask,
         deadline: Deadline,
     ) -> Result<EpisodeResult, EngineError> {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        let _be = self.backend.install();
-        self.prepare_embed_store();
-        run_episode_deadline_impl(
-            &self.model,
-            dataset,
+        let request = EpisodeRequest {
             task,
-            &self.infer_cfg,
-            self.embed_store.as_ref(),
-            Some(deadline),
-        )
-        .map_err(EngineError::from)
+            deadline: Some(deadline),
+        };
+        match self
+            .run_batch(dataset, std::slice::from_ref(&request), &self.infer_cfg)
+            .pop()
+        {
+            Some(res) => res.map_err(EngineError::from),
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: run_episodes answers every request"
+            )]
+            None => unreachable!("a batch of one answers its member"),
+        }
     }
 
-    /// Run several episodes as one fused cross-request batch (the
-    /// [`crate::BatchPlanner`] layer). Candidate embedding runs once over
-    /// the deduplicated union of every member's candidates, and all live
-    /// members' queries go through a single stacked
-    /// [`crate::SubgraphBatch`] pass — amortizing the per-request embed
-    /// cost without changing any member's result: on
+    /// Run several episodes as one fused cross-request batch. Candidate
+    /// embedding runs once over the deduplicated union of every member's
+    /// candidates, and all live members' queries go through a single
+    /// stacked [`crate::SubgraphBatch`] pass — amortizing the per-request
+    /// embed cost without changing any member's result: on
     /// [`Backend::Reference`] every member is **bit-identical** to a solo
     /// [`Engine::run_episode_deadline`] call (per-datapoint RNG streams +
     /// row-local embedding; asserted by the property tests in
-    /// `crates/core/tests/batching.rs`).
+    /// `crates/core/tests/batching.rs`). A solo call is the same code
+    /// with one member.
     ///
     /// Deadlines stay per member: an expired member gets its own
     /// `Err(EngineError::DeadlineExceeded)` slot while the rest of the
@@ -519,20 +538,10 @@ impl Engine {
         dataset: &Dataset,
         requests: &[EpisodeRequest<'_>],
     ) -> Vec<Result<EpisodeResult, EngineError>> {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        let _be = self.backend.install();
-        self.prepare_embed_store();
-        run_episodes_batched_impl(
-            &self.model,
-            dataset,
-            requests,
-            &self.infer_cfg,
-            self.embed_store.as_ref(),
-        )
-        .into_iter()
-        .map(|r| r.map_err(EngineError::from))
-        .collect()
+        self.run_batch(dataset, requests, &self.infer_cfg)
+            .into_iter()
+            .map(|r| r.map_err(EngineError::from))
+            .collect()
     }
 
     /// As [`Engine::run_episode`], under an explicit inference config.
@@ -542,11 +551,21 @@ impl Engine {
         task: &FewShotTask,
         cfg: &InferenceConfig,
     ) -> EpisodeResult {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        let _be = self.backend.install();
-        self.prepare_embed_store();
-        run_episode_impl(&self.model, dataset, task, cfg, self.embed_store.as_ref())
+        let request = EpisodeRequest {
+            task,
+            deadline: None,
+        };
+        match self
+            .run_batch(dataset, std::slice::from_ref(&request), cfg)
+            .pop()
+        {
+            Some(Ok(res)) => res,
+            #[expect(
+                clippy::unreachable,
+                reason = "structurally impossible: a deadline-free batch of one answers its member"
+            )]
+            _ => unreachable!("an episode without a deadline cannot time out"),
+        }
     }
 
     /// The owned model (read-only).

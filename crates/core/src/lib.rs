@@ -87,7 +87,7 @@ pub use guard::{DivergenceError, GuardAction, GuardRail, GuardRailConfig, StepVe
 pub use infer::EpisodeResult;
 pub use lfu::LfuCache;
 pub use model::{sample_datapoint_subgraphs, GraphPrompterModel};
-pub use planner::{batch_deadline, BatchKey, BatchPlanner, EpisodeRequest, PlannedBatch};
+pub use planner::{BatchKey, EpisodeRequest};
 pub use pretrain::{
     pretrain, pretrain_resumable, pretrain_with_validation, try_pretrain, CheckpointConfig,
     PretrainError, PretrainReport, TrainingCurve,

@@ -1,18 +1,10 @@
-//! Cross-request batch planning for Alg. 2 inference.
+//! The request types of cross-request batched Alg. 2 inference.
 //!
-//! A serving frontend holds many in-flight classify requests at once;
-//! requests against the same dataset, model revision and backend can fuse
-//! their embedding passes through the block-diagonal
-//! [`crate::SubgraphBatch`] machinery and score the prompt pool once per
-//! batch — the graph analogue of batch prefill in LLM serving runtimes.
-//! The [`BatchPlanner`] is the pure, deterministic piece of that layer:
-//! it partitions submissions into fusable groups of bounded size without
-//! ever reordering members, so a coalescing dequeue (gp-serve) or an
-//! offline driver (gp-bench) can hand each group to
-//! [`crate::Engine::run_episodes_batched`].
-//!
-//! Batch membership never affects results: per-datapoint RNG streams and
-//! row-local embedding make every member bit-identical on
+//! An [`EpisodeRequest`] is one member of a
+//! [`crate::Engine::run_episodes_batched`] call. A [`BatchKey`] names the
+//! work a request maps onto; only requests with equal keys may share a
+//! fused pass. Batch membership never affects results: per-datapoint RNG
+//! streams and row-local embedding make every member bit-identical on
 //! `Backend::Reference` to a solo run (see `crates/core/tests/batching.rs`).
 
 use gp_datasets::FewShotTask;
@@ -42,141 +34,4 @@ pub struct BatchKey {
     pub revision: u64,
     /// Compute backend the member's session is pinned to.
     pub backend: Backend,
-}
-
-/// A planned group of fusable submissions, members in arrival order.
-pub struct PlannedBatch<T> {
-    /// The shared identity of every member.
-    pub key: BatchKey,
-    /// Member payloads, preserving submission order.
-    pub members: Vec<T>,
-}
-
-/// Deterministically partitions submissions into fusable batches of at
-/// most `max_batch` members. Pure data — the planner never blocks or
-/// clocks; collect-window policy lives in the serving layer.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchPlanner {
-    max_batch: usize,
-}
-
-impl BatchPlanner {
-    /// A planner capping groups at `max_batch` members (clamped to ≥ 1).
-    pub fn new(max_batch: usize) -> Self {
-        Self {
-            max_batch: max_batch.max(1),
-        }
-    }
-
-    /// The group-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Greedy first-fit partition of `submissions` (in arrival order)
-    /// into batches: each submission joins the most recent open batch
-    /// with its key, or opens a new one when none exists or the open one
-    /// is full. Member order inside a batch, and the relative order of
-    /// batches, follow arrival order — the plan is a pure function of the
-    /// input sequence.
-    pub fn plan<T>(&self, submissions: Vec<(BatchKey, T)>) -> Vec<PlannedBatch<T>> {
-        let mut batches: Vec<PlannedBatch<T>> = Vec::new();
-        for (key, payload) in submissions {
-            let open = batches
-                .iter_mut()
-                .rev()
-                .find(|b| b.key == key && b.members.len() < self.max_batch);
-            match open {
-                Some(b) => b.members.push(payload),
-                None => batches.push(PlannedBatch {
-                    key,
-                    members: vec![payload],
-                }),
-            }
-        }
-        batches
-    }
-}
-
-/// The effective collection deadline of a batch: the earliest member
-/// deadline, or `None` when no member carries one. A coalescer must
-/// dispatch no later than this instant so that waiting for stragglers
-/// never expires a member that would have met its deadline solo.
-pub fn batch_deadline(members: &[Option<Deadline>]) -> Option<Deadline> {
-    members
-        .iter()
-        .flatten()
-        .copied()
-        .min_by_key(Deadline::instant)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
-
-    fn key(d: u64, r: u64) -> BatchKey {
-        BatchKey {
-            dataset_id: d,
-            revision: r,
-            backend: Backend::Reference,
-        }
-    }
-
-    #[test]
-    fn same_key_groups_until_full_then_reopens() {
-        let p = BatchPlanner::new(2);
-        let subs = vec![(key(1, 1), "a"), (key(1, 1), "b"), (key(1, 1), "c")];
-        let plan = p.plan(subs);
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].members, vec!["a", "b"]);
-        assert_eq!(plan[1].members, vec!["c"]);
-    }
-
-    #[test]
-    fn distinct_keys_never_fuse() {
-        let p = BatchPlanner::new(8);
-        let subs = vec![
-            (key(1, 1), 0),
-            (key(2, 1), 1),
-            (key(1, 1), 2),
-            (key(1, 2), 3),
-            (key(2, 1), 4),
-        ];
-        let plan = p.plan(subs);
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan[0].members, vec![0, 2]);
-        assert_eq!(plan[0].key, key(1, 1));
-        assert_eq!(plan[1].members, vec![1, 4]);
-        assert_eq!(plan[2].members, vec![3]);
-    }
-
-    #[test]
-    fn backend_is_part_of_the_key() {
-        let p = BatchPlanner::new(8);
-        let fast = BatchKey {
-            backend: Backend::Fast,
-            ..key(1, 1)
-        };
-        let plan = p.plan(vec![(key(1, 1), 0), (fast, 1)]);
-        assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn zero_cap_clamps_to_one() {
-        let p = BatchPlanner::new(0);
-        assert_eq!(p.max_batch(), 1);
-        let plan = p.plan(vec![(key(1, 1), 0), (key(1, 1), 1)]);
-        assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn batch_deadline_is_the_earliest_member() {
-        assert_eq!(batch_deadline(&[]), None);
-        assert_eq!(batch_deadline(&[None, None]), None);
-        let near = Deadline::after(Duration::from_millis(10));
-        let far = Deadline::after(Duration::from_secs(60));
-        let got = batch_deadline(&[Some(far), None, Some(near)]);
-        assert_eq!(got, Some(near));
-    }
 }

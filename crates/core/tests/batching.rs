@@ -1,6 +1,5 @@
 //! Property suite for cross-request batched inference (the
-//! `BatchPlanner` / `run_episodes_batched` layer behind
-//! `gp serve --max-batch`).
+//! `run_episodes_batched` layer behind `gp serve --max-batch`).
 //!
 //! The contract under test: **batch membership is invisible in
 //! results**. On `Backend::Reference` a fused member must be
@@ -11,7 +10,7 @@
 //! tolerance the backend already promises for solo runs.
 
 use gp_core::{Deadline, Engine, EngineError, EpisodeRequest, EpisodeResult};
-use gp_datasets::{sample_few_shot_task, CitationConfig, Dataset, FewShotTask};
+use gp_datasets::{sample_few_shot_task, CitationConfig, DataPoint, Dataset, FewShotTask};
 use gp_graph::SamplerConfig;
 use gp_tensor::rng::{check, StdRng};
 use gp_tensor::Backend;
@@ -109,9 +108,66 @@ fn batched_reference_is_bit_identical_to_serial() {
             for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
                 let b = b.as_ref().expect("no deadline must not expire");
                 assert_bit_identical(b, s, &format!("batch {batch_size} member {i}"));
+                // Each member's clock covers the shared passes it is
+                // charged for, so embedding never exceeds the whole.
+                assert!(
+                    b.embed_micros <= b.per_query_micros,
+                    "batch {batch_size} member {i}: embed {} > total {} µs/query",
+                    b.embed_micros,
+                    b.per_query_micros
+                );
             }
         }
     });
+}
+
+/// A fused call looks each distinct candidate up in the store once, however
+/// many members share it: on a cold store every lookup misses and none hits.
+#[test]
+fn fused_call_looks_up_each_distinct_candidate_once() {
+    let source = CitationConfig::new("batch-lookups", 250, 4, 137).generate();
+    let engine = tiny_engine(&source, Backend::Reference);
+    let mut rng = StdRng::seed_from_u64(7);
+    let base = varied_tasks(&source, 3, &mut rng);
+    // Overlapping pools: a repeated member, and a member replaying
+    // another's candidates with fewer queries.
+    let replay = FewShotTask {
+        queries: base[1].queries[..1].to_vec(),
+        ..base[1].clone()
+    };
+    let tasks = [
+        base[0].clone(),
+        base[0].clone(),
+        base[1].clone(),
+        replay,
+        base[2].clone(),
+    ];
+    let mut union: Vec<DataPoint> = Vec::new();
+    for &(p, _) in tasks.iter().flat_map(|t| &t.candidates) {
+        if !union.contains(&p) {
+            union.push(p);
+        }
+    }
+
+    engine.clear_embed_cache();
+    let before = engine.embed_cache_stats().expect("cache on by default");
+    let requests: Vec<EpisodeRequest> = tasks
+        .iter()
+        .map(|t| EpisodeRequest {
+            task: t,
+            deadline: None,
+        })
+        .collect();
+    let results = engine.run_episodes_batched(&source, &requests);
+    assert!(results.iter().all(Result::is_ok));
+    let after = engine.embed_cache_stats().expect("cache on by default");
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert_eq!(
+        hits + misses,
+        union.len() as u64,
+        "one lookup per distinct candidate"
+    );
+    assert_eq!(hits, 0, "a cold store cannot hit");
 }
 
 /// Deadlines are per-member properties: a batch mixing generous

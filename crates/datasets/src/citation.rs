@@ -146,7 +146,7 @@ impl CitationConfig {
         // were generated from the true ones; corrupted nodes stay out of
         // the test partition.
         let mut recorded = labels.clone();
-        let mut corrupted = std::collections::HashSet::new();
+        let mut corrupted = std::collections::BTreeSet::new();
         if self.train_label_noise > 0.0 && self.num_classes > 1 {
             for (i, y) in recorded.iter_mut().enumerate() {
                 if rng.next_f32() < self.train_label_noise {
@@ -169,16 +169,12 @@ impl CitationConfig {
             .map(DataPoint::Node)
             .collect();
         let (mut train, mut valid, test) = stratified_split(&graph, points, self.num_classes);
-        // Sorted node order: iterating the HashSet directly would hand the
-        // train/valid assignment (`i % 5`) to the hash seed, making the
-        // generated splits differ run to run.
-        let mut corrupted_sorted: Vec<u32> = corrupted.into_iter().collect();
-        corrupted_sorted.sort_unstable();
-        for (i, n) in corrupted_sorted.iter().enumerate() {
+        // Corrupted nodes split train/valid (`i % 5`) in ascending order.
+        for (i, n) in corrupted.into_iter().enumerate() {
             if i % 5 == 4 {
-                valid.push(DataPoint::Node(*n));
+                valid.push(DataPoint::Node(n));
             } else {
-                train.push(DataPoint::Node(*n));
+                train.push(DataPoint::Node(n));
             }
         }
         let ds = Dataset {

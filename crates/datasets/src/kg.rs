@@ -167,7 +167,7 @@ impl KgConfig {
         }
         // Corrupt a fraction of recorded relations (noisy facts). The
         // corrupted ids are kept out of the test partition below.
-        let mut corrupted = std::collections::HashSet::new();
+        let mut corrupted = std::collections::BTreeSet::new();
         if self.train_label_noise > 0.0 && self.num_relations > 1 {
             for (eid, t) in raw.iter_mut().enumerate() {
                 if rng.next_f32() < self.train_label_noise {
@@ -210,14 +210,10 @@ impl KgConfig {
         let (emerging, regular): (Vec<_>, Vec<_>) = all.into_iter().partition(|dp| is_emerging(dp));
         let (mut train, mut valid, mut test) =
             stratified_split(&graph, regular, self.num_relations);
-        // Noisy facts live only in the candidate pool (train) and valid.
-        // Sorted edge order: iterating the HashSet directly would hand the
-        // train/valid assignment (`i % 5`) to the hash seed, making the
-        // generated splits differ run to run.
-        let mut corrupted_sorted: Vec<u32> = corrupted.into_iter().collect();
-        corrupted_sorted.sort_unstable();
-        for (i, eid) in corrupted_sorted.iter().enumerate() {
-            let dp = DataPoint::Edge(*eid);
+        // Noisy facts live only in the candidate pool (train) and valid,
+        // assigned (`i % 5`) in ascending edge order.
+        for (i, eid) in corrupted.into_iter().enumerate() {
+            let dp = DataPoint::Edge(eid);
             if i % 5 == 4 {
                 valid.push(dp);
             } else {

@@ -202,8 +202,8 @@ impl Coalescer {
         dataset: &Dataset,
     ) -> CoalesceOutcome {
         // --- collect window: until full, window elapsed, or the
-        // earliest member deadline arrives (gp_core::batch_deadline's
-        // contract, inlined over live slots).
+        // earliest member deadline arrives, so waiting for stragglers
+        // never expires a member that would have met its deadline solo.
         loop {
             let Some(g) = st.groups.iter().find(|g| g.id == gid) else {
                 return CoalesceOutcome::LeaderFailed;

@@ -207,7 +207,7 @@ pub trait ComputeBackend: Sync {
     fn matmul_ta_serial(&self, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]);
 
     /// Row-blocked `a^T · b`: output rows `rows` of the `n×m` result.
-    #[allow(
+    #[expect(
         clippy::too_many_arguments,
         reason = "mirrors the other block kernels' flat slice-and-dims shape; `n` strides `a`"
     )]

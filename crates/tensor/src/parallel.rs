@@ -296,7 +296,17 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Set the flag under the queue lock: a worker checks it under
+            // that lock right before waiting, so a store in between would
+            // land before the worker waits and its wake-up would be lost.
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         POOL_WORKERS_GAUGE.offset(-(self.handles.len() as i64));
         for handle in self.handles.drain(..) {
@@ -631,6 +641,17 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&serial), bits(&pooled));
         assert!(pool.stats().tasks_executed > 0, "pool must have run blocks");
+    }
+
+    /// Regression: dropping a pool right after a job used to hang now and
+    /// then, when a worker re-checked `shutdown` just before the drop set
+    /// it and then slept through the drop's only wake-up.
+    #[test]
+    fn pool_drop_after_a_job_never_hangs() {
+        for _ in 0..20_000 {
+            let pool = WorkerPool::with_budget(4);
+            pool.for_each_index(2, |_| {});
+        }
     }
 
     #[test]
