@@ -3,14 +3,10 @@
 //! The experiment harness: shared model-training helpers plus one module
 //! per table/figure of the paper (see DESIGN.md's experiment index).
 //! The `experiments` binary dispatches to these and regenerates
-//! EXPERIMENTS.md; the Criterion benches in `benches/` cover the
-//! timing-shaped results (Table VIII, Fig. 9 cost).
+//! EXPERIMENTS.md. Performance is measured by the repository benchmark
+//! (`benchmark/`, driven by BENCHMARK.json), not here.
 
 pub mod experiments;
 pub mod harness;
-pub mod infer_bench;
-pub mod serve_bench;
 
 pub use harness::{Ctx, GraphPrompterMethod, GraphPrompterView, Suite};
-pub use infer_bench::{BackendRows, BatchedTiming, InferBenchReport, ModeTiming, WideMatmul};
-pub use serve_bench::{BatchedPhase, PhaseStats, ServeBenchReport};

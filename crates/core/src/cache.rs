@@ -21,11 +21,6 @@ pub enum CachePolicy {
     Lru,
     /// First-in-first-out (insertion order; touches are ignored).
     Fifo,
-    /// Debug upper bound: LFU storage, but admission confidence is zeroed
-    /// for mispredicted queries, so only correctly pseudo-labeled entries
-    /// ever enter the cache. Replaces the old `GP_CACHE_ORACLE` env-var
-    /// side channel; used by the diagnose harness, never in reported runs.
-    Oracle,
 }
 
 /// A fixed-capacity least-recently-used cache.
@@ -187,9 +182,7 @@ impl<K: Eq + Hash + Clone, V> AnyCache<K, V> {
     /// Create a cache with the given policy and capacity.
     pub fn new(policy: CachePolicy, capacity: usize) -> Self {
         match policy {
-            // Oracle differs only in how admission confidences are computed
-            // (see `run_episode`); storage-wise it is plain LFU.
-            CachePolicy::Lfu | CachePolicy::Oracle => AnyCache::Lfu(LfuCache::new(capacity)),
+            CachePolicy::Lfu => AnyCache::Lfu(LfuCache::new(capacity)),
             CachePolicy::Lru => AnyCache::Lru(LruCache::new(capacity)),
             CachePolicy::Fifo => AnyCache::Fifo(FifoCache::new(capacity)),
         }

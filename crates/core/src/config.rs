@@ -377,7 +377,7 @@ pub struct InferenceConfig {
     /// Pseudo-label admission policy for the Prompt Augmenter cache.
     pub pseudo_labels: PseudoLabelPolicy,
     /// Cache replacement policy (LFU per the paper; LRU/FIFO provided as
-    /// the §VI extension, [`CachePolicy::Oracle`] as a debug bound).
+    /// the §VI extension).
     pub cache_policy: CachePolicy,
     /// Scale applied to cached embeddings when they join the prompt set.
     /// Values < 1 soften the query-domain pull a cached prompt exerts on

@@ -141,8 +141,8 @@ impl EngineBuilder {
     /// Timing mode: pin episode-level fan-out to 1 so [`Engine::evaluate`]
     /// measures uncontended per-query cost — the whole budget goes to the
     /// kernels of one episode at a time instead of episodes competing for
-    /// it. The benchmarks (`experiments bench-inference` / `table8`) run
-    /// this way; results are bit-identical either way.
+    /// it. The repository benchmark's offline workloads (`benchmark/`)
+    /// run this way; results are bit-identical either way.
     pub fn timing_mode(mut self, on: bool) -> Self {
         self.timing_mode = on;
         self
@@ -640,12 +640,14 @@ impl Engine {
     }
 
     /// Switch the compute backend. Takes effect on the next
-    /// `pretrain`/`evaluate`/`run_episode` call; no cached state depends
-    /// on the backend (the embedding cache is keyed by protocol + weights
-    /// and Fast is only tolerance-equal to Reference, so benchmarks that
-    /// flip backends on one engine should clear it between rows).
+    /// `pretrain`/`evaluate`/`run_episode` call. The disk tier's weight
+    /// fingerprint hashes the backend name, so it is recomputed; the
+    /// in-memory cache is keyed by protocol + weights only and Fast is
+    /// only tolerance-equal to Reference, so callers that flip backends
+    /// on one engine should clear it between runs.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
+        self.weights_fp = Mutex::new(None);
     }
 
     /// Counters of the engine's worker pool (budget, spawned workers,

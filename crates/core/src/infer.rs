@@ -29,7 +29,6 @@ use gp_tensor::Tensor;
 
 use crate::augmenter::PromptAugmenter;
 use crate::batch::SubgraphBatch;
-use crate::cache::CachePolicy;
 use crate::config::{InferenceConfig, PseudoLabelPolicy};
 use crate::deadline::Deadline;
 use crate::embed_store::EmbeddingStore;
@@ -512,17 +511,6 @@ pub(crate) fn run_episodes(
                     } else {
                         q_embs
                     };
-                    // Oracle bound: wrong pseudo-labels never enter the cache.
-                    let confidences = if cfg.cache_policy == CachePolicy::Oracle {
-                        preds
-                            .iter()
-                            .zip(&q_labels)
-                            .zip(&confidences)
-                            .map(|((p, t), &c)| if p == t { c } else { 0.0 })
-                            .collect()
-                    } else {
-                        confidences
-                    };
                     augmenter.observe(&admit_embs, &preds, &confidences);
                 }
                 // A finished episode is always returned, even if the
@@ -732,18 +720,6 @@ mod tests {
         let task = sample_few_shot_task(&ds, 3, 4, 10, &mut rng);
         let mut cfg = tiny_cfg();
         cfg.pseudo_labels = PseudoLabelPolicy::UniformRandom;
-        let res = run(&model, &ds, &task, &cfg, None);
-        assert_eq!(res.total, 10);
-    }
-
-    #[test]
-    fn oracle_cache_policy_runs() {
-        let (model, ds) = tiny_setup();
-        let mut rng = StdRng::seed_from_u64(4);
-        let task = sample_few_shot_task(&ds, 3, 4, 10, &mut rng);
-        let mut cfg = tiny_cfg();
-        cfg.cache_policy = CachePolicy::Oracle;
-        cfg.pseudo_labels = PseudoLabelPolicy::Confidence { min: 0.0 };
         let res = run(&model, &ds, &task, &cfg, None);
         assert_eq!(res.total, 10);
     }

@@ -393,8 +393,9 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`). Coarse by construction: answers are powers of
-    /// two, which is plenty for latency triage.
+    /// (`q` in `[0, 1]`), clamped to [`HistogramSnapshot::max`]. Coarse
+    /// by construction: answers below `max` are powers of two, which is
+    /// plenty for latency triage.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -404,7 +405,12 @@ impl HistogramSnapshot {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i };
+                // Bucket 64 holds samples ≥ 2⁶³; its bound 2⁶⁴ saturates.
+                let bound = match i {
+                    0 => 0,
+                    _ => 1u64.checked_shl(i as u32).unwrap_or(u64::MAX),
+                };
+                return bound.min(self.max);
             }
         }
         self.max
@@ -607,9 +613,22 @@ mod tests {
         assert_eq!(h.buckets[1], 1);
         assert_eq!(h.buckets[2], 2);
         assert_eq!(h.buckets[10], 2);
-        // p50 falls in bucket 2 (upper bound 4); p99 in bucket 10 (1024).
+        // p50 falls in bucket 2 (upper bound 4); p99 in bucket 10, whose
+        // bound 1024 is clamped to the largest sample.
         assert_eq!(h.quantile(0.5), 4);
-        assert_eq!(h.quantile(0.99), 1024);
+        assert_eq!(h.quantile(0.99), 1000);
+    }
+
+    #[test]
+    fn quantile_of_the_top_bucket_saturates() {
+        static H: Histogram = Histogram::new("test.obs.top");
+        set_enabled(true);
+        H.record(u64::MAX);
+        let snap = snapshot();
+        let h = snap.histogram("test.obs.top").expect("registered");
+        assert_eq!(h.buckets[64], 1);
+        assert_eq!(h.quantile(0.5), u64::MAX);
+        assert_eq!(h.quantile(1.0), u64::MAX);
     }
 
     #[test]

@@ -370,7 +370,8 @@ pub fn write_response_with(
 /// `Content-Length`-framed response off the stream and return
 /// `(status, body)`. Unlike reading to EOF this works on keep-alive
 /// connections, where the stream stays open after the response — the
-/// integration tests and the `bench-serve` load generator use it to
+/// integration tests and the repository benchmark's `serve_closed`
+/// clients (`benchmark/`) use it to
 /// drive several requests through one connection.
 pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
     use std::io::{Error, ErrorKind};

@@ -37,7 +37,8 @@ use crate::metrics::{
 use crate::queue::{BoundedQueue, PushError};
 
 /// Tunables for one server instance. Defaults are sized for the
-/// integration tests and the `bench-serve` load generator; `gp serve`
+/// integration tests and the repository benchmark's `serve_closed`
+/// workload (`benchmark/`); `gp serve`
 /// exposes the interesting ones as flags.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {

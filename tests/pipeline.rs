@@ -554,10 +554,63 @@ fn f32_disk_tier_is_bit_invisible_to_predictions() {
 fn embedding_store_warm_starts_a_fresh_engine() {
     let source = CitationConfig::new("src", 300, 6, 101).generate();
     let target = CitationConfig::new("tgt", 250, 4, 102).generate();
-    let dir = scratch_store("warm_start");
-    // Identical construction both times: deterministic pretrain gives
-    // bit-identical weights, so the restarted engine carries the same
-    // weight fingerprint (and revision) the shards were written under.
+    let task = sample_few_shot_task(&target, 3, 4, 8, &mut StdRng::seed_from_u64(11));
+    for backend in [Backend::Reference, Backend::Fast] {
+        let name = backend.name();
+        let dir = scratch_store(&format!("warm_start_{name}"));
+        // Identical construction both times: deterministic pretrain gives
+        // bit-identical weights, so the restarted engine carries the same
+        // weight fingerprint (and revision) the shards were written under.
+        let build = || {
+            let mut e = Engine::builder()
+                .model_config(tiny_model())
+                .pretrain_config(tiny_pretrain(40))
+                .inference_config(tiny_infer())
+                .backend(backend)
+                .embed_store_dir(&dir)
+                .try_build()
+                .expect("tiny configs are valid");
+            e.pretrain(&source);
+            e
+        };
+        let first = build();
+        let cold = first.evaluate(&target, 3, 12, 2);
+        let cold_episode = first.run_episode(&target, &task);
+        assert!(
+            first.flush_embed_store() > 0,
+            "{name}: the first engine must persist its embeddings"
+        );
+        drop(first);
+
+        let restarted = build();
+        let warm = restarted.evaluate(&target, 3, 12, 2);
+        let warm_episode = restarted.run_episode(&target, &task);
+        assert_eq!(
+            cold, warm,
+            "{name}: a warm start must not change any accuracy"
+        );
+        assert_eq!(
+            cold_episode.predictions, warm_episode.predictions,
+            "{name}: a warm start must not change any prediction"
+        );
+        let stats = restarted.embed_cache_stats().expect("cache is on");
+        assert!(
+            stats.disk_hits > 0,
+            "{name}: the restarted engine must answer from the persisted shards: {stats:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Shards written after `set_backend(Fast)` carry Fast's weight
+/// fingerprint: a fresh Reference engine over the same directory must
+/// not take them, because Fast rows are only tolerance-equal to
+/// Reference and an f32 tier is bit-exact on Reference.
+#[test]
+fn disk_tier_rejects_shards_written_after_a_backend_switch() {
+    let source = CitationConfig::new("src", 300, 6, 101).generate();
+    let target = CitationConfig::new("tgt", 250, 4, 102).generate();
+    let dir = scratch_store("backend_switch");
     let build = || {
         let mut e = Engine::builder()
             .model_config(tiny_model())
@@ -569,21 +622,23 @@ fn embedding_store_warm_starts_a_fresh_engine() {
         e.pretrain(&source);
         e
     };
-    let first = build();
-    let cold = first.evaluate(&target, 3, 12, 2);
+    let mut writer = build();
+    writer.evaluate(&target, 3, 12, 2);
+    writer.set_backend(Backend::Fast);
+    writer.clear_embed_cache();
+    writer.evaluate(&target, 3, 12, 2);
     assert!(
-        first.flush_embed_store() > 0,
-        "the first engine must persist its embeddings"
+        writer.flush_embed_store() > 0,
+        "the writer must persist its Fast embeddings"
     );
-    drop(first);
+    drop(writer);
 
-    let restarted = build();
-    let warm = restarted.evaluate(&target, 3, 12, 2);
-    assert_eq!(cold, warm, "a warm start must not change any accuracy");
-    let stats = restarted.embed_cache_stats().expect("cache is on");
-    assert!(
-        stats.disk_hits > 0,
-        "the restarted engine must answer from the persisted shards: {stats:?}"
+    let reader = build();
+    reader.evaluate(&target, 3, 12, 2);
+    let stats = reader.embed_cache_stats().expect("cache is on");
+    assert_eq!(
+        stats.disk_hits, 0,
+        "a Reference engine must not read Fast-written shards: {stats:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
