@@ -274,7 +274,7 @@ impl Contrastive {
                 (0..ways)
                     // Total comparator: a NaN cosine (zero-norm class
                     // mean) loses every comparison instead of making the
-                    // argmax order-dependent (gp-lint rule D2).
+                    // argmax order-dependent (rule D2, a `clippy.toml` ban).
                     .max_by(|&a, &b| {
                         gp_tensor::rank_asc(
                             query_embs.cosine_rows(q, &means, a),

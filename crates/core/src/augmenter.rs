@@ -151,7 +151,7 @@ impl PromptAugmenter {
                 }
             }
             // Total comparator: a NaN similarity ranks last instead of
-            // scrambling the order (gp-lint rule D2).
+            // scrambling the order (rule D2, a `clippy.toml` ban).
             sims.sort_by(|a, b| gp_tensor::rank_desc(a.2, b.2));
             for &(class, key, _) in sims.iter().take(self.hit_k) {
                 if self.caches[class].touch(&key) {

@@ -50,8 +50,8 @@
 //! add up instead of overwriting each other. Per-store numbers come from
 //! [`EmbeddingStore::stats`], which is the per-session source of truth.
 
+use gp_obs::sync::{Mutex, Rank};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 
 use gp_datasets::{DataPoint, Dataset, Task};
 use gp_graph::SamplerConfig;
@@ -154,6 +154,9 @@ pub struct EmbedCacheStats {
 /// for candidate embeddings.
 pub struct EmbeddingStore {
     capacity: usize,
+    /// Recovered after a panic (`gp_obs::sync`): entries are only ever
+    /// written whole under the lock, so a panicking holder cannot leave a
+    /// torn entry — the worst case after recovery is a stale miss.
     inner: Mutex<Inner>,
 }
 
@@ -176,20 +179,23 @@ impl EmbeddingStore {
         let capacity = capacity.max(1);
         Self {
             capacity,
-            inner: Mutex::new(Inner {
-                revision: 0,
-                weights_fp: None,
-                l0: LfuCache::new(capacity),
-                disk,
-                hits: 0,
-                misses: 0,
-                invalidations: 0,
-                disk_hits: 0,
-                demotions: 0,
-                promotions: 0,
-                reported_len: 0,
-                reported_disk_len: 0,
-            }),
+            inner: Mutex::new(
+                Rank::EmbeddingStore,
+                Inner {
+                    revision: 0,
+                    weights_fp: None,
+                    l0: LfuCache::new(capacity),
+                    disk,
+                    hits: 0,
+                    misses: 0,
+                    invalidations: 0,
+                    disk_hits: 0,
+                    demotions: 0,
+                    promotions: 0,
+                    reported_len: 0,
+                    reported_disk_len: 0,
+                },
+            ),
         }
     }
 
@@ -200,16 +206,7 @@ impl EmbeddingStore {
 
     /// True when this store was built with a persistent disk tier.
     pub fn has_disk_tier(&self) -> bool {
-        self.lock().disk.is_some()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // Poison recovery everywhere in this store: entries are only ever
-        // written whole under the lock, so a panicking holder cannot leave
-        // a torn entry — the worst case after recovery is a stale miss.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner.lock().disk.is_some()
     }
 
     /// Fingerprint used as the dataset axis of the memoization key. Hashes
@@ -313,7 +310,7 @@ impl EmbeddingStore {
     /// start. The owning engine calls this before every episode batch;
     /// external callers only need it when driving the store directly.
     pub fn set_weights_context(&self, revision: u64, weights_fp: u64) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         // `sync_revision` may drop stale shards on disk; the inner mutex IS the store's
         // single-writer serialization point (tiered design).
         self.sync_revision(&mut inner, revision);
@@ -343,7 +340,7 @@ impl EmbeddingStore {
             sampler,
             use_reconstruction,
         );
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         // Revision sync under the store lock is the design: a lookup must never race a shard
         // invalidation.
         self.sync_revision(&mut inner, revision);
@@ -419,7 +416,7 @@ impl EmbeddingStore {
             sampler,
             use_reconstruction,
         );
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         // Same single-writer contract as lookup: insert and revision sync are atomic under the
         // inner mutex.
         self.sync_revision(&mut inner, revision);
@@ -457,7 +454,7 @@ impl EmbeddingStore {
     /// Drop every entry in both tiers, including the current shard files
     /// — a full cold start (counters survive).
     pub fn clear(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.l0 = LfuCache::new(self.capacity);
         if let Some(disk) = inner.disk.as_mut() {
@@ -476,7 +473,7 @@ impl EmbeddingStore {
     /// drop, and automatically every
     /// [`crate::embed_disk::DiskTierConfig::flush_every`] demotions.
     pub fn flush(&self) -> usize {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         // Flush-under-lock is the persistence contract: the shard on disk is a frozen snapshot of
         // the locked store.
         self.flush_locked(&mut inner, None)
@@ -487,7 +484,7 @@ impl EmbeddingStore {
     /// previous shard (or nothing), never a torn file.
     #[doc(hidden)]
     pub fn flush_with_fault(&self, fault: crate::checkpoint::WriteFault) -> usize {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         // Fault-injection twin of flush(); same frozen-snapshot contract.
         self.flush_locked(&mut inner, Some(fault))
     }
@@ -520,7 +517,7 @@ impl EmbeddingStore {
     /// (per-session, in gp-serve) source of truth; the `embed_store.*`
     /// gp-obs instruments aggregate across every live store.
     pub fn stats(&self) -> EmbedCacheStats {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         EmbedCacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -539,7 +536,7 @@ impl Drop for EmbeddingStore {
     fn drop(&mut self) {
         // Best-effort persistence, then retract this store's contribution
         // to the aggregate gauges so surviving stores keep them accurate.
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         // Drop-time flush; the store is unreachable so the held guard cannot stall any other
         // thread.
         self.flush_locked(&mut inner, None);

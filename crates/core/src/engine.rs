@@ -36,7 +36,9 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+
+use gp_obs::sync::{Mutex, Rank};
 
 use gp_datasets::{Dataset, FewShotTask};
 use gp_tensor::{Backend, Parallelism, PoolStats, WorkerPool};
@@ -239,10 +241,10 @@ impl EngineBuilder {
             infer_cfg: self.infer_cfg,
             parallelism: self.parallelism,
             timing_mode: self.timing_mode,
-            pool: Mutex::new(None),
+            pool: Mutex::new(Rank::EnginePool, None),
             shared_pool: self.shared_pool,
             embed_store,
-            weights_fp: Mutex::new(None),
+            weights_fp: Mutex::new(Rank::WeightsFingerprint, None),
             backend: self.backend,
         })
     }
@@ -292,9 +294,9 @@ impl Engine {
             .map_or_else(gp_tensor::configured_workers, Parallelism::workers)
             .max(1);
         // A poisoned slot only means a panicking thread held the lock; the
-        // cached pool handle inside is still valid, so recover it rather
-        // than cascading the panic into every later request.
-        let mut slot = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        // cached pool handle inside is still valid, so `lock` recovers it
+        // rather than cascading the panic into every later request.
+        let mut slot = self.pool.lock();
         match slot.as_ref() {
             Some(pool) if pool.budget() == want => Arc::clone(pool),
             _ => {
@@ -323,10 +325,7 @@ impl Engine {
             return;
         }
         let revision = self.model.store.revision();
-        let mut cached = self
-            .weights_fp
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut cached = self.weights_fp.lock();
         let fp = match *cached {
             Some((rev, fp)) if rev == revision => fp,
             _ => {
@@ -468,16 +467,19 @@ impl Engine {
                 return (0..episodes).map(one).collect();
             }
             let mut accs = vec![0.0f32; episodes];
-            let slots: Vec<Mutex<&mut f32>> = accs.iter_mut().map(Mutex::new).collect();
+            let slots: Vec<Mutex<&mut f32>> = accs
+                .iter_mut()
+                .map(|acc| Mutex::new(Rank::ResultSlot, acc))
+                .collect();
             pool.for_each_index(episodes, |i| {
                 // Pool workers have their own thread-local backend slot;
                 // without this, pooled episodes would run on Reference.
                 let _be = self.backend.install();
                 let acc = one(i);
                 // Each slot is touched by exactly one task; a poisoned lock
-                // can only mean that task already panicked, so recovery is
-                // safe.
-                **slots[i].lock().unwrap_or_else(PoisonError::into_inner) = acc;
+                // can only mean that task already panicked, so `lock`'s
+                // recovery is safe.
+                **slots[i].lock() = acc;
             });
             drop(slots);
             accs
@@ -624,7 +626,7 @@ impl Engine {
     /// bit-identical across budgets — this only changes throughput.
     pub fn set_parallelism(&mut self, p: Option<Parallelism>) {
         self.parallelism = p;
-        *self.pool.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        *self.pool.lock() = None;
     }
 
     /// Whether episode-level fan-out is pinned to 1
@@ -647,7 +649,7 @@ impl Engine {
     /// on one engine should clear it between runs.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
-        self.weights_fp = Mutex::new(None);
+        *self.weights_fp.lock() = None;
     }
 
     /// Counters of the engine's worker pool (budget, spawned workers,
@@ -659,11 +661,7 @@ impl Engine {
         if let Some(shared) = &self.shared_pool {
             return Some(shared.stats());
         }
-        self.pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|p| p.stats())
+        self.pool.lock().as_ref().map(|p| p.stats())
     }
 
     /// Usage counters of the embedding cache, or `None` when disabled.

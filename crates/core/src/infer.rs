@@ -590,6 +590,7 @@ mod tests {
     use crate::pretrain::pretrain;
     use gp_datasets::{sample_few_shot_task, CitationConfig};
     use gp_graph::SamplerConfig;
+    use gp_obs::sync::{Mutex, Rank};
 
     fn tiny_setup() -> (GraphPrompterModel, Dataset) {
         let ds = CitationConfig::new("t", 300, 5, 31).generate();
@@ -735,19 +736,14 @@ mod tests {
         let serial = evaluate(&model, &ds, 3, &cfg, None);
         // Episodes fanned out over the pool that also runs their kernels.
         let pool = gp_tensor::WorkerPool::with_budget(4);
-        let slots: Vec<std::sync::Mutex<f32>> =
-            (0..3).map(|_| std::sync::Mutex::new(0.0)).collect();
+        let slots: Vec<Mutex<f32>> = (0..3).map(|_| Mutex::new(Rank::ResultSlot, 0.0)).collect();
         {
             let _ctx = pool.install();
             pool.for_each_index(3, |i| {
-                *slots[i].lock().expect("unpoisoned") =
-                    evaluate_episode(&model, &ds, 3, 12, &cfg, None, i);
+                *slots[i].lock() = evaluate_episode(&model, &ds, 3, 12, &cfg, None, i);
             });
         }
-        let parallel: Vec<f32> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("unpoisoned"))
-            .collect();
+        let parallel: Vec<f32> = slots.iter().map(|s| *s.lock()).collect();
         let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(to_bits(&serial), to_bits(&parallel));
         let stats = pool.stats();

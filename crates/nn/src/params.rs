@@ -53,7 +53,7 @@ impl std::fmt::Display for ParamError {
 impl std::error::Error for ParamError {}
 
 /// Opaque handle to a parameter tensor inside a [`ParamStore`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
 impl ParamId {

@@ -10,6 +10,8 @@
 //!   answers quantile queries from the bucket counts.
 //! * [`Histogram::span`] — an RAII timer recording elapsed µs on drop.
 //!
+//! [`sync`] holds the ranked mutex that every library lock uses.
+//!
 //! ## Cost model
 //!
 //! Collection is **off by default**. Every instrument call starts with a
@@ -44,10 +46,14 @@
 //! The registry is global: [`snapshot`] returns every instrument the
 //! process has touched, sorted by name, and renders as text or JSON.
 
+pub mod sync;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
+
 use std::time::Instant;
+use sync::{Mutex, Rank};
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1`
 /// holds samples `v` with `2^(i-1) ≤ v < 2^i` (the log₂ magnitude).
@@ -77,53 +83,38 @@ pub fn set_enabled(on: bool) {
 // Registry
 // ---------------------------------------------------------------------------
 
-// Registry locks recover from poisoning: instruments are process-global
-// and shared with request threads that may panic (gp-serve isolates such
-// panics per request). Every write under these locks is a single map
-// insert or an atomic-cell store, so a poisoned lock never guards torn
-// data — metrics must keep flowing after one observer crashes. The maps
-// are ordered so snapshots come out sorted by name; instruments register
-// once (through their `OnceLock`), so the hot path never touches them.
-#[derive(Default)]
+// Registry locks recover from poisoning (see `sync`): instruments are
+// process-global and shared with request threads that may panic
+// (gp-serve isolates such panics per request), and metrics must keep
+// flowing after one observer crashes. The maps are ordered so snapshots
+// come out sorted by name; instruments register once (through their
+// `OnceLock`), so the hot path never touches them. Any lock may be held
+// while an instrument registers or records: the registry ranks above
+// every library lock, and a histogram above the registry.
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<&'static str, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<Mutex<HistoInner>>>>,
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
+static REGISTRY: Registry = Registry {
+    counters: Mutex::new(Rank::ObsRegistry, BTreeMap::new()),
+    gauges: Mutex::new(Rank::ObsRegistry, BTreeMap::new()),
+    histograms: Mutex::new(Rank::ObsRegistry, BTreeMap::new()),
+};
 
 /// Reset every registered instrument to zero (counters, gauges,
 /// histogram contents). Intended for tests and for `gp --metrics`, which
 /// resets before the measured run so the report covers only that run.
 pub fn reset() {
-    let reg = registry();
-    for c in reg
-        .counters
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .values()
-    {
+    for c in REGISTRY.counters.lock().values() {
         c.store(0, Ordering::Relaxed);
     }
-    for g in reg
-        .gauges
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .values()
-    {
+    for g in REGISTRY.gauges.lock().values() {
         g.store(0, Ordering::Relaxed);
     }
-    for h in reg
-        .histograms
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .values()
-    {
-        *h.lock().unwrap_or_else(PoisonError::into_inner) = HistoInner::default();
+    for h in REGISTRY.histograms.lock().values() {
+        *h.lock() = HistoInner::default();
     }
 }
 
@@ -148,16 +139,8 @@ impl Counter {
     }
 
     fn slot(&self) -> &AtomicU64 {
-        self.cell.get_or_init(|| {
-            Arc::clone(
-                registry()
-                    .counters
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(self.name)
-                    .or_default(),
-            )
-        })
+        self.cell
+            .get_or_init(|| Arc::clone(REGISTRY.counters.lock().entry(self.name).or_default()))
     }
 
     /// Add `n` events. Free when collection is disabled.
@@ -203,16 +186,8 @@ impl Gauge {
     }
 
     fn slot(&self) -> &AtomicI64 {
-        self.cell.get_or_init(|| {
-            Arc::clone(
-                registry()
-                    .gauges
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(self.name)
-                    .or_default(),
-            )
-        })
+        self.cell
+            .get_or_init(|| Arc::clone(REGISTRY.gauges.lock().entry(self.name).or_default()))
     }
 
     /// Set the level. Free when collection is disabled.
@@ -295,12 +270,13 @@ impl Histogram {
     fn slot(&self) -> &Mutex<HistoInner> {
         self.cell.get_or_init(|| {
             Arc::clone(
-                registry()
+                REGISTRY
                     .histograms
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
                     .entry(self.name)
-                    .or_insert_with(|| Arc::new(Mutex::new(HistoInner::default()))),
+                    .or_insert_with(|| {
+                        Arc::new(Mutex::new(Rank::ObsHistogram, HistoInner::default()))
+                    }),
             )
         })
     }
@@ -311,7 +287,7 @@ impl Histogram {
         if !enabled() {
             return;
         }
-        let mut h = self.slot().lock().unwrap_or_else(PoisonError::into_inner);
+        let mut h = self.slot().lock();
         h.count += 1;
         h.sum = h.sum.saturating_add(v);
         h.min = h.min.min(v);
@@ -516,28 +492,24 @@ impl MetricsSnapshot {
 /// any measured workload; call at run end (`Engine::metrics_snapshot`,
 /// `gp --metrics`).
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry();
-    let counters: Vec<(String, u64)> = reg
+    let counters: Vec<(String, u64)> = REGISTRY
         .counters
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
         .collect();
-    let gauges: Vec<(String, i64)> = reg
+    let gauges: Vec<(String, i64)> = REGISTRY
         .gauges
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
         .collect();
-    let histograms: Vec<HistogramSnapshot> = reg
+    let histograms: Vec<HistogramSnapshot> = REGISTRY
         .histograms
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(n, h)| {
-            let h = h.lock().unwrap_or_else(PoisonError::into_inner);
+            let h = h.lock();
             HistogramSnapshot {
                 name: n.to_string(),
                 count: h.count,
@@ -563,15 +535,11 @@ mod tests {
     // harness is multi-threaded: every test uses unique instrument names
     // and serializes on LOCK so one test's set_enabled(false) cannot gate
     // another's collection mid-assertion.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    static LOCK: Mutex<()> = Mutex::new(Rank::Harness, ());
 
     #[test]
     fn counter_counts_only_while_enabled() {
-        let _g = serial();
+        let _g = LOCK.lock();
         static C: Counter = Counter::new("test.obs.counter_gate");
         set_enabled(false);
         C.add(5);
@@ -585,7 +553,7 @@ mod tests {
 
     #[test]
     fn gauge_set_and_offset() {
-        let _g = serial();
+        let _g = LOCK.lock();
         static G: Gauge = Gauge::new("test.obs.gauge");
         set_enabled(true);
         G.set(10);

@@ -16,7 +16,7 @@
 //! request returns bit-identical predictions on any session.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gp_core::{
@@ -24,6 +24,7 @@ use gp_core::{
     GraphPrompterModel, InferenceConfig, ModelConfig,
 };
 use gp_datasets::{sample_few_shot_task, Dataset};
+use gp_obs::sync::{Mutex, Rank};
 use gp_tensor::rng::StdRng;
 use gp_tensor::{Backend, WorkerPool};
 
@@ -51,6 +52,8 @@ pub struct SessionHost {
     /// Base config of the persistent embedding disk tier; each session
     /// engine gets its own shard subdirectory under `embed_store.dir`.
     embed_store: Option<DiskTierConfig>,
+    /// Only ever gains fully built engines, so the poison recovery of
+    /// `lock` cannot expose a half-entry.
     sessions: Mutex<HashMap<String, Arc<Engine>>>,
 }
 
@@ -108,17 +111,11 @@ impl SessionHost {
             max_sessions: max_sessions.max(1),
             default_backend,
             embed_store,
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(Rank::Sessions, HashMap::new()),
         };
         host.engine_for("default", None)
             .map_err(|e| e.to_string())?;
         Ok(host)
-    }
-
-    fn lock_sessions(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Engine>>> {
-        // Poison recovery: the map only ever gains fully-built engines,
-        // so a panicking holder cannot leave a half-entry behind.
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fetch or lazily build the engine for `session`. A `Some(backend)`
@@ -132,7 +129,7 @@ impl SessionHost {
         session: &str,
         backend: Option<Backend>,
     ) -> Result<Arc<Engine>, SessionError> {
-        if let Some(engine) = self.lock_sessions().get(session).cloned() {
+        if let Some(engine) = self.sessions.lock().get(session).cloned() {
             if let Some(want) = backend {
                 if want != engine.backend() {
                     return Err(SessionError::BackendConflict {
@@ -146,13 +143,13 @@ impl SessionHost {
         }
         // Build outside the lock: engine construction embeds nothing
         // but does clone the weight snapshot, and serving must not
-        // stall on it. Two racers may build twice; last insert wins and
-        // both replicas are identical by construction (racers with
+        // stall on it. Two racers may build twice; the first insert wins
+        // and both replicas are identical by construction (racers with
         // conflicting explicit backends are resolved the same way: the
-        // losing insert re-validates against the surviving engine).
+        // losing insert re-validates against the engine already there).
         let engine =
             Arc::new(self.build_replica(session, backend.unwrap_or(self.default_backend))?);
-        let mut sessions = self.lock_sessions();
+        let mut sessions = self.sessions.lock();
         if !sessions.contains_key(session) && sessions.len() >= self.max_sessions {
             return Err(SessionError::TooManySessions(self.max_sessions));
         }
@@ -207,17 +204,18 @@ impl SessionHost {
             clippy::disallowed_methods,
             reason = "each session flushes its own store; the summed count does not depend on the order"
         )]
-        let engines: Vec<Arc<Engine>> = self.lock_sessions().values().cloned().collect();
+        let engines: Vec<Arc<Engine>> = self.sessions.lock().values().cloned().collect();
         engines.iter().map(|e| e.flush_embed_store()).sum()
     }
 
     pub fn session_count(&self) -> usize {
-        self.lock_sessions().len()
+        self.sessions.lock().len()
     }
 
     /// Weight revision shared by every session replica.
     pub fn revision(&self) -> u64 {
-        self.lock_sessions()
+        self.sessions
+            .lock()
             .get("default")
             .map(|e| e.revision())
             .unwrap_or(0)
@@ -731,7 +729,8 @@ mod tests {
         );
         let stats = restarted
             .host()
-            .lock_sessions()
+            .sessions
+            .lock()
             .get("default")
             .cloned()
             .expect("default session exists")

@@ -25,13 +25,14 @@
 //! follower ever waits on a dead leader.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 use gp_core::{
     BatchKey, Deadline, DeadlineExceeded, Engine, EngineError, EpisodeRequest, EpisodeResult,
 };
 use gp_datasets::{Dataset, FewShotTask};
+use gp_obs::sync::{Mutex, MutexGuard, Rank};
 
 use crate::metrics::{BATCHES_TOTAL, BATCH_EXPIRED_TOTAL, BATCH_SIZE};
 
@@ -107,10 +108,13 @@ impl Coalescer {
         Self {
             max_batch: max_batch.max(1),
             window,
-            state: Mutex::new(State {
-                groups: Vec::new(),
-                next_id: 0,
-            }),
+            state: Mutex::new(
+                Rank::Coalescer,
+                State {
+                    groups: Vec::new(),
+                    next_id: 0,
+                },
+            ),
             cv: Condvar::new(),
         }
     }
@@ -143,7 +147,7 @@ impl Coalescer {
                 batch_size: 1,
             };
         }
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         // Join the open group for this key, if one has capacity.
         let joinable = st
             .groups
@@ -220,7 +224,7 @@ impl Coalescer {
             if now >= close_by {
                 break;
             }
-            st = self.wait(st, close_by - now);
+            st = st.wait_timeout(&self.cv, close_by - now);
         }
 
         // --- close and take the members.
@@ -276,7 +280,7 @@ impl Coalescer {
         drop(requests);
 
         // --- fill every slot and wake the followers.
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         {
             let Some(g) = st.groups.iter_mut().find(|g| g.id == gid) else {
                 return CoalesceOutcome::LeaderFailed;
@@ -339,18 +343,7 @@ impl Coalescer {
             }
             // Bounded wait: a spurious or lost wakeup costs one re-check
             // interval, never a hang.
-            st = self.wait(st, Duration::from_millis(50));
+            st = st.wait_timeout(&self.cv, Duration::from_millis(50));
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&'a self, guard: MutexGuard<'a, State>, dur: Duration) -> MutexGuard<'a, State> {
-        self.cv
-            .wait_timeout(guard, dur)
-            .map(|(g, _)| g)
-            .unwrap_or_else(|e| e.into_inner().0)
     }
 }

@@ -11,7 +11,9 @@
 //! finishes admitted work) and only then does `pop` return `None`.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::Condvar;
+
+use gp_obs::sync::{Mutex, Rank};
 
 /// Rejection reason from [`BoundedQueue::try_push`]; carries the item
 /// back so the caller can respond on the connection it failed to admit.
@@ -30,6 +32,10 @@ struct QueueInner<T> {
 
 /// Fixed-capacity MPMC queue over `Mutex` + `Condvar`.
 pub struct BoundedQueue<T> {
+    /// Recovered after a panic (`gp_obs::sync`): the `VecDeque` and the
+    /// flag are mutated atomically under the lock, so a panicking holder
+    /// cannot leave them torn, and the accept loop must keep admitting
+    /// after one worker dies.
     inner: Mutex<QueueInner<T>>,
     ready: Condvar,
     capacity: usize,
@@ -38,26 +44,21 @@ pub struct BoundedQueue<T> {
 impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
+            inner: Mutex::new(
+                Rank::AdmissionQueue,
+                QueueInner {
+                    items: VecDeque::with_capacity(capacity),
+                    closed: false,
+                },
+            ),
             ready: Condvar::new(),
             capacity,
         }
     }
 
-    /// Lock with poison recovery: queue state is a `VecDeque` plus a
-    /// bool, both mutated atomically under the lock, so a panicking
-    /// holder cannot leave them torn — and the accept loop must keep
-    /// admitting after one worker dies.
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner<T>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Non-blocking admit. Errors return the item to the caller.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut q = self.lock();
+        let mut q = self.inner.lock();
         if q.closed {
             return Err(PushError::Closed(item));
         }
@@ -73,7 +74,7 @@ impl<T> BoundedQueue<T> {
     /// Blocking take. `None` only after `close()` **and** the queue has
     /// fully drained — admitted requests always reach a worker.
     pub fn pop(&self) -> Option<T> {
-        let mut q = self.lock();
+        let mut q = self.inner.lock();
         loop {
             if let Some(item) = q.items.pop_front() {
                 return Some(item);
@@ -81,19 +82,19 @@ impl<T> BoundedQueue<T> {
             if q.closed {
                 return None;
             }
-            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+            q = q.wait(&self.ready);
         }
     }
 
     /// Begin drain: wake every waiting worker; future pushes fail.
     pub fn close(&self) {
-        self.lock().closed = true;
+        self.inner.lock().closed = true;
         self.ready.notify_all();
     }
 
     /// Current depth (snapshot; races with push/pop by design).
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        self.inner.lock().items.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -11,11 +11,12 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use gp_core::{GraphPrompterModel, InferenceConfig, ModelConfig};
 use gp_datasets::CitationConfig;
+use gp_obs::sync::{Mutex, Rank};
 use gp_serve::{
     ClassifyApp, Handler, Request, Response, ServeContext, Server, ServerConfig, SessionHost,
 };
@@ -99,13 +100,13 @@ impl GatedHandler {
     fn new() -> Arc<Self> {
         Arc::new(Self {
             entered: AtomicUsize::new(0),
-            gate: Mutex::new(false),
+            gate: Mutex::new(Rank::Harness, false),
             released: Condvar::new(),
         })
     }
 
     fn release(&self) {
-        *self.gate.lock().expect("gate") = true;
+        *self.gate.lock() = true;
         self.released.notify_all();
     }
 
@@ -125,9 +126,9 @@ impl GatedHandler {
 impl Handler for GatedHandler {
     fn handle(&self, _req: &Request, _ctx: &ServeContext) -> Response {
         self.entered.fetch_add(1, Ordering::SeqCst);
-        let mut open = self.gate.lock().expect("gate");
+        let mut open = self.gate.lock();
         while !*open {
-            open = self.released.wait(open).expect("gate wait");
+            open = open.wait(&self.released);
         }
         Response::json(200, "{\"ok\":true}")
     }

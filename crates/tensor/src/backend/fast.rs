@@ -24,8 +24,15 @@
 //! which the serve-layer replay tests rely on.
 //!
 //! This module (plus its `x86`/`arm` submodules) is the **only** place
-//! in the workspace allowed to touch `std::arch` — gp-lint rule A1
-//! fails the build anywhere else.
+//! in the workspace allowed to touch `std::arch`: `tests/arch_fence.rs`
+//! fails on an `arch` path anywhere else, and the workspace denies
+//! `unsafe_code`, which the loads, stores and `#[target_feature]` calls
+//! here need, everywhere but this module and the worker pool.
+
+#![expect(
+    unsafe_code,
+    reason = "std::arch intrinsics and #[target_feature] kernels, each entered only after runtime feature detection"
+)]
 
 use std::ops::Range;
 use std::sync::OnceLock;

@@ -9,8 +9,8 @@
 //! * [`ReferenceBackend`] — the bit-exact scalar kernels this crate has
 //!   always shipped, hoisted verbatim. Its accumulation order is the
 //!   determinism contract: results are bit-identical across runs,
-//!   thread budgets, and machines, which is what gp-lint, the parallel
-//!   proptests, and the `WorkerPool` bit-identity tests all pin.
+//!   thread budgets, and machines, which is what the parallel
+//!   proptests and the `WorkerPool` bit-identity tests pin.
 //!   Reference is the default and stays the truth for CI.
 //! * [`FastBackend`] — register-tiled kernels with `std::arch` SIMD
 //!   (AVX2 on x86_64, NEON on aarch64) selected once per process by

@@ -41,11 +41,18 @@
 //! engine, not once per matmul. Kernels still only fan out when the
 //! estimated scalar-op count clears [`MIN_PARALLEL_WORK`].
 
+#![expect(
+    unsafe_code,
+    reason = "type-erased job closures and disjoint row-block pointers shared with pool workers; each site states its SAFETY argument"
+)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar};
+
+use gp_obs::sync::{Mutex, Rank};
 
 static FANOUTS: gp_obs::Counter = gp_obs::Counter::new("tensor.parallel.fanouts");
 static SERIAL_RUNS: gp_obs::Counter = gp_obs::Counter::new("tensor.parallel.serial_runs");
@@ -210,7 +217,7 @@ impl WorkerPool {
         )]
         let shared = Arc::new(PoolShared {
             budget,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Rank::PoolQueue, VecDeque::new()),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -300,11 +307,7 @@ impl Drop for WorkerPool {
             // Set the flag under the queue lock: a worker checks it under
             // that lock right before waiting, so a store in between would
             // land before the worker waits and its wake-up would be lost.
-            let _queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let _queue = self.shared.queue.lock();
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.work_cv.notify_all();
@@ -346,7 +349,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
     CURRENT_POOL.with(|c| *c.borrow_mut() = Some(Arc::clone(&shared)));
     loop {
         let task = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = shared.queue.lock();
             loop {
                 if let Some(t) = queue.pop_front() {
                     break Some(t);
@@ -354,10 +357,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                queue = shared
-                    .work_cv
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
+                queue = queue.wait(&shared.work_cv);
             }
         };
         match task {
@@ -395,7 +395,7 @@ fn execute(shared: &PoolShared, task: PendingTask, stolen: bool) {
         POOL_ACTIVE.offset(-1);
         IN_TASK.with(|t| t.set(false));
     }
-    let mut done = task.job.done.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut done = task.job.done.lock();
     done.pending -= 1;
     if let Err(panic) = result {
         done.panic.get_or_insert(panic);
@@ -427,14 +427,17 @@ fn run_tasks_on(shared: &Arc<PoolShared>, count: usize, f: &(dyn Fn(usize) + Syn
     let job = Arc::new(JobState {
         run: run_erased,
         ctx: &f as *const &(dyn Fn(usize) + Sync) as *const (),
-        done: Mutex::new(JobDone {
-            pending: count,
-            panic: None,
-        }),
+        done: Mutex::new(
+            Rank::JobDone,
+            JobDone {
+                pending: count,
+                panic: None,
+            },
+        ),
         done_cv: Condvar::new(),
     });
     {
-        let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut queue = shared.queue.lock();
         for index in 0..count {
             queue.push_back(PendingTask {
                 job: Arc::clone(&job),
@@ -449,7 +452,7 @@ fn run_tasks_on(shared: &Arc<PoolShared>, count: usize, f: &(dyn Fn(usize) + Syn
     // Drain our own job: the submitting thread is one of the budget.
     loop {
         let task = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = shared.queue.lock();
             match queue.iter().position(|t| Arc::ptr_eq(&t.job, &job)) {
                 Some(pos) => queue.remove(pos),
                 None => None,
@@ -464,12 +467,9 @@ fn run_tasks_on(shared: &Arc<PoolShared>, count: usize, f: &(dyn Fn(usize) + Syn
         }
     }
 
-    let mut done = job.done.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut done = job.done.lock();
     while done.pending > 0 {
-        done = job
-            .done_cv
-            .wait(done)
-            .unwrap_or_else(PoisonError::into_inner);
+        done = done.wait(&job.done_cv);
     }
     if let Some(panic) = done.panic.take() {
         drop(done);
@@ -678,7 +678,7 @@ mod tests {
         // exceed the budget.
         let budget = 3;
         let pool = WorkerPool::with_budget(budget);
-        let results: Vec<Mutex<f32>> = (0..8).map(|_| Mutex::new(0.0)).collect();
+        let results: Vec<Mutex<f32>> = (0..8).map(|_| Mutex::new(Rank::ResultSlot, 0.0)).collect();
         pool.for_each_index(8, |i| {
             let mut out = vec![0.0f32; 16 * 2];
             for_row_blocks(&mut out, 16, 2, budget, |range, block| {
@@ -687,11 +687,11 @@ mod tests {
                     block[local * 2 + 1] = 1.0;
                 }
             });
-            *results[i].lock().expect("slot") = out.iter().sum();
+            *results[i].lock() = out.iter().sum();
         });
         for (i, slot) in results.iter().enumerate() {
             let expect = (0..16).map(|r| (r + i) as f32).sum::<f32>() + 16.0;
-            assert_eq!(*slot.lock().expect("slot"), expect);
+            assert_eq!(*slot.lock(), expect);
         }
         let stats = pool.stats();
         assert!(stats.peak_active <= budget, "{stats:?}");
@@ -710,9 +710,11 @@ mod tests {
         }));
         assert!(caught.is_err(), "panic must reach the submitter");
         // The pool must still be usable afterwards.
-        let hits: Vec<Mutex<bool>> = (0..4).map(|_| Mutex::new(false)).collect();
-        pool.for_each_index(4, |i| *hits[i].lock().expect("slot") = true);
-        assert!(hits.iter().all(|h| *h.lock().expect("slot")));
+        let hits: Vec<Mutex<bool>> = (0..4)
+            .map(|_| Mutex::new(Rank::ResultSlot, false))
+            .collect();
+        pool.for_each_index(4, |i| *hits[i].lock() = true);
+        assert!(hits.iter().all(|h| *h.lock()));
     }
 
     #[test]

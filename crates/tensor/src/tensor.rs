@@ -571,7 +571,7 @@ fn rank_key(v: f32) -> f32 {
 /// only other pair where [`f32::total_cmp`] disagrees with IEEE order is
 /// `-0.0` vs `+0.0`, which [`rank_desc`]/`rank_asc` canonicalize to
 /// equal. Every float sort in result-affecting crates must go through
-/// these comparators (enforced by `gp-lint` rule D2).
+/// these comparators (rule D2: `clippy.toml` bans `partial_cmp`).
 #[inline]
 pub fn rank_asc(a: f32, b: f32) -> std::cmp::Ordering {
     rank_key(a).total_cmp(&rank_key(b))
@@ -610,6 +610,10 @@ mod tests {
         ];
         for &a in &vals {
             for &b in &vals {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "partial_cmp is the reference the rank comparators must match"
+                )]
                 let want = a.partial_cmp(&b).expect("comparable");
                 assert_eq!(rank_asc(a, b), want, "asc({a}, {b})");
                 assert_eq!(rank_desc(a, b), want.reverse(), "desc({a}, {b})");

@@ -91,11 +91,10 @@ fn main() {
         "episode" => episode_cmd(&args[1..]),
         "export" => export_cmd(&args[1..]),
         "inspect" => inspect_cmd(&args[1..]),
-        "lint" => lint_cmd(&args[1..]),
         "serve" => serve_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: gp <datasets|pretrain|evaluate|episode|export|inspect|lint|serve> [flags]\n\
+                "usage: gp <datasets|pretrain|evaluate|episode|export|inspect|serve> [flags]\n\
                  common flags: --metrics | --metrics-json (print collected metrics on exit)\n\
                  see the module docs in src/bin/gp.rs for flag details"
             );
@@ -116,21 +115,6 @@ fn main() {
 }
 
 type CliResult = Result<(), String>;
-
-/// `gp lint [gp-lint flags]` — the repo-specific linter (D2, A1, C1, M1,
-/// P1; the generic rules are clippy lints), delegated to
-/// [`graphprompter::lint::run_cli`] (same engine as the standalone
-/// `gp-lint` binary; see `gp lint --help` for its flags).
-fn lint_cmd(args: &[String]) -> CliResult {
-    let (report, code) = graphprompter::lint::run_cli(args);
-    if code == 0 {
-        print!("{report}");
-        Ok(())
-    } else {
-        eprint!("{report}");
-        std::process::exit(code);
-    }
-}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -384,6 +368,10 @@ static SHUTDOWN_REQUESTED: std::sync::atomic::AtomicBool =
 /// happens in the handler (async-signal-safe); all real work runs on
 /// the main thread's poll loop.
 #[cfg(unix)]
+#[expect(
+    unsafe_code,
+    reason = "FFI call to signal(2) with a handler that only stores an atomic flag"
+)]
 fn install_drain_signals() {
     extern "C" fn on_signal(_sig: i32) {
         SHUTDOWN_REQUESTED.store(true, std::sync::atomic::Ordering::SeqCst);

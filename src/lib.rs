@@ -12,7 +12,6 @@
 //! * [`baselines`] — comparison methods ([`gp_baselines`])
 //! * [`eval`] — metrics, t-SNE, tables ([`gp_eval`])
 //! * [`obs`] — zero-dependency metrics registry ([`gp_obs`])
-//! * [`lint`] — linter for the repo-specific invariants clippy cannot express ([`gp_lint`])
 //! * [`serve`] — overload-safe HTTP inference server ([`gp_serve`])
 //!
 //! The public entry point is [`Engine`] (built through the fallible
@@ -27,7 +26,6 @@ pub use gp_core as core;
 pub use gp_datasets as datasets;
 pub use gp_eval as eval;
 pub use gp_graph as graph;
-pub use gp_lint as lint;
 pub use gp_nn as nn;
 pub use gp_obs as obs;
 pub use gp_serve as serve;
@@ -52,6 +50,15 @@ pub mod prelude {
 
 /// Workspace version, from the facade crate.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+
+#[cfg(test)]
+#[path = "../tests/support/clippy_fixture.rs"]
+mod clippy_fixture;
+#[cfg(test)]
+#[path = "../tests/support/lock_order.rs"]
+mod lock_order;
+#[cfg(test)]
+mod rules;
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,8 @@
 //! Dirty fixture for the hazards clippy enforces in this repo: CI's
 //! `$LIB_LINTS` plus the bans in the repo-root `clippy.toml` (found by
 //! directory lookup). Each site clippy must report ends in `// lint: <key>`
-//! (the lint name, or the banned method's path); `tests/lint_integration.rs`
-//! checks clippy reports exactly those, and CI greps each key.
+//! (the lint name, or the banned method's path); the repo-root
+//! `tests/lint_integration.rs` checks clippy reports exactly those.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc;
@@ -171,6 +171,102 @@ pub fn cleanup(path: &std::path::Path) {
 #[expect(clippy::let_underscore_must_use, reason = "the error this dropped is returned now")] // lint: unfulfilled_lint_expectations
 pub fn remove(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::remove_file(path)
+}
+
+// D2 — `partial_cmp` comparators: NaN makes them panic or scramble order.
+
+pub fn ranked(mut v: Vec<f32>) -> Vec<f32> {
+    v.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)); // lint: core::cmp::PartialOrd::partial_cmp
+    v
+}
+
+pub fn best(v: &[f32]) -> Option<f32> {
+    v.iter().copied().max_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Less)) // lint: core::cmp::PartialOrd::partial_cmp
+}
+
+pub fn ufcs(a: f64, b: f64) -> bool {
+    PartialOrd::partial_cmp(&a, &b).is_some() // lint: core::cmp::PartialOrd::partial_cmp
+}
+
+/// A bare comparison feeds some comparator sooner or later.
+pub fn compared(a: f32, b: f32) -> Option<std::cmp::Ordering> {
+    a.partial_cmp(&b) // lint: core::cmp::PartialOrd::partial_cmp
+}
+
+/// Total orders and plain comparisons stay allowed.
+pub fn ranked_total(mut v: Vec<f32>) -> Vec<f32> {
+    v.sort_by(|a, b| b.total_cmp(a));
+    v.retain(|x| *x > 0.0);
+    v
+}
+
+// C1 — every mutex takes a rank from the lock hierarchy.
+
+pub static UNRANKED: std::sync::Mutex<u32> = std::sync::Mutex::new(0); // lint: std::sync::Mutex::new
+
+pub fn unranked_slots(n: usize) -> Vec<std::sync::Mutex<usize>> {
+    (0..n).map(std::sync::Mutex::new).collect() // lint: std::sync::Mutex::new
+}
+
+// A1 — `unsafe` outside the fenced modules. The lints table's
+// `unsafe_code = "deny"` catches raw pointer reads, SIMD loads and stores,
+// and every call into a `#[target_feature]` fn from code without the
+// feature.
+
+pub fn first(v: &[f32]) -> f32 {
+    unsafe { *v.get_unchecked(0) } // lint: unsafe_code
+}
+
+/// Inside a `#[target_feature]` fn the arithmetic intrinsics are safe, so
+/// `unsafe_code` cannot see this SIMD code; `tests/arch_fence.rs` flags
+/// the `std::arch` path instead.
+///
+/// # Safety
+///
+/// A caller without SSE enabled calls this in an `unsafe` block, after
+/// checking the host has it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse")]
+pub fn simd_sum() -> f32 {
+    use std::arch::x86_64::{_mm_add_ps, _mm_cvtss_f32, _mm_set1_ps}; // fence: arch
+    _mm_cvtss_f32(_mm_add_ps(_mm_set1_ps(1.0), _mm_set1_ps(2.0)))
+}
+
+/// The fenced SIMD backend: one reasoned exception for the whole module.
+#[expect(unsafe_code, reason = "the SIMD kernels; each block states the bounds it relies on")]
+pub mod backend {
+    pub fn first(v: &[f32]) -> f32 {
+        if v.is_empty() {
+            return 0.0;
+        }
+        // SAFETY: `v` is non-empty.
+        unsafe { *v.as_ptr() }
+    }
+}
+
+#[expect(unsafe_code, reason = "one probe outside the backend, excused where it stands")]
+pub fn last(v: &[f32]) -> f32 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    // SAFETY: `v` is non-empty.
+    unsafe { *v.get_unchecked(v.len() - 1) }
+}
+
+// P1 — every exception names a real lint and says why.
+
+#[expect(clippy::unwrap_used)] // lint: allow_attributes_without_reason
+pub fn unexplained(o: Option<u32>) -> u32 {
+    o.unwrap()
+}
+
+#[expect(clippy::no_such_lint, reason = "names a lint that does not exist")] // lint: unknown_lints
+pub fn misnamed() {}
+
+/// Rules named in comments and strings are not code: `partial_cmp`,
+/// `Instant::now()` and `unsafe { .. }` here stay clean.
+pub fn mentions() -> &'static str {
+    "v.sort_by(|a, b| a.partial_cmp(b).unwrap()); unsafe { Instant::now() }"
 }
 
 #[cfg(test)]

@@ -375,6 +375,10 @@ fn total_cmp_ranking_is_bit_identical_to_partial_cmp_on_nan_free_scores() {
     use graphprompter::tensor::{rank_desc, Tensor};
     use std::cmp::Ordering;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the partial_cmp comparator is the reference this test compares against"
+    )]
     let reference_desc = |a: f32, b: f32| b.partial_cmp(&a).unwrap_or(Ordering::Equal);
     let assert_same_order = |scores: &[f32]| {
         assert!(

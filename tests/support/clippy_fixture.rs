@@ -1,7 +1,14 @@
-//! Clippy over the compiled fixture crate in `tests/fixtures/clippy`,
-//! with the repo's `clippy.toml` and CI's `$LIB_LINTS`: every site the
-//! fixture marks `// lint: <key>` must be reported, and nothing else.
-//! Shared by gp-lint's unit tests and `tests/lint_integration.rs`.
+//! Clippy over the deliberately dirty fixture crate in
+//! `tests/fixtures/clippy`, with the repo's `clippy.toml` and CI's
+//! `$LIB_LINTS`: every site the fixture marks `// lint: <key>` must be
+//! reported, and nothing else. Clippy silently ignores a ban whose path
+//! names no reachable fn (`f32::partial_cmp` is one), so a missing hit is
+//! the only sign of a dead ban; the exact match catches it.
+//!
+//! Shared by the root crate's `rules` unit tests and
+//! `tests/lint_integration.rs`; both find one fixture build next to their
+//! test binary. Needs `cargo clippy`; without it the checks pass with a
+//! note.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -32,7 +39,7 @@ pub fn reported() -> Option<&'static BTreeSet<(usize, String)>> {
 }
 
 fn run_clippy_on_fixture() -> Option<BTreeSet<(usize, String)>> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let has_clippy = Command::new("cargo")
         .args(["clippy", "--version"])
         .output()
@@ -41,8 +48,8 @@ fn run_clippy_on_fixture() -> Option<BTreeSet<(usize, String)>> {
         eprintln!("cargo clippy is not installed: skipping the clippy fixture checks");
         return None;
     }
-    // Next to the test binary (`<target>/<profile>/deps/`), so unit and
-    // integration tests share one build of the fixture.
+    // Next to the test binary (`<target>/<profile>/deps/`), so reruns
+    // reuse one build of the fixture.
     let exe = std::env::current_exe().expect("test binary path");
     let target = exe.ancestors().nth(2).expect("target dir");
     let out = Command::new("cargo")
@@ -54,11 +61,11 @@ fn run_clippy_on_fixture() -> Option<BTreeSet<(usize, String)>> {
             "--message-format=json",
         ])
         .arg("--manifest-path")
-        .arg(root.join("crates/lint/tests/fixtures/clippy/Cargo.toml"))
+        .arg(root.join("tests/fixtures/clippy/Cargo.toml"))
         .arg("--target-dir")
         .arg(target.join("clippy-fixture"))
         .args(["--", "-D", "warnings"])
-        .args(lib_lints(&root))
+        .args(lib_lints(root))
         .output()
         .expect("run cargo clippy");
     assert!(!out.status.success(), "the dirty fixture must fail clippy");
@@ -141,5 +148,15 @@ pub fn assert_clean(needles: &[&str]) {
         if let Some(keys) = reported_at(needle) {
             assert!(keys.is_empty(), "{needle:?} was reported: {keys:?}");
         }
+    }
+}
+
+/// `--lib` leaves the fixture's binary out of the library-only lints.
+pub fn assert_no_bin_sites() {
+    if let Some(r) = reported() {
+        assert!(
+            r.iter().all(|(_, k)| !k.starts_with("src/main.rs")),
+            "{r:?}"
+        );
     }
 }
