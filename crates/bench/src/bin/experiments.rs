@@ -44,9 +44,9 @@ fn main() {
         Some("calibrate") => calibrate(&suite),
         Some("all") => run_all(suite),
         Some(id) if experiments::ALL_IDS.contains(&id) => {
-            let mut ctx = Ctx::new(suite);
+            let ctx = Ctx::new(suite);
             let t0 = Instant::now();
-            let section = experiments::run(id, &mut ctx).expect("id checked above");
+            let section = experiments::run(id, &ctx).expect("id checked above");
             println!("{section}");
             eprintln!("[{id} finished in {:?}]", t0.elapsed());
             exit_on_artifact_errors(&ctx);
@@ -72,13 +72,13 @@ fn usage(why: &str) -> ! {
     reason = "progress timing printed to stderr; it never feeds a result"
 )]
 fn run_all(suite: Suite) {
-    let mut ctx = Ctx::new(suite);
+    let ctx = Ctx::new(suite);
     let mut doc = experiments::preamble(&ctx);
     let t0 = Instant::now();
     for &id in experiments::ALL_IDS {
         let started = Instant::now();
         eprintln!("[{:?}] running {id}...", t0.elapsed());
-        let section = experiments::run(id, &mut ctx).expect("known id");
+        let section = experiments::run(id, &ctx).expect("known id");
         eprintln!("[{:?}] {id} done in {:?}", t0.elapsed(), started.elapsed());
         exit_on_artifact_errors(&ctx);
         doc.push('\n');

@@ -10,11 +10,8 @@ use crate::harness::{Ctx, GraphPrompterView};
 
 /// §VI: "In the retrieval stage, we can also use other clustering methods"
 /// — Eq. 6's footnote lists Euclidean and Manhattan as drop-in metrics.
-pub fn metrics(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
+pub fn metrics(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
 
     let mut out = String::from("## Extension — kNN distance metrics (Eq. 6 substitution)\n\n");
     let mut table = Table::new(
@@ -23,11 +20,11 @@ pub fn metrics(ctx: &mut Ctx) -> String {
     );
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         for (name, metric) in [
             ("cosine", DistanceMetric::Cosine),
             ("euclidean", DistanceMetric::Euclidean),
@@ -61,11 +58,8 @@ lever a practitioner would tune.\n";
 
 /// §VI: "we can replace the cache in the prompt augmenter with other
 /// caching solutions" — LFU (paper) vs LRU vs FIFO.
-pub fn cache_policy(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
+pub fn cache_policy(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
 
     let mut out = String::from("## Extension — cache replacement policies (§VI substitution)\n\n");
     let mut table = Table::new(
@@ -74,11 +68,11 @@ pub fn cache_policy(ctx: &mut Ctx) -> String {
     );
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         let mut row = vec![ds.name.clone()];
         for policy in [CachePolicy::Lfu, CachePolicy::Lru, CachePolicy::Fifo] {
             let mut cfg = suite.inference_config(StageConfig::full());
@@ -108,11 +102,9 @@ pub fn cache_policy(ctx: &mut Ctx) -> String {
     clippy::expect_used,
     reason = "the suite's configs with one knob flipped are valid by construction; a failure is a bug worth aborting the experiment over"
 )]
-pub fn design_choices(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn design_choices(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
-    ctx.wiki();
-    ctx.fb();
 
     let mut out = String::from("## Extension — reproduction design-choice ablations\n\n");
     let mut table = Table::new(
@@ -129,14 +121,14 @@ pub fn design_choices(ctx: &mut Ctx) -> String {
             .inference_config(suite.inference_config(StageConfig::full()))
             .try_build()
             .expect("suite configs must be valid");
-        engine.pretrain(ctx.wiki_ref());
+        engine.pretrain(ctx.wiki());
         let view = GraphPrompterView {
             engine: &engine,
             stages: StageConfig::full(),
         };
         let mut row = vec![norm.to_string(), residual.to_string()];
         for ways in [5usize, 20] {
-            let stats = MeanStd::of(&view.evaluate(ctx.fb_ref(), ways, suite.episodes, &protocol));
+            let stats = MeanStd::of(&view.evaluate(ctx.fb(), ways, suite.episodes, &protocol));
             row.push(stats.to_string());
         }
         table.row(&row);

@@ -16,13 +16,10 @@ const PAPER: &str = "Paper Fig. 3: every bar (w/o one component) sits below the 
                      baseline, so kNN retrieval carries most of the selector's gain.";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
     let episodes = suite.episodes;
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
 
     let variants: Vec<(&str, StageConfig)> = vec![
         ("full", StageConfig::full()),
@@ -43,11 +40,11 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         let mut table = Table::new(
             format!("Fig. 3 (measured): {} accuracy (%)", ds.name),
             &["Variant", "5-way", "10-way", "20-way", "40-way"],

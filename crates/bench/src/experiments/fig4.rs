@@ -20,13 +20,10 @@ const PAPER: &str = "Paper Fig. 4: the GraphSAGE-based generator outperforms the
     clippy::expect_used,
     reason = "the suite's configs with one knob flipped are valid by construction; a failure is a bug worth aborting the experiment over"
 )]
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
     let episodes = suite.episodes;
-    ctx.fb();
-    ctx.nell();
-    ctx.wiki();
 
     // Train one model per architecture on the same source.
     let mut models = Vec::new();
@@ -43,7 +40,7 @@ pub fn run(ctx: &mut Ctx) -> String {
             .inference_config(suite.inference_config(StageConfig::full()))
             .try_build()
             .expect("suite configs must be valid");
-        engine.pretrain(ctx.wiki_ref());
+        engine.pretrain(ctx.wiki());
         models.push((name, engine));
     }
 
@@ -54,9 +51,9 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
         let mut table = Table::new(
             format!("Fig. 4 (measured): {} accuracy (%)", ds.name),

@@ -18,12 +18,9 @@ const PAPER: &str = "Paper Fig. 5: accuracy peaks near c = 3 and declines for la
                      caches on both datasets.";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let episodes = suite.episodes;
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
 
     let mut out = String::from("## Fig. 5 — cache size analysis\n\n");
     let mut small_avg = 0.0f32;
@@ -32,11 +29,11 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         let mut table = Table::new(
             format!(
                 "Fig. 5 (measured): {} accuracy (%) vs cache size, 5-way",

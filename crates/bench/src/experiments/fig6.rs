@@ -18,17 +18,9 @@ const PAPER: &str = "Paper Fig. 6: accuracy rises then falls with shots (sharply
                      Prodigy at equal shot counts.";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let episodes = suite.episodes;
-    ctx.fb();
-    ctx.nell();
-    ctx.arxiv();
-    ctx.conceptnet();
-    ctx.gp_wiki();
-    ctx.gp_mag();
-    ctx.prodigy_wiki();
-    ctx.prodigy_mag();
 
     let mut out = String::from("## Fig. 6 — shots sweep (5-way)\n\n");
     let mut gp_above = 0usize;
@@ -40,15 +32,15 @@ pub fn run(ctx: &mut Ctx) -> String {
     for key in ["fb15k237", "nell", "arxiv", "conceptnet"] {
         let node_domain = key == "arxiv";
         let ds = match key {
-            "fb15k237" => ctx.fb_ref(),
-            "nell" => ctx.nell_ref(),
-            "arxiv" => ctx.arxiv_ref(),
-            _ => ctx.conceptnet_ref(),
+            "fb15k237" => ctx.fb(),
+            "nell" => ctx.nell(),
+            "arxiv" => ctx.arxiv(),
+            _ => ctx.conceptnet(),
         };
         let (gp, prodigy): (&GraphPrompterMethod, &gp_baselines::Prodigy) = if node_domain {
-            (ctx.gp_mag_ref(), ctx.prodigy_mag_ref())
+            (ctx.gp_mag(), ctx.prodigy_mag())
         } else {
-            (ctx.gp_wiki_ref(), ctx.prodigy_wiki_ref())
+            (ctx.gp_wiki(), ctx.prodigy_wiki())
         };
         let mut table = Table::new(
             format!("Fig. 6 (measured): {} accuracy (%) vs shots", ds.name),

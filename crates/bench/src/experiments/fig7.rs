@@ -20,11 +20,8 @@ const PAPER: &str = "Paper Fig. 7: with equal shot counts GraphPrompter's data-n
                      via t-SNE at shots ∈ {3, 50}).";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
 
     let mut out = String::from("## Fig. 7 — embedding distribution (t-SNE + cluster metrics)\n\n");
     let mut table = Table::new(
@@ -42,11 +39,11 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         for &shots in &SHOTS {
             let mut scores = Vec::new();
             for (method, stages) in [

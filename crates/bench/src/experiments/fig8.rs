@@ -17,11 +17,8 @@ const PAPER: &str = "Paper Fig. 8: accuracy falls with hop count on both dataset
                      GraphPrompter stays above Prodigy at 1/2/3 hops.";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
 
     let mut out = String::from("## Fig. 8 — multi-hop data graphs\n\n");
     let mut gp_above = 0usize;
@@ -30,11 +27,11 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         let mut table = Table::new(
             format!("Fig. 8 (measured): {} accuracy (%) vs hops, 5-way", ds.name),
             &["Hops", "GraphPrompter", "Prodigy"],

@@ -12,11 +12,9 @@ const PAPER: &str = "Paper Fig. 9: over 10k steps on Wiki the two methods' loss 
                      negligible next to the GNNs (§V-F).";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    ctx.gp_wiki();
-    ctx.prodigy_wiki();
-    let gp_curve = ctx.gp_wiki_ref().curve.clone();
-    let pr_curve = ctx.prodigy_wiki_ref().training_curve().clone();
+pub fn run(ctx: &Ctx) -> String {
+    let gp_curve = ctx.gp_wiki().curve.clone();
+    let pr_curve = ctx.prodigy_wiki().training_curve().clone();
 
     let mut table = Table::new(
         "Fig. 9 (measured): pre-training curves on wiki-like",

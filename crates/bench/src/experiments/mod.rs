@@ -43,7 +43,7 @@ pub const ALL_IDS: &[&str] = &[
 ];
 
 /// Run one experiment by id; returns its markdown section.
-pub fn run(id: &str, ctx: &mut Ctx) -> Option<String> {
+pub fn run(id: &str, ctx: &Ctx) -> Option<String> {
     Some(match id {
         "table3" => table3::run(ctx),
         "table4" => table4::run(ctx),

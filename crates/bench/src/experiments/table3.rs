@@ -17,30 +17,24 @@ const PAPER: [(&str, [f32; 5]); 2] = [
 ];
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
     let episodes = suite.episodes;
 
-    // Build everything up front, then evaluate with shared borrows.
-    ctx.arxiv();
-    ctx.contrastive_mag();
-    ctx.prodigy_mag();
-    ctx.ofa_mag();
-    ctx.gp_mag();
     let finetune = ctx.finetune(true);
     let prog = ctx.prog(true);
     let no_pre = ctx.no_pretrain();
 
-    let ds = ctx.arxiv_ref();
+    let ds = ctx.arxiv();
     let methods: Vec<(&str, &dyn gp_baselines::IclBaseline)> = vec![
         ("NoPretrain", &no_pre),
-        ("Contrastive", ctx.contrastive_mag_ref()),
+        ("Contrastive", ctx.contrastive_mag()),
         ("Finetune", &finetune),
-        ("Prodigy", ctx.prodigy_mag_ref()),
+        ("Prodigy", ctx.prodigy_mag()),
         ("ProG", &prog),
-        ("OFA", ctx.ofa_mag_ref()),
-        ("GraphPrompter", ctx.gp_mag_ref()),
+        ("OFA", ctx.ofa_mag()),
+        ("GraphPrompter", ctx.gp_mag()),
     ];
 
     let mut table = Table::new(

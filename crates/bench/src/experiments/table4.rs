@@ -35,18 +35,11 @@ const PAPER: &[(&str, PaperRows)] = &[
 ];
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
     let episodes = suite.episodes;
 
-    ctx.conceptnet();
-    ctx.fb();
-    ctx.nell();
-    ctx.contrastive_wiki();
-    ctx.prodigy_wiki();
-    ctx.ofa_wiki();
-    ctx.gp_wiki();
     let finetune = ctx.finetune(false);
     let prog = ctx.prog(false);
     let no_pre = ctx.no_pretrain();
@@ -61,18 +54,18 @@ pub fn run(ctx: &mut Ctx) -> String {
         ("nell", KG_WAYS.to_vec()),
     ] {
         let ds = match ds_key {
-            "conceptnet" => ctx.conceptnet_ref(),
-            "fb15k237" => ctx.fb_ref(),
-            _ => ctx.nell_ref(),
+            "conceptnet" => ctx.conceptnet(),
+            "fb15k237" => ctx.fb(),
+            _ => ctx.nell(),
         };
         let methods: Vec<(&str, &dyn gp_baselines::IclBaseline)> = vec![
             ("NoPretrain", &no_pre),
-            ("Contrastive", ctx.contrastive_wiki_ref()),
+            ("Contrastive", ctx.contrastive_wiki()),
             ("Finetune", &finetune),
-            ("Prodigy", ctx.prodigy_wiki_ref()),
+            ("Prodigy", ctx.prodigy_wiki()),
             ("ProG", &prog),
-            ("OFA", ctx.ofa_wiki_ref()),
-            ("GraphPrompter", ctx.gp_wiki_ref()),
+            ("OFA", ctx.ofa_wiki()),
+            ("GraphPrompter", ctx.gp_wiki()),
         ];
         let mut header = vec!["Method".to_string()];
         header.extend(ways.iter().map(|w| format!("{w}-way")));

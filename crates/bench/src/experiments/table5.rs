@@ -20,15 +20,11 @@ const PAPER_NELL: [(&str, [f32; 4]); 2] = [
 ];
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
     let episodes = suite.episodes;
 
-    ctx.fb();
-    ctx.nell();
-    ctx.prodigy_wiki();
-    ctx.gp_wiki();
     let prog = ctx.prog(false);
 
     let mut out = String::from("## Table V — many-class generalization (50–100 ways)\n\n");
@@ -40,14 +36,14 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
         let methods: Vec<(&str, &dyn gp_baselines::IclBaseline)> = vec![
-            ("Prodigy", ctx.prodigy_wiki_ref()),
+            ("Prodigy", ctx.prodigy_wiki()),
             ("ProG", &prog),
-            ("GraphPrompter", ctx.gp_wiki_ref()),
+            ("GraphPrompter", ctx.gp_wiki()),
         ];
         let mut table = Table::new(
             format!("Table V (measured): {} accuracy (%), 3-shot", ds.name),

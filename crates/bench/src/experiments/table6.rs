@@ -18,17 +18,10 @@ const PAPER_FB: [(&str, [f32; 4]); 2] = [
 ];
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
     let protocol = suite.protocol();
     let episodes = suite.episodes;
-
-    ctx.arxiv();
-    ctx.fb();
-    ctx.ofa_mag();
-    ctx.ofa_wiki();
-    ctx.gp_mag();
-    ctx.gp_wiki();
 
     let mut out = String::from("## Table VI — OFA head-to-head\n\n");
     let mut gp_better = 0usize;
@@ -44,9 +37,9 @@ pub fn run(ctx: &mut Ctx) -> String {
             &dyn gp_baselines::IclBaseline,
             &dyn gp_baselines::IclBaseline,
         ) = if key == "arxiv" {
-            (ctx.arxiv_ref(), ctx.ofa_mag_ref(), ctx.gp_mag_ref())
+            (ctx.arxiv(), ctx.ofa_mag(), ctx.gp_mag())
         } else {
-            (ctx.fb_ref(), ctx.ofa_wiki_ref(), ctx.gp_wiki_ref())
+            (ctx.fb(), ctx.ofa_wiki(), ctx.gp_wiki())
         };
         let mut header = vec!["Method".to_string()];
         header.extend(ways.iter().map(|w| format!("{w}-way")));

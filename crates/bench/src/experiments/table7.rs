@@ -18,11 +18,8 @@ const PAPER: &str = "FB15K-237: [79.98, 82.05, 82.01, 78.93, 80.34] avg 80.66 ±
                      (≈2% below the highest-confidence policy)";
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    let suite = ctx.suite.clone();
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
+pub fn run(ctx: &Ctx) -> String {
+    let suite = &ctx.suite;
 
     // The cache must actually admit for the policy comparison to bite: at
     // 20 ways softmax confidences are small, so the gate is lowered for
@@ -47,11 +44,11 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
-        let gp = ctx.gp_wiki_ref();
+        let gp = ctx.gp_wiki();
         let mut random_accs = Vec::new();
         for &seed in &SEEDS {
             let mut ep_rng = StdRng::seed_from_u64(seed);

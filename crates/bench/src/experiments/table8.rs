@@ -29,7 +29,7 @@ fn time_per_query(ctx: &Ctx, ds: &gp_datasets::Dataset, ways: usize, stages: Sta
         c.pseudo_labels = PseudoLabelPolicy::Confidence { min: 0.2 };
         c
     };
-    let gp = ctx.gp_wiki_ref();
+    let gp = ctx.gp_wiki();
     let mut total = 0.0;
     let reps = suite.episodes.clamp(1, 3);
     for i in 0..reps {
@@ -51,11 +51,7 @@ fn time_per_query(ctx: &Ctx, ds: &gp_datasets::Dataset, ways: usize, stages: Sta
 }
 
 /// Run the experiment; returns a markdown section.
-pub fn run(ctx: &mut Ctx) -> String {
-    ctx.fb();
-    ctx.nell();
-    ctx.gp_wiki();
-
+pub fn run(ctx: &Ctx) -> String {
     let mut out = String::from("## Table VIII — per-query inference time\n\n");
     let mut table = Table::new(
         "Table VIII (measured): mean per-query time (ms)",
@@ -65,9 +61,9 @@ pub fn run(ctx: &mut Ctx) -> String {
 
     for key in ["fb15k237", "nell"] {
         let ds = if key == "fb15k237" {
-            ctx.fb_ref()
+            ctx.fb()
         } else {
-            ctx.nell_ref()
+            ctx.nell()
         };
         let mut prodigy_ms = Vec::new();
         let mut gp_ms = Vec::new();

@@ -1,13 +1,7 @@
 //! Shared experiment plumbing: standard configurations, a lazily-trained
 //! model/dataset registry ([`Ctx`]), and the GraphPrompter method wrapper.
 
-#![expect(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    reason = "the lazy registry unwraps the slot each accessor filled just above, and engines are built from the suite's known-good configs"
-)]
-
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::path::Path;
 
 use gp_baselines::{
@@ -131,6 +125,10 @@ pub struct GraphPrompterMethod {
 
 impl GraphPrompterMethod {
     /// Pre-train the full method on `source`.
+    #[expect(
+        clippy::expect_used,
+        reason = "engines are built from the suite's known-good configs"
+    )]
     pub fn pretrain(source: &Dataset, suite: &Suite) -> Self {
         let mut engine = Engine::builder()
             .model_config(suite.model_config())
@@ -218,38 +216,28 @@ impl IclBaseline for GraphPrompterView<'_> {
 ///
 /// Two pre-training domains exist, mirroring the paper: MAG240M-like →
 /// arXiv-like (node tasks) and Wiki-like → the KG datasets (edge tasks).
+/// Each accessor builds its slot on first use and borrows it afterwards,
+/// so an experiment can hold several datasets and models at once.
 #[derive(Default)]
 pub struct Ctx {
     /// Scale knobs.
     pub suite: Suite,
-    mag: Option<Dataset>,
-    wiki: Option<Dataset>,
-    arxiv: Option<Dataset>,
-    conceptnet: Option<Dataset>,
-    fb: Option<Dataset>,
-    nell: Option<Dataset>,
-    gp_mag: Option<GraphPrompterMethod>,
-    gp_wiki: Option<GraphPrompterMethod>,
-    prodigy_mag: Option<Prodigy>,
-    prodigy_wiki: Option<Prodigy>,
-    ofa_mag: Option<Ofa>,
-    ofa_wiki: Option<Ofa>,
-    contrastive_mag: Option<Contrastive>,
-    contrastive_wiki: Option<Contrastive>,
+    mag: OnceCell<Dataset>,
+    wiki: OnceCell<Dataset>,
+    arxiv: OnceCell<Dataset>,
+    conceptnet: OnceCell<Dataset>,
+    fb: OnceCell<Dataset>,
+    nell: OnceCell<Dataset>,
+    gp_mag: OnceCell<GraphPrompterMethod>,
+    gp_wiki: OnceCell<GraphPrompterMethod>,
+    prodigy_mag: OnceCell<Prodigy>,
+    prodigy_wiki: OnceCell<Prodigy>,
+    ofa_mag: OnceCell<Ofa>,
+    ofa_wiki: OnceCell<Ofa>,
+    contrastive_mag: OnceCell<Contrastive>,
+    contrastive_wiki: OnceCell<Contrastive>,
     /// Figure artifacts that could not be written, see [`Ctx::write_result`].
     artifact_errors: RefCell<Vec<String>>,
-}
-
-macro_rules! lazy_dataset {
-    ($fn_name:ident, $field:ident, $preset:ident) => {
-        /// Lazily-generated dataset.
-        pub fn $fn_name(&mut self) -> &Dataset {
-            if self.$field.is_none() {
-                self.$field = Some(presets::$preset(self.suite.seed));
-            }
-            self.$field.as_ref().unwrap()
-        }
-    };
 }
 
 impl Ctx {
@@ -286,198 +274,118 @@ impl Ctx {
         }
     }
 
-    lazy_dataset!(mag, mag, mag240m_like);
-    lazy_dataset!(wiki, wiki, wiki_like);
-    lazy_dataset!(arxiv, arxiv, arxiv_like);
-    lazy_dataset!(conceptnet, conceptnet, conceptnet_like);
-    lazy_dataset!(fb, fb, fb15k237_like);
-    lazy_dataset!(nell, nell, nell_like);
+    /// MAG240M-like node-task pre-training source.
+    pub fn mag(&self) -> &Dataset {
+        self.mag
+            .get_or_init(|| presets::mag240m_like(self.suite.seed))
+    }
+
+    /// Wiki-like edge-task pre-training source.
+    pub fn wiki(&self) -> &Dataset {
+        self.wiki
+            .get_or_init(|| presets::wiki_like(self.suite.seed))
+    }
+
+    /// arXiv-like node-task target.
+    pub fn arxiv(&self) -> &Dataset {
+        self.arxiv
+            .get_or_init(|| presets::arxiv_like(self.suite.seed))
+    }
+
+    /// ConceptNet-like edge-task target.
+    pub fn conceptnet(&self) -> &Dataset {
+        self.conceptnet
+            .get_or_init(|| presets::conceptnet_like(self.suite.seed))
+    }
+
+    /// FB15K-237-like edge-task target.
+    pub fn fb(&self) -> &Dataset {
+        self.fb
+            .get_or_init(|| presets::fb15k237_like(self.suite.seed))
+    }
+
+    /// NELL-like edge-task target.
+    pub fn nell(&self) -> &Dataset {
+        self.nell
+            .get_or_init(|| presets::nell_like(self.suite.seed))
+    }
+
+    /// The pre-training source of a domain: MAG-like for node tasks,
+    /// Wiki-like for edge tasks.
+    fn source(&self, node_domain: bool) -> &Dataset {
+        if node_domain {
+            self.mag()
+        } else {
+            self.wiki()
+        }
+    }
 
     /// GraphPrompter pre-trained on the node-task source (MAG-like).
-    pub fn gp_mag(&mut self) -> &GraphPrompterMethod {
-        if self.gp_mag.is_none() {
-            let suite = self.suite.clone();
-            self.mag();
-            self.gp_mag = Some(GraphPrompterMethod::pretrain(
-                self.mag.as_ref().unwrap(),
-                &suite,
-            ));
-        }
-        self.gp_mag.as_ref().unwrap()
+    pub fn gp_mag(&self) -> &GraphPrompterMethod {
+        self.gp_mag
+            .get_or_init(|| GraphPrompterMethod::pretrain(self.mag(), &self.suite))
     }
 
     /// GraphPrompter pre-trained on the edge-task source (Wiki-like).
-    pub fn gp_wiki(&mut self) -> &GraphPrompterMethod {
-        if self.gp_wiki.is_none() {
-            let suite = self.suite.clone();
-            self.wiki();
-            self.gp_wiki = Some(GraphPrompterMethod::pretrain(
-                self.wiki.as_ref().unwrap(),
-                &suite,
-            ));
-        }
-        self.gp_wiki.as_ref().unwrap()
+    pub fn gp_wiki(&self) -> &GraphPrompterMethod {
+        self.gp_wiki
+            .get_or_init(|| GraphPrompterMethod::pretrain(self.wiki(), &self.suite))
     }
 
     /// Prodigy pre-trained on the node-task source.
-    pub fn prodigy_mag(&mut self) -> &Prodigy {
-        if self.prodigy_mag.is_none() {
-            let suite = self.suite.clone();
-            self.mag();
-            self.prodigy_mag = Some(Prodigy::pretrain(
-                self.mag.as_ref().unwrap(),
-                suite.model_config(),
-                &suite.pretrain_config(),
-            ));
-        }
-        self.prodigy_mag.as_ref().unwrap()
+    pub fn prodigy_mag(&self) -> &Prodigy {
+        self.prodigy_mag.get_or_init(|| {
+            Prodigy::pretrain(
+                self.mag(),
+                self.suite.model_config(),
+                &self.suite.pretrain_config(),
+            )
+        })
     }
 
     /// Prodigy pre-trained on the edge-task source.
-    pub fn prodigy_wiki(&mut self) -> &Prodigy {
-        if self.prodigy_wiki.is_none() {
-            let suite = self.suite.clone();
-            self.wiki();
-            self.prodigy_wiki = Some(Prodigy::pretrain(
-                self.wiki.as_ref().unwrap(),
-                suite.model_config(),
-                &suite.pretrain_config(),
-            ));
-        }
-        self.prodigy_wiki.as_ref().unwrap()
+    pub fn prodigy_wiki(&self) -> &Prodigy {
+        self.prodigy_wiki.get_or_init(|| {
+            Prodigy::pretrain(
+                self.wiki(),
+                self.suite.model_config(),
+                &self.suite.pretrain_config(),
+            )
+        })
     }
 
     /// OFA analog pre-trained on the node-task source.
-    pub fn ofa_mag(&mut self) -> &Ofa {
-        if self.ofa_mag.is_none() {
-            let suite = self.suite.clone();
-            self.mag();
-            self.ofa_mag = Some(Ofa::pretrain(
-                self.mag.as_ref().unwrap(),
-                suite.model_config(),
-                &suite.pretrain_config(),
-            ));
-        }
-        self.ofa_mag.as_ref().unwrap()
+    pub fn ofa_mag(&self) -> &Ofa {
+        self.ofa_mag.get_or_init(|| {
+            Ofa::pretrain(
+                self.mag(),
+                self.suite.model_config(),
+                &self.suite.pretrain_config(),
+            )
+        })
     }
 
     /// OFA analog pre-trained on the edge-task source.
-    pub fn ofa_wiki(&mut self) -> &Ofa {
-        if self.ofa_wiki.is_none() {
-            let suite = self.suite.clone();
-            self.wiki();
-            self.ofa_wiki = Some(Ofa::pretrain(
-                self.wiki.as_ref().unwrap(),
-                suite.model_config(),
-                &suite.pretrain_config(),
-            ));
-        }
-        self.ofa_wiki.as_ref().unwrap()
+    pub fn ofa_wiki(&self) -> &Ofa {
+        self.ofa_wiki.get_or_init(|| {
+            Ofa::pretrain(
+                self.wiki(),
+                self.suite.model_config(),
+                &self.suite.pretrain_config(),
+            )
+        })
     }
 
     /// Contrastive encoder pre-trained on the node-task source.
-    pub fn contrastive_mag(&mut self) -> &Contrastive {
-        if self.contrastive_mag.is_none() {
-            let cfg = self.suite.contrastive_config();
-            self.mag();
-            self.contrastive_mag = Some(Contrastive::pretrain(self.mag.as_ref().unwrap(), cfg));
-        }
-        self.contrastive_mag.as_ref().unwrap()
+    pub fn contrastive_mag(&self) -> &Contrastive {
+        self.contrastive_mag
+            .get_or_init(|| Contrastive::pretrain(self.mag(), self.suite.contrastive_config()))
     }
 
     /// Contrastive encoder pre-trained on the edge-task source.
-    pub fn contrastive_wiki(&mut self) -> &Contrastive {
-        if self.contrastive_wiki.is_none() {
-            let cfg = self.suite.contrastive_config();
-            self.wiki();
-            self.contrastive_wiki = Some(Contrastive::pretrain(self.wiki.as_ref().unwrap(), cfg));
-        }
-        self.contrastive_wiki.as_ref().unwrap()
-    }
-
-    /// Immutable access to an already-built dataset/model. The lazy `&mut`
-    /// accessors build; these borrow, so an experiment can hold a model
-    /// and a dataset at once.
-    ///
-    /// # Panics
-    /// Panics if the corresponding lazy accessor has not run yet.
-    pub fn arxiv_ref(&self) -> &Dataset {
-        self.arxiv.as_ref().expect("call ctx.arxiv() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn conceptnet_ref(&self) -> &Dataset {
-        self.conceptnet
-            .as_ref()
-            .expect("call ctx.conceptnet() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn fb_ref(&self) -> &Dataset {
-        self.fb.as_ref().expect("call ctx.fb() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn nell_ref(&self) -> &Dataset {
-        self.nell.as_ref().expect("call ctx.nell() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn wiki_ref(&self) -> &Dataset {
-        self.wiki.as_ref().expect("call ctx.wiki() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn mag_ref(&self) -> &Dataset {
-        self.mag.as_ref().expect("call ctx.mag() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn gp_mag_ref(&self) -> &GraphPrompterMethod {
-        self.gp_mag.as_ref().expect("call ctx.gp_mag() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn gp_wiki_ref(&self) -> &GraphPrompterMethod {
-        self.gp_wiki.as_ref().expect("call ctx.gp_wiki() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn prodigy_mag_ref(&self) -> &Prodigy {
-        self.prodigy_mag
-            .as_ref()
-            .expect("call ctx.prodigy_mag() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn prodigy_wiki_ref(&self) -> &Prodigy {
-        self.prodigy_wiki
-            .as_ref()
-            .expect("call ctx.prodigy_wiki() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn ofa_mag_ref(&self) -> &Ofa {
-        self.ofa_mag.as_ref().expect("call ctx.ofa_mag() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn ofa_wiki_ref(&self) -> &Ofa {
-        self.ofa_wiki.as_ref().expect("call ctx.ofa_wiki() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn contrastive_mag_ref(&self) -> &Contrastive {
-        self.contrastive_mag
-            .as_ref()
-            .expect("call ctx.contrastive_mag() first")
-    }
-
-    /// See [`Ctx::arxiv_ref`].
-    pub fn contrastive_wiki_ref(&self) -> &Contrastive {
+    pub fn contrastive_wiki(&self) -> &Contrastive {
         self.contrastive_wiki
-            .as_ref()
-            .expect("call ctx.contrastive_wiki() first")
+            .get_or_init(|| Contrastive::pretrain(self.wiki(), self.suite.contrastive_config()))
     }
 
     /// Fresh NoPretrain baseline (cheap; not cached).
@@ -489,28 +397,41 @@ impl Ctx {
     /// for the given pre-training domain. (The encoder is re-trained
     /// rather than shared because the baselines take ownership; the cost
     /// is ~1 s and determinism makes the copies identical.)
-    pub fn finetune(&mut self, node_domain: bool) -> Finetune {
-        let cfg = self.suite.contrastive_config();
-        let enc = if node_domain {
-            self.mag();
-            Contrastive::pretrain(self.mag.as_ref().unwrap(), cfg)
-        } else {
-            self.wiki();
-            Contrastive::pretrain(self.wiki.as_ref().unwrap(), cfg)
-        };
-        Finetune::new(enc)
+    pub fn finetune(&self, node_domain: bool) -> Finetune {
+        Finetune::new(Contrastive::pretrain(
+            self.source(node_domain),
+            self.suite.contrastive_config(),
+        ))
     }
 
     /// ProG baseline over a freshly pre-trained contrastive encoder.
-    pub fn prog(&mut self, node_domain: bool) -> ProG {
-        let cfg = self.suite.contrastive_config();
-        let enc = if node_domain {
-            self.mag();
-            Contrastive::pretrain(self.mag.as_ref().unwrap(), cfg)
-        } else {
-            self.wiki();
-            Contrastive::pretrain(self.wiki.as_ref().unwrap(), cfg)
-        };
-        ProG::new(enc)
+    pub fn prog(&self, node_domain: bool) -> ProG {
+        ProG::new(Contrastive::pretrain(
+            self.source(node_domain),
+            self.suite.contrastive_config(),
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ctx_builds_each_slot_once_and_lends_several_at_once() {
+        let ctx = Ctx::new(Suite {
+            pre_steps: 1,
+            episodes: 1,
+            queries: 2,
+            seed: 0,
+        });
+        let fb = ctx.fb();
+        let gp = ctx.gp_wiki();
+        // A dataset and a model borrowed together, as every experiment does.
+        let accs = gp.evaluate(fb, 2, 1, &ctx.suite.protocol());
+        assert_eq!(accs.len(), 1);
+        assert!(std::ptr::eq(fb, ctx.fb()));
+        assert!(std::ptr::eq(gp, ctx.gp_wiki()));
+        assert!(std::ptr::eq(ctx.wiki(), ctx.wiki()));
     }
 }

@@ -1,10 +1,12 @@
 //! Configuration surfaces for the GraphPrompter pipeline.
 //!
-//! Every config implements `Default` for the paper's protocol and offers a
-//! fallible builder (`ModelConfig::builder()` → `.try_build()`) that
-//! validates cross-field invariants up front, so misconfiguration surfaces
-//! as a typed [`ConfigError`] instead of a panic (or silent nonsense) deep
-//! inside an episode.
+//! Every config is a plain struct of `pub` fields whose `Default` is the
+//! paper's protocol; set fields with a struct-update literal such as
+//! `InferenceConfig { shots: 2, ..InferenceConfig::default() }`. Each
+//! config's `validate` checks cross-field invariants up front, and
+//! [`crate::EngineBuilder::try_build`] runs it on every config it is
+//! handed, so misconfiguration surfaces as a typed [`ConfigError`] instead
+//! of a panic (or silent nonsense) deep inside an episode.
 
 use gp_graph::SamplerConfig;
 
@@ -12,8 +14,8 @@ use crate::cache::CachePolicy;
 use crate::guard::GuardRailConfig;
 use crate::selector::DistanceMetric;
 
-/// Typed validation error produced by the config builders' `try_build`
-/// (and the underlying `validate` methods).
+/// Typed validation error returned by each config's `validate` (and so by
+/// [`crate::EngineBuilder::try_build`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// A structural size that must be ≥ 1 was 0.
@@ -189,11 +191,6 @@ impl Default for ModelConfig {
 }
 
 impl ModelConfig {
-    /// Start a fallible builder seeded with the defaults.
-    pub fn builder() -> ModelConfigBuilder {
-        ModelConfigBuilder(Self::default())
-    }
-
     /// Check all structural invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_nonzero(self.feat_dim, "feat_dim")?;
@@ -201,66 +198,6 @@ impl ModelConfig {
         require_nonzero(self.embed_dim, "embed_dim")?;
         require_nonzero(self.hidden_dim, "hidden_dim")?;
         Ok(())
-    }
-}
-
-/// Fallible builder for [`ModelConfig`]; see [`ModelConfig::builder`].
-#[derive(Clone, Debug, Default)]
-pub struct ModelConfigBuilder(ModelConfig);
-
-impl ModelConfigBuilder {
-    /// Node feature width.
-    pub fn feat_dim(mut self, v: usize) -> Self {
-        self.0.feat_dim = v;
-        self
-    }
-
-    /// Relation feature width.
-    pub fn rel_dim(mut self, v: usize) -> Self {
-        self.0.rel_dim = v;
-        self
-    }
-
-    /// Data-graph embedding width.
-    pub fn embed_dim(mut self, v: usize) -> Self {
-        self.0.embed_dim = v;
-        self
-    }
-
-    /// Hidden width for MLPs and GNN layers.
-    pub fn hidden_dim(mut self, v: usize) -> Self {
-        self.0.hidden_dim = v;
-        self
-    }
-
-    /// `GNN_D` architecture.
-    pub fn generator(mut self, v: GeneratorKind) -> Self {
-        self.0.generator = v;
-        self
-    }
-
-    /// Renormalize reconstruction edge weights per target node.
-    pub fn recon_normalize(mut self, v: bool) -> Self {
-        self.0.recon_normalize = v;
-        self
-    }
-
-    /// Wire the task graph's prototype residual path.
-    pub fn proto_residual(mut self, v: bool) -> Self {
-        self.0.proto_residual = v;
-        self
-    }
-
-    /// Weight-init seed.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.0.seed = v;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn try_build(self) -> Result<ModelConfig, ConfigError> {
-        self.0.validate()?;
-        Ok(self.0)
     }
 }
 
@@ -423,11 +360,6 @@ impl Default for InferenceConfig {
 }
 
 impl InferenceConfig {
-    /// Start a fallible builder seeded with the defaults.
-    pub fn builder() -> InferenceConfigBuilder {
-        InferenceConfigBuilder(Self::default())
-    }
-
     /// Check all structural invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_nonzero(self.shots, "shots")?;
@@ -445,91 +377,6 @@ impl InferenceConfig {
         }
         require_in_range(self.cache_prompt_scale, 0.0, f32::MAX, "cache_prompt_scale")?;
         validate_sampler(&self.sampler)
-    }
-}
-
-/// Fallible builder for [`InferenceConfig`]; see [`InferenceConfig::builder`].
-#[derive(Clone, Debug, Default)]
-pub struct InferenceConfigBuilder(InferenceConfig);
-
-impl InferenceConfigBuilder {
-    /// `k` — prompts used per class.
-    pub fn shots(mut self, v: usize) -> Self {
-        self.0.shots = v;
-        self
-    }
-
-    /// `N` — candidate prompts per class.
-    pub fn candidates_per_class(mut self, v: usize) -> Self {
-        self.0.candidates_per_class = v;
-        self
-    }
-
-    /// `c` — Prompt Augmenter cache size.
-    pub fn cache_size(mut self, v: usize) -> Self {
-        self.0.cache_size = v;
-        self
-    }
-
-    /// Pseudo-label admission policy.
-    pub fn pseudo_labels(mut self, v: PseudoLabelPolicy) -> Self {
-        self.0.pseudo_labels = v;
-        self
-    }
-
-    /// Cache replacement policy.
-    pub fn cache_policy(mut self, v: CachePolicy) -> Self {
-        self.0.cache_policy = v;
-        self
-    }
-
-    /// Scale applied to cached embeddings joining the prompt set.
-    pub fn cache_prompt_scale(mut self, v: f32) -> Self {
-        self.0.cache_prompt_scale = v;
-        self
-    }
-
-    /// kNN retrieval metric.
-    pub fn knn_metric(mut self, v: DistanceMetric) -> Self {
-        self.0.knn_metric = v;
-        self
-    }
-
-    /// Queries scored together per step.
-    pub fn query_batch(mut self, v: usize) -> Self {
-        self.0.query_batch = v;
-        self
-    }
-
-    /// Stage toggles.
-    pub fn stages(mut self, v: StageConfig) -> Self {
-        self.0.stages = v;
-        self
-    }
-
-    /// Data-graph sampling config.
-    pub fn sampler(mut self, v: SamplerConfig) -> Self {
-        self.0.sampler = v;
-        self
-    }
-
-    /// Episode/pipeline seed.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.0.seed = v;
-        self
-    }
-
-    /// Candidate subgraph sampling seed (see
-    /// [`InferenceConfig::candidate_seed`]).
-    pub fn candidate_seed(mut self, v: u64) -> Self {
-        self.0.candidate_seed = v;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn try_build(self) -> Result<InferenceConfig, ConfigError> {
-        self.0.validate()?;
-        Ok(self.0)
     }
 }
 
@@ -586,11 +433,6 @@ impl Default for PretrainConfig {
 }
 
 impl PretrainConfig {
-    /// Start a fallible builder seeded with the defaults.
-    pub fn builder() -> PretrainConfigBuilder {
-        PretrainConfigBuilder(Self::default())
-    }
-
     /// Check all structural invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_nonzero(self.steps, "steps")?;
@@ -641,96 +483,6 @@ impl PretrainConfig {
     }
 }
 
-/// Fallible builder for [`PretrainConfig`]; see [`PretrainConfig::builder`].
-#[derive(Clone, Debug, Default)]
-pub struct PretrainConfigBuilder(PretrainConfig);
-
-impl PretrainConfigBuilder {
-    /// Number of optimization steps.
-    pub fn steps(mut self, v: usize) -> Self {
-        self.0.steps = v;
-        self
-    }
-
-    /// Ways per Multi-Task episode.
-    pub fn ways(mut self, v: usize) -> Self {
-        self.0.ways = v;
-        self
-    }
-
-    /// Shots per class per episode.
-    pub fn shots(mut self, v: usize) -> Self {
-        self.0.shots = v;
-        self
-    }
-
-    /// Queries per episode.
-    pub fn queries(mut self, v: usize) -> Self {
-        self.0.queries = v;
-        self
-    }
-
-    /// Ways per Neighbor-Matching episode.
-    pub fn nm_ways(mut self, v: usize) -> Self {
-        self.0.nm_ways = v;
-        self
-    }
-
-    /// Example nodes per neighborhood in Neighbor Matching.
-    pub fn nm_shots(mut self, v: usize) -> Self {
-        self.0.nm_shots = v;
-        self
-    }
-
-    /// Queries per Neighbor-Matching episode.
-    pub fn nm_queries(mut self, v: usize) -> Self {
-        self.0.nm_queries = v;
-        self
-    }
-
-    /// AdamW learning rate.
-    pub fn lr(mut self, v: f32) -> Self {
-        self.0.lr = v;
-        self
-    }
-
-    /// AdamW weight decay.
-    pub fn weight_decay(mut self, v: f32) -> Self {
-        self.0.weight_decay = v;
-        self
-    }
-
-    /// Curve recording interval.
-    pub fn log_every(mut self, v: usize) -> Self {
-        self.0.log_every = v;
-        self
-    }
-
-    /// Data-graph sampling config.
-    pub fn sampler(mut self, v: SamplerConfig) -> Self {
-        self.0.sampler = v;
-        self
-    }
-
-    /// Episode-sampling seed.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.0.seed = v;
-        self
-    }
-
-    /// Divergence guard rails (`None` trains unguarded).
-    pub fn guard(mut self, v: Option<GuardRailConfig>) -> Self {
-        self.0.guard = v;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn try_build(self) -> Result<PretrainConfig, ConfigError> {
-        self.0.validate()?;
-        Ok(self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,29 +490,42 @@ mod tests {
     #[test]
     fn pretrain_validates_guard_rail() {
         use crate::guard::GuardRailConfig;
-        let with_guard = |g: GuardRailConfig| PretrainConfig::builder().guard(Some(g)).try_build();
+        let with_guard = |g: GuardRailConfig| {
+            PretrainConfig {
+                guard: Some(g),
+                ..PretrainConfig::default()
+            }
+            .validate()
+        };
+        let skip = |window, spike_factor| GuardRailConfig {
+            window,
+            spike_factor,
+            ..GuardRailConfig::skip()
+        };
 
         assert!(with_guard(GuardRailConfig::default()).is_ok());
         assert!(
-            with_guard(GuardRailConfig::skip().with_window(1).with_warmup(0)).is_ok(),
+            with_guard(GuardRailConfig {
+                warmup: 0,
+                ..skip(1, 10.0)
+            })
+            .is_ok(),
             "minimal window is legal"
         );
         assert!(
-            with_guard(GuardRailConfig::skip().with_spike_factor(-1.0)).is_ok(),
+            with_guard(skip(25, -1.0)).is_ok(),
             "non-positive factor disables spike detection"
         );
 
-        let err =
-            with_guard(GuardRailConfig::skip().with_window(0)).expect_err("zero window must fail");
         assert_eq!(
-            err,
-            ConfigError::ZeroField {
+            with_guard(skip(0, 10.0)),
+            Err(ConfigError::ZeroField {
                 field: "guard.window"
-            }
+            })
         );
-        assert!(with_guard(GuardRailConfig::skip().with_spike_factor(f32::NAN)).is_err());
-        assert!(with_guard(GuardRailConfig::skip().with_spike_factor(1.0)).is_err());
-        assert!(with_guard(GuardRailConfig::skip().with_spike_factor(f32::INFINITY)).is_err());
+        assert!(with_guard(skip(25, f32::NAN)).is_err());
+        assert!(with_guard(skip(25, 1.0)).is_err());
+        assert!(with_guard(skip(25, f32::INFINITY)).is_err());
         assert!(with_guard(GuardRailConfig::clip(0.0)).is_err());
         assert!(with_guard(GuardRailConfig::clip(f32::NAN)).is_err());
     }
@@ -789,84 +554,74 @@ mod tests {
     }
 
     #[test]
-    fn builders_build_what_they_are_told() {
-        let m = ModelConfig::builder()
-            .embed_dim(16)
-            .hidden_dim(24)
-            .seed(7)
-            .try_build()
-            .expect("valid model config");
-        assert_eq!((m.embed_dim, m.hidden_dim, m.seed), (16, 24, 7));
-
-        let i = InferenceConfig::builder()
-            .shots(2)
-            .candidates_per_class(4)
-            .pseudo_labels(PseudoLabelPolicy::UniformRandom)
-            .candidate_seed(99)
-            .try_build()
-            .expect("valid inference config");
-        assert_eq!(i.shots, 2);
-        assert_eq!(i.pseudo_labels, PseudoLabelPolicy::UniformRandom);
-        assert_eq!(i.candidate_seed, 99);
-
-        let p = PretrainConfig::builder()
-            .steps(10)
-            .lr(1e-2)
-            .try_build()
-            .expect("valid pretrain config");
-        assert_eq!((p.steps, p.lr), (10, 1e-2));
-    }
-
-    #[test]
     fn builders_reject_invalid_configs() {
         assert_eq!(
-            ModelConfig::builder().embed_dim(0).try_build().err(),
-            Some(ConfigError::ZeroField { field: "embed_dim" })
+            ModelConfig {
+                embed_dim: 0,
+                ..ModelConfig::default()
+            }
+            .validate(),
+            Err(ConfigError::ZeroField { field: "embed_dim" })
         );
         assert_eq!(
-            InferenceConfig::builder()
-                .shots(5)
-                .candidates_per_class(3)
-                .try_build()
-                .err(),
-            Some(ConfigError::ShotsExceedCandidates {
+            InferenceConfig {
+                shots: 5,
+                candidates_per_class: 3,
+                ..InferenceConfig::default()
+            }
+            .validate(),
+            Err(ConfigError::ShotsExceedCandidates {
                 shots: 5,
                 candidates: 3
             })
         );
         assert_eq!(
-            InferenceConfig::builder().cache_size(0).try_build().err(),
-            Some(ConfigError::ZeroField {
+            InferenceConfig {
+                cache_size: 0,
+                ..InferenceConfig::default()
+            }
+            .validate(),
+            Err(ConfigError::ZeroField {
                 field: "cache_size"
             })
         );
         assert!(matches!(
-            InferenceConfig::builder()
-                .pseudo_labels(PseudoLabelPolicy::Confidence { min: 1.5 })
-                .try_build(),
+            InferenceConfig {
+                pseudo_labels: PseudoLabelPolicy::Confidence { min: 1.5 },
+                ..InferenceConfig::default()
+            }
+            .validate(),
             Err(ConfigError::OutOfRange { .. })
         ));
-        let bad_sampler = SamplerConfig {
-            max_nodes: 1,
-            ..SamplerConfig::default()
-        };
         assert_eq!(
-            InferenceConfig::builder()
-                .sampler(bad_sampler)
-                .try_build()
-                .err(),
-            Some(ConfigError::SamplerTooSmall {
+            InferenceConfig {
+                sampler: SamplerConfig {
+                    max_nodes: 1,
+                    ..SamplerConfig::default()
+                },
+                ..InferenceConfig::default()
+            }
+            .validate(),
+            Err(ConfigError::SamplerTooSmall {
                 field: "max_nodes",
                 value: 1,
                 min: 2
             })
         );
         assert!(matches!(
-            PretrainConfig::builder().lr(0.0).try_build(),
+            PretrainConfig {
+                lr: 0.0,
+                ..PretrainConfig::default()
+            }
+            .validate(),
             Err(ConfigError::OutOfRange { field: "lr", .. })
         ));
         assert!(matches!(
-            PretrainConfig::builder().steps(0).try_build(),
+            PretrainConfig {
+                steps: 0,
+                ..PretrainConfig::default()
+            }
+            .validate(),
             Err(ConfigError::ZeroField { field: "steps" })
         ));
     }

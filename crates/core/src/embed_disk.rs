@@ -281,12 +281,6 @@ impl DiskTierConfig {
             flush_every: 64,
         }
     }
-
-    /// Replace the element encoding.
-    pub fn quantization(mut self, q: Quantization) -> Self {
-        self.quantization = q;
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------

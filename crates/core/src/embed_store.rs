@@ -984,8 +984,13 @@ mod tests {
             (Quantization::I8, 0.0, 1.7 / 127.0 * 0.5 + 1e-6),
         ] {
             let dir = tmpdir(q.name());
-            let store =
-                EmbeddingStore::with_disk_tier(1, DiskTierConfig::new(&dir).quantization(q));
+            let store = EmbeddingStore::with_disk_tier(
+                1,
+                DiskTierConfig {
+                    quantization: q,
+                    ..DiskTierConfig::new(&dir)
+                },
+            );
             store.set_weights_context(1, 42);
             let row: Vec<f32> = (0..16)
                 .map(|i| (i as f32 * 0.211 - 1.7).sin() * 1.7)

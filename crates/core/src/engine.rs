@@ -15,7 +15,10 @@
 //! let target = gp_datasets::CitationConfig::new("downstream", 200, 5, 2).generate();
 //!
 //! let mut engine = Engine::builder()
-//!     .pretrain_config(PretrainConfig::builder().steps(30).try_build().unwrap())
+//!     .pretrain_config(PretrainConfig {
+//!         steps: 30,
+//!         ..PretrainConfig::default()
+//!     })
 //!     .inference_config(InferenceConfig::default())
 //!     .try_build()
 //!     .unwrap();
@@ -140,11 +143,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Timing mode: pin episode-level fan-out to 1 so [`Engine::evaluate`]
-    /// measures uncontended per-query cost — the whole budget goes to the
-    /// kernels of one episode at a time instead of episodes competing for
-    /// it. The repository benchmark's offline workloads (`benchmark/`)
-    /// run this way; results are bit-identical either way.
+    /// Timing mode: pin [`Engine::evaluate`]'s episode-level fan-out to 1,
+    /// so the whole budget goes to the kernels of one episode at a time
+    /// instead of episodes competing for it. Only `evaluate` and
+    /// [`Engine::evaluate_with`] read it; [`Engine::run_episode`] and
+    /// [`Engine::run_episodes_batched`] never fan episodes out, so the
+    /// flag does not change them. Results are bit-identical either way.
     pub fn timing_mode(mut self, on: bool) -> Self {
         self.timing_mode = on;
         self
@@ -229,7 +233,10 @@ impl EngineBuilder {
         let embed_store = match (self.embed_cache, self.embed_store_dir) {
             (Some(capacity), Some(dir)) => Some(EmbeddingStore::with_disk_tier(
                 capacity,
-                DiskTierConfig::new(dir).quantization(self.embed_quantization),
+                DiskTierConfig {
+                    quantization: self.embed_quantization,
+                    ..DiskTierConfig::new(dir)
+                },
             )),
             (Some(capacity), None) => Some(EmbeddingStore::new(capacity)),
             (None, Some(_)) => return Err(ConfigError::DiskTierWithoutCache),
@@ -599,14 +606,6 @@ impl Engine {
         &self.infer_cfg
     }
 
-    /// Replace the inference config (validated). Experiment sweeps use
-    /// this to vary cache size, metric, stages, … on one engine.
-    pub fn set_inference_config(&mut self, cfg: InferenceConfig) -> Result<(), ConfigError> {
-        cfg.validate()?;
-        self.infer_cfg = cfg;
-        Ok(())
-    }
-
     /// The active pretrain config.
     pub fn pretrain_config(&self) -> &PretrainConfig {
         &self.pretrain_cfg
@@ -679,14 +678,6 @@ impl Engine {
         }
     }
 
-    /// Whether the embedding cache has a persistent disk tier attached
-    /// ([`EngineBuilder::embed_store_dir`]).
-    pub fn has_embed_disk_tier(&self) -> bool {
-        self.embed_store
-            .as_ref()
-            .is_some_and(EmbeddingStore::has_disk_tier)
-    }
-
     /// Write every in-memory embedding back to the disk tier and fsync
     /// the shards, returning the number of entries persisted (0 without a
     /// disk tier, or before the first inference call arms it). Dropping
@@ -709,31 +700,34 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PseudoLabelPolicy, StageConfig};
     use gp_datasets::CitationConfig;
     use gp_graph::SamplerConfig;
 
+    fn tiny_sampler() -> SamplerConfig {
+        SamplerConfig {
+            hops: 1,
+            max_nodes: 10,
+            neighbors_per_node: 5,
+        }
+    }
+
     fn tiny_infer() -> InferenceConfig {
-        InferenceConfig::builder()
-            .shots(2)
-            .candidates_per_class(4)
-            .cache_size(2)
-            .query_batch(5)
-            .sampler(SamplerConfig {
-                hops: 1,
-                max_nodes: 10,
-                neighbors_per_node: 5,
-            })
-            .try_build()
-            .expect("valid tiny inference config")
+        InferenceConfig {
+            shots: 2,
+            candidates_per_class: 4,
+            cache_size: 2,
+            query_batch: 5,
+            sampler: tiny_sampler(),
+            ..InferenceConfig::default()
+        }
     }
 
     fn tiny_model() -> ModelConfig {
-        ModelConfig::builder()
-            .embed_dim(16)
-            .hidden_dim(24)
-            .try_build()
-            .expect("valid tiny model config")
+        ModelConfig {
+            embed_dim: 16,
+            hidden_dim: 24,
+            ..ModelConfig::default()
+        }
     }
 
     #[test]
@@ -769,22 +763,18 @@ mod tests {
     #[test]
     fn engine_lifecycle_pretrain_then_evaluate() {
         let ds = CitationConfig::new("t", 300, 5, 31).generate();
-        let pre = PretrainConfig::builder()
-            .steps(30)
-            .ways(4)
-            .shots(2)
-            .queries(4)
-            .nm_ways(3)
-            .nm_shots(2)
-            .nm_queries(3)
-            .log_every(15)
-            .sampler(SamplerConfig {
-                hops: 1,
-                max_nodes: 10,
-                neighbors_per_node: 5,
-            })
-            .try_build()
-            .expect("valid pretrain config");
+        let pre = PretrainConfig {
+            steps: 30,
+            ways: 4,
+            shots: 2,
+            queries: 4,
+            nm_ways: 3,
+            nm_shots: 2,
+            nm_queries: 3,
+            log_every: 15,
+            sampler: tiny_sampler(),
+            ..PretrainConfig::default()
+        };
         let mut engine = Engine::builder()
             .model_config(tiny_model())
             .pretrain_config(pre)
@@ -1017,25 +1007,5 @@ mod tests {
         );
         assert_eq!(a.pool_stats().expect("shared").budget, 2);
         assert_eq!(a.revision(), b.revision());
-    }
-
-    #[test]
-    fn set_inference_config_validates() {
-        let mut engine = Engine::builder()
-            .model_config(tiny_model())
-            .inference_config(tiny_infer())
-            .try_build()
-            .expect("valid engine");
-        let mut bad = tiny_infer();
-        bad.cache_size = 0;
-        assert!(engine.set_inference_config(bad).is_err());
-        let mut good = tiny_infer();
-        good.pseudo_labels = PseudoLabelPolicy::UniformRandom;
-        good.stages = StageConfig::without_knn();
-        assert!(engine.set_inference_config(good).is_ok());
-        assert_eq!(
-            engine.inference_config().pseudo_labels,
-            PseudoLabelPolicy::UniformRandom
-        );
     }
 }

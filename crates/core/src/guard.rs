@@ -51,6 +51,7 @@ pub struct GuardRailConfig {
     /// median counts as a spike. Non-positive disables spike detection.
     pub spike_factor: f32,
     /// Number of trailing healthy losses kept for the median.
+    /// [`crate::PretrainConfig::validate`] requires at least 1.
     pub window: usize,
     /// Minimum healthy losses observed before spike detection activates
     /// (a cold median over 1–2 values is too noisy to trust).
@@ -94,25 +95,6 @@ impl GuardRailConfig {
             action: GuardAction::Abort,
             ..Self::default()
         }
-    }
-
-    /// Set the trailing-median window (number of healthy losses kept).
-    /// Validated by [`crate::PretrainConfig::validate`]: must be ≥ 1.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Set the warmup count before spike detection activates.
-    pub fn with_warmup(mut self, warmup: usize) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Set the spike factor (non-positive disables spike detection).
-    pub fn with_spike_factor(mut self, factor: f32) -> Self {
-        self.spike_factor = factor;
-        self
     }
 }
 

@@ -38,7 +38,10 @@
 //!
 //! let mut engine = Engine::builder()
 //!     .model_config(ModelConfig::default())
-//!     .pretrain_config(PretrainConfig::builder().steps(30).try_build().unwrap())
+//!     .pretrain_config(PretrainConfig {
+//!         steps: 30,
+//!         ..PretrainConfig::default()
+//!     })
 //!     .inference_config(InferenceConfig::default())
 //!     .try_build()
 //!     .unwrap();
@@ -75,8 +78,8 @@ pub use checkpoint::{
     CheckpointSummary, RecoveryScan, TrainerMeta,
 };
 pub use config::{
-    ConfigError, GeneratorKind, InferenceConfig, InferenceConfigBuilder, ModelConfig,
-    ModelConfigBuilder, PretrainConfig, PretrainConfigBuilder, PseudoLabelPolicy, StageConfig,
+    ConfigError, GeneratorKind, InferenceConfig, ModelConfig, PretrainConfig, PseudoLabelPolicy,
+    StageConfig,
 };
 pub use deadline::Deadline;
 pub use embed_disk::{DiskTierConfig, Quantization};
@@ -89,7 +92,7 @@ pub use lfu::LfuCache;
 pub use model::{sample_datapoint_subgraphs, GraphPrompterModel};
 pub use planner::{BatchKey, EpisodeRequest};
 pub use pretrain::{
-    pretrain, pretrain_resumable, pretrain_with_validation, try_pretrain, CheckpointConfig,
-    PretrainError, PretrainReport, TrainingCurve,
+    pretrain, pretrain_resumable, try_pretrain, CheckpointConfig, PretrainError, PretrainReport,
+    TrainingCurve,
 };
 pub use selector::{select_prompts, select_prompts_with_metric, DistanceMetric, SelectionOutcome};

@@ -245,30 +245,12 @@ impl CheckpointConfig {
 /// the valid partition) every `validate_every` steps and restoring the
 /// best-validation snapshot at the end — the checkpoint-selection practice
 /// the paper follows ("we checkpoint the model every 500 steps", §V-A4).
-pub fn pretrain_with_validation(
-    model: &mut GraphPrompterModel,
-    dataset: &Dataset,
-    cfg: &PretrainConfig,
-    stages: StageConfig,
-    validate_every: usize,
-    valid_episodes: usize,
-) -> Result<PretrainReport, PretrainError> {
-    pretrain_resumable(
-        model,
-        dataset,
-        cfg,
-        stages,
-        validate_every,
-        valid_episodes,
-        None,
-    )
-}
-
-/// Crash-safe variant of [`pretrain_with_validation`]: when `ckpt` is set,
-/// the full trainer state (parameters, optimizer moments, best-validation
-/// snapshot, curve, guard window) is written atomically as a GPCK v2
-/// trainer checkpoint every [`CheckpointConfig::every`] steps, old files
-/// are pruned to [`CheckpointConfig::keep_last`], and with
+///
+/// Crash-safe: when `ckpt` is set, the full trainer state (parameters,
+/// optimizer moments, best-validation snapshot, curve, guard window) is
+/// written atomically as a GPCK v2 trainer checkpoint every
+/// [`CheckpointConfig::every`] steps, old files are pruned to
+/// [`CheckpointConfig::keep_last`], and with
 /// [`CheckpointConfig::resume`] the run continues from the newest valid
 /// checkpoint — corrupt ones are skipped and reported, and the resumed
 /// run's curve and final parameters are bit-identical to an uninterrupted
@@ -727,9 +709,16 @@ mod tests {
             hidden_dim: 24,
             ..ModelConfig::default()
         });
-        let report =
-            pretrain_with_validation(&mut model, &ds, &quick_cfg(40), StageConfig::full(), 20, 2)
-                .expect("unguarded pretraining cannot fail");
+        let report = pretrain_resumable(
+            &mut model,
+            &ds,
+            &quick_cfg(40),
+            StageConfig::full(),
+            20,
+            2,
+            None,
+        )
+        .expect("unguarded pretraining cannot fail");
         assert!(report.curve.loss.iter().all(|l| l.is_finite()));
         let best = report.best_acc;
         assert!((0.0..=1.0).contains(&best), "best acc {best}");

@@ -619,7 +619,10 @@ fn quantized_shard_roundtrip_error_is_bounded() {
             let dir = tmpdir("gpes_quant");
             let store = EmbeddingStore::with_disk_tier(
                 64,
-                DiskTierConfig::new(dir.clone()).quantization(quant),
+                DiskTierConfig {
+                    quantization: quant,
+                    ..DiskTierConfig::new(dir.clone())
+                },
             );
             store.set_weights_context(GPES_REVISION, GPES_FP);
             store.insert(
@@ -637,7 +640,10 @@ fn quantized_shard_roundtrip_error_is_bounded() {
 
             let fresh = EmbeddingStore::with_disk_tier(
                 64,
-                DiskTierConfig::new(dir.clone()).quantization(quant),
+                DiskTierConfig {
+                    quantization: quant,
+                    ..DiskTierConfig::new(dir.clone())
+                },
             );
             fresh.set_weights_context(GPES_REVISION, GPES_FP);
             let (row, _) = fresh

@@ -262,37 +262,31 @@ fn tiny_engine(data_seed: u64) -> (Engine, gp_datasets::Dataset) {
         neighbors_per_node: 5,
     };
     let engine = Engine::builder()
-        .model_config(
-            ModelConfig::builder()
-                .embed_dim(16)
-                .hidden_dim(24)
-                .try_build()
-                .expect("valid model config"),
-        )
-        .pretrain_config(
-            PretrainConfig::builder()
-                .steps(6)
-                .ways(3)
-                .shots(2)
-                .queries(3)
-                .nm_ways(3)
-                .nm_shots(2)
-                .nm_queries(3)
-                .log_every(100)
-                .sampler(sampler)
-                .try_build()
-                .expect("valid pretrain config"),
-        )
-        .inference_config(
-            InferenceConfig::builder()
-                .shots(2)
-                .candidates_per_class(4)
-                .cache_size(2)
-                .query_batch(5)
-                .sampler(sampler)
-                .try_build()
-                .expect("valid inference config"),
-        )
+        .model_config(ModelConfig {
+            embed_dim: 16,
+            hidden_dim: 24,
+            ..ModelConfig::default()
+        })
+        .pretrain_config(PretrainConfig {
+            steps: 6,
+            ways: 3,
+            shots: 2,
+            queries: 3,
+            nm_ways: 3,
+            nm_shots: 2,
+            nm_queries: 3,
+            log_every: 100,
+            sampler,
+            ..PretrainConfig::default()
+        })
+        .inference_config(InferenceConfig {
+            shots: 2,
+            candidates_per_class: 4,
+            cache_size: 2,
+            query_batch: 5,
+            sampler,
+            ..InferenceConfig::default()
+        })
         .try_build()
         .expect("valid engine");
     (engine, ds)

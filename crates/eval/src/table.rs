@@ -27,12 +27,6 @@ impl Table {
         self
     }
 
-    /// Convenience: row from display-able items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -224,21 +224,6 @@ impl Graph {
         self.rel_features.as_ref()
     }
 
-    /// Feature row of one relation.
-    ///
-    /// # Panics
-    /// Panics if the graph carries no relation features.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic: callers check rel_features() first, as the Panics section says"
-    )]
-    pub fn rel_feature_row(&self, rel: u16) -> &[f32] {
-        self.rel_features
-            .as_ref()
-            .expect("graph has no relation features")
-            .row(rel as usize)
-    }
-
     /// Per-node labels, when the dataset is node-labelled.
     #[inline]
     pub fn node_labels(&self) -> Option<&[u16]> {

@@ -169,11 +169,6 @@ impl AdamW {
         }
     }
 
-    /// The paper's exact configuration (§V-A4): lr 1e-3, wd 1e-3.
-    pub fn paper_default() -> Self {
-        Self::new(1e-3, 1e-3)
-    }
-
     /// Export the mutable state (step counter + moments) for checkpointing.
     pub fn state(&self) -> OptimState {
         OptimState {

@@ -479,7 +479,7 @@ fn u64_field(doc: &Value, field: &'static str, default: u64) -> Result<u64, Resp
         None => Ok(default),
         Some(v) => v
             .as_u64()
-            .ok_or_else(|| field_error(field, "must be a non-negative integer")),
+            .ok_or_else(|| field_error(field, "must be a non-negative integer below 2^53")),
     }
 }
 
@@ -797,6 +797,8 @@ mod tests {
             ("{\"deadline_ms\": 99999999999}", Some("deadline_ms")),
             ("{\"deadline_ms\": \"soon\"}", Some("deadline_ms")),
             ("{\"seed\": \"x\"}", Some("seed")),
+            ("{\"seed\": 9007199254740993}", Some("seed")),
+            ("{\"seed\": 18446744073709551616}", Some("seed")),
             ("{\"session\": 7}", Some("session")),
             ("{\"backend\": 1}", Some("backend")),
             ("not json", None),

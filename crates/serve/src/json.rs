@@ -4,13 +4,18 @@
 //! The grammar is full RFC 8259 minus two deliberate omissions that a
 //! classify request never needs: `\u` escapes decode only the BMP (no
 //! surrogate-pair recombination — the pair decodes to two replacement
-//! chars) and numbers are parsed through `f64` (integers above 2^53
-//! lose precision). Nesting depth is capped at [`MAX_DEPTH`] so a
-//! crafted `[[[[…` body cannot blow the worker's stack: the parser is
-//! the first thing untrusted bytes reach and must fail, not recurse.
+//! chars) and numbers are parsed through `f64`, so an integer at or
+//! above 2^53 may arrive rounded and [`Value::as_u64`] refuses it.
+//! Nesting depth is capped at [`MAX_DEPTH`] so a crafted `[[[[…` body
+//! cannot blow the worker's stack: the parser is the first thing
+//! untrusted bytes reach and must fail, not recurse.
 
 /// Maximum nesting depth accepted from a request body.
 pub const MAX_DEPTH: usize = 32;
+
+/// 2^53: every integer below it is exact in an `f64`; 2^53 + 1 is the
+/// first that parses to a neighbour.
+const EXACT_INT_LIMIT: f64 = (1u64 << 53) as f64;
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -34,10 +39,12 @@ impl Value {
         }
     }
 
-    /// Numeric value as `u64` if it is a non-negative integer.
+    /// Numeric value as `u64` if it is a non-negative integer below 2^53.
+    /// Larger numbers may have been rounded by the `f64` parse, so they
+    /// are refused rather than read as a different integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INT_LIMIT => {
                 Some(*n as u64)
             }
             _ => None,
@@ -371,6 +378,18 @@ mod tests {
         assert_eq!(Value::Num(-1.0).as_u64(), None);
         assert_eq!(Value::Num(1.5).as_u64(), None);
         assert_eq!(Value::Num(7.0).as_u64(), Some(7));
+    }
+
+    #[test]
+    fn as_u64_accepts_only_integers_an_f64_holds_exactly() {
+        assert_eq!(
+            parse("9007199254740991").expect("valid").as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        assert_eq!(parse("9007199254740992").expect("valid").as_u64(), None);
+        // 2^53 + 1 parses to 2^53; it must not be read as that neighbour.
+        assert_eq!(parse("9007199254740993").expect("valid").as_u64(), None);
+        assert_eq!(parse("18446744073709551616").expect("valid").as_u64(), None);
     }
 
     #[test]

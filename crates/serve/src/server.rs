@@ -110,9 +110,12 @@ impl ServerConfig {
     /// should be built with ([`crate::SessionHost::with_embed_store`]), or
     /// `None` when warm-start is disabled.
     pub fn embed_store(&self) -> Option<gp_core::DiskTierConfig> {
-        self.embed_store_dir.as_ref().map(|dir| {
-            gp_core::DiskTierConfig::new(dir.clone()).quantization(self.embed_quantization)
-        })
+        self.embed_store_dir
+            .as_ref()
+            .map(|dir| gp_core::DiskTierConfig {
+                quantization: self.embed_quantization,
+                ..gp_core::DiskTierConfig::new(dir.clone())
+            })
     }
 
     pub(crate) fn limits(&self) -> Limits {
@@ -142,26 +145,6 @@ pub struct ServeContext {
     pub max_queries: u64,
     /// Largest `deadline_ms` a request may declare.
     pub max_deadline_ms: u64,
-}
-
-impl ServeContext {
-    /// Context carrying a config's request caps, admitted now with an
-    /// empty queue — what the worker builds per request, minus the live
-    /// admission data. Test fixtures use it to avoid restating caps.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "admission timestamps start the request deadline; they never touch a response body"
-    )]
-    pub fn for_config(cfg: &ServerConfig) -> Self {
-        Self {
-            admitted_at: Instant::now(),
-            queue_depth: 0,
-            default_deadline_ms: cfg.default_deadline_ms,
-            max_ways: cfg.max_ways.min(crate::app::MAX_WAYS as u64),
-            max_queries: cfg.max_queries.min(crate::app::MAX_QUERIES as u64),
-            max_deadline_ms: cfg.max_deadline_ms,
-        }
-    }
 }
 
 /// Application layer: maps one request to one response. Must be

@@ -243,11 +243,6 @@ impl WorkerPool {
         Self { shared, handles }
     }
 
-    /// Build a pool sized from a [`Parallelism`] setting.
-    pub fn from_parallelism(p: Parallelism) -> Self {
-        Self::with_budget(p.workers())
-    }
-
     /// The configured thread budget (≥ 1).
     pub fn budget(&self) -> usize {
         self.shared.budget

@@ -351,16 +351,6 @@ impl Tensor {
         }
     }
 
-    /// Column vector (`n×1`) of per-row sums.
-    pub fn sum_rows(&self) -> Tensor {
-        let data = (0..self.rows).map(|r| self.row(r).iter().sum()).collect();
-        Tensor {
-            rows: self.rows,
-            cols: 1,
-            data,
-        }
-    }
-
     /// Row-wise softmax (numerically stable).
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
