@@ -7,8 +7,9 @@
 //! thread's **active backend**:
 //!
 //! * [`ReferenceBackend`] — the bit-exact scalar kernels this crate has
-//!   always shipped, hoisted verbatim. Its accumulation order is the
-//!   determinism contract: results are bit-identical across runs,
+//!   always shipped, as order-preserving tiled loops: every output
+//!   element runs the original loops' float sequence. That sequence is
+//!   the determinism contract: results are bit-identical across runs,
 //!   thread budgets, and machines, which is what the parallel
 //!   proptests and the `WorkerPool` bit-identity tests pin.
 //!   Reference is the default and stays the truth for CI.
@@ -181,6 +182,13 @@ pub trait ComputeBackend: Sync {
 
     /// `block[local] = a[i] · b` for each `i` in `rows`:
     /// `a` is `n×k`, `b` is `k×m`, `block` holds `rows.len()` rows of m.
+    ///
+    /// On [`ReferenceBackend`] each element starts from the block's
+    /// value (zero from [`Tensor::matmul`]) and, for `kk` ascending,
+    /// skips `a[i][kk] == 0.0` (`-0.0` too) and otherwise does one
+    /// rounded multiply then one rounded add; no FMA, `std::arch` or
+    /// reassociation, pinned bit for bit by its oracle test against the
+    /// original loop.
     fn matmul_block(
         &self,
         a: &[f32],

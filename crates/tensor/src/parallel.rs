@@ -3,8 +3,8 @@
 //!
 //! The heavy kernels ([`crate::Tensor::matmul`] and friends, the row-wise
 //! normalizations) partition their *output rows* into disjoint contiguous
-//! blocks and run the exact same per-row scalar loop on each block, one
-//! block per worker. Because no accumulation ever crosses a row boundary,
+//! blocks and run the exact same kernel on each block, one block per
+//! worker. Because no accumulation ever crosses a row boundary,
 //! the floating-point evaluation order of every output element is
 //! identical for any worker count — results are **bit-identical** to the
 //! serial path by construction (asserted by proptests). The pool changes

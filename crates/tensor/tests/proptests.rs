@@ -140,14 +140,20 @@ fn l2_normalized_rows_are_unit_or_zero() {
 
 #[test]
 fn blocked_matmul_is_bit_identical_to_serial() {
+    // `m` spans the narrow path (< 8) and both column-tile widths (8,
+    // 32) with remainders; half the cases are ReLU outputs, whose exact
+    // zeros take the zero skip.
     check(48, |rng| {
         let (n, k, m) = (
             rng.gen_range(1..24),
-            rng.gen_range(1..12),
-            rng.gen_range(1..12),
+            rng.gen_range(1..=140),
+            rng.gen_range(1..=72),
         );
         let workers = rng.gen_range(2..9);
-        let a = gp_tensor::rng::randn(rng, n, k, 1.0);
+        let mut a = gp_tensor::rng::randn(rng, n, k, 1.0);
+        if rng.gen_range(0..2usize) == 0 {
+            a = Tensor::from_vec(n, k, a.as_slice().iter().map(|x| x.max(0.0)).collect());
+        }
         let b = gp_tensor::rng::randn(rng, k, m, 1.0);
         let serial = a.matmul_workers(&b, 1);
         let blocked = a.matmul_workers(&b, workers);
