@@ -59,13 +59,9 @@ impl ComputeBackend for ReferenceBackend {
             let a_row = &a[i * k..(i + 1) * k];
             let o_row = &mut block[local * m..(local + 1) * m];
             let mut j0 = 0;
-            while j0 + 32 <= m {
-                row_tile::<32>(a_row, b, m, j0, &mut o_row[j0..j0 + 32]);
-                j0 += 32;
-            }
-            while j0 + 8 <= m {
-                row_tile::<8>(a_row, b, m, j0, &mut o_row[j0..j0 + 8]);
-                j0 += 8;
+            while j0 + TILE <= m {
+                row_tile(a_row, b, m, j0, &mut o_row[j0..j0 + TILE]);
+                j0 += TILE;
             }
             if j0 < m {
                 let o_tail = &mut o_row[j0..];
@@ -231,22 +227,27 @@ impl ComputeBackend for ReferenceBackend {
 }
 
 /// Output widths below this take [`matmul_block_narrow`]; the rest are
-/// column-tiled by [`row_tile`].
+/// column-tiled by [`row_tile`], with any columns past the last whole
+/// tile left to the untiled loop.
 const NARROW_BELOW: usize = 8;
 
-/// Columns `j0..j0 + W` of one output row: the tile is loaded once into
-/// `acc`, takes every nonzero `a_row[kk]`'s `b` row slice in `kk`
+/// Column-tile width: the model's 32- and 64-wide layers are whole
+/// tiles.
+const TILE: usize = 32;
+
+/// Columns `j0..j0 + TILE` of one output row: the tile is loaded once
+/// into `acc`, takes every nonzero `a_row[kk]`'s `b` row slice in `kk`
 /// order, and is stored once. Each lane is its own accumulator, so the
 /// per-element sequence is the untiled loop's.
 #[inline(always)]
-fn row_tile<const W: usize>(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
-    let mut acc = [0.0f32; W];
+fn row_tile(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; TILE];
     acc.copy_from_slice(out);
     for (kk, &av) in a_row.iter().enumerate() {
         if av == 0.0 {
             continue;
         }
-        let bt = &b[kk * m + j0..kk * m + j0 + W];
+        let bt = &b[kk * m + j0..kk * m + j0 + TILE];
         for (l, &bv) in bt.iter().enumerate() {
             acc[l] += av * bv;
         }
@@ -410,8 +411,8 @@ mod tests {
 
     #[test]
     fn matmul_block_is_bit_identical_to_the_kept_loop() {
-        // Both sides of each tile width (8, 32), the narrow path (m < 8)
-        // and multi-tile rows with remainders; k from empty to past two
+        // Both sides of the narrow split (8) and of the tile width (32),
+        // multi-tile rows with remainders; k from empty to past two
         // 64-wide hidden layers; empty and offset row ranges.
         const MS: [usize; 12] = [1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 80];
         check(2, |rng| {
