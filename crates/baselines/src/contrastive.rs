@@ -8,9 +8,9 @@ use std::sync::Arc;
 use gp_core::SubgraphBatch;
 use gp_datasets::{DataPoint, Dataset, Task};
 use gp_graph::{Graph, RandomWalkSampler, Subgraph};
-use gp_nn::{Adam, GnnEncoder, GraphSage, Optimizer, ParamStore, Session};
+use gp_nn::{Adam, Eval, Forward, GnnEncoder, GraphSage, Optimizer, ParamStore, Session};
 use gp_tensor::rng::StdRng;
-use gp_tensor::{EdgeList, Tensor, Var};
+use gp_tensor::{EdgeList, Tensor};
 
 use crate::{EvalProtocol, IclBaseline};
 
@@ -152,14 +152,7 @@ impl Contrastive {
 
             let mut sess = Session::new(&self.store);
             let x = sess.data(masked);
-            let h = self
-                .encoder
-                .encode(&mut sess, x, &batch.edges, batch.num_nodes, None);
-            let rw = sess.data(batch.readout_weights.clone());
-            let z_raw = sess
-                .tape
-                .spmm(batch.readout_edges.clone(), h, Some(rw), batch.num_graphs);
-            let z = sess.tape.row_l2_normalize(z_raw);
+            let z = self.embed_from_var(&mut sess, x, &batch);
 
             // NT-Xent: rows 2i and 2i+1 are positives; self-similarity
             // masked out with a large negative bias.
@@ -201,35 +194,26 @@ impl Contrastive {
             )]
             Err(e) => unreachable!("subgraph fusion failed: {e}"),
         };
-        let mut sess = Session::new(&self.store);
-        let x = sess.data(batch.features.clone());
-        let h = self
-            .encoder
-            .encode(&mut sess, x, &batch.edges, batch.num_nodes, None);
-        let rw = sess.data(batch.readout_weights.clone());
-        let z = sess
-            .tape
-            .spmm(batch.readout_edges.clone(), h, Some(rw), batch.num_graphs);
-        let z = sess.tape.row_l2_normalize(z);
-        sess.value(z).clone()
+        let mut ev = Eval::new(&self.store);
+        let x = ev.input(&batch.features);
+        self.embed_from_var(&mut ev, x, &batch).into_owned()
     }
 
-    /// Embed from an already-on-tape feature variable (lets [`crate::ProG`]
-    /// differentiate through the frozen encoder into its prompt token).
-    pub(crate) fn embed_from_var(
+    /// Embed node features `x` of `batch`'s union graph into one row per
+    /// member graph (lets [`crate::ProG`] differentiate through the frozen
+    /// encoder into its prompt token).
+    pub(crate) fn embed_from_var<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        x: Var,
-        batch: &SubgraphBatch,
-    ) -> Var {
+        f: &mut F,
+        x: F::V,
+        batch: &'a SubgraphBatch,
+    ) -> F::V {
         let h = self
             .encoder
-            .encode(sess, x, &batch.edges, batch.num_nodes, None);
-        let rw = sess.data(batch.readout_weights.clone());
-        let z = sess
-            .tape
-            .spmm(batch.readout_edges.clone(), h, Some(rw), batch.num_graphs);
-        sess.tape.row_l2_normalize(z)
+            .encode(f, x, &batch.edges, batch.num_nodes, None);
+        let rw = f.input(&batch.readout_weights);
+        let z = f.spmm(&batch.readout_edges, &h, Some(&rw), batch.num_graphs);
+        f.row_l2_normalize(z)
     }
 
     /// The parameter store (exposed for head-training baselines; cloning it

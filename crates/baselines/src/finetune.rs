@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use gp_datasets::Dataset;
 use gp_graph::RandomWalkSampler;
-use gp_nn::{Adam, Linear, Optimizer, ParamStore, Session};
+use gp_nn::{Adam, Eval, Forward, Linear, Optimizer, ParamStore, Session};
 use gp_tensor::rng::StdRng;
 use gp_tensor::Tensor;
 
@@ -49,15 +49,14 @@ impl Finetune {
         for _ in 0..self.head_steps {
             let mut sess = Session::new(&store);
             let x = sess.data(prompt_embs.clone());
-            let logits = head.forward(&mut sess, x);
+            let logits = head.forward(&mut sess, &x);
             let loss = sess.tape.cross_entropy_logits(logits, targets.clone());
             let (_, grads) = sess.grads(loss);
             opt.step(&mut store, &grads);
         }
-        let mut sess = Session::new(&store);
-        let x = sess.data(query_embs.clone());
-        let logits = head.forward(&mut sess, x);
-        sess.value(logits).argmax_rows()
+        let mut ev = Eval::new(&store);
+        let x = ev.input(query_embs);
+        head.forward(&mut ev, &x).argmax_rows()
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use gp_core::SubgraphBatch;
 use gp_datasets::Dataset;
 use gp_graph::RandomWalkSampler;
-use gp_nn::{Optimizer, Session, Sgd};
+use gp_nn::{Eval, Forward, Optimizer, Session, Sgd};
 use gp_tensor::rng::StdRng;
 use gp_tensor::{EdgeList, Tensor};
 
@@ -147,28 +147,27 @@ impl ProG {
         // Final prototypes under the tuned tokens; queries are scored per
         // candidate class (each class's token inserted before encoding, as
         // All-in-One scores a query against each class-conditioned view).
-        let mut sess = Session::new(&store);
-        let tok = sess.param(token);
-        let tok_rows = sess.tape.gather_rows(tok, p_node_token_idx);
-        let pb = sess.data(p_batch.features.clone());
-        let px = sess.tape.add(pb, tok_rows);
-        let pz = self.encoder.embed_from_var(&mut sess, px, &p_batch);
-        let w = sess.data(proto_w);
-        let protos = sess.tape.spmm(proto_edges, pz, Some(w), ways);
-        let protos = sess.tape.row_l2_normalize(protos);
-        let protos_t = sess.value(protos).clone();
+        let mut ev = Eval::new(&store);
+        let protos_t = {
+            let tok = ev.param(token);
+            let tok_rows = ev.gather_rows(&tok, p_node_token_idx);
+            let pb = ev.input(&p_batch.features);
+            let px = ev.add(pb, &tok_rows);
+            let pz = self.encoder.embed_from_var(&mut ev, px, &p_batch);
+            let w = ev.data(proto_w);
+            let protos = ev.spmm(&proto_edges, &pz, Some(&w), ways);
+            ev.row_l2_normalize(protos)
+        };
 
         let n_q = q_batch.num_graphs;
         let mut best = vec![(f32::NEG_INFINITY, 0usize); n_q];
         for class in 0..ways {
-            let mut cs = Session::new(&store);
-            let tokv = cs.param(token);
+            let tokv = ev.param(token);
             let idx: Arc<Vec<usize>> = Arc::new(vec![class; q_batch.num_nodes]);
-            let trows = cs.tape.gather_rows(tokv, idx);
-            let qb = cs.data(q_batch.features.clone());
-            let qx = cs.tape.add(qb, trows);
-            let qz = self.encoder.embed_from_var(&mut cs, qx, &q_batch);
-            let qz_t = cs.value(qz);
+            let trows = ev.gather_rows(&tokv, idx);
+            let qb = ev.input(&q_batch.features);
+            let qx = ev.add(qb, &trows);
+            let qz_t = self.encoder.embed_from_var(&mut ev, qx, &q_batch);
             for (q, slot) in best.iter_mut().enumerate() {
                 let sim = qz_t.cosine_rows(q, &protos_t, class);
                 if sim > slot.0 {

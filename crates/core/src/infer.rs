@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use gp_datasets::{DataPoint, Dataset};
 use gp_graph::RandomWalkSampler;
-use gp_nn::Session;
+use gp_nn::{Eval, Forward};
 use gp_tensor::rng::StdRng;
 use gp_tensor::Tensor;
 
@@ -105,8 +105,8 @@ fn point_tag(p: DataPoint) -> u64 {
     }
 }
 
-/// Embed datapoints with no gradient tracking; each point's subgraph is
-/// sampled from its own derived RNG (`mix(stream_seed, point)`), so the
+/// Embed datapoints on the tape-free [`Eval`] pass; each point's subgraph
+/// is sampled from its own derived RNG (`mix(stream_seed, point)`), so the
 /// result is independent of batch composition. With `cache` present,
 /// memoized rows are reused and fresh rows are memoized.
 fn embed_points(
@@ -148,7 +148,10 @@ fn embed_points(
         rows.push(hit);
     }
 
-    if !missing.is_empty() {
+    // Row `slot` of the fresh pass embeds `points[missing[slot]]`.
+    let (fresh, fresh_imps) = if missing.is_empty() {
+        (Tensor::zeros(0, dim), Vec::new())
+    } else {
         // Sample every missing subgraph from its per-point RNG, embed them
         // as one batch (embedding is row/graph-local, so the batch
         // composition cannot affect any row's bits).
@@ -180,14 +183,12 @@ fn embed_points(
             )]
             Err(e) => unreachable!("subgraph fusion failed: {e}"),
         };
-        let mut sess = Session::new(&model.store);
-        let emb = model.embed_batch(&mut sess, &batch, use_reconstruction);
-        let e = sess.value(emb.embeddings);
-        let imps = sess.value(emb.importance).as_slice().to_vec();
-        for (slot, &i) in missing.iter().enumerate() {
-            let row = e.row(slot).to_vec();
-            let imp = imps[slot];
-            if let Some(c) = cache {
+        let mut ev = Eval::new(&model.store);
+        let emb = model.embed_batch(&mut ev, &batch, use_reconstruction);
+        let e = emb.embeddings.into_owned();
+        let imps = emb.importance.as_slice().to_vec();
+        if let Some(c) = cache {
+            for (slot, &i) in missing.iter().enumerate() {
                 c.insert(
                     revision,
                     dataset_id,
@@ -195,25 +196,34 @@ fn embed_points(
                     stream_seed,
                     &sampler_cfg,
                     use_reconstruction,
-                    row.clone(),
-                    imp,
+                    e.row(slot).to_vec(),
+                    imps[slot],
                 );
             }
-            rows[i] = Some((row, imp));
         }
+        (e, imps)
+    };
+    if missing.len() == points.len() {
+        // Nothing came from the store: the fresh pass is the whole result.
+        return (fresh, fresh_imps);
     }
 
     let mut data = Vec::with_capacity(points.len() * dim);
     let mut importances = Vec::with_capacity(points.len());
+    let mut slot = 0;
     for row in rows {
-        #[expect(
-            clippy::expect_used,
-            reason = "every row is filled above, from the store or from the fresh embedding pass"
-        )]
-        let (emb, imp) = row.expect("every row resolved");
-        debug_assert_eq!(emb.len(), dim);
-        data.extend_from_slice(&emb);
-        importances.push(imp);
+        match row {
+            Some((emb, imp)) => {
+                debug_assert_eq!(emb.len(), dim);
+                data.extend_from_slice(&emb);
+                importances.push(imp);
+            }
+            None => {
+                data.extend_from_slice(fresh.row(slot));
+                importances.push(fresh_imps[slot]);
+                slot += 1;
+            }
+        }
     }
     (Tensor::from_vec(points.len(), dim, data), importances)
 }
@@ -473,11 +483,12 @@ pub(crate) fn run_episodes(
                 // Task graph (Eq. 10) + cosine argmax prediction (Eq. 11).
                 let logits = clock.time("task_graph", || {
                     let _span = TASK_GRAPH_MICROS.span();
-                    let mut sess = Session::new(&model.store);
-                    let pv = sess.data(p_rows);
-                    let qv = sess.data(q_embs.clone());
-                    let out = model.task_forward(&mut sess, pv, &p_labels, qv, m);
-                    sess.value(out.logits).clone()
+                    let mut ev = Eval::new(&model.store);
+                    let pv = ev.data(p_rows);
+                    let qv = ev.input(&q_embs);
+                    model
+                        .task_forward(&mut ev, &pv, &p_labels, &qv, m)
+                        .into_owned()
                 });
                 let preds = logits.argmax_rows();
                 let probs = logits.softmax_rows();

@@ -2,17 +2,19 @@
 //! layer + task-graph GNN, all owned by one [`ParamStore`].
 //!
 //! Everything trainable is learned in the pre-training phase (Alg. 1);
-//! inference (Alg. 2) never updates parameters.
+//! inference (Alg. 2) never updates parameters. Each forward below is
+//! generic over [`Forward`]: pre-training runs it on a
+//! [`gp_nn::Session`] tape, inference on the tape-free [`gp_nn::Eval`].
 
 use std::sync::Arc;
 
 use gp_datasets::{DataPoint, Task};
 use gp_graph::{Graph, RandomWalkSampler, Subgraph};
 use gp_nn::{
-    Activation, Gat, Gcn, GnnEncoder, GraphSage, Mlp, ParamStore, Session, TaskGraphAttention,
+    Activation, Forward, Gat, Gcn, GnnEncoder, GraphSage, Mlp, ParamStore, TaskGraphAttention,
 };
 use gp_tensor::rng::StdRng;
-use gp_tensor::Var;
+use gp_tensor::EdgeList;
 
 use crate::batch::SubgraphBatch;
 use crate::config::{GeneratorKind, ModelConfig};
@@ -24,7 +26,7 @@ pub struct GraphPrompterModel {
     /// `MLP_φ` — reconstruction layer (Eq. 2). Input: `[h_u | h_v | rel]`.
     recon: Mlp,
     /// `GNN_D` (Eq. 4).
-    gnn: Box<dyn GnnEncoder + Send + Sync>,
+    gnn: Generator,
     /// `MLP_θ` — selection layer (Eq. 5). Input: subgraph embedding.
     select: Mlp,
     /// `GNN_T` — task-graph attention model (Eq. 10).
@@ -32,12 +34,37 @@ pub struct GraphPrompterModel {
     cfg: ModelConfig,
 }
 
-/// Embeddings and importances for a batch of data graphs.
-pub struct BatchEmbedding {
+/// `GNN_D`, one variant per [`GeneratorKind`].
+enum Generator {
+    Sage(GraphSage),
+    Gat(Gat),
+    Gcn(Gcn),
+}
+
+impl Generator {
+    fn encode<'a, F: Forward<'a>>(
+        &self,
+        f: &mut F,
+        x: F::V,
+        edges: &Arc<EdgeList>,
+        num_nodes: usize,
+        edge_weights: Option<F::V>,
+    ) -> F::V {
+        match self {
+            Generator::Sage(g) => g.encode(f, x, edges, num_nodes, edge_weights),
+            Generator::Gat(g) => g.encode(f, x, edges, num_nodes, edge_weights),
+            Generator::Gcn(g) => g.encode(f, x, edges, num_nodes, edge_weights),
+        }
+    }
+}
+
+/// Embeddings and importances for a batch of data graphs, as values of
+/// the forward pass that computed them.
+pub struct BatchEmbedding<V> {
     /// `G×d` subgraph embeddings (`G_i`, Eq. 4), row-L2-normalized.
-    pub embeddings: Var,
+    pub embeddings: V,
     /// `G×1` selection-layer importances (`I_p`, Eq. 5), in `(0, 1)`.
-    pub importance: Var,
+    pub importance: V,
 }
 
 impl GraphPrompterModel {
@@ -54,14 +81,14 @@ impl GraphPrompterModel {
             Activation::None,
         );
         let dims = [cfg.feat_dim, cfg.hidden_dim, cfg.embed_dim];
-        let gnn: Box<dyn GnnEncoder + Send + Sync> = match cfg.generator {
+        let gnn = match cfg.generator {
             GeneratorKind::Sage => {
                 let mut sage = GraphSage::new(&mut store, &mut rng, "gnn_d", &dims);
                 sage.set_normalize_learned(cfg.recon_normalize);
-                Box::new(sage)
+                Generator::Sage(sage)
             }
-            GeneratorKind::Gat => Box::new(Gat::new(&mut store, &mut rng, "gnn_d", &dims)),
-            GeneratorKind::Gcn => Box::new(Gcn::new(&mut store, &mut rng, "gnn_d", &dims)),
+            GeneratorKind::Gat => Generator::Gat(Gat::new(&mut store, &mut rng, "gnn_d", &dims)),
+            GeneratorKind::Gcn => Generator::Gcn(Gcn::new(&mut store, &mut rng, "gnn_d", &dims)),
         };
         let select = Mlp::new(
             &mut store,
@@ -124,13 +151,13 @@ impl GraphPrompterModel {
     /// Embed a batch of data graphs: reconstruction weights (Eqs. 2–3,
     /// when `use_reconstruction`), `GNN_D` aggregation (Eq. 4), per-graph
     /// anchor readout, and selection-layer importance (Eq. 5).
-    pub fn embed_batch(
+    pub fn embed_batch<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        batch: &SubgraphBatch,
+        f: &mut F,
+        batch: &'a SubgraphBatch,
         use_reconstruction: bool,
-    ) -> BatchEmbedding {
-        let x = sess.data(batch.features.clone());
+    ) -> BatchEmbedding<F::V> {
+        let x = f.input(&batch.features);
 
         // Eq. 2–3: per-edge weight w_uv = σ(MLP_φ([h_u | h_v | rel])).
         let edge_weights = if use_reconstruction && !batch.edges.is_empty() {
@@ -138,13 +165,15 @@ impl GraphPrompterModel {
                 Arc::new((0..batch.edges.len()).map(|e| batch.edges.src(e)).collect());
             let dst_idx: Arc<Vec<usize>> =
                 Arc::new((0..batch.edges.len()).map(|e| batch.edges.dst(e)).collect());
-            let h_src = sess.tape.gather_rows(x, src_idx);
-            let h_dst = sess.tape.gather_rows(x, dst_idx);
-            let rel = sess.data(batch.rel_feats.clone());
-            let pair = sess.tape.concat_cols(h_src, h_dst);
-            let inp = sess.tape.concat_cols(pair, rel);
-            let z = self.recon.forward(sess, inp);
-            Some(sess.tape.sigmoid(z))
+            let inp = {
+                let h_src = f.gather_rows(&x, src_idx);
+                let h_dst = f.gather_rows(&x, dst_idx);
+                let rel = f.input(&batch.rel_feats);
+                let pair = f.concat_cols(&h_src, &h_dst);
+                f.concat_cols(&pair, &rel)
+            };
+            let z = self.recon.forward(f, &inp);
+            Some(f.sigmoid(z))
         } else {
             None
         };
@@ -152,16 +181,14 @@ impl GraphPrompterModel {
         // Eq. 4: node embeddings, then anchor readout per graph.
         let h = self
             .gnn
-            .encode(sess, x, &batch.edges, batch.num_nodes, edge_weights);
-        let r_w = sess.data(batch.readout_weights.clone());
-        let g_raw = sess
-            .tape
-            .spmm(batch.readout_edges.clone(), h, Some(r_w), batch.num_graphs);
-        let embeddings = sess.tape.row_l2_normalize(g_raw);
+            .encode(f, x, &batch.edges, batch.num_nodes, edge_weights);
+        let r_w = f.input(&batch.readout_weights);
+        let g_raw = f.spmm(&batch.readout_edges, &h, Some(&r_w), batch.num_graphs);
+        let embeddings = f.row_l2_normalize(g_raw);
 
         // Eq. 5: I_p = σ(MLP_θ(G_p)).
-        let imp_raw = self.select.forward(sess, embeddings);
-        let importance = sess.tape.sigmoid(imp_raw);
+        let imp_raw = self.select.forward(f, &embeddings);
+        let importance = f.sigmoid(imp_raw);
 
         BatchEmbedding {
             embeddings,
@@ -169,18 +196,18 @@ impl GraphPrompterModel {
         }
     }
 
-    /// Run the task graph (Eq. 10) and return its output (logits per
-    /// query, Eq. 11 is the caller's argmax).
-    pub fn task_forward(
+    /// Run the task graph (Eq. 10) and return its logits per query
+    /// (Eq. 11 is the caller's argmax).
+    pub fn task_forward<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        prompts: Var,
+        f: &mut F,
+        prompts: &F::V,
         prompt_labels: &[usize],
-        queries: Var,
+        queries: &F::V,
         num_classes: usize,
-    ) -> gp_nn::task_graph::TaskGraphOutput {
+    ) -> F::V {
         self.task_graph
-            .forward(sess, prompts, prompt_labels, queries, num_classes)
+            .forward(f, prompts, prompt_labels, queries, num_classes)
     }
 }
 
@@ -274,6 +301,7 @@ mod tests {
     use super::*;
     use gp_datasets::CitationConfig;
     use gp_graph::SamplerConfig;
+    use gp_nn::Eval;
 
     fn small_model() -> GraphPrompterModel {
         GraphPrompterModel::new(ModelConfig {
@@ -296,10 +324,10 @@ mod tests {
         let points: Vec<DataPoint> = ds.train[..6].to_vec();
         let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
         let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
-        let mut sess = Session::new(&model.store);
-        let emb = model.embed_batch(&mut sess, &batch, true);
-        let g = sess.value(emb.embeddings);
-        let i = sess.value(emb.importance);
+        let mut ev = Eval::new(&model.store);
+        let emb = model.embed_batch(&mut ev, &batch, true);
+        let g = ev.value(&emb.embeddings);
+        let i = ev.value(&emb.importance);
         assert_eq!(g.shape(), (6, 16));
         assert_eq!(i.shape(), (6, 1));
         assert!(i.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -318,13 +346,13 @@ mod tests {
         let points: Vec<DataPoint> = ds.train[..4].to_vec();
         let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
         let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
-        let mut s1 = Session::new(&model.store);
+        let mut s1 = Eval::new(&model.store);
         let e1 = model.embed_batch(&mut s1, &batch, true);
-        let mut s2 = Session::new(&model.store);
+        let mut s2 = Eval::new(&model.store);
         let e2 = model.embed_batch(&mut s2, &batch, false);
         assert_ne!(
-            s1.value(e1.embeddings).as_slice(),
-            s2.value(e2.embeddings).as_slice()
+            s1.value(&e1.embeddings).as_slice(),
+            s2.value(&e2.embeddings).as_slice()
         );
     }
 
@@ -343,9 +371,9 @@ mod tests {
             let points: Vec<DataPoint> = ds.train[..3].to_vec();
             let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
             let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
-            let mut sess = Session::new(&model.store);
-            let emb = model.embed_batch(&mut sess, &batch, true);
-            assert_eq!(sess.value(emb.embeddings).shape(), (3, 8));
+            let mut ev = Eval::new(&model.store);
+            let emb = model.embed_batch(&mut ev, &batch, true);
+            assert_eq!(ev.value(&emb.embeddings).shape(), (3, 8));
         }
     }
 
@@ -367,13 +395,13 @@ mod tests {
         let points: Vec<DataPoint> = ds.train[..4].to_vec();
         let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
         let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
-        let mut s1 = Session::new(&model.store);
+        let mut s1 = Eval::new(&model.store);
         let e1 = model.embed_batch(&mut s1, &batch, true);
-        let mut s2 = Session::new(&loaded.store);
+        let mut s2 = Eval::new(&loaded.store);
         let e2 = loaded.embed_batch(&mut s2, &batch, true);
         assert_eq!(
-            s1.value(e1.embeddings).as_slice(),
-            s2.value(e2.embeddings).as_slice()
+            s1.value(&e1.embeddings).as_slice(),
+            s2.value(&e2.embeddings).as_slice()
         );
         std::fs::remove_file(&path).ok();
     }

@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use gp_datasets::{sample_few_shot_from_splits, DataPoint, Dataset, Split, Task};
 use gp_graph::{RandomWalkSampler, Subgraph};
-use gp_nn::{AdamW, Optimizer, Session};
+use gp_nn::{AdamW, Eval, Forward, Optimizer, Session};
 use gp_tensor::rng::StdRng;
-use gp_tensor::Var;
+use gp_tensor::{Tensor, Var};
 
 use crate::batch::SubgraphBatch;
 use crate::checkpoint::{self, CheckpointError, TrainerMeta};
@@ -41,12 +41,58 @@ pub struct TrainingCurve {
     pub accuracy: Vec<f32>,
 }
 
-/// Build an episode's task-graph loss on the session tape.
-///
-/// Shared by both pre-training tasks: embeds prompts and queries in one
-/// block-diagonal batch, applies selection-layer importance weighting to
-/// the prompt rows (`G'_p = G_p · I_p`) when enabled, runs the task graph,
-/// and returns `(loss, #correct)` for the episode.
+/// Fuse an episode's prompt and query data graphs into one block-diagonal
+/// batch, prompts first.
+fn episode_batch(
+    model: &GraphPrompterModel,
+    graph: &gp_graph::Graph,
+    prompt_sgs: &[Subgraph],
+    query_sgs: &[Subgraph],
+) -> SubgraphBatch {
+    let all: Vec<Subgraph> = prompt_sgs.iter().chain(query_sgs).cloned().collect();
+    match SubgraphBatch::build(graph, &all, model.config().rel_dim) {
+        Ok(b) => b,
+        #[expect(
+            clippy::unreachable,
+            reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
+        )]
+        Err(e) => unreachable!("subgraph fusion failed: {e}"),
+    }
+}
+
+/// The forward half of an episode, shared by both pre-training tasks and
+/// validation: embeds the [`episode_batch`], applies selection-layer
+/// importance weighting to the prompt rows (`G'_p = G_p · I_p`) when
+/// enabled, and returns the task graph's query logits.
+fn episode_logits<'a, F: Forward<'a>>(
+    model: &GraphPrompterModel,
+    f: &mut F,
+    batch: &'a SubgraphBatch,
+    prompt_labels: &[usize],
+    num_classes: usize,
+    stages: StageConfig,
+) -> F::V {
+    let p = prompt_labels.len();
+    let emb = model.embed_batch(f, batch, stages.use_reconstruction);
+    let p_idx: Arc<Vec<usize>> = Arc::new((0..p).collect());
+    let q_idx: Arc<Vec<usize>> = Arc::new((p..batch.num_graphs).collect());
+    let mut prompts = f.gather_rows(&emb.embeddings, p_idx.clone());
+    let queries = f.gather_rows(&emb.embeddings, q_idx);
+    if stages.use_selection_layer {
+        let p_imp = f.gather_rows(&emb.importance, p_idx);
+        prompts = f.mul_rows_by_col(prompts, &p_imp);
+    }
+    model.task_forward(f, &prompts, prompt_labels, &queries, num_classes)
+}
+
+/// Queries whose argmax logit is their label.
+fn count_correct(logits: &Tensor, labels: &[usize]) -> usize {
+    let preds = logits.argmax_rows();
+    preds.iter().zip(labels).filter(|(a, b)| a == b).count()
+}
+
+/// Build an episode's task-graph loss on the session tape and return
+/// `(loss, #correct)` for the episode.
 #[expect(
     clippy::too_many_arguments,
     reason = "one episode's inputs as both pre-training tasks hand them over; a struct would only be unpacked again"
@@ -62,38 +108,11 @@ pub(crate) fn episode_loss(
     num_classes: usize,
     stages: StageConfig,
 ) -> (Var, usize) {
-    let p = prompt_sgs.len();
-    let n = query_sgs.len();
-    let all: Vec<Subgraph> = prompt_sgs.iter().chain(query_sgs).cloned().collect();
-    let batch = match SubgraphBatch::build(graph, &all, model.config().rel_dim) {
-        Ok(b) => b,
-        #[expect(
-            clippy::unreachable,
-            reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
-        )]
-        Err(e) => unreachable!("subgraph fusion failed: {e}"),
-    };
-    let emb = model.embed_batch(sess, &batch, stages.use_reconstruction);
-
-    let p_idx: Arc<Vec<usize>> = Arc::new((0..p).collect());
-    let q_idx: Arc<Vec<usize>> = Arc::new((p..p + n).collect());
-    let mut prompts = sess.tape.gather_rows(emb.embeddings, p_idx.clone());
-    let queries = sess.tape.gather_rows(emb.embeddings, q_idx);
-    if stages.use_selection_layer {
-        let p_imp = sess.tape.gather_rows(emb.importance, p_idx);
-        prompts = sess.tape.mul_rows_by_col(prompts, p_imp);
-    }
-
-    let out = model.task_forward(sess, prompts, prompt_labels, queries, num_classes);
+    let batch = episode_batch(model, graph, prompt_sgs, query_sgs);
+    let logits = episode_logits(model, sess, &batch, prompt_labels, num_classes, stages);
     let targets = Arc::new(query_labels.to_vec());
-    let loss = sess.tape.cross_entropy_logits(out.logits, targets);
-    let preds = sess.value(out.logits).argmax_rows();
-    let correct = preds
-        .iter()
-        .zip(query_labels)
-        .filter(|(a, b)| a == b)
-        .count();
-    (loss, correct)
+    let loss = sess.tape.cross_entropy_logits(logits, targets);
+    (loss, count_correct(sess.tape.value(logits), query_labels))
 }
 
 /// Prompts, prompt labels, queries and query labels of one NM episode.
@@ -415,19 +434,10 @@ fn validation_accuracy(
             sample_datapoint_subgraphs(&dataset.graph, &sampler, &p_points, dataset.task, &mut rng);
         let q_sgs =
             sample_datapoint_subgraphs(&dataset.graph, &sampler, &q_points, dataset.task, &mut rng);
-        let mut sess = Session::new(&model.store);
-        let (_, c) = episode_loss(
-            model,
-            &mut sess,
-            &dataset.graph,
-            &p_sgs,
-            &p_labels,
-            &q_sgs,
-            &q_labels,
-            ways,
-            stages,
-        );
-        correct += c;
+        let batch = episode_batch(model, &dataset.graph, &p_sgs, &q_sgs);
+        let mut ev = Eval::new(&model.store);
+        let logits = episode_logits(model, &mut ev, &batch, &p_labels, ways, stages);
+        correct += count_correct(&logits, &q_labels);
         totals += q_labels.len();
     }
     correct as f32 / totals.max(1) as f32

@@ -1,0 +1,262 @@
+//! One forward pass over a [`ParamStore`], written once for training and
+//! inference.
+//!
+//! Every layer's forward is generic over [`Forward`]. Two contexts
+//! implement it:
+//!
+//! * [`Session`](crate::Session) records each op on a [`gp_tensor::Tape`] so that a
+//!   backward pass can follow. Its values are tape [`gp_tensor::Var`]s.
+//! * [`Eval`] runs the same ops with no tape. Its values are
+//!   [`Cow`] tensors: parameters and data inputs are borrowed, never
+//!   copied, and an op that can overwrite an input it owns (bias add,
+//!   activations, row normalization) does so in place. Each intermediate
+//!   is freed as soon as its last reader is done with it.
+//!
+//! Both contexts compute every value with the same gp-tensor functions,
+//! so an [`Eval`] pass is bit-identical to a [`Session`](crate::Session) pass on every
+//! backend.
+//!
+//! Ownership follows the ops: an input an op may overwrite is taken by
+//! value, one it only reads (or that its caller reads again) by
+//! reference.
+
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use gp_tensor::tape::NORM_EPS;
+use gp_tensor::{EdgeList, Tensor};
+
+use crate::params::{ParamId, ParamStore};
+
+/// The ops a layer's forward pass may use; see the [module docs](self).
+///
+/// `'a` is how long borrowed inputs ([`Forward::param`],
+/// [`Forward::input`]) must live.
+pub trait Forward<'a> {
+    /// One value of the pass.
+    type V;
+
+    /// A parameter of the store.
+    fn param(&mut self, id: ParamId) -> Self::V;
+    /// A non-trainable data input, borrowed for the pass.
+    fn input(&mut self, t: &'a Tensor) -> Self::V;
+    /// A non-trainable data input the pass owns.
+    fn data(&mut self, t: Tensor) -> Self::V;
+    /// The tensor behind a value.
+    fn value<'v>(&'v self, v: &'v Self::V) -> &'v Tensor;
+
+    /// `A·B`.
+    fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `A·Bᵀ`.
+    fn matmul_tb(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Elementwise `A + B`.
+    fn add(&mut self, a: Self::V, b: &Self::V) -> Self::V;
+    /// Elementwise `A ⊙ B`.
+    fn mul(&mut self, a: Self::V, b: &Self::V) -> Self::V;
+    /// `A · s`.
+    fn scale(&mut self, a: Self::V, s: f32) -> Self::V;
+    /// `X + row` broadcast over rows (bias add).
+    fn add_row_broadcast(&mut self, x: Self::V, row: &Self::V) -> Self::V;
+    /// Row `i` of `X` times element `i` of the column `col`.
+    fn mul_rows_by_col(&mut self, x: Self::V, col: &Self::V) -> Self::V;
+    /// Logistic sigmoid.
+    fn sigmoid(&mut self, x: Self::V) -> Self::V;
+    /// ReLU.
+    fn relu(&mut self, x: Self::V) -> Self::V;
+    /// Leaky ReLU with negative slope `slope`.
+    fn leaky_relu(&mut self, x: Self::V, slope: f32) -> Self::V;
+    /// tanh.
+    fn tanh(&mut self, x: Self::V) -> Self::V;
+    /// Elementwise `1/(x + eps)`.
+    fn recip(&mut self, x: Self::V, eps: f32) -> Self::V;
+    /// L2-normalize each row.
+    fn row_l2_normalize(&mut self, x: Self::V) -> Self::V;
+    /// `[A | B]`.
+    fn concat_cols(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Rows of `x` by index (duplicates allowed).
+    fn gather_rows(&mut self, x: &Self::V, idx: Arc<Vec<usize>>) -> Self::V;
+    /// `out[dst] += w_e · x[src]` over `edges`, into `out_rows` rows.
+    fn spmm(
+        &mut self,
+        edges: &Arc<EdgeList>,
+        x: &Self::V,
+        w: Option<&Self::V>,
+        out_rows: usize,
+    ) -> Self::V;
+    /// Softmax of `E×1` edge scores grouped by destination node.
+    fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Self::V) -> Self::V;
+}
+
+/// The tape-free forward context: inference and validation passes that
+/// never call for gradients.
+pub struct Eval<'a> {
+    store: &'a ParamStore,
+}
+
+impl<'a> Eval<'a> {
+    /// A forward-only pass over `store`.
+    pub fn new(store: &'a ParamStore) -> Self {
+        Self { store }
+    }
+}
+
+/// Wrap a freshly computed value, checked like a tape node.
+fn fresh<'a>(t: Tensor, op: &str) -> Cow<'a, Tensor> {
+    t.debug_assert_finite(&op);
+    Cow::Owned(t)
+}
+
+/// Run `f` on an owned copy of `x` (no copy when `x` is already owned).
+fn in_place<'a>(x: Cow<'a, Tensor>, op: &str, f: impl FnOnce(&mut Tensor)) -> Cow<'a, Tensor> {
+    let mut t = x.into_owned();
+    f(&mut t);
+    fresh(t, op)
+}
+
+impl<'a> Forward<'a> for Eval<'a> {
+    type V = Cow<'a, Tensor>;
+
+    fn param(&mut self, id: ParamId) -> Self::V {
+        let t = self.store.get(id);
+        t.debug_assert_finite(&"param");
+        Cow::Borrowed(t)
+    }
+
+    fn input(&mut self, t: &'a Tensor) -> Self::V {
+        t.debug_assert_finite(&"input");
+        Cow::Borrowed(t)
+    }
+
+    fn data(&mut self, t: Tensor) -> Self::V {
+        fresh(t, "input")
+    }
+
+    fn value<'v>(&'v self, v: &'v Self::V) -> &'v Tensor {
+        v
+    }
+
+    fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V {
+        fresh(a.matmul(b), "matmul")
+    }
+
+    fn matmul_tb(&mut self, a: &Self::V, b: &Self::V) -> Self::V {
+        fresh(a.matmul_tb(b), "matmul_tb")
+    }
+
+    fn add(&mut self, a: Self::V, b: &Self::V) -> Self::V {
+        in_place(a, "add", |t| t.add_in_place(b))
+    }
+
+    fn mul(&mut self, a: Self::V, b: &Self::V) -> Self::V {
+        in_place(a, "mul", |t| t.mul_in_place(b))
+    }
+
+    fn scale(&mut self, a: Self::V, s: f32) -> Self::V {
+        in_place(a, "scale", |t| t.scale_in_place(s))
+    }
+
+    fn add_row_broadcast(&mut self, x: Self::V, row: &Self::V) -> Self::V {
+        in_place(x, "add_row_broadcast", |t| {
+            t.add_row_broadcast_in_place(row)
+        })
+    }
+
+    fn mul_rows_by_col(&mut self, x: Self::V, col: &Self::V) -> Self::V {
+        in_place(x, "mul_rows_by_col", |t| t.mul_rows_by_col_in_place(col))
+    }
+
+    fn sigmoid(&mut self, x: Self::V) -> Self::V {
+        in_place(x, "sigmoid", Tensor::sigmoid_in_place)
+    }
+
+    fn relu(&mut self, x: Self::V) -> Self::V {
+        in_place(x, "relu", Tensor::relu_in_place)
+    }
+
+    fn leaky_relu(&mut self, x: Self::V, slope: f32) -> Self::V {
+        in_place(x, "leaky_relu", |t| t.leaky_relu_in_place(slope))
+    }
+
+    fn tanh(&mut self, x: Self::V) -> Self::V {
+        in_place(x, "tanh", Tensor::tanh_in_place)
+    }
+
+    fn recip(&mut self, x: Self::V, eps: f32) -> Self::V {
+        in_place(x, "recip", |t| t.recip_in_place(eps))
+    }
+
+    fn row_l2_normalize(&mut self, x: Self::V) -> Self::V {
+        in_place(x, "row_l2_normalize", |t| {
+            t.l2_normalize_rows_in_place(NORM_EPS)
+        })
+    }
+
+    fn concat_cols(&mut self, a: &Self::V, b: &Self::V) -> Self::V {
+        fresh(a.concat_cols(b), "concat_cols")
+    }
+
+    fn gather_rows(&mut self, x: &Self::V, idx: Arc<Vec<usize>>) -> Self::V {
+        fresh(x.gather_rows(&idx), "gather_rows")
+    }
+
+    fn spmm(
+        &mut self,
+        edges: &Arc<EdgeList>,
+        x: &Self::V,
+        w: Option<&Self::V>,
+        out_rows: usize,
+    ) -> Self::V {
+        fresh(edges.spmm(x, w.map(|w| &**w), out_rows), "spmm")
+    }
+
+    fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Self::V) -> Self::V {
+        fresh(edges.edge_softmax(scores), "edge_softmax")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Session;
+
+    /// A forward pass whose only op overflows to `+inf`.
+    fn overflow<'a, F: Forward<'a>>(f: &mut F, x: &'a Tensor) -> F::V {
+        let v = f.input(x);
+        f.scale(v, f32::MAX)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-finite forward value")]
+    fn tape_panics_on_a_non_finite_forward_value() {
+        let store = ParamStore::new();
+        let x = Tensor::scalar(2.0);
+        let _ = overflow(&mut Session::new(&store), &x);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-finite forward value")]
+    fn eval_panics_on_a_non_finite_forward_value() {
+        let store = ParamStore::new();
+        let x = Tensor::scalar(2.0);
+        let _ = overflow(&mut Eval::new(&store), &x);
+    }
+
+    #[test]
+    fn eval_borrows_parameters_and_owns_what_it_computes() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(1, 2, vec![0.5, -1.0]));
+        let mut ev = Eval::new(&store);
+        let wv = ev.param(w);
+        assert!(matches!(wv, Cow::Borrowed(_)));
+        let y = ev.relu(wv);
+        assert!(matches!(y, Cow::Owned(_)));
+        assert_eq!(y.as_slice(), &[0.5, 0.0]);
+        assert_eq!(
+            store.get(w).as_slice(),
+            &[0.5, -1.0],
+            "the store is untouched"
+        );
+    }
+}

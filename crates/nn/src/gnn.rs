@@ -9,37 +9,37 @@
 use gp_tensor::rng::StdRng;
 use std::sync::Arc;
 
-use gp_tensor::{EdgeList, Tensor, Var};
+use gp_tensor::{EdgeList, Tensor};
 
+use crate::forward::Forward;
 use crate::linear::{Activation, Linear};
 use crate::params::{ParamId, ParamStore};
-use crate::session::Session;
 
 /// A node encoder producing `n×out_dim` embeddings from node features and
 /// an edge list, with optional per-edge weights in `[0, 1]`.
 pub trait GnnEncoder {
     /// Encode `x` (`n×d`) over `edges`; `edge_weights` is an optional `E×1`
-    /// tape variable multiplied into the aggregation.
-    fn encode(
+    /// value multiplied into the aggregation.
+    fn encode<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        x: Var,
+        f: &mut F,
+        x: F::V,
         edges: &Arc<EdgeList>,
         num_nodes: usize,
-        edge_weights: Option<Var>,
-    ) -> Var;
+        edge_weights: Option<F::V>,
+    ) -> F::V;
 
     /// Output embedding width.
     fn out_dim(&self) -> usize;
 }
 
 /// Mean-aggregation weights `1/in-degree(dst)` as a data tensor.
-fn mean_norm(sess: &mut Session<'_>, edges: &Arc<EdgeList>, num_nodes: usize) -> Var {
+fn mean_norm<'a, F: Forward<'a>>(f: &mut F, edges: &EdgeList, num_nodes: usize) -> F::V {
     let deg = edges.in_degrees(num_nodes);
     let w: Vec<f32> = (0..edges.len())
         .map(|e| 1.0 / deg[edges.dst(e)].max(1) as f32)
         .collect();
-    sess.data(Tensor::from_vec(edges.len(), 1, w))
+    f.data(Tensor::from_vec(edges.len(), 1, w))
 }
 
 /// Normalize learned edge weights to sum to 1 per destination:
@@ -48,24 +48,22 @@ fn mean_norm(sess: &mut Session<'_>, edges: &Arc<EdgeList>, num_nodes: usize) ->
 /// that does not transfer across graph domains); renormalizing makes the
 /// reconstruction layer purely re-distributional, which is the intent of
 /// the paper's edge reweighting.
-fn normalize_per_dst(
-    sess: &mut Session<'_>,
+fn normalize_per_dst<'a, F: Forward<'a>>(
+    f: &mut F,
     edges: &Arc<EdgeList>,
-    weights: Var,
+    weights: F::V,
     num_nodes: usize,
-) -> Var {
-    let ones = sess.data(Tensor::full(num_nodes, 1, 1.0));
-    let sums = sess
-        .tape
-        .spmm(edges.clone(), ones, Some(weights), num_nodes);
+) -> F::V {
+    let ones = f.data(Tensor::full(num_nodes, 1, 1.0));
+    let sums = f.spmm(edges, &ones, Some(&weights), num_nodes);
     let dst_idx: Arc<Vec<usize>> = Arc::new((0..edges.len()).map(|e| edges.dst(e)).collect());
-    let denom = sess.tape.gather_rows(sums, dst_idx);
-    let inv = sess.tape.recip(denom, 1e-6);
-    sess.tape.mul(weights, inv)
+    let denom = f.gather_rows(&sums, dst_idx);
+    let inv = f.recip(denom, 1e-6);
+    f.mul(weights, &inv)
 }
 
 /// GCN-style symmetric normalization `1/√(deg(src)·deg(dst))`.
-fn sym_norm(sess: &mut Session<'_>, edges: &Arc<EdgeList>, num_nodes: usize) -> Var {
+fn sym_norm<'a, F: Forward<'a>>(f: &mut F, edges: &EdgeList, num_nodes: usize) -> F::V {
     let deg = edges.in_degrees(num_nodes);
     let w: Vec<f32> = (0..edges.len())
         .map(|e| {
@@ -74,7 +72,7 @@ fn sym_norm(sess: &mut Session<'_>, edges: &Arc<EdgeList>, num_nodes: usize) -> 
             1.0 / (ds * dd).sqrt()
         })
         .collect();
-    sess.data(Tensor::from_vec(edges.len(), 1, w))
+    f.data(Tensor::from_vec(edges.len(), 1, w))
 }
 
 /// One GraphSAGE layer: `h' = act([h | mean_w(h_neigh)]·W + b)`.
@@ -133,29 +131,31 @@ impl GraphSage {
 }
 
 impl GnnEncoder for GraphSage {
-    fn encode(
+    fn encode<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        mut x: Var,
+        f: &mut F,
+        mut x: F::V,
         edges: &Arc<EdgeList>,
         num_nodes: usize,
-        edge_weights: Option<Var>,
-    ) -> Var {
+        edge_weights: Option<F::V>,
+    ) -> F::V {
         let w = match edge_weights {
-            Some(lw) if self.normalize_learned => normalize_per_dst(sess, edges, lw, num_nodes),
+            Some(lw) if self.normalize_learned => normalize_per_dst(f, edges, lw, num_nodes),
             Some(lw) => {
-                let norm = mean_norm(sess, edges, num_nodes);
-                sess.tape.mul(lw, norm)
+                let norm = mean_norm(f, edges, num_nodes);
+                f.mul(lw, &norm)
             }
-            None => mean_norm(sess, edges, num_nodes),
+            None => mean_norm(f, edges, num_nodes),
         };
         for layer in &self.layers {
-            let neigh = sess.tape.spmm(edges.clone(), x, Some(w), num_nodes);
-            let cat = sess.tape.concat_cols(x, neigh);
-            let h = layer.lin.forward(sess, cat);
-            x = layer.act.apply(sess, h);
+            let cat = {
+                let neigh = f.spmm(edges, &x, Some(&w), num_nodes);
+                f.concat_cols(&x, &neigh)
+            };
+            let h = layer.lin.forward(f, &cat);
+            x = layer.act.apply(f, h);
         }
-        sess.tape.row_l2_normalize(x)
+        f.row_l2_normalize(x)
     }
 
     fn out_dim(&self) -> usize {
@@ -201,24 +201,24 @@ impl Gcn {
 }
 
 impl GnnEncoder for Gcn {
-    fn encode(
+    fn encode<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        mut x: Var,
+        f: &mut F,
+        mut x: F::V,
         edges: &Arc<EdgeList>,
         num_nodes: usize,
-        edge_weights: Option<Var>,
-    ) -> Var {
+        edge_weights: Option<F::V>,
+    ) -> F::V {
         let w = match edge_weights {
-            Some(lw) => normalize_per_dst(sess, edges, lw, num_nodes),
-            None => sym_norm(sess, edges, num_nodes),
+            Some(lw) => normalize_per_dst(f, edges, lw, num_nodes),
+            None => sym_norm(f, edges, num_nodes),
         };
         for (lin, act) in &self.layers {
-            let agg = sess.tape.spmm(edges.clone(), x, Some(w), num_nodes);
-            let h = lin.forward(sess, agg);
-            x = act.apply(sess, h);
+            let agg = f.spmm(edges, &x, Some(&w), num_nodes);
+            let h = lin.forward(f, &agg);
+            x = act.apply(f, h);
         }
-        sess.tape.row_l2_normalize(x)
+        f.row_l2_normalize(x)
     }
 
     fn out_dim(&self) -> usize {
@@ -321,43 +321,46 @@ impl Gat {
 }
 
 impl GnnEncoder for Gat {
-    fn encode(
+    fn encode<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        mut x: Var,
+        f: &mut F,
+        mut x: F::V,
         edges: &Arc<EdgeList>,
         num_nodes: usize,
-        edge_weights: Option<Var>,
-    ) -> Var {
+        edge_weights: Option<F::V>,
+    ) -> F::V {
         let src_idx: Arc<Vec<usize>> = Arc::new((0..edges.len()).map(|e| edges.src(e)).collect());
         let dst_idx: Arc<Vec<usize>> = Arc::new((0..edges.len()).map(|e| edges.dst(e)).collect());
         for layer in &self.layers {
             let mut head_outputs = Vec::with_capacity(layer.heads.len());
             for head in &layer.heads {
-                let h = head.lin.forward(sess, x);
+                let h = head.lin.forward(f, &x);
                 // e_uv = LeakyReLU(a_srcᵀ h_u + a_dstᵀ h_v), softmax per dst.
-                let a_src = sess.param(head.a_src);
-                let a_dst = sess.param(head.a_dst);
-                let s_all = sess.tape.matmul(h, a_src); // n×1
-                let d_all = sess.tape.matmul(h, a_dst); // n×1
-                let s_e = sess.tape.gather_rows(s_all, src_idx.clone());
-                let d_e = sess.tape.gather_rows(d_all, dst_idx.clone());
-                let raw = sess.tape.add(s_e, d_e);
-                let scores = sess.tape.leaky_relu(raw, 0.2);
-                let mut alpha = sess.tape.edge_softmax(edges.clone(), scores);
-                if let Some(lw) = edge_weights {
+                let a_src = f.param(head.a_src);
+                let a_dst = f.param(head.a_dst);
+                let s_all = f.matmul(&h, &a_src); // n×1
+                let d_all = f.matmul(&h, &a_dst); // n×1
+                let s_e = f.gather_rows(&s_all, src_idx.clone());
+                let d_e = f.gather_rows(&d_all, dst_idx.clone());
+                let raw = f.add(s_e, &d_e);
+                let scores = f.leaky_relu(raw, 0.2);
+                let mut alpha = f.edge_softmax(edges, &scores);
+                if let Some(lw) = &edge_weights {
                     // External reconstruction weights modulate attention.
-                    alpha = sess.tape.mul(alpha, lw);
+                    alpha = f.mul(alpha, lw);
                 }
-                head_outputs.push(sess.tape.spmm(edges.clone(), h, Some(alpha), num_nodes));
+                head_outputs.push(f.spmm(edges, &h, Some(&alpha), num_nodes));
             }
-            let mut agg = head_outputs[0];
-            for &rest in &head_outputs[1..] {
-                agg = sess.tape.concat_cols(agg, rest);
+            // `with_heads` asserts at least one head.
+            let mut heads = head_outputs.into_iter();
+            if let Some(mut agg) = heads.next() {
+                for rest in heads {
+                    agg = f.concat_cols(&agg, &rest);
+                }
+                x = layer.act.apply(f, agg);
             }
-            x = layer.act.apply(sess, agg);
         }
-        sess.tape.row_l2_normalize(x)
+        f.row_l2_normalize(x)
     }
 
     fn out_dim(&self) -> usize {
@@ -369,6 +372,7 @@ impl GnnEncoder for Gat {
 mod tests {
     use super::*;
     use crate::optim::{Adam, Optimizer};
+    use crate::Session;
 
     fn line_graph(n: usize) -> Arc<EdgeList> {
         let mut pairs = Vec::new();
@@ -398,7 +402,7 @@ mod tests {
         let mut sess = Session::new(&store);
         let x = sess.data(features(5, 4, 1));
         let h = sage.encode(&mut sess, x, &edges, 5, None);
-        let hv = sess.value(h);
+        let hv = sess.value(&h);
         assert_eq!(hv.shape(), (5, 6));
         for r in 0..5 {
             let norm: f32 = hv.row(r).iter().map(|&v| v * v).sum::<f32>().sqrt();
@@ -417,8 +421,8 @@ mod tests {
         let x = sess.data(features(4, 4, 2));
         let h1 = gcn.encode(&mut sess, x, &edges, 4, None);
         let h2 = gat.encode(&mut sess, x, &edges, 4, None);
-        assert_eq!(sess.value(h1).shape(), (4, 6));
-        assert_eq!(sess.value(h2).shape(), (4, 6));
+        assert_eq!(sess.value(&h1).shape(), (4, 6));
+        assert_eq!(sess.value(&h2).shape(), (4, 6));
     }
 
     #[test]
@@ -435,7 +439,7 @@ mod tests {
         let x1 = s1.data(x_t.clone());
         let zeros = s1.data(Tensor::zeros(edges.len(), 1));
         let h_zero = sage.encode(&mut s1, x1, &edges, 4, Some(zeros));
-        let h_zero = s1.value(h_zero).clone();
+        let h_zero = s1.value(&h_zero).clone();
 
         // Manually: concat(x, 0) → same as linear on [x|0].
         let mut s2 = Session::new(&store);
@@ -443,10 +447,10 @@ mod tests {
         let z = s2.data(Tensor::zeros(4, 3));
         let cat = s2.tape.concat_cols(x2, z);
         // first (only) layer
-        let lin_out = sage.layers[0].lin.forward(&mut s2, cat);
+        let lin_out = sage.layers[0].lin.forward(&mut s2, &cat);
         let act = sage.layers[0].act.apply(&mut s2, lin_out);
         let expect = s2.tape.row_l2_normalize(act);
-        let expect = s2.value(expect).clone();
+        let expect = s2.value(&expect).clone();
 
         for (a, b) in h_zero.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - b).abs() < 1e-5);
@@ -455,7 +459,7 @@ mod tests {
 
     /// All three encoders must be trainable end-to-end: learn to classify
     /// nodes of a two-cluster graph from noisy features.
-    fn encoder_learns(enc: &dyn GnnEncoder, store: &mut ParamStore, head: &Linear) -> f32 {
+    fn encoder_learns(enc: &impl GnnEncoder, store: &mut ParamStore, head: &Linear) -> f32 {
         let n = 12;
         let mut pairs = Vec::new();
         // two cliques of 6, one bridge
@@ -479,7 +483,7 @@ mod tests {
             let mut sess = Session::new(store);
             let xv = sess.data(x.clone());
             let h = enc.encode(&mut sess, xv, &edges, n, None);
-            let logits = head.forward(&mut sess, h);
+            let logits = head.forward(&mut sess, &h);
             let loss = sess.tape.cross_entropy_logits(logits, targets.clone());
             let (lv, grads) = sess.grads(loss);
             opt.step(store, &grads);
@@ -507,8 +511,8 @@ mod tests {
         let mut sess = Session::new(&store);
         let x = sess.data(features(5, 4, 13));
         let h = gat.encode(&mut sess, x, &edges, 5, None);
-        assert_eq!(sess.value(h).shape(), (5, 8));
-        assert!(sess.value(h).all_finite());
+        assert_eq!(sess.value(&h).shape(), (5, 8));
+        assert!(sess.value(&h).all_finite());
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! * [`ParamStore`] / [`Session`] — a parameter registry decoupled from the
 //!   per-step [`gp_tensor::Tape`], so one set of weights can drive many
 //!   forward/backward passes (the "tape per step, params outside" pattern).
+//! * [`Forward`] / [`Eval`] — every layer's forward is written once over
+//!   [`Forward`]; [`Session`] records it for training, and the tape-free
+//!   [`Eval`] runs it for inference, borrowing parameters and overwriting
+//!   intermediates in place, bit-identical to the tape.
 //! * [`Linear`] / [`Mlp`] — the 2-layer MLPs the paper uses for the
 //!   reconstruction layer (`MLP_φ`, Eq. 2) and selection layer (`MLP_θ`, Eq. 5).
 //! * Optimizers: [`Sgd`], [`Adam`], [`AdamW`] (the paper trains with AdamW,
@@ -17,6 +21,7 @@
 //!   model (Eq. 10) that fuses prompts per class into label embeddings and
 //!   scores queries by cosine similarity (Eq. 11).
 
+pub mod forward;
 pub mod gnn;
 pub mod linear;
 pub mod optim;
@@ -24,6 +29,7 @@ pub mod params;
 pub mod session;
 pub mod task_graph;
 
+pub use forward::{Eval, Forward};
 pub use gnn::{Gat, Gcn, GnnEncoder, GraphSage};
 pub use linear::{Activation, Linear, Mlp};
 pub use optim::{Adam, AdamW, OptimState, Optimizer, Sgd};

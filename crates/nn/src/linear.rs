@@ -1,10 +1,10 @@
 //! Dense layers: [`Linear`] and the paper's 2-layer [`Mlp`].
 
+use gp_tensor::rng;
 use gp_tensor::rng::StdRng;
-use gp_tensor::{rng, Var};
 
+use crate::forward::Forward;
 use crate::params::{ParamId, ParamStore};
-use crate::session::Session;
 
 /// Pointwise nonlinearity selector.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -22,14 +22,14 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply on a tape variable.
-    pub fn apply(self, sess: &mut Session<'_>, x: Var) -> Var {
+    /// Apply to a value of a forward pass.
+    pub fn apply<'a, F: Forward<'a>>(self, f: &mut F, x: F::V) -> F::V {
         match self {
             Activation::None => x,
-            Activation::Relu => sess.tape.relu(x),
-            Activation::Sigmoid => sess.tape.sigmoid(x),
-            Activation::Tanh => sess.tape.tanh(x),
-            Activation::LeakyRelu => sess.tape.leaky_relu(x, 0.2),
+            Activation::Relu => f.relu(x),
+            Activation::Sigmoid => f.sigmoid(x),
+            Activation::Tanh => f.tanh(x),
+            Activation::LeakyRelu => f.leaky_relu(x, 0.2),
         }
     }
 }
@@ -87,13 +87,13 @@ impl Linear {
     }
 
     /// `y = xW (+ b)` for an `n×in_dim` input.
-    pub fn forward(&self, sess: &mut Session<'_>, x: Var) -> Var {
-        let w = sess.param(self.w);
-        let y = sess.tape.matmul(x, w);
+    pub fn forward<'a, F: Forward<'a>>(&self, f: &mut F, x: &F::V) -> F::V {
+        let w = f.param(self.w);
+        let y = f.matmul(x, &w);
         match self.b {
             Some(b) => {
-                let bv = sess.param(b);
-                sess.tape.add_row_broadcast(y, bv)
+                let bv = f.param(b);
+                f.add_row_broadcast(y, &bv)
             }
             None => y,
         }
@@ -168,17 +168,14 @@ impl Mlp {
     }
 
     /// Forward an `n×in_dim` batch.
-    pub fn forward(&self, sess: &mut Session<'_>, mut x: Var) -> Var {
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward(sess, x);
-            x = if i < last {
-                self.hidden_activation.apply(sess, x)
-            } else {
-                self.output_activation.apply(sess, x)
-            };
+    pub fn forward<'a, F: Forward<'a>>(&self, f: &mut F, x: &F::V) -> F::V {
+        // `Mlp::new` asserts at least one layer.
+        let mut h = self.layers[0].forward(f, x);
+        for layer in &self.layers[1..] {
+            h = self.hidden_activation.apply(f, h);
+            h = layer.forward(f, &h);
         }
-        x
+        self.output_activation.apply(f, h)
     }
 }
 
@@ -186,6 +183,7 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::optim::{Optimizer, Sgd};
+    use crate::Session;
     use gp_tensor::Tensor;
     use std::sync::Arc;
 
@@ -196,8 +194,8 @@ mod tests {
         let lin = Linear::new(&mut store, &mut rng, "l", 4, 3);
         let mut sess = Session::new(&store);
         let x = sess.data(Tensor::zeros(5, 4));
-        let y = lin.forward(&mut sess, x);
-        assert_eq!(sess.value(y).shape(), (5, 3));
+        let y = lin.forward(&mut sess, &x);
+        assert_eq!(sess.value(&y).shape(), (5, 3));
     }
 
     #[test]
@@ -219,7 +217,7 @@ mod tests {
         for _ in 0..300 {
             let mut sess = Session::new(&store);
             let xv = sess.data(x.clone());
-            let logits = mlp.forward(&mut sess, xv);
+            let logits = mlp.forward(&mut sess, &xv);
             let loss = sess.tape.cross_entropy_logits(logits, targets.clone());
             let (lv, grads) = sess.grads(loss);
             opt.step(&mut store, &grads);
@@ -229,8 +227,8 @@ mod tests {
         // Check predictions.
         let mut sess = Session::new(&store);
         let xv = sess.data(x);
-        let logits = mlp.forward(&mut sess, xv);
-        assert_eq!(sess.value(logits).argmax_rows(), vec![0, 1, 1, 0]);
+        let logits = mlp.forward(&mut sess, &xv);
+        assert_eq!(sess.value(&logits).argmax_rows(), vec![0, 1, 1, 0]);
     }
 
     #[test]

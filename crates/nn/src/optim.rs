@@ -261,7 +261,7 @@ fn adam_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Session;
+    use crate::{Forward, Session};
 
     /// Minimize (w - 3)² with each optimizer; all must converge.
     fn converges(mut opt: impl Optimizer) -> f32 {

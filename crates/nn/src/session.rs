@@ -1,7 +1,13 @@
-//! One forward/backward pass over a [`ParamStore`].
+//! One training pass over a [`ParamStore`]: the forward ops recorded on
+//! a tape, then the backward sweep that yields parameter gradients.
+//! Passes that never call [`Session::grads`] run on the tape-free
+//! [`Eval`](crate::Eval) context instead.
 
-use gp_tensor::{Tape, Tensor, Var};
+use std::sync::Arc;
 
+use gp_tensor::{EdgeList, Tape, Tensor, Var};
+
+use crate::forward::Forward;
 use crate::params::{ParamId, ParamStore};
 
 /// A single forward/backward pass: owns a fresh [`Tape`] and lazily injects
@@ -25,27 +31,6 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Tape variable for a parameter, injecting its current value on first
-    /// use within this session.
-    pub fn param(&mut self, id: ParamId) -> Var {
-        if let Some(v) = self.bound[id.index()] {
-            return v;
-        }
-        let v = self.tape.input(self.store.get(id).clone());
-        self.bound[id.index()] = Some(v);
-        v
-    }
-
-    /// Record a non-trainable data input.
-    pub fn data(&mut self, t: Tensor) -> Var {
-        self.tape.input(t)
-    }
-
-    /// Forward value of any tape node.
-    pub fn value(&self, v: Var) -> &Tensor {
-        self.tape.value(v)
-    }
-
     /// Backward from `loss`; returns `(loss value, parameter gradients)`
     /// for every parameter touched this session, consuming the session.
     pub fn grads(self, loss: Var) -> (f32, Vec<(ParamId, Tensor)>) {
@@ -60,6 +45,102 @@ impl<'s> Session<'s> {
             }
         }
         (loss_value, out)
+    }
+}
+
+/// Every op is recorded on the tape; inputs are copied onto it.
+impl<'a> Forward<'a> for Session<'_> {
+    type V = Var;
+
+    /// Tape variable for a parameter, injecting its current value on first
+    /// use within this session.
+    fn param(&mut self, id: ParamId) -> Var {
+        if let Some(v) = self.bound[id.index()] {
+            return v;
+        }
+        let v = self.tape.input(self.store.get(id).clone());
+        self.bound[id.index()] = Some(v);
+        v
+    }
+
+    fn input(&mut self, t: &'a Tensor) -> Var {
+        self.tape.input(t.clone())
+    }
+
+    fn data(&mut self, t: Tensor) -> Var {
+        self.tape.input(t)
+    }
+
+    fn value<'v>(&'v self, v: &'v Var) -> &'v Tensor {
+        self.tape.value(*v)
+    }
+
+    fn matmul(&mut self, a: &Var, b: &Var) -> Var {
+        self.tape.matmul(*a, *b)
+    }
+
+    fn matmul_tb(&mut self, a: &Var, b: &Var) -> Var {
+        self.tape.matmul_tb(*a, *b)
+    }
+
+    fn add(&mut self, a: Var, b: &Var) -> Var {
+        self.tape.add(a, *b)
+    }
+
+    fn mul(&mut self, a: Var, b: &Var) -> Var {
+        self.tape.mul(a, *b)
+    }
+
+    fn scale(&mut self, a: Var, s: f32) -> Var {
+        self.tape.scale(a, s)
+    }
+
+    fn add_row_broadcast(&mut self, x: Var, row: &Var) -> Var {
+        self.tape.add_row_broadcast(x, *row)
+    }
+
+    fn mul_rows_by_col(&mut self, x: Var, col: &Var) -> Var {
+        self.tape.mul_rows_by_col(x, *col)
+    }
+
+    fn sigmoid(&mut self, x: Var) -> Var {
+        self.tape.sigmoid(x)
+    }
+
+    fn relu(&mut self, x: Var) -> Var {
+        self.tape.relu(x)
+    }
+
+    fn leaky_relu(&mut self, x: Var, slope: f32) -> Var {
+        self.tape.leaky_relu(x, slope)
+    }
+
+    fn tanh(&mut self, x: Var) -> Var {
+        self.tape.tanh(x)
+    }
+
+    fn recip(&mut self, x: Var, eps: f32) -> Var {
+        self.tape.recip(x, eps)
+    }
+
+    fn row_l2_normalize(&mut self, x: Var) -> Var {
+        self.tape.row_l2_normalize(x)
+    }
+
+    fn concat_cols(&mut self, a: &Var, b: &Var) -> Var {
+        self.tape.concat_cols(*a, *b)
+    }
+
+    fn gather_rows(&mut self, x: &Var, idx: Arc<Vec<usize>>) -> Var {
+        self.tape.gather_rows(*x, idx)
+    }
+
+    fn spmm(&mut self, edges: &Arc<EdgeList>, x: &Var, w: Option<&Var>, out_rows: usize) -> Var {
+        self.tape.spmm(edges.clone(), *x, w.copied(), out_rows)
+    }
+
+    fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Var) -> Var {
+        self.tape.edge_softmax(edges.clone(), *scores)
     }
 }
 

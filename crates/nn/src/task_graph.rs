@@ -10,11 +10,11 @@
 use gp_tensor::rng::StdRng;
 use std::sync::Arc;
 
-use gp_tensor::{EdgeList, Var};
+use gp_tensor::{EdgeList, Tensor};
 
+use crate::forward::Forward;
 use crate::linear::{Activation, Linear};
 use crate::params::{ParamId, ParamStore};
-use crate::session::Session;
 
 /// Attention-based task-graph GNN, following Prodigy's task-graph design.
 pub struct TaskGraphAttention {
@@ -38,14 +38,6 @@ pub struct TaskGraphAttention {
     dim: usize,
 }
 
-/// Output of a task-graph forward pass.
-pub struct TaskGraphOutput {
-    /// `n×m` scaled-cosine logits for the queries.
-    pub logits: Var,
-    /// `m×d` label-node embeddings.
-    pub label_embeddings: Var,
-}
-
 impl TaskGraphAttention {
     /// Build with embedding width `dim` (matching `GNN_D`'s output), hidden
     /// width `hidden`, and edge-attribute width `edge_dim`.
@@ -66,7 +58,7 @@ impl TaskGraphAttention {
             att: Linear::new(store, rng_, &format!("{name}.att"), hidden, 1),
             upd: Linear::new(store, rng_, &format!("{name}.upd"), hidden, dim),
             query_proj: Linear::new(store, rng_, &format!("{name}.qproj"), dim, dim),
-            proto_gate: store.add(format!("{name}.proto_gate"), gp_tensor::Tensor::scalar(0.5)),
+            proto_gate: store.add(format!("{name}.proto_gate"), Tensor::scalar(0.5)),
             temperature: 10.0,
             use_prototype_residual: true,
             edge_dim,
@@ -84,7 +76,8 @@ impl TaskGraphAttention {
         self.dim
     }
 
-    /// Run the task graph.
+    /// Run the task graph and return the `n×m` scaled-cosine logits of
+    /// the queries against the `m` label-node embeddings.
     ///
     /// * `prompts` — `P×d` prompt data-node embeddings (already importance-
     ///   weighted by the Prompt Selector when enabled).
@@ -93,15 +86,15 @@ impl TaskGraphAttention {
     ///
     /// # Panics
     /// Panics when the prompt set is empty or a label is out of range.
-    pub fn forward(
+    pub fn forward<'a, F: Forward<'a>>(
         &self,
-        sess: &mut Session<'_>,
-        prompts: Var,
+        f: &mut F,
+        prompts: &F::V,
         prompt_labels: &[usize],
-        queries: Var,
+        queries: &F::V,
         num_classes: usize,
-    ) -> TaskGraphOutput {
-        let p = sess.value(prompts).rows();
+    ) -> F::V {
+        let p = f.value(prompts).rows();
         assert!(p > 0, "task graph needs at least one prompt");
         assert_eq!(prompt_labels.len(), p, "one label per prompt required");
         assert!(
@@ -125,17 +118,19 @@ impl TaskGraphAttention {
         let bip = EdgeList::from_pairs(pairs).into_shared();
 
         // Messages: relu(W_msg [x_i | e_ij]).
-        let x_e = sess.tape.gather_rows(prompts, Arc::new(prompt_idx));
-        let emb = sess.param(self.edge_emb);
-        let e_e = sess.tape.gather_rows(emb, Arc::new(attr_idx));
-        let msg_in = sess.tape.concat_cols(x_e, e_e);
-        let msg_lin = self.msg.forward(sess, msg_in);
-        let msg_h = Activation::Relu.apply(sess, msg_lin);
+        let msg_in = {
+            let x_e = f.gather_rows(prompts, Arc::new(prompt_idx));
+            let emb = f.param(self.edge_emb);
+            let e_e = f.gather_rows(&emb, Arc::new(attr_idx));
+            f.concat_cols(&x_e, &e_e)
+        };
+        let msg_lin = self.msg.forward(f, &msg_in);
+        let msg_h = Activation::Relu.apply(f, msg_lin);
 
         // Attention over messages, normalized per label node.
-        let scores_raw = self.att.forward(sess, msg_h);
-        let scores = sess.tape.leaky_relu(scores_raw, 0.2);
-        let alpha = sess.tape.edge_softmax(bip.clone(), scores);
+        let scores_raw = self.att.forward(f, &msg_h);
+        let scores = f.leaky_relu(scores_raw, 0.2);
+        let alpha = f.edge_softmax(&bip, &scores);
 
         // Aggregate messages into label nodes and update. The label
         // embedding is the attention update *plus* a class-prototype
@@ -144,20 +139,12 @@ impl TaskGraphAttention {
         // label nodes anchored in the data-embedding space — which is what
         // lets test-time cached samples (Prompt Augmenter) shift decision
         // boundaries toward the test distribution, a la T3A.
-        let label_agg = sess.tape.spmm(bip, msg_h, Some(alpha), m);
-        let upd = self.upd.forward(sess, label_agg);
-        let correction = sess.tape.tanh(upd);
+        let label_agg = f.spmm(&bip, &msg_h, Some(&alpha), m);
+        let upd = self.upd.forward(f, &label_agg);
+        let correction = f.tanh(upd);
         if !self.use_prototype_residual {
             // Attention-only label embeddings.
-            let q = self.query_proj.forward(sess, queries);
-            let qn = sess.tape.row_l2_normalize(q);
-            let ln = sess.tape.row_l2_normalize(correction);
-            let cos = sess.tape.matmul_tb(qn, ln);
-            let logits = sess.tape.scale(cos, self.temperature);
-            return TaskGraphOutput {
-                logits,
-                label_embeddings: correction,
-            };
+            return self.logits(f, queries, correction);
         }
         let mut class_count = vec![0f32; m];
         for &y in prompt_labels {
@@ -170,7 +157,7 @@ impl TaskGraphAttention {
                 .map(|(i, &y)| (i as u32, y as u32)),
         )
         .into_shared();
-        let proto_w = sess.data(gp_tensor::Tensor::from_vec(
+        let proto_w = f.data(Tensor::from_vec(
             prompt_labels.len(),
             1,
             prompt_labels
@@ -178,26 +165,24 @@ impl TaskGraphAttention {
                 .map(|&y| 1.0 / class_count[y].max(1.0))
                 .collect(),
         ));
-        let proto = sess.tape.spmm(proto_edges, prompts, Some(proto_w), m);
+        let proto = f.spmm(&proto_edges, prompts, Some(&proto_w), m);
         // Gate the prototype path with a learned scalar so pre-training
         // balances prototype-averaging against the attention correction.
-        let gate = sess.param(self.proto_gate);
-        let ones_m = sess.data(gp_tensor::Tensor::full(m, 1, 1.0));
-        let gate_col = sess.tape.matmul(ones_m, gate);
-        let gated_proto = sess.tape.mul_rows_by_col(proto, gate_col);
-        let label_embeddings = sess.tape.add(gated_proto, correction);
+        let gate = f.param(self.proto_gate);
+        let ones_m = f.data(Tensor::full(m, 1, 1.0));
+        let gate_col = f.matmul(&ones_m, &gate);
+        let gated_proto = f.mul_rows_by_col(proto, &gate_col);
+        let label_embeddings = f.add(gated_proto, &correction);
+        self.logits(f, queries, label_embeddings)
+    }
 
-        // Queries → scaled-cosine logits against label embeddings.
-        let q = self.query_proj.forward(sess, queries);
-        let qn = sess.tape.row_l2_normalize(q);
-        let ln = sess.tape.row_l2_normalize(label_embeddings);
-        let cos = sess.tape.matmul_tb(qn, ln);
-        let logits = sess.tape.scale(cos, self.temperature);
-
-        TaskGraphOutput {
-            logits,
-            label_embeddings,
-        }
+    /// Queries → scaled-cosine logits against the label embeddings.
+    fn logits<'a, F: Forward<'a>>(&self, f: &mut F, queries: &F::V, labels: F::V) -> F::V {
+        let q = self.query_proj.forward(f, queries);
+        let qn = f.row_l2_normalize(q);
+        let ln = f.row_l2_normalize(labels);
+        let cos = f.matmul_tb(&qn, &ln);
+        f.scale(cos, self.temperature)
     }
 
     /// Edge-attribute embedding width.
@@ -210,7 +195,7 @@ impl TaskGraphAttention {
 mod tests {
     use super::*;
     use crate::optim::{Adam, Optimizer};
-    use gp_tensor::Tensor;
+    use crate::Session;
 
     fn setup(dim: usize) -> (ParamStore, TaskGraphAttention) {
         let mut store = ParamStore::new();
@@ -250,9 +235,8 @@ mod tests {
         let mut sess = Session::new(&store);
         let pv = sess.data(p);
         let qv = sess.data(q);
-        let out = tg.forward(&mut sess, pv, &labels, qv, 4);
-        assert_eq!(sess.value(out.logits).shape(), (8, 4));
-        assert_eq!(sess.value(out.label_embeddings).shape(), (4, 8));
+        let out = tg.forward(&mut sess, &pv, &labels, &qv, 4);
+        assert_eq!(sess.value(&out).shape(), (8, 4));
     }
 
     #[test]
@@ -268,8 +252,8 @@ mod tests {
             let mut sess = Session::new(&store);
             let pv = sess.data(p.clone());
             let qv = sess.data(q.clone());
-            let out = tg.forward(&mut sess, pv, &p_labels, qv, m);
-            let loss = sess.tape.cross_entropy_logits(out.logits, targets.clone());
+            let out = tg.forward(&mut sess, &pv, &p_labels, &qv, m);
+            let loss = sess.tape.cross_entropy_logits(out, targets.clone());
             let (lv, grads) = sess.grads(loss);
             opt.step(&mut store, &grads);
             last = lv;
@@ -279,8 +263,8 @@ mod tests {
         let mut sess = Session::new(&store);
         let pv = sess.data(p);
         let qv = sess.data(q);
-        let out = tg.forward(&mut sess, pv, &p_labels, qv, m);
-        let pred = sess.value(out.logits).argmax_rows();
+        let out = tg.forward(&mut sess, &pv, &p_labels, &qv, m);
+        let pred = sess.value(&out).argmax_rows();
         let correct = pred.iter().zip(&q_labels).filter(|(a, b)| a == b).count();
         assert!(correct >= 10, "only {correct}/12 correct");
     }
@@ -292,7 +276,7 @@ mod tests {
         let mut sess = Session::new(&store);
         let pv = sess.data(Tensor::zeros(0, 4));
         let qv = sess.data(Tensor::zeros(1, 4));
-        let _ = tg.forward(&mut sess, pv, &[], qv, 2);
+        let _ = tg.forward(&mut sess, &pv, &[], &qv, 2);
     }
 
     #[test]
@@ -306,7 +290,7 @@ mod tests {
             vec![1.0, 0.0, 0.0, 0.0, 0.9, 0.1, 0.0, 0.0],
         ));
         let qv = sess.data(Tensor::from_vec(1, 4, vec![1.0, 0.0, 0.0, 0.0]));
-        let out = tg.forward(&mut sess, pv, &[0, 0], qv, 2);
-        assert!(sess.value(out.logits).all_finite());
+        let out = tg.forward(&mut sess, &pv, &[0, 0], &qv, 2);
+        assert!(sess.value(&out).all_finite());
     }
 }

@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use gp_nn::{Activation, Adam, GnnEncoder, GraphSage, Mlp, Optimizer, ParamStore, Session};
+use gp_nn::{
+    Activation, Adam, Forward, GnnEncoder, GraphSage, Mlp, Optimizer, ParamStore, Session,
+};
 use gp_tensor::rng::{self as trng, check, StdRng};
 use gp_tensor::{EdgeList, Tensor};
 
@@ -40,16 +42,16 @@ fn mlp_gradient_matches_finite_difference() {
         let loss_of = |store: &ParamStore| -> f32 {
             let mut sess = Session::new(store);
             let xv = sess.data(x.clone());
-            let logits = mlp.forward(&mut sess, xv);
+            let logits = mlp.forward(&mut sess, &xv);
             let loss = sess.tape.cross_entropy_logits(logits, targets.clone());
-            sess.value(loss).item()
+            sess.value(&loss).item()
         };
 
         // Analytic gradients.
         let grads = {
             let mut sess = Session::new(&store);
             let xv = sess.data(x.clone());
-            let logits = mlp.forward(&mut sess, xv);
+            let logits = mlp.forward(&mut sess, &xv);
             let loss = sess.tape.cross_entropy_logits(logits, targets.clone());
             sess.grads(loss).1
         };
@@ -112,7 +114,7 @@ fn sage_embeddings_are_unit_rows_on_random_graphs() {
         let mut sess = Session::new(&store);
         let x = sess.data(trng::randn(rng, n, 4, 1.0));
         let h = sage.encode(&mut sess, x, &edges, n, None);
-        let hv = sess.value(h);
+        let hv = sess.value(&h);
         assert!(hv.all_finite());
         for r in 0..n {
             let norm: f32 = hv.row(r).iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -141,7 +143,7 @@ fn learned_edge_weights_are_renormalized_per_dst() {
             let x = sess.data(x_t.clone());
             let w = sess.data(w_t.scale(scale));
             let h = sage.encode(&mut sess, x, &edges, n, Some(w));
-            sess.value(h).clone()
+            sess.value(&h).clone()
         };
         let a = run(1.0);
         let b = run(0.5);

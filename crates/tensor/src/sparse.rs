@@ -2,6 +2,8 @@
 
 use std::sync::Arc;
 
+use crate::Tensor;
+
 /// A static edge list `(src, dst)` describing a sparse matrix pattern.
 ///
 /// The autograd ops that consume an `EdgeList` ([`crate::Tape::spmm`],
@@ -78,6 +80,42 @@ impl EdgeList {
     /// Wrap in an [`Arc`] for sharing across tape nodes.
     pub fn into_shared(self) -> Arc<Self> {
         Arc::new(self)
+    }
+
+    /// Sparse aggregate over these edges: `out[dst] += w_e · x[src]` into
+    /// an `out_rows×d` result. `w` is an optional `E×1` weight column (all
+    /// ones when absent). The loop runs in the active backend.
+    ///
+    /// # Panics
+    /// Panics if `w` is not `E×1`.
+    pub fn spmm(&self, x: &Tensor, w: Option<&Tensor>, out_rows: usize) -> Tensor {
+        if let Some(wt) = w {
+            assert_eq!(
+                wt.shape(),
+                (self.len(), 1),
+                "spmm: weights must be E×1 (E = {})",
+                self.len()
+            );
+        }
+        let mut out = Tensor::zeros(out_rows, x.cols());
+        crate::backend::active_backend().spmm(self, x, w.map(Tensor::as_slice), &mut out);
+        out
+    }
+
+    /// Softmax of `E×1` edge scores grouped by destination node (stable:
+    /// per-group max subtraction). The loop runs in the active backend.
+    ///
+    /// # Panics
+    /// Panics if `scores` is not `E×1`.
+    pub fn edge_softmax(&self, scores: &Tensor) -> Tensor {
+        assert_eq!(
+            scores.shape(),
+            (self.len(), 1),
+            "edge_softmax: scores must be E×1"
+        );
+        let mut exp = vec![0.0f32; self.len()];
+        crate::backend::active_backend().edge_softmax(self, scores.as_slice(), &mut exp);
+        Tensor::from_vec(self.len(), 1, exp)
     }
 }
 

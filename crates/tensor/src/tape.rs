@@ -24,6 +24,10 @@ use std::sync::Arc;
 
 use crate::{EdgeList, Tensor};
 
+/// Rows whose L2 norm is at most this pass [`Tape::row_l2_normalize`]
+/// (and every other row-normalizing forward pass) unchanged.
+pub const NORM_EPS: f32 = 1e-8;
+
 /// Handle to a node on a [`Tape`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Var(usize);
@@ -161,7 +165,7 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        debug_assert!(value.all_finite(), "non-finite forward value from {op:?}");
+        value.debug_assert_finite(&op);
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
     }
@@ -213,28 +217,31 @@ impl Tape {
         self.push(v, Op::AddRowBroadcast(x, row))
     }
 
+    /// Record `op`, whose value is `x`'s value transformed in place by `f`.
+    fn unary(&mut self, x: Var, op: Op, f: impl FnOnce(&mut Tensor)) -> Var {
+        let mut v = self.value(x).clone();
+        f(&mut v);
+        self.push(v, op)
+    }
+
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(|t| 1.0 / (1.0 + (-t).exp()));
-        self.push(v, Op::Sigmoid(x))
+        self.unary(x, Op::Sigmoid(x), Tensor::sigmoid_in_place)
     }
 
     /// ReLU.
     pub fn relu(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(|t| t.max(0.0));
-        self.push(v, Op::Relu(x))
+        self.unary(x, Op::Relu(x), Tensor::relu_in_place)
     }
 
     /// Leaky ReLU.
     pub fn leaky_relu(&mut self, x: Var, slope: f32) -> Var {
-        let v = self.value(x).map(|t| if t > 0.0 { t } else { slope * t });
-        self.push(v, Op::LeakyRelu(x, slope))
+        self.unary(x, Op::LeakyRelu(x, slope), |v| v.leaky_relu_in_place(slope))
     }
 
     /// tanh.
     pub fn tanh(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(f32::tanh);
-        self.push(v, Op::Tanh(x))
+        self.unary(x, Op::Tanh(x), Tensor::tanh_in_place)
     }
 
     /// Row-wise softmax.
@@ -273,36 +280,18 @@ impl Tape {
         self.push(v, Op::MulRowsByCol(x, col))
     }
 
-    /// L2-normalize each row.
+    /// L2-normalize each row (rows with norm ≤ [`NORM_EPS`] pass through).
     pub fn row_l2_normalize(&mut self, x: Var) -> Var {
-        let v = self.value(x).l2_normalize_rows(Self::NORM_EPS);
+        let v = self.value(x).l2_normalize_rows(NORM_EPS);
         self.push(v, Op::RowL2Normalize(x))
     }
-
-    const NORM_EPS: f32 = 1e-8;
 
     /// Sparse aggregate: `out[dst] += w_e · x[src]` over `edges`.
     ///
     /// `w` is an optional `E×1` weight column; when `None` every edge has
     /// weight 1. Gradients flow into both `x` and `w`.
     pub fn spmm(&mut self, edges: Arc<EdgeList>, x: Var, w: Option<Var>, out_rows: usize) -> Var {
-        let xv = self.value(x);
-        if let Some(wv) = w {
-            let wt = self.value(wv);
-            assert_eq!(
-                wt.shape(),
-                (edges.len(), 1),
-                "spmm: weights must be E×1 (E = {})",
-                edges.len()
-            );
-        }
-        let d = xv.cols();
-        let mut out = Tensor::zeros(out_rows, d);
-        {
-            let xv = self.value(x);
-            let wslice = w.map(|wv| self.value(wv).as_slice());
-            crate::backend::active_backend().spmm(&edges, xv, wslice, &mut out);
-        }
+        let out = edges.spmm(self.value(x), w.map(|wv| self.value(wv)), out_rows);
         self.push(
             out,
             Op::Spmm {
@@ -316,25 +305,13 @@ impl Tape {
 
     /// Softmax of `E×1` edge scores grouped by destination node.
     pub fn edge_softmax(&mut self, edges: Arc<EdgeList>, scores: Var) -> Var {
-        let sv = self.value(scores);
-        assert_eq!(
-            sv.shape(),
-            (edges.len(), 1),
-            "edge_softmax: scores must be E×1"
-        );
-        // Stable grouped softmax (per-group max subtraction) — the loop
-        // lives in the active backend.
-        let mut exp = vec![0.0f32; edges.len()];
-        crate::backend::active_backend().edge_softmax(&edges, sv.as_slice(), &mut exp);
-        let out = Tensor::from_vec(edges.len(), 1, exp);
+        let out = edges.edge_softmax(self.value(scores));
         self.push(out, Op::EdgeSoftmax { scores, edges })
     }
 
     /// Elementwise reciprocal `1/(x + eps)`; `eps > 0` guards division.
     pub fn recip(&mut self, x: Var, eps: f32) -> Var {
-        assert!(eps > 0.0, "recip: eps must be positive");
-        let v = self.value(x).map(|t| 1.0 / (t + eps));
-        self.push(v, Op::Recip(x, eps))
+        self.unary(x, Op::Recip(x, eps), |v| v.recip_in_place(eps))
     }
 
     /// Sum of all elements → `1×1`.
@@ -539,7 +516,7 @@ impl Tape {
                 let mut dx = Tensor::zeros(xv.rows(), xv.cols());
                 for r in 0..xv.rows() {
                     let norm = xv.row(r).iter().map(|&v| v * v).sum::<f32>().sqrt();
-                    if norm > Self::NORM_EPS {
+                    if norm > NORM_EPS {
                         let gy: f32 = g.row(r).iter().zip(y.row(r)).map(|(&a, &b)| a * b).sum();
                         for c in 0..xv.cols() {
                             dx.set(r, c, (g.get(r, c) - y.get(r, c) * gy) / norm);

@@ -248,44 +248,59 @@ impl Tensor {
         out
     }
 
-    /// Elementwise binary op with shape check.
-    fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    /// Elementwise binary op in place, with shape check.
+    fn zip_in_place(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(
             self.shape(),
             other.shape(),
             "elementwise op: shape mismatch"
         );
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data,
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 
     /// Elementwise addition.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a + b)
+        let mut out = self.clone();
+        out.add_in_place(other);
+        out
+    }
+
+    /// Elementwise `self += other`.
+    pub fn add_in_place(&mut self, other: &Tensor) {
+        self.zip_in_place(other, |a, b| a + b);
     }
 
     /// Elementwise subtraction.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a - b)
+        let mut out = self.clone();
+        out.zip_in_place(other, |a, b| a - b);
+        out
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
+        let mut out = self.clone();
+        out.mul_in_place(other);
+        out
+    }
+
+    /// Elementwise `self *= other`.
+    pub fn mul_in_place(&mut self, other: &Tensor) {
+        self.zip_in_place(other, |a, b| a * b);
     }
 
     /// Multiply every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
+        let mut out = self.clone();
+        out.scale_in_place(s);
+        out
+    }
+
+    /// Multiply every element by a scalar, in place.
+    pub fn scale_in_place(&mut self, s: f32) {
+        self.map_in_place(|x| x * s);
     }
 
     /// Apply `f` to every element.
@@ -295,6 +310,42 @@ impl Tensor {
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
+    }
+
+    /// Apply `f` to every element, in place.
+    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
+        for x in &mut self.data {
+            *x = f(*x);
+        }
+    }
+
+    /// Logistic sigmoid `1/(1 + e^-x)` of every element, in place.
+    pub fn sigmoid_in_place(&mut self) {
+        self.map_in_place(|t| 1.0 / (1.0 + (-t).exp()));
+    }
+
+    /// `max(0, x)` of every element, in place.
+    pub fn relu_in_place(&mut self) {
+        self.map_in_place(|t| t.max(0.0));
+    }
+
+    /// Leaky ReLU (`slope · x` below zero) of every element, in place.
+    pub fn leaky_relu_in_place(&mut self, slope: f32) {
+        self.map_in_place(|t| if t > 0.0 { t } else { slope * t });
+    }
+
+    /// `tanh` of every element, in place.
+    pub fn tanh_in_place(&mut self) {
+        self.map_in_place(f32::tanh);
+    }
+
+    /// `1/(x + eps)` of every element, in place.
+    ///
+    /// # Panics
+    /// Panics unless `eps > 0` (it guards the division).
+    pub fn recip_in_place(&mut self, eps: f32) {
+        assert!(eps > 0.0, "recip: eps must be positive");
+        self.map_in_place(|t| 1.0 / (t + eps));
     }
 
     /// In-place `self += other * s` (axpy).
@@ -311,30 +362,39 @@ impl Tensor {
 
     /// Broadcast-add a `1×d` row vector to every row of an `n×d` matrix.
     pub fn add_row_broadcast(&self, row: &Tensor) -> Tensor {
+        let mut out = self.clone();
+        out.add_row_broadcast_in_place(row);
+        out
+    }
+
+    /// [`Tensor::add_row_broadcast`] in place (bias add).
+    pub fn add_row_broadcast_in_place(&mut self, row: &Tensor) {
         assert_eq!(row.rows, 1, "add_row_broadcast: rhs must be 1×d");
         assert_eq!(self.cols, row.cols, "add_row_broadcast: width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let dst = &mut out.data[r * out.cols..(r + 1) * out.cols];
-            for (d, &b) in dst.iter_mut().zip(&row.data) {
+        for r in 0..self.rows {
+            for (d, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
                 *d += b;
             }
         }
-        out
     }
 
     /// Scale each row `i` of an `n×d` matrix by element `i` of an `n×1` column.
     pub fn mul_rows_by_col(&self, col: &Tensor) -> Tensor {
+        let mut out = self.clone();
+        out.mul_rows_by_col_in_place(col);
+        out
+    }
+
+    /// [`Tensor::mul_rows_by_col`] in place.
+    pub fn mul_rows_by_col_in_place(&mut self, col: &Tensor) {
         assert_eq!(col.cols, 1, "mul_rows_by_col: rhs must be n×1");
         assert_eq!(self.rows, col.rows, "mul_rows_by_col: height mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
+        for r in 0..self.rows {
             let s = col.data[r];
-            for d in out.row_mut(r) {
+            for d in self.row_mut(r) {
                 *d *= s;
             }
         }
-        out
     }
 
     /// Sum of all elements.
@@ -387,8 +447,14 @@ impl Tensor {
     /// L2-normalize each row; rows with norm < `eps` are left untouched.
     pub fn l2_normalize_rows(&self, eps: f32) -> Tensor {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
+        out.l2_normalize_rows_in_place(eps);
+        out
+    }
+
+    /// [`Tensor::l2_normalize_rows`] in place.
+    pub fn l2_normalize_rows_in_place(&mut self, eps: f32) {
+        for r in 0..self.rows {
+            let row = self.row_mut(r);
             let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt();
             if norm > eps {
                 for x in row.iter_mut() {
@@ -396,7 +462,6 @@ impl Tensor {
                 }
             }
         }
-        out
     }
 
     /// Concatenate two matrices side by side (`n×a`, `n×b` → `n×(a+b)`).
@@ -477,6 +542,14 @@ impl Tensor {
     /// True if every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+
+    /// Debug builds panic when `self`, the output of forward op `op`, holds
+    /// a non-finite element. The tape and the tape-free forward pass both
+    /// check every value they produce through this one assert.
+    #[track_caller]
+    pub fn debug_assert_finite(&self, op: &dyn std::fmt::Debug) {
+        debug_assert!(self.all_finite(), "non-finite forward value from {op:?}");
     }
 }
 
