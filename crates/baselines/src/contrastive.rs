@@ -8,7 +8,7 @@ use std::sync::Arc;
 use gp_core::SubgraphBatch;
 use gp_datasets::{DataPoint, Dataset, Task};
 use gp_graph::{Graph, RandomWalkSampler, Subgraph};
-use gp_nn::{Adam, Eval, Forward, GnnEncoder, GraphSage, Optimizer, ParamStore, Session};
+use gp_nn::{AdamW, Eval, Forward, GnnEncoder, GraphSage, Optimizer, ParamStore, Session};
 use gp_tensor::rng::StdRng;
 use gp_tensor::{EdgeList, Tensor};
 
@@ -27,7 +27,7 @@ pub struct ContrastiveConfig {
     pub feature_mask: f32,
     /// NT-Xent temperature.
     pub temperature: f32,
-    /// Adam learning rate.
+    /// Adam learning rate (AdamW without weight decay).
     pub lr: f32,
     /// Embedding width.
     pub embed_dim: usize,
@@ -127,7 +127,7 @@ impl Contrastive {
         let cfg = self.cfg.clone();
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1));
         let sampler = RandomWalkSampler::new(gp_graph::SamplerConfig::default());
-        let mut opt = Adam::new(cfg.lr);
+        let mut opt = AdamW::new(cfg.lr, 0.0);
         let graph = &source.graph;
         for _ in 0..cfg.steps {
             // Two augmented views of each anchor's subgraph.
@@ -140,14 +140,7 @@ impl Contrastive {
                 views.push(drop_edges(&sg, cfg.edge_drop, &mut rng));
                 views.push(drop_edges(&sg, cfg.edge_drop, &mut rng));
             }
-            let batch = match SubgraphBatch::build(graph, &views, gp_datasets::REL_FEAT_DIM) {
-                Ok(b) => b,
-                #[expect(
-                    clippy::unreachable,
-                    reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
-                )]
-                Err(e) => unreachable!("subgraph fusion failed: {e}"),
-            };
+            let batch = SubgraphBatch::build(graph, &views, gp_datasets::REL_FEAT_DIM);
             let masked = mask_features(&batch.features, cfg.feature_mask, &mut rng);
 
             let mut sess = Session::new(&self.store);
@@ -186,14 +179,7 @@ impl Contrastive {
         rng: &mut StdRng,
     ) -> Tensor {
         let sgs = gp_core::sample_datapoint_subgraphs(graph, sampler, points, task, rng);
-        let batch = match SubgraphBatch::build(graph, &sgs, gp_datasets::REL_FEAT_DIM) {
-            Ok(b) => b,
-            #[expect(
-                clippy::unreachable,
-                reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
-            )]
-            Err(e) => unreachable!("subgraph fusion failed: {e}"),
-        };
+        let batch = SubgraphBatch::build(graph, &sgs, gp_datasets::REL_FEAT_DIM);
         let mut ev = Eval::new(&self.store);
         let x = ev.input(&batch.features);
         self.embed_from_var(&mut ev, x, &batch).into_owned()

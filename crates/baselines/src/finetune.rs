@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use gp_datasets::Dataset;
 use gp_graph::RandomWalkSampler;
-use gp_nn::{Adam, Eval, Forward, Linear, Optimizer, ParamStore, Session};
+use gp_nn::{AdamW, Eval, Forward, Linear, Optimizer, ParamStore, Session};
 use gp_tensor::rng::StdRng;
 use gp_tensor::Tensor;
 
@@ -45,7 +45,7 @@ impl Finetune {
         let mut rng = StdRng::seed_from_u64(seed);
         let head = Linear::new(&mut store, &mut rng, "head", prompt_embs.cols(), ways);
         let targets: Arc<Vec<usize>> = Arc::new(prompt_labels.to_vec());
-        let mut opt = Adam::new(self.head_lr);
+        let mut opt = AdamW::new(self.head_lr, 0.0);
         for _ in 0..self.head_steps {
             let mut sess = Session::new(&store);
             let x = sess.data(prompt_embs.clone());

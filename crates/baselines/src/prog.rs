@@ -79,24 +79,8 @@ impl ProG {
             dataset.task,
             rng,
         );
-        let p_batch = match SubgraphBatch::build(&dataset.graph, &p_sgs, gp_datasets::REL_FEAT_DIM)
-        {
-            Ok(b) => b,
-            #[expect(
-                clippy::unreachable,
-                reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
-            )]
-            Err(e) => unreachable!("subgraph fusion failed: {e}"),
-        };
-        let q_batch = match SubgraphBatch::build(&dataset.graph, &q_sgs, gp_datasets::REL_FEAT_DIM)
-        {
-            Ok(b) => b,
-            #[expect(
-                clippy::unreachable,
-                reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
-            )]
-            Err(e) => unreachable!("subgraph fusion failed: {e}"),
-        };
+        let p_batch = SubgraphBatch::build(&dataset.graph, &p_sgs, gp_datasets::REL_FEAT_DIM);
+        let q_batch = SubgraphBatch::build(&dataset.graph, &q_sgs, gp_datasets::REL_FEAT_DIM);
 
         // Cloned store keeps the encoder ids valid; the tokens are appended.
         let mut store = self.encoder.store().clone();

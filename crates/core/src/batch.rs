@@ -12,37 +12,6 @@ use std::sync::Arc;
 use gp_graph::{Graph, Subgraph};
 use gp_tensor::{EdgeList, Tensor};
 
-/// Reasons a set of subgraphs cannot be fused into a [`SubgraphBatch`].
-///
-/// Internal callers construct batches from inputs they control and treat
-/// these as structurally impossible; the cross-request batching layer feeds
-/// the constructor from network-derived request sets, where "no work" must
-/// be a value, not a panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchError {
-    /// The subgraph slice was empty — a batch has at least one member.
-    Empty,
-    /// Member `graph` has no anchors, so its `1/|anchors|` readout weight
-    /// is undefined.
-    NoAnchors {
-        /// Index of the offending member within the input slice.
-        graph: usize,
-    },
-}
-
-impl std::fmt::Display for BatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchError::Empty => write!(f, "cannot batch zero subgraphs"),
-            BatchError::NoAnchors { graph } => {
-                write!(f, "subgraph {graph} has no anchors for readout")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BatchError {}
-
 /// A batch of subgraphs fused into one disjoint-union graph.
 pub struct SubgraphBatch {
     /// `num_nodes×feat_dim` stacked node features (local order per graph).
@@ -67,21 +36,9 @@ pub struct SubgraphBatch {
 impl SubgraphBatch {
     /// Fuse `subgraphs` (all sampled from `graph`) into one batch.
     ///
-    /// # Errors
-    /// Returns [`BatchError::Empty`] when `subgraphs` is empty and
-    /// [`BatchError::NoAnchors`] when a member has no anchor nodes (its
-    /// readout weight would be undefined).
-    pub fn build(
-        graph: &Graph,
-        subgraphs: &[Subgraph],
-        rel_dim: usize,
-    ) -> Result<Self, BatchError> {
-        if subgraphs.is_empty() {
-            return Err(BatchError::Empty);
-        }
-        if let Some(gid) = subgraphs.iter().position(|sg| sg.anchors.is_empty()) {
-            return Err(BatchError::NoAnchors { graph: gid });
-        }
+    /// An empty slice gives a zero-graph batch. A member without anchors
+    /// gets no readout edges, so its embedding row is zero.
+    pub fn build(graph: &Graph, subgraphs: &[Subgraph], rel_dim: usize) -> Self {
         let feat_dim = graph.feature_dim();
         let total_nodes: usize = subgraphs.iter().map(Subgraph::num_nodes).sum();
         let total_edges: usize = subgraphs.iter().map(Subgraph::num_edges).sum();
@@ -118,7 +75,7 @@ impl SubgraphBatch {
             offset += sg.num_nodes() as u32;
         }
 
-        Ok(Self {
+        Self {
             features: Tensor::from_vec(total_nodes, feat_dim, feat),
             edges: EdgeList::new(src, dst).into_shared(),
             rel_feats: Tensor::from_vec(total_edges, rel_dim, rel_feat),
@@ -127,7 +84,7 @@ impl SubgraphBatch {
             num_nodes: total_nodes,
             num_graphs: subgraphs.len(),
             graph_of_node,
-        })
+        }
     }
 
     /// Member-graph id of each union node.
@@ -144,7 +101,10 @@ impl SubgraphBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ModelConfig;
+    use crate::model::GraphPrompterModel;
     use gp_graph::{GraphBuilder, RandomWalkSampler, SamplerConfig};
+    use gp_nn::{Eval, Forward};
     use gp_tensor::rng as trng;
     use gp_tensor::rng::StdRng;
 
@@ -173,7 +133,7 @@ mod tests {
             .iter()
             .map(|&a| sampler.sample(&g, &[a], &mut rng))
             .collect();
-        let batch = SubgraphBatch::build(&g, &sgs, 2).unwrap();
+        let batch = SubgraphBatch::build(&g, &sgs, 2);
         assert_eq!(batch.num_graphs, 3);
         assert_eq!(
             batch.num_nodes,
@@ -206,7 +166,7 @@ mod tests {
             sampler.sample(&g, &[1], &mut rng),
             sampler.sample(&g, &[3, 4], &mut rng),
         ];
-        let batch = SubgraphBatch::build(&g, &sgs, 2).unwrap();
+        let batch = SubgraphBatch::build(&g, &sgs, 2);
         let mut per_graph = [0.0f32; 2];
         for (e, (_, d)) in batch.readout_edges.iter().enumerate() {
             per_graph[d] += batch.readout_weights.as_slice()[e];
@@ -222,7 +182,7 @@ mod tests {
         let sampler = RandomWalkSampler::new(SamplerConfig::default());
         let mut rng = StdRng::seed_from_u64(3);
         let sgs = vec![sampler.sample(&g, &[5], &mut rng)];
-        let batch = SubgraphBatch::build(&g, &sgs, 2).unwrap();
+        let batch = SubgraphBatch::build(&g, &sgs, 2);
         assert_eq!(batch.rel_feats.rows(), batch.num_edges());
         assert_eq!(batch.rel_feats.cols(), 2);
     }
@@ -237,7 +197,7 @@ mod tests {
             sampler.sample(&g, &[8], &mut rng),
             sampler.sample(&g, &[15], &mut rng),
         ];
-        let batch = SubgraphBatch::build(&g, &sgs, 2).unwrap();
+        let batch = SubgraphBatch::build(&g, &sgs, 2);
         let ids = batch.graph_of_node();
         assert_eq!(ids.len(), batch.num_nodes);
         // Non-decreasing, covering 0..num_graphs with the right counts.
@@ -247,28 +207,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_batch_is_a_typed_error() {
-        let g = toy_graph();
-        assert_eq!(
-            SubgraphBatch::build(&g, &[], 2).err(),
-            Some(BatchError::Empty)
-        );
+    /// Embeds `sgs`, sampled from `g`, with a small untrained model.
+    fn embed(g: &Graph, sgs: &[Subgraph]) -> Tensor {
+        let model = GraphPrompterModel::new(ModelConfig {
+            feat_dim: 4,
+            rel_dim: 2,
+            embed_dim: 8,
+            hidden_dim: 12,
+            ..ModelConfig::default()
+        });
+        let batch = SubgraphBatch::build(g, sgs, 2);
+        let mut ev = Eval::new(&model.store);
+        let emb = model.embed_batch(&mut ev, &batch, true);
+        ev.value(&emb.embeddings).clone()
     }
 
     #[test]
-    fn anchorless_member_is_a_typed_error() {
+    fn empty_batch_embeds_to_zero_rows() {
+        let g = toy_graph();
+        let batch = SubgraphBatch::build(&g, &[], 2);
+        assert_eq!(batch.num_graphs, 0);
+        assert_eq!(embed(&g, &[]).shape(), (0, 8));
+    }
+
+    #[test]
+    fn anchorless_member_embeds_to_a_zero_row() {
         let g = toy_graph();
         let sampler = RandomWalkSampler::new(SamplerConfig::default());
         let mut rng = StdRng::seed_from_u64(5);
         let mut sgs = vec![
             sampler.sample(&g, &[1], &mut rng),
             sampler.sample(&g, &[8], &mut rng),
+            sampler.sample(&g, &[15], &mut rng),
         ];
+        let full = embed(&g, &sgs);
         sgs[1].anchors.clear();
-        assert_eq!(
-            SubgraphBatch::build(&g, &sgs, 2).err(),
-            Some(BatchError::NoAnchors { graph: 1 })
-        );
+        let holed = embed(&g, &sgs);
+        assert!(holed.row(1).iter().all(|&v| v == 0.0), "{:?}", holed.row(1));
+        for r in [0, 2] {
+            let bits = |t: &Tensor| t.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&full), bits(&holed), "row {r}");
+        }
     }
 }

@@ -12,10 +12,10 @@
 //!   mid-write never leaves a half-written file under the final name.
 //! * **Typed errors**: every way a file can be wrong (truncated, foreign,
 //!   bit-flipped, mismatched shapes, future version) maps to a
-//!   [`CheckpointError`] variant — the load path never panics.
-//! * **Legacy v1**: files written by the pre-v2 `GraphPrompterModel::save`
-//!   (`"GPMC"` config header + `"GPPS"` parameter blob) still load,
-//!   read-only.
+//!   [`CheckpointError`] variant.
+//! * **One format**: this module is the only encoder and decoder of model
+//!   files. A file that does not start with `"GPCK"` (including the
+//!   unchecksummed pre-v2 format) is [`CheckpointError::BadMagic`].
 //!
 //! File-name convention for trainer checkpoints: `ckpt-<step:09>.gpck`,
 //! so lexicographic order is step order and retention/recovery can scan a
@@ -38,8 +38,6 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Shared with every container family that reuses the GPCK discipline
 /// (GPES embedding shards use the same header with their own magic).
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 8 + 4;
-/// Legacy (v1) model files start with the config magic.
-const LEGACY_MAGIC: &[u8; 4] = b"GPMC";
 
 /// Everything that can be wrong with a checkpoint file.
 #[derive(Debug)]
@@ -48,7 +46,7 @@ pub enum CheckpointError {
     Io(std::io::Error),
     /// The file ends before the declared data does.
     Truncated,
-    /// The file is not a GPCK (or legacy GPMC) checkpoint.
+    /// The file does not start with the GPCK magic.
     BadMagic,
     /// The payload does not match its stored CRC32 (bit rot, partial
     /// overwrite, or tampering).
@@ -647,29 +645,13 @@ pub fn save_model(path: &Path, model: &GraphPrompterModel) -> Result<(), Checkpo
     write_container(path, &payload)
 }
 
-/// Load a model from any supported checkpoint: GPCK v2 (model or trainer
-/// kind — the live parameters are used) or a legacy v1 file.
+/// Load a model from a GPCK v2 checkpoint of either kind (model or
+/// trainer — the live parameters are used).
 pub fn load_model(path: &Path) -> Result<GraphPrompterModel, CheckpointError> {
     let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
-    if bytes.len() >= 4 && &bytes[..4] == LEGACY_MAGIC {
-        return load_legacy_model(&bytes);
-    }
     let payload = container_payload(&bytes)?;
     let parsed = parse_payload(payload)?;
     model_from_parsed(parsed.config, parsed.params)
-}
-
-/// Load a legacy v1 file: `"GPMC"` config header followed by the
-/// `"GPPS"` [`gp_nn::ParamStore`] blob. Read-only compatibility path.
-fn load_legacy_model(bytes: &[u8]) -> Result<GraphPrompterModel, CheckpointError> {
-    let mut cursor = bytes;
-    let cfg = crate::model::read_config_v1(&mut cursor)?;
-    let mut model = GraphPrompterModel::new(cfg);
-    model
-        .store
-        .load(&mut cursor)
-        .map_err(CheckpointError::from)?;
-    Ok(model)
 }
 
 /// Save a trainer checkpoint: the live model plus all mutable training
@@ -840,8 +822,6 @@ pub fn scan_for_recovery(dir: &Path) -> RecoveryScan {
 /// What kind of checkpoint a file holds.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// Legacy v1 model file (`GPMC` + `GPPS`).
-    ModelV1,
     /// GPCK v2, model-only payload.
     ModelV2,
     /// GPCK v2, trainer payload (model + training state).
@@ -869,17 +849,6 @@ pub struct CheckpointSummary {
 pub fn inspect_checkpoint(path: &Path) -> Result<CheckpointSummary, CheckpointError> {
     let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
     let file_len = bytes.len() as u64;
-    if bytes.len() >= 4 && &bytes[..4] == LEGACY_MAGIC {
-        let model = load_legacy_model(&bytes)?;
-        return Ok(CheckpointSummary {
-            kind: CheckpointKind::ModelV1,
-            file_len,
-            config: model.config().clone(),
-            num_tensors: model.store.len(),
-            num_scalars: model.store.num_scalars(),
-            trainer: None,
-        });
-    }
     let payload = container_payload(&bytes)?;
     let parsed = parse_payload(payload)?;
     let num_tensors = parsed.params.len();
@@ -942,23 +911,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
+    fn legacy_v1_files_are_bad_magic() {
         let dir = tmpdir("legacy");
         let path = dir.join("v1.gpck");
-        let model = small_model(5);
-        // Write the pre-v2 format: GPMC config header + GPPS param blob.
-        let mut bytes = Vec::new();
-        crate::model::write_config_v1(&mut bytes, model.config()).unwrap();
-        model.store.save(&mut bytes).unwrap();
+        // A pre-v2 header whose feat_dim (2^40) would abort any
+        // allocation sized from it: `GPMC`, four u64 dims, three tag
+        // bytes, u64 seed.
+        let mut bytes = b"GPMC".to_vec();
+        for dim in [1u64 << 40, 8, 64, 64] {
+            bytes.extend_from_slice(&dim.to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0, 0, 0]);
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(bytes.len(), 47);
         std::fs::write(&path, &bytes).unwrap();
 
-        let loaded = load_model(&path).unwrap();
-        assert_eq!(loaded.config(), model.config());
-        for ((_, a), (_, b)) in model.store.iter().zip(loaded.store.iter()) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-        let summary = inspect_checkpoint(&path).unwrap();
-        assert_eq!(summary.kind, CheckpointKind::ModelV1);
+        assert!(matches!(load_model(&path), Err(CheckpointError::BadMagic)));
+        assert!(matches!(
+            inspect_checkpoint(&path),
+            Err(CheckpointError::BadMagic)
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

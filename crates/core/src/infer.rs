@@ -175,14 +175,7 @@ fn embed_points(
             }
         }
         let _span = RECONSTRUCTION_MICROS.span();
-        let batch = match SubgraphBatch::build(&dataset.graph, &sgs, model.config().rel_dim) {
-            Ok(b) => b,
-            #[expect(
-                clippy::unreachable,
-                reason = "structurally impossible: `missing` is non-empty and sampled subgraphs always carry their anchors"
-            )]
-            Err(e) => unreachable!("subgraph fusion failed: {e}"),
-        };
+        let batch = SubgraphBatch::build(&dataset.graph, &sgs, model.config().rel_dim);
         let mut ev = Eval::new(&model.store);
         let emb = model.embed_batch(&mut ev, &batch, use_reconstruction);
         let e = emb.embeddings.into_owned();

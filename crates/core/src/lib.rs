@@ -71,7 +71,7 @@ pub mod pretrain;
 pub mod selector;
 
 pub use augmenter::{CacheEntry, PromptAugmenter};
-pub use batch::{BatchError, SubgraphBatch};
+pub use batch::SubgraphBatch;
 pub use cache::{AnyCache, CachePolicy, FifoCache, LruCache};
 pub use checkpoint::{
     inspect_checkpoint, list_checkpoints, scan_for_recovery, CheckpointError, CheckpointKind,

@@ -136,12 +136,13 @@ impl GraphPrompterModel {
         crate::checkpoint::save_model(path.as_ref(), self)
     }
 
-    /// Load a model checkpoint: GPCK v2 (model or trainer kind) or a
-    /// legacy v1 file written by pre-v2 builds. The config is read first,
-    /// the architecture rebuilt deterministically, then the trained
-    /// parameter values are validated against it and installed. Corrupt,
-    /// truncated or mismatched files yield a typed
-    /// [`crate::checkpoint::CheckpointError`], never a panic.
+    /// Load a GPCK v2 checkpoint (model or trainer kind). The config is
+    /// read first, the architecture rebuilt deterministically, then the
+    /// trained parameter values are validated against it and installed.
+    /// Foreign, corrupt, truncated or mismatched files yield a typed
+    /// [`crate::checkpoint::CheckpointError`]. One case still aborts: a
+    /// well-formed file whose config declares dims too large to allocate,
+    /// since the model is built before its tensors are checked.
     pub fn load(
         path: impl AsRef<std::path::Path>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
@@ -211,68 +212,6 @@ impl GraphPrompterModel {
     }
 }
 
-/// Write the legacy v1 config header (`"GPMC"` + dims + tags + seed).
-/// Kept only so [`crate::checkpoint`] can test its v1 compatibility path.
-#[cfg(test)]
-pub(crate) fn write_config_v1<W: std::io::Write>(
-    w: &mut W,
-    c: &ModelConfig,
-) -> std::io::Result<()> {
-    w.write_all(b"GPMC")?;
-    for v in [c.feat_dim, c.rel_dim, c.embed_dim, c.hidden_dim] {
-        w.write_all(&(v as u64).to_le_bytes())?;
-    }
-    let gen_tag: u8 = match c.generator {
-        GeneratorKind::Sage => 0,
-        GeneratorKind::Gat => 1,
-        GeneratorKind::Gcn => 2,
-    };
-    w.write_all(&[gen_tag, c.recon_normalize as u8, c.proto_residual as u8])?;
-    w.write_all(&c.seed.to_le_bytes())
-}
-
-/// Read the legacy v1 config header written by pre-v2 builds.
-pub(crate) fn read_config_v1<R: std::io::Read>(r: &mut R) -> std::io::Result<ModelConfig> {
-    use std::io::{Error, ErrorKind};
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != b"GPMC" {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            "not a GraphPrompter checkpoint",
-        ));
-    }
-    let mut u64b = [0u8; 8];
-    let mut next = |r: &mut R| -> std::io::Result<usize> {
-        r.read_exact(&mut u64b)?;
-        Ok(u64::from_le_bytes(u64b) as usize)
-    };
-    let feat_dim = next(r)?;
-    let rel_dim = next(r)?;
-    let embed_dim = next(r)?;
-    let hidden_dim = next(r)?;
-    let mut tags = [0u8; 3];
-    r.read_exact(&mut tags)?;
-    let generator = match tags[0] {
-        0 => GeneratorKind::Sage,
-        1 => GeneratorKind::Gat,
-        2 => GeneratorKind::Gcn,
-        _ => return Err(Error::new(ErrorKind::InvalidData, "unknown generator tag")),
-    };
-    let mut seedb = [0u8; 8];
-    r.read_exact(&mut seedb)?;
-    Ok(ModelConfig {
-        feat_dim,
-        rel_dim,
-        embed_dim,
-        hidden_dim,
-        generator,
-        recon_normalize: tags[1] != 0,
-        proto_residual: tags[2] != 0,
-        seed: u64::from_le_bytes(seedb),
-    })
-}
-
 /// Sample the data graph for each datapoint (Eq. 1). For edge
 /// classification the anchor pair's direct edge is removed (the label must
 /// not leak into the data graph).
@@ -323,7 +262,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let points: Vec<DataPoint> = ds.train[..6].to_vec();
         let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
-        let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
+        let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim);
         let mut ev = Eval::new(&model.store);
         let emb = model.embed_batch(&mut ev, &batch, true);
         let g = ev.value(&emb.embeddings);
@@ -345,7 +284,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let points: Vec<DataPoint> = ds.train[..4].to_vec();
         let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
-        let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
+        let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim);
         let mut s1 = Eval::new(&model.store);
         let e1 = model.embed_batch(&mut s1, &batch, true);
         let mut s2 = Eval::new(&model.store);
@@ -370,7 +309,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(2);
             let points: Vec<DataPoint> = ds.train[..3].to_vec();
             let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
-            let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
+            let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim);
             let mut ev = Eval::new(&model.store);
             let emb = model.embed_batch(&mut ev, &batch, true);
             assert_eq!(ev.value(&emb.embeddings).shape(), (3, 8));
@@ -394,7 +333,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let points: Vec<DataPoint> = ds.train[..4].to_vec();
         let sgs = sample_datapoint_subgraphs(&ds.graph, &sampler, &points, ds.task, &mut rng);
-        let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim).unwrap();
+        let batch = SubgraphBatch::build(&ds.graph, &sgs, model.config().rel_dim);
         let mut s1 = Eval::new(&model.store);
         let e1 = model.embed_batch(&mut s1, &batch, true);
         let mut s2 = Eval::new(&loaded.store);

@@ -50,14 +50,7 @@ fn episode_batch(
     query_sgs: &[Subgraph],
 ) -> SubgraphBatch {
     let all: Vec<Subgraph> = prompt_sgs.iter().chain(query_sgs).cloned().collect();
-    match SubgraphBatch::build(graph, &all, model.config().rel_dim) {
-        Ok(b) => b,
-        #[expect(
-            clippy::unreachable,
-            reason = "structurally impossible: sampled subgraphs are non-empty and anchored"
-        )]
-        Err(e) => unreachable!("subgraph fusion failed: {e}"),
-    }
+    SubgraphBatch::build(graph, &all, model.config().rel_dim)
 }
 
 /// The forward half of an episode, shared by both pre-training tasks and

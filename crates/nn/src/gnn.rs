@@ -371,7 +371,7 @@ impl GnnEncoder for Gat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::{AdamW, Optimizer};
     use crate::Session;
 
     fn line_graph(n: usize) -> Arc<EdgeList> {
@@ -477,7 +477,7 @@ mod tests {
         let edges = EdgeList::from_pairs(pairs).into_shared();
         let x = features(n, 4, 9);
         let targets: Arc<Vec<usize>> = Arc::new((0..n).map(|i| i / 6).collect());
-        let mut opt = Adam::new(0.02);
+        let mut opt = AdamW::new(0.02, 0.0);
         let mut last = f32::INFINITY;
         for _ in 0..120 {
             let mut sess = Session::new(store);

@@ -11,7 +11,7 @@
 //!   intermediates in place, bit-identical to the tape.
 //! * [`Linear`] / [`Mlp`] — the 2-layer MLPs the paper uses for the
 //!   reconstruction layer (`MLP_φ`, Eq. 2) and selection layer (`MLP_θ`, Eq. 5).
-//! * Optimizers: [`Sgd`], [`Adam`], [`AdamW`] (the paper trains with AdamW,
+//! * Optimizers: [`Sgd`] and [`AdamW`] (the paper trains with AdamW,
 //!   lr 1e-3, weight decay 1e-3).
 //! * GNNs: [`GraphSage`] (the paper's `GNN_D`, §V-A4), [`Gcn`], and [`Gat`]
 //!   (the Fig. 4 generator ablation), all supporting *differentiable edge
@@ -32,7 +32,7 @@ pub mod task_graph;
 pub use forward::{Eval, Forward};
 pub use gnn::{Gat, Gcn, GnnEncoder, GraphSage};
 pub use linear::{Activation, Linear, Mlp};
-pub use optim::{Adam, AdamW, OptimState, Optimizer, Sgd};
+pub use optim::{AdamW, OptimState, Optimizer, Sgd};
 pub use params::{ParamError, ParamId, ParamStore};
 pub use session::Session;
 pub use task_graph::TaskGraphAttention;

@@ -40,32 +40,16 @@ fn sorted_moments(map: &HashMap<usize, Tensor>) -> Vec<(usize, Tensor)> {
     out
 }
 
-/// Plain SGD with optional momentum.
+/// Plain SGD.
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: HashMap<usize, Tensor>,
 }
 
 impl Sgd {
-    /// SGD with the given learning rate, no momentum.
+    /// SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
+        Self { lr }
     }
 }
 
@@ -73,66 +57,8 @@ impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
         OPTIMIZER_STEPS.inc();
         for (id, g) in grads {
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(id.index())
-                    .or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
-                *v = v.scale(self.momentum).add(g);
-                store.get_mut(*id).add_scaled_assign(&v.clone(), -self.lr);
-            } else {
-                store.get_mut(*id).add_scaled_assign(g, -self.lr);
-            }
+            store.get_mut(*id).add_scaled_assign(g, -self.lr);
         }
-    }
-}
-
-/// Adam (Kingma & Ba 2015), with L2 regularization folded into the gradient.
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
-    t: u64,
-    m: HashMap<usize, Tensor>,
-    v: HashMap<usize, Tensor>,
-}
-
-impl Adam {
-    /// Adam with standard betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
-        OPTIMIZER_STEPS.inc();
-        self.t += 1;
-        adam_update(
-            store,
-            grads,
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            0.0,
-            self.t,
-            &mut self.m,
-            &mut self.v,
-        );
     }
 }
 
@@ -200,60 +126,27 @@ impl Optimizer for AdamW {
                 *p = p.scale(factor);
             }
         }
-        adam_update(
-            store,
-            grads,
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            0.0,
-            self.t,
-            &mut self.m,
-            &mut self.v,
-        );
-    }
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the Adam hyper-parameters travel as scalars so the shared update stays a plain fn over the store"
-)]
-fn adam_update(
-    store: &mut ParamStore,
-    grads: &[(ParamId, Tensor)],
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    l2: f32,
-    t: u64,
-    m: &mut HashMap<usize, Tensor>,
-    v: &mut HashMap<usize, Tensor>,
-) {
-    let bc1 = 1.0 - beta1.powi(t as i32);
-    let bc2 = 1.0 - beta2.powi(t as i32);
-    for (id, g) in grads {
-        let g = if l2 > 0.0 {
-            g.add(&store.get(*id).scale(l2))
-        } else {
-            g.clone()
-        };
-        let mt = m
-            .entry(id.index())
-            .or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
-        let vt = v
-            .entry(id.index())
-            .or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
-        for i in 0..g.len() {
-            let gi = g.as_slice()[i];
-            let mi = beta1 * mt.as_slice()[i] + (1.0 - beta1) * gi;
-            let vi = beta2 * vt.as_slice()[i] + (1.0 - beta2) * gi * gi;
-            mt.as_mut_slice()[i] = mi;
-            vt.as_mut_slice()[i] = vi;
-            let m_hat = mi / bc1;
-            let v_hat = vi / bc2;
-            store.get_mut(*id).as_mut_slice()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        for (id, g) in grads {
+            let mt = self
+                .m
+                .entry(id.index())
+                .or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
+            let vt = self
+                .v
+                .entry(id.index())
+                .or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
+            for i in 0..g.len() {
+                let gi = g.as_slice()[i];
+                let mi = self.beta1 * mt.as_slice()[i] + (1.0 - self.beta1) * gi;
+                let vi = self.beta2 * vt.as_slice()[i] + (1.0 - self.beta2) * gi * gi;
+                mt.as_mut_slice()[i] = mi;
+                vt.as_mut_slice()[i] = vi;
+                let m_hat = mi / bc1;
+                let v_hat = vi / bc2;
+                store.get_mut(*id).as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            }
         }
     }
 }
@@ -286,13 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        assert!((converges(Sgd::with_momentum(0.05, 0.9)) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
-        assert!((converges(Adam::new(0.05)) - 3.0).abs() < 1e-2);
+        assert!((converges(AdamW::new(0.05, 0.0)) - 3.0).abs() < 1e-2);
     }
 
     #[test]

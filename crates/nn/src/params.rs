@@ -86,8 +86,8 @@ impl ParamStore {
     /// Monotonic counter bumped by every (potential) mutation of parameter
     /// values: [`ParamStore::add`], [`ParamStore::get_mut`],
     /// [`ParamStore::set`]/[`ParamStore::try_set`],
-    /// [`ParamStore::restore`]/[`ParamStore::try_restore`] and successful
-    /// [`ParamStore::load`]. Caches keyed on model weights (e.g. memoized
+    /// [`ParamStore::restore`]/[`ParamStore::try_restore`]. Caches keyed
+    /// on model weights (e.g. memoized
     /// embeddings) compare revisions to detect staleness without hashing
     /// tensor data.
     #[inline]
@@ -218,78 +218,6 @@ impl ParamStore {
         }
         Ok(())
     }
-
-    /// Serialize every parameter to a writer (little-endian binary:
-    /// magic, version, tensor count, then per tensor name/rows/cols/data).
-    pub fn save<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(Self::MAGIC)?;
-        w.write_all(&Self::VERSION.to_le_bytes())?;
-        w.write_all(&(self.tensors.len() as u64).to_le_bytes())?;
-        for (name, t) in self.names.iter().zip(&self.tensors) {
-            let bytes = name.as_bytes();
-            w.write_all(&(bytes.len() as u64).to_le_bytes())?;
-            w.write_all(bytes)?;
-            w.write_all(&(t.rows() as u64).to_le_bytes())?;
-            w.write_all(&(t.cols() as u64).to_le_bytes())?;
-            for v in t.as_slice() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Load parameter *values* saved with [`ParamStore::save`] into this
-    /// store. The store must already have the same layout (same names and
-    /// shapes in the same order) — build the model first, then load.
-    pub fn load<R: std::io::Read>(&mut self, r: &mut R) -> std::io::Result<()> {
-        use std::io::{Error, ErrorKind};
-        let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
-
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != Self::MAGIC {
-            return Err(bad("not a ParamStore checkpoint (bad magic)"));
-        }
-        let mut u32b = [0u8; 4];
-        r.read_exact(&mut u32b)?;
-        if u32::from_le_bytes(u32b) != Self::VERSION {
-            return Err(bad("unsupported checkpoint version"));
-        }
-        let mut u64b = [0u8; 8];
-        r.read_exact(&mut u64b)?;
-        let count = u64::from_le_bytes(u64b) as usize;
-        if count != self.tensors.len() {
-            return Err(bad("checkpoint parameter count differs from model"));
-        }
-        for i in 0..count {
-            r.read_exact(&mut u64b)?;
-            let name_len = u64::from_le_bytes(u64b) as usize;
-            let mut name = vec![0u8; name_len];
-            r.read_exact(&mut name)?;
-            let name = String::from_utf8(name).map_err(|_| bad("invalid name"))?;
-            if name != self.names[i] {
-                return Err(bad("checkpoint parameter order/name differs from model"));
-            }
-            r.read_exact(&mut u64b)?;
-            let rows = u64::from_le_bytes(u64b) as usize;
-            r.read_exact(&mut u64b)?;
-            let cols = u64::from_le_bytes(u64b) as usize;
-            if (rows, cols) != self.tensors[i].shape() {
-                return Err(bad("checkpoint tensor shape differs from model"));
-            }
-            let mut data = vec![0f32; rows * cols];
-            for v in data.iter_mut() {
-                r.read_exact(&mut u32b)?;
-                *v = f32::from_le_bytes(u32b);
-            }
-            self.revision += 1;
-            self.tensors[i] = Tensor::from_vec(rows, cols, data);
-        }
-        Ok(())
-    }
-
-    const MAGIC: &'static [u8; 4] = b"GPPS";
-    const VERSION: u32 = 1;
 }
 
 #[cfg(test)]
@@ -315,53 +243,6 @@ mod tests {
         store.get_mut(id).as_mut_slice()[0] = -1.0;
         store.restore(&snap);
         assert_eq!(store.get(id).get(0, 0), 3.0);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut store = ParamStore::new();
-        store.add(
-            "w",
-            Tensor::from_vec(2, 3, vec![1.0, -2.0, 3.5, 0.0, 9.9, -7.25]),
-        );
-        store.add("b", Tensor::from_vec(1, 2, vec![0.5, -0.5]));
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-
-        let mut fresh = ParamStore::new();
-        let w = fresh.add("w", Tensor::zeros(2, 3));
-        let b = fresh.add("b", Tensor::zeros(1, 2));
-        fresh.load(&mut buf.as_slice()).unwrap();
-        assert_eq!(fresh.get(w).as_slice(), &[1.0, -2.0, 3.5, 0.0, 9.9, -7.25]);
-        assert_eq!(fresh.get(b).as_slice(), &[0.5, -0.5]);
-    }
-
-    #[test]
-    fn load_rejects_layout_mismatch() {
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::zeros(2, 2));
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-
-        let mut wrong_shape = ParamStore::new();
-        wrong_shape.add("w", Tensor::zeros(3, 2));
-        assert!(wrong_shape.load(&mut buf.as_slice()).is_err());
-
-        let mut wrong_name = ParamStore::new();
-        wrong_name.add("v", Tensor::zeros(2, 2));
-        assert!(wrong_name.load(&mut buf.as_slice()).is_err());
-
-        let mut wrong_count = ParamStore::new();
-        wrong_count.add("w", Tensor::zeros(2, 2));
-        wrong_count.add("extra", Tensor::zeros(1, 1));
-        assert!(wrong_count.load(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::zeros(1, 1));
-        assert!(store.load(&mut &b"not a checkpoint"[..]).is_err());
     }
 
     #[test]
@@ -417,14 +298,7 @@ mod tests {
         assert!(store.try_restore(&[Tensor::zeros(1, 1)]).is_err());
         assert_eq!(store.revision(), r3, "failed restore must not bump");
         store.restore(&snap);
-        let r4 = store.revision();
-        assert!(r4 > r3, "restore must bump");
-
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        assert_eq!(store.revision(), r4, "save is a read");
-        store.load(&mut buf.as_slice()).unwrap();
-        assert!(store.revision() > r4, "load must bump");
+        assert!(store.revision() > r3, "restore must bump");
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl TaskGraphAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::{AdamW, Optimizer};
     use crate::Session;
 
     fn setup(dim: usize) -> (ParamStore, TaskGraphAttention) {
@@ -246,7 +246,7 @@ mod tests {
         let (p, p_labels) = clustered(3, m, 6, 0.05, 2);
         let (q, q_labels) = clustered(4, m, 6, 0.05, 3);
         let targets = Arc::new(q_labels.clone());
-        let mut opt = Adam::new(0.01);
+        let mut opt = AdamW::new(0.01, 0.0);
         let mut last = f32::INFINITY;
         for _ in 0..150 {
             let mut sess = Session::new(&store);

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use gp_nn::{
-    Activation, Adam, Forward, GnnEncoder, GraphSage, Mlp, Optimizer, ParamStore, Session,
+    Activation, AdamW, Forward, GnnEncoder, GraphSage, Mlp, Optimizer, ParamStore, Session,
 };
 use gp_tensor::rng::{self as trng, check, StdRng};
 use gp_tensor::{EdgeList, Tensor};
@@ -87,7 +87,7 @@ fn adam_minimizes_random_quadratics() {
         let target = trng::randn(rng, 1, dim, 2.0);
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::zeros(1, dim));
-        let mut opt = Adam::new(0.1);
+        let mut opt = AdamW::new(0.1, 0.0);
         let mut last = f32::INFINITY;
         for _ in 0..300 {
             let mut sess = Session::new(&store);

@@ -59,14 +59,8 @@ pub enum Op {
     LeakyRelu(Var, f32),
     /// Hyperbolic tangent.
     Tanh(Var),
-    /// Row-wise softmax.
-    SoftmaxRows(Var),
-    /// Row-wise log-softmax.
-    LogSoftmaxRows(Var),
     /// `[A | B]` column concatenation.
     ConcatCols(Var, Var),
-    /// Vertical stack of `A` over `B`.
-    ConcatRows(Var, Var),
     /// Row selection (duplicates allowed).
     GatherRows(Var, Arc<Vec<usize>>),
     /// Scale row `i` of `X (n×d)` by element `i` of a column `(n×1)`.
@@ -244,28 +238,10 @@ impl Tape {
         self.unary(x, Op::Tanh(x), Tensor::tanh_in_place)
     }
 
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, x: Var) -> Var {
-        let v = self.value(x).softmax_rows();
-        self.push(v, Op::SoftmaxRows(x))
-    }
-
-    /// Row-wise log-softmax.
-    pub fn log_softmax_rows(&mut self, x: Var) -> Var {
-        let v = self.value(x).log_softmax_rows();
-        self.push(v, Op::LogSoftmaxRows(x))
-    }
-
     /// `[A | B]`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).concat_cols(self.value(b));
         self.push(v, Op::ConcatCols(a, b))
-    }
-
-    /// Vertical stack.
-    pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).concat_rows(self.value(b));
-        self.push(v, Op::ConcatRows(a, b))
     }
 
     /// Select rows by index.
@@ -441,31 +417,6 @@ impl Tape {
                 let dx = g.mul(&node.value.map(|t| 1.0 - t * t));
                 Self::acc(grads, *x, dx);
             }
-            Op::SoftmaxRows(x) => {
-                // dX_row = p ⊙ (G_row - (G_row·p) 1)
-                let p = &node.value;
-                let mut dx = Tensor::zeros(p.rows(), p.cols());
-                for r in 0..p.rows() {
-                    let dot: f32 = g.row(r).iter().zip(p.row(r)).map(|(&a, &b)| a * b).sum();
-                    for c in 0..p.cols() {
-                        dx.set(r, c, p.get(r, c) * (g.get(r, c) - dot));
-                    }
-                }
-                Self::acc(grads, *x, dx);
-            }
-            Op::LogSoftmaxRows(x) => {
-                // dX = G - softmax(x) * rowsum(G)
-                let p = self.value(*x).softmax_rows();
-                let mut dx = g.clone();
-                for r in 0..p.rows() {
-                    let rs: f32 = g.row(r).iter().sum();
-                    for c in 0..p.cols() {
-                        let v = dx.get(r, c) - p.get(r, c) * rs;
-                        dx.set(r, c, v);
-                    }
-                }
-                Self::acc(grads, *x, dx);
-            }
             Op::ConcatCols(a, b) => {
                 let wa = self.value(*a).cols();
                 let mut da = Tensor::zeros(g.rows(), wa);
@@ -474,17 +425,6 @@ impl Tape {
                     da.row_mut(r).copy_from_slice(&g.row(r)[..wa]);
                     db.row_mut(r).copy_from_slice(&g.row(r)[wa..]);
                 }
-                Self::acc(grads, *a, da);
-                Self::acc(grads, *b, db);
-            }
-            Op::ConcatRows(a, b) => {
-                let ha = self.value(*a).rows();
-                let da = Tensor::from_vec(ha, g.cols(), g.as_slice()[..ha * g.cols()].to_vec());
-                let db = Tensor::from_vec(
-                    g.rows() - ha,
-                    g.cols(),
-                    g.as_slice()[ha * g.cols()..].to_vec(),
-                );
                 Self::acc(grads, *a, da);
                 Self::acc(grads, *b, db);
             }
@@ -695,32 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_softmax_rows() {
-        finite_diff_check(
-            Tensor::from_vec(2, 3, vec![0.2, 0.5, -0.1, 1.0, -1.0, 0.0]),
-            |t, x| {
-                let p = t.softmax_rows(x);
-                let sq = t.mul(p, p);
-                t.sum_all(sq)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn grad_log_softmax_rows() {
-        finite_diff_check(
-            Tensor::from_vec(2, 3, vec![0.2, 0.5, -0.1, 1.0, -1.0, 0.0]),
-            |t, x| {
-                let p = t.log_softmax_rows(x);
-                let s = t.sigmoid(p);
-                t.sum_all(s)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
     fn grad_concat_gather() {
         finite_diff_check(
             Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
@@ -728,19 +642,6 @@ mod tests {
                 let y = t.concat_cols(x, x);
                 let g = t.gather_rows(y, Arc::new(vec![2, 0, 2]));
                 let s = t.tanh(g);
-                t.sum_all(s)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn grad_concat_rows() {
-        finite_diff_check(
-            Tensor::from_vec(2, 2, vec![0.1, -0.2, 0.3, 0.4]),
-            |t, x| {
-                let y = t.concat_rows(x, x);
-                let s = t.sigmoid(y);
                 t.sum_all(s)
             },
             1e-2,

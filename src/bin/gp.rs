@@ -495,7 +495,6 @@ fn inspect_cmd(args: &[String]) -> CliResult {
     let summary = inspect_checkpoint(std::path::Path::new(path))
         .map_err(|e| format!("{path}: INVALID: {e}"))?;
     let kind = match summary.kind {
-        CheckpointKind::ModelV1 => "model (legacy v1, no checksum)",
         CheckpointKind::ModelV2 => "model (GPCK v2)",
         CheckpointKind::TrainerV2 => "trainer state (GPCK v2)",
     };

@@ -39,3 +39,43 @@ fn out_of_range_ways_is_an_error_not_a_panic() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn pre_v2_model_file_is_bad_magic_not_an_abort() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-gpmc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("v1.gpck");
+    // The unchecksummed pre-v2 header (`GPMC`, four u64 dims, three tag
+    // bytes, u64 seed) with a feat_dim of 2^40: any reader that sizes a
+    // model from it aborts on allocation.
+    let mut bytes = b"GPMC".to_vec();
+    for dim in [1u64 << 40, 8, 64, 64] {
+        bytes.extend_from_slice(&dim.to_le_bytes());
+    }
+    bytes.extend_from_slice(&[0, 0, 0]);
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    assert_eq!(bytes.len(), 47);
+    std::fs::write(&model, &bytes).unwrap();
+    let model = model.to_str().unwrap();
+    let inspect: &[&str] = &["inspect", model];
+    let evaluate: &[&str] = &[
+        "evaluate",
+        "--model",
+        model,
+        "--dataset",
+        "conceptnet",
+        "--ways",
+        "3",
+    ];
+    for args in [inspect, evaluate] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "gp {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "gp {args:?}: {stderr}");
+        assert!(stderr.contains("bad magic"), "gp {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
