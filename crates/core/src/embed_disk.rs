@@ -1,7 +1,7 @@
 //! GPES — the persistent disk tier behind [`crate::EmbeddingStore`].
 //!
-//! A GPES shard is one file per `(dataset_id, revision)` holding quantized
-//! candidate embeddings, written with exactly the GPCK container
+//! A GPES shard is one file per `(dataset_id, revision)` holding candidate
+//! embeddings, written with exactly the GPCK container
 //! discipline from [`crate::checkpoint`]: `"GPES"` magic, format version,
 //! payload length and CRC32, produced by an atomic temp → fsync → rename
 //! write. A shard that fails any of those checks — truncated, bit-flipped,
@@ -22,18 +22,14 @@
 //!   match the live weights is stale, not corrupt — it is discarded the
 //!   same way.
 //!
-//! Embeddings are stored per-entry as f32 (bit-exact), f16, or i8 with a
-//! per-row scale (`max|v| / 127`). Quantization is chosen per store
-//! ([`DiskTierConfig::quantization`]); reads dequantize into f32 before
-//! the entry is promoted back into the RAM tier. Both lossy codecs are
-//! idempotent — re-quantizing a dequantized row reproduces the same bytes
-//! — so demote/promote churn never compounds error.
+//! Rows are stored as raw little-endian f32 bits, so a demote → flush →
+//! load → promote roundtrip is bit-exact and the disk tier is invisible to
+//! `Backend::Reference` determinism checks. A shard holds the same
+//! `Entry` values as the RAM tier: demotion moves the evicted entry in,
+//! promotion clones it back out.
 //!
 //! There is no `mmap` in std (this workspace is zero-dependency), so a
-//! shard is validated once at open and its *quantized* bytes are held in
-//! memory: an i8 shard keeps residency at ~¼ of the f32 RAM tier per
-//! entry, and the dequantize-on-read path is identical to what an
-//! mmap-backed implementation would run.
+//! shard is validated once at open and its entries are held in memory.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -46,242 +42,15 @@ use gp_datasets::DataPoint;
 /// Container magic for GPES shard files.
 pub const GPES_MAGIC: &[u8; 4] = b"GPES";
 /// Current GPES format version.
-pub const GPES_VERSION: u32 = 1;
+/// Current GPES format version. Version 1 carried a per-entry encoding
+/// byte; a v1 shard fails the container check and is reclaimed as a cold
+/// miss like any damaged shard.
+pub const GPES_VERSION: u32 = 2;
 
 static CORRUPT_SHARDS: gp_obs::Counter = gp_obs::Counter::new("embed_store.disk.corrupt_shards");
 static STALE_SHARDS: gp_obs::Counter = gp_obs::Counter::new("embed_store.disk.stale_shards");
 static FLUSHES: gp_obs::Counter = gp_obs::Counter::new("embed_store.disk.flushes");
 static FLUSH_ERRORS: gp_obs::Counter = gp_obs::Counter::new("embed_store.disk.flush_errors");
-
-/// On-disk element encoding for one embedding row.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Quantization {
-    /// Raw little-endian f32 bits: the roundtrip is bit-exact, so the
-    /// disk tier is invisible to `Backend::Reference` determinism checks.
-    #[default]
-    F32,
-    /// IEEE 754 binary16, round-to-nearest-even: half the bytes, relative
-    /// error ≤ 2⁻¹¹ for normal values.
-    F16,
-    /// Per-row symmetric i8 with an f32 scale (`max|v| / 127`): a quarter
-    /// of the bytes, absolute error ≤ scale/2 per element.
-    I8,
-}
-
-impl Quantization {
-    /// Stable lowercase name, as accepted by [`Quantization::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            Quantization::F32 => "f32",
-            Quantization::F16 => "f16",
-            Quantization::I8 => "i8",
-        }
-    }
-
-    /// Parse a CLI/config spelling. Accepts `f32`, `f16`, `i8`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "f32" => Some(Quantization::F32),
-            "f16" => Some(Quantization::F16),
-            "i8" => Some(Quantization::I8),
-            _ => None,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            Quantization::F32 => 0,
-            Quantization::F16 => 1,
-            Quantization::I8 => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CheckpointError> {
-        match tag {
-            0 => Ok(Quantization::F32),
-            1 => Ok(Quantization::F16),
-            2 => Ok(Quantization::I8),
-            other => Err(CheckpointError::ShapeMismatch(format!(
-                "unknown quantization tag {other}"
-            ))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 ↔ f16 conversion (IEEE 754 binary16, round-to-nearest-even).
-// ---------------------------------------------------------------------------
-
-/// Convert an f32 to IEEE binary16 bits with round-to-nearest-even,
-/// handling subnormals, overflow-to-infinity, and NaN payload survival.
-pub(crate) fn f32_to_f16_bits(v: f32) -> u16 {
-    let x = v.to_bits();
-    let sign = ((x >> 16) & 0x8000) as u16;
-    let exp = ((x >> 23) & 0xFF) as i32;
-    let mant = x & 0x7F_FFFF;
-    if exp == 0xFF {
-        // Infinity or NaN; keep NaN distinguishable from infinity.
-        return sign | 0x7C00 | if mant != 0 { 0x0200 } else { 0 };
-    }
-    let e = exp - 127;
-    if e > 15 {
-        return sign | 0x7C00;
-    }
-    if e >= -14 {
-        let m = mant >> 13;
-        let rem = mant & 0x1FFF;
-        let mut bits = (((e + 15) as u32) << 10) | m;
-        if rem > 0x1000 || (rem == 0x1000 && (m & 1) == 1) {
-            // Carry out of the mantissa rolls into the exponent, which is
-            // exactly the correct rounding behavior (up to infinity).
-            bits += 1;
-        }
-        return sign | bits as u16;
-    }
-    if e >= -24 {
-        // Subnormal half: shift the (implicit-1) significand right.
-        let sig = mant | 0x80_0000;
-        let shift = (13 + (-14 - e)) as u32;
-        let m = sig >> shift;
-        let half = 1u32 << (shift - 1);
-        let rem = sig & ((1u32 << shift) - 1);
-        let mut bits = m;
-        if rem > half || (rem == half && (m & 1) == 1) {
-            bits += 1;
-        }
-        return sign | bits as u16;
-    }
-    // Magnitude below the smallest subnormal half: rounds to signed zero.
-    sign
-}
-
-/// Convert IEEE binary16 bits to an f32 (exact — every half is
-/// representable as a float).
-pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x3FF) as u32;
-    let bits = if exp == 0 {
-        if mant == 0 {
-            sign
-        } else {
-            // Subnormal half → normal float: renormalize the mantissa.
-            let mut e: u32 = 127 - 15 + 1;
-            let mut m = mant;
-            while m & 0x400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | (e << 23) | ((m & 0x3FF) << 13)
-        }
-    } else if exp == 0x1F {
-        sign | 0x7F80_0000 | (mant << 13)
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (mant << 13)
-    };
-    f32::from_bits(bits)
-}
-
-// ---------------------------------------------------------------------------
-// Quantized embedding rows.
-// ---------------------------------------------------------------------------
-
-/// One embedding row in its resident (possibly lossy) disk-tier form.
-#[derive(Clone, Debug)]
-pub(crate) enum QEmbedding {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-    I8 { scale: f32, data: Vec<i8> },
-}
-
-impl QEmbedding {
-    pub(crate) fn quantize(q: Quantization, v: &[f32]) -> Self {
-        match q {
-            Quantization::F32 => QEmbedding::F32(v.to_vec()),
-            Quantization::F16 => QEmbedding::F16(v.iter().map(|&x| f32_to_f16_bits(x)).collect()),
-            Quantization::I8 => {
-                let max_abs = v.iter().fold(0f32, |m, &x| m.max(x.abs()));
-                if max_abs == 0.0 || !max_abs.is_finite() {
-                    // All-zero rows need no scale; non-finite rows cannot
-                    // be ranged — store them losslessly instead of
-                    // saturating every element.
-                    return if max_abs == 0.0 {
-                        QEmbedding::I8 {
-                            scale: 0.0,
-                            data: vec![0; v.len()],
-                        }
-                    } else {
-                        QEmbedding::F32(v.to_vec())
-                    };
-                }
-                let scale = max_abs / 127.0;
-                let data = v
-                    .iter()
-                    .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
-                    .collect();
-                QEmbedding::I8 { scale, data }
-            }
-        }
-    }
-
-    pub(crate) fn dequantize(&self) -> Vec<f32> {
-        match self {
-            QEmbedding::F32(v) => v.clone(),
-            QEmbedding::F16(bits) => bits.iter().map(|&b| f16_bits_to_f32(b)).collect(),
-            QEmbedding::I8 { scale, data } => data.iter().map(|&q| q as f32 * scale).collect(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            QEmbedding::F32(v) => v.len(),
-            QEmbedding::F16(v) => v.len(),
-            QEmbedding::I8 { data, .. } => data.len(),
-        }
-    }
-}
-
-/// One disk-tier entry: a quantized row plus its selector importance.
-#[derive(Clone, Debug)]
-pub(crate) struct QEntry {
-    pub(crate) embedding: QEmbedding,
-    pub(crate) importance: f32,
-}
-
-// ---------------------------------------------------------------------------
-// Configuration.
-// ---------------------------------------------------------------------------
-
-/// Configuration for the persistent disk tier of an
-/// [`crate::EmbeddingStore`].
-#[derive(Clone, Debug)]
-pub struct DiskTierConfig {
-    /// Directory holding the GPES shard files (created on first write).
-    pub dir: PathBuf,
-    /// Element encoding for rows written by this store. Shards written
-    /// under a different encoding still load (the tag is per entry).
-    pub quantization: Quantization,
-    /// Maximum entries per shard; the oldest demotions are dropped first
-    /// when a shard overflows.
-    pub capacity: usize,
-    /// Demotions accumulated before the dirty shards are rewritten to
-    /// disk automatically. Explicit [`crate::EmbeddingStore::flush`] and
-    /// drop also persist.
-    pub flush_every: usize,
-}
-
-impl DiskTierConfig {
-    /// Tier config with default quantization (f32), capacity (65 536
-    /// entries per shard) and flush interval (64 demotions).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            quantization: Quantization::F32,
-            capacity: 65_536,
-            flush_every: 64,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Shards.
@@ -303,12 +72,12 @@ fn parse_shard_name(name: &str) -> Option<(u64, u64)> {
 }
 
 /// One open shard: every resident entry for one `(dataset_id, revision)`,
-/// already CRC-validated, still quantized.
+/// already CRC-validated.
 struct Shard {
     dataset_id: u64,
     revision: u64,
     weights_fp: u64,
-    entries: HashMap<Key, QEntry>,
+    entries: HashMap<Key, Entry>,
     /// Insertion order; drives both capacity trimming (oldest first) and
     /// the deterministic serialization order of the shard payload.
     order: VecDeque<Key>,
@@ -335,11 +104,11 @@ impl Shard {
         dir.join(shard_file_name(self.dataset_id, self.revision))
     }
 
-    fn insert(&mut self, key: Key, entry: QEntry, capacity: usize) {
+    fn insert(&mut self, key: Key, entry: Entry, capacity: usize) {
         if self.entries.insert(key, entry).is_none() {
             self.order.push_back(key);
         }
-        while self.entries.len() > capacity.max(1) {
+        while self.entries.len() > capacity {
             match self.order.pop_front() {
                 Some(oldest) => {
                     self.entries.remove(&oldest);
@@ -399,7 +168,7 @@ impl Shard {
     }
 }
 
-fn encode_entry(p: &mut Vec<u8>, key: &Key, entry: &QEntry) {
+fn encode_entry(p: &mut Vec<u8>, key: &Key, entry: &Entry) {
     let (tag, id) = match key.point {
         DataPoint::Node(n) => (0u8, n),
         DataPoint::Edge(e) => (1u8, e),
@@ -412,34 +181,13 @@ fn encode_entry(p: &mut Vec<u8>, key: &Key, entry: &QEntry) {
     checkpoint::put_u64(p, key.neighbors_per_node as u64);
     p.push(key.use_reconstruction as u8);
     checkpoint::put_f32(p, entry.importance);
-    let q = match &entry.embedding {
-        QEmbedding::F32(_) => Quantization::F32,
-        QEmbedding::F16(_) => Quantization::F16,
-        QEmbedding::I8 { .. } => Quantization::I8,
-    };
-    p.push(q.tag());
     checkpoint::put_u64(p, entry.embedding.len() as u64);
-    match &entry.embedding {
-        QEmbedding::F32(v) => {
-            for x in v {
-                checkpoint::put_f32(p, *x);
-            }
-        }
-        QEmbedding::F16(v) => {
-            for x in v {
-                p.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        QEmbedding::I8 { scale, data } => {
-            checkpoint::put_f32(p, *scale);
-            for x in data {
-                p.push(*x as u8);
-            }
-        }
+    for x in &entry.embedding {
+        checkpoint::put_f32(p, *x);
     }
 }
 
-fn decode_entry(r: &mut Reader<'_>, dataset_id: u64) -> Result<(Key, QEntry), CheckpointError> {
+fn decode_entry(r: &mut Reader<'_>, dataset_id: u64) -> Result<(Key, Entry), CheckpointError> {
     let tag = r.u8()?;
     let id = r.u32()?;
     let point = match tag {
@@ -457,34 +205,12 @@ fn decode_entry(r: &mut Reader<'_>, dataset_id: u64) -> Result<(Key, QEntry), Ch
     let neighbors_per_node = r.usize()?;
     let use_reconstruction = r.u8()? != 0;
     let importance = r.f32()?;
-    let q = Quantization::from_tag(r.u8()?)?;
     let dim = r.usize()?;
-    let embedding = match q {
-        Quantization::F32 => {
-            let raw = r.take(dim.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
-            QEmbedding::F32(
-                raw.chunks_exact(4)
-                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect(),
-            )
-        }
-        Quantization::F16 => {
-            let raw = r.take(dim.checked_mul(2).ok_or(CheckpointError::Truncated)?)?;
-            QEmbedding::F16(
-                raw.chunks_exact(2)
-                    .map(|b| u16::from_le_bytes([b[0], b[1]]))
-                    .collect(),
-            )
-        }
-        Quantization::I8 => {
-            let scale = r.f32()?;
-            let raw = r.take(dim)?;
-            QEmbedding::I8 {
-                scale,
-                data: raw.iter().map(|&b| b as i8).collect(),
-            }
-        }
-    };
+    let raw = r.take(dim.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
+    let embedding = raw
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
     let key = Key {
         dataset_id,
         point,
@@ -494,13 +220,11 @@ fn decode_entry(r: &mut Reader<'_>, dataset_id: u64) -> Result<(Key, QEntry), Ch
         neighbors_per_node,
         use_reconstruction,
     };
-    Ok((
-        key,
-        QEntry {
-            embedding,
-            importance,
-        },
-    ))
+    let entry = Entry {
+        embedding,
+        importance,
+    };
+    Ok((key, entry))
 }
 
 // ---------------------------------------------------------------------------
@@ -510,7 +234,11 @@ fn decode_entry(r: &mut Reader<'_>, dataset_id: u64) -> Result<(Key, QEntry), Ch
 /// The disk tier of an [`crate::EmbeddingStore`]: open shards plus flush
 /// bookkeeping. All methods are called under the store's mutex.
 pub(crate) struct DiskTier {
-    cfg: DiskTierConfig,
+    /// Directory holding the GPES shard files (created on first write).
+    dir: PathBuf,
+    /// Maximum entries per shard; the oldest demotions are dropped first
+    /// when a shard overflows. [`DiskTier::CAPACITY`] outside tests.
+    capacity: usize,
     /// Open shards, one per dataset, all at the store's current revision
     /// and weights fingerprint. A `Vec` (not a hash map) so every walk is
     /// deterministic; the number of concurrently served datasets is tiny.
@@ -521,9 +249,17 @@ pub(crate) struct DiskTier {
 }
 
 impl DiskTier {
-    pub(crate) fn new(cfg: DiskTierConfig) -> Self {
+    /// Entries per shard.
+    const CAPACITY: usize = 65_536;
+    /// Demotions accumulated before the dirty shards are rewritten to disk
+    /// automatically. Explicit [`crate::EmbeddingStore::flush`] and drop
+    /// also persist.
+    const FLUSH_EVERY: usize = 64;
+
+    pub(crate) fn new(dir: PathBuf) -> Self {
         Self {
-            cfg,
+            dir,
+            capacity: Self::CAPACITY,
             shards: Vec::new(),
             pending: 0,
             corrupt_shards: 0,
@@ -541,7 +277,7 @@ impl DiskTier {
     }
 
     pub(crate) fn should_autoflush(&self) -> bool {
-        self.pending >= self.cfg.flush_every.max(1)
+        self.pending >= Self::FLUSH_EVERY
     }
 
     /// Index of the open shard for `dataset_id`, opening (and validating)
@@ -562,7 +298,7 @@ impl DiskTier {
     /// an empty shard. Never errors — every failure mode is a cold cache.
     fn open_shard(&mut self, dataset_id: u64, revision: u64, weights_fp: u64) -> Shard {
         self.sweep_other_revisions(dataset_id, revision);
-        let path = self.cfg.dir.join(shard_file_name(dataset_id, revision));
+        let path = self.dir.join(shard_file_name(dataset_id, revision));
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(_) => return Shard::empty(dataset_id, revision, weights_fp),
@@ -599,7 +335,7 @@ impl DiskTier {
     /// Delete shard files for `dataset_id` at any other revision — their
     /// weights no longer exist, so they can never be read again.
     fn sweep_other_revisions(&self, dataset_id: u64, revision: u64) {
-        let Ok(entries) = std::fs::read_dir(&self.cfg.dir) else {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
         for e in entries.flatten() {
@@ -617,34 +353,21 @@ impl DiskTier {
         }
     }
 
-    /// Fetch and dequantize an entry, if the shard for the key's dataset
-    /// holds one.
-    pub(crate) fn lookup(
-        &mut self,
-        key: &Key,
-        revision: u64,
-        weights_fp: u64,
-    ) -> Option<(Vec<f32>, f32)> {
+    /// The entry for `key`, if the shard for the key's dataset holds one.
+    pub(crate) fn lookup(&mut self, key: &Key, revision: u64, weights_fp: u64) -> Option<&Entry> {
         let i = self.shard_index(key.dataset_id, revision, weights_fp);
-        let entry = self.shards[i].entries.get(key)?;
-        Some((entry.embedding.dequantize(), entry.importance))
+        self.shards[i].entries.get(key)
     }
 
-    /// Quantize and park an entry evicted from the RAM tier. A key the
-    /// shard already holds is left untouched (the value is identical by
-    /// construction — embeddings are pure functions of the key and
-    /// weights).
-    pub(crate) fn demote(&mut self, key: Key, entry: &Entry, revision: u64, weights_fp: u64) {
+    /// Park an entry evicted from the RAM tier. A key the shard already
+    /// holds is left untouched (the value is identical by construction —
+    /// embeddings are pure functions of the key and weights).
+    pub(crate) fn demote(&mut self, key: Key, entry: Entry, revision: u64, weights_fp: u64) {
         let i = self.shard_index(key.dataset_id, revision, weights_fp);
         if self.shards[i].entries.contains_key(&key) {
             return;
         }
-        let q = QEntry {
-            embedding: QEmbedding::quantize(self.cfg.quantization, &entry.embedding),
-            importance: entry.importance,
-        };
-        let capacity = self.cfg.capacity;
-        self.shards[i].insert(key, q, capacity);
+        self.shards[i].insert(key, entry, self.capacity);
         self.pending += 1;
     }
 
@@ -657,7 +380,7 @@ impl DiskTier {
                 clippy::unused_result_ok,
                 reason = "best-effort delete, like the pre-existing cleanup it mirrors; the open shards are dropped either way"
             )]
-            std::fs::remove_file(shard.path(&self.cfg.dir)).ok();
+            std::fs::remove_file(shard.path(&self.dir)).ok();
         }
         self.pending = 0;
     }
@@ -681,12 +404,12 @@ impl DiskTier {
             if !shard.dirty {
                 continue;
             }
-            if std::fs::create_dir_all(&self.cfg.dir).is_err() {
+            if std::fs::create_dir_all(&self.dir).is_err() {
                 FLUSH_ERRORS.inc();
                 continue;
             }
             let payload = shard.encode();
-            let path = shard.path(&self.cfg.dir);
+            let path = shard.path(&self.dir);
             match checkpoint::write_tagged_container(
                 &path,
                 GPES_MAGIC,
@@ -740,122 +463,77 @@ mod tests {
     }
 
     #[test]
-    fn f16_matches_known_vectors() {
-        for (f, bits) in [
-            (0.0f32, 0x0000u16),
-            (-0.0, 0x8000),
-            (1.0, 0x3C00),
-            (-2.0, 0xC000),
-            (0.5, 0x3800),
-            (65504.0, 0x7BFF),
-            (f32::INFINITY, 0x7C00),
-            (6.103_515_6e-5, 0x0400), // smallest normal half
-            (5.960_464_5e-8, 0x0001), // smallest subnormal half
-        ] {
-            assert_eq!(f32_to_f16_bits(f), bits, "encoding {f}");
-            if f.is_finite() {
-                assert_eq!(f16_bits_to_f32(bits), f, "decoding {bits:#06x}");
-            }
-        }
-        // Overflow saturates to infinity; NaN stays NaN.
-        assert_eq!(f32_to_f16_bits(1.0e9), 0x7C00);
-        assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
-    }
-
-    #[test]
-    fn f16_error_is_bounded_and_idempotent() {
-        let mut x = 1.000_123e-3f32;
-        for i in 0..4096 {
-            let v = x * if i % 2 == 0 { 1.0 } else { -1.0 };
-            let rt = f16_bits_to_f32(f32_to_f16_bits(v));
-            let rel = ((rt - v) / v).abs();
-            assert!(rel <= 1.0 / 2048.0, "rel error {rel} at {v}");
-            // Idempotence: a value that IS a half encodes back to itself.
-            assert_eq!(
-                f32_to_f16_bits(rt),
-                f32_to_f16_bits(v),
-                "idempotence at {v}"
-            );
-            x *= 1.004_7;
-            if x > 6.0e4 {
-                x = 1.000_123e-3;
-            }
-        }
-    }
-
-    #[test]
-    fn i8_error_is_bounded_and_idempotent() {
-        let vals: Vec<f32> = (0..64)
-            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.173)
-            .collect();
-        let q = QEmbedding::quantize(Quantization::I8, &vals);
-        let rt = q.dequantize();
-        let max_abs = vals.iter().fold(0f32, |m, &x| m.max(x.abs()));
-        let scale = max_abs / 127.0;
-        // Half a quantization step, plus a few ulps for the f32 divide
-        // on the encode side and multiply on the decode side.
-        let tol = scale * 0.5 + max_abs * 1e-6;
-        for (a, b) in vals.iter().zip(&rt) {
-            assert!((a - b).abs() <= tol, "err {} at {a}", (a - b).abs());
-        }
-        // Re-quantizing the dequantized row reproduces the same bytes.
-        let q2 = QEmbedding::quantize(Quantization::I8, &rt);
-        assert_eq!(q2.dequantize(), rt);
-    }
-
-    #[test]
-    fn i8_handles_zero_and_nonfinite_rows() {
-        let z = QEmbedding::quantize(Quantization::I8, &[0.0, -0.0, 0.0]);
-        assert_eq!(z.dequantize(), vec![0.0, 0.0, 0.0]);
-        // A row with a non-finite element falls back to lossless storage.
-        let nf = QEmbedding::quantize(Quantization::I8, &[1.0, f32::INFINITY]);
-        assert_eq!(nf.dequantize(), vec![1.0, f32::INFINITY]);
-    }
-
-    #[test]
     fn f32_quantization_is_bit_exact() {
-        let vals = vec![
+        let dir = tmpdir("bit_exact");
+        let mut tier = DiskTier::new(dir.clone());
+        let vals = [
             1.0e-30f32,
             -0.0,
             std::f32::consts::PI,
             f32::MIN_POSITIVE,
             -1.5e30,
+            f32::MIN_POSITIVE / 4.0, // subnormal
         ];
-        let q = QEmbedding::quantize(Quantization::F32, &vals);
-        let rt = q.dequantize();
-        for (a, b) in vals.iter().zip(&rt) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        tier.demote(key(5, 1), entry(&vals), 3, 99);
+        assert_eq!(tier.flush(), 1);
+
+        let mut tier2 = DiskTier::new(dir.clone());
+        let e = tier2.lookup(&key(5, 1), 3, 99).expect("warm hit");
+        let bits: Vec<u32> = e.embedding.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, vals.map(f32::to_bits));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn shard_roundtrips_through_disk() {
         let dir = tmpdir("roundtrip");
-        let mut tier = DiskTier::new(DiskTierConfig::new(&dir));
-        let e = entry(&[0.125, -7.5, 3.0e-9]);
-        tier.demote(key(5, 1), &e, 3, 99);
-        tier.demote(key(5, 2), &entry(&[4.0]), 3, 99);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.demote(key(5, 1), entry(&[0.125, -7.5, 3.0e-9]), 3, 99);
+        tier.demote(key(5, 2), entry(&[4.0]), 3, 99);
         assert_eq!(tier.flush(), 2);
 
         // A fresh tier (fresh process, same weights) reads both back.
-        let mut tier2 = DiskTier::new(DiskTierConfig::new(&dir));
-        let (emb, imp) = tier2.lookup(&key(5, 1), 3, 99).expect("warm hit");
-        assert_eq!(emb, vec![0.125, -7.5, 3.0e-9]);
-        assert_eq!(imp, 0.25);
+        let mut tier2 = DiskTier::new(dir.clone());
+        let e = tier2.lookup(&key(5, 1), 3, 99).expect("warm hit");
+        assert_eq!(e.embedding, vec![0.125, -7.5, 3.0e-9]);
+        assert_eq!(e.importance, 0.25);
         assert!(tier2.lookup(&key(5, 2), 3, 99).is_some());
         assert_eq!(tier2.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn v1_shard_is_a_counted_cold_miss() {
+        let dir = tmpdir("v1");
+        let path = dir.join(shard_file_name(5, 3));
+        // A v1 shard: valid container and CRC, but each entry carries an
+        // encoding byte (0 = f32) between its importance and its row length.
+        let mut payload = Vec::new();
+        for v in [5, 3, 99, 1] {
+            checkpoint::put_u64(&mut payload, v);
+        }
+        let mut row = Vec::new();
+        encode_entry(&mut row, &key(5, 1), &entry(&[1.0, 2.0]));
+        row.insert(42, 0); // after the 38-byte key and the f32 importance
+        payload.extend(row);
+        checkpoint::write_tagged_container(&path, GPES_MAGIC, 1, &payload, None).unwrap();
+
+        let mut tier = DiskTier::new(dir.clone());
+        assert!(tier.lookup(&key(5, 1), 3, 99).is_none());
+        assert_eq!(tier.corrupt_shards(), 1);
+        assert!(!path.exists(), "v1 shard not reclaimed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn weights_fingerprint_mismatch_is_a_cold_start() {
         let dir = tmpdir("stale_fp");
-        let mut tier = DiskTier::new(DiskTierConfig::new(&dir));
-        tier.demote(key(5, 1), &entry(&[1.0]), 3, 99);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.demote(key(5, 1), entry(&[1.0]), 3, 99);
         tier.flush();
 
         // Same dataset + revision, different weights: never served.
-        let mut other = DiskTier::new(DiskTierConfig::new(&dir));
+        let mut other = DiskTier::new(dir.clone());
         assert!(other.lookup(&key(5, 1), 3, 1234).is_none());
         assert_eq!(other.corrupt_shards(), 0, "stale is not corrupt");
         // The stale file was reclaimed.
@@ -866,13 +544,13 @@ mod tests {
     #[test]
     fn other_revision_files_are_swept() {
         let dir = tmpdir("sweep");
-        let mut tier = DiskTier::new(DiskTierConfig::new(&dir));
-        tier.demote(key(5, 1), &entry(&[1.0]), 3, 99);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.demote(key(5, 1), entry(&[1.0]), 3, 99);
         tier.flush();
         assert!(dir.join(shard_file_name(5, 3)).exists());
 
         // New revision opens: the rev-3 file is gone, lookup is cold.
-        let mut next = DiskTier::new(DiskTierConfig::new(&dir));
+        let mut next = DiskTier::new(dir.clone());
         assert!(next.lookup(&key(5, 1), 4, 99).is_none());
         assert!(!dir.join(shard_file_name(5, 3)).exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -881,9 +559,9 @@ mod tests {
     #[test]
     fn every_single_byte_corruption_is_a_cold_miss() {
         let dir = tmpdir("flip");
-        let mut tier = DiskTier::new(DiskTierConfig::new(&dir));
-        tier.demote(key(5, 1), &entry(&[1.0, 2.0, 3.0]), 3, 99);
-        tier.demote(key(5, 2), &entry(&[-4.0, 5.5]), 3, 99);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.demote(key(5, 1), entry(&[1.0, 2.0, 3.0]), 3, 99);
+        tier.demote(key(5, 2), entry(&[-4.0, 5.5]), 3, 99);
         tier.flush();
         let path = dir.join(shard_file_name(5, 3));
         let good = std::fs::read(&path).unwrap();
@@ -892,7 +570,7 @@ mod tests {
             let mut bad = good.clone();
             bad[i] ^= 0x20;
             std::fs::write(&path, &bad).unwrap();
-            let mut t = DiskTier::new(DiskTierConfig::new(&dir));
+            let mut t = DiskTier::new(dir.clone());
             assert!(
                 t.lookup(&key(5, 1), 3, 99).is_none() && t.lookup(&key(5, 2), 3, 99).is_none(),
                 "corruption at byte {i} served data"
@@ -906,14 +584,14 @@ mod tests {
     #[test]
     fn truncation_is_a_cold_miss() {
         let dir = tmpdir("trunc");
-        let mut tier = DiskTier::new(DiskTierConfig::new(&dir));
-        tier.demote(key(5, 1), &entry(&[1.0, 2.0]), 3, 99);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.demote(key(5, 1), entry(&[1.0, 2.0]), 3, 99);
         tier.flush();
         let path = dir.join(shard_file_name(5, 3));
         let good = std::fs::read(&path).unwrap();
         for cut in [0, 1, 4, 15, 16, good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..cut]).unwrap();
-            let mut t = DiskTier::new(DiskTierConfig::new(&dir));
+            let mut t = DiskTier::new(dir.clone());
             assert!(
                 t.lookup(&key(5, 1), 3, 99).is_none(),
                 "cut at {cut} served data"
@@ -925,18 +603,18 @@ mod tests {
     #[test]
     fn kill_mid_write_leaves_old_or_nothing() {
         let dir = tmpdir("kill");
-        let mut tier = DiskTier::new(DiskTierConfig::new(&dir));
-        tier.demote(key(5, 1), &entry(&[1.0]), 3, 99);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.demote(key(5, 1), entry(&[1.0]), 3, 99);
         tier.flush();
 
         // A later flush dies mid-write (both crash points): the previous
         // complete shard must survive untouched.
         for fault in [WriteFault::TornWrite, WriteFault::BeforeRename] {
-            tier.demote(key(5, 100), &entry(&[9.0]), 3, 99);
+            tier.demote(key(5, 100), entry(&[9.0]), 3, 99);
             tier.flush_with_fault(fault);
-            let mut t = DiskTier::new(DiskTierConfig::new(&dir));
-            let (emb, _) = t.lookup(&key(5, 1), 3, 99).expect("old shard intact");
-            assert_eq!(emb, vec![1.0]);
+            let mut t = DiskTier::new(dir.clone());
+            let e = t.lookup(&key(5, 1), 3, 99).expect("old shard intact");
+            assert_eq!(e.embedding, vec![1.0]);
             assert_eq!(t.corrupt_shards(), 0);
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -945,26 +623,15 @@ mod tests {
     #[test]
     fn shard_capacity_drops_oldest_demotions() {
         let dir = tmpdir("cap");
-        let mut cfg = DiskTierConfig::new(&dir);
-        cfg.capacity = 2;
-        let mut tier = DiskTier::new(cfg);
+        let mut tier = DiskTier::new(dir.clone());
+        tier.capacity = 2;
         for n in 0..5 {
-            tier.demote(key(5, n), &entry(&[n as f32]), 3, 99);
+            tier.demote(key(5, n), entry(&[n as f32]), 3, 99);
         }
         assert_eq!(tier.len(), 2);
         assert!(tier.lookup(&key(5, 3), 3, 99).is_some());
         assert!(tier.lookup(&key(5, 4), 3, 99).is_some());
         assert!(tier.lookup(&key(5, 0), 3, 99).is_none());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn quantization_names_roundtrip() {
-        for q in [Quantization::F32, Quantization::F16, Quantization::I8] {
-            assert_eq!(Quantization::parse(q.name()), Some(q));
-            assert_eq!(Quantization::from_tag(q.tag()).unwrap(), q);
-        }
-        assert_eq!(Quantization::parse("F16"), Some(Quantization::F16));
-        assert_eq!(Quantization::parse("fp8"), None);
     }
 }

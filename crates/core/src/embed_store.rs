@@ -21,9 +21,9 @@
 //!   use count; the least-frequently-used entry (FIFO within a count) is
 //!   the eviction victim.
 //! * **L1 (disk, optional)** — persistent GPES shards
-//!   ([`crate::embed_disk`]), one per `(dataset, revision)`, holding
-//!   quantized rows. L0 evictions *demote* into L1; an L1 hit dequantizes
-//!   and *promotes* back into L0. Shards survive the process, so a
+//!   ([`crate::embed_disk`]), one per `(dataset, revision)`, holding the
+//!   same f32 entries. L0 evictions *demote* into L1; an L1 hit is copied
+//!   and *promoted* back into L0. Shards survive the process, so a
 //!   restarted engine (same weights, same backend) warm-starts instead of
 //!   re-embedding its prompt pool.
 //!
@@ -52,11 +52,12 @@
 
 use gp_obs::sync::{Mutex, Rank};
 use std::hash::{Hash, Hasher};
+use std::path::PathBuf;
 
 use gp_datasets::{DataPoint, Dataset, Task};
 use gp_graph::SamplerConfig;
 
-use crate::embed_disk::{DiskTier, DiskTierConfig};
+use crate::embed_disk::DiskTier;
 use crate::lfu::LfuCache;
 
 static HITS: gp_obs::Counter = gp_obs::Counter::new("embed_store.hits");
@@ -168,11 +169,11 @@ impl EmbeddingStore {
     }
 
     /// A tiered store: `capacity` embeddings in RAM, overflow demoted to
-    /// persistent GPES shards under `disk.dir`. The disk tier stays inert
-    /// until [`EmbeddingStore::set_weights_context`] ties the current
-    /// revision to actual weight bits.
-    pub fn with_disk_tier(capacity: usize, disk: DiskTierConfig) -> Self {
-        Self::build(capacity, Some(DiskTier::new(disk)))
+    /// persistent GPES shards under `dir` (created on first write). The
+    /// disk tier stays inert until [`EmbeddingStore::set_weights_context`]
+    /// ties the current revision to actual weight bits.
+    pub fn with_disk_tier(capacity: usize, dir: impl Into<PathBuf>) -> Self {
+        Self::build(capacity, Some(DiskTier::new(dir.into())))
     }
 
     fn build(capacity: usize, disk: Option<DiskTier>) -> Self {
@@ -323,7 +324,7 @@ impl EmbeddingStore {
     /// (the current [`gp_nn::ParamStore::revision`]) exists in either
     /// tier. A newer revision drops every entry before the lookup; an
     /// older one is answered as a miss without touching the store. A disk
-    /// hit dequantizes the row and promotes it into the RAM tier.
+    /// hit is promoted into the RAM tier.
     pub fn lookup(
         &self,
         revision: u64,
@@ -353,22 +354,16 @@ impl EmbeddingStore {
             }
             let inner = &mut *inner;
             if let (Some(fp), Some(disk)) = (inner.weights_fp, inner.disk.as_mut()) {
-                if let Some((embedding, importance)) = disk.lookup(&key, revision, fp) {
+                if let Some(entry) = disk.lookup(&key, revision, fp).cloned() {
                     inner.hits += 1;
                     inner.disk_hits += 1;
                     inner.promotions += 1;
                     HITS.inc();
                     DISK_HITS.inc();
                     PROMOTIONS.inc();
-                    let evicted = inner.l0.insert(
-                        key,
-                        Entry {
-                            embedding: embedding.clone(),
-                            importance,
-                        },
-                    );
-                    if let Some((vk, ve)) = evicted {
-                        disk.demote(vk, &ve, revision, fp);
+                    let out = (entry.embedding.clone(), entry.importance);
+                    if let Some((vk, ve)) = inner.l0.insert(key, entry) {
+                        disk.demote(vk, ve, revision, fp);
                         inner.demotions += 1;
                         DEMOTIONS.inc();
                         if disk.should_autoflush() {
@@ -376,7 +371,7 @@ impl EmbeddingStore {
                         }
                     }
                     inner.refresh_gauges();
-                    return Some((embedding, importance));
+                    return Some(out);
                 }
             }
             inner.misses += 1;
@@ -436,9 +431,9 @@ impl EmbeddingStore {
         );
         if let (Some((vk, ve)), Some(fp)) = (evicted, inner.weights_fp) {
             if let Some(disk) = inner.disk.as_mut() {
-                // Demotion quantizes into the in-memory shard buffer; actual disk writes batch up
+                // Demotion moves the entry into the in-memory shard; actual disk writes batch up
                 // behind should_autoflush.
-                disk.demote(vk, &ve, inner.revision, fp);
+                disk.demote(vk, ve, inner.revision, fp);
                 inner.demotions += 1;
                 DEMOTIONS.inc();
                 if disk.should_autoflush() {
@@ -470,8 +465,7 @@ impl EmbeddingStore {
     /// atomically (temp → fsync → rename). Returns the number of entries
     /// persisted. A no-op (0) without a disk tier, or before
     /// [`EmbeddingStore::set_weights_context`] has armed it. Also runs on
-    /// drop, and automatically every
-    /// [`crate::embed_disk::DiskTierConfig::flush_every`] demotions.
+    /// drop, and automatically every 64 demotions.
     pub fn flush(&self) -> usize {
         let mut inner = self.inner.lock();
         // Flush-under-lock is the persistence contract: the shard on disk is a frozen snapshot of
@@ -502,7 +496,7 @@ impl EmbeddingStore {
         let revision = inner.revision;
         for key in inner.l0.ordered_keys() {
             if let Some(entry) = inner.l0.peek(&key) {
-                disk.demote(key, entry, revision, fp);
+                disk.demote(key, entry.clone(), revision, fp);
             }
         }
         let written = match fault {
@@ -554,8 +548,6 @@ impl Drop for EmbeddingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embed_disk::Quantization;
-    use std::path::PathBuf;
 
     /// Dataset axis used by tests that are not about dataset separation.
     const DS: u64 = 7;
@@ -572,7 +564,7 @@ mod tests {
     }
 
     fn tiered(capacity: usize, dir: &PathBuf) -> EmbeddingStore {
-        let store = EmbeddingStore::with_disk_tier(capacity, DiskTierConfig::new(dir));
+        let store = EmbeddingStore::with_disk_tier(capacity, dir);
         store.set_weights_context(1, 42);
         store
     }
@@ -888,7 +880,7 @@ mod tests {
         assert_eq!(store2.stats().disk_hits, 1);
 
         // Different weights fingerprint → cold, nothing served.
-        let store3 = EmbeddingStore::with_disk_tier(4, DiskTierConfig::new(&dir));
+        let store3 = EmbeddingStore::with_disk_tier(4, &dir);
         store3.set_weights_context(1, 43);
         assert!(store3
             .lookup(1, DS, DataPoint::Node(9), 0, &sampler(), true)
@@ -949,7 +941,7 @@ mod tests {
     #[test]
     fn disk_tier_inert_without_weights_context() {
         let dir = tmpdir("inert");
-        let store = EmbeddingStore::with_disk_tier(1, DiskTierConfig::new(&dir));
+        let store = EmbeddingStore::with_disk_tier(1, &dir);
         // No set_weights_context: evictions are dropped, not demoted.
         store.insert(
             1,
@@ -975,57 +967,6 @@ mod tests {
         assert_eq!((s.len, s.disk_len, s.demotions), (1, 0, 0));
         assert_eq!(store.flush(), 0);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn quantized_tiers_bound_dequantize_error() {
-        for (q, tol_rel, tol_abs) in [
-            (Quantization::F16, 1.0 / 2048.0, 1e-6),
-            (Quantization::I8, 0.0, 1.7 / 127.0 * 0.5 + 1e-6),
-        ] {
-            let dir = tmpdir(q.name());
-            let store = EmbeddingStore::with_disk_tier(
-                1,
-                DiskTierConfig {
-                    quantization: q,
-                    ..DiskTierConfig::new(&dir)
-                },
-            );
-            store.set_weights_context(1, 42);
-            let row: Vec<f32> = (0..16)
-                .map(|i| (i as f32 * 0.211 - 1.7).sin() * 1.7)
-                .collect();
-            store.insert(
-                1,
-                DS,
-                DataPoint::Node(0),
-                0,
-                &sampler(),
-                true,
-                row.clone(),
-                0.3,
-            );
-            // Evict node 0 to disk, then read it back through dequantize.
-            store.insert(
-                1,
-                DS,
-                DataPoint::Node(1),
-                0,
-                &sampler(),
-                true,
-                vec![0.0; 16],
-                0.0,
-            );
-            let (emb, _) = store
-                .lookup(1, DS, DataPoint::Node(0), 0, &sampler(), true)
-                .expect("disk hit");
-            for (a, b) in row.iter().zip(&emb) {
-                let err = (a - b).abs();
-                let bound = tol_abs + tol_rel * a.abs();
-                assert!(err <= bound, "{q:?}: err {err} > {bound} at {a}");
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     /// Satellite regression: the process-wide gauges aggregate across

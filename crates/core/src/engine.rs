@@ -48,7 +48,6 @@ use gp_tensor::{Backend, Parallelism, PoolStats, WorkerPool};
 
 use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
-use crate::embed_disk::{DiskTierConfig, Quantization};
 use crate::embed_store::{EmbedCacheStats, EmbeddingStore};
 use crate::error::{DeadlineExceeded, EngineError};
 use crate::guard::DivergenceError;
@@ -70,7 +69,6 @@ pub struct EngineBuilder {
     timing_mode: bool,
     embed_cache: Option<usize>,
     embed_store_dir: Option<PathBuf>,
-    embed_quantization: Quantization,
     shared_pool: Option<Arc<WorkerPool>>,
     backend: Backend,
 }
@@ -86,7 +84,6 @@ impl Default for EngineBuilder {
             timing_mode: false,
             embed_cache: Some(DEFAULT_EMBED_CACHE_CAPACITY),
             embed_store_dir: None,
-            embed_quantization: Quantization::F32,
             shared_pool: None,
             backend: Backend::default(),
         }
@@ -204,16 +201,6 @@ impl EngineBuilder {
         self
     }
 
-    /// On-disk encoding for demoted embeddings: [`Quantization::F32`]
-    /// (the default) is bit-exact on roundtrip; [`Quantization::F16`] /
-    /// [`Quantization::I8`] shrink shards ~2×/~4× at a bounded, tested
-    /// dequantization error. No effect unless
-    /// [`EngineBuilder::embed_store_dir`] is set.
-    pub fn embed_quantization(mut self, q: Quantization) -> Self {
-        self.embed_quantization = q;
-        self
-    }
-
     /// Validate all configs and build the engine. The worker pool itself
     /// is created lazily on the first `pretrain`/`evaluate`/`run_episode`
     /// call (a budget of 1 never spawns any thread at all).
@@ -231,13 +218,7 @@ impl EngineBuilder {
         self.pretrain_cfg.validate()?;
         self.infer_cfg.validate()?;
         let embed_store = match (self.embed_cache, self.embed_store_dir) {
-            (Some(capacity), Some(dir)) => Some(EmbeddingStore::with_disk_tier(
-                capacity,
-                DiskTierConfig {
-                    quantization: self.embed_quantization,
-                    ..DiskTierConfig::new(dir)
-                },
-            )),
+            (Some(capacity), Some(dir)) => Some(EmbeddingStore::with_disk_tier(capacity, dir)),
             (Some(capacity), None) => Some(EmbeddingStore::new(capacity)),
             (None, Some(_)) => return Err(ConfigError::DiskTierWithoutCache),
             (None, None) => None,

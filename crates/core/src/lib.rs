@@ -82,7 +82,6 @@ pub use config::{
     StageConfig,
 };
 pub use deadline::Deadline;
-pub use embed_disk::{DiskTierConfig, Quantization};
 pub use embed_store::{EmbedCacheStats, EmbeddingStore};
 pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
 pub use error::{DeadlineExceeded, EngineError};

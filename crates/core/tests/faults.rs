@@ -446,11 +446,10 @@ fn resume_rejects_mismatched_model_config() {
 // ---------------------------------------------------------------------------
 // GPES embedding-shard faults: the persistent embedding tier must treat
 // ANY damaged shard as a cold miss — never serve wrong data, never panic
-// — and its lossy encodings must stay inside their documented error
-// envelopes for arbitrary rows.
+// — and must roundtrip arbitrary rows bit for bit.
 // ---------------------------------------------------------------------------
 
-use gp_core::{DiskTierConfig, EmbeddingStore, Quantization};
+use gp_core::EmbeddingStore;
 use gp_datasets::DataPoint;
 
 const GPES_REVISION: u64 = 7;
@@ -467,7 +466,7 @@ fn gpes_sampler() -> SamplerConfig {
 
 /// A store over `dir` with `rows` embeddings persisted to one shard.
 fn populated_gpes_store(dir: &Path, rows: usize) -> EmbeddingStore {
-    let store = EmbeddingStore::with_disk_tier(64, DiskTierConfig::new(dir.to_path_buf()));
+    let store = EmbeddingStore::with_disk_tier(64, dir);
     store.set_weights_context(GPES_REVISION, GPES_FP);
     for i in 0..rows {
         store.insert(
@@ -513,7 +512,7 @@ fn any_single_byte_shard_corruption_is_a_cold_miss() {
         bytes[off] ^= rng.gen_range(1..=255) as u8;
         std::fs::write(&files[0], &bytes).unwrap();
 
-        let fresh = EmbeddingStore::with_disk_tier(64, DiskTierConfig::new(dir.clone()));
+        let fresh = EmbeddingStore::with_disk_tier(64, dir.clone());
         fresh.set_weights_context(GPES_REVISION, GPES_FP);
         for i in 0..5u32 {
             let hit = fresh.lookup(
@@ -544,7 +543,7 @@ fn any_shard_truncation_is_a_cold_miss() {
         let cut = rng.gen_range(0..bytes.len()); // strictly shorter than the file
         std::fs::write(&files[0], &bytes[..cut]).unwrap();
 
-        let fresh = EmbeddingStore::with_disk_tier(64, DiskTierConfig::new(dir.clone()));
+        let fresh = EmbeddingStore::with_disk_tier(64, dir.clone());
         fresh.set_weights_context(GPES_REVISION, GPES_FP);
         let hit = fresh.lookup(
             GPES_REVISION,
@@ -589,7 +588,7 @@ fn kill_mid_flush_leaves_old_or_nothing() {
         store.flush_with_fault(fault);
         drop(store);
 
-        let fresh = EmbeddingStore::with_disk_tier(64, DiskTierConfig::new(dir.clone()));
+        let fresh = EmbeddingStore::with_disk_tier(64, dir.clone());
         fresh.set_weights_context(GPES_REVISION, GPES_FP);
         let hit = fresh.lookup(
             GPES_REVISION,
@@ -606,74 +605,45 @@ fn kill_mid_flush_leaves_old_or_nothing() {
     });
 }
 
-/// Lossy encodings honor their envelopes on arbitrary rows: f16 is
-/// within 1/2048 relative per element, i8 within half a quantization
-/// step of the row's max absolute value. f32 roundtrips bit-exactly.
+/// Arbitrary rows roundtrip through a flushed shard and a fresh store
+/// bit for bit.
 #[test]
-fn quantized_shard_roundtrip_error_is_bounded() {
+fn shard_roundtrip_is_bit_exact_on_arbitrary_rows() {
     check(48, |rng| {
         let vals: Vec<f32> = (0..rng.gen_range(1..48))
             .map(|_| rng.gen_range(-100.0..100.0))
             .collect();
-        for quant in [Quantization::F32, Quantization::F16, Quantization::I8] {
-            let dir = tmpdir("gpes_quant");
-            let store = EmbeddingStore::with_disk_tier(
-                64,
-                DiskTierConfig {
-                    quantization: quant,
-                    ..DiskTierConfig::new(dir.clone())
-                },
-            );
-            store.set_weights_context(GPES_REVISION, GPES_FP);
-            store.insert(
+        let dir = tmpdir("gpes_roundtrip");
+        let store = EmbeddingStore::with_disk_tier(64, dir.clone());
+        store.set_weights_context(GPES_REVISION, GPES_FP);
+        store.insert(
+            GPES_REVISION,
+            GPES_DATASET,
+            DataPoint::Node(1),
+            9,
+            &gpes_sampler(),
+            true,
+            vals.clone(),
+            0.5,
+        );
+        store.flush();
+        drop(store);
+
+        let fresh = EmbeddingStore::with_disk_tier(64, dir.clone());
+        fresh.set_weights_context(GPES_REVISION, GPES_FP);
+        let (row, _) = fresh
+            .lookup(
                 GPES_REVISION,
                 GPES_DATASET,
                 DataPoint::Node(1),
                 9,
                 &gpes_sampler(),
                 true,
-                vals.clone(),
-                0.5,
-            );
-            store.flush();
-            drop(store);
-
-            let fresh = EmbeddingStore::with_disk_tier(
-                64,
-                DiskTierConfig {
-                    quantization: quant,
-                    ..DiskTierConfig::new(dir.clone())
-                },
-            );
-            fresh.set_weights_context(GPES_REVISION, GPES_FP);
-            let (row, _) = fresh
-                .lookup(
-                    GPES_REVISION,
-                    GPES_DATASET,
-                    DataPoint::Node(1),
-                    9,
-                    &gpes_sampler(),
-                    true,
-                )
-                .expect("persisted row must be readable");
-            let max_abs = vals.iter().fold(0f32, |m, &x| m.max(x.abs()));
-            for (a, b) in vals.iter().zip(&row) {
-                match quant {
-                    Quantization::F32 => assert_eq!(a.to_bits(), b.to_bits()),
-                    Quantization::F16 => assert!(
-                        (a - b).abs() <= a.abs() / 2048.0 + 1e-6,
-                        "f16 err {} at {a}",
-                        (a - b).abs()
-                    ),
-                    Quantization::I8 => assert!(
-                        (a - b).abs() <= max_abs / 127.0 * 0.5 + max_abs * 1e-6 + 1e-6,
-                        "i8 err {} at {a}",
-                        (a - b).abs()
-                    ),
-                }
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
+            )
+            .expect("persisted row must be readable");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&row), bits(&vals));
+        std::fs::remove_dir_all(&dir).ok();
     });
 }
 
@@ -690,7 +660,7 @@ fn tiered_store_matches_unbounded_reference_under_any_interleaving() {
         let dir = tmpdir("gpes_tiers");
         // L0 of 3 forces constant demote/promote churn; the reference
         // never evicts, so every divergence is the tier's fault.
-        let tiered = EmbeddingStore::with_disk_tier(3, DiskTierConfig::new(dir.clone()));
+        let tiered = EmbeddingStore::with_disk_tier(3, dir.clone());
         let reference = EmbeddingStore::new(4096);
         let mut rev = GPES_REVISION;
         let fp = |rev: u64| rev ^ GPES_FP;

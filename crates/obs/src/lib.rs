@@ -20,10 +20,6 @@
 //! paths stay bit-identical and effectively free. [`set_enabled`] turns
 //! collection on (`gp --metrics` does this).
 //!
-//! For builds that must not carry even the atomic load, the `noop` cargo
-//! feature compiles [`enabled`] to a literal `false`: every guard and
-//! handle body folds away at compile time.
-//!
 //! ## Usage
 //!
 //! Instruments are declared as `static` handles — name resolution against
@@ -61,21 +57,14 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// True when metric collection is on. With the `noop` feature this is a
-/// compile-time `false` and every instrument call folds away.
+/// True when metric collection is on.
 #[inline(always)]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn collection on or off process-wide. No-op under the `noop` feature.
+/// Turn collection on or off process-wide.
 pub fn set_enabled(on: bool) {
-    if cfg!(feature = "noop") {
-        return;
-    }
     ENABLED.store(on, Ordering::Relaxed);
 }
 
@@ -159,9 +148,6 @@ impl Counter {
 
     /// Current value (0 when collection never ran).
     pub fn value(&self) -> u64 {
-        if cfg!(feature = "noop") {
-            return 0;
-        }
         self.slot().load(Ordering::Relaxed)
     }
 }
@@ -208,9 +194,6 @@ impl Gauge {
 
     /// Current level.
     pub fn value(&self) -> i64 {
-        if cfg!(feature = "noop") {
-            return 0;
-        }
         self.slot().load(Ordering::Relaxed)
     }
 }

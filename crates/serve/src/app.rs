@@ -16,12 +16,13 @@
 //! request returns bit-identical predictions on any session.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use gp_core::{
-    BatchKey, Deadline, DiskTierConfig, EmbeddingStore, Engine, EngineError, EpisodeResult,
-    GraphPrompterModel, InferenceConfig, ModelConfig,
+    BatchKey, Deadline, EmbeddingStore, Engine, EngineError, EpisodeResult, GraphPrompterModel,
+    InferenceConfig, ModelConfig,
 };
 use gp_datasets::{sample_few_shot_task, Dataset};
 use gp_obs::sync::{Mutex, Rank};
@@ -49,9 +50,9 @@ pub struct SessionHost {
     dataset_fingerprint: u64,
     max_sessions: usize,
     default_backend: Backend,
-    /// Base config of the persistent embedding disk tier; each session
-    /// engine gets its own shard subdirectory under `embed_store.dir`.
-    embed_store: Option<DiskTierConfig>,
+    /// Root of the persistent embedding disk tier; each session engine
+    /// gets its own shard subdirectory under it.
+    embed_store: Option<PathBuf>,
     /// Only ever gains fully built engines, so the poison recovery of
     /// `lock` cannot expose a half-entry.
     sessions: Mutex<HashMap<String, Arc<Engine>>>,
@@ -86,7 +87,7 @@ impl SessionHost {
     /// As [`SessionHost::new`], optionally attaching a persistent
     /// embedding disk tier: each session's engine demotes cold embeddings
     /// to CRC-protected GPES shards under a per-session subdirectory of
-    /// `embed_store.dir`, and a restarted server pointed at the same
+    /// `embed_store`, and a restarted server pointed at the same
     /// directory (with the same weights) answers its first queries from
     /// the warm tier instead of re-embedding. Session names are hashed
     /// into the subdirectory name, so hostile session strings can never
@@ -98,7 +99,7 @@ impl SessionHost {
         pool: Arc<WorkerPool>,
         max_sessions: usize,
         default_backend: Backend,
-        embed_store: Option<DiskTierConfig>,
+        embed_store: Option<PathBuf>,
     ) -> Result<Self, String> {
         let dataset_fingerprint = EmbeddingStore::dataset_id(&dataset);
         let host = Self {
@@ -180,16 +181,14 @@ impl SessionHost {
             .inference_config(self.infer.clone())
             .worker_pool(Arc::clone(&self.pool))
             .backend(backend);
-        if let Some(base) = &self.embed_store {
+        if let Some(root) = &self.embed_store {
             // Session names arrive verbatim from request bodies; hashing
             // them into the directory name makes traversal impossible and
             // keeps the mapping stable across restarts of one binary.
             let mut h = std::collections::hash_map::DefaultHasher::new();
             std::hash::Hash::hash(session, &mut h);
             let sub = format!("session-{:016x}", std::hash::Hasher::finish(&h));
-            builder = builder
-                .embed_store_dir(base.dir.join(sub))
-                .embed_quantization(base.quantization);
+            builder = builder.embed_store_dir(root.join(sub));
         }
         builder
             .try_build()
@@ -690,7 +689,7 @@ mod tests {
             pool,
             3,
             Backend::Reference,
-            Some(DiskTierConfig::new(dir.to_path_buf())),
+            Some(dir.to_path_buf()),
         )
         .expect("host with embed store builds")
     }

@@ -23,7 +23,6 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,16 +70,6 @@ pub struct ServerConfig {
     /// Requests served per connection when the client opts into
     /// `Connection: keep-alive`. 1 disables reuse entirely.
     pub keepalive_requests: usize,
-    /// Directory of the persistent embedding disk tier used to
-    /// warm-start session engines across server restarts; `None` (the
-    /// default) keeps the embedding cache purely in-memory. Consumed by
-    /// whoever builds the [`crate::SessionHost`] — see
-    /// [`ServerConfig::embed_store`].
-    pub embed_store_dir: Option<PathBuf>,
-    /// On-disk encoding for demoted embeddings when `embed_store_dir`
-    /// is set (f32 = bit-exact; f16/i8 trade bounded error for 2×/4×
-    /// smaller shards).
-    pub embed_quantization: gp_core::Quantization,
 }
 
 impl Default for ServerConfig {
@@ -99,25 +88,11 @@ impl Default for ServerConfig {
             max_queries: crate::app::MAX_QUERIES as u64,
             max_deadline_ms: 3_600_000,
             keepalive_requests: 32,
-            embed_store_dir: None,
-            embed_quantization: gp_core::Quantization::F32,
         }
     }
 }
 
 impl ServerConfig {
-    /// The embedding disk-tier config this server's [`crate::SessionHost`]
-    /// should be built with ([`crate::SessionHost::with_embed_store`]), or
-    /// `None` when warm-start is disabled.
-    pub fn embed_store(&self) -> Option<gp_core::DiskTierConfig> {
-        self.embed_store_dir
-            .as_ref()
-            .map(|dir| gp_core::DiskTierConfig {
-                quantization: self.embed_quantization,
-                ..gp_core::DiskTierConfig::new(dir.clone())
-            })
-    }
-
     pub(crate) fn limits(&self) -> Limits {
         Limits {
             max_header_bytes: self.max_header_bytes,

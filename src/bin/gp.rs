@@ -16,8 +16,7 @@
 //!              [--workers 4] [--queue 64] [--deadline-ms 30000]
 //!              [--max-sessions 64] [--threads 2]
 //!              [--max-batch 1] [--batch-window-ms 2]
-//!              # evaluate/episode/serve also take
-//!              # --embed-store-dir <dir> [--embed-quant {f32,f16,i8}]
+//!              # evaluate/episode/serve also take --embed-store-dir <dir>
 //! ```
 //!
 //! `serve` runs the overload-safe inference server (`gp-serve`):
@@ -44,15 +43,17 @@
 //! CRC-protected GPES shards and promoted back on use — including
 //! across process restarts, so a rerun (or a restarted `gp serve`)
 //! against the same directory and weights answers its first queries
-//! warm. `--embed-quant` picks the on-disk encoding: `f32` (default) is
-//! bit-exact, `f16`/`i8` shrink shards ~2×/~4× at a bounded error. See
-//! README § "Embedding tiers & persistence".
+//! warm. Rows are stored as f32, so a warm answer is bit-identical to a
+//! cold one. See README § "Embedding tiers & persistence".
 //!
 //! `--backend {reference,fast}` selects the tensor kernels: `reference`
 //! (default) is the bit-exact ground truth, `fast` the tiled/SIMD
 //! implementation with tolerance-equal results. For `serve` this sets
 //! the default; a request's `"backend"` body field can pin a new
 //! session to either.
+//!
+//! A command exits 1 on any `--flag` it does not read (`unknown flag
+//! --x`), so a typo never falls back to a default silently.
 //!
 //! Every command accepts `--metrics` (human-readable report on stderr
 //! when the command finishes) or `--metrics-json` (JSON on stdout):
@@ -85,7 +86,7 @@ fn main() {
     }
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let result = match cmd {
-        "datasets" => datasets(has_flag(&args[1..], "--detail")),
+        "datasets" => datasets(&args[1..]),
         "pretrain" => pretrain_cmd(&args[1..]),
         "evaluate" => evaluate_cmd(&args[1..]),
         "episode" => episode_cmd(&args[1..]),
@@ -127,6 +128,25 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Flags every command accepts; `main` reads them.
+const GLOBAL_SWITCHES: [&str; 2] = ["--metrics", "--metrics-json"];
+
+/// Reject any `--flag` a command does not read: `values` are the flags it
+/// reads with [`flag`] (their next argument is skipped), `switches` those
+/// it reads with [`has_flag`].
+fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> CliResult {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let a = a.as_str();
+        if values.contains(&a) {
+            rest.next();
+        } else if a.starts_with("--") && !switches.contains(&a) && !GLOBAL_SWITCHES.contains(&a) {
+            return Err(format!("unknown flag {a}"));
+        }
+    }
+    Ok(())
+}
+
 /// Parse `--threads <n>` into the engine's thread budget. Absent → the
 /// serial default; `0` → one worker per core. The budget bounds *total*
 /// threads: episodes and kernels share one worker pool.
@@ -139,29 +159,6 @@ fn parallelism(args: &[String]) -> Result<Parallelism, String> {
             Err(_) => Err("--threads must be an integer (0 = one per core)".into()),
         },
     }
-}
-
-/// Parse the persistent embedding-store flags shared by
-/// `evaluate`/`episode`/`serve`: `--embed-store-dir <dir>` attaches a
-/// disk tier to the engine's embedding cache (entries survive process
-/// restarts — a rerun against the same directory and weights starts
-/// warm), and `--embed-quant {f32,f16,i8}` picks the on-disk encoding
-/// (default `f32`, bit-exact on roundtrip).
-fn embed_store_flags(
-    args: &[String],
-) -> Result<(Option<String>, graphprompter::core::Quantization), String> {
-    let dir = flag(args, "--embed-store-dir");
-    let quant = match flag(args, "--embed-quant") {
-        None => graphprompter::core::Quantization::F32,
-        Some(s) => {
-            if dir.is_none() {
-                return Err("--embed-quant requires --embed-store-dir".into());
-            }
-            graphprompter::core::Quantization::parse(&s)
-                .ok_or("--embed-quant must be one of f32, f16, i8")?
-        }
-    };
-    Ok((dir, quant))
 }
 
 /// Parse `--backend <name>` into a compute backend. Absent →
@@ -211,7 +208,9 @@ fn dataset_by_name(name: &str, seed: u64) -> Result<Dataset, String> {
     })
 }
 
-fn datasets(detail: bool) -> CliResult {
+fn datasets(args: &[String]) -> CliResult {
+    check_flags(args, &[], &["--detail"])?;
+    let detail = has_flag(args, "--detail");
     let mut table = Table::new(
         "Preset datasets (paper Table II stand-ins)",
         &[
@@ -269,6 +268,22 @@ fn datasets(detail: bool) -> CliResult {
 }
 
 fn pretrain_cmd(args: &[String]) -> CliResult {
+    check_flags(
+        args,
+        &[
+            "--source",
+            "--out",
+            "--steps",
+            "--seed",
+            "--threads",
+            "--backend",
+            "--checkpoint-dir",
+            "--checkpoint-every",
+            "--keep-last",
+            "--validate-every",
+        ],
+        &["--resume"],
+    )?;
     let source = flag(args, "--source").ok_or("missing --source <dataset>")?;
     let out = flag(args, "--out").unwrap_or_else(|| "model.gpck".into());
     let steps: usize = flag(args, "--steps")
@@ -394,6 +409,26 @@ fn serve_cmd(args: &[String]) -> CliResult {
     use graphprompter::serve::{ClassifyApp, Server, ServerConfig, SessionHost};
     use std::sync::Arc;
 
+    check_flags(
+        args,
+        &[
+            "--seed",
+            "--dataset",
+            "--dataset-path",
+            "--model",
+            "--addr",
+            "--workers",
+            "--queue",
+            "--deadline-ms",
+            "--max-sessions",
+            "--threads",
+            "--max-batch",
+            "--batch-window-ms",
+            "--embed-store-dir",
+            "--backend",
+        ],
+        &[],
+    )?;
     let seed: u64 = flag(args, "--seed")
         .unwrap_or_else(|| "0".into())
         .parse()
@@ -419,14 +454,12 @@ fn serve_cmd(args: &[String]) -> CliResult {
         Parallelism::Auto => std::thread::available_parallelism().map_or(2, |n| n.get()),
         Parallelism::Threads(n) => n.max(1),
     };
-    let (store_dir, embed_quant) = embed_store_flags(args)?;
+    let store_dir = flag(args, "--embed-store-dir").map(std::path::PathBuf::from);
     let config = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7431".into()),
         workers: parse_or("--workers", 4)? as usize,
         queue_capacity: parse_or("--queue", 64)? as usize,
         default_deadline_ms: parse_or("--deadline-ms", 30_000)?,
-        embed_store_dir: store_dir.map(std::path::PathBuf::from),
-        embed_quantization: embed_quant,
         ..ServerConfig::default()
     };
 
@@ -442,7 +475,7 @@ fn serve_cmd(args: &[String]) -> CliResult {
         pool,
         parse_or("--max-sessions", 64)? as usize,
         backend(args)?,
-        config.embed_store(),
+        store_dir.clone(),
     )?;
     let revision = host.revision();
     let max_batch = parse_or("--max-batch", 1)? as usize;
@@ -451,11 +484,10 @@ fn serve_cmd(args: &[String]) -> CliResult {
     if max_batch > 1 {
         println!("cross-request batching: up to {max_batch} fused per pass, {batch_window_ms}ms collect window");
     }
-    if let Some(dir) = &config.embed_store_dir {
+    if let Some(dir) = &store_dir {
         println!(
-            "persistent embedding store: {} ({} shards); warm-starts sessions across restarts",
-            dir.display(),
-            config.embed_quantization.name()
+            "persistent embedding store: {}; warm-starts sessions across restarts",
+            dir.display()
         );
     }
     let handle = Server::start(config, Arc::clone(&app)).map_err(|e| e.to_string())?;
@@ -488,6 +520,7 @@ fn serve_cmd(args: &[String]) -> CliResult {
 }
 
 fn inspect_cmd(args: &[String]) -> CliResult {
+    check_flags(args, &[], &[])?;
     let path = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -523,6 +556,21 @@ fn load_model(args: &[String]) -> Result<GraphPrompterModel, String> {
 }
 
 fn evaluate_cmd(args: &[String]) -> CliResult {
+    check_flags(
+        args,
+        &[
+            "--model",
+            "--ways",
+            "--episodes",
+            "--seed",
+            "--dataset",
+            "--dataset-path",
+            "--threads",
+            "--backend",
+            "--embed-store-dir",
+        ],
+        &["--prodigy"],
+    )?;
     let model = load_model(args)?;
     let ways: usize = flag(args, "--ways")
         .ok_or("missing --ways <m>")?
@@ -546,7 +594,6 @@ fn evaluate_cmd(args: &[String]) -> CliResult {
     } else {
         StageConfig::full()
     };
-    let (store_dir, embed_quant) = embed_store_flags(args)?;
     let mut builder = Engine::builder()
         .model(model)
         .inference_config(InferenceConfig {
@@ -556,8 +603,8 @@ fn evaluate_cmd(args: &[String]) -> CliResult {
         })
         .parallelism(parallelism(args)?)
         .backend(backend(args)?);
-    if let Some(dir) = store_dir {
-        builder = builder.embed_store_dir(dir).embed_quantization(embed_quant);
+    if let Some(dir) = flag(args, "--embed-store-dir") {
+        builder = builder.embed_store_dir(dir);
     }
     let engine = builder
         .try_build()
@@ -579,6 +626,20 @@ fn evaluate_cmd(args: &[String]) -> CliResult {
 }
 
 fn episode_cmd(args: &[String]) -> CliResult {
+    check_flags(
+        args,
+        &[
+            "--model",
+            "--ways",
+            "--seed",
+            "--dataset",
+            "--dataset-path",
+            "--threads",
+            "--backend",
+            "--embed-store-dir",
+        ],
+        &[],
+    )?;
     let model = load_model(args)?;
     let ways: usize = flag(args, "--ways")
         .ok_or("missing --ways <m>")?
@@ -591,7 +652,6 @@ fn episode_cmd(args: &[String]) -> CliResult {
 
     let ds = resolve_dataset(args, 0)?;
     check_ways(ways, &ds)?;
-    let (store_dir, embed_quant) = embed_store_flags(args)?;
     let mut builder = Engine::builder()
         .model(model)
         .inference_config(InferenceConfig {
@@ -600,8 +660,8 @@ fn episode_cmd(args: &[String]) -> CliResult {
         })
         .parallelism(parallelism(args)?)
         .backend(backend(args)?);
-    if let Some(dir) = store_dir {
-        builder = builder.embed_store_dir(dir).embed_quantization(embed_quant);
+    if let Some(dir) = flag(args, "--embed-store-dir") {
+        builder = builder.embed_store_dir(dir);
     }
     let engine = builder
         .try_build()
@@ -641,6 +701,7 @@ fn episode_cmd(args: &[String]) -> CliResult {
 }
 
 fn export_cmd(args: &[String]) -> CliResult {
+    check_flags(args, &["--dataset", "--dir", "--seed"], &[])?;
     let name = flag(args, "--dataset").ok_or("missing --dataset <name>")?;
     let dir = flag(args, "--dir").ok_or("missing --dir <path>")?;
     let seed: u64 = flag(args, "--seed")

@@ -36,9 +36,8 @@ pub use gp_core::{ConfigError, Engine, EngineBuilder};
 /// Everything the typical pretrain → evaluate flow needs in one import.
 pub mod prelude {
     pub use gp_core::{
-        ConfigError, DiskTierConfig, EmbedCacheStats, Engine, EngineBuilder, EpisodeResult,
-        InferenceConfig, ModelConfig, PretrainConfig, PseudoLabelPolicy, Quantization, StageConfig,
-        TrainingCurve,
+        ConfigError, EmbedCacheStats, Engine, EngineBuilder, EpisodeResult, InferenceConfig,
+        ModelConfig, PretrainConfig, PseudoLabelPolicy, StageConfig, TrainingCurve,
     };
     pub use gp_datasets::{presets, sample_few_shot_task, Dataset, FewShotTask};
     pub use gp_graph::SamplerConfig;

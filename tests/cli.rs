@@ -79,3 +79,36 @@ fn pre_v2_model_file_is_bad_magic_not_an_abort() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn unknown_flag_is_an_error_not_a_fallback() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.gpck");
+    GraphPrompterModel::new(ModelConfig::default())
+        .save(&model)
+        .unwrap();
+    let model = model.to_str().unwrap();
+    let base = ["--model", model, "--dataset", "conceptnet", "--ways", "3"];
+    // Neither a removed option nor a typo of `--episodes` may fall back to
+    // a default.
+    for (cmd, extra) in [
+        ("episode", ["--embed-quant", "i8"]),
+        ("evaluate", ["--episode", "2"]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+            .arg(cmd)
+            .args(base)
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "gp {cmd} {extra:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "gp {cmd} {extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {}", extra[0])),
+            "the error names the flag: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
