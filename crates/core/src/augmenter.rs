@@ -1,6 +1,7 @@
 //! Prompt Augmenter (§IV-C): a test-time cache of high-confidence
-//! pseudo-labelled queries, managed with LFU replacement, that augments
-//! the selected prompt set: `Ŝ' = Ŝ ∪ C` (Eq. 9).
+//! pseudo-labelled queries, managed with LFU replacement by a
+//! [`Cache`], that augments the selected prompt set: `Ŝ' = Ŝ ∪ C`
+//! (Eq. 9).
 //!
 //! The cache is **per class**: `c` slots for each of the `m` episode
 //! classes, each class running its own LFU. This follows the paper's own
@@ -15,14 +16,13 @@
 
 use gp_tensor::{cosine_slices, Tensor};
 
-use crate::cache::{AnyCache, CachePolicy};
+use crate::cache::{Cache, CachePolicy};
 
 static ADMISSIONS: gp_obs::Counter = gp_obs::Counter::new("augmenter.admissions");
 static REJECTED_BY_GATE: gp_obs::Counter = gp_obs::Counter::new("augmenter.rejected_by_gate");
 static TOUCH_HITS: gp_obs::Counter = gp_obs::Counter::new("augmenter.touch_hits");
 static EVICTIONS: gp_obs::Counter = gp_obs::Counter::new("augmenter.evictions");
 static CACHED_ENTRIES: gp_obs::Gauge = gp_obs::Gauge::new("augmenter.cached_entries");
-static LFU_BUCKET_MEMBERS: gp_obs::Gauge = gp_obs::Gauge::new("augmenter.lfu_bucket_members");
 
 /// One cached pseudo-labelled sample.
 #[derive(Clone, Debug)]
@@ -38,7 +38,7 @@ pub struct CacheEntry {
 /// Test-time prompt augmentation: per-class caches of size `c`
 /// (LFU by default; see [`CachePolicy`] for alternatives).
 pub struct PromptAugmenter {
-    caches: Vec<AnyCache<u64, CacheEntry>>,
+    caches: Vec<Cache<u64, CacheEntry>>,
     next_id: u64,
     /// Similarity hits per incoming query (the top-`hit_k` most similar
     /// cached entries get their use count bumped).
@@ -65,7 +65,7 @@ impl PromptAugmenter {
     ) -> Self {
         Self {
             caches: (0..num_classes.max(1))
-                .map(|_| AnyCache::new(policy, cache_size_per_class.max(1)))
+                .map(|_| Cache::new(policy, cache_size_per_class.max(1)))
                 .collect(),
             next_id: 0,
             hit_k: 1,
@@ -89,7 +89,7 @@ impl PromptAugmenter {
 
     /// Total cached samples across classes.
     pub fn len(&self) -> usize {
-        self.caches.iter().map(AnyCache::len).sum()
+        self.caches.iter().map(Cache::len).sum()
     }
 
     /// True when no class holds a cached sample.
@@ -106,10 +106,10 @@ impl PromptAugmenter {
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for cache in &self.caches {
-            // Admission-id order: the raw cache iteration order is
-            // hash-map order, and `Ŝ' = Ŝ ∪ C` row order feeds the label
-            // embedding sums downstream — it must not vary run to run.
-            for (_, entry) in cache.sorted_iter() {
+            // Admission-id order: `Ŝ' = Ŝ ∪ C` row order feeds the label
+            // embedding sums downstream, so it must not depend on the
+            // policy's eviction order.
+            for (_, entry) in by_admission(cache) {
                 assert_eq!(entry.embedding.len(), dim, "cached embedding width drifted");
                 data.extend_from_slice(&entry.embedding);
                 labels.push(entry.label);
@@ -146,7 +146,7 @@ impl PromptAugmenter {
             for (class, cache) in self.caches.iter().enumerate() {
                 // Admission-id order so similarity ties (and the stable
                 // sort below) break identically on every run.
-                for (key, entry) in cache.sorted_iter() {
+                for (key, entry) in by_admission(cache) {
                     sims.push((class, *key, cosine_slices(query, &entry.embedding)));
                 }
             }
@@ -219,21 +219,22 @@ impl PromptAugmenter {
         self.update_gauges();
     }
 
-    /// Refresh the live-size gauges. `bucket_members` walks the LFU lists
-    /// (O(len)), so it only runs when metrics are actually enabled — with
-    /// metrics off this is a single relaxed atomic load.
+    /// Refresh the live-size gauge (one relaxed atomic load with metrics
+    /// off).
     fn update_gauges(&self) {
         if !gp_obs::enabled() {
             return;
         }
         CACHED_ENTRIES.set(self.len() as i64);
-        LFU_BUCKET_MEMBERS.set(
-            self.caches
-                .iter()
-                .map(AnyCache::bucket_members)
-                .sum::<usize>() as i64,
-        );
     }
+}
+
+/// A class cache's entries in ascending key order, which is admission
+/// order: keys are the augmenter's monotonic admission ids.
+fn by_admission(cache: &Cache<u64, CacheEntry>) -> Vec<(&u64, &CacheEntry)> {
+    let mut entries: Vec<_> = cache.iter().collect();
+    entries.sort_unstable_by_key(|(key, _)| **key);
+    entries
 }
 
 #[cfg(test)]

@@ -316,10 +316,6 @@ pub struct InferenceConfig {
     /// Cache replacement policy (LFU per the paper; LRU/FIFO provided as
     /// the §VI extension).
     pub cache_policy: CachePolicy,
-    /// Scale applied to cached embeddings when they join the prompt set.
-    /// Values < 1 soften the query-domain pull a cached prompt exerts on
-    /// its class's label embedding (see DESIGN.md on augmenter bias).
-    pub cache_prompt_scale: f32,
     /// kNN retrieval metric (Eq. 6; cosine per the paper, Euclidean and
     /// Manhattan provided as the noted substitutions).
     pub knn_metric: DistanceMetric,
@@ -348,7 +344,6 @@ impl Default for InferenceConfig {
             cache_size: 3,
             pseudo_labels: PseudoLabelPolicy::default(),
             cache_policy: CachePolicy::Lfu,
-            cache_prompt_scale: 1.0,
             knn_metric: DistanceMetric::Cosine,
             query_batch: 10,
             stages: StageConfig::full(),
@@ -375,7 +370,6 @@ impl InferenceConfig {
         if let PseudoLabelPolicy::Confidence { min } = self.pseudo_labels {
             require_in_range(min, 0.0, 1.0, "pseudo_labels.min")?;
         }
-        require_in_range(self.cache_prompt_scale, 0.0, f32::MAX, "cache_prompt_scale")?;
         validate_sampler(&self.sampler)
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! [`EmbeddingStore`] memoizes exactly that function, in two tiers:
 //!
-//! * **L0 (RAM)** — an [`crate::LfuCache`] of f32 rows. Lookups bump the
+//! * **L0 (RAM)** — an LFU [`crate::Cache`] of f32 rows. Lookups bump the
 //!   use count; the least-frequently-used entry (FIFO within a count) is
 //!   the eviction victim.
 //! * **L1 (disk, optional)** — persistent GPES shards
@@ -57,8 +57,8 @@ use std::path::PathBuf;
 use gp_datasets::{DataPoint, Dataset, Task};
 use gp_graph::SamplerConfig;
 
+use crate::cache::{Cache, CachePolicy};
 use crate::embed_disk::DiskTier;
-use crate::lfu::LfuCache;
 
 static HITS: gp_obs::Counter = gp_obs::Counter::new("embed_store.hits");
 static MISSES: gp_obs::Counter = gp_obs::Counter::new("embed_store.misses");
@@ -95,7 +95,7 @@ struct Inner {
     /// Fingerprint of the weight bits at `revision`, once the owning
     /// engine has installed it. The disk tier is inert without it.
     weights_fp: Option<u64>,
-    l0: LfuCache<Key, Entry>,
+    l0: Cache<Key, Entry>,
     disk: Option<DiskTier>,
     hits: u64,
     misses: u64,
@@ -185,7 +185,7 @@ impl EmbeddingStore {
                 Inner {
                     revision: 0,
                     weights_fp: None,
-                    l0: LfuCache::new(capacity),
+                    l0: Cache::new(CachePolicy::Lfu, capacity),
                     disk,
                     hits: 0,
                     misses: 0,
@@ -294,7 +294,7 @@ impl EmbeddingStore {
                 inner.invalidations += 1;
                 INVALIDATIONS.inc();
             }
-            inner.l0 = LfuCache::new(self.capacity);
+            inner.l0 = Cache::new(CachePolicy::Lfu, self.capacity);
             if let Some(disk) = inner.disk.as_mut() {
                 disk.invalidate();
             }
@@ -451,7 +451,7 @@ impl EmbeddingStore {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        inner.l0 = LfuCache::new(self.capacity);
+        inner.l0 = Cache::new(CachePolicy::Lfu, self.capacity);
         if let Some(disk) = inner.disk.as_mut() {
             // `clear()` must atomically drop RAM and disk tiers; unlocking between them would let a
             // reader see half a store.
@@ -494,10 +494,8 @@ impl EmbeddingStore {
             return 0;
         };
         let revision = inner.revision;
-        for key in inner.l0.ordered_keys() {
-            if let Some(entry) = inner.l0.peek(&key) {
-                disk.demote(key, entry.clone(), revision, fp);
-            }
+        for (key, entry) in inner.l0.iter() {
+            disk.demote(*key, entry.clone(), revision, fp);
         }
         let written = match fault {
             None => disk.flush(),

@@ -468,7 +468,7 @@ pub(crate) fn run_episodes(
                 if stages.use_augmenter {
                     let _span = AUGMENTATION_MICROS.span();
                     if let Some((c_embs, c_labels)) = augmenter.cached_prompts(cand_embs.cols()) {
-                        p_rows = p_rows.concat_rows(&c_embs.scale(cfg.cache_prompt_scale));
+                        p_rows = p_rows.concat_rows(&c_embs);
                         p_labels.extend(c_labels);
                     }
                 }

@@ -14,7 +14,7 @@
 //!    importance `I_p = σ(MLP_θ(G_p))` (Eq. 5), kNN retrieval
 //!    `sim(p, q)` (Eq. 6), combined score (Eq. 7), and query voting
 //!    (Eq. 8).
-//! 3. **Prompt Augmenter** ([`augmenter`], [`lfu`]) — a test-time LFU
+//! 3. **Prompt Augmenter** ([`augmenter`], [`cache`]) — a test-time LFU
 //!    cache of high-confidence pseudo-labelled queries, `Ŝ' = Ŝ ∪ C`
 //!    (Eq. 9).
 //!
@@ -64,7 +64,6 @@ pub mod engine;
 pub mod error;
 pub mod guard;
 pub mod infer;
-pub mod lfu;
 pub mod model;
 pub mod planner;
 pub mod pretrain;
@@ -72,7 +71,7 @@ pub mod selector;
 
 pub use augmenter::{CacheEntry, PromptAugmenter};
 pub use batch::SubgraphBatch;
-pub use cache::{AnyCache, CachePolicy, FifoCache, LruCache};
+pub use cache::{Cache, CachePolicy};
 pub use checkpoint::{
     inspect_checkpoint, list_checkpoints, scan_for_recovery, CheckpointError, CheckpointKind,
     CheckpointSummary, RecoveryScan, TrainerMeta,
@@ -87,7 +86,6 @@ pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
 pub use error::{DeadlineExceeded, EngineError};
 pub use guard::{DivergenceError, GuardAction, GuardRail, GuardRailConfig, StepVerdict};
 pub use infer::EpisodeResult;
-pub use lfu::LfuCache;
 pub use model::{sample_datapoint_subgraphs, GraphPrompterModel};
 pub use planner::{BatchKey, EpisodeRequest};
 pub use pretrain::{

@@ -3,8 +3,8 @@
 //! embedding store's transparency guarantees.
 
 use gp_core::{
-    select_prompts, AnyCache, CachePolicy, Engine, InferenceConfig, LfuCache, ModelConfig,
-    PretrainConfig, PromptAugmenter,
+    select_prompts, Cache, CachePolicy, Engine, InferenceConfig, ModelConfig, PretrainConfig,
+    PromptAugmenter,
 };
 use gp_datasets::CitationConfig;
 use gp_graph::SamplerConfig;
@@ -32,10 +32,9 @@ fn random_ops(rng: &mut StdRng) -> Vec<CacheOp> {
         .collect()
 }
 
-/// Operations for the LFU-vs-reference agreement test ([`LfuCache`] also
-/// exposes explicit eviction, unlike [`AnyCache`]).
+/// Operations for the cache-vs-reference agreement test.
 #[derive(Clone, Debug)]
-enum LfuOp {
+enum ModelOp {
     Insert(u8),
     Touch(u8),
     Evict,
@@ -43,32 +42,38 @@ enum LfuOp {
 
 /// 1–399 operations over keys 0–15, weighted 3 inserts : 4 touches : 1
 /// eviction.
-fn random_lfu_ops(rng: &mut StdRng) -> Vec<LfuOp> {
+fn random_model_ops(rng: &mut StdRng) -> Vec<ModelOp> {
     (0..rng.gen_range(1..400))
         .map(|_| {
             let key = rng.gen_range(0..16) as u8;
             match rng.gen_range(0..8) {
-                0..=2 => LfuOp::Insert(key),
-                3..=6 => LfuOp::Touch(key),
-                _ => LfuOp::Evict,
+                0..=2 => ModelOp::Insert(key),
+                3..=6 => ModelOp::Touch(key),
+                _ => ModelOp::Evict,
             }
         })
         .collect()
 }
 
-/// Naive O(n²) LFU reference model: the victim is the minimum by
-/// `(frequency, time of promotion into its current frequency)`, which is
-/// exactly the FIFO-within-bucket rule the real cache implements.
-struct NaiveLfu {
+const POLICIES: [CachePolicy; 3] = [CachePolicy::Lfu, CachePolicy::Lru, CachePolicy::Fifo];
+
+/// Naive O(n) reference model: the victim is the minimum
+/// `(rank, stamp)`, found by a scan. LFU ranks by use count and renews
+/// the stamp whenever the count changes (FIFO within a count); LRU ranks
+/// 0 and renews the stamp on every touch and re-insert; FIFO ranks 0,
+/// stamps once at insert and ignores touches.
+struct NaiveCache {
+    policy: CachePolicy,
     cap: usize,
-    /// `(key, value, freq, promoted_at)`.
+    /// `(key, value, rank, stamp)`.
     entries: Vec<(u8, u32, u64, u64)>,
     clock: u64,
 }
 
-impl NaiveLfu {
-    fn new(cap: usize) -> Self {
+impl NaiveCache {
+    fn new(policy: CachePolicy, cap: usize) -> Self {
         Self {
+            policy,
             cap,
             entries: Vec::new(),
             clock: 0,
@@ -76,15 +81,18 @@ impl NaiveLfu {
     }
 
     fn touch(&mut self, key: u8) -> bool {
-        self.clock += 1;
-        for e in &mut self.entries {
-            if e.0 == key {
-                e.2 += 1;
-                e.3 = self.clock;
-                return true;
-            }
+        if self.policy == CachePolicy::Fifo {
+            return false;
         }
-        false
+        self.clock += 1;
+        let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) else {
+            return false;
+        };
+        if self.policy == CachePolicy::Lfu {
+            e.2 += 1;
+        }
+        e.3 = self.clock;
+        true
     }
 
     fn insert(&mut self, key: u8, value: u32) -> Option<u8> {
@@ -99,7 +107,8 @@ impl NaiveLfu {
             None
         };
         self.clock += 1;
-        self.entries.push((key, value, 1, self.clock));
+        let rank = u64::from(self.policy == CachePolicy::Lfu);
+        self.entries.push((key, value, rank, self.clock));
         evicted
     }
 
@@ -112,14 +121,21 @@ impl NaiveLfu {
             .map(|(i, _)| i)?;
         Some(self.entries.remove(pos).0)
     }
+
+    /// `(key, value)` in eviction order.
+    fn contents(&self) -> Vec<(u8, u32)> {
+        let mut sorted = self.entries.clone();
+        sorted.sort_unstable_by_key(|e| (e.2, e.3));
+        sorted.iter().map(|e| (e.0, e.1)).collect()
+    }
 }
 
 #[test]
 fn caches_never_exceed_capacity() {
     check(64, |rng| {
         let (ops, cap) = (random_ops(rng), rng.gen_range(1..8));
-        for policy in [CachePolicy::Lfu, CachePolicy::Lru, CachePolicy::Fifo] {
-            let mut cache: AnyCache<u8, u32> = AnyCache::new(policy, cap);
+        for policy in POLICIES {
+            let mut cache: Cache<u8, u32> = Cache::new(policy, cap);
             for (i, op) in ops.iter().enumerate() {
                 match op {
                     CacheOp::Insert(k) => {
@@ -135,40 +151,40 @@ fn caches_never_exceed_capacity() {
     });
 }
 
-/// The intrusive-list LFU agrees with the naive reference on every
-/// evicted key and on the final contents, and its internal bucket
-/// membership stays exactly `len()` — the invariant the lazy-removal
-/// design violated.
+/// Under every policy the cache agrees with the naive reference on every
+/// evicted key and on the final contents, in eviction order.
 #[test]
 fn lfu_agrees_with_naive_reference() {
     check(64, |rng| {
-        let (ops, cap) = (random_lfu_ops(rng), rng.gen_range(1..7));
-        let mut real: LfuCache<u8, u32> = LfuCache::new(cap);
-        let mut naive = NaiveLfu::new(cap);
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                LfuOp::Insert(k) => {
-                    let got = real.insert(k, i as u32).map(|(k, _)| k);
-                    let want = naive.insert(k, i as u32);
-                    assert_eq!(got, want, "step {}: eviction disagreed", i);
+        let (ops, cap) = (random_model_ops(rng), rng.gen_range(1..7));
+        for policy in POLICIES {
+            let mut real: Cache<u8, u32> = Cache::new(policy, cap);
+            let mut naive = NaiveCache::new(policy, cap);
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    ModelOp::Insert(k) => {
+                        let got = real.insert(k, i as u32).map(|(k, _)| k);
+                        let want = naive.insert(k, i as u32);
+                        assert_eq!(got, want, "{policy:?} step {i}: eviction disagreed");
+                    }
+                    ModelOp::Touch(k) => {
+                        assert_eq!(real.touch(&k), naive.touch(k), "{policy:?} step {i}");
+                    }
+                    ModelOp::Evict => {
+                        let got = real.evict().map(|(k, _)| k);
+                        let want = naive.evict();
+                        assert_eq!(got, want, "{policy:?} step {i}: evict() disagreed");
+                    }
                 }
-                LfuOp::Touch(k) => {
-                    assert_eq!(real.touch(&k), naive.touch(k), "step {}", i);
-                }
-                LfuOp::Evict => {
-                    let got = real.evict().map(|(k, _)| k);
-                    let want = naive.evict();
-                    assert_eq!(got, want, "step {}: evict() disagreed", i);
-                }
+                assert_eq!(real.len(), naive.entries.len(), "{policy:?} step {i}");
             }
-            assert_eq!(real.len(), naive.entries.len());
-            assert_eq!(real.bucket_members(), real.len(), "stale bucket members");
+            let got: Vec<(u8, u32)> = real.iter().map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(
+                got,
+                naive.contents(),
+                "{policy:?}: final contents disagreed"
+            );
         }
-        let mut got: Vec<(u8, u32, u64)> = real.iter().map(|(k, v, f)| (*k, *v, f)).collect();
-        got.sort_unstable();
-        let mut want: Vec<(u8, u32, u64)> = naive.entries.iter().map(|e| (e.0, e.1, e.2)).collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "final contents disagreed");
     });
 }
 
@@ -178,7 +194,7 @@ fn lfu_eviction_order_is_by_frequency() {
         let freqs: Vec<usize> = (0..rng.gen_range(2..8))
             .map(|_| rng.gen_range(0..6))
             .collect();
-        let mut cache: LfuCache<usize, ()> = LfuCache::new(freqs.len());
+        let mut cache: Cache<usize, ()> = Cache::new(CachePolicy::Lfu, freqs.len());
         for (k, &f) in freqs.iter().enumerate() {
             cache.insert(k, ());
             for _ in 0..f {

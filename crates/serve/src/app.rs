@@ -38,6 +38,10 @@ use crate::server::{Handler, ServeContext};
 /// hostile body must not be able to order an arbitrarily large episode.
 pub const MAX_WAYS: usize = 32;
 pub const MAX_QUERIES: usize = 512;
+/// Upper bound on [`crate::ServerConfig::queue_capacity`], checked by
+/// [`crate::Server::start`] before it allocates the queue. Each queued
+/// item is an open connection, so a per-process fd limit binds first.
+pub const MAX_QUEUE_CAPACITY: usize = 65_536;
 
 /// Owns the base model weights and builds per-session engine replicas
 /// on demand, all sharing one worker pool.

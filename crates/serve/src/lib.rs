@@ -58,7 +58,7 @@ pub mod metrics;
 pub mod queue;
 pub mod server;
 
-pub use app::{ClassifyApp, SessionHost, MAX_QUERIES, MAX_WAYS};
+pub use app::{ClassifyApp, SessionHost, MAX_QUERIES, MAX_QUEUE_CAPACITY, MAX_WAYS};
 pub use coalesce::Coalescer;
 pub use http::{Limits, Request, Response};
 pub use queue::{BoundedQueue, PushError};

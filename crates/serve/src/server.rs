@@ -159,11 +159,22 @@ pub struct ServerHandle {
 
 impl Server {
     /// Bind, spawn the accept thread and `config.workers` workers, and
-    /// return immediately.
+    /// return immediately. A `queue_capacity` above
+    /// [`crate::app::MAX_QUEUE_CAPACITY`] is an `InvalidInput` error.
     pub fn start<H: Handler>(
         config: ServerConfig,
         handler: Arc<H>,
     ) -> std::io::Result<ServerHandle> {
+        if config.queue_capacity > crate::app::MAX_QUEUE_CAPACITY {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "queue_capacity {} exceeds the limit of {}",
+                    config.queue_capacity,
+                    crate::app::MAX_QUEUE_CAPACITY
+                ),
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;

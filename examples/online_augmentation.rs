@@ -6,13 +6,13 @@
 //! cargo run --release --example online_augmentation
 //! ```
 
-use graphprompter::core::{LfuCache, PromptAugmenter};
+use graphprompter::core::{Cache, CachePolicy, PromptAugmenter};
 use graphprompter::tensor::Tensor;
 
 fn main() {
-    // --- Plain LFU cache (reference [51]'s O(1) scheme) -----------------
+    // --- Plain LFU cache (the paper's reference [51]) --------------------
     println!("== LFU cache ==");
-    let mut cache: LfuCache<&str, &str> = LfuCache::new(2);
+    let mut cache: Cache<&str, &str> = Cache::new(CachePolicy::Lfu, 2);
     cache.insert("paris", "capital_of fr");
     cache.insert("rome", "capital_of it");
     cache.touch(&"paris"); // a hit protects the entry

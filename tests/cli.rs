@@ -112,3 +112,28 @@ fn unknown_flag_is_an_error_not_a_fallback() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn oversized_serve_queue_is_an_error_not_an_abort() {
+    for queue in ["100000000000000", "18446744073709551615"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+            .args(["serve", "--dataset", "wiki", "--addr", "127.0.0.1:0"])
+            .args(["--queue", queue])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "gp serve --queue {queue}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "gp serve --queue {queue}: {stderr}"
+        );
+        assert!(
+            stderr.contains("queue_capacity"),
+            "the error names the field: {stderr}"
+        );
+    }
+}
