@@ -12,7 +12,9 @@ use gp_nn::{AdamW, Eval, Forward, GnnEncoder, GraphSage, Optimizer, ParamStore, 
 use gp_tensor::rng::StdRng;
 use gp_tensor::{EdgeList, Tensor};
 
-use crate::{EvalProtocol, IclBaseline};
+use gp_core::InferenceConfig;
+
+use crate::IclBaseline;
 
 /// Hyperparameters for contrastive pre-training.
 #[derive(Clone, Debug)]
@@ -266,20 +268,16 @@ impl IclBaseline for Contrastive {
         &self,
         dataset: &Dataset,
         ways: usize,
+        queries: usize,
         episodes: usize,
-        protocol: &EvalProtocol,
+        cfg: &InferenceConfig,
     ) -> Vec<f32> {
-        let sampler = RandomWalkSampler::new(protocol.sampler);
+        let sampler = RandomWalkSampler::new(cfg.sampler);
         (0..episodes)
             .map(|i| {
-                let mut rng = StdRng::seed_from_u64(protocol.seed.wrapping_add(i as u64 * 7919));
-                let task = gp_datasets::sample_few_shot_task(
-                    dataset,
-                    ways,
-                    protocol.shots, // prompts drawn directly, k per class
-                    protocol.queries,
-                    &mut rng,
-                );
+                // Prompts drawn directly, k per class.
+                let (task, mut rng) =
+                    gp_datasets::episode_task(dataset, ways, cfg.shots, queries, cfg.seed, i);
                 let (p_points, p_labels): (Vec<_>, Vec<_>) =
                     task.candidates.iter().copied().unzip();
                 let (q_points, q_labels): (Vec<_>, Vec<_>) = task.queries.iter().copied().unzip();
@@ -341,15 +339,7 @@ mod tests {
             ..ContrastiveConfig::default()
         };
         let model = Contrastive::pretrain(&ds, cfg);
-        let accs = model.evaluate(
-            &ds,
-            3,
-            3,
-            &EvalProtocol {
-                queries: 15,
-                ..EvalProtocol::default()
-            },
-        );
+        let accs = model.evaluate(&ds, 3, 15, 3, &InferenceConfig::default());
         let mean = accs.iter().sum::<f32>() / accs.len() as f32;
         assert!(mean > 40.0, "contrastive mean {mean}%");
     }

@@ -10,20 +10,22 @@ use gp_nn::{AdamW, Eval, Forward, Linear, Optimizer, ParamStore, Session};
 use gp_tensor::rng::StdRng;
 use gp_tensor::Tensor;
 
-use crate::{Contrastive, EvalProtocol, IclBaseline};
+use gp_core::InferenceConfig;
+
+use crate::{Contrastive, IclBaseline};
 
 /// Per-episode head fine-tuning over a frozen contrastive encoder.
-pub struct Finetune {
-    encoder: Contrastive,
+pub struct Finetune<'e> {
+    encoder: &'e Contrastive,
     /// Gradient steps on the episode's labelled shots.
     pub head_steps: usize,
     /// Head learning rate.
     pub head_lr: f32,
 }
 
-impl Finetune {
-    /// Wrap a pre-trained contrastive encoder.
-    pub fn new(encoder: Contrastive) -> Self {
+impl<'e> Finetune<'e> {
+    /// Borrow a pre-trained contrastive encoder; it stays frozen.
+    pub fn new(encoder: &'e Contrastive) -> Self {
         Self {
             encoder,
             head_steps: 120,
@@ -60,7 +62,7 @@ impl Finetune {
     }
 }
 
-impl IclBaseline for Finetune {
+impl IclBaseline for Finetune<'_> {
     fn name(&self) -> &str {
         "Finetune"
     }
@@ -69,21 +71,15 @@ impl IclBaseline for Finetune {
         &self,
         dataset: &Dataset,
         ways: usize,
+        queries: usize,
         episodes: usize,
-        protocol: &EvalProtocol,
+        cfg: &InferenceConfig,
     ) -> Vec<f32> {
-        let sampler = RandomWalkSampler::new(protocol.sampler);
+        let sampler = RandomWalkSampler::new(cfg.sampler);
         (0..episodes)
             .map(|i| {
-                let seed = protocol.seed.wrapping_add(i as u64 * 7919);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let task = gp_datasets::sample_few_shot_task(
-                    dataset,
-                    ways,
-                    protocol.shots,
-                    protocol.queries,
-                    &mut rng,
-                );
+                let (task, mut rng) =
+                    gp_datasets::episode_task(dataset, ways, cfg.shots, queries, cfg.seed, i);
                 let (p_points, p_labels): (Vec<_>, Vec<_>) =
                     task.candidates.iter().copied().unzip();
                 let (q_points, q_labels): (Vec<_>, Vec<_>) = task.queries.iter().copied().unzip();
@@ -93,6 +89,7 @@ impl IclBaseline for Finetune {
                 let q_embs =
                     self.encoder
                         .embed(&dataset.graph, &sampler, &q_points, dataset.task, &mut rng);
+                let seed = gp_datasets::episode_seed(cfg.seed, i);
                 let preds = self.fit_predict(&p_embs, &p_labels, &q_embs, ways, seed);
                 let correct = preds.iter().zip(&q_labels).filter(|(a, b)| a == b).count();
                 100.0 * correct as f32 / q_labels.len().max(1) as f32
@@ -117,7 +114,7 @@ mod tests {
                 ..ContrastiveConfig::default()
             },
         );
-        let ft = Finetune::new(enc);
+        let ft = Finetune::new(&enc);
         let p = Tensor::from_vec(4, 2, vec![1.0, 0.0, 0.9, 0.1, 0.0, 1.0, 0.1, 0.9]);
         let q = Tensor::from_vec(2, 2, vec![0.95, 0.0, 0.0, 0.95]);
         let preds = ft.fit_predict(&p, &[0, 0, 1, 1], &q, 2, 0);
@@ -135,16 +132,8 @@ mod tests {
                 ..ContrastiveConfig::default()
             },
         );
-        let ft = Finetune::new(enc);
-        let accs = ft.evaluate(
-            &ds,
-            3,
-            2,
-            &EvalProtocol {
-                queries: 12,
-                ..EvalProtocol::default()
-            },
-        );
+        let ft = Finetune::new(&enc);
+        let accs = ft.evaluate(&ds, 3, 12, 2, &InferenceConfig::default());
         assert_eq!(accs.len(), 2);
         assert!(accs.iter().all(|a| (0.0..=100.0).contains(a)));
     }

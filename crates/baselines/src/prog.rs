@@ -20,7 +20,9 @@ use gp_nn::{Eval, Forward, Optimizer, Session, Sgd};
 use gp_tensor::rng::StdRng;
 use gp_tensor::{EdgeList, Tensor};
 
-use crate::{Contrastive, EvalProtocol, IclBaseline};
+use gp_core::InferenceConfig;
+
+use crate::{Contrastive, IclBaseline};
 
 /// For each union node of `batch`, the episode class of the member graph
 /// it belongs to (prompt i's nodes all get `labels[i]`).
@@ -35,8 +37,8 @@ fn node_token_indices(batch: &SubgraphBatch, labels: &[usize]) -> Vec<usize> {
 /// features of every data graph whose datapoint is being scored for that
 /// class's prototype. Tuning `m·d` parameters on `m·k` examples is the
 /// overfitting surface behind the instability the paper reports.
-pub struct ProG {
-    encoder: Contrastive,
+pub struct ProG<'e> {
+    encoder: &'e Contrastive,
     /// Meta-tuning gradient steps per episode.
     pub tune_steps: usize,
     /// Meta-tuning learning rate (aggressive, as few-step meta-tuning
@@ -44,9 +46,10 @@ pub struct ProG {
     pub tune_lr: f32,
 }
 
-impl ProG {
-    /// Wrap a pre-trained encoder.
-    pub fn new(encoder: Contrastive) -> Self {
+impl<'e> ProG<'e> {
+    /// Borrow a pre-trained encoder; it stays frozen (each episode tunes
+    /// its tokens on a clone of the encoder's parameters).
+    pub fn new(encoder: &'e Contrastive) -> Self {
         Self {
             encoder,
             tune_steps: 40,
@@ -164,7 +167,7 @@ impl ProG {
     }
 }
 
-impl IclBaseline for ProG {
+impl IclBaseline for ProG<'_> {
     fn name(&self) -> &str {
         "ProG"
     }
@@ -173,20 +176,15 @@ impl IclBaseline for ProG {
         &self,
         dataset: &Dataset,
         ways: usize,
+        queries: usize,
         episodes: usize,
-        protocol: &EvalProtocol,
+        cfg: &InferenceConfig,
     ) -> Vec<f32> {
-        let sampler = RandomWalkSampler::new(protocol.sampler);
+        let sampler = RandomWalkSampler::new(cfg.sampler);
         (0..episodes)
             .map(|i| {
-                let mut rng = StdRng::seed_from_u64(protocol.seed.wrapping_add(i as u64 * 7919));
-                let task = gp_datasets::sample_few_shot_task(
-                    dataset,
-                    ways,
-                    protocol.shots,
-                    protocol.queries,
-                    &mut rng,
-                );
+                let (task, mut rng) =
+                    gp_datasets::episode_task(dataset, ways, cfg.shots, queries, cfg.seed, i);
                 let (preds, labels) = self.run_episode(dataset, &sampler, &task, ways, &mut rng);
                 let correct = preds.iter().zip(&labels).filter(|(a, b)| a == b).count();
                 100.0 * correct as f32 / labels.len().max(1) as f32
@@ -212,16 +210,8 @@ mod tests {
                 ..ContrastiveConfig::default()
             },
         );
-        let prog = ProG::new(enc);
-        let accs = prog.evaluate(
-            &ds,
-            3,
-            2,
-            &EvalProtocol {
-                queries: 9,
-                ..EvalProtocol::default()
-            },
-        );
+        let prog = ProG::new(&enc);
+        let accs = prog.evaluate(&ds, 3, 9, 2, &InferenceConfig::default());
         assert_eq!(accs.len(), 2);
         assert!(accs.iter().all(|a| (0.0..=100.0).contains(a)));
     }

@@ -12,9 +12,10 @@
 
 use std::time::Instant;
 
-use gp_baselines::IclBaseline;
+use gp_baselines::{IclBaseline, PromptGraph};
 use gp_bench::experiments;
-use gp_bench::{Ctx, GraphPrompterMethod, Suite};
+use gp_bench::{Ctx, Suite};
+use gp_core::StageConfig;
 use gp_datasets::presets;
 use gp_eval::MeanStd;
 
@@ -104,22 +105,22 @@ fn exit_on_artifact_errors(ctx: &Ctx) {
 )]
 fn calibrate(suite: &Suite) {
     let t0 = Instant::now();
-    let protocol = suite.protocol();
+    let cfg = suite.inference_config(StageConfig::default());
+    let (queries, episodes) = (suite.queries, suite.episodes);
 
     // Node side: MAG-like → arXiv-like.
     let mag = presets::mag240m_like(suite.seed);
     let arxiv = presets::arxiv_like(suite.seed);
-    let gp = GraphPrompterMethod::pretrain(&mag, suite);
-    let prodigy =
-        gp_baselines::Prodigy::pretrain(&mag, suite.model_config(), &suite.pretrain_config());
+    let gp = PromptGraph::graphprompter(&mag, suite.model_config(), &suite.pretrain_config());
+    let prodigy = PromptGraph::prodigy(&mag, suite.model_config(), &suite.pretrain_config());
     println!(
         "[{:?}] node side pre-trained ({} params)",
         t0.elapsed(),
-        gp.model().num_parameters()
+        gp.engine().model().num_parameters()
     );
     for ways in [5usize, 10] {
-        let g = MeanStd::of(&gp.evaluate(&arxiv, ways, suite.episodes, &protocol));
-        let p = MeanStd::of(&prodigy.evaluate(&arxiv, ways, suite.episodes, &protocol));
+        let g = MeanStd::of(&gp.evaluate(&arxiv, ways, queries, episodes, &cfg));
+        let p = MeanStd::of(&prodigy.evaluate(&arxiv, ways, queries, episodes, &cfg));
         println!(
             "arxiv {ways}-way: GraphPrompter {g} | Prodigy {p} | chance {:.1}",
             100.0 / ways as f32
@@ -129,12 +130,11 @@ fn calibrate(suite: &Suite) {
     // Edge side: Wiki-like → FB15K-237-like.
     let wiki = presets::wiki_like(suite.seed);
     let fb = presets::fb15k237_like(suite.seed);
-    let gp_kg = GraphPrompterMethod::pretrain(&wiki, suite);
-    let prodigy_kg =
-        gp_baselines::Prodigy::pretrain(&wiki, suite.model_config(), &suite.pretrain_config());
+    let gp_kg = PromptGraph::graphprompter(&wiki, suite.model_config(), &suite.pretrain_config());
+    let prodigy_kg = PromptGraph::prodigy(&wiki, suite.model_config(), &suite.pretrain_config());
     for ways in [5usize, 20, 40] {
-        let g = MeanStd::of(&gp_kg.evaluate(&fb, ways, suite.episodes, &protocol));
-        let p = MeanStd::of(&prodigy_kg.evaluate(&fb, ways, suite.episodes, &protocol));
+        let g = MeanStd::of(&gp_kg.evaluate(&fb, ways, queries, episodes, &cfg));
+        let p = MeanStd::of(&prodigy_kg.evaluate(&fb, ways, queries, episodes, &cfg));
         println!(
             "fb {ways}-way: GraphPrompter {g} | Prodigy {p} | chance {:.1}",
             100.0 / ways as f32

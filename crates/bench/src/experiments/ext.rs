@@ -2,11 +2,11 @@
 //! "Further Discussion" (§VI) names, plus ablations of this
 //! reproduction's own design choices (DESIGN.md's calibration findings).
 
-use gp_baselines::IclBaseline;
-use gp_core::{CachePolicy, DistanceMetric, Engine, PseudoLabelPolicy, StageConfig};
+use gp_baselines::PromptGraph;
+use gp_core::{CachePolicy, DistanceMetric, PseudoLabelPolicy, StageConfig};
 use gp_eval::{MeanStd, Table};
 
-use crate::harness::{Ctx, GraphPrompterView};
+use crate::harness::Ctx;
 
 /// §VI: "In the retrieval stage, we can also use other clustering methods"
 /// — Eq. 6's footnote lists Euclidean and Manhattan as drop-in metrics.
@@ -34,7 +34,7 @@ pub fn metrics(ctx: &Ctx) -> String {
             for ways in [5usize, 10] {
                 let mut cfg = suite.inference_config(StageConfig::full());
                 cfg.knn_metric = metric;
-                let stats = MeanStd::of(&gp.engine.evaluate_with(
+                let stats = MeanStd::of(&gp.engine().evaluate_with(
                     ds,
                     ways,
                     suite.queries,
@@ -81,7 +81,7 @@ pub fn cache_policy(ctx: &Ctx) -> String {
             cfg.pseudo_labels = PseudoLabelPolicy::Confidence { min: 0.5 };
             let stats =
                 MeanStd::of(
-                    &gp.engine
+                    &gp.engine()
                         .evaluate_with(ds, 5, suite.queries, suite.episodes, &cfg),
                 );
             row.push(stats.to_string());
@@ -98,13 +98,9 @@ pub fn cache_policy(ctx: &Ctx) -> String {
 
 /// Ablation benches for this reproduction's own design choices
 /// (DESIGN.md's calibration findings #1 and #3).
-#[expect(
-    clippy::expect_used,
-    reason = "the suite's configs with one knob flipped are valid by construction; a failure is a bug worth aborting the experiment over"
-)]
 pub fn design_choices(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
+    let cfg = suite.inference_config(StageConfig::full());
 
     let mut out = String::from("## Extension — reproduction design-choice ablations\n\n");
     let mut table = Table::new(
@@ -115,20 +111,16 @@ pub fn design_choices(ctx: &Ctx) -> String {
         let mut mc = suite.model_config();
         mc.recon_normalize = norm;
         mc.proto_residual = residual;
-        let mut engine = Engine::builder()
-            .model_config(mc)
-            .pretrain_config(suite.pretrain_config())
-            .inference_config(suite.inference_config(StageConfig::full()))
-            .try_build()
-            .expect("suite configs must be valid");
-        engine.pretrain(ctx.wiki());
-        let view = GraphPrompterView {
-            engine: &engine,
-            stages: StageConfig::full(),
-        };
+        let gp = PromptGraph::graphprompter(ctx.wiki(), mc, &suite.pretrain_config());
         let mut row = vec![norm.to_string(), residual.to_string()];
         for ways in [5usize, 20] {
-            let stats = MeanStd::of(&view.evaluate(ctx.fb(), ways, suite.episodes, &protocol));
+            let stats = MeanStd::of(&gp.engine().evaluate_with(
+                ctx.fb(),
+                ways,
+                suite.queries,
+                suite.episodes,
+                &cfg,
+            ));
             row.push(stats.to_string());
         }
         table.row(&row);

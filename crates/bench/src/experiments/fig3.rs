@@ -3,7 +3,6 @@
 //! w/o kNN vs w/o selection layer vs w/o augmenter vs the Prodigy floor.
 //! One pre-trained model serves all toggles (inference-time ablation).
 
-use gp_baselines::IclBaseline;
 use gp_core::StageConfig;
 use gp_eval::{line_chart, MeanStd, Series, Table};
 
@@ -18,7 +17,6 @@ const PAPER: &str = "Paper Fig. 3: every bar (w/o one component) sits below the 
 /// Run the experiment; returns a markdown section.
 pub fn run(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
     let episodes = suite.episodes;
 
     let variants: Vec<(&str, StageConfig)> = vec![
@@ -54,8 +52,13 @@ pub fn run(ctx: &Ctx) -> String {
             let mut row = vec![name.to_string()];
             let mut points = Vec::new();
             for &w in &WAYS {
-                let stats =
-                    MeanStd::of(&gp.with_stages(*stages).evaluate(ds, w, episodes, &protocol));
+                let stats = MeanStd::of(&gp.engine().evaluate_with(
+                    ds,
+                    w,
+                    suite.queries,
+                    episodes,
+                    &suite.inference_config(*stages),
+                ));
                 if *name == "full" {
                     full_avg += stats.mean;
                     cells += 1;

@@ -3,11 +3,11 @@
 //! GCN is included as an extra point beyond the paper. Each architecture
 //! is pre-trained from scratch on the Wiki-like source.
 
-use gp_baselines::IclBaseline;
-use gp_core::{Engine, GeneratorKind, StageConfig};
+use gp_baselines::PromptGraph;
+use gp_core::{GeneratorKind, StageConfig};
 use gp_eval::{MeanStd, Table};
 
-use crate::harness::{Ctx, GraphPrompterView};
+use crate::harness::Ctx;
 
 const WAYS: [usize; 2] = [5, 10];
 
@@ -16,14 +16,9 @@ const PAPER: &str = "Paper Fig. 4: the GraphSAGE-based generator outperforms the
                      large pre-training graphs).";
 
 /// Run the experiment; returns a markdown section.
-#[expect(
-    clippy::expect_used,
-    reason = "the suite's configs with one knob flipped are valid by construction; a failure is a bug worth aborting the experiment over"
-)]
 pub fn run(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
-    let episodes = suite.episodes;
+    let cfg = suite.inference_config(StageConfig::full());
 
     // Train one model per architecture on the same source.
     let mut models = Vec::new();
@@ -34,14 +29,8 @@ pub fn run(ctx: &Ctx) -> String {
     ] {
         let mut mc = suite.model_config();
         mc.generator = kind;
-        let mut engine = Engine::builder()
-            .model_config(mc)
-            .pretrain_config(suite.pretrain_config())
-            .inference_config(suite.inference_config(StageConfig::full()))
-            .try_build()
-            .expect("suite configs must be valid");
-        engine.pretrain(ctx.wiki());
-        models.push((name, engine));
+        let gp = PromptGraph::graphprompter(ctx.wiki(), mc, &suite.pretrain_config());
+        models.push((name, gp));
     }
 
     let mut out = String::from("## Fig. 4 — GNN architecture comparison\n\n");
@@ -59,14 +48,16 @@ pub fn run(ctx: &Ctx) -> String {
             format!("Fig. 4 (measured): {} accuracy (%)", ds.name),
             &["Generator", "5-way", "10-way"],
         );
-        for (name, engine) in &models {
-            let view = GraphPrompterView {
-                engine,
-                stages: StageConfig::full(),
-            };
+        for (name, gp) in &models {
             let mut row = vec![name.to_string()];
             for &w in &WAYS {
-                let stats = MeanStd::of(&view.evaluate(ds, w, episodes, &protocol));
+                let stats = MeanStd::of(&gp.engine().evaluate_with(
+                    ds,
+                    w,
+                    suite.queries,
+                    suite.episodes,
+                    &cfg,
+                ));
                 if *name == "GraphSAGE" {
                     sage_avg += stats.mean;
                     cells += 1;

@@ -51,10 +51,11 @@ pub fn run(ctx: &Ctx) -> String {
             let mut cfg = suite.inference_config(stages);
             cfg.cache_size = c.max(1);
             cfg.pseudo_labels = PseudoLabelPolicy::Confidence { min: 0.5 };
-            let stats = MeanStd::of(
-                &gp.engine
-                    .evaluate_with(ds, 5, suite.queries, episodes, &cfg),
-            );
+            let stats =
+                MeanStd::of(
+                    &gp.engine()
+                        .evaluate_with(ds, 5, suite.queries, episodes, &cfg),
+                );
             if c <= 3 {
                 small_avg += stats.mean;
             } else {

@@ -7,9 +7,10 @@
 //! aggregate), with GraphPrompter above Prodigy throughout.
 
 use gp_baselines::IclBaseline;
+use gp_core::StageConfig;
 use gp_eval::{line_chart, MeanStd, Series, Table};
 
-use crate::harness::{Ctx, GraphPrompterMethod};
+use crate::harness::Ctx;
 
 const SHOTS: [usize; 6] = [1, 2, 3, 5, 8, 10];
 
@@ -37,7 +38,7 @@ pub fn run(ctx: &Ctx) -> String {
             "arxiv" => ctx.arxiv(),
             _ => ctx.conceptnet(),
         };
-        let (gp, prodigy): (&GraphPrompterMethod, &gp_baselines::Prodigy) = if node_domain {
+        let (gp, prodigy) = if node_domain {
             (ctx.gp_mag(), ctx.prodigy_mag())
         } else {
             (ctx.gp_wiki(), ctx.prodigy_wiki())
@@ -49,12 +50,12 @@ pub fn run(ctx: &Ctx) -> String {
         let mut gp_pts = Vec::new();
         let mut pr_pts = Vec::new();
         for &k in &SHOTS {
-            let mut protocol = suite.protocol();
-            protocol.shots = k;
+            let mut cfg = suite.inference_config(StageConfig::default());
+            cfg.shots = k;
             // Keep N ≥ k so the candidate pool supports the shot count.
-            protocol.candidates_per_class = protocol.candidates_per_class.max(k);
-            let g = MeanStd::of(&gp.evaluate(ds, 5, episodes, &protocol));
-            let p = MeanStd::of(&prodigy.evaluate(ds, 5, episodes, &protocol));
+            cfg.candidates_per_class = cfg.candidates_per_class.max(k);
+            let g = MeanStd::of(&gp.evaluate(ds, 5, suite.queries, episodes, &cfg));
+            let p = MeanStd::of(&prodigy.evaluate(ds, 5, suite.queries, episodes, &cfg));
             total += 1;
             if g.mean >= p.mean - 1.0 {
                 gp_above += 1;

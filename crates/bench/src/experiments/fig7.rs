@@ -61,7 +61,7 @@ pub fn run(ctx: &Ctx) -> String {
                     suite.queries.max(30),
                     &mut ep_rng,
                 );
-                let res = gp.engine.run_episode_with(ds, &task, &cfg);
+                let res = gp.engine().run_episode_with(ds, &task, &cfg);
                 let sil = silhouette_score(&res.query_embeddings, &res.query_labels);
                 let ratio = intra_inter_ratio(&res.query_embeddings, &res.query_labels);
                 scores.push((method, sil, ratio));

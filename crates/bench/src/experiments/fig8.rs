@@ -51,7 +51,7 @@ pub fn run(ctx: &Ctx) -> String {
                 let mut cfg = suite.inference_config(stages);
                 cfg.sampler = sampler;
                 MeanStd::of(
-                    &gp.engine
+                    &gp.engine()
                         .evaluate_with(ds, 5, suite.queries, suite.episodes, &cfg),
                 )
             };

@@ -13,8 +13,8 @@ const PAPER: &str = "Paper Fig. 9: over 10k steps on Wiki the two methods' loss 
 
 /// Run the experiment; returns a markdown section.
 pub fn run(ctx: &Ctx) -> String {
-    let gp_curve = ctx.gp_wiki().curve.clone();
-    let pr_curve = ctx.prodigy_wiki().training_curve().clone();
+    let gp_curve = ctx.gp_wiki().curve();
+    let pr_curve = ctx.prodigy_wiki().curve();
 
     let mut table = Table::new(
         "Fig. 9 (measured): pre-training curves on wiki-like",

@@ -86,13 +86,14 @@ pub(crate) fn cell(stats: &gp_eval::MeanStd) -> String {
     stats.to_string()
 }
 
-/// Evaluate and aggregate a baseline over one table cell.
+/// Evaluate and aggregate a method over one table cell under the
+/// suite's standard protocol.
 pub(crate) fn agg(
     method: &dyn gp_baselines::IclBaseline,
     dataset: &gp_datasets::Dataset,
     ways: usize,
-    episodes: usize,
-    protocol: &gp_baselines::EvalProtocol,
+    suite: &crate::Suite,
 ) -> gp_eval::MeanStd {
-    gp_eval::MeanStd::of(&method.evaluate(dataset, ways, episodes, protocol))
+    let cfg = suite.inference_config(gp_core::StageConfig::default());
+    gp_eval::MeanStd::of(&method.evaluate(dataset, ways, suite.queries, suite.episodes, &cfg))
 }

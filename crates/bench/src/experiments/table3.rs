@@ -19,8 +19,6 @@ const PAPER: [(&str, [f32; 5]); 2] = [
 /// Run the experiment; returns a markdown section.
 pub fn run(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
-    let episodes = suite.episodes;
 
     let finetune = ctx.finetune(true);
     let prog = ctx.prog(true);
@@ -46,7 +44,7 @@ pub fn run(ctx: &Ctx) -> String {
         let mut cells = vec![name.to_string()];
         let mut means = Vec::new();
         for &w in &WAYS {
-            let stats = agg(method, ds, w, episodes, &protocol);
+            let stats = agg(method, ds, w, suite);
             means.push(stats.mean);
             cells.push(cell(&stats));
         }

@@ -37,8 +37,6 @@ const PAPER: &[(&str, PaperRows)] = &[
 /// Run the experiment; returns a markdown section.
 pub fn run(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
-    let episodes = suite.episodes;
 
     let finetune = ctx.finetune(false);
     let prog = ctx.prog(false);
@@ -77,7 +75,7 @@ pub fn run(ctx: &Ctx) -> String {
         for (name, method) in methods {
             let mut cells = vec![name.to_string()];
             for &w in &ways {
-                let stats = agg(method, ds, w, episodes, &protocol);
+                let stats = agg(method, ds, w, suite);
                 if name == "GraphPrompter" {
                     gp_means.push(stats.mean);
                 }

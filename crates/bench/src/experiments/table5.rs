@@ -22,7 +22,6 @@ const PAPER_NELL: [(&str, [f32; 4]); 2] = [
 /// Run the experiment; returns a markdown section.
 pub fn run(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
     let episodes = suite.episodes;
 
     let prog = ctx.prog(false);
@@ -52,7 +51,7 @@ pub fn run(ctx: &Ctx) -> String {
         for (name, method) in methods {
             let mut cells = vec![name.to_string()];
             for &w in &WAYS {
-                let stats = agg(method, ds, w, episodes, &protocol);
+                let stats = agg(method, ds, w, suite);
                 if name != "ProG" {
                     se_sum += stats.std / (stats.n.max(1) as f32).sqrt();
                 }

@@ -20,8 +20,6 @@ const PAPER_FB: [(&str, [f32; 4]); 2] = [
 /// Run the experiment; returns a markdown section.
 pub fn run(ctx: &Ctx) -> String {
     let suite = &ctx.suite;
-    let protocol = suite.protocol();
-    let episodes = suite.episodes;
 
     let mut out = String::from("## Table VI — OFA head-to-head\n\n");
     let mut gp_better = 0usize;
@@ -56,7 +54,7 @@ pub fn run(ctx: &Ctx) -> String {
         ] {
             let mut cells = vec![name.to_string()];
             for &w in &ways {
-                let stats = agg(method, ds, w, episodes, &protocol);
+                let stats = agg(method, ds, w, suite);
                 cells.push(cell(&stats));
                 sink.push(stats);
             }

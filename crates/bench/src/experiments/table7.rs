@@ -62,7 +62,7 @@ pub fn run(ctx: &Ctx) -> String {
             let mut ep_cfg = cfg.clone();
             ep_cfg.seed = seed;
             ep_cfg.pseudo_labels = PseudoLabelPolicy::UniformRandom;
-            let res = gp.engine.run_episode_with(ds, &task, &ep_cfg);
+            let res = gp.engine().run_episode_with(ds, &task, &ep_cfg);
             random_accs.push(res.accuracy() * 100.0);
         }
         // Confidence policy on the same episode seeds.
@@ -78,7 +78,7 @@ pub fn run(ctx: &Ctx) -> String {
             );
             let mut ep_cfg = cfg.clone();
             ep_cfg.seed = seed;
-            let res = gp.engine.run_episode_with(ds, &task, &ep_cfg);
+            let res = gp.engine().run_episode_with(ds, &task, &ep_cfg);
             conf_accs.push(res.accuracy() * 100.0);
         }
         let rnd = MeanStd::of(&random_accs);

@@ -43,8 +43,8 @@ fn time_per_query(ctx: &Ctx, ds: &gp_datasets::Dataset, ways: usize, stages: Sta
         );
         // Cold embedding cache per episode: the paper times full
         // inference, candidate embedding included.
-        gp.engine.clear_embed_cache();
-        let res = gp.engine.run_episode_with(ds, &task, &cfg);
+        gp.engine().clear_embed_cache();
+        let res = gp.engine().run_episode_with(ds, &task, &cfg);
         total += res.per_query_micros / 1000.0;
     }
     total / reps as f64

@@ -1,18 +1,12 @@
-//! Shared experiment plumbing: standard configurations, a lazily-trained
-//! model/dataset registry ([`Ctx`]), and the GraphPrompter method wrapper.
+//! Shared experiment plumbing: standard configurations and a
+//! lazily-trained model/dataset registry ([`Ctx`]).
 
 use std::cell::{OnceCell, RefCell};
 use std::path::Path;
 
-use gp_baselines::{
-    Contrastive, ContrastiveConfig, EvalProtocol, Finetune, IclBaseline, NoPretrain, Ofa, ProG,
-    Prodigy,
-};
-use gp_core::{
-    Engine, GraphPrompterModel, InferenceConfig, ModelConfig, PretrainConfig, StageConfig,
-    TrainingCurve,
-};
-use gp_datasets::{presets, Dataset, Task};
+use gp_baselines::{Contrastive, ContrastiveConfig, Finetune, ProG, PromptGraph};
+use gp_core::{InferenceConfig, ModelConfig, PretrainConfig, StageConfig};
+use gp_datasets::{presets, Dataset};
 use gp_graph::SamplerConfig;
 
 /// Global experiment scale knobs. The defaults reproduce every table and
@@ -75,18 +69,9 @@ impl Suite {
         }
     }
 
-    /// The standard evaluation protocol (3-shot, N = 10).
-    pub fn protocol(&self) -> EvalProtocol {
-        EvalProtocol {
-            shots: 3,
-            candidates_per_class: 10,
-            queries: self.queries,
-            sampler: self.sampler(),
-            seed: self.seed,
-        }
-    }
-
-    /// The standard GraphPrompter inference configuration.
+    /// The standard evaluation protocol (3-shot, N = 10) under `stages`.
+    /// Methods with their own stage rule ([`PromptGraph`]) override
+    /// `stages`; the encoder baselines ignore it.
     pub fn inference_config(&self, stages: StageConfig) -> InferenceConfig {
         InferenceConfig {
             shots: 3,
@@ -109,109 +94,6 @@ impl Suite {
     }
 }
 
-/// A pre-trained GraphPrompter exposed through the baseline trait so
-/// tables can sweep methods uniformly.
-///
-/// Per the paper (§V-B), the Prompt Augmenter is deployed on **edge
-/// classification** tasks; node-classification evaluation runs with the
-/// cache disabled. `evaluate` picks the stage set from the dataset task.
-pub struct GraphPrompterMethod {
-    /// The engine owning the pre-trained model (and the cross-episode
-    /// embedding cache shared by every experiment that reuses it).
-    pub engine: Engine,
-    /// Pre-training curve (Fig. 9).
-    pub curve: TrainingCurve,
-}
-
-impl GraphPrompterMethod {
-    /// Pre-train the full method on `source`.
-    #[expect(
-        clippy::expect_used,
-        reason = "engines are built from the suite's known-good configs"
-    )]
-    pub fn pretrain(source: &Dataset, suite: &Suite) -> Self {
-        let mut engine = Engine::builder()
-            .model_config(suite.model_config())
-            .pretrain_config(suite.pretrain_config())
-            .inference_config(suite.inference_config(StageConfig::full()))
-            .try_build()
-            .expect("suite configs must be valid");
-        let curve = engine.pretrain(source);
-        Self { engine, curve }
-    }
-
-    /// The pre-trained model.
-    pub fn model(&self) -> &GraphPrompterModel {
-        self.engine.model()
-    }
-
-    /// Stage set used for `dataset` (augmenter only on edge tasks).
-    pub fn stages_for(task: Task) -> StageConfig {
-        match task {
-            Task::EdgeClassification => StageConfig::full(),
-            Task::NodeClassification => StageConfig::without_augmenter(),
-        }
-    }
-
-    /// Same pre-trained weights, explicit stage toggles (ablations).
-    pub fn with_stages(&self, stages: StageConfig) -> GraphPrompterView<'_> {
-        GraphPrompterView {
-            engine: &self.engine,
-            stages,
-        }
-    }
-}
-
-impl IclBaseline for GraphPrompterMethod {
-    fn name(&self) -> &str {
-        "GraphPrompter"
-    }
-
-    fn evaluate(
-        &self,
-        dataset: &Dataset,
-        ways: usize,
-        episodes: usize,
-        protocol: &EvalProtocol,
-    ) -> Vec<f32> {
-        self.with_stages(Self::stages_for(dataset.task))
-            .evaluate(dataset, ways, episodes, protocol)
-    }
-}
-
-/// Borrowed view of a pre-trained engine with explicit stage toggles.
-pub struct GraphPrompterView<'m> {
-    /// The shared pre-trained engine.
-    pub engine: &'m Engine,
-    /// Toggles for this view.
-    pub stages: StageConfig,
-}
-
-impl IclBaseline for GraphPrompterView<'_> {
-    fn name(&self) -> &str {
-        "GraphPrompter(view)"
-    }
-
-    fn evaluate(
-        &self,
-        dataset: &Dataset,
-        ways: usize,
-        episodes: usize,
-        protocol: &EvalProtocol,
-    ) -> Vec<f32> {
-        let cfg = InferenceConfig {
-            shots: protocol.shots,
-            candidates_per_class: protocol.candidates_per_class,
-            stages: self.stages,
-            sampler: protocol.sampler,
-            seed: protocol.seed,
-            ..InferenceConfig::default()
-        };
-        self.engine
-            .evaluate_with(dataset, ways, protocol.queries, episodes, &cfg)
-    }
-}
-
 /// Lazily-built datasets and trained models shared across experiments.
 ///
 /// Two pre-training domains exist, mirroring the paper: MAG240M-like →
@@ -228,12 +110,12 @@ pub struct Ctx {
     conceptnet: OnceCell<Dataset>,
     fb: OnceCell<Dataset>,
     nell: OnceCell<Dataset>,
-    gp_mag: OnceCell<GraphPrompterMethod>,
-    gp_wiki: OnceCell<GraphPrompterMethod>,
-    prodigy_mag: OnceCell<Prodigy>,
-    prodigy_wiki: OnceCell<Prodigy>,
-    ofa_mag: OnceCell<Ofa>,
-    ofa_wiki: OnceCell<Ofa>,
+    gp_mag: OnceCell<PromptGraph>,
+    gp_wiki: OnceCell<PromptGraph>,
+    prodigy_mag: OnceCell<PromptGraph>,
+    prodigy_wiki: OnceCell<PromptGraph>,
+    ofa_mag: OnceCell<PromptGraph>,
+    ofa_wiki: OnceCell<PromptGraph>,
     contrastive_mag: OnceCell<Contrastive>,
     contrastive_wiki: OnceCell<Contrastive>,
     /// Figure artifacts that could not be written, see [`Ctx::write_result`].
@@ -310,70 +192,54 @@ impl Ctx {
             .get_or_init(|| presets::nell_like(self.suite.seed))
     }
 
-    /// The pre-training source of a domain: MAG-like for node tasks,
-    /// Wiki-like for edge tasks.
-    fn source(&self, node_domain: bool) -> &Dataset {
-        if node_domain {
-            self.mag()
-        } else {
-            self.wiki()
-        }
+    /// A prompt-graph method pre-trained on `source` with the suite's
+    /// model and pre-training configs.
+    fn pretrain(
+        &self,
+        method: fn(&Dataset, ModelConfig, &PretrainConfig) -> PromptGraph,
+        source: &Dataset,
+    ) -> PromptGraph {
+        method(
+            source,
+            self.suite.model_config(),
+            &self.suite.pretrain_config(),
+        )
     }
 
     /// GraphPrompter pre-trained on the node-task source (MAG-like).
-    pub fn gp_mag(&self) -> &GraphPrompterMethod {
+    pub fn gp_mag(&self) -> &PromptGraph {
         self.gp_mag
-            .get_or_init(|| GraphPrompterMethod::pretrain(self.mag(), &self.suite))
+            .get_or_init(|| self.pretrain(PromptGraph::graphprompter, self.mag()))
     }
 
     /// GraphPrompter pre-trained on the edge-task source (Wiki-like).
-    pub fn gp_wiki(&self) -> &GraphPrompterMethod {
+    pub fn gp_wiki(&self) -> &PromptGraph {
         self.gp_wiki
-            .get_or_init(|| GraphPrompterMethod::pretrain(self.wiki(), &self.suite))
+            .get_or_init(|| self.pretrain(PromptGraph::graphprompter, self.wiki()))
     }
 
     /// Prodigy pre-trained on the node-task source.
-    pub fn prodigy_mag(&self) -> &Prodigy {
-        self.prodigy_mag.get_or_init(|| {
-            Prodigy::pretrain(
-                self.mag(),
-                self.suite.model_config(),
-                &self.suite.pretrain_config(),
-            )
-        })
+    pub fn prodigy_mag(&self) -> &PromptGraph {
+        self.prodigy_mag
+            .get_or_init(|| self.pretrain(PromptGraph::prodigy, self.mag()))
     }
 
     /// Prodigy pre-trained on the edge-task source.
-    pub fn prodigy_wiki(&self) -> &Prodigy {
-        self.prodigy_wiki.get_or_init(|| {
-            Prodigy::pretrain(
-                self.wiki(),
-                self.suite.model_config(),
-                &self.suite.pretrain_config(),
-            )
-        })
+    pub fn prodigy_wiki(&self) -> &PromptGraph {
+        self.prodigy_wiki
+            .get_or_init(|| self.pretrain(PromptGraph::prodigy, self.wiki()))
     }
 
     /// OFA analog pre-trained on the node-task source.
-    pub fn ofa_mag(&self) -> &Ofa {
-        self.ofa_mag.get_or_init(|| {
-            Ofa::pretrain(
-                self.mag(),
-                self.suite.model_config(),
-                &self.suite.pretrain_config(),
-            )
-        })
+    pub fn ofa_mag(&self) -> &PromptGraph {
+        self.ofa_mag
+            .get_or_init(|| self.pretrain(PromptGraph::ofa, self.mag()))
     }
 
     /// OFA analog pre-trained on the edge-task source.
-    pub fn ofa_wiki(&self) -> &Ofa {
-        self.ofa_wiki.get_or_init(|| {
-            Ofa::pretrain(
-                self.wiki(),
-                self.suite.model_config(),
-                &self.suite.pretrain_config(),
-            )
-        })
+    pub fn ofa_wiki(&self) -> &PromptGraph {
+        self.ofa_wiki
+            .get_or_init(|| self.pretrain(PromptGraph::ofa, self.wiki()))
     }
 
     /// Contrastive encoder pre-trained on the node-task source.
@@ -389,27 +255,28 @@ impl Ctx {
     }
 
     /// Fresh NoPretrain baseline (cheap; not cached).
-    pub fn no_pretrain(&self) -> NoPretrain {
-        NoPretrain::new(self.suite.model_config())
+    pub fn no_pretrain(&self) -> PromptGraph {
+        PromptGraph::no_pretrain(self.suite.model_config())
     }
 
-    /// Finetune baseline over a freshly pre-trained contrastive encoder
-    /// for the given pre-training domain. (The encoder is re-trained
-    /// rather than shared because the baselines take ownership; the cost
-    /// is ~1 s and determinism makes the copies identical.)
-    pub fn finetune(&self, node_domain: bool) -> Finetune {
-        Finetune::new(Contrastive::pretrain(
-            self.source(node_domain),
-            self.suite.contrastive_config(),
-        ))
+    /// The contrastive encoder of a pre-training domain: MAG-like for
+    /// node tasks, Wiki-like for edge tasks.
+    fn contrastive(&self, node_domain: bool) -> &Contrastive {
+        if node_domain {
+            self.contrastive_mag()
+        } else {
+            self.contrastive_wiki()
+        }
     }
 
-    /// ProG baseline over a freshly pre-trained contrastive encoder.
-    pub fn prog(&self, node_domain: bool) -> ProG {
-        ProG::new(Contrastive::pretrain(
-            self.source(node_domain),
-            self.suite.contrastive_config(),
-        ))
+    /// Finetune baseline over the domain's cached contrastive encoder.
+    pub fn finetune(&self, node_domain: bool) -> Finetune<'_> {
+        Finetune::new(self.contrastive(node_domain))
+    }
+
+    /// ProG baseline over the domain's cached contrastive encoder.
+    pub fn prog(&self, node_domain: bool) -> ProG<'_> {
+        ProG::new(self.contrastive(node_domain))
     }
 }
 
@@ -419,6 +286,7 @@ mod tests {
 
     #[test]
     fn ctx_builds_each_slot_once_and_lends_several_at_once() {
+        use gp_baselines::IclBaseline;
         let ctx = Ctx::new(Suite {
             pre_steps: 1,
             episodes: 1,
@@ -428,7 +296,8 @@ mod tests {
         let fb = ctx.fb();
         let gp = ctx.gp_wiki();
         // A dataset and a model borrowed together, as every experiment does.
-        let accs = gp.evaluate(fb, 2, 1, &ctx.suite.protocol());
+        let cfg = ctx.suite.inference_config(StageConfig::full());
+        let accs = gp.evaluate(fb, 2, ctx.suite.queries, 1, &cfg);
         assert_eq!(accs.len(), 1);
         assert!(std::ptr::eq(fb, ctx.fb()));
         assert!(std::ptr::eq(gp, ctx.gp_wiki()));

@@ -9,4 +9,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{Ctx, GraphPrompterMethod, GraphPrompterView, Suite};
+pub use harness::{Ctx, Suite};

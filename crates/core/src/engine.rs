@@ -49,7 +49,7 @@ use gp_tensor::{Backend, Parallelism, PoolStats, WorkerPool};
 use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
 use crate::embed_store::{EmbedCacheStats, EmbeddingStore};
-use crate::error::{DeadlineExceeded, EngineError};
+use crate::error::DeadlineExceeded;
 use crate::guard::DivergenceError;
 use crate::infer::{evaluate_episode, run_episodes, EpisodeResult};
 use crate::model::GraphPrompterModel;
@@ -480,7 +480,7 @@ impl Engine {
     }
 
     /// As [`Engine::run_episode`], enforcing `deadline` at the stage
-    /// boundaries of the pipeline. `Err(EngineError::DeadlineExceeded)`
+    /// boundaries of the pipeline. `Err(DeadlineExceeded)`
     /// reports the expiring stage, the queries completed, and the partial
     /// per-stage wall-clock — gp-serve maps it to HTTP 504. An expired
     /// deadline never corrupts engine state: the episode aborts between
@@ -491,7 +491,7 @@ impl Engine {
         dataset: &Dataset,
         task: &FewShotTask,
         deadline: Deadline,
-    ) -> Result<EpisodeResult, EngineError> {
+    ) -> Result<EpisodeResult, DeadlineExceeded> {
         let request = EpisodeRequest {
             task,
             deadline: Some(deadline),
@@ -500,7 +500,7 @@ impl Engine {
             .run_batch(dataset, std::slice::from_ref(&request), &self.infer_cfg)
             .pop()
         {
-            Some(res) => res.map_err(EngineError::from),
+            Some(res) => res,
             #[expect(
                 clippy::unreachable,
                 reason = "structurally impossible: run_episodes answers every request"
@@ -521,17 +521,14 @@ impl Engine {
     /// with one member.
     ///
     /// Deadlines stay per member: an expired member gets its own
-    /// `Err(EngineError::DeadlineExceeded)` slot while the rest of the
+    /// `Err(DeadlineExceeded)` slot while the rest of the
     /// batch completes.
     pub fn run_episodes_batched(
         &self,
         dataset: &Dataset,
         requests: &[EpisodeRequest<'_>],
-    ) -> Vec<Result<EpisodeResult, EngineError>> {
+    ) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
         self.run_batch(dataset, requests, &self.infer_cfg)
-            .into_iter()
-            .map(|r| r.map_err(EngineError::from))
-            .collect()
     }
 
     /// As [`Engine::run_episode`], under an explicit inference config.
@@ -934,22 +931,17 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&plain.confidences), bits(&timed.confidences));
 
-        let err = engine
+        let d = engine
             .run_episode_deadline(&ds, &task, Deadline::after_millis(0))
             .expect_err("an expired deadline must abort");
-        match err {
-            EngineError::DeadlineExceeded(d) => {
-                assert_eq!(d.stage, "candidate_embed");
-                assert_eq!(d.completed_queries, 0);
-                assert_eq!(d.total_queries, 8);
-                assert!(
-                    d.stage_micros.iter().any(|(s, _)| *s == "candidate_embed"),
-                    "partial timing must cover the aborting stage: {:?}",
-                    d.stage_micros
-                );
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
+        assert_eq!(d.stage, "candidate_embed");
+        assert_eq!(d.completed_queries, 0);
+        assert_eq!(d.total_queries, 8);
+        assert!(
+            d.stage_micros.iter().any(|(s, _)| *s == "candidate_embed"),
+            "partial timing must cover the aborting stage: {:?}",
+            d.stage_micros
+        );
 
         let again = engine.run_episode(&ds, &task);
         assert_eq!(bits(&[again.accuracy()]), bits(&[plain.accuracy()]));

@@ -1,17 +1,11 @@
-//! The unified typed error surface of the [`crate::Engine`].
+//! The typed error of a request that ran out of time.
 //!
-//! Every fallible engine entry point reports through [`EngineError`], so
-//! a caller serving many heterogeneous requests (gp-serve) can map
-//! failures to a transport status uniformly:
-//!
-//! | variant | meaning | gp-serve mapping |
-//! |---|---|---|
-//! | [`EngineError::Config`] | invalid request/engine configuration | 400 Bad Request |
-//! | [`EngineError::Divergence`] | guard rail aborted training | 500 Internal |
-//! | [`EngineError::DeadlineExceeded`] | the request deadline fired at a stage boundary | 504 Gateway Timeout |
-
-use crate::config::ConfigError;
-use crate::guard::DivergenceError;
+//! [`crate::Engine::run_episode_deadline`] and
+//! [`crate::Engine::run_episodes_batched`] report an expired deadline as
+//! [`DeadlineExceeded`]; gp-serve maps it to 504 Gateway Timeout. Config
+//! errors surface from [`crate::EngineBuilder::try_build`] as
+//! [`crate::ConfigError`], and guard-rail aborts from
+//! [`crate::Engine::try_pretrain`] as [`crate::DivergenceError`].
 
 /// Diagnosis of a request that ran out of budget: which stage boundary
 /// observed the expiry, how much of the episode had completed, and the
@@ -57,47 +51,6 @@ impl std::fmt::Display for DeadlineExceeded {
 
 impl std::error::Error for DeadlineExceeded {}
 
-/// Any failure an [`crate::Engine`] entry point can report.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EngineError {
-    /// A config failed validation (bad request or bad engine setup).
-    Config(ConfigError),
-    /// The training guard rail aborted on divergence.
-    Divergence(DivergenceError),
-    /// A request deadline fired at a pipeline stage boundary.
-    DeadlineExceeded(DeadlineExceeded),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Config(e) => write!(f, "configuration: {e}"),
-            EngineError::Divergence(e) => write!(f, "divergence: {e}"),
-            EngineError::DeadlineExceeded(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<ConfigError> for EngineError {
-    fn from(e: ConfigError) -> Self {
-        EngineError::Config(e)
-    }
-}
-
-impl From<DivergenceError> for EngineError {
-    fn from(e: DivergenceError) -> Self {
-        EngineError::Divergence(e)
-    }
-}
-
-impl From<DeadlineExceeded> for EngineError {
-    fn from(e: DeadlineExceeded) -> Self {
-        EngineError::DeadlineExceeded(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,20 +67,5 @@ mod tests {
         assert!(s.contains("`selection`"), "{s}");
         assert!(s.contains("5/12"), "{s}");
         assert!(s.contains("candidate_embed=900µs"), "{s}");
-    }
-
-    #[test]
-    fn engine_error_wraps_all_sources() {
-        let c: EngineError = ConfigError::ZeroField { field: "steps" }.into();
-        assert!(matches!(c, EngineError::Config(_)));
-        assert!(c.to_string().contains("steps"));
-        let d: EngineError = DeadlineExceeded {
-            stage: "task_graph",
-            completed_queries: 0,
-            total_queries: 1,
-            stage_micros: vec![],
-        }
-        .into();
-        assert!(matches!(d, EngineError::DeadlineExceeded(_)));
     }
 }

@@ -35,7 +35,7 @@ use crate::embed_store::EmbeddingStore;
 use crate::error::DeadlineExceeded;
 use crate::model::{sample_datapoint_subgraphs, GraphPrompterModel};
 use crate::planner::EpisodeRequest;
-use crate::selector::select_prompts_with_metric;
+use crate::selector::select_prompts;
 
 // Per-stage wall-clock of the Alg. 2 pipeline, recorded once per call to
 // the corresponding stage (µs). Surfaced via `Engine::metrics_snapshot`
@@ -436,7 +436,7 @@ pub(crate) fn run_episodes(
                 // Prompt Selector: score + vote → Ŝ (k per class).
                 let selection = clock.time("selection", || {
                     let _span = SELECTION_MICROS.span();
-                    select_prompts_with_metric(
+                    select_prompts(
                         &cand_embs,
                         &cand_imps,
                         &cand_labels,
@@ -540,11 +540,12 @@ pub(crate) fn run_episodes(
         .collect()
 }
 
-/// Accuracy (%) of evaluation episode `i`: a `ways`-way task with
-/// `queries_per_episode` queries sampled from seed `cfg.seed + 7919·i`,
-/// run under pipeline seed `cfg.seed + 104729·i`. `candidate_seed` is
-/// deliberately not varied: episodes sharing a candidate sample its
-/// subgraph identically, which is what lets `cache` serve them all.
+/// Accuracy (%) of evaluation episode `i`: the `ways`-way
+/// [`gp_datasets::episode_task`] with `queries_per_episode` queries under
+/// `cfg.seed`, run under pipeline seed `cfg.seed + 104729·i`.
+/// `candidate_seed` is deliberately not varied: episodes sharing a
+/// candidate sample its subgraph identically, which is what lets `cache`
+/// serve them all.
 pub(crate) fn evaluate_episode(
     model: &GraphPrompterModel,
     dataset: &Dataset,
@@ -554,13 +555,13 @@ pub(crate) fn evaluate_episode(
     cache: Option<&EmbeddingStore>,
     i: usize,
 ) -> f32 {
-    let mut ep_rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64 * 7919));
-    let task = gp_datasets::sample_few_shot_task(
+    let (task, _) = gp_datasets::episode_task(
         dataset,
         ways,
         cfg.candidates_per_class,
         queries_per_episode,
-        &mut ep_rng,
+        cfg.seed,
+        i,
     );
     let mut ep_cfg = cfg.clone();
     ep_cfg.seed = cfg.seed.wrapping_add(i as u64 * 104_729);

@@ -83,7 +83,7 @@ pub use config::{
 pub use deadline::Deadline;
 pub use embed_store::{EmbedCacheStats, EmbeddingStore};
 pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
-pub use error::{DeadlineExceeded, EngineError};
+pub use error::DeadlineExceeded;
 pub use guard::{DivergenceError, GuardAction, GuardRail, GuardRailConfig, StepVerdict};
 pub use infer::EpisodeResult;
 pub use model::{sample_datapoint_subgraphs, GraphPrompterModel};
@@ -92,4 +92,4 @@ pub use pretrain::{
     pretrain, pretrain_resumable, try_pretrain, CheckpointConfig, PretrainError, PretrainReport,
     TrainingCurve,
 };
-pub use selector::{select_prompts, select_prompts_with_metric, DistanceMetric, SelectionOutcome};
+pub use selector::{select_prompts, DistanceMetric, SelectionOutcome};

@@ -65,9 +65,9 @@ pub struct SelectionOutcome {
 /// * `prompt_imps` — `P` importances (`I_p`, Eq. 5).
 /// * `prompt_labels` — episode class per candidate.
 /// * `query_embs` / `query_imps` — the voting pool `Q`.
-/// * `use_knn` adds `sim(p,q) = cos(G_p, G_q)` (Eq. 6); `use_selection`
-///   adds `I_p · I_q` (Eq. 7). With both disabled the choice is uniform
-///   random — exactly Prodigy's strategy.
+/// * `use_knn` adds `sim(p,q)` under `metric` (Eq. 6; cosine in the
+///   paper); `use_selection` adds `I_p · I_q` (Eq. 7). With both disabled
+///   the choice is uniform random — exactly Prodigy's strategy.
 ///
 /// Voting (Eq. 8): each query casts `score(p,q)` votes for every prompt in
 /// its top-`m·k` scored list; the per-class top-`k` vote-getters win.
@@ -76,41 +76,9 @@ pub struct SelectionOutcome {
 /// Panics on shape mismatches between the inputs.
 #[expect(
     clippy::too_many_arguments,
-    reason = "mirrors Eq. 7's inputs one-to-one"
-)]
-pub fn select_prompts(
-    prompt_embs: &Tensor,
-    prompt_imps: &[f32],
-    prompt_labels: &[usize],
-    query_embs: &Tensor,
-    query_imps: &[f32],
-    num_classes: usize,
-    shots: usize,
-    use_knn: bool,
-    use_selection: bool,
-    rng: &mut StdRng,
-) -> SelectionOutcome {
-    select_prompts_with_metric(
-        prompt_embs,
-        prompt_imps,
-        prompt_labels,
-        query_embs,
-        query_imps,
-        num_classes,
-        shots,
-        use_knn,
-        use_selection,
-        DistanceMetric::Cosine,
-        rng,
-    )
-}
-
-/// As [`select_prompts`] with an explicit kNN distance metric.
-#[expect(
-    clippy::too_many_arguments,
     reason = "mirrors Eq. 7's inputs one-to-one, plus the kNN metric"
 )]
-pub fn select_prompts_with_metric(
+pub fn select_prompts(
     prompt_embs: &Tensor,
     prompt_imps: &[f32],
     prompt_labels: &[usize],
@@ -244,7 +212,19 @@ mod tests {
     fn knn_prefers_aligned_prompts() {
         let (p, i, l, q, qi) = fixture();
         let mut rng = StdRng::seed_from_u64(0);
-        let out = select_prompts(&p, &i, &l, &q, &qi, 2, 2, true, false, &mut rng);
+        let out = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            2,
+            true,
+            false,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
         assert_eq!(out.selected.len(), 4);
         // The poor candidates (2 and 5) must not be selected.
         assert!(!out.selected.contains(&2));
@@ -255,7 +235,19 @@ mod tests {
     fn selection_layer_alone_prefers_important_prompts() {
         let (p, i, l, q, qi) = fixture();
         let mut rng = StdRng::seed_from_u64(0);
-        let out = select_prompts(&p, &i, &l, &q, &qi, 2, 1, false, true, &mut rng);
+        let out = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            1,
+            false,
+            true,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
         assert_eq!(out.selected, vec![0, 3]);
     }
 
@@ -279,8 +271,32 @@ mod tests {
         let q = Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let qi = vec![1.0, 1.0];
         let mut rng = StdRng::seed_from_u64(0);
-        let knn_only = select_prompts(&p, &i, &l, &q, &qi, 2, 1, true, false, &mut rng);
-        let both = select_prompts(&p, &i, &l, &q, &qi, 2, 1, true, true, &mut rng);
+        let knn_only = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            1,
+            true,
+            false,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
+        let both = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            1,
+            true,
+            true,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
         assert_eq!(knn_only.selected, vec![0, 2]);
         assert_eq!(both.selected, vec![1, 3]);
     }
@@ -289,7 +305,19 @@ mod tests {
     fn random_fallback_is_class_balanced() {
         let (p, i, l, q, qi) = fixture();
         let mut rng = StdRng::seed_from_u64(7);
-        let out = select_prompts(&p, &i, &l, &q, &qi, 2, 2, false, false, &mut rng);
+        let out = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            2,
+            false,
+            false,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
         assert_eq!(out.selected.len(), 4);
         let c0 = out.selected.iter().filter(|&&s| l[s] == 0).count();
         assert_eq!(c0, 2);
@@ -300,7 +328,19 @@ mod tests {
     fn votes_are_nonnegative_sums_over_queries() {
         let (p, i, l, q, qi) = fixture();
         let mut rng = StdRng::seed_from_u64(0);
-        let out = select_prompts(&p, &i, &l, &q, &qi, 2, 2, true, true, &mut rng);
+        let out = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            2,
+            true,
+            true,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
         assert_eq!(out.votes.len(), 6);
         // Selected prompts have votes at least as large as unselected
         // same-class prompts.
@@ -324,9 +364,7 @@ mod tests {
         let (p, i, l, q, qi) = fixture();
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
             let mut rng = StdRng::seed_from_u64(0);
-            let out = select_prompts_with_metric(
-                &p, &i, &l, &q, &qi, 2, 2, true, false, metric, &mut rng,
-            );
+            let out = select_prompts(&p, &i, &l, &q, &qi, 2, 2, true, false, metric, &mut rng);
             assert!(
                 !out.selected.contains(&2),
                 "{metric:?} picked the poor candidate"
@@ -405,7 +443,19 @@ mod tests {
             // shots = 1 → per-query top list holds 2 of 4 candidates; the
             // NaN candidate sorts below every finite score, stays out of
             // every top list, and collects zero votes.
-            select_prompts(&p, &i, &l, &q, &qi, 2, 1, false, true, &mut rng)
+            select_prompts(
+                &p,
+                &i,
+                &l,
+                &q,
+                &qi,
+                2,
+                1,
+                false,
+                true,
+                DistanceMetric::Cosine,
+                &mut rng,
+            )
         };
         let out = run();
         assert_eq!(
@@ -432,7 +482,19 @@ mod tests {
     fn nan_votes_lose_the_class_tie_break() {
         let (p, i, l, q, qi) = nan_fixture();
         let mut rng = StdRng::seed_from_u64(0);
-        let out = select_prompts(&p, &i, &l, &q, &qi, 2, 2, false, true, &mut rng);
+        let out = select_prompts(
+            &p,
+            &i,
+            &l,
+            &q,
+            &qi,
+            2,
+            2,
+            false,
+            true,
+            DistanceMetric::Cosine,
+            &mut rng,
+        );
         let class0: Vec<usize> = out
             .selected
             .iter()
@@ -464,6 +526,7 @@ mod tests {
             3,
             true,
             true,
+            DistanceMetric::Cosine,
             &mut rng,
         );
         assert_eq!(out.selected.len(), 2);

@@ -9,7 +9,7 @@
 //! `Backend::Fast` the fused pass must stay within the same numeric
 //! tolerance the backend already promises for solo runs.
 
-use gp_core::{Deadline, Engine, EngineError, EpisodeRequest, EpisodeResult};
+use gp_core::{Deadline, Engine, EpisodeRequest, EpisodeResult};
 use gp_datasets::{sample_few_shot_task, CitationConfig, DataPoint, Dataset, FewShotTask};
 use gp_graph::SamplerConfig;
 use gp_tensor::rng::{check, StdRng};
@@ -233,7 +233,7 @@ fn expired_member_does_not_poison_the_batch() {
         for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
             if i == victim {
                 match b {
-                    Err(EngineError::DeadlineExceeded(d)) => {
+                    Err(d) => {
                         assert_eq!(d.completed_queries, 0, "victim ran no queries");
                     }
                     other => panic!("victim must expire, got {other:?}"),

@@ -3,8 +3,8 @@
 //! embedding store's transparency guarantees.
 
 use gp_core::{
-    select_prompts, Cache, CachePolicy, Engine, InferenceConfig, ModelConfig, PretrainConfig,
-    PromptAugmenter,
+    select_prompts, Cache, CachePolicy, DistanceMetric, Engine, InferenceConfig, ModelConfig,
+    PretrainConfig, PromptAugmenter,
 };
 use gp_datasets::CitationConfig;
 use gp_graph::SamplerConfig;
@@ -226,7 +226,17 @@ fn selector_output_is_class_balanced_subset() {
         let labels: Vec<usize> = (0..p).map(|i| i % classes).collect();
         let imps = vec![0.5; p];
         let out = select_prompts(
-            &embs, &imps, &labels, &queries, &[0.5; 3], classes, shots, use_knn, use_sel, rng,
+            &embs,
+            &imps,
+            &labels,
+            &queries,
+            &[0.5; 3],
+            classes,
+            shots,
+            use_knn,
+            use_sel,
+            DistanceMetric::Cosine,
+            rng,
         );
         // Selected indices are unique and in range.
         let mut sorted = out.selected.clone();

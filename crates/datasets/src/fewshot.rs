@@ -48,6 +48,33 @@ pub fn sample_few_shot_task(
     )
 }
 
+/// Seed of evaluation episode `i` under base seed `seed`.
+pub fn episode_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(i as u64 * 7919)
+}
+
+/// Evaluation episode `i`: the [`sample_few_shot_task`] draw under
+/// [`episode_seed`]`(seed, i)`, plus the RNG positioned just after it.
+///
+/// Every method draws its episodes here, so episode `i` is the same task
+/// for all of them. Only `per_class` differs between methods (`k` prompts
+/// drawn directly, or a pool of `N` candidates). It changes neither the
+/// classes, the queries nor the RNG stream: each class pool is shuffled
+/// whole before its first `per_class` members are taken, so a `k`-draw's
+/// candidates are the first `k` of the `N`-draw's per class.
+pub fn episode_task(
+    dataset: &Dataset,
+    ways: usize,
+    per_class: usize,
+    queries: usize,
+    seed: u64,
+    i: usize,
+) -> (FewShotTask, StdRng) {
+    let mut rng = StdRng::seed_from_u64(episode_seed(seed, i));
+    let task = sample_few_shot_task(dataset, ways, per_class, queries, &mut rng);
+    (task, rng)
+}
+
 /// As [`sample_few_shot_task`] but with explicit source splits (pretraining
 /// episodes draw both prompts and queries from the train partition).
 pub fn sample_few_shot_from_splits(
@@ -163,6 +190,38 @@ mod tests {
         let test_set: HashSet<_> = d.test.iter().copied().collect();
         for (dp, _) in &task.queries {
             assert!(test_set.contains(dp), "query not from test split");
+        }
+    }
+
+    /// The pairing contract: the `k`-per-class draw (Contrastive, Finetune,
+    /// ProG) and the `N`-per-class draw (the Engine methods) of one episode
+    /// share classes, queries and the RNG stream, and each class's `k`
+    /// candidates are the first `k` of its `N`.
+    #[test]
+    fn episode_task_pairs_k_and_n_draws() {
+        let d = ds();
+        for seed in [0u64, 1, 42, u64::MAX - 3] {
+            for i in [0usize, 1, 7, 31] {
+                for (k, n) in [(1usize, 10usize), (3, 10), (5, 8)] {
+                    let (small, mut small_rng) = episode_task(&d, 5, k, 20, seed, i);
+                    let (large, mut large_rng) = episode_task(&d, 5, n, 20, seed, i);
+                    assert_eq!(small.classes, large.classes, "seed {seed} episode {i}");
+                    assert_eq!(small.queries, large.queries, "seed {seed} episode {i}");
+                    assert_eq!(small_rng.next_u64(), large_rng.next_u64());
+                    for class in 0..small.ways() {
+                        let of = |t: &FewShotTask| -> Vec<DataPoint> {
+                            t.candidates
+                                .iter()
+                                .filter(|(_, l)| *l == class)
+                                .map(|(dp, _)| *dp)
+                                .collect()
+                        };
+                        let (few, many) = (of(&small), of(&large));
+                        assert_eq!(few.len(), k.min(many.len()));
+                        assert_eq!(few[..], many[..few.len()], "seed {seed} episode {i}");
+                    }
+                }
+            }
         }
     }
 

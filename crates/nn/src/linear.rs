@@ -37,13 +37,13 @@ impl Activation {
 /// Fully connected layer `y = xW + b`.
 pub struct Linear {
     w: ParamId,
-    b: Option<ParamId>,
+    b: ParamId,
     in_dim: usize,
     out_dim: usize,
 }
 
 impl Linear {
-    /// Xavier-initialized layer with bias.
+    /// Xavier-initialized layer with a zero bias.
     pub fn new(
         store: &mut ParamStore,
         rng_: &mut StdRng,
@@ -51,23 +51,11 @@ impl Linear {
         in_dim: usize,
         out_dim: usize,
     ) -> Self {
-        Self::with_bias(store, rng_, name, in_dim, out_dim, true)
-    }
-
-    /// Xavier-initialized layer, optionally biasless.
-    pub fn with_bias(
-        store: &mut ParamStore,
-        rng_: &mut StdRng,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        bias: bool,
-    ) -> Self {
         let w = store.add(
             format!("{name}.w"),
             rng::xavier_uniform(rng_, in_dim, out_dim),
         );
-        let b = bias.then(|| store.add(format!("{name}.b"), gp_tensor::Tensor::zeros(1, out_dim)));
+        let b = store.add(format!("{name}.b"), gp_tensor::Tensor::zeros(1, out_dim));
         Self {
             w,
             b,
@@ -86,17 +74,12 @@ impl Linear {
         self.out_dim
     }
 
-    /// `y = xW (+ b)` for an `n×in_dim` input.
+    /// `y = xW + b` for an `n×in_dim` input.
     pub fn forward<'a, F: Forward<'a>>(&self, f: &mut F, x: &F::V) -> F::V {
         let w = f.param(self.w);
         let y = f.matmul(x, &w);
-        match self.b {
-            Some(b) => {
-                let bv = f.param(b);
-                f.add_row_broadcast(y, &bv)
-            }
-            None => y,
-        }
+        let b = f.param(self.b);
+        f.add_row_broadcast(y, &b)
     }
 }
 

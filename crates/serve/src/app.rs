@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gp_core::{
-    BatchKey, Deadline, EmbeddingStore, Engine, EngineError, EpisodeResult, GraphPrompterModel,
-    InferenceConfig, ModelConfig,
+    BatchKey, Deadline, DeadlineExceeded, EmbeddingStore, Engine, EpisodeResult,
+    GraphPrompterModel, InferenceConfig, ModelConfig,
 };
 use gp_datasets::{sample_few_shot_task, Dataset};
 use gp_obs::sync::{Mutex, Rank};
@@ -451,7 +451,7 @@ impl ClassifyApp {
                         batch_size,
                     ),
                 ),
-                Err(e) => engine_error_response(&e),
+                Err(d) => deadline_response(&d),
             },
             CoalesceOutcome::LeaderFailed => Response::error(
                 500,
@@ -500,35 +500,27 @@ impl Handler for ClassifyApp {
     }
 }
 
-/// Map an [`EngineError`] to the wire per the table in
-/// `gp_core::error`: Config → 400, Divergence → 500, Deadline → 504.
-/// The 504 body carries the partial-stage evidence — which Alg. 2 stage
-/// hit the wall and where the time went — so a client can tell "server
-/// slow" from "deadline too tight".
-fn engine_error_response(e: &EngineError) -> Response {
-    match e {
-        EngineError::Config(c) => Response::error(400, &c.to_string()),
-        EngineError::Divergence(d) => Response::error(500, &d.to_string()),
-        EngineError::DeadlineExceeded(d) => {
-            let stages = d
-                .stage_micros
-                .iter()
-                .map(|(name, micros)| format!("\"{}\":{}", escape_json(name), micros))
-                .collect::<Vec<_>>()
-                .join(",");
-            Response::json(
-                504,
-                format!(
-                    "{{\"error\":\"deadline exceeded\",\"stage\":\"{}\",\
-                     \"completed_queries\":{},\"total_queries\":{},\"stage_micros\":{{{}}}}}",
-                    escape_json(d.stage),
-                    d.completed_queries,
-                    d.total_queries,
-                    stages
-                ),
-            )
-        }
-    }
+/// A 504 whose body carries the partial-stage evidence — which Alg. 2
+/// stage hit the wall and where the time went — so a client can tell
+/// "server slow" from "deadline too tight".
+fn deadline_response(d: &DeadlineExceeded) -> Response {
+    let stages = d
+        .stage_micros
+        .iter()
+        .map(|(name, micros)| format!("\"{}\":{}", escape_json(name), micros))
+        .collect::<Vec<_>>()
+        .join(",");
+    Response::json(
+        504,
+        format!(
+            "{{\"error\":\"deadline exceeded\",\"stage\":\"{}\",\
+             \"completed_queries\":{},\"total_queries\":{},\"stage_micros\":{{{}}}}}",
+            escape_json(d.stage),
+            d.completed_queries,
+            d.total_queries,
+            stages
+        ),
+    )
 }
 
 fn render_u64s(xs: impl Iterator<Item = u64>) -> String {

@@ -28,9 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
-use gp_core::{
-    BatchKey, Deadline, DeadlineExceeded, Engine, EngineError, EpisodeRequest, EpisodeResult,
-};
+use gp_core::{BatchKey, Deadline, DeadlineExceeded, Engine, EpisodeRequest, EpisodeResult};
 use gp_datasets::{Dataset, FewShotTask};
 use gp_obs::sync::{Mutex, MutexGuard, Rank};
 
@@ -45,7 +43,7 @@ pub enum CoalesceOutcome {
         /// [`Engine::run_episode_deadline`] call would have returned it
         /// (boxed: an [`EpisodeResult`] is large and this enum travels
         /// by value).
-        result: Box<Result<EpisodeResult, EngineError>>,
+        result: Box<Result<EpisodeResult, DeadlineExceeded>>,
         /// Members the fused pass actually ran (collection-expired
         /// members excluded); `1` for a solo bypass.
         batch_size: usize,
@@ -68,7 +66,7 @@ struct Slot {
 }
 
 enum SlotOutcome {
-    Done(Box<Result<EpisodeResult, EngineError>>),
+    Done(Box<Result<EpisodeResult, DeadlineExceeded>>),
     LeaderFailed,
 }
 
@@ -299,14 +297,12 @@ impl Coalescer {
                 }
             }
             for (i, total_queries) in &expired {
-                g.slots[*i].outcome = Some(SlotOutcome::Done(Box::new(Err(
-                    EngineError::DeadlineExceeded(DeadlineExceeded {
-                        stage: "batch_collect",
-                        completed_queries: 0,
-                        total_queries: *total_queries,
-                        stage_micros: vec![("batch_collect", collect_micros)],
-                    }),
-                ))));
+                g.slots[*i].outcome = Some(SlotOutcome::Done(Box::new(Err(DeadlineExceeded {
+                    stage: "batch_collect",
+                    completed_queries: 0,
+                    total_queries: *total_queries,
+                    stage_micros: vec![("batch_collect", collect_micros)],
+                }))));
             }
         }
         self.cv.notify_all();

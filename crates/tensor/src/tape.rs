@@ -106,15 +106,17 @@ struct Node {
     op: Op,
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by [`Var`].
+/// Gradients produced by [`Tape::backward`], indexed by [`Var`]. Only
+/// [`Tape::input`] variables keep theirs: an intermediate node's gradient
+/// is dropped once it has been propagated to that node's inputs.
 pub struct Grads {
     grads: Vec<Option<Tensor>>,
     shapes: Vec<(usize, usize)>,
 }
 
 impl Grads {
-    /// Gradient of the loss w.r.t. `var`; a zero tensor if the variable
-    /// did not influence the loss.
+    /// Gradient of the loss w.r.t. the input `var`; a zero tensor if the
+    /// variable did not influence the loss (or is not an input).
     pub fn get(&self, var: Var) -> Tensor {
         match &self.grads[var.0] {
             Some(g) => g.clone(),
@@ -125,7 +127,7 @@ impl Grads {
         }
     }
 
-    /// Borrow the gradient if the variable influenced the loss.
+    /// Borrow the gradient if the input `var` influenced the loss.
     pub fn try_get(&self, var: Var) -> Option<&Tensor> {
         self.grads[var.0].as_ref()
     }
@@ -327,7 +329,13 @@ impl Tape {
         )
     }
 
-    /// Reverse sweep from a scalar `loss` node; returns per-node gradients.
+    /// Reverse sweep from a scalar `loss` node; returns the gradients of
+    /// the input variables.
+    ///
+    /// A node's gradient is complete once the sweep reaches it, so an
+    /// intermediate one is freed as soon as it has been propagated: the
+    /// sweep holds the activations plus the gradients still in flight,
+    /// not a second copy of every activation.
     ///
     /// # Panics
     /// Panics if `loss` is not `1×1`.
@@ -343,7 +351,9 @@ impl Tape {
         for id in (0..=loss.0).rev() {
             let Some(g) = grads[id].take() else { continue };
             self.accumulate_adjoints(id, &g, &mut grads);
-            grads[id] = Some(g);
+            if matches!(self.nodes[id].op, Op::Input) {
+                grads[id] = Some(g);
+            }
         }
 
         let shapes = self.nodes.iter().map(|n| n.value.shape()).collect();
@@ -794,6 +804,18 @@ mod tests {
         let grads = tape.backward(loss);
         assert!(grads.try_get(unused).is_none());
         assert_eq!(grads.get(unused), Tensor::zeros(2, 2));
+    }
+
+    #[test]
+    fn only_inputs_keep_their_gradients() {
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(1, 2, vec![1.0, -2.0]));
+        let y = tape.scale(x, 3.0);
+        let loss = tape.sum_all(y);
+        let grads = tape.backward(loss);
+        assert_eq!(grads.get(x).as_slice(), &[3.0, 3.0]);
+        assert!(grads.try_get(y).is_none());
+        assert!(grads.try_get(loss).is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use gp_tensor::rng::StdRng;
-use graphprompter::core::select_prompts;
+use graphprompter::core::{select_prompts, DistanceMetric};
 use graphprompter::eval::MeanStd;
 use graphprompter::prelude::*;
 
@@ -63,6 +63,7 @@ fn main() {
         3,
         true,
         true,
+        DistanceMetric::Cosine,
         &mut rng,
     );
     println!(

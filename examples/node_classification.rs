@@ -7,7 +7,7 @@
 //! cargo run --release --example node_classification
 //! ```
 
-use graphprompter::baselines::{IclBaseline, NoPretrain, Prodigy};
+use graphprompter::baselines::{IclBaseline, PromptGraph};
 use graphprompter::eval::{MeanStd, Table};
 use graphprompter::prelude::*;
 
@@ -28,44 +28,26 @@ fn main() {
     let model_cfg = ModelConfig::default();
     let pre_cfg = PretrainConfig::default();
 
-    // GraphPrompter: node tasks run without the augmenter (§V-B).
-    let mut gp = Engine::builder()
-        .model_config(model_cfg.clone())
-        .pretrain_config(pre_cfg.clone())
-        .try_build()
-        .expect("default configs are valid");
-    gp.pretrain(&source);
+    // GraphPrompter runs node tasks without the augmenter (§V-B).
+    let gp = PromptGraph::graphprompter(&source, model_cfg.clone(), &pre_cfg);
+    let prodigy = PromptGraph::prodigy(&source, model_cfg.clone(), &pre_cfg);
+    let no_pre = PromptGraph::no_pretrain(model_cfg);
 
-    let prodigy = Prodigy::pretrain(&source, model_cfg.clone(), &pre_cfg);
-    let no_pre = NoPretrain::new(model_cfg);
-
-    let protocol = graphprompter::baselines::EvalProtocol::default();
-    let episodes = 5;
+    let cfg = InferenceConfig::default();
+    let (queries, episodes) = (30, 5);
 
     let mut table = Table::new(
         "arXiv-like in-context accuracy (%), 3-shot",
         &["Method", "5-way", "10-way", "20-way"],
     );
-    let gp_eval = |ways: usize| {
-        let cfg = InferenceConfig {
-            stages: StageConfig::without_augmenter(),
-            ..InferenceConfig::default()
-        };
-        MeanStd::of(&gp.evaluate_with(&target, ways, protocol.queries, episodes, &cfg)).to_string()
-    };
-    table.row(&[
-        "NoPretrain".into(),
-        MeanStd::of(&no_pre.evaluate(&target, 5, episodes, &protocol)).to_string(),
-        MeanStd::of(&no_pre.evaluate(&target, 10, episodes, &protocol)).to_string(),
-        MeanStd::of(&no_pre.evaluate(&target, 20, episodes, &protocol)).to_string(),
-    ]);
-    table.row(&[
-        "Prodigy".into(),
-        MeanStd::of(&prodigy.evaluate(&target, 5, episodes, &protocol)).to_string(),
-        MeanStd::of(&prodigy.evaluate(&target, 10, episodes, &protocol)).to_string(),
-        MeanStd::of(&prodigy.evaluate(&target, 20, episodes, &protocol)).to_string(),
-    ]);
-    table.row(&["GraphPrompter".into(), gp_eval(5), gp_eval(10), gp_eval(20)]);
+    for method in [&no_pre, &prodigy, &gp] {
+        let mut row = vec![method.name().to_string()];
+        for ways in [5, 10, 20] {
+            let accs = method.evaluate(&target, ways, queries, episodes, &cfg);
+            row.push(MeanStd::of(&accs).to_string());
+        }
+        table.row(&row);
+    }
 
     println!("{}", table.to_markdown());
     println!("chance levels: 20% / 10% / 5%");

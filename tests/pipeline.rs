@@ -3,7 +3,7 @@
 //! and cross-crate invariants the unit tests cannot see.
 
 use gp_tensor::rng::StdRng;
-use graphprompter::baselines::{EvalProtocol, IclBaseline, NoPretrain, Prodigy};
+use graphprompter::baselines::{IclBaseline, PromptGraph};
 use graphprompter::datasets::{CitationConfig, KgConfig};
 use graphprompter::prelude::*;
 
@@ -310,21 +310,21 @@ fn builders_reject_bad_configs_at_the_facade() {
 #[test]
 fn baselines_share_the_episode_protocol() {
     let source = CitationConfig::new("src", 250, 5, 107).generate();
-    let protocol = EvalProtocol {
+    let cfg = InferenceConfig {
         shots: 2,
         candidates_per_class: 4,
-        queries: 10,
         sampler: SamplerConfig {
             hops: 1,
             max_nodes: 10,
             neighbors_per_node: 5,
         },
         seed: 0,
+        ..InferenceConfig::default()
     };
-    let no_pre = NoPretrain::new(tiny_model());
-    let prodigy = Prodigy::pretrain(&source, tiny_model(), &tiny_pretrain(15));
-    for method in [&no_pre as &dyn IclBaseline, &prodigy] {
-        let accs = method.evaluate(&source, 3, 2, &protocol);
+    let no_pre = PromptGraph::no_pretrain(tiny_model());
+    let prodigy = PromptGraph::prodigy(&source, tiny_model(), &tiny_pretrain(15));
+    for method in [&no_pre, &prodigy] {
+        let accs = method.evaluate(&source, 3, 10, 2, &cfg);
         assert_eq!(
             accs.len(),
             2,
@@ -339,7 +339,7 @@ fn baselines_share_the_episode_protocol() {
 fn pretrained_selector_orders_prompts_meaningfully() {
     // The kNN term must select candidates whose embeddings align with the
     // query batch — check on a hand-built geometry via the public API.
-    use graphprompter::core::select_prompts;
+    use graphprompter::core::{select_prompts, DistanceMetric};
     use graphprompter::tensor::Tensor;
     let prompts = Tensor::from_vec(4, 2, vec![1.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, -1.0]);
     let queries = Tensor::from_vec(2, 2, vec![1.0, 0.1, 0.1, 1.0]);
@@ -354,6 +354,7 @@ fn pretrained_selector_orders_prompts_meaningfully() {
         1,
         true,
         false,
+        DistanceMetric::Cosine,
         &mut rng,
     );
     assert_eq!(
@@ -371,7 +372,7 @@ fn total_cmp_ranking_is_bit_identical_to_partial_cmp_on_nan_free_scores() {
     // indistinguishable: same permutation, bit-for-bit. Check on real
     // pipeline scores (cosine similarities over generated features and
     // selector votes), not synthetic grids.
-    use graphprompter::core::select_prompts;
+    use graphprompter::core::{select_prompts, DistanceMetric};
     use graphprompter::tensor::{rank_desc, Tensor};
     use std::cmp::Ordering;
 
@@ -424,6 +425,7 @@ fn total_cmp_ranking_is_bit_identical_to_partial_cmp_on_nan_free_scores() {
         2,
         true,
         true,
+        DistanceMetric::Cosine,
         &mut rng,
     );
     assert_same_order(&out.votes);
