@@ -602,21 +602,44 @@ fn parse_payload(payload: &[u8]) -> Result<ParsedPayload, CheckpointError> {
     })
 }
 
+/// Check the stored tensors' count and shapes against the architecture
+/// `config` describes, without building it: a config whose model would
+/// not fit the file is an error, never an allocation.
+fn check_param_shapes(
+    config: &ModelConfig,
+    params: &[(String, Tensor)],
+) -> Result<(), CheckpointError> {
+    let expected = GraphPrompterModel::param_shapes(config).ok_or_else(|| {
+        CheckpointError::ShapeMismatch("config widths overflow the address space".into())
+    })?;
+    if params.len() != expected.len() {
+        return Err(CheckpointError::ShapeMismatch(format!(
+            "checkpoint has {} tensors, model expects {}",
+            params.len(),
+            expected.len()
+        )));
+    }
+    for ((name, tensor), &shape) in params.iter().zip(&expected) {
+        if tensor.shape() != shape {
+            return Err(CheckpointError::ShapeMismatch(format!(
+                "'{name}' is {:?}, model expects {shape:?}",
+                tensor.shape()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Rebuild the architecture from `config` and install the saved parameter
-/// values, verifying names and shapes against the freshly built store.
+/// values, verifying shapes before the build and names against the
+/// freshly built store.
 fn model_from_parsed(
     config: ModelConfig,
     params: Vec<(String, Tensor)>,
 ) -> Result<GraphPrompterModel, CheckpointError> {
+    check_param_shapes(&config, &params)?;
     let mut model = GraphPrompterModel::new(config);
     let ids: Vec<_> = model.store.iter().map(|(id, _)| id).collect();
-    if params.len() != ids.len() {
-        return Err(CheckpointError::ShapeMismatch(format!(
-            "checkpoint has {} tensors, model expects {}",
-            params.len(),
-            ids.len()
-        )));
-    }
     for (id, (name, tensor)) in ids.into_iter().zip(params) {
         if model.store.name(id) != name {
             return Err(CheckpointError::ShapeMismatch(format!(
@@ -844,13 +867,15 @@ pub struct CheckpointSummary {
     pub trainer: Option<(usize, f32, usize, usize)>,
 }
 
-/// Fully validate a checkpoint file (magic, version, length, CRC, and
-/// structural parse) and summarize its contents.
+/// Fully validate a checkpoint file (magic, version, length, CRC,
+/// structural parse, and tensor shapes against its config) and summarize
+/// its contents.
 pub fn inspect_checkpoint(path: &Path) -> Result<CheckpointSummary, CheckpointError> {
     let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
     let file_len = bytes.len() as u64;
     let payload = container_payload(&bytes)?;
     let parsed = parse_payload(payload)?;
+    check_param_shapes(&parsed.config, &parsed.params)?;
     let num_tensors = parsed.params.len();
     let num_scalars = parsed.params.iter().map(|(_, t)| t.len()).sum();
     Ok(CheckpointSummary {

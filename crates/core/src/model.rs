@@ -19,6 +19,9 @@ use gp_tensor::EdgeList;
 use crate::batch::SubgraphBatch;
 use crate::config::{GeneratorKind, ModelConfig};
 
+/// Width of the task graph's `T`/`F` edge-attribute embedding.
+const EDGE_ATTR_DIM: usize = 8;
+
 /// The full parameter set of GraphPrompter.
 pub struct GraphPrompterModel {
     /// All trainable tensors.
@@ -104,7 +107,7 @@ impl GraphPrompterModel {
             "gnn_t",
             cfg.embed_dim,
             cfg.hidden_dim,
-            8,
+            EDGE_ATTR_DIM,
         );
         task_graph.set_prototype_residual(cfg.proto_residual);
         Self {
@@ -115,6 +118,50 @@ impl GraphPrompterModel {
             task_graph,
             cfg,
         }
+    }
+
+    /// Shapes of the parameters [`GraphPrompterModel::new`] builds for
+    /// `cfg`, in store order, or `None` when a width or a tensor size
+    /// overflows `usize`. Lets a loader check a file against its config
+    /// before it allocates the model.
+    pub fn param_shapes(cfg: &ModelConfig) -> Option<Vec<(usize, usize)>> {
+        let (f, r, e, h) = (cfg.feat_dim, cfg.rel_dim, cfg.embed_dim, cfg.hidden_dim);
+        let linear = |i: usize, o: usize| [(i, o), (1, o)];
+        let mut shapes = Vec::new();
+        // recon
+        shapes.extend(linear(f.checked_mul(2)?.checked_add(r)?, h));
+        shapes.extend(linear(h, 1));
+        // gnn_d
+        match cfg.generator {
+            GeneratorKind::Sage => {
+                shapes.extend(linear(f.checked_mul(2)?, h));
+                shapes.extend(linear(h.checked_mul(2)?, e));
+            }
+            GeneratorKind::Gat => {
+                shapes.extend(linear(f, h));
+                shapes.extend([(h, 1), (h, 1)]);
+                shapes.extend(linear(h, e));
+                shapes.extend([(e, 1), (e, 1)]);
+            }
+            GeneratorKind::Gcn => {
+                shapes.extend(linear(f, h));
+                shapes.extend(linear(h, e));
+            }
+        }
+        // select
+        shapes.extend(linear(e, h));
+        shapes.extend(linear(h, 1));
+        // gnn_t
+        shapes.push((2, EDGE_ATTR_DIM));
+        shapes.extend(linear(e.checked_add(EDGE_ATTR_DIM)?, h));
+        shapes.extend(linear(h, 1));
+        shapes.extend(linear(h, e));
+        shapes.extend(linear(e, e));
+        shapes.push((1, 1));
+        for &(rows, cols) in &shapes {
+            rows.checked_mul(cols)?;
+        }
+        Some(shapes)
     }
 
     /// Model configuration.
@@ -140,9 +187,9 @@ impl GraphPrompterModel {
     /// read first, the architecture rebuilt deterministically, then the
     /// trained parameter values are validated against it and installed.
     /// Foreign, corrupt, truncated or mismatched files yield a typed
-    /// [`crate::checkpoint::CheckpointError`]. One case still aborts: a
-    /// well-formed file whose config declares dims too large to allocate,
-    /// since the model is built before its tensors are checked.
+    /// [`crate::checkpoint::CheckpointError`]; the stored tensors are
+    /// checked against the config's [`GraphPrompterModel::param_shapes`]
+    /// before the model is allocated.
     pub fn load(
         path: impl AsRef<std::path::Path>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
@@ -293,6 +340,33 @@ mod tests {
             s1.value(&e1.embeddings).as_slice(),
             s2.value(&e2.embeddings).as_slice()
         );
+    }
+
+    #[test]
+    fn param_shapes_match_the_built_store() {
+        for generator in [GeneratorKind::Sage, GeneratorKind::Gat, GeneratorKind::Gcn] {
+            for (feat_dim, rel_dim, embed_dim, hidden_dim) in [(5, 3, 7, 11), (32, 8, 32, 64)] {
+                let cfg = ModelConfig {
+                    feat_dim,
+                    rel_dim,
+                    embed_dim,
+                    hidden_dim,
+                    generator,
+                    ..ModelConfig::default()
+                };
+                let built: Vec<_> = GraphPrompterModel::new(cfg.clone())
+                    .store
+                    .iter()
+                    .map(|(_, t)| t.shape())
+                    .collect();
+                assert_eq!(GraphPrompterModel::param_shapes(&cfg), Some(built));
+            }
+        }
+        let huge = ModelConfig {
+            feat_dim: usize::MAX / 2,
+            ..ModelConfig::default()
+        };
+        assert_eq!(GraphPrompterModel::param_shapes(&huge), None);
     }
 
     #[test]

@@ -19,6 +19,18 @@
 //! Ownership follows the ops: an input an op may overwrite is taken by
 //! value, one it only reads (or that its caller reads again) by
 //! reference.
+//!
+//! One op lets the two contexts compute different row sets:
+//! [`Forward::keyed_rows`] builds rows that depend only on a key.
+//! [`Session`](crate::Session) records the build over every row, so the
+//! tape and its gradient sums are those of the plain per-row pass.
+//! [`Eval`] builds one row per distinct key and expands the result by
+//! index. The two agree bit for bit because the build must be row-local:
+//! each output row may depend only on its own input row (gathers,
+//! [`Forward::concat_cols`], a `Linear`, elementwise activations), never
+//! on which other rows are computed with it. gp-tensor's `matmul` and
+//! `matmul_tb` compute each output row on its own, on both backends, so
+//! a row's bits do not change with the row count.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -85,6 +97,16 @@ pub trait Forward<'a> {
     ) -> Self::V;
     /// Softmax of `E×1` edge scores grouped by destination node.
     fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Self::V) -> Self::V;
+    /// Outputs with one row per entry of `keys`, where rows with equal
+    /// keys are equal. `build(f, rows)` computes the outputs for the rows
+    /// `rows` (indices into `keys`), one output row per entry, in order;
+    /// it must be row-local (see the [module docs](self)). Keys index a
+    /// table of `max(keys) + 1` slots, so they should be small.
+    fn keyed_rows<const N: usize>(
+        &mut self,
+        keys: &[usize],
+        build: impl FnOnce(&mut Self, &[usize]) -> [Self::V; N],
+    ) -> [Self::V; N];
 }
 
 /// The tape-free forward context: inference and validation passes that
@@ -211,6 +233,34 @@ impl<'a> Forward<'a> for Eval<'a> {
 
     fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Self::V) -> Self::V {
         fresh(edges.edge_softmax(scores), "edge_softmax")
+    }
+
+    /// Builds the first row of each distinct key, then gathers every
+    /// row from its key's built row.
+    fn keyed_rows<const N: usize>(
+        &mut self,
+        keys: &[usize],
+        build: impl FnOnce(&mut Self, &[usize]) -> [Self::V; N],
+    ) -> [Self::V; N] {
+        let mut slot = vec![usize::MAX; keys.iter().max().map_or(0, |&k| k + 1)];
+        let mut rows = Vec::new();
+        let expand: Vec<usize> = keys
+            .iter()
+            .enumerate()
+            .map(|(r, &k)| {
+                if slot[k] == usize::MAX {
+                    slot[k] = rows.len();
+                    rows.push(r);
+                }
+                slot[k]
+            })
+            .collect();
+        let built = build(self, &rows);
+        if rows.len() == keys.len() {
+            // Every key distinct: `expand` is the identity.
+            return built;
+        }
+        built.map(|t| fresh(t.gather_rows(&expand), "gather_rows"))
     }
 }
 

@@ -142,6 +142,16 @@ impl<'a> Forward<'a> for Session<'_> {
     fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Var) -> Var {
         self.tape.edge_softmax(edges.clone(), *scores)
     }
+
+    /// Records `build` over every row, as the plain per-row pass would.
+    fn keyed_rows<const N: usize>(
+        &mut self,
+        keys: &[usize],
+        build: impl FnOnce(&mut Self, &[usize]) -> [Var; N],
+    ) -> [Var; N] {
+        let rows: Vec<usize> = (0..keys.len()).collect();
+        build(self, &rows)
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,14 @@
 //! attention GNN fuses the prompts associated with each class into a label
 //! embedding (`H = GNN_T(G^T(S, Q))`, Eq. 10) and each query is classified
 //! by the cosine-most-similar label embedding (Eq. 11).
+//!
+//! The `P·m` prompt→label edges carry only `2P` distinct messages: an
+//! edge's message and attention score depend on its prompt and on
+//! whether the edge is `T` or `F`. A training [`Session`](crate::Session)
+//! records the message net over every edge, as the per-edge graph reads;
+//! the tape-free [`Eval`](crate::Eval) computes the `2P` distinct rows
+//! once and expands them to the edges (see [`Forward::keyed_rows`]), with
+//! the same bits.
 
 use gp_tensor::rng::StdRng;
 use std::sync::Arc;
@@ -84,6 +92,10 @@ impl TaskGraphAttention {
     /// * `prompt_labels` — class of each prompt, values `< num_classes`.
     /// * `queries` — `n×d` query data-node embeddings.
     ///
+    /// The messages and attention scores go through
+    /// [`Forward::keyed_rows`], keyed by prompt and `T`/`F`: a `Session`
+    /// computes all `P·m` edge rows, an `Eval` the `2P` distinct ones.
+    ///
     /// # Panics
     /// Panics when the prompt set is empty or a label is out of range.
     pub fn forward<'a, F: Forward<'a>>(
@@ -103,33 +115,39 @@ impl TaskGraphAttention {
         );
 
         // Bipartite prompt→label edges: every prompt to every label.
-        // Edge row r = i*m + j carries attribute T (0) iff label_i == j.
+        // Edge row r = i*m + j carries attribute T (0) iff label_i == j,
+        // so its message and score depend only on the key 2i + [y_i ≠ j]:
+        // the P·m edges carry 2P distinct rows.
         let m = num_classes;
-        let mut prompt_idx = Vec::with_capacity(p * m);
-        let mut attr_idx = Vec::with_capacity(p * m);
+        let mut keys = Vec::with_capacity(p * m);
         let mut pairs = Vec::with_capacity(p * m);
         for (i, &yi) in prompt_labels.iter().enumerate() {
             for j in 0..m {
-                prompt_idx.push(i);
-                attr_idx.push(usize::from(yi != j)); // 0 = T, 1 = F
+                keys.push(2 * i + usize::from(yi != j));
                 pairs.push(((i * m + j) as u32, j as u32));
             }
         }
         let bip = EdgeList::from_pairs(pairs).into_shared();
 
-        // Messages: relu(W_msg [x_i | e_ij]).
-        let msg_in = {
+        // Messages relu(W_msg [x_i | e_ij]) and their attention scores.
+        let [msg_h, scores] = f.keyed_rows(&keys, |f, rows| {
+            let prompt_idx = rows.iter().map(|&r| r / m).collect();
+            let attr_idx = rows
+                .iter()
+                .map(|&r| usize::from(prompt_labels[r / m] != r % m)) // 0 = T, 1 = F
+                .collect();
             let x_e = f.gather_rows(prompts, Arc::new(prompt_idx));
             let emb = f.param(self.edge_emb);
             let e_e = f.gather_rows(&emb, Arc::new(attr_idx));
-            f.concat_cols(&x_e, &e_e)
-        };
-        let msg_lin = self.msg.forward(f, &msg_in);
-        let msg_h = Activation::Relu.apply(f, msg_lin);
+            let msg_in = f.concat_cols(&x_e, &e_e);
+            let msg_lin = self.msg.forward(f, &msg_in);
+            let msg_h = Activation::Relu.apply(f, msg_lin);
+            let scores_raw = self.att.forward(f, &msg_h);
+            let scores = f.leaky_relu(scores_raw, 0.2);
+            [msg_h, scores]
+        });
 
         // Attention over messages, normalized per label node.
-        let scores_raw = self.att.forward(f, &msg_h);
-        let scores = f.leaky_relu(scores_raw, 0.2);
         let alpha = f.edge_softmax(&bip, &scores);
 
         // Aggregate messages into label nodes and update. The label
@@ -195,7 +213,9 @@ impl TaskGraphAttention {
 mod tests {
     use super::*;
     use crate::optim::{AdamW, Optimizer};
-    use crate::Session;
+    use crate::{Eval, Session};
+    use gp_tensor::rng::check;
+    use gp_tensor::Backend;
 
     fn setup(dim: usize) -> (ParamStore, TaskGraphAttention) {
         let mut store = ParamStore::new();
@@ -292,5 +312,59 @@ mod tests {
         let qv = sess.data(Tensor::from_vec(1, 4, vec![1.0, 0.0, 0.0, 0.0]));
         let out = tg.forward(&mut sess, &pv, &[0, 0], &qv, 2);
         assert!(sess.value(&out).all_finite());
+    }
+
+    fn logit_bits<'a, F: Forward<'a>>(
+        tg: &TaskGraphAttention,
+        f: &mut F,
+        prompts: &Tensor,
+        labels: &[usize],
+        queries: &Tensor,
+        m: usize,
+    ) -> Vec<u32> {
+        let pv = f.data(prompts.clone());
+        let qv = f.data(queries.clone());
+        let out = tg.forward(f, &pv, labels, &qv, m);
+        f.value(&out)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn eval_matches_the_tape_bit_for_bit_at_many_ways() {
+        check(24, |rng| {
+            let m = [2, 10, 40][rng.gen_range(0..3)];
+            // Prompts fall in the first `used` classes only, so the rest
+            // get none and, as P grows, each used class gets several.
+            let used = rng.gen_range(1..m + 1);
+            let p = rng.gen_range(1..3 * used + 1);
+            let labels: Vec<usize> = (0..p).map(|_| rng.gen_range(0..used)).collect();
+            // The model's widths, and small odd ones for kernel remainders.
+            let (dim, hidden, edge_dim) = [(32, 64, 8), (5, 12, 3)][rng.gen_range(0..2)];
+            let prompts = gp_tensor::rng::randn(rng, p, dim, 1.0);
+            let n = rng.gen_range(1..6);
+            let queries = gp_tensor::rng::randn(rng, n, dim, 1.0);
+            let mut store = ParamStore::new();
+            let mut tg = TaskGraphAttention::new(&mut store, rng, "tg", dim, hidden, edge_dim);
+            for backend in [Backend::Reference, Backend::Fast] {
+                let _backend = backend.install();
+                for residual in [true, false] {
+                    tg.set_prototype_residual(residual);
+                    let tape = logit_bits(
+                        &tg,
+                        &mut Session::new(&store),
+                        &prompts,
+                        &labels,
+                        &queries,
+                        m,
+                    );
+                    let eval =
+                        logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
+                    assert_eq!(tape, eval, "{backend:?} m {m} P {p} residual {residual}");
+                }
+            }
+        });
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! * [`Counter`] — monotonically increasing `u64` (hits, evictions, …).
 //! * [`Gauge`] — a settable `i64` level (cache residency, workers, …).
-//! * [`Histogram`] — fixed log₂-scale buckets over `u64` samples
-//!   (latencies in µs, loss in milli-units); tracks count/sum/min/max and
-//!   answers quantile queries from the bucket counts.
+//! * [`Histogram`] — fixed log-linear buckets over `u64` samples, 8 per
+//!   power of two (latencies in µs, loss in milli-units); tracks
+//!   count/sum/min/max and answers quantile queries from the bucket
+//!   counts within 12.5%.
 //! * [`Histogram::span`] — an RAII timer recording elapsed µs on drop.
 //!
 //! [`sync`] holds the ranked mutex that every library lock uses.
@@ -51,9 +52,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use sync::{Mutex, Rank};
 
-/// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1`
-/// holds samples `v` with `2^(i-1) ≤ v < 2^i` (the log₂ magnitude).
-pub const HISTOGRAM_BUCKETS: usize = 65;
+/// Sub-buckets per power of two in a histogram (log₂ of it).
+const SUB_BUCKET_BITS: u32 = 3;
+
+/// Number of histogram buckets. Samples below 16 get a bucket each;
+/// above, each power of two `[2^e, 2^(e+1))` splits into 8 equal
+/// sub-buckets, so a bucket is at most 1/8 of its lower bound wide.
+pub const HISTOGRAM_BUCKETS: usize = (64 - SUB_BUCKET_BITS as usize + 1) << SUB_BUCKET_BITS;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -223,17 +228,30 @@ impl Default for HistoInner {
     }
 }
 
-/// Which log₂ bucket a sample falls into.
+/// Which log-linear bucket a sample falls into: its power of two and the
+/// next [`SUB_BUCKET_BITS`] bits below the leading one.
 #[inline]
 fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
+    let sub = 1u64 << SUB_BUCKET_BITS;
+    if v < 2 * sub {
+        return v as usize;
     }
+    let shift = 63 - v.leading_zeros() - SUB_BUCKET_BITS;
+    ((shift as usize + 1) << SUB_BUCKET_BITS) + (v >> shift) as usize - sub as usize
 }
 
-/// A fixed-bucket log₂-scale histogram over `u64` samples. Latencies are
+/// The largest sample that falls into bucket `i`.
+fn bucket_upper(i: usize) -> u64 {
+    let sub = 1usize << SUB_BUCKET_BITS;
+    if i < 2 * sub {
+        return i as u64;
+    }
+    let shift = (i >> SUB_BUCKET_BITS) - 1;
+    let lower = ((sub + i % sub) as u64) << shift;
+    lower + ((1u64 << shift) - 1)
+}
+
+/// A fixed-bucket log-linear histogram over `u64` samples. Latencies are
 /// recorded in microseconds by convention (`*_micros` names); other units
 /// say so in their name (`*_milli` for ×1000 fixed-point).
 pub struct Histogram {
@@ -337,7 +355,7 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest sample (0 when empty).
     pub max: u64,
-    /// Log₂ bucket counts; see [`HISTOGRAM_BUCKETS`].
+    /// Log-linear bucket counts; see [`HISTOGRAM_BUCKETS`].
     pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
@@ -351,10 +369,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`), clamped to [`HistogramSnapshot::max`]. Coarse
-    /// by construction: answers below `max` are powers of two, which is
-    /// plenty for latency triage.
+    /// Largest value of the bucket containing the `q`-quantile sample
+    /// (`q` in `[0, 1]`), clamped to [`HistogramSnapshot::max`]: at most
+    /// 12.5% above the sample itself.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -364,12 +381,7 @@ impl HistogramSnapshot {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                // Bucket 64 holds samples ≥ 2⁶³; its bound 2⁶⁴ saturates.
-                let bound = match i {
-                    0 => 0,
-                    _ => 1u64.checked_shl(i as u32).unwrap_or(u64::MAX),
-                };
-                return bound.min(self.max);
+                return bucket_upper(i).min(self.max);
             }
         }
         self.max
@@ -559,14 +571,14 @@ mod tests {
         assert_eq!(h.max, 1000);
         assert_eq!(h.sum, 1906);
         assert!((h.mean() - 1906.0 / 6.0).abs() < 1e-9);
-        // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 900,1000 → bucket 10.
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[2], 2);
-        assert_eq!(h.buckets[10], 2);
-        // p50 falls in bucket 2 (upper bound 4); p99 in bucket 10, whose
-        // bound 1024 is clamped to the largest sample.
-        assert_eq!(h.quantile(0.5), 4);
+        // Samples below 16 have a bucket each; 900 ∈ [896, 960) is bucket
+        // 62 and 1000 ∈ [960, 1024) bucket 63.
+        assert_eq!(h.buckets[..4], [1, 1, 1, 1]);
+        assert_eq!(h.buckets[62], 1);
+        assert_eq!(h.buckets[63], 1);
+        // p50 is the third sample, 2, exactly; p99 falls in bucket 63,
+        // whose upper value 1023 is clamped to the largest sample.
+        assert_eq!(h.quantile(0.5), 2);
         assert_eq!(h.quantile(0.99), 1000);
     }
 
@@ -577,7 +589,7 @@ mod tests {
         H.record(u64::MAX);
         let snap = snapshot();
         let h = snap.histogram("test.obs.top").expect("registered");
-        assert_eq!(h.buckets[64], 1);
+        assert_eq!(h.buckets[HISTOGRAM_BUCKETS - 1], 1);
         assert_eq!(h.quantile(0.5), u64::MAX);
         assert_eq!(h.quantile(1.0), u64::MAX);
     }
@@ -647,12 +659,27 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_is_log2_magnitude() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
+    fn bucket_index_is_log_linear() {
+        for v in 0..16 {
+            assert_eq!(bucket_index(v), v as usize);
+        }
+        assert_eq!(bucket_index(16), 16);
+        assert_eq!(bucket_index(17), 16);
+        assert_eq!(bucket_index(18), 17);
+        assert_eq!(bucket_index(31), 23);
+        assert_eq!(bucket_index(32), 24);
+        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        // Each bucket's upper value maps back to it, the next value to the
+        // next bucket, and a bucket spans at most 1/8 of its lower bound.
+        for i in 0..HISTOGRAM_BUCKETS {
+            let upper = bucket_upper(i);
+            assert_eq!(bucket_index(upper), i);
+            if i + 1 < HISTOGRAM_BUCKETS {
+                assert_eq!(bucket_index(upper + 1), i + 1);
+            }
+            let lower = if i == 0 { 0 } else { bucket_upper(i - 1) + 1 };
+            assert!(upper - lower <= lower / 8, "bucket {i}: [{lower}, {upper}]");
+        }
+        assert_eq!(bucket_upper(HISTOGRAM_BUCKETS - 1), u64::MAX);
     }
 }

@@ -137,3 +137,45 @@ fn oversized_serve_queue_is_an_error_not_an_abort() {
         );
     }
 }
+
+#[test]
+fn oversized_v2_model_config_is_an_error_not_an_abort() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-gpck-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("huge.gpck");
+    // A well-formed, checksummed v2 model payload: kind 1, a config with
+    // a feat_dim of 2^40 (then rel, embed and hidden dims, generator and
+    // two flag bytes, seed) and zero tensors. Building that model before
+    // checking it against the file aborts on allocation.
+    let mut payload = vec![1u8];
+    for dim in [1u64 << 40, 8, 32, 64] {
+        payload.extend_from_slice(&dim.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0, 1, 0]);
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    graphprompter::core::checkpoint::write_container(&model, &payload).unwrap();
+    assert_eq!(std::fs::metadata(&model).unwrap().len(), 72);
+    let model = model.to_str().unwrap();
+    let inspect: &[&str] = &["inspect", model];
+    let evaluate: &[&str] = &[
+        "evaluate",
+        "--model",
+        model,
+        "--dataset",
+        "conceptnet",
+        "--ways",
+        "3",
+    ];
+    for args in [inspect, evaluate] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "gp {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "gp {args:?}: {stderr}");
+        assert!(stderr.contains("shape mismatch"), "gp {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
