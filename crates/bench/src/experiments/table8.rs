@@ -101,11 +101,24 @@ pub fn run(ctx: &Ctx) -> String {
          - GraphPrompter/Prodigy time ratio {:.2}× on average \
          (paper: ≈2–3×, and the paper notes the retrieval module is pluggable): {}\n",
         mean_ratio,
-        if mean_ratio > 1.1 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        verdict(mean_ratio)
     );
     out
 }
+
+/// REPRODUCED at or above the paper's ≈2× floor, DEVIATES (with the
+/// cause) below it.
+fn verdict(mean_ratio: f64) -> &'static str {
+    if mean_ratio >= RATIO_FLOOR {
+        "REPRODUCED"
+    } else {
+        "DEVIATES — below the paper's ≈2× floor: the stages only \
+         GraphPrompter runs (reconstruction, kNN retrieval, augmentation) are \
+         cheap next to the sampling, GNN_D embedding and task graph both \
+         methods run. The synthetic data graphs hold at most 30 nodes, and \
+         reconstruction computes each distinct edge triple of an episode once"
+    }
+}
+
+/// The low end of the paper's per-query time ratios (2.2–3.1).
+const RATIO_FLOOR: f64 = 2.0;

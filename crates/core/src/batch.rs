@@ -7,6 +7,8 @@
 //! spmm over anchor→graph edges with `1/|anchors|` weights, so it stays on
 //! the autodiff tape.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use gp_graph::{Graph, Subgraph};
@@ -31,6 +33,55 @@ pub struct SubgraphBatch {
     pub num_graphs: usize,
     /// Member-graph id of each union node (length `num_nodes`).
     graph_of_node: Vec<usize>,
+    /// Compact id of each union node's global node (length `num_nodes`).
+    node_keys: Vec<usize>,
+    /// Compact id of each union edge's global `(u, v, rel)` triple
+    /// (length `E`).
+    edge_keys: Vec<usize>,
+    /// Distinct triples: `max(edge_keys) + 1`, or 0 without edges.
+    distinct_edges: usize,
+}
+
+/// Compact ids by first appearance, keyed by graph ids.
+type IdMap<K> = HashMap<K, u32, BuildHasherDefault<IdHasher>>;
+
+/// The compact id of `key`: `0, 1, 2, …` in first-appearance order.
+fn compact<K: Hash + Eq>(ids: &mut IdMap<K>, key: K) -> usize {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next) as usize
+}
+
+/// A multiply-rotate hasher (rustc's FxHash) for [`IdMap`]'s integer
+/// keys. They come from the graph, not from a client, and std's SipHash
+/// takes about 2.5× as long to compact a 40-way episode's ids. The map
+/// is only probed, never iterated, so its order cannot reach a result.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl SubgraphBatch {
@@ -52,15 +103,24 @@ impl SubgraphBatch {
         let mut r_w = Vec::new();
 
         let mut graph_of_node = Vec::with_capacity(total_nodes);
+        let mut node_ids = IdMap::with_capacity_and_hasher(total_nodes, Default::default());
+        let mut node_keys = Vec::with_capacity(total_nodes);
+        let mut triple_ids = IdMap::with_capacity_and_hasher(total_edges, Default::default());
+        let mut edge_keys = Vec::with_capacity(total_edges);
         let mut offset = 0u32;
         for (gid, sg) in subgraphs.iter().enumerate() {
             for &n in &sg.nodes {
                 feat.extend_from_slice(graph.feature_row(n));
                 graph_of_node.push(gid);
+                node_keys.push(compact(&mut node_ids, n));
             }
             for (e, (s, d)) in sg.edges.iter().enumerate() {
                 src.push(offset + s as u32);
                 dst.push(offset + d as u32);
+                edge_keys.push(compact(
+                    &mut triple_ids,
+                    (sg.nodes[s], sg.nodes[d], sg.rels[e]),
+                ));
                 match graph.rel_features() {
                     Some(rf) => rel_feat.extend_from_slice(rf.row(sg.rels[e] as usize)),
                     None => rel_feat.extend(std::iter::repeat_n(0.0, rel_dim)),
@@ -84,7 +144,28 @@ impl SubgraphBatch {
             num_nodes: total_nodes,
             num_graphs: subgraphs.len(),
             graph_of_node,
+            node_keys,
+            edge_keys,
+            distinct_edges: triple_ids.len(),
         }
+    }
+
+    /// Compact id of each union node's global node, `0..` in order of
+    /// first appearance: equal ids mean equal feature rows.
+    pub fn node_keys(&self) -> &[usize] {
+        &self.node_keys
+    }
+
+    /// Compact id of each union edge's global `(u, v, rel)` triple, `0..`
+    /// in order of first appearance: equal ids mean equal
+    /// `[h_u | h_v | rel]` reconstruction inputs.
+    pub fn edge_keys(&self) -> &[usize] {
+        &self.edge_keys
+    }
+
+    /// Distinct `(u, v, rel)` triples among the union edges.
+    pub fn num_distinct_edges(&self) -> usize {
+        self.distinct_edges
     }
 
     /// Member-graph id of each union node.

@@ -33,7 +33,7 @@ use crate::config::{InferenceConfig, PseudoLabelPolicy};
 use crate::deadline::Deadline;
 use crate::embed_store::EmbeddingStore;
 use crate::error::DeadlineExceeded;
-use crate::model::{sample_datapoint_subgraphs, GraphPrompterModel};
+use crate::model::{sample_datapoint_subgraph, GraphPrompterModel};
 use crate::planner::EpisodeRequest;
 use crate::selector::select_prompts;
 
@@ -46,6 +46,10 @@ static RECONSTRUCTION_MICROS: gp_obs::Histogram =
 static SELECTION_MICROS: gp_obs::Histogram = gp_obs::Histogram::new("infer.selection_micros");
 static AUGMENTATION_MICROS: gp_obs::Histogram = gp_obs::Histogram::new("infer.augmentation_micros");
 static TASK_GRAPH_MICROS: gp_obs::Histogram = gp_obs::Histogram::new("infer.task_graph_micros");
+// Reconstruction traffic: union edges weighted, and the distinct
+// `(u, v, rel)` rows the layer actually computed for them.
+static RECON_EDGES: gp_obs::Counter = gp_obs::Counter::new("infer.recon_edges");
+static RECON_ROWS: gp_obs::Counter = gp_obs::Counter::new("infer.recon_rows");
 
 /// Outcome of one evaluated episode.
 #[derive(Clone, Debug)]
@@ -160,22 +164,21 @@ fn embed_points(
             let _span = SAMPLING_MICROS.span();
             for &i in &missing {
                 let mut rng = StdRng::seed_from_u64(mix(stream_seed, point_tag(points[i])));
-                let mut one = sample_datapoint_subgraphs(
+                sgs.push(sample_datapoint_subgraph(
                     &dataset.graph,
                     sampler,
-                    &[points[i]],
+                    points[i],
                     dataset.task,
                     &mut rng,
-                );
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the sampler returns one subgraph per input point"
-                )]
-                sgs.push(one.pop().expect("one subgraph per point"));
+                ));
             }
         }
         let _span = RECONSTRUCTION_MICROS.span();
         let batch = SubgraphBatch::build(&dataset.graph, &sgs, model.config().rel_dim);
+        if use_reconstruction {
+            RECON_EDGES.add(batch.num_edges() as u64);
+            RECON_ROWS.add(batch.num_distinct_edges() as u64);
+        }
         let mut ev = Eval::new(&model.store);
         let emb = model.embed_batch(&mut ev, &batch, use_reconstruction);
         let e = emb.embeddings.into_owned();

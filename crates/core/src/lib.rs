@@ -86,7 +86,7 @@ pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
 pub use error::DeadlineExceeded;
 pub use guard::{DivergenceError, GuardAction, GuardRail, GuardRailConfig, StepVerdict};
 pub use infer::EpisodeResult;
-pub use model::{sample_datapoint_subgraphs, GraphPrompterModel};
+pub use model::{sample_datapoint_subgraph, sample_datapoint_subgraphs, GraphPrompterModel};
 pub use planner::{BatchKey, EpisodeRequest};
 pub use pretrain::{
     pretrain, pretrain_resumable, try_pretrain, CheckpointConfig, PretrainError, PretrainReport,

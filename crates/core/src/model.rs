@@ -206,26 +206,8 @@ impl GraphPrompterModel {
         use_reconstruction: bool,
     ) -> BatchEmbedding<F::V> {
         let x = f.input(&batch.features);
-
-        // Eq. 2–3: per-edge weight w_uv = σ(MLP_φ([h_u | h_v | rel])).
-        let edge_weights = if use_reconstruction && !batch.edges.is_empty() {
-            let src_idx: Arc<Vec<usize>> =
-                Arc::new((0..batch.edges.len()).map(|e| batch.edges.src(e)).collect());
-            let dst_idx: Arc<Vec<usize>> =
-                Arc::new((0..batch.edges.len()).map(|e| batch.edges.dst(e)).collect());
-            let inp = {
-                let h_src = f.gather_rows(&x, src_idx);
-                let h_dst = f.gather_rows(&x, dst_idx);
-                let rel = f.input(&batch.rel_feats);
-                let pair = f.concat_cols(&h_src, &h_dst);
-                f.concat_cols(&pair, &rel)
-            };
-            let z = self.recon.forward(f, &inp);
-            Some(f.sigmoid(z))
-        } else {
-            None
-        };
-
+        let edge_weights = (use_reconstruction && !batch.edges.is_empty())
+            .then(|| self.edge_weights(f, batch, &x));
         // Eq. 4: node embeddings, then anchor readout per graph.
         let h = self
             .gnn
@@ -244,6 +226,45 @@ impl GraphPrompterModel {
         }
     }
 
+    /// Eqs. 2–3: the `E×1` weights `w_uv = σ(MLP_φ([h_u | h_v | rel]))`
+    /// of the batch's union edges, where `x` is `batch.features` as an
+    /// input of `f`.
+    ///
+    /// A weight depends only on its global `(u, v, rel)` triple, so the
+    /// layer runs under [`Forward::keyed_rows`] keyed by
+    /// [`SubgraphBatch::edge_keys`], and its first layer's `h_u` share
+    /// goes through [`Forward::gather_concat_matmul`] keyed by
+    /// [`SubgraphBatch::node_keys`]: a `Session` computes every union
+    /// edge, an `Eval` each distinct triple once and each distinct
+    /// source node's share once, with the same bits.
+    pub fn edge_weights<'a, F: Forward<'a>>(
+        &self,
+        f: &mut F,
+        batch: &'a SubgraphBatch,
+        x: &F::V,
+    ) -> F::V {
+        let edges = &batch.edges;
+        let [w] = f.keyed_rows(batch.edge_keys(), |f, rows| {
+            let src_idx: Vec<usize> = rows.iter().map(|&e| edges.src(e)).collect();
+            let src_keys: Vec<usize> = src_idx.iter().map(|&u| batch.node_keys()[u]).collect();
+            let dst_idx = rows.iter().map(|&e| edges.dst(e)).collect();
+            let h_dst = f.gather_rows(x, Arc::new(dst_idx));
+            let rel = f.input(&batch.rel_feats);
+            // Selecting as many rows as there are edges selects `0..E`.
+            let rel = if rows.len() == edges.len() {
+                rel
+            } else {
+                f.gather_rows(&rel, Arc::new(rows.to_vec()))
+            };
+            let dst_rel = f.concat_cols(&h_dst, &rel);
+            let z = self
+                .recon
+                .forward_gather_concat(f, x, Arc::new(src_idx), &src_keys, &dst_rel);
+            [f.sigmoid(z)]
+        });
+        w
+    }
+
     /// Run the task graph (Eq. 10) and return its logits per query
     /// (Eq. 11 is the caller's argmax).
     pub fn task_forward<'a, F: Forward<'a>>(
@@ -259,9 +280,24 @@ impl GraphPrompterModel {
     }
 }
 
-/// Sample the data graph for each datapoint (Eq. 1). For edge
+/// Sample the data graph of one datapoint (Eq. 1). For edge
 /// classification the anchor pair's direct edge is removed (the label must
 /// not leak into the data graph).
+pub fn sample_datapoint_subgraph(
+    graph: &Graph,
+    sampler: &RandomWalkSampler,
+    point: DataPoint,
+    task: Task,
+    rng: &mut StdRng,
+) -> Subgraph {
+    let sg = sampler.sample(graph, &point.anchors(graph), rng);
+    match task {
+        Task::EdgeClassification => sg.without_anchor_edges(),
+        Task::NodeClassification => sg,
+    }
+}
+
+/// [`sample_datapoint_subgraph`] for each datapoint in turn, from one RNG.
 pub fn sample_datapoint_subgraphs(
     graph: &Graph,
     sampler: &RandomWalkSampler,
@@ -271,14 +307,7 @@ pub fn sample_datapoint_subgraphs(
 ) -> Vec<Subgraph> {
     points
         .iter()
-        .map(|dp| {
-            let anchors = dp.anchors(graph);
-            let sg = sampler.sample(graph, &anchors, rng);
-            match task {
-                Task::EdgeClassification => sg.without_anchor_edges(),
-                Task::NodeClassification => sg,
-            }
-        })
+        .map(|&dp| sample_datapoint_subgraph(graph, sampler, dp, task, rng))
         .collect()
 }
 

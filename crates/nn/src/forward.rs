@@ -31,6 +31,21 @@
 //! on which other rows are computed with it. gp-tensor's `matmul` and
 //! `matmul_tb` compute each output row on its own, on both backends, so
 //! a row's bits do not change with the row count.
+//!
+//! A second op shares work inside a row: [`Forward::gather_concat_matmul`]
+//! computes `[x[idx] | B] · W`, the first layer of an MLP whose input
+//! rows start with a gathered row of `x`, where a key marks equal
+//! gathered rows. [`Session`](crate::Session) records the plain
+//! `gather_rows`, `concat_cols` and `matmul`. [`Eval`] never builds the
+//! concatenation. It folds `x[idx[r]] · W[..c]` (`c = x.cols()`) once
+//! per distinct key onto a zeroed output, gathers those partial sums to
+//! every row, and continues each row's fold with `B · W[c..]` through
+//! [`Tensor::matmul_onto`]. The two agree bit for bit because gp-tensor's
+//! `matmul_block` is, on both backends, a `k`-ascending left fold per
+//! output element that starts from the block's value: stopping after
+//! step `c`, storing the partial sum and resuming from it runs the same
+//! float operations in the same order. `W`'s gradient is `catᵀ·g` over
+//! the same `cat` values either way.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -97,6 +112,20 @@ pub trait Forward<'a> {
     ) -> Self::V;
     /// Softmax of `E×1` edge scores grouped by destination node.
     fn edge_softmax(&mut self, edges: &Arc<EdgeList>, scores: &Self::V) -> Self::V;
+    /// `[x[idx] | B] · W`: rows of `x` by index, concatenated with `B`,
+    /// times a `W` of `x.cols() + B.cols()` rows. `keys` has one entry
+    /// per row and must be equal wherever the gathered rows `x[idx[r]]`
+    /// are equal; like [`Forward::keyed_rows`]' keys they index a table
+    /// of `max(keys) + 1` slots. See the [module docs](self) for how
+    /// the two contexts compute it.
+    fn gather_concat_matmul(
+        &mut self,
+        x: &Self::V,
+        idx: Arc<Vec<usize>>,
+        keys: &[usize],
+        b: &Self::V,
+        w: &Self::V,
+    ) -> Self::V;
     /// Outputs with one row per entry of `keys`, where rows with equal
     /// keys are equal. `build(f, rows)` computes the outputs for the rows
     /// `rows` (indices into `keys`), one output row per entry, in order;
@@ -120,6 +149,25 @@ impl<'a> Eval<'a> {
     pub fn new(store: &'a ParamStore) -> Self {
         Self { store }
     }
+}
+
+/// The first row of each distinct key, in first-appearance order, and
+/// for each row the position of its key's first row in that list.
+fn first_appearance(keys: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut slot = vec![usize::MAX; keys.iter().max().map_or(0, |&k| k + 1)];
+    let mut rows = Vec::new();
+    let expand = keys
+        .iter()
+        .enumerate()
+        .map(|(r, &k)| {
+            if slot[k] == usize::MAX {
+                slot[k] = rows.len();
+                rows.push(r);
+            }
+            slot[k]
+        })
+        .collect();
+    (rows, expand)
 }
 
 /// Wrap a freshly computed value, checked like a tape node.
@@ -235,6 +283,32 @@ impl<'a> Forward<'a> for Eval<'a> {
         fresh(edges.edge_softmax(scores), "edge_softmax")
     }
 
+    /// Folds `x[idx[r]] · W[..x.cols()]` once per distinct key, gathers
+    /// the partial sums to every row, then continues each row's fold
+    /// with `B · W[x.cols()..]` ([`Tensor::matmul_onto`]).
+    fn gather_concat_matmul(
+        &mut self,
+        x: &Self::V,
+        idx: Arc<Vec<usize>>,
+        keys: &[usize],
+        b: &Self::V,
+        w: &Self::V,
+    ) -> Self::V {
+        let (rows, expand) = first_appearance(keys);
+        let split = x.cols();
+        let firsts: Vec<usize> = rows.iter().map(|&r| idx[r]).collect();
+        let mut prefix = Tensor::zeros(firsts.len(), w.cols());
+        prefix.matmul_onto(&x.gather_rows(&firsts), w, 0..split);
+        let mut out = if rows.len() == keys.len() {
+            // Every key distinct: `expand` is the identity.
+            prefix
+        } else {
+            prefix.gather_rows(&expand)
+        };
+        out.matmul_onto(b, w, split..w.rows());
+        fresh(out, "gather_concat_matmul")
+    }
+
     /// Builds the first row of each distinct key, then gathers every
     /// row from its key's built row.
     fn keyed_rows<const N: usize>(
@@ -242,19 +316,7 @@ impl<'a> Forward<'a> for Eval<'a> {
         keys: &[usize],
         build: impl FnOnce(&mut Self, &[usize]) -> [Self::V; N],
     ) -> [Self::V; N] {
-        let mut slot = vec![usize::MAX; keys.iter().max().map_or(0, |&k| k + 1)];
-        let mut rows = Vec::new();
-        let expand: Vec<usize> = keys
-            .iter()
-            .enumerate()
-            .map(|(r, &k)| {
-                if slot[k] == usize::MAX {
-                    slot[k] = rows.len();
-                    rows.push(r);
-                }
-                slot[k]
-            })
-            .collect();
+        let (rows, expand) = first_appearance(keys);
         let built = build(self, &rows);
         if rows.len() == keys.len() {
             // Every key distinct: `expand` is the identity.

@@ -1,5 +1,7 @@
 //! Dense layers: [`Linear`] and the paper's 2-layer [`Mlp`].
 
+use std::sync::Arc;
+
 use gp_tensor::rng;
 use gp_tensor::rng::StdRng;
 
@@ -81,6 +83,22 @@ impl Linear {
         let b = f.param(self.b);
         f.add_row_broadcast(y, &b)
     }
+
+    /// `y = [x[idx] | b]·W + bias`, with `keys` marking equal gathered
+    /// rows (see [`Forward::gather_concat_matmul`]).
+    pub fn forward_gather_concat<'a, F: Forward<'a>>(
+        &self,
+        f: &mut F,
+        x: &F::V,
+        idx: Arc<Vec<usize>>,
+        keys: &[usize],
+        b: &F::V,
+    ) -> F::V {
+        let w = f.param(self.w);
+        let y = f.gather_concat_matmul(x, idx, keys, b, &w);
+        let bias = f.param(self.b);
+        f.add_row_broadcast(y, &bias)
+    }
 }
 
 /// Multi-layer perceptron with a fixed hidden activation.
@@ -153,7 +171,26 @@ impl Mlp {
     /// Forward an `n×in_dim` batch.
     pub fn forward<'a, F: Forward<'a>>(&self, f: &mut F, x: &F::V) -> F::V {
         // `Mlp::new` asserts at least one layer.
-        let mut h = self.layers[0].forward(f, x);
+        let h = self.layers[0].forward(f, x);
+        self.forward_rest(f, h)
+    }
+
+    /// Forward the batch `[x[idx] | b]`, computing the first layer with
+    /// [`Linear::forward_gather_concat`].
+    pub fn forward_gather_concat<'a, F: Forward<'a>>(
+        &self,
+        f: &mut F,
+        x: &F::V,
+        idx: Arc<Vec<usize>>,
+        keys: &[usize],
+        b: &F::V,
+    ) -> F::V {
+        let h = self.layers[0].forward_gather_concat(f, x, idx, keys, b);
+        self.forward_rest(f, h)
+    }
+
+    /// Every layer after the first, from the first layer's output `h`.
+    fn forward_rest<'a, F: Forward<'a>>(&self, f: &mut F, mut h: F::V) -> F::V {
         for layer in &self.layers[1..] {
             h = self.hidden_activation.apply(f, h);
             h = layer.forward(f, &h);

@@ -143,6 +143,20 @@ impl<'a> Forward<'a> for Session<'_> {
         self.tape.edge_softmax(edges.clone(), *scores)
     }
 
+    /// Records `gather_rows`, `concat_cols` and `matmul`: the plain pass.
+    fn gather_concat_matmul(
+        &mut self,
+        x: &Var,
+        idx: Arc<Vec<usize>>,
+        _keys: &[usize],
+        b: &Var,
+        w: &Var,
+    ) -> Var {
+        let a = self.tape.gather_rows(*x, idx);
+        let cat = self.tape.concat_cols(a, *b);
+        self.tape.matmul(cat, *w)
+    }
+
     /// Records `build` over every row, as the plain per-row pass would.
     fn keyed_rows<const N: usize>(
         &mut self,

@@ -23,6 +23,14 @@
 //! so results are bit-identical run-to-run and across worker counts,
 //! which the serve-layer replay tests rely on.
 //!
+//! `matmul_row` keeps one lane per output element and loads its
+//! accumulators from the output row, so like Reference's `matmul_block`
+//! it is a `k`-ascending left fold that starts from the block's value:
+//! a fold split at any `k` and continued from the stored partial gives
+//! the same bits ([`Tensor::matmul_onto`](crate::Tensor::matmul_onto)
+//! relies on this). `Tensor::matmul` hands it a zeroed block, which is
+//! exactly the zeroed accumulators the kernels started from before.
+//!
 //! This module (plus its `x86`/`arm` submodules) is the **only** place
 //! in the workspace allowed to touch `std::arch`: `tests/arch_fence.rs`
 //! fails on an `arch` path anywhere else, and the workspace denies
@@ -85,8 +93,8 @@ pub(crate) fn simd_active() -> bool {
 // ---------------------------------------------------------------------------
 // Dispatch wrappers: one safe entry per micro-kernel.
 
-/// `o_row = a_row · b` for one output row (`b` is `k×m`, row-major).
-/// `o_row` is fully overwritten.
+/// `o_row += a_row · b` for one output row (`b` is `k×m`, row-major):
+/// each element's accumulator starts from its `o_row` value.
 fn matmul_row(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
@@ -252,13 +260,15 @@ mod scalar {
     pub(super) const LANES: usize = 8;
 
     /// One output row, `j`-tiled: a stack accumulator of [`LANES`]
-    /// independent partial sums is held across the whole `k` loop, so
-    /// the output is written once instead of read-modified `k` times.
+    /// independent partial sums, loaded from `o_row`, is held across the
+    /// whole `k` loop, so the output is read and written once instead of
+    /// read-modified `k` times.
     pub(super) fn matmul_row(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
         let k = a_row.len();
         let mut j = 0usize;
         while j + LANES <= m {
             let mut acc = [0.0f32; LANES];
+            acc.copy_from_slice(&o_row[j..j + LANES]);
             for (kk, &av) in a_row.iter().enumerate() {
                 let b_tile = &b[kk * m + j..kk * m + j + LANES];
                 for (t, &bv) in b_tile.iter().enumerate() {
@@ -269,7 +279,7 @@ mod scalar {
             j += LANES;
         }
         for jj in j..m {
-            let mut acc = 0.0f32;
+            let mut acc = o_row[jj];
             for kk in 0..k {
                 acc += a_row[kk] * b[kk * m + jj];
             }
@@ -332,8 +342,9 @@ mod x86 {
         _mm_cvtss_f32(_mm_add_ss(sums, hi2))
     }
 
-    /// One output row with 16-wide register tiles (two accumulators
-    /// held across the whole `k` loop), 8-wide then scalar tails.
+    /// One output row with 16-wide register tiles (two accumulators,
+    /// loaded from `o_row`, held across the whole `k` loop), 8-wide then
+    /// scalar tails.
     ///
     /// # Safety
     /// Caller must have verified AVX2 support; `b.len() == k*m`,
@@ -345,8 +356,8 @@ mod x86 {
         let op = o_row.as_mut_ptr();
         let mut j = 0usize;
         while j + 16 <= m {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
+            let mut acc0 = _mm256_loadu_ps(op.add(j));
+            let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
             for kk in 0..k {
                 let av = _mm256_set1_ps(*a_row.get_unchecked(kk));
                 let base = kk * m + j;
@@ -358,7 +369,7 @@ mod x86 {
             j += 16;
         }
         if j + 8 <= m {
-            let mut acc = _mm256_setzero_ps();
+            let mut acc = _mm256_loadu_ps(op.add(j));
             for kk in 0..k {
                 let av = _mm256_set1_ps(*a_row.get_unchecked(kk));
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(av, _mm256_loadu_ps(bp.add(kk * m + j))));
@@ -367,7 +378,7 @@ mod x86 {
             j += 8;
         }
         for jj in j..m {
-            let mut acc = 0.0f32;
+            let mut acc = *o_row.get_unchecked(jj);
             for kk in 0..k {
                 acc += *a_row.get_unchecked(kk) * *b.get_unchecked(kk * m + jj);
             }
@@ -469,7 +480,7 @@ mod arm {
     use std::arch::aarch64::*;
 
     /// One output row with 8-wide register tiles (two 4-lane
-    /// accumulators) and fused multiply-add.
+    /// accumulators, loaded from `o_row`) and fused multiply-add.
     ///
     /// # Safety
     /// Caller must have verified NEON support; `b.len() == k*m`,
@@ -481,8 +492,8 @@ mod arm {
         let op = o_row.as_mut_ptr();
         let mut j = 0usize;
         while j + 8 <= m {
-            let mut acc0 = vdupq_n_f32(0.0);
-            let mut acc1 = vdupq_n_f32(0.0);
+            let mut acc0 = vld1q_f32(op.add(j));
+            let mut acc1 = vld1q_f32(op.add(j + 4));
             for kk in 0..k {
                 let av = *a_row.get_unchecked(kk);
                 let base = kk * m + j;
@@ -494,7 +505,7 @@ mod arm {
             j += 8;
         }
         if j + 4 <= m {
-            let mut acc = vdupq_n_f32(0.0);
+            let mut acc = vld1q_f32(op.add(j));
             for kk in 0..k {
                 acc = vfmaq_n_f32(acc, vld1q_f32(bp.add(kk * m + j)), *a_row.get_unchecked(kk));
             }
@@ -502,7 +513,7 @@ mod arm {
             j += 4;
         }
         for jj in j..m {
-            let mut acc = 0.0f32;
+            let mut acc = *o_row.get_unchecked(jj);
             for kk in 0..k {
                 acc += *a_row.get_unchecked(kk) * *b.get_unchecked(kk * m + jj);
             }
@@ -616,6 +627,70 @@ mod tests {
             ReferenceBackend.matmul_block(&a, &b, k, m, 0..n, &mut rf);
             FastBackend.matmul_block(&a, &b, k, m, 0..n, &mut ff);
             assert_close(&ff, &rf, &format!("matmul {n}x{k}x{m}"));
+        }
+    }
+
+    /// The per-element sequence the Fast `matmul_row` kernels run: start
+    /// from the block's value, then for `kk` ascending one multiply and
+    /// one add, with no zero skip. NEON fuses the two in its vector
+    /// lanes (every column below the last multiple of 4); its scalar
+    /// tail and every other kernel round both.
+    fn kept_fold(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
+        #[cfg(target_arch = "aarch64")]
+        let fused_below = if simd_level() == SimdLevel::Neon {
+            m / 4 * 4
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "aarch64"))]
+        let fused_below = 0;
+        for (local, i) in rows.enumerate() {
+            for j in 0..m {
+                let o = &mut block[local * m + j];
+                for kk in 0..k {
+                    let (av, bv) = (a[i * k + kk], b[kk * m + j]);
+                    *o = if j < fused_below {
+                        bv.mul_add(av, *o)
+                    } else {
+                        *o + av * bv
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_matmul_block_is_a_left_fold_from_the_block() {
+        // On a zeroed block (what `Tensor::matmul` passes) this is the
+        // output the kernels gave when they zeroed their accumulators;
+        // on any other block the fold continues from its value.
+        for &(n, k, m) in &[
+            (1usize, 1usize, 1usize),
+            (2, 0, 5),
+            (3, 7, 3),
+            (4, 8, 8),
+            (5, 13, 16),
+            (6, 9, 17),
+            (7, 33, 23),
+            (3, 72, 64),
+            (2, 40, 65),
+        ] {
+            let mut a = fill(51 + n as u64, n * k);
+            for (i, x) in a.iter_mut().enumerate() {
+                // ReLU zeros of both signs.
+                if *x < -0.25 {
+                    *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let b = fill(52 + m as u64, k * m);
+            for init in [vec![0.0f32; n * m], fill(53, n * m)] {
+                let mut want = init.clone();
+                let mut got = init;
+                kept_fold(&a, &b, k, m, 0..n, &mut want);
+                FastBackend.matmul_block(&a, &b, k, m, 0..n, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&want), bits(&got), "matmul {n}x{k}x{m}");
+            }
         }
     }
 

@@ -180,15 +180,19 @@ pub trait ComputeBackend: Sync {
     /// Which [`Backend`] this implementation is.
     fn kind(&self) -> Backend;
 
-    /// `block[local] = a[i] · b` for each `i` in `rows`:
+    /// `block[local] += a[i] · b` for each `i` in `rows`:
     /// `a` is `n×k`, `b` is `k×m`, `block` holds `rows.len()` rows of m.
     ///
-    /// On [`ReferenceBackend`] each element starts from the block's
-    /// value (zero from [`Tensor::matmul`]) and, for `kk` ascending,
-    /// skips `a[i][kk] == 0.0` (`-0.0` too) and otherwise does one
-    /// rounded multiply then one rounded add; no FMA, `std::arch` or
-    /// reassociation, pinned bit for bit by its oracle test against the
-    /// original loop.
+    /// On both backends each element starts from the block's value (zero
+    /// from [`Tensor::matmul`]) and folds `kk` ascending onto it, so a
+    /// fold split at any `kk` and continued from the stored partial (see
+    /// [`Tensor::matmul_onto`]) gives the unsplit result bit for bit.
+    /// On [`ReferenceBackend`] each step skips `a[i][kk] == 0.0` (`-0.0`
+    /// too) and otherwise does one rounded multiply then one rounded
+    /// add; no FMA, `std::arch` or reassociation, pinned bit for bit by
+    /// its oracle test against the original loop. [`FastBackend`] keeps
+    /// one SIMD lane per element, so its sequence differs from
+    /// Reference's only in rounding (NEON fuses the multiply-add).
     fn matmul_block(
         &self,
         a: &[f32],

@@ -5,6 +5,8 @@
 //! rather than returning `Result` (the pattern DataFusion uses for kernel
 //! internals: validate at the boundary, assert in the hot path).
 
+use std::ops::Range;
+
 /// A dense row-major matrix of `f32`.
 ///
 /// Vectors are represented as `n×1` (column) or `1×d` (row) matrices.
@@ -165,17 +167,56 @@ impl Tensor {
             "matmul: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(n, m);
-        let a_data = &self.data;
-        let b_data = &other.data;
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        out.matmul_block_onto(self, &other.data, workers);
+        out
+    }
+
+    /// `self += a · w[w_rows]`: continues every element's
+    /// [`ComputeBackend::matmul_block`](crate::ComputeBackend::matmul_block)
+    /// fold from its current value over rows `w_rows` of `w` (`a` is
+    /// `n×w_rows.len()`, `self` is `n×w.cols()`).
+    ///
+    /// The fold is a `k`-ascending left fold on both backends, so
+    /// splitting it at any `c` changes no bit: seeded with
+    /// `x[.., ..c] · w[..c]` (this call on a zeroed tensor), the call
+    /// with `x[.., c..]` and `c..k` gives exactly `x.matmul(w)`. Fans out
+    /// over row blocks like [`Tensor::matmul`].
+    ///
+    /// # Panics
+    /// Panics on mismatched shapes or when `w_rows` leaves `w`.
+    pub fn matmul_onto(&mut self, a: &Tensor, w: &Tensor, w_rows: Range<usize>) {
+        assert!(
+            w_rows.start <= w_rows.end
+                && w_rows.end <= w.rows
+                && a.cols == w_rows.len()
+                && a.rows == self.rows
+                && self.cols == w.cols,
+            "matmul_onto: {}x{} += {}x{} · rows {w_rows:?} of {}x{}",
+            self.rows,
+            self.cols,
+            a.rows,
+            a.cols,
+            w.rows,
+            w.cols
+        );
+        let m = w.cols;
+        let work = a.rows * a.cols * m;
+        let b = &w.data[w_rows.start * m..w_rows.end * m];
+        self.matmul_block_onto(a, b, crate::parallel::workers_for(a.rows, work));
+    }
+
+    /// `self += a · b` for a row-major `b` of `a.cols × self.cols`, over
+    /// `workers` row blocks.
+    fn matmul_block_onto(&mut self, a: &Tensor, b: &[f32], workers: usize) {
+        let (n, k, m) = (self.rows, a.cols, self.cols);
+        let a_data = &a.data;
         // Captured here: pool workers run the block under the backend of
         // the thread that *submitted* the kernel, not their own default.
         let be = crate::backend::active_backend();
-        crate::parallel::for_row_blocks(&mut out.data, n, m, workers, |rows, block| {
-            be.matmul_block(a_data, b_data, k, m, rows, block);
+        crate::parallel::for_row_blocks(&mut self.data, n, m, workers, |rows, block| {
+            be.matmul_block(a_data, b, k, m, rows, block);
         });
-        out
     }
 
     /// `self (n×k) · other^T (m×k) -> n×m` without materializing the transpose.
@@ -922,6 +963,61 @@ mod tests {
         for (x, y) in serial.as_slice().iter().zip(reference.as_slice()) {
             assert!((x - y).abs() < 1e-4);
         }
+    }
+
+    /// Columns `cols` of `x`.
+    fn cols(x: &Tensor, cols: Range<usize>) -> Tensor {
+        let data = (0..x.rows())
+            .flat_map(|r| x.row(r)[cols.clone()].to_vec())
+            .collect();
+        Tensor::from_vec(x.rows(), cols.len(), data)
+    }
+
+    /// A random entry that is an exact `0.0` or `-0.0` about half the
+    /// time, like a ReLU output or a one-hot.
+    fn sparse(rng: &mut crate::rng::StdRng) -> f32 {
+        match rng.gen_range(0..4usize) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    #[test]
+    fn matmul_onto_continues_the_fold_bit_for_bit() {
+        // Every split of `[a | b] · w`, seeded with `a·w[..c]` on a zeroed
+        // output and continued with `b·w[c..]`, is `matmul` bit for bit.
+        const MS: [usize; 12] = [1, 3, 4, 7, 8, 9, 16, 17, 32, 33, 64, 65];
+        crate::rng::check(32, |rng| {
+            for backend in [crate::Backend::Reference, crate::Backend::Fast] {
+                let _backend = backend.install();
+                let n = rng.gen_range(0..7usize);
+                let k = rng.gen_range(0..80usize);
+                let m = MS[rng.gen_range(0..MS.len())];
+                let x = Tensor::from_vec(n, k, (0..n * k).map(|_| sparse(rng)).collect());
+                let w = Tensor::from_vec(k, m, (0..k * m).map(|_| sparse(rng)).collect());
+                let want = x.matmul(&w);
+                for c in 0..=k {
+                    let mut got = Tensor::zeros(n, m);
+                    got.matmul_onto(&cols(&x, 0..c), &w, 0..c);
+                    got.matmul_onto(&cols(&x, c..k), &w, c..k);
+                    for (e, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{backend} n={n} k={k} m={m} c={c} element {e}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_onto")]
+    fn matmul_onto_rows_outside_w_panic() {
+        let mut out = Tensor::zeros(2, 3);
+        out.matmul_onto(&Tensor::zeros(2, 2), &Tensor::zeros(3, 3), 2..4);
     }
 
     #[test]
