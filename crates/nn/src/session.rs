@@ -48,7 +48,8 @@ impl<'s> Session<'s> {
     }
 }
 
-/// Every op is recorded on the tape; inputs are copied onto it.
+/// Every op is recorded on the tape; inputs are copied onto it as
+/// constants, so the sweep computes gradients for parameters only.
 impl<'a> Forward<'a> for Session<'_> {
     type V = Var;
 
@@ -63,12 +64,14 @@ impl<'a> Forward<'a> for Session<'_> {
         v
     }
 
+    /// A tape constant: no gradient is computed for it.
     fn input(&mut self, t: &'a Tensor) -> Var {
-        self.tape.input(t.clone())
+        self.tape.constant(t.clone())
     }
 
+    /// A tape constant, as [`input`](Self::input).
     fn data(&mut self, t: Tensor) -> Var {
-        self.tape.input(t)
+        self.tape.constant(t)
     }
 
     fn value<'v>(&'v self, v: &'v Var) -> &'v Tensor {

@@ -1,6 +1,6 @@
 //! The bit-exact scalar kernels of the pre-backend `Tensor`/`Tape`
-//! implementations; `matmul_block` is register-tiled, every other
-//! kernel is the original loop.
+//! implementations; the three matmul kernels are register-tiled, every
+//! other kernel is the original loop.
 //!
 //! **The contract is the per-element float sequence, not the loop.**
 //! Every output element of every kernel here runs a pinned sequence of
@@ -10,14 +10,22 @@
 //! `matmul_block`, element `(i, j)` starts from the block's value and,
 //! for `kk` ascending, skips the step when `a[i][kk] == 0.0` (so
 //! `-0.0` too) and otherwise does one rounded multiply `a[i][kk] *
-//! b[kk][j]` followed by one rounded add onto the accumulator. Loop
-//! nesting and what stays in registers may change; the sequence may
-//! not. So no FMA (`mul_add`), no `std::arch` or `#[target_feature]`,
-//! and no reassociation (split accumulators, pairwise or lane sums):
-//! each is mathematically neutral but changes bits of every previously
-//! committed prediction. `tests::matmul_block_is_bit_identical_to_the_kept_loop`
-//! holds `matmul_block` to the original loop bit for bit. Speed that
-//! needs a different sequence belongs in [`FastBackend`](super::FastBackend).
+//! b[kk][j]` followed by one rounded add onto the accumulator.
+//! `matmul_ta` (`aᵀ · b`, `a` is `k×n`) is the same fold with `a[kk][i]`
+//! in place of `a[i][kk]`: from the output's value, `kk` ascending,
+//! skipping `a[kk][i] == 0.0`. `matmul_tb` (`a · bᵀ`, `b` is `m×k`)
+//! overwrites: element `(i, j)` starts at `+0.0` and, for `kk`
+//! ascending, does one rounded multiply `a[i][kk] * b[j][kk]` and one
+//! rounded add, with **no** zero skip (so a zero times `inf` is NaN).
+//!
+//! Loop nesting and what stays in registers may change; the sequence
+//! may not. So no FMA (`mul_add`), no `std::arch` or
+//! `#[target_feature]`, and no reassociation (split accumulators,
+//! pairwise or lane sums): each is mathematically neutral but changes
+//! bits of every previously committed prediction and pre-trained model.
+//! The tests hold each kernel to its original loop, kept verbatim in
+//! the test module, bit for bit. Speed that needs a different sequence
+//! belongs in [`FastBackend`](super::FastBackend).
 
 use std::ops::Range;
 
@@ -51,34 +59,13 @@ impl ComputeBackend for ReferenceBackend {
         rows: Range<usize>,
         block: &mut [f32],
     ) {
-        if m < NARROW_BELOW {
-            matmul_block_narrow(a, b, k, m, rows, block);
-            return;
-        }
-        for (local, i) in rows.enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut block[local * m..(local + 1) * m];
-            let mut j0 = 0;
-            while j0 + TILE <= m {
-                row_tile(a_row, b, m, j0, &mut o_row[j0..j0 + TILE]);
-                j0 += TILE;
-            }
-            if j0 < m {
-                let o_tail = &mut o_row[j0..];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_tail = &b[kk * m + j0..(kk + 1) * m];
-                    for (o, &bv) in o_tail.iter_mut().zip(b_tail) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
+        fold_block::<true>(a, b, k, m, rows, block);
     }
 
-    /// Per-element `kk`-ascending dot product.
+    /// `b` is transposed once per call, so each output row takes
+    /// [`matmul_block`](Self::matmul_block)'s tiles over `bᵀ`, from a
+    /// zeroed row and without the zero skip: one `kk`-ascending dot per
+    /// element, several per pass.
     fn matmul_tb_block(
         &self,
         a: &[f32],
@@ -88,23 +75,20 @@ impl ComputeBackend for ReferenceBackend {
         rows: Range<usize>,
         block: &mut [f32],
     ) {
-        for (local, i) in rows.enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut block[local * m..(local + 1) * m];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a_row[kk] * b_row[kk];
-                }
-                *o = acc;
+        block.fill(0.0);
+        if k == 0 {
+            return;
+        }
+        let mut bt = vec![0.0f32; k * m];
+        for (j, b_row) in b[..m * k].chunks_exact(k).enumerate() {
+            for (kk, &v) in b_row.iter().enumerate() {
+                bt[kk * m + j] = v;
             }
         }
+        fold_block::<false>(a, &bt, k, m, rows, block);
     }
 
-    /// `k`-outer loop streaming whole rows of `a` and `b`; each output
-    /// element still accumulates in `kk`-ascending order, which is why
-    /// this is bit-identical to the row-blocked path below.
+    /// [`matmul_ta_block`](Self::matmul_ta_block) over every output row.
     fn matmul_ta_serial(
         &self,
         a: &[f32],
@@ -114,23 +98,14 @@ impl ComputeBackend for ReferenceBackend {
         m: usize,
         out: &mut [f32],
     ) {
-        for kk in 0..k {
-            let a_row = &a[kk * n..(kk + 1) * n];
-            let b_row = &b[kk * m..(kk + 1) * m];
-            for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let o_row = &mut out[i * m..(i + 1) * m];
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
+        ta_block(a, b, n, k, m, 0..n, out);
     }
 
-    /// Per-row recomputation with the same `kk`-ascending, zero-skipping
-    /// accumulation per element as the serial path.
+    /// Output row `i` is `matmul_block`'s zero-skipping fold with column
+    /// `i` of `a` as its `a` row: wide rows take it in `kk` chunks, each
+    /// gathering the chunk's columns of `a` into contiguous rows and
+    /// keeping a column tile in registers across the chunk; narrow
+    /// outputs put one output row in each lane.
     fn matmul_ta_block(
         &self,
         a: &[f32],
@@ -141,19 +116,7 @@ impl ComputeBackend for ReferenceBackend {
         rows: Range<usize>,
         block: &mut [f32],
     ) {
-        for (local, i) in rows.enumerate() {
-            let o_row = &mut block[local * m..(local + 1) * m];
-            for kk in 0..k {
-                let av = a[kk * n + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * m..(kk + 1) * m];
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
+        ta_block(a, b, n, k, m, rows, block);
     }
 
     /// Ascending-index sum — the exact loop `cosine` runs for its `dot`
@@ -226,25 +189,86 @@ impl ComputeBackend for ReferenceBackend {
     }
 }
 
-/// Output widths below this take [`matmul_block_narrow`]; the rest are
-/// column-tiled by [`row_tile`], with any columns past the last whole
-/// tile left to the untiled loop.
+/// Output widths below this take [`matmul_block_narrow`] (and
+/// [`ta_lanes`]); the rest are column-tiled by [`row_tile`], with any
+/// columns past the last whole tile left to the untiled loop.
 const NARROW_BELOW: usize = 8;
 
 /// Column-tile width: the model's 32- and 64-wide layers are whole
-/// tiles.
+/// tiles. Also the lane count of [`ta_lanes`]' row tiles.
 const TILE: usize = 32;
 
-/// Columns `j0..j0 + TILE` of one output row: the tile is loaded once
-/// into `acc`, takes every nonzero `a_row[kk]`'s `b` row slice in `kk`
-/// order, and is stored once. Each lane is its own accumulator, so the
-/// per-element sequence is the untiled loop's.
+/// `kk` rows per pass of [`ta_block`]'s wide path: the pass's slice of
+/// `b` stays in L1 while every output row takes it.
+const TA_CHUNK: usize = 32;
+
+/// One step of an element's fold: `acc + av * bv`, or `acc` unchanged
+/// when `SKIP` and `av == 0.0`. The skip is a select, so the sum may be
+/// computed and discarded; the value is the branching loop's even when
+/// `bv` is `inf` or NaN.
 #[inline(always)]
-fn row_tile(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
+fn step<const SKIP: bool>(acc: f32, av: f32, bv: f32) -> f32 {
+    if SKIP && av == 0.0 {
+        acc
+    } else {
+        acc + av * bv
+    }
+}
+
+/// `block[local] += a[i] · b` for `i` in `rows` (`a` is `n×k`, `b` is
+/// `k×m`), each element folding `kk` ascending from the block's value;
+/// `SKIP` skips the steps where `a[i][kk] == 0.0`.
+fn fold_block<const SKIP: bool>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    rows: Range<usize>,
+    block: &mut [f32],
+) {
+    if m < NARROW_BELOW {
+        matmul_block_narrow::<SKIP>(a, b, k, m, rows, block);
+        return;
+    }
+    for (local, i) in rows.enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        fold_row::<SKIP>(a_row, b, m, &mut block[local * m..(local + 1) * m]);
+    }
+}
+
+/// `o_row += a_row · b`: whole column tiles by [`row_tile`], the rest
+/// by the untiled loop.
+#[inline(always)]
+fn fold_row<const SKIP: bool>(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
+    let mut j0 = 0;
+    while j0 + TILE <= m {
+        row_tile::<SKIP>(a_row, b, m, j0, &mut o_row[j0..j0 + TILE]);
+        j0 += TILE;
+    }
+    if j0 < m {
+        let o_tail = &mut o_row[j0..];
+        for (kk, &av) in a_row.iter().enumerate() {
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            let b_tail = &b[kk * m + j0..(kk + 1) * m];
+            for (o, &bv) in o_tail.iter_mut().zip(b_tail) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Columns `j0..j0 + TILE` of one output row: the tile is loaded once
+/// into `acc`, takes every (nonzero, when `SKIP`) `a_row[kk]`'s `b` row
+/// slice in `kk` order, and is stored once. Each lane is its own
+/// accumulator, so the per-element sequence is the untiled loop's.
+#[inline(always)]
+fn row_tile<const SKIP: bool>(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
     let mut acc = [0.0f32; TILE];
     acc.copy_from_slice(out);
     for (kk, &av) in a_row.iter().enumerate() {
-        if av == 0.0 {
+        if SKIP && av == 0.0 {
             continue;
         }
         let bt = &b[kk * m + j0..kk * m + j0 + TILE];
@@ -256,11 +280,9 @@ fn row_tile(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
 }
 
 /// `m < 8` (the 64→1 score heads): four rows per pass, each with its
-/// own accumulator, so their add chains overlap. The zero skip is a
-/// select rather than a branch: when `av == 0.0` the sum is computed
-/// and discarded, so the stored value is the skipping loop's even when
-/// `bv` is `inf` or NaN.
-fn matmul_block_narrow(
+/// own accumulator, so their add chains overlap; the zero skip is
+/// [`step`]'s select.
+fn matmul_block_narrow<const SKIP: bool>(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -268,14 +290,6 @@ fn matmul_block_narrow(
     rows: Range<usize>,
     block: &mut [f32],
 ) {
-    #[inline(always)]
-    fn step(acc: f32, av: f32, bv: f32) -> f32 {
-        if av == 0.0 {
-            acc
-        } else {
-            acc + av * bv
-        }
-    }
     if k == 0 {
         return; // nothing accumulates, and `b` is empty
     }
@@ -296,10 +310,10 @@ fn matmul_block_narrow(
             let mut acc = [0usize, 1, 2, 3].map(|r| block[(local + r) * m + j]);
             let b_col = b[j..].iter().step_by(m);
             for ((((&x0, &x1), &x2), &x3), &bv) in a0.iter().zip(a1).zip(a2).zip(a3).zip(b_col) {
-                acc[0] = step(acc[0], x0, bv);
-                acc[1] = step(acc[1], x1, bv);
-                acc[2] = step(acc[2], x2, bv);
-                acc[3] = step(acc[3], x3, bv);
+                acc[0] = step::<SKIP>(acc[0], x0, bv);
+                acc[1] = step::<SKIP>(acc[1], x1, bv);
+                acc[2] = step::<SKIP>(acc[2], x2, bv);
+                acc[3] = step::<SKIP>(acc[3], x3, bv);
             }
             for (r, v) in acc.into_iter().enumerate() {
                 block[(local + r) * m + j] = v;
@@ -311,9 +325,77 @@ fn matmul_block_narrow(
         for j in 0..m {
             let mut acc = block[local * m + j];
             for (&x0, &bv) in a0.iter().zip(b[j..].iter().step_by(m)) {
-                acc = step(acc, x0, bv);
+                acc = step::<SKIP>(acc, x0, bv);
             }
             block[local * m + j] = acc;
+        }
+    }
+}
+
+/// `block[local] += (column i of a) · b` for `i` in `rows`: `a` is
+/// `k×n`, `b` is `k×m`, each element folds `kk` ascending from the
+/// block's value and skips `a[kk][i] == 0.0`. A wide element's fold is
+/// stored at the end of each `kk` chunk and reloaded at the start of
+/// the next, which rounds nothing.
+fn ta_block(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    k: usize,
+    m: usize,
+    rows: Range<usize>,
+    block: &mut [f32],
+) {
+    if k == 0 {
+        return; // nothing accumulates, and `a` is empty
+    }
+    if m < NARROW_BELOW {
+        let mut i0 = rows.start;
+        while i0 + TILE <= rows.end {
+            ta_lanes::<TILE>(a, b, n, m, i0, &mut block[(i0 - rows.start) * m..]);
+            i0 += TILE;
+        }
+        for i in i0..rows.end {
+            ta_lanes::<1>(a, b, n, m, i, &mut block[(i - rows.start) * m..]);
+        }
+        return;
+    }
+    let mut at = vec![0.0f32; rows.len() * TA_CHUNK];
+    for kc in (0..k).step_by(TA_CHUNK) {
+        let ke = (kc + TA_CHUNK).min(k);
+        let c = ke - kc;
+        for kk in kc..ke {
+            for (local, &v) in a[kk * n + rows.start..kk * n + rows.end].iter().enumerate() {
+                at[local * TA_CHUNK + kk - kc] = v;
+            }
+        }
+        let b_chunk = &b[kc * m..ke * m];
+        for (local, o_row) in block.chunks_exact_mut(m).enumerate() {
+            let a_col = &at[local * TA_CHUNK..local * TA_CHUNK + c];
+            fold_row::<true>(a_col, b_chunk, m, o_row);
+        }
+    }
+}
+
+/// `m < 8` (the gradients of the 64→1 heads' weights): output rows
+/// `i0..i0 + L`, the first `L` rows of `out`, side by side, one lane
+/// each. Every `kk` loads `L` contiguous `a[kk][i]` and one `b[kk][j]`,
+/// and each lane takes [`step`]'s zero-skipping select.
+#[inline(always)]
+fn ta_lanes<const L: usize>(a: &[f32], b: &[f32], n: usize, m: usize, i0: usize, out: &mut [f32]) {
+    for j in 0..m {
+        let mut acc = [0.0f32; L];
+        for (l, x) in acc.iter_mut().enumerate() {
+            *x = out[l * m + j];
+        }
+        for (a_row, b_row) in a.chunks_exact(n).zip(b.chunks_exact(m)) {
+            let bv = b_row[j];
+            for (x, &av) in acc.iter_mut().zip(&a_row[i0..i0 + L]) {
+                *x = step::<true>(*x, av, bv);
+            }
+        }
+        for (l, &x) in acc.iter().enumerate() {
+            out[l * m + j] = x;
         }
     }
 }
@@ -330,6 +412,74 @@ mod tests {
             let a_row = &a[i * k..(i + 1) * k];
             let o_row = &mut block[local * m..(local + 1) * m];
             for (kk, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let b_row = &b[kk * m..(kk + 1) * m];
+                for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    /// The per-element dot `matmul_tb_block` ran before it was tiled,
+    /// kept verbatim as the oracle for its float sequence.
+    fn kept_tb_loop(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        m: usize,
+        rows: Range<usize>,
+        block: &mut [f32],
+    ) {
+        for (local, i) in rows.enumerate() {
+            let a_row = &a[i * k..(i + 1) * k];
+            let o_row = &mut block[local * m..(local + 1) * m];
+            for (j, o) in o_row.iter_mut().enumerate() {
+                let b_row = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a_row[kk] * b_row[kk];
+                }
+                *o = acc;
+            }
+        }
+    }
+
+    /// The `k`-outer `matmul_ta_serial` loop before it was tiled, kept
+    /// verbatim as an oracle.
+    fn kept_ta_serial(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+        for kk in 0..k {
+            let a_row = &a[kk * n..(kk + 1) * n];
+            let b_row = &b[kk * m..(kk + 1) * m];
+            for (i, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let o_row = &mut out[i * m..(i + 1) * m];
+                for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    /// The per-row `matmul_ta_block` loop before it was tiled, kept
+    /// verbatim as an oracle.
+    fn kept_ta_block(
+        a: &[f32],
+        b: &[f32],
+        n: usize,
+        k: usize,
+        m: usize,
+        rows: Range<usize>,
+        block: &mut [f32],
+    ) {
+        for (local, i) in rows.enumerate() {
+            let o_row = &mut block[local * m..(local + 1) * m];
+            for kk in 0..k {
+                let av = a[kk * n + i];
                 if av == 0.0 {
                     continue;
                 }
@@ -409,12 +559,37 @@ mod tests {
         (a, b)
     }
 
+    /// Both sides of the narrow split (8) and of the tile width (32), and
+    /// multi-tile rows with remainders.
+    const MS: [usize; 12] = [1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 80];
+
+    /// `x` (`rows×cols`, row-major) transposed.
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; x.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    /// `len` values in `[-1, 1)`: a block's prior contents.
+    fn noise(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    fn assert_bits(want: &[f32], got: &[f32], case: &str) {
+        assert_eq!(want.len(), got.len(), "{case}");
+        for (e, (w, g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(w.to_bits(), g.to_bits(), "{case} element {e}: {w} vs {g}");
+        }
+    }
+
     #[test]
     fn matmul_block_is_bit_identical_to_the_kept_loop() {
-        // Both sides of the narrow split (8) and of the tile width (32),
-        // multi-tile rows with remainders; k from empty to past two
-        // 64-wide hidden layers; empty and offset row ranges.
-        const MS: [usize; 12] = [1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 80];
+        // k from empty to past two 64-wide hidden layers; empty and
+        // offset row ranges.
         check(2, |rng| {
             for m in MS {
                 for k in 0..=140 {
@@ -423,19 +598,80 @@ mod tests {
                         let (a, b) = operands(rng, n, k, m, zeros);
                         let start = rng.gen_range(0..=n);
                         let end = rng.gen_range(start..=n);
-                        let init: Vec<f32> = (0..(end - start) * m)
-                            .map(|_| rng.gen_range(-1.0f32..1.0))
-                            .collect();
+                        let init = noise(rng, (end - start) * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_loop(&a, &b, k, m, start..end, &mut want);
                         ReferenceBackend.matmul_block(&a, &b, k, m, start..end, &mut got);
-                        for (e, (w, g)) in want.iter().zip(&got).enumerate() {
-                            assert_eq!(
-                                w.to_bits(),
-                                g.to_bits(),
-                                "n={n} k={k} m={m} rows={start}..{end} {zeros:?} element {e}: {w} vs {g}"
-                            );
+                        let case = format!("n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
+                        assert_bits(&want, &got, &case);
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn matmul_tb_block_is_bit_identical_to_the_kept_loop() {
+        // `b` is `operands`' `k×m` matrix transposed, so its `inf`/NaN
+        // poison sits where `a` is zero: the kept loop multiplies there
+        // (no skip), so a kernel that skips zeros stores a number where
+        // it stores NaN. Which NaN an add of two NaNs returns is not
+        // specified (it follows the operand order the compiler picks),
+        // so every NaN is compared as one. The block starts as noise:
+        // the kernel overwrites.
+        check(2, |rng| {
+            for m in MS {
+                for k in 0..=140 {
+                    for zeros in [Zeros::None, Zeros::Relu, Zeros::All] {
+                        let n = rng.gen_range(0..8usize);
+                        let (a, b) = operands(rng, n, k, m, zeros);
+                        let b = transpose(&b, k, m);
+                        let start = rng.gen_range(0..=n);
+                        let end = rng.gen_range(start..=n);
+                        let init = noise(rng, (end - start) * m);
+                        let (mut want, mut got) = (init.clone(), init);
+                        kept_tb_loop(&a, &b, k, m, start..end, &mut want);
+                        ReferenceBackend.matmul_tb_block(&a, &b, k, m, start..end, &mut got);
+                        for x in want.iter_mut().chain(&mut got) {
+                            if x.is_nan() {
+                                *x = f32::NAN;
+                            }
                         }
+                        let case = format!("n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
+                        assert_bits(&want, &got, &case);
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn matmul_ta_is_bit_identical_to_the_kept_loops() {
+        // `a` is `operands`' `n×k` matrix transposed (`k×n`), so an
+        // all-zero `a` row `kk` meets a poisoned `b` row `kk`, which the
+        // kept loops skip. Narrow outputs take up to 71 rows, so lane
+        // tiles (32 rows) and their remainders both run.
+        check(2, |rng| {
+            for m in MS {
+                for k in 0..=140 {
+                    for zeros in [Zeros::None, Zeros::Relu, Zeros::All] {
+                        let n = rng.gen_range(0..if m < NARROW_BELOW { 72 } else { 8usize });
+                        let (a, b) = operands(rng, n, k, m, zeros);
+                        let a = transpose(&a, n, k);
+                        let init = noise(rng, n * m);
+                        let (mut want, mut got) = (init.clone(), init);
+                        kept_ta_serial(&a, &b, n, k, m, &mut want);
+                        ReferenceBackend.matmul_ta_serial(&a, &b, n, k, m, &mut got);
+                        assert_bits(&want, &got, &format!("serial n={n} k={k} m={m} {zeros:?}"));
+
+                        let start = rng.gen_range(0..=n);
+                        let end = rng.gen_range(start..=n);
+                        let init = noise(rng, (end - start) * m);
+                        let (mut want, mut got) = (init.clone(), init);
+                        kept_ta_block(&a, &b, n, k, m, start..end, &mut want);
+                        ReferenceBackend.matmul_ta_block(&a, &b, n, k, m, start..end, &mut got);
+                        let case = format!("block n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
+                        assert_bits(&want, &got, &case);
                     }
                 }
             }

@@ -6,6 +6,14 @@
 //! [`Tape::backward`] is one reverse sweep that dispatches on the `Op`
 //! enum — every adjoint is written out analytically, no boxed closures.
 //!
+//! Each node records on push whether it needs a gradient: a
+//! [`Tape::input`] leaf does, a [`Tape::constant`] leaf (data) does not,
+//! and an op does if and only if one of its inputs does. The sweep
+//! computes no adjoint for a node that needs none, so the gradient of
+//! data (say, the input of a first layer) costs nothing, and every
+//! gradient that is computed takes the same operations as without the
+//! pruning.
+//!
 //! Typical use (one tape per training step):
 //!
 //! ```
@@ -20,6 +28,7 @@
 //! assert_eq!(grads.get(w).as_slice(), &[1.0, 2.0]);
 //! ```
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{EdgeList, Tensor};
@@ -35,7 +44,8 @@ pub struct Var(usize);
 /// The operation that produced a tape node, with its input handles.
 #[derive(Clone, Debug)]
 pub enum Op {
-    /// A leaf: model parameter or data.
+    /// A leaf: model parameter or data ([`Tape::input`] or
+    /// [`Tape::constant`]).
     Input,
     /// `A·B`.
     MatMul(Var, Var),
@@ -101,14 +111,48 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// The nodes this op reads (none for a leaf).
+    fn inputs(&self) -> [Option<Var>; 2] {
+        match self {
+            Op::Input => [None, None],
+            Op::MatMul(a, b)
+            | Op::MatMulTb(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::MulRowsByCol(a, b) => [Some(*a), Some(*b)],
+            Op::Scale(x, _)
+            | Op::Sigmoid(x)
+            | Op::Relu(x)
+            | Op::LeakyRelu(x, _)
+            | Op::Tanh(x)
+            | Op::GatherRows(x, _)
+            | Op::RowL2Normalize(x)
+            | Op::Recip(x, _)
+            | Op::SumAll(x)
+            | Op::MeanAll(x)
+            | Op::EdgeSoftmax { scores: x, .. }
+            | Op::CrossEntropyLogits { logits: x, .. } => [Some(*x), None],
+            Op::Spmm { x, w, .. } => [Some(*x), *w],
+        }
+    }
+}
+
 struct Node {
     value: Tensor,
     op: Op,
+    /// Whether the loss's gradient w.r.t. this node is wanted: an
+    /// [`Tape::input`] leaf, or an op with such a node upstream.
+    needs_grad: bool,
 }
 
 /// Gradients produced by [`Tape::backward`], indexed by [`Var`]. Only
 /// [`Tape::input`] variables keep theirs: an intermediate node's gradient
-/// is dropped once it has been propagated to that node's inputs.
+/// is dropped once it has been propagated to that node's inputs, and a
+/// [`Tape::constant`] gets none.
 pub struct Grads {
     grads: Vec<Option<Tensor>>,
     shapes: Vec<(usize, usize)>,
@@ -160,15 +204,40 @@ impl Tape {
         &self.nodes[var.0].value
     }
 
+    /// Record an op; it needs a gradient if one of its inputs does.
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let needs_grad = op
+            .inputs()
+            .into_iter()
+            .flatten()
+            .any(|v| self.needs_grad(v));
+        self.push_node(value, op, needs_grad)
+    }
+
+    fn push_node(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
         value.debug_assert_finite(&op);
-        self.nodes.push(Node { value, op });
+        self.nodes.push(Node {
+            value,
+            op,
+            needs_grad,
+        });
         Var(self.nodes.len() - 1)
     }
 
-    /// Record a leaf (parameter or data).
+    fn needs_grad(&self, var: Var) -> bool {
+        self.nodes[var.0].needs_grad
+    }
+
+    /// Record a leaf whose gradient [`Tape::backward`] returns (a model
+    /// parameter).
     pub fn input(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Input)
+        self.push_node(value, Op::Input, true)
+    }
+
+    /// Record a data leaf: no gradient is computed for it, nor for any op
+    /// whose inputs are all constants.
+    pub fn constant(&mut self, value: Tensor) -> Var {
+        self.push_node(value, Op::Input, false)
     }
 
     /// `A·B`.
@@ -332,6 +401,9 @@ impl Tape {
     /// Reverse sweep from a scalar `loss` node; returns the gradients of
     /// the input variables.
     ///
+    /// No adjoint is computed for a node that needs no gradient (see the
+    /// module docs), so a constant's gradient is never formed.
+    ///
     /// A node's gradient is complete once the sweep reaches it, so an
     /// intermediate one is freed as soon as it has been propagated: the
     /// sweep holds the activations plus the gradients still in flight,
@@ -346,8 +418,12 @@ impl Tape {
             "backward: loss must be a 1×1 scalar"
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        if self.needs_grad(loss) {
+            grads[loss.0] = Some(Tensor::scalar(1.0));
+        }
 
+        // A node that needs no gradient never receives one, so the sweep
+        // passes over it.
         for id in (0..=loss.0).rev() {
             let Some(g) = grads[id].take() else { continue };
             self.accumulate_adjoints(id, &g, &mut grads);
@@ -360,7 +436,13 @@ impl Tape {
         Grads { grads, shapes }
     }
 
-    fn acc(grads: &mut [Option<Tensor>], var: Var, delta: Tensor) {
+    /// Add `delta()` to `var`'s gradient; `delta` is not called when
+    /// `var` needs no gradient.
+    fn acc(&self, grads: &mut [Option<Tensor>], var: Var, delta: impl FnOnce() -> Tensor) {
+        if !self.needs_grad(var) {
+            return;
+        }
+        let delta = delta();
         match &mut grads[var.0] {
             Some(g) => g.add_scaled_assign(&delta, 1.0),
             slot @ None => *slot = Some(delta),
@@ -373,72 +455,64 @@ impl Tape {
         match &node.op {
             Op::Input => {}
             Op::MatMul(a, b) => {
-                let da = g.matmul_tb(self.value(*b));
-                let db = self.value(*a).matmul_ta(g);
-                Self::acc(grads, *a, da);
-                Self::acc(grads, *b, db);
+                self.acc(grads, *a, || g.matmul_tb(self.value(*b)));
+                self.acc(grads, *b, || self.value(*a).matmul_ta(g));
             }
             Op::MatMulTb(a, b) => {
                 // C = A·Bᵀ → dA = G·B, dB = Gᵀ·A.
-                let da = g.matmul(self.value(*b));
-                let db = g.matmul_ta(self.value(*a));
-                Self::acc(grads, *a, da);
-                Self::acc(grads, *b, db);
+                self.acc(grads, *a, || g.matmul(self.value(*b)));
+                self.acc(grads, *b, || g.matmul_ta(self.value(*a)));
             }
             Op::Add(a, b) => {
-                Self::acc(grads, *a, g.clone());
-                Self::acc(grads, *b, g.clone());
+                self.acc(grads, *a, || g.clone());
+                self.acc(grads, *b, || g.clone());
             }
             Op::Sub(a, b) => {
-                Self::acc(grads, *a, g.clone());
-                Self::acc(grads, *b, g.scale(-1.0));
+                self.acc(grads, *a, || g.clone());
+                self.acc(grads, *b, || g.scale(-1.0));
             }
             Op::Mul(a, b) => {
-                Self::acc(grads, *a, g.mul(self.value(*b)));
-                Self::acc(grads, *b, g.mul(self.value(*a)));
+                self.acc(grads, *a, || g.mul(self.value(*b)));
+                self.acc(grads, *b, || g.mul(self.value(*a)));
             }
-            Op::Scale(a, s) => Self::acc(grads, *a, g.scale(*s)),
+            Op::Scale(a, s) => self.acc(grads, *a, || g.scale(*s)),
             Op::AddRowBroadcast(x, row) => {
-                Self::acc(grads, *x, g.clone());
+                self.acc(grads, *x, || g.clone());
                 // Column-sum the adjoint into the 1×d bias.
-                let mut db = Tensor::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (c, &v) in g.row(r).iter().enumerate() {
-                        db.as_mut_slice()[c] += v;
+                self.acc(grads, *row, || {
+                    let mut db = Tensor::zeros(1, g.cols());
+                    for r in 0..g.rows() {
+                        for (c, &v) in g.row(r).iter().enumerate() {
+                            db.as_mut_slice()[c] += v;
+                        }
                     }
-                }
-                Self::acc(grads, *row, db);
+                    db
+                });
             }
-            Op::Sigmoid(x) => {
-                let s = &node.value;
-                let dx = g.mul(&s.map(|t| t * (1.0 - t)));
-                Self::acc(grads, *x, dx);
-            }
-            Op::Relu(x) => {
-                let mask = self.value(*x).map(|t| if t > 0.0 { 1.0 } else { 0.0 });
-                Self::acc(grads, *x, g.mul(&mask));
-            }
-            Op::LeakyRelu(x, slope) => {
-                let sl = *slope;
-                let mask = self.value(*x).map(|t| if t > 0.0 { 1.0 } else { sl });
-                Self::acc(grads, *x, g.mul(&mask));
-            }
-            Op::Tanh(x) => {
-                let dx = g.mul(&node.value.map(|t| 1.0 - t * t));
-                Self::acc(grads, *x, dx);
-            }
+            Op::Sigmoid(x) => self.acc(grads, *x, || {
+                unary_adjoint(g, &node.value, |t| t * (1.0 - t))
+            }),
+            // `g · 0.0` rather than a select, so a negative `g` leaves -0.0.
+            Op::Relu(x) => self.acc(grads, *x, || {
+                unary_adjoint(g, self.value(*x), |t| if t > 0.0 { 1.0 } else { 0.0 })
+            }),
+            Op::LeakyRelu(x, slope) => self.acc(grads, *x, || {
+                unary_adjoint(g, self.value(*x), |t| if t > 0.0 { 1.0 } else { *slope })
+            }),
+            Op::Tanh(x) => self.acc(grads, *x, || unary_adjoint(g, &node.value, |t| 1.0 - t * t)),
             Op::ConcatCols(a, b) => {
                 let wa = self.value(*a).cols();
-                let mut da = Tensor::zeros(g.rows(), wa);
-                let mut db = Tensor::zeros(g.rows(), g.cols() - wa);
-                for r in 0..g.rows() {
-                    da.row_mut(r).copy_from_slice(&g.row(r)[..wa]);
-                    db.row_mut(r).copy_from_slice(&g.row(r)[wa..]);
-                }
-                Self::acc(grads, *a, da);
-                Self::acc(grads, *b, db);
+                let half = |cols: Range<usize>| {
+                    let mut d = Tensor::zeros(g.rows(), cols.len());
+                    for r in 0..g.rows() {
+                        d.row_mut(r).copy_from_slice(&g.row(r)[cols.clone()]);
+                    }
+                    d
+                };
+                self.acc(grads, *a, || half(0..wa));
+                self.acc(grads, *b, || half(wa..g.cols()));
             }
-            Op::GatherRows(x, idx) => {
+            Op::GatherRows(x, idx) => self.acc(grads, *x, || {
                 let xv = self.value(*x);
                 let mut dx = Tensor::zeros(xv.rows(), xv.cols());
                 for (out_r, &src_r) in idx.iter().enumerate() {
@@ -446,20 +520,22 @@ impl Tape {
                         *d += v;
                     }
                 }
-                Self::acc(grads, *x, dx);
-            }
+                dx
+            }),
             Op::MulRowsByCol(x, col) => {
                 let xv = self.value(*x);
                 let cv = self.value(*col);
-                Self::acc(grads, *x, g.mul_rows_by_col(cv));
-                let mut dc = Tensor::zeros(cv.rows(), 1);
-                for r in 0..xv.rows() {
-                    let dot: f32 = g.row(r).iter().zip(xv.row(r)).map(|(&a, &b)| a * b).sum();
-                    dc.set(r, 0, dot);
-                }
-                Self::acc(grads, *col, dc);
+                self.acc(grads, *x, || g.mul_rows_by_col(cv));
+                self.acc(grads, *col, || {
+                    let mut dc = Tensor::zeros(cv.rows(), 1);
+                    for r in 0..xv.rows() {
+                        let dot: f32 = g.row(r).iter().zip(xv.row(r)).map(|(&a, &b)| a * b).sum();
+                        dc.set(r, 0, dot);
+                    }
+                    dc
+                });
             }
-            Op::RowL2Normalize(x) => {
+            Op::RowL2Normalize(x) => self.acc(grads, *x, || {
                 // y = x/‖x‖ → dx = (g - y (g·y)) / ‖x‖; tiny rows pass through.
                 let xv = self.value(*x);
                 let y = &node.value;
@@ -475,8 +551,8 @@ impl Tape {
                         dx.row_mut(r).copy_from_slice(g.row(r));
                     }
                 }
-                Self::acc(grads, *x, dx);
-            }
+                dx
+            }),
             Op::Spmm {
                 x,
                 w,
@@ -485,28 +561,33 @@ impl Tape {
             } => {
                 let xv = self.value(*x);
                 let wslice = w.map(|wv| self.value(wv).as_slice());
-                let mut dx = Tensor::zeros(xv.rows(), xv.cols());
-                let mut dw = w.map(|_| Tensor::zeros(edges.len(), 1));
-                for e in 0..edges.len() {
-                    let (s, t) = (edges.src(e), edges.dst(e));
-                    let we = wslice.map_or(1.0, |ws| ws[e]);
-                    let grow = g.row(t);
-                    if we != 0.0 {
-                        for (d, &v) in dx.row_mut(s).iter_mut().zip(grow) {
-                            *d += we * v;
+                self.acc(grads, *x, || {
+                    let mut dx = Tensor::zeros(xv.rows(), xv.cols());
+                    for e in 0..edges.len() {
+                        let we = wslice.map_or(1.0, |ws| ws[e]);
+                        if we != 0.0 {
+                            let (s, t) = (edges.src(e), edges.dst(e));
+                            for (d, &v) in dx.row_mut(s).iter_mut().zip(g.row(t)) {
+                                *d += we * v;
+                            }
                         }
                     }
-                    if let Some(dwt) = &mut dw {
-                        let dot: f32 = xv.row(s).iter().zip(grow).map(|(&a, &b)| a * b).sum();
-                        dwt.set(e, 0, dot);
-                    }
-                }
-                Self::acc(grads, *x, dx);
-                if let (Some(wv), Some(dwt)) = (w, dw) {
-                    Self::acc(grads, *wv, dwt);
+                    dx
+                });
+                if let Some(wv) = w {
+                    self.acc(grads, *wv, || {
+                        let mut dw = Tensor::zeros(edges.len(), 1);
+                        for e in 0..edges.len() {
+                            let (s, t) = (edges.src(e), edges.dst(e));
+                            let dot: f32 =
+                                xv.row(s).iter().zip(g.row(t)).map(|(&a, &b)| a * b).sum();
+                            dw.set(e, 0, dot);
+                        }
+                        dw
+                    });
                 }
             }
-            Op::EdgeSoftmax { scores, edges } => {
+            Op::EdgeSoftmax { scores, edges } => self.acc(grads, *scores, || {
                 // Grouped softmax jacobian: ds_e = p_e (g_e - Σ_{e'∈grp} p_e' g_e')
                 let p = &node.value;
                 let n = edges.min_num_nodes();
@@ -519,23 +600,20 @@ impl Tape {
                     let pe = p.as_slice()[e];
                     ds.set(e, 0, pe * (g.as_slice()[e] - gdot[edges.dst(e)]));
                 }
-                Self::acc(grads, *scores, ds);
-            }
-            Op::Recip(x, _) => {
-                // d(1/(x+e))/dx = -(1/(x+e))² = -out².
-                let dx = g.mul(&node.value.map(|t| -t * t));
-                Self::acc(grads, *x, dx);
-            }
-            Op::SumAll(x) => {
+                ds
+            }),
+            // d(1/(x+e))/dx = -(1/(x+e))² = -out².
+            Op::Recip(x, _) => self.acc(grads, *x, || unary_adjoint(g, &node.value, |t| -t * t)),
+            Op::SumAll(x) => self.acc(grads, *x, || {
                 let (r, c) = self.value(*x).shape();
-                Self::acc(grads, *x, Tensor::full(r, c, g.item()));
-            }
-            Op::MeanAll(x) => {
+                Tensor::full(r, c, g.item())
+            }),
+            Op::MeanAll(x) => self.acc(grads, *x, || {
                 let (r, c) = self.value(*x).shape();
                 let n = (r * c).max(1) as f32;
-                Self::acc(grads, *x, Tensor::full(r, c, g.item() / n));
-            }
-            Op::CrossEntropyLogits { logits, targets } => {
+                Tensor::full(r, c, g.item() / n)
+            }),
+            Op::CrossEntropyLogits { logits, targets } => self.acc(grads, *logits, || {
                 let lv = self.value(*logits);
                 let mut dl = lv.softmax_rows();
                 let n = targets.len().max(1) as f32;
@@ -543,10 +621,18 @@ impl Tape {
                     let v = dl.get(r, t) - 1.0;
                     dl.set(r, t, v);
                 }
-                Self::acc(grads, *logits, dl.scale(g.item() / n));
-            }
+                dl.scale(g.item() / n)
+            }),
         }
     }
+}
+
+/// `g ⊙ d(t)` elementwise, in one pass: the adjoint of a unary op
+/// whose derivative at value `t` (its input or its output) is `d(t)`.
+fn unary_adjoint(g: &Tensor, t: &Tensor, d: impl Fn(f32) -> f32) -> Tensor {
+    let mut dx = g.clone();
+    dx.zip_in_place(t, |gv, tv| gv * d(tv));
+    dx
 }
 
 #[cfg(test)]
@@ -825,5 +911,83 @@ mod tests {
         let loss = tape.cross_entropy_logits(logits, Arc::new(vec![0]));
         // -log(0.5)
         assert!((tape.value(loss).item() - 0.5f32.ln().abs()).abs() < 1e-5);
+    }
+
+    /// `rows×cols` values in `[-1, 1)`.
+    fn random(rng: &mut crate::rng::StdRng, rows: usize, cols: usize) -> Tensor {
+        let v = (0..rows * cols)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        Tensor::from_vec(rows, cols, v)
+    }
+
+    #[test]
+    fn constants_move_no_parameter_gradient_bit() {
+        // One random graph layer recorded twice, its data leaves once as
+        // inputs and once as constants. Every op meets data on one side
+        // and a parameter's descendant on the other: the first matmul
+        // reads data then a parameter, the spmms take a data weight
+        // and a parameter weight, the concats have a data half on each
+        // side, and one gather and matmul read data only.
+        crate::rng::check(32, |rng| {
+            let n = rng.gen_range(1..8usize);
+            let (d, h, c) = (
+                rng.gen_range(1..6usize),
+                rng.gen_range(1..6usize),
+                rng.gen_range(2..5usize),
+            );
+            let e = rng.gen_range(0..12usize);
+            let pairs: Vec<(u32, u32)> = (0..e)
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            let edges = EdgeList::from_pairs(pairs).into_shared();
+            let q = rng.gen_range(1..10usize);
+            let idx = Arc::new((0..q).map(|_| rng.gen_range(0..n)).collect::<Vec<_>>());
+            let targets = Arc::new((0..q).map(|_| rng.gen_range(0..c)).collect::<Vec<_>>());
+            let data = [random(rng, n, d), random(rng, e, 1), random(rng, n, 2)];
+            let params = [
+                random(rng, d, h),
+                random(rng, e, 1),
+                random(rng, 2 + h + d + 2, c),
+                random(rng, d, c),
+            ];
+
+            let record = |constant: bool| {
+                let mut t = Tape::new();
+                let [x, w_data, side] =
+                    data.clone()
+                        .map(|v| if constant { t.constant(v) } else { t.input(v) });
+                let p = params.clone().map(|v| t.input(v));
+                let h0 = t.matmul(x, p[0]);
+                let h1 = t.relu(h0);
+                let agg = t.spmm(edges.clone(), h1, Some(w_data), n);
+                let agg_x = t.spmm(edges.clone(), x, Some(p[1]), n);
+                let cat = t.concat_cols(side, agg);
+                let cat = t.concat_cols(cat, agg_x);
+                let cat = t.concat_cols(cat, side);
+                let rows = t.gather_rows(cat, idx.clone());
+                let z = t.matmul(rows, p[2]);
+                let x_rows = t.gather_rows(x, idx.clone());
+                let z_x = t.matmul(x_rows, p[3]);
+                let logits = t.add(z, z_x);
+                let logits = t.row_l2_normalize(logits);
+                let loss = t.cross_entropy_logits(logits, targets.clone());
+                let grads = t.backward(loss);
+                let bits = |v: Var| {
+                    grads
+                        .try_get(v)
+                        .map(|g| g.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                };
+                (p.map(bits), [x, w_data, side].map(bits))
+            };
+            let (want, _) = record(false);
+            let (got, data_grads) = record(true);
+            assert_eq!(want, got, "parameter gradients");
+            assert!(
+                want.iter().all(Option::is_some),
+                "every parameter reaches the loss"
+            );
+            assert_eq!(data_grads, [None, None, None], "constants get no gradient");
+        });
     }
 }

@@ -246,10 +246,9 @@ impl Tensor {
 
     /// `self^T (k×n) · other (k×m) -> n×m` without materializing the transpose.
     ///
-    /// The serial path keeps the cache-friendly `k`-outer loop; the blocked
-    /// path recomputes each output row with the same `kk`-ascending,
-    /// zero-skipping accumulation per element, so both orders produce
-    /// bit-identical sums.
+    /// The serial path runs each output element's accumulation as the
+    /// row-blocked one does (on Reference, `kk`-ascending and
+    /// zero-skipping), so both produce bit-identical sums.
     pub fn matmul_ta(&self, other: &Tensor) -> Tensor {
         let (k, n, m) = (self.rows, self.cols, other.cols);
         self.matmul_ta_workers(other, crate::parallel::workers_for(n, k * n * m))
@@ -290,7 +289,7 @@ impl Tensor {
     }
 
     /// Elementwise binary op in place, with shape check.
-    fn zip_in_place(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
+    pub(crate) fn zip_in_place(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(
             self.shape(),
             other.shape(),
