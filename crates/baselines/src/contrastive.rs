@@ -196,9 +196,8 @@ impl Contrastive {
         x: F::V,
         batch: &'a SubgraphBatch,
     ) -> F::V {
-        let h = self
-            .encoder
-            .encode(f, x, &batch.edges, batch.num_nodes, None);
+        // ProG adds per-graph tokens to `x`, so its rows are not keyed.
+        let h = self.encoder.encode(f, x, None, &batch.graph, None);
         let rw = f.input(&batch.readout_weights);
         let z = f.spmm(&batch.readout_edges, &h, Some(&rw), batch.num_graphs);
         f.row_l2_normalize(z)

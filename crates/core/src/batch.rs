@@ -5,25 +5,30 @@
 //! whole batch run through `GNN_D` with a single sparse aggregation per
 //! layer. The per-graph readout (`G_i`, Eq. 4) is itself expressed as an
 //! spmm over anchor→graph edges with `1/|anchors|` weights, so it stays on
-//! the autodiff tape.
+//! the autodiff tape. It reads the union at the anchors only, so the
+//! batch's [`EncodeGraph`] names them as its read rows and `GNN_D`'s last
+//! layer computes no other row.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use gp_graph::{Graph, Subgraph};
+use gp_nn::EncodeGraph;
 use gp_tensor::{EdgeList, Tensor};
 
 /// A batch of subgraphs fused into one disjoint-union graph.
 pub struct SubgraphBatch {
     /// `num_nodes×feat_dim` stacked node features (local order per graph).
     pub features: Tensor,
-    /// Union edge list with per-graph index offsets applied.
-    pub edges: Arc<EdgeList>,
+    /// Union edge list with per-graph index offsets applied, read at the
+    /// distinct anchor union nodes, in union order.
+    pub graph: EncodeGraph,
     /// `E×rel_dim` relation features per union edge (zeros when the parent
     /// graph carries none).
     pub rel_feats: Tensor,
-    /// Anchor→graph readout edges (`src` = union node, `dst` = graph id).
+    /// Anchor→graph readout edges (`src` = the anchor's read slot in
+    /// `graph`, `dst` = graph id).
     pub readout_edges: Arc<EdgeList>,
     /// `1/|anchors_g|` readout weights, parallel to `readout_edges`.
     pub readout_weights: Tensor,
@@ -135,9 +140,21 @@ impl SubgraphBatch {
             offset += sg.num_nodes() as u32;
         }
 
+        // Read rows: the distinct anchors, in union order; each readout
+        // edge then starts at its anchor's slot among them.
+        let mut is_read = vec![false; total_nodes];
+        for &u in &r_src {
+            is_read[u as usize] = true;
+        }
+        let read_rows: Vec<usize> = (0..total_nodes).filter(|&u| is_read[u]).collect();
+        for u in &mut r_src {
+            *u = read_rows.partition_point(|&r| r < *u as usize) as u32;
+        }
+        let edges = EdgeList::new(src, dst).into_shared();
+
         Self {
             features: Tensor::from_vec(total_nodes, feat_dim, feat),
-            edges: EdgeList::new(src, dst).into_shared(),
+            graph: EncodeGraph::new(edges, total_nodes, read_rows),
             rel_feats: Tensor::from_vec(total_edges, rel_dim, rel_feat),
             readout_weights: Tensor::from_vec(r_w.len(), 1, r_w),
             readout_edges: EdgeList::new(r_src, r_dst).into_shared(),
@@ -175,7 +192,7 @@ impl SubgraphBatch {
 
     /// Union-edge count.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.graph.edges().len()
     }
 }
 
@@ -227,7 +244,7 @@ mod tests {
             bounds.push((off, off + sg.num_nodes()));
             off += sg.num_nodes();
         }
-        for (s, d) in batch.edges.iter() {
+        for (s, d) in batch.graph.edges().iter() {
             let block = bounds
                 .iter()
                 .position(|&(lo, hi)| s >= lo && s < hi)

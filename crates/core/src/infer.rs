@@ -50,6 +50,10 @@ static TASK_GRAPH_MICROS: gp_obs::Histogram = gp_obs::Histogram::new("infer.task
 // `(u, v, rel)` rows the layer actually computed for them.
 static RECON_EDGES: gp_obs::Counter = gp_obs::Counter::new("infer.recon_edges");
 static RECON_ROWS: gp_obs::Counter = gp_obs::Counter::new("infer.recon_rows");
+// `GNN_D` traffic: union nodes embedded, and the rows its last layer
+// computed for the readout (the distinct anchors).
+static GNN_NODES: gp_obs::Counter = gp_obs::Counter::new("infer.gnn_nodes");
+static GNN_READ_ROWS: gp_obs::Counter = gp_obs::Counter::new("infer.gnn_read_rows");
 
 /// Outcome of one evaluated episode.
 #[derive(Clone, Debug)]
@@ -179,6 +183,8 @@ fn embed_points(
             RECON_EDGES.add(batch.num_edges() as u64);
             RECON_ROWS.add(batch.num_distinct_edges() as u64);
         }
+        GNN_NODES.add(batch.num_nodes as u64);
+        GNN_READ_ROWS.add(batch.graph.read_rows().len() as u64);
         let mut ev = Eval::new(&model.store);
         let emb = model.embed_batch(&mut ev, &batch, use_reconstruction);
         let e = emb.embeddings.into_owned();

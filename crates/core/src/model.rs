@@ -11,10 +11,10 @@ use std::sync::Arc;
 use gp_datasets::{DataPoint, Task};
 use gp_graph::{Graph, RandomWalkSampler, Subgraph};
 use gp_nn::{
-    Activation, Forward, Gat, Gcn, GnnEncoder, GraphSage, Mlp, ParamStore, TaskGraphAttention,
+    Activation, EncodeGraph, Forward, Gat, Gcn, GnnEncoder, GraphSage, Mlp, ParamStore,
+    TaskGraphAttention,
 };
 use gp_tensor::rng::StdRng;
-use gp_tensor::EdgeList;
 
 use crate::batch::SubgraphBatch;
 use crate::config::{GeneratorKind, ModelConfig};
@@ -49,14 +49,14 @@ impl Generator {
         &self,
         f: &mut F,
         x: F::V,
-        edges: &Arc<EdgeList>,
-        num_nodes: usize,
+        x_keys: Option<&[usize]>,
+        graph: &EncodeGraph,
         edge_weights: Option<F::V>,
     ) -> F::V {
         match self {
-            Generator::Sage(g) => g.encode(f, x, edges, num_nodes, edge_weights),
-            Generator::Gat(g) => g.encode(f, x, edges, num_nodes, edge_weights),
-            Generator::Gcn(g) => g.encode(f, x, edges, num_nodes, edge_weights),
+            Generator::Sage(g) => g.encode(f, x, x_keys, graph, edge_weights),
+            Generator::Gat(g) => g.encode(f, x, x_keys, graph, edge_weights),
+            Generator::Gcn(g) => g.encode(f, x, x_keys, graph, edge_weights),
         }
     }
 }
@@ -199,6 +199,10 @@ impl GraphPrompterModel {
     /// Embed a batch of data graphs: reconstruction weights (Eqs. 2–3,
     /// when `use_reconstruction`), `GNN_D` aggregation (Eq. 4), per-graph
     /// anchor readout, and selection-layer importance (Eq. 5).
+    ///
+    /// `GNN_D` computes its last layer at the batch's read rows (the
+    /// anchors) only, and keys its input rows by
+    /// [`SubgraphBatch::node_keys`]: see [`gp_nn::gnn`].
     pub fn embed_batch<'a, F: Forward<'a>>(
         &self,
         f: &mut F,
@@ -206,12 +210,12 @@ impl GraphPrompterModel {
         use_reconstruction: bool,
     ) -> BatchEmbedding<F::V> {
         let x = f.input(&batch.features);
-        let edge_weights = (use_reconstruction && !batch.edges.is_empty())
-            .then(|| self.edge_weights(f, batch, &x));
-        // Eq. 4: node embeddings, then anchor readout per graph.
+        let edge_weights =
+            (use_reconstruction && batch.num_edges() > 0).then(|| self.edge_weights(f, batch, &x));
+        // Eq. 4: node embeddings at the anchors, then readout per graph.
         let h = self
             .gnn
-            .encode(f, x, &batch.edges, batch.num_nodes, edge_weights);
+            .encode(f, x, Some(batch.node_keys()), &batch.graph, edge_weights);
         let r_w = f.input(&batch.readout_weights);
         let g_raw = f.spmm(&batch.readout_edges, &h, Some(&r_w), batch.num_graphs);
         let embeddings = f.row_l2_normalize(g_raw);
@@ -243,7 +247,7 @@ impl GraphPrompterModel {
         batch: &'a SubgraphBatch,
         x: &F::V,
     ) -> F::V {
-        let edges = &batch.edges;
+        let edges = batch.graph.edges();
         let [w] = f.keyed_rows(batch.edge_keys(), |f, rows| {
             let src_idx: Vec<usize> = rows.iter().map(|&e| edges.src(e)).collect();
             let src_keys: Vec<usize> = src_idx.iter().map(|&u| batch.node_keys()[u]).collect();

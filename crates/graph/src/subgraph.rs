@@ -154,16 +154,6 @@ impl Subgraph {
         self.rels = rels;
         self
     }
-
-    /// Mean-aggregation normalization weights (`1/in-degree(dst)`), one per
-    /// local edge — the fixed part of GraphSAGE mean aggregation that the
-    /// Prompt Generator's learned weights multiply into.
-    pub fn mean_norm_weights(&self) -> Vec<f32> {
-        let deg = self.edges.in_degrees(self.nodes.len());
-        (0..self.edges.len())
-            .map(|e| 1.0 / deg[self.edges.dst(e)].max(1) as f32)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -223,20 +213,6 @@ mod tests {
         let f = sg.features(&g);
         assert_eq!(f.row(0), &[0.0, 2.0]); // node 4
         assert_eq!(f.row(1), &[1.0, 0.0]); // node 0
-    }
-
-    #[test]
-    fn mean_norm_weights_sum_to_one_per_dst() {
-        let g = toy();
-        let sg = Subgraph::induce(&g, vec![0, 1, 2, 3, 4], &[2]);
-        let w = sg.mean_norm_weights();
-        let mut per_dst = vec![0.0f32; sg.num_nodes()];
-        for e in 0..sg.num_edges() {
-            per_dst[sg.edges.dst(e)] += w[e];
-        }
-        for (i, s) in per_dst.iter().enumerate() {
-            assert!((s - 1.0).abs() < 1e-6, "dst {i} sums to {s}");
-        }
     }
 
     #[test]

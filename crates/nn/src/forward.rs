@@ -35,7 +35,8 @@
 //! A second op shares work inside a row: [`Forward::gather_concat_matmul`]
 //! computes `[x[idx] | B] · W`, the first layer of an MLP whose input
 //! rows start with a gathered row of `x`, where a key marks equal
-//! gathered rows. [`Session`](crate::Session) records the plain
+//! gathered rows (the reconstruction MLP's `h_u` share, and GraphSAGE's
+//! `x_v` self share). [`Session`](crate::Session) records the plain
 //! `gather_rows`, `concat_cols` and `matmul`. [`Eval`] never builds the
 //! concatenation. It folds `x[idx[r]] · W[..c]` (`c = x.cols()`) once
 //! per distinct key onto a zeroed output, gathers those partial sums to
@@ -46,6 +47,12 @@
 //! step `c`, storing the partial sum and resuming from it runs the same
 //! float operations in the same order. `W`'s gradient is `catᵀ·g` over
 //! the same `cat` values either way.
+//!
+//! Row sets can also shrink in both contexts alike: a GNN encoder runs
+//! its last layer only at the rows its caller reads (see
+//! [`crate::gnn`]). That is a choice of inputs, not an op: the ops above
+//! are row-local or edge-order folds, so each computed row keeps the
+//! bits it has in the all-rows pass.
 
 use std::borrow::Cow;
 use std::sync::Arc;

@@ -5,6 +5,25 @@
 //! reweighting module trains jointly with the graph model, exactly as the
 //! paper specifies ("we jointly train the reweighting modules along with
 //! the graph model", §IV-A2).
+//!
+//! An encoder computes only the rows its caller reads, as GraphSAGE's
+//! minibatch forward does (Hamilton et al. 2017, Alg. 2). Every layer but
+//! the last runs over all nodes of the [`EncodeGraph`]; the last runs at
+//! its read rows only, over their in-edges. The read rows get the bits
+//! the all-rows pass gives them, on both backends and in both
+//! [`Forward`] contexts:
+//!
+//! * `spmm` is an edge-order scatter and `edge_softmax` a per-dst fold
+//!   in edge order, so aggregating over a read row's in-edges, kept in
+//!   edge order, runs that row's float sequence unchanged;
+//! * `matmul` and the row-wise ops are row-local;
+//! * in a `Session`, a dropped row would only ever have received `+0.0`
+//!   adjoints, which add nothing to a gradient.
+//!
+//! [`GraphSage`]'s first layer also takes keys for the rows of `x`: its
+//! `x_v · W[..d]` self share goes through
+//! [`Linear::forward_gather_concat`], so an [`Eval`](crate::Eval) pass
+//! computes it once per distinct key.
 
 use gp_tensor::rng::StdRng;
 use std::sync::Arc;
@@ -15,17 +34,112 @@ use crate::forward::Forward;
 use crate::linear::{Activation, Linear};
 use crate::params::{ParamId, ParamStore};
 
-/// A node encoder producing `n×out_dim` embeddings from node features and
-/// an edge list, with optional per-edge weights in `[0, 1]`.
+/// The graph an encoder runs over, and the rows its caller reads.
+///
+/// The read rows ascend, so a backward pass folds their gradients in
+/// the all-rows pass's order. Their in-edges are the edges whose `dst`
+/// is a read row, in edge order, with `dst` renumbered to the row's
+/// read slot.
+#[derive(Debug)]
+pub struct EncodeGraph {
+    edges: Arc<EdgeList>,
+    num_nodes: usize,
+    read_rows: Arc<Vec<usize>>,
+    read_edges: Arc<EdgeList>,
+    read_edge_ids: Arc<Vec<usize>>,
+}
+
+impl EncodeGraph {
+    /// `edges` over `num_nodes` nodes, read at `read_rows`.
+    ///
+    /// # Panics
+    /// Panics if the read rows do not strictly ascend, or the last is not
+    /// below `num_nodes`.
+    pub fn new(edges: Arc<EdgeList>, num_nodes: usize, read_rows: Vec<usize>) -> Self {
+        assert!(
+            read_rows.windows(2).all(|w| w[0] < w[1]),
+            "read rows must strictly ascend"
+        );
+        let mut slot = vec![u32::MAX; num_nodes];
+        for (s, &r) in read_rows.iter().enumerate() {
+            slot[r] = s as u32;
+        }
+        let mut src = Vec::new();
+        let mut dst = Vec::new();
+        let mut ids = Vec::new();
+        for (e, (s, d)) in edges.iter().enumerate() {
+            if slot[d] != u32::MAX {
+                src.push(s as u32);
+                dst.push(slot[d]);
+                ids.push(e);
+            }
+        }
+        Self {
+            edges,
+            num_nodes,
+            read_rows: Arc::new(read_rows),
+            read_edges: EdgeList::new(src, dst).into_shared(),
+            read_edge_ids: Arc::new(ids),
+        }
+    }
+
+    /// `edges` over `num_nodes` nodes, every row read: the read rows'
+    /// in-edges are `edges` itself.
+    pub fn all_rows(edges: Arc<EdgeList>, num_nodes: usize) -> Self {
+        Self {
+            read_rows: Arc::new((0..num_nodes).collect()),
+            read_edges: edges.clone(),
+            read_edge_ids: Arc::new((0..edges.len()).collect()),
+            edges,
+            num_nodes,
+        }
+    }
+
+    /// Every edge.
+    pub fn edges(&self) -> &Arc<EdgeList> {
+        &self.edges
+    }
+
+    /// Node count.
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// The node of each read slot.
+    pub fn read_rows(&self) -> &Arc<Vec<usize>> {
+        &self.read_rows
+    }
+
+    /// The read rows' in-edges (`dst` = read slot).
+    pub fn read_edges(&self) -> &Arc<EdgeList> {
+        &self.read_edges
+    }
+
+    /// The edge id of each of [`EncodeGraph::read_edges`].
+    pub fn read_edge_ids(&self) -> &Arc<Vec<usize>> {
+        &self.read_edge_ids
+    }
+
+    /// An `E×1` per-edge value at the read rows' in-edges.
+    fn at_read_edges<'a, F: Forward<'a>>(&self, f: &mut F, w: &F::V) -> F::V {
+        f.gather_rows(w, self.read_edge_ids.clone())
+    }
+}
+
+/// A node encoder producing `out_dim`-wide embeddings from node features
+/// and a graph, with optional per-edge weights in `[0, 1]`.
 pub trait GnnEncoder {
-    /// Encode `x` (`n×d`) over `edges`; `edge_weights` is an optional `E×1`
-    /// value multiplied into the aggregation.
+    /// Encode `x` (`n×d`, `n = graph.num_nodes()`) over `graph`, one row
+    /// per read row. `x_keys`, when given, has one key per row of `x`,
+    /// equal wherever the rows are equal (`None`: every row distinct).
+    /// `edge_weights` is an optional `E×1` value multiplied into the
+    /// aggregation.
     fn encode<'a, F: Forward<'a>>(
         &self,
         f: &mut F,
         x: F::V,
-        edges: &Arc<EdgeList>,
-        num_nodes: usize,
+        x_keys: Option<&[usize]>,
+        graph: &EncodeGraph,
         edge_weights: Option<F::V>,
     ) -> F::V;
 
@@ -135,10 +249,11 @@ impl GnnEncoder for GraphSage {
         &self,
         f: &mut F,
         mut x: F::V,
-        edges: &Arc<EdgeList>,
-        num_nodes: usize,
+        x_keys: Option<&[usize]>,
+        graph: &EncodeGraph,
         edge_weights: Option<F::V>,
     ) -> F::V {
+        let (edges, num_nodes) = (graph.edges(), graph.num_nodes());
         let w = match edge_weights {
             Some(lw) if self.normalize_learned => normalize_per_dst(f, edges, lw, num_nodes),
             Some(lw) => {
@@ -147,12 +262,25 @@ impl GnnEncoder for GraphSage {
             }
             None => mean_norm(f, edges, num_nodes),
         };
-        for layer in &self.layers {
-            let cat = {
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            // The nodes this layer computes rows for, and their
+            // neighbour means.
+            let (rows, neigh) = if i < last {
                 let neigh = f.spmm(edges, &x, Some(&w), num_nodes);
-                f.concat_cols(&x, &neigh)
+                (Arc::new((0..num_nodes).collect::<Vec<_>>()), neigh)
+            } else {
+                let w = graph.at_read_edges(f, &w);
+                let neigh = f.spmm(graph.read_edges(), &x, Some(&w), graph.read_rows().len());
+                (graph.read_rows().clone(), neigh)
             };
-            let h = layer.lin.forward(f, &cat);
+            // Only the input rows repeat with their keys: copies of a
+            // node in different neighbourhoods differ after one layer.
+            let keys: Vec<usize> = match x_keys {
+                Some(k) if i == 0 => rows.iter().map(|&r| k[r]).collect(),
+                _ => (0..rows.len()).collect(),
+            };
+            let h = layer.lin.forward_gather_concat(f, &x, rows, &keys, &neigh);
             x = layer.act.apply(f, h);
         }
         f.row_l2_normalize(x)
@@ -205,16 +333,23 @@ impl GnnEncoder for Gcn {
         &self,
         f: &mut F,
         mut x: F::V,
-        edges: &Arc<EdgeList>,
-        num_nodes: usize,
+        _x_keys: Option<&[usize]>,
+        graph: &EncodeGraph,
         edge_weights: Option<F::V>,
     ) -> F::V {
+        let (edges, num_nodes) = (graph.edges(), graph.num_nodes());
         let w = match edge_weights {
             Some(lw) => normalize_per_dst(f, edges, lw, num_nodes),
             None => sym_norm(f, edges, num_nodes),
         };
-        for (lin, act) in &self.layers {
-            let agg = f.spmm(edges, &x, Some(&w), num_nodes);
+        let last = self.layers.len() - 1;
+        for (i, (lin, act)) in self.layers.iter().enumerate() {
+            let agg = if i < last {
+                f.spmm(edges, &x, Some(&w), num_nodes)
+            } else {
+                let w = graph.at_read_edges(f, &w);
+                f.spmm(graph.read_edges(), &x, Some(&w), graph.read_rows().len())
+            };
             let h = lin.forward(f, &agg);
             x = act.apply(f, h);
         }
@@ -325,13 +460,34 @@ impl GnnEncoder for Gat {
         &self,
         f: &mut F,
         mut x: F::V,
-        edges: &Arc<EdgeList>,
-        num_nodes: usize,
+        _x_keys: Option<&[usize]>,
+        graph: &EncodeGraph,
         edge_weights: Option<F::V>,
     ) -> F::V {
-        let src_idx: Arc<Vec<usize>> = Arc::new((0..edges.len()).map(|e| edges.src(e)).collect());
-        let dst_idx: Arc<Vec<usize>> = Arc::new((0..edges.len()).map(|e| edges.dst(e)).collect());
-        for layer in &self.layers {
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            // Every layer needs `h` at every source node; the last
+            // scores, normalizes and aggregates only the read rows'
+            // in-edges.
+            let at_read = i == last;
+            let (edges, out_rows) = if at_read {
+                (graph.read_edges(), graph.read_rows().len())
+            } else {
+                (graph.edges(), graph.num_nodes())
+            };
+            let src_idx: Arc<Vec<usize>> =
+                Arc::new((0..edges.len()).map(|e| edges.src(e)).collect());
+            let dst_idx: Arc<Vec<usize>> =
+                Arc::new((0..edges.len()).map(|e| edges.dst(e)).collect());
+            let read_lw = match &edge_weights {
+                Some(lw) if at_read => Some(graph.at_read_edges(f, lw)),
+                _ => None,
+            };
+            let lw = if at_read {
+                read_lw.as_ref()
+            } else {
+                edge_weights.as_ref()
+            };
             let mut head_outputs = Vec::with_capacity(layer.heads.len());
             for head in &layer.heads {
                 let h = head.lin.forward(f, &x);
@@ -339,17 +495,22 @@ impl GnnEncoder for Gat {
                 let a_src = f.param(head.a_src);
                 let a_dst = f.param(head.a_dst);
                 let s_all = f.matmul(&h, &a_src); // n×1
-                let d_all = f.matmul(&h, &a_dst); // n×1
+                let d_out = if at_read {
+                    let h_read = f.gather_rows(&h, graph.read_rows().clone());
+                    f.matmul(&h_read, &a_dst)
+                } else {
+                    f.matmul(&h, &a_dst)
+                }; // out_rows×1
                 let s_e = f.gather_rows(&s_all, src_idx.clone());
-                let d_e = f.gather_rows(&d_all, dst_idx.clone());
+                let d_e = f.gather_rows(&d_out, dst_idx.clone());
                 let raw = f.add(s_e, &d_e);
                 let scores = f.leaky_relu(raw, 0.2);
                 let mut alpha = f.edge_softmax(edges, &scores);
-                if let Some(lw) = &edge_weights {
+                if let Some(lw) = lw {
                     // External reconstruction weights modulate attention.
                     alpha = f.mul(alpha, lw);
                 }
-                head_outputs.push(f.spmm(edges, &h, Some(&alpha), num_nodes));
+                head_outputs.push(f.spmm(edges, &h, Some(&alpha), out_rows));
             }
             // `with_heads` asserts at least one head.
             let mut heads = head_outputs.into_iter();
@@ -401,7 +562,13 @@ mod tests {
         let edges = line_graph(5);
         let mut sess = Session::new(&store);
         let x = sess.data(features(5, 4, 1));
-        let h = sage.encode(&mut sess, x, &edges, 5, None);
+        let h = sage.encode(
+            &mut sess,
+            x,
+            None,
+            &EncodeGraph::all_rows(edges.clone(), 5),
+            None,
+        );
         let hv = sess.value(&h);
         assert_eq!(hv.shape(), (5, 6));
         for r in 0..5 {
@@ -419,8 +586,20 @@ mod tests {
         let edges = line_graph(4);
         let mut sess = Session::new(&store);
         let x = sess.data(features(4, 4, 2));
-        let h1 = gcn.encode(&mut sess, x, &edges, 4, None);
-        let h2 = gat.encode(&mut sess, x, &edges, 4, None);
+        let h1 = gcn.encode(
+            &mut sess,
+            x,
+            None,
+            &EncodeGraph::all_rows(edges.clone(), 4),
+            None,
+        );
+        let h2 = gat.encode(
+            &mut sess,
+            x,
+            None,
+            &EncodeGraph::all_rows(edges.clone(), 4),
+            None,
+        );
         assert_eq!(sess.value(&h1).shape(), (4, 6));
         assert_eq!(sess.value(&h2).shape(), (4, 6));
     }
@@ -438,7 +617,13 @@ mod tests {
         let mut s1 = Session::new(&store);
         let x1 = s1.data(x_t.clone());
         let zeros = s1.data(Tensor::zeros(edges.len(), 1));
-        let h_zero = sage.encode(&mut s1, x1, &edges, 4, Some(zeros));
+        let h_zero = sage.encode(
+            &mut s1,
+            x1,
+            None,
+            &EncodeGraph::all_rows(edges.clone(), 4),
+            Some(zeros),
+        );
         let h_zero = s1.value(&h_zero).clone();
 
         // Manually: concat(x, 0) → same as linear on [x|0].
@@ -482,7 +667,13 @@ mod tests {
         for _ in 0..120 {
             let mut sess = Session::new(store);
             let xv = sess.data(x.clone());
-            let h = enc.encode(&mut sess, xv, &edges, n, None);
+            let h = enc.encode(
+                &mut sess,
+                xv,
+                None,
+                &EncodeGraph::all_rows(edges.clone(), n),
+                None,
+            );
             let logits = head.forward(&mut sess, &h);
             let loss = sess.tape.cross_entropy_logits(logits, targets.clone());
             let (lv, grads) = sess.grads(loss);
@@ -510,7 +701,13 @@ mod tests {
         let edges = line_graph(5);
         let mut sess = Session::new(&store);
         let x = sess.data(features(5, 4, 13));
-        let h = gat.encode(&mut sess, x, &edges, 5, None);
+        let h = gat.encode(
+            &mut sess,
+            x,
+            None,
+            &EncodeGraph::all_rows(edges.clone(), 5),
+            None,
+        );
         assert_eq!(sess.value(&h).shape(), (5, 8));
         assert!(sess.value(&h).all_finite());
     }

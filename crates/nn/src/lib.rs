@@ -30,7 +30,7 @@ pub mod session;
 pub mod task_graph;
 
 pub use forward::{Eval, Forward};
-pub use gnn::{Gat, Gcn, GnnEncoder, GraphSage};
+pub use gnn::{EncodeGraph, Gat, Gcn, GnnEncoder, GraphSage};
 pub use linear::{Activation, Linear, Mlp};
 pub use optim::{AdamW, OptimState, Optimizer, Sgd};
 pub use params::{ParamError, ParamId, ParamStore};

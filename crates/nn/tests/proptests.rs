@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use gp_nn::{
-    Activation, AdamW, Forward, GnnEncoder, GraphSage, Mlp, Optimizer, ParamStore, Session,
+    Activation, AdamW, EncodeGraph, Forward, GnnEncoder, GraphSage, Mlp, Optimizer, ParamStore,
+    Session,
 };
 use gp_tensor::rng::{self as trng, check, StdRng};
 use gp_tensor::{EdgeList, Tensor};
@@ -113,7 +114,13 @@ fn sage_embeddings_are_unit_rows_on_random_graphs() {
         let sage = GraphSage::new(&mut store, rng, "s", &[4, 6]);
         let mut sess = Session::new(&store);
         let x = sess.data(trng::randn(rng, n, 4, 1.0));
-        let h = sage.encode(&mut sess, x, &edges, n, None);
+        let h = sage.encode(
+            &mut sess,
+            x,
+            None,
+            &EncodeGraph::all_rows(edges.clone(), n),
+            None,
+        );
         let hv = sess.value(&h);
         assert!(hv.all_finite());
         for r in 0..n {
@@ -142,7 +149,13 @@ fn learned_edge_weights_are_renormalized_per_dst() {
             let mut sess = Session::new(&store);
             let x = sess.data(x_t.clone());
             let w = sess.data(w_t.scale(scale));
-            let h = sage.encode(&mut sess, x, &edges, n, Some(w));
+            let h = sage.encode(
+                &mut sess,
+                x,
+                None,
+                &EncodeGraph::all_rows(edges.clone(), n),
+                Some(w),
+            );
             sess.value(&h).clone()
         };
         let a = run(1.0);
