@@ -54,6 +54,11 @@ static RECON_ROWS: gp_obs::Counter = gp_obs::Counter::new("infer.recon_rows");
 // computed for the readout (the distinct anchors).
 static GNN_NODES: gp_obs::Counter = gp_obs::Counter::new("infer.gnn_nodes");
 static GNN_READ_ROWS: gp_obs::Counter = gp_obs::Counter::new("infer.gnn_read_rows");
+// Selection and task-graph work per query chunk: the prompt–query scores
+// the selector computed, and the message rows the task graph built (one
+// `T` and one `F` row per prompt, read in place by all `P·m` edges).
+static SELECTION_PAIRS: gp_obs::Counter = gp_obs::Counter::new("infer.selection_pairs");
+static TASK_GRAPH_MSG_ROWS: gp_obs::Counter = gp_obs::Counter::new("infer.task_graph_msg_rows");
 
 /// Outcome of one evaluated episode.
 #[derive(Clone, Debug)]
@@ -443,6 +448,9 @@ pub(crate) fn run_episodes(
                 let q_imps = &query_all_imps[first..first + chunk.len()];
 
                 // Prompt Selector: score + vote → Ŝ (k per class).
+                if stages.use_knn || stages.use_selection_layer {
+                    SELECTION_PAIRS.add((cand_embs.rows() * q_embs.rows()) as u64);
+                }
                 let selection = clock.time("selection", || {
                     let _span = SELECTION_MICROS.span();
                     select_prompts(
@@ -483,6 +491,7 @@ pub(crate) fn run_episodes(
                 }
 
                 // Task graph (Eq. 10) + cosine argmax prediction (Eq. 11).
+                TASK_GRAPH_MSG_ROWS.add((p_labels.len() * m.min(2)) as u64);
                 let logits = clock.time("task_graph", || {
                     let _span = TASK_GRAPH_MICROS.span();
                     let mut ev = Eval::new(&model.store);

@@ -240,7 +240,8 @@ impl GraphPrompterModel {
     /// goes through [`Forward::gather_concat_matmul`] keyed by
     /// [`SubgraphBatch::node_keys`]: a `Session` computes every union
     /// edge, an `Eval` each distinct triple once and each distinct
-    /// source node's share once, with the same bits.
+    /// source node's share once, then gathers the `E×1` weights to the
+    /// edges, with the same bits.
     pub fn edge_weights<'a, F: Forward<'a>>(
         &self,
         f: &mut F,
@@ -248,7 +249,7 @@ impl GraphPrompterModel {
         x: &F::V,
     ) -> F::V {
         let edges = batch.graph.edges();
-        let [w] = f.keyed_rows(batch.edge_keys(), |f, rows| {
+        let ([w], map) = f.keyed_rows(batch.edge_keys(), |f, rows| {
             let src_idx: Vec<usize> = rows.iter().map(|&e| edges.src(e)).collect();
             let src_keys: Vec<usize> = src_idx.iter().map(|&u| batch.node_keys()[u]).collect();
             let dst_idx = rows.iter().map(|&e| edges.dst(e)).collect();
@@ -266,7 +267,7 @@ impl GraphPrompterModel {
                 .forward_gather_concat(f, x, Arc::new(src_idx), &src_keys, &dst_rel);
             [f.sigmoid(z)]
         });
-        w
+        map.expand(f, w)
     }
 
     /// Run the task graph (Eq. 10) and return its logits per query

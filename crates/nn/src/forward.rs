@@ -24,8 +24,16 @@
 //! [`Forward::keyed_rows`] builds rows that depend only on a key.
 //! [`Session`](crate::Session) records the build over every row, so the
 //! tape and its gradient sums are those of the plain per-row pass.
-//! [`Eval`] builds one row per distinct key and expands the result by
-//! index. The two agree bit for bit because the build must be row-local:
+//! [`Eval`] builds one row per distinct key and expands nothing. Both
+//! return a [`RowMap`] from each keyed row to the built row that holds
+//! its value, and the caller reads the built rows through it: a gather
+//! ([`RowMap::expand`]) where it needs one row per keyed row, or edges
+//! whose `src` is the built row ([`RowMap::sources`], [`RowMap::at`])
+//! for an `spmm`, which then reads the same row values in the same edge
+//! order. A `Session`'s map is the identity, and reading through it
+//! records no op, so its tape is that of the plain pass (an identity
+//! gather would not be: its scatter turns `-0.0` adjoints into `+0.0`).
+//! The built rows agree bit for bit because the build must be row-local:
 //! each output row may depend only on its own input row (gathers,
 //! [`Forward::concat_cols`], a `Linear`, elementwise activations), never
 //! on which other rows are computed with it. gp-tensor's `matmul` and
@@ -133,16 +141,63 @@ pub trait Forward<'a> {
         b: &Self::V,
         w: &Self::V,
     ) -> Self::V;
-    /// Outputs with one row per entry of `keys`, where rows with equal
-    /// keys are equal. `build(f, rows)` computes the outputs for the rows
-    /// `rows` (indices into `keys`), one output row per entry, in order;
-    /// it must be row-local (see the [module docs](self)). Keys index a
-    /// table of `max(keys) + 1` slots, so they should be small.
+    /// Outputs for the rows of `keys`, where rows with equal keys are
+    /// equal, and for each of those rows the built row that holds its
+    /// value. `build(f, rows)` computes the outputs for the rows `rows`
+    /// (indices into `keys`), one output row per entry, in order; it must
+    /// be row-local (see the [module docs](self)). Keys index a table of
+    /// `max(keys) + 1` slots, so they should be small.
     fn keyed_rows<const N: usize>(
         &mut self,
         keys: &[usize],
         build: impl FnOnce(&mut Self, &[usize]) -> [Self::V; N],
-    ) -> [Self::V; N];
+    ) -> ([Self::V; N], RowMap);
+}
+
+/// For each row of a [`Forward::keyed_rows`] call, the built row that
+/// holds its value: the identity when every row was built (a `Session`,
+/// or keys that are all distinct), else each row's first-appearance row.
+#[derive(Clone, Debug)]
+pub struct RowMap(Option<Arc<Vec<usize>>>);
+
+impl RowMap {
+    /// Every row is its own built row.
+    pub fn identity() -> Self {
+        Self(None)
+    }
+
+    /// The built row of row `r`.
+    pub fn at(&self, r: usize) -> usize {
+        self.0.as_ref().map_or(r, |map| map[r])
+    }
+
+    /// The built row of each row in `idx`; `idx` itself under the
+    /// identity.
+    pub fn compose(&self, idx: Arc<Vec<usize>>) -> Arc<Vec<usize>> {
+        match &self.0 {
+            None => idx,
+            Some(map) => Arc::new(idx.iter().map(|&r| map[r]).collect()),
+        }
+    }
+
+    /// `edges` with each `src` replaced by its built row; `edges` itself
+    /// under the identity.
+    pub fn sources(&self, edges: &Arc<EdgeList>) -> Arc<EdgeList> {
+        match &self.0 {
+            None => edges.clone(),
+            Some(map) => EdgeList::from_pairs(edges.iter().map(|(s, d)| (map[s] as u32, d as u32)))
+                .into_shared(),
+        }
+    }
+
+    /// The built rows `x` expanded to one row per keyed row: `x` itself
+    /// under the identity (no op is recorded), else a gather.
+    pub fn expand<'a, F: Forward<'a>>(&self, f: &mut F, x: F::V) -> F::V {
+        match &self.0 {
+            None => x,
+            Some(map) => f.gather_rows(&x, map.clone()),
+        }
+    }
 }
 
 /// The tape-free forward context: inference and validation passes that
@@ -316,20 +371,22 @@ impl<'a> Forward<'a> for Eval<'a> {
         fresh(out, "gather_concat_matmul")
     }
 
-    /// Builds the first row of each distinct key, then gathers every
-    /// row from its key's built row.
+    /// Builds the first row of each distinct key and maps every row to
+    /// its key's built row; nothing is expanded.
     fn keyed_rows<const N: usize>(
         &mut self,
         keys: &[usize],
         build: impl FnOnce(&mut Self, &[usize]) -> [Self::V; N],
-    ) -> [Self::V; N] {
+    ) -> ([Self::V; N], RowMap) {
         let (rows, expand) = first_appearance(keys);
         let built = build(self, &rows);
-        if rows.len() == keys.len() {
-            // Every key distinct: `expand` is the identity.
-            return built;
-        }
-        built.map(|t| fresh(t.gather_rows(&expand), "gather_rows"))
+        // Every key distinct: `expand` is the identity.
+        let map = if rows.len() == keys.len() {
+            RowMap::identity()
+        } else {
+            RowMap(Some(Arc::new(expand)))
+        };
+        (built, map)
     }
 }
 

@@ -20,17 +20,19 @@
 //! * in a `Session`, a dropped row would only ever have received `+0.0`
 //!   adjoints, which add nothing to a gradient.
 //!
-//! [`GraphSage`]'s first layer also takes keys for the rows of `x`: its
-//! `x_v · W[..d]` self share goes through
-//! [`Linear::forward_gather_concat`], so an [`Eval`](crate::Eval) pass
-//! computes it once per distinct key.
+//! The first layer also takes keys for the rows of `x`, so an
+//! [`Eval`](crate::Eval) pass computes a node-only share once per
+//! distinct key. [`GraphSage`]'s `x_v · W[..d]` self share goes through
+//! [`Linear::forward_gather_concat`]; [`Gat`]'s projection `x·W + b`
+//! goes through [`Forward::keyed_rows`], and its scores and aggregation
+//! read the built rows through the returned [`RowMap`].
 
 use gp_tensor::rng::StdRng;
 use std::sync::Arc;
 
 use gp_tensor::{EdgeList, Tensor};
 
-use crate::forward::Forward;
+use crate::forward::{Forward, RowMap};
 use crate::linear::{Activation, Linear};
 use crate::params::{ParamId, ParamStore};
 
@@ -460,7 +462,7 @@ impl GnnEncoder for Gat {
         &self,
         f: &mut F,
         mut x: F::V,
-        _x_keys: Option<&[usize]>,
+        x_keys: Option<&[usize]>,
         graph: &EncodeGraph,
         edge_weights: Option<F::V>,
     ) -> F::V {
@@ -490,19 +492,40 @@ impl GnnEncoder for Gat {
             };
             let mut head_outputs = Vec::with_capacity(layer.heads.len());
             for head in &layer.heads {
-                let h = head.lin.forward(f, &x);
+                // `h = x·W + b` for each built row, and each node's
+                // built row: the first layer projects each distinct key
+                // once (`x_keys`), later layers every node.
+                let (h, map) = match x_keys {
+                    Some(keys) if i == 0 => {
+                        let ([h], map) = f.keyed_rows(keys, |f, rows| {
+                            // Selecting as many rows as there are nodes
+                            // selects `0..n`.
+                            [if rows.len() == keys.len() {
+                                head.lin.forward(f, &x)
+                            } else {
+                                let x_rows = f.gather_rows(&x, Arc::new(rows.to_vec()));
+                                head.lin.forward(f, &x_rows)
+                            }]
+                        });
+                        (h, map)
+                    }
+                    _ => (head.lin.forward(f, &x), RowMap::identity()),
+                };
                 // e_uv = LeakyReLU(a_srcᵀ h_u + a_dstᵀ h_v), softmax per dst.
                 let a_src = f.param(head.a_src);
                 let a_dst = f.param(head.a_dst);
-                let s_all = f.matmul(&h, &a_src); // n×1
-                let d_out = if at_read {
-                    let h_read = f.gather_rows(&h, graph.read_rows().clone());
-                    f.matmul(&h_read, &a_dst)
+                // `a_srcᵀ h_u` at the built rows; `a_dstᵀ h_v` at the
+                // read rows (last layer) or the built rows, and each
+                // edge's row of it.
+                let s_all = f.matmul(&h, &a_src);
+                let (d_out, d_idx) = if at_read {
+                    let h_read = f.gather_rows(&h, map.compose(graph.read_rows().clone()));
+                    (f.matmul(&h_read, &a_dst), dst_idx.clone())
                 } else {
-                    f.matmul(&h, &a_dst)
-                }; // out_rows×1
-                let s_e = f.gather_rows(&s_all, src_idx.clone());
-                let d_e = f.gather_rows(&d_out, dst_idx.clone());
+                    (f.matmul(&h, &a_dst), map.compose(dst_idx.clone()))
+                };
+                let s_e = f.gather_rows(&s_all, map.compose(src_idx.clone()));
+                let d_e = f.gather_rows(&d_out, d_idx);
                 let raw = f.add(s_e, &d_e);
                 let scores = f.leaky_relu(raw, 0.2);
                 let mut alpha = f.edge_softmax(edges, &scores);
@@ -510,7 +533,8 @@ impl GnnEncoder for Gat {
                     // External reconstruction weights modulate attention.
                     alpha = f.mul(alpha, lw);
                 }
-                head_outputs.push(f.spmm(edges, &h, Some(&alpha), out_rows));
+                // Each edge reads its source's built row in place.
+                head_outputs.push(f.spmm(&map.sources(edges), &h, Some(&alpha), out_rows));
             }
             // `with_heads` asserts at least one head.
             let mut heads = head_outputs.into_iter();

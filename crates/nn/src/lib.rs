@@ -29,7 +29,7 @@ pub mod params;
 pub mod session;
 pub mod task_graph;
 
-pub use forward::{Eval, Forward};
+pub use forward::{Eval, Forward, RowMap};
 pub use gnn::{EncodeGraph, Gat, Gcn, GnnEncoder, GraphSage};
 pub use linear::{Activation, Linear, Mlp};
 pub use optim::{AdamW, OptimState, Optimizer, Sgd};

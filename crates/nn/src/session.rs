@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use gp_tensor::{EdgeList, Tape, Tensor, Var};
 
-use crate::forward::Forward;
+use crate::forward::{Forward, RowMap};
 use crate::params::{ParamId, ParamStore};
 
 /// A single forward/backward pass: owns a fresh [`Tape`] and lazily injects
@@ -160,14 +160,15 @@ impl<'a> Forward<'a> for Session<'_> {
         self.tape.matmul(cat, *w)
     }
 
-    /// Records `build` over every row, as the plain per-row pass would.
+    /// Records `build` over every row, as the plain per-row pass would;
+    /// the map is the identity, so a reader records no gather.
     fn keyed_rows<const N: usize>(
         &mut self,
         keys: &[usize],
         build: impl FnOnce(&mut Self, &[usize]) -> [Var; N],
-    ) -> [Var; N] {
+    ) -> ([Var; N], RowMap) {
         let rows: Vec<usize> = (0..keys.len()).collect();
-        build(self, &rows)
+        (build(self, &rows), RowMap::identity())
     }
 }
 

@@ -12,8 +12,12 @@
 //! whether the edge is `T` or `F`. A training [`Session`](crate::Session)
 //! records the message net over every edge, as the per-edge graph reads;
 //! the tape-free [`Eval`](crate::Eval) computes the `2P` distinct rows
-//! once and expands them to the edges (see [`Forward::keyed_rows`]), with
-//! the same bits.
+//! once (see [`Forward::keyed_rows`]) and never expands the messages:
+//! each edge's `src` is its message's built row, so the label `spmm`
+//! reads the `2P` rows in place, and only the `P·m×1` scores are
+//! gathered to the edges for `edge_softmax`. The bits are the expanded
+//! pass's: `spmm` is an edge-order scatter on both backends and reads
+//! the same row values in the same edge order.
 
 use gp_tensor::rng::StdRng;
 use std::sync::Arc;
@@ -94,7 +98,8 @@ impl TaskGraphAttention {
     ///
     /// The messages and attention scores go through
     /// [`Forward::keyed_rows`], keyed by prompt and `T`/`F`: a `Session`
-    /// computes all `P·m` edge rows, an `Eval` the `2P` distinct ones.
+    /// computes all `P·m` edge rows, an `Eval` the `2P` distinct ones,
+    /// which the edges read through the returned [`RowMap`](crate::RowMap).
     ///
     /// # Panics
     /// Panics when the prompt set is empty or a label is out of range.
@@ -120,17 +125,14 @@ impl TaskGraphAttention {
         // the P·m edges carry 2P distinct rows.
         let m = num_classes;
         let mut keys = Vec::with_capacity(p * m);
-        let mut pairs = Vec::with_capacity(p * m);
         for (i, &yi) in prompt_labels.iter().enumerate() {
             for j in 0..m {
                 keys.push(2 * i + usize::from(yi != j));
-                pairs.push(((i * m + j) as u32, j as u32));
             }
         }
-        let bip = EdgeList::from_pairs(pairs).into_shared();
 
         // Messages relu(W_msg [x_i | e_ij]) and their attention scores.
-        let [msg_h, scores] = f.keyed_rows(&keys, |f, rows| {
+        let ([msg_h, scores], map) = f.keyed_rows(&keys, |f, rows| {
             let prompt_idx = rows.iter().map(|&r| r / m).collect();
             let attr_idx = rows
                 .iter()
@@ -146,9 +148,14 @@ impl TaskGraphAttention {
             let scores = f.leaky_relu(scores_raw, 0.2);
             [msg_h, scores]
         });
+        // Edge r sends its built row's message to label r % m, so the
+        // aggregation reads the built rows in place.
+        let bip = EdgeList::from_pairs((0..keys.len()).map(|r| (map.at(r) as u32, (r % m) as u32)))
+            .into_shared();
 
         // Attention over messages, normalized per label node.
-        let alpha = f.edge_softmax(&bip, &scores);
+        let edge_scores = map.expand(f, scores);
+        let alpha = f.edge_softmax(&bip, &edge_scores);
 
         // Aggregate messages into label nodes and update. The label
         // embedding is the attention update *plus* a class-prototype
@@ -363,6 +370,62 @@ mod tests {
                     let eval =
                         logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
                     assert_eq!(tape, eval, "{backend:?} m {m} P {p} residual {residual}");
+                }
+            }
+        });
+    }
+
+    /// `Eval` reads the `2P` message rows in place and gathers only the
+    /// scores; its logits equal the tape's, which records every `P·m`
+    /// edge row, on prompt sets shaped as inference builds them: `k`
+    /// selected prompts per class plus up to `c` cached ones per class
+    /// (the augmenter's `Ŝ ∪ C`, so `P` exceeds the selected `m·k`),
+    /// importance-scaled rows, and classes that hold no prompt at all.
+    #[test]
+    fn eval_reads_the_messages_in_place_bit_for_bit() {
+        check(24, |rng| {
+            let m = [2, 5, 10, 40][rng.gen_range(0..4)];
+            let (k, c) = (rng.gen_range(1..4), rng.gen_range(1..4));
+            // About a quarter of the classes get no prompt; class 0
+            // always gets some, so the set is never empty.
+            let held: Vec<usize> = (0..m)
+                .filter(|&y| y == 0 || rng.gen_range(0..4) != 0)
+                .collect();
+            let mut labels: Vec<usize> = held.iter().flat_map(|&y| vec![y; k]).collect();
+            let selected = labels.len();
+            for &y in &held {
+                labels.extend(std::iter::repeat_n(y, rng.gen_range(1..=c)));
+            }
+            let p = labels.len();
+            assert!(p > selected);
+            let (dim, hidden, edge_dim) = [(32, 64, 8), (5, 12, 3)][rng.gen_range(0..2)];
+            let mut prompts = gp_tensor::rng::randn(rng, p, dim, 1.0);
+            let imps: Vec<f32> = (0..p).map(|_| rng.next_f32()).collect();
+            prompts = prompts.mul_rows_by_col(&Tensor::from_vec(p, 1, imps));
+            let n = rng.gen_range(1..6);
+            let queries = gp_tensor::rng::randn(rng, n, dim, 1.0);
+            let mut store = ParamStore::new();
+            let mut tg = TaskGraphAttention::new(&mut store, rng, "tg", dim, hidden, edge_dim);
+            for backend in [Backend::Reference, Backend::Fast] {
+                let _backend = backend.install();
+                for residual in [true, false] {
+                    tg.set_prototype_residual(residual);
+                    let tape = logit_bits(
+                        &tg,
+                        &mut Session::new(&store),
+                        &prompts,
+                        &labels,
+                        &queries,
+                        m,
+                    );
+                    let eval =
+                        logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
+                    assert_eq!(
+                        tape,
+                        eval,
+                        "{backend:?} m {m} k {k} P {p} held {} residual {residual}",
+                        held.len()
+                    );
                 }
             }
         });
