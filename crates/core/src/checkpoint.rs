@@ -1,34 +1,28 @@
-//! GPCK v2 — crash-safe, checksummed checkpoint containers.
+//! GPCK v2 — crash-safe, checksummed model files.
 //!
-//! The paper's pre-training protocol checkpoints every 500 steps (§V-A4);
-//! this module makes those checkpoints durable and trustworthy:
+//! The paper's pre-training protocol checkpoints every 500 steps to pick
+//! the best-validation model (§V-A4); [`mod@crate::pretrain`] keeps that
+//! snapshot in memory, and this module makes the file it ends up in
+//! durable and trustworthy:
 //!
 //! * **Container**: `"GPCK"` magic + format version + payload length +
-//!   CRC32 over the payload. The payload holds the model config, named
-//!   parameter tensors and (for trainer checkpoints) the full mutable
-//!   training state: step counter, optimizer moments, best-validation
-//!   snapshot, training curve and guard-rail window.
+//!   CRC32 over the payload. The payload holds a kind tag (1, model), the
+//!   model config and the named parameter tensors.
 //! * **Atomic writes**: payload → temp file → fsync → rename, so a crash
 //!   mid-write never leaves a half-written file under the final name.
 //! * **Typed errors**: every way a file can be wrong (truncated, foreign,
-//!   bit-flipped, mismatched shapes, future version) maps to a
-//!   [`CheckpointError`] variant.
+//!   bit-flipped, mismatched shapes, future version, unknown payload
+//!   kind) maps to a [`CheckpointError`] variant.
 //! * **One format**: this module is the only encoder and decoder of model
 //!   files. A file that does not start with `"GPCK"` (including the
 //!   unchecksummed pre-v2 format) is [`CheckpointError::BadMagic`].
-//!
-//! File-name convention for trainer checkpoints: `ckpt-<step:09>.gpck`,
-//! so lexicographic order is step order and retention/recovery can scan a
-//! directory without opening every file.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use gp_nn::OptimState;
 use gp_tensor::Tensor;
 
 use crate::config::{GeneratorKind, ModelConfig};
 use crate::model::GraphPrompterModel;
-use crate::pretrain::TrainingCurve;
 
 /// Container magic for GPCK v2 files.
 pub const MAGIC: &[u8; 4] = b"GPCK";
@@ -394,12 +388,11 @@ pub(crate) fn tagged_container_payload<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Payload encoding: model config, parameters, trainer state.
+// Payload encoding: model config and parameters.
 // ---------------------------------------------------------------------------
 
-/// Payload kind tags.
+/// Payload kind tag of a model file, the one kind this build reads.
 const KIND_MODEL: u8 = 1;
-const KIND_TRAINER: u8 = 2;
 
 fn generator_tag(g: GeneratorKind) -> u8 {
     match g {
@@ -470,136 +463,23 @@ fn decode_params(r: &mut Reader<'_>) -> Result<Vec<(String, Tensor)>, Checkpoint
     Ok(params)
 }
 
-/// The mutable training state carried by a trainer checkpoint alongside
-/// the model itself. Restoring all of it resumes a run bit-identically.
-#[derive(Clone, Debug, Default)]
-pub struct TrainerMeta {
-    /// Optimization steps completed so far.
-    pub step: usize,
-    /// Best validation accuracy seen so far.
-    pub best_acc: f32,
-    /// Step index at which `best_acc` was measured.
-    pub best_step: usize,
-    /// Parameter snapshot at `best_step` (store iteration order).
-    pub best_params: Vec<Tensor>,
-    /// AdamW step counter + first/second moments.
-    pub optim: OptimState,
-    /// Loss/accuracy curve accumulated so far.
-    pub curve: TrainingCurve,
-    /// Guard-rail trailing-loss window (empty when no guard configured).
-    pub guard_window: Vec<f32>,
-}
-
-fn encode_trainer(buf: &mut Vec<u8>, meta: &TrainerMeta) {
-    put_u64(buf, meta.step as u64);
-    put_f32(buf, meta.best_acc);
-    put_u64(buf, meta.best_step as u64);
-    put_u64(buf, meta.best_params.len() as u64);
-    for t in &meta.best_params {
-        put_tensor(buf, t);
-    }
-    put_u64(buf, meta.optim.t);
-    for moments in [&meta.optim.m, &meta.optim.v] {
-        put_u64(buf, moments.len() as u64);
-        for (idx, t) in moments {
-            put_u64(buf, *idx as u64);
-            put_tensor(buf, t);
-        }
-    }
-    put_u64(buf, meta.curve.steps.len() as u64);
-    for s in &meta.curve.steps {
-        put_u64(buf, *s as u64);
-    }
-    for l in &meta.curve.loss {
-        put_f32(buf, *l);
-    }
-    for a in &meta.curve.accuracy {
-        put_f32(buf, *a);
-    }
-    put_u64(buf, meta.guard_window.len() as u64);
-    for w in &meta.guard_window {
-        put_f32(buf, *w);
-    }
-}
-
-fn decode_trainer(r: &mut Reader<'_>) -> Result<TrainerMeta, CheckpointError> {
-    let step = r.usize()?;
-    let best_acc = r.f32()?;
-    let best_step = r.usize()?;
-    let n_best = r.usize()?;
-    let mut best_params = Vec::new();
-    for _ in 0..n_best {
-        best_params.push(r.tensor()?);
-    }
-    let t = r.u64()?;
-    let mut moments = [Vec::new(), Vec::new()];
-    for slot in &mut moments {
-        let n = r.usize()?;
-        for _ in 0..n {
-            let idx = r.usize()?;
-            slot.push((idx, r.tensor()?));
-        }
-    }
-    let [m, v] = moments;
-    let n_curve = r.usize()?;
-    let mut curve = TrainingCurve::default();
-    for _ in 0..n_curve {
-        curve.steps.push(r.usize()?);
-    }
-    for _ in 0..n_curve {
-        curve.loss.push(r.f32()?);
-    }
-    for _ in 0..n_curve {
-        curve.accuracy.push(r.f32()?);
-    }
-    let n_window = r.usize()?;
-    let mut guard_window = Vec::new();
-    for _ in 0..n_window {
-        guard_window.push(r.f32()?);
-    }
-    Ok(TrainerMeta {
-        step,
-        best_acc,
-        best_step,
-        best_params,
-        optim: OptimState { t, m, v },
-        curve,
-        guard_window,
-    })
-}
-
-/// Parsed GPCK v2 payload.
-struct ParsedPayload {
-    config: ModelConfig,
-    params: Vec<(String, Tensor)>,
-    trainer: Option<TrainerMeta>,
-}
-
-fn parse_payload(payload: &[u8]) -> Result<ParsedPayload, CheckpointError> {
+/// Parse a GPCK v2 payload into its model config and named parameters.
+fn parse_payload(payload: &[u8]) -> Result<(ModelConfig, Vec<(String, Tensor)>), CheckpointError> {
     let mut r = Reader::new(payload);
     let kind = r.u8()?;
-    if kind != KIND_MODEL && kind != KIND_TRAINER {
+    if kind != KIND_MODEL {
         return Err(CheckpointError::ShapeMismatch(format!(
             "unknown payload kind {kind}"
         )));
     }
     let config = decode_config(&mut r)?;
     let params = decode_params(&mut r)?;
-    let trainer = if kind == KIND_TRAINER {
-        Some(decode_trainer(&mut r)?)
-    } else {
-        None
-    };
     if !r.finished() {
         return Err(CheckpointError::ShapeMismatch(
             "trailing bytes after payload".into(),
         ));
     }
-    Ok(ParsedPayload {
-        config,
-        params,
-        trainer,
-    })
+    Ok((config, params))
 }
 
 /// Check the stored tensors' count and shapes against the architecture
@@ -668,193 +548,19 @@ pub fn save_model(path: &Path, model: &GraphPrompterModel) -> Result<(), Checkpo
     write_container(path, &payload)
 }
 
-/// Load a model from a GPCK v2 checkpoint of either kind (model or
-/// trainer — the live parameters are used).
+/// Load a model from a GPCK v2 model file.
 pub fn load_model(path: &Path) -> Result<GraphPrompterModel, CheckpointError> {
     let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
-    let payload = container_payload(&bytes)?;
-    let parsed = parse_payload(payload)?;
-    model_from_parsed(parsed.config, parsed.params)
-}
-
-/// Save a trainer checkpoint: the live model plus all mutable training
-/// state needed to resume bit-identically.
-pub fn save_trainer_checkpoint(
-    path: &Path,
-    model: &GraphPrompterModel,
-    meta: &TrainerMeta,
-) -> Result<(), CheckpointError> {
-    let mut payload = Vec::new();
-    payload.push(KIND_TRAINER);
-    encode_config(&mut payload, model.config());
-    encode_params(&mut payload, model);
-    encode_trainer(&mut payload, meta);
-    write_container(path, &payload)
-}
-
-/// [`save_trainer_checkpoint`] with an injected crash ([`WriteFault`])
-/// inside the container write — the fault-injection tests use this to
-/// leave realistic crash residue at a real checkpoint path.
-#[doc(hidden)]
-pub fn save_trainer_checkpoint_faulty(
-    path: &Path,
-    model: &GraphPrompterModel,
-    meta: &TrainerMeta,
-    fault: WriteFault,
-) -> Result<(), CheckpointError> {
-    let mut payload = Vec::new();
-    payload.push(KIND_TRAINER);
-    encode_config(&mut payload, model.config());
-    encode_params(&mut payload, model);
-    encode_trainer(&mut payload, meta);
-    write_container_faulty(path, &payload, fault)
-}
-
-/// Load a trainer checkpoint written by [`save_trainer_checkpoint`],
-/// validating the optimizer moments and best-snapshot against the
-/// rebuilt model's parameter layout.
-pub fn load_trainer_checkpoint(
-    path: &Path,
-) -> Result<(GraphPrompterModel, TrainerMeta), CheckpointError> {
-    let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
-    let payload = container_payload(&bytes)?;
-    let parsed = parse_payload(payload)?;
-    let Some(meta) = parsed.trainer else {
-        return Err(CheckpointError::ShapeMismatch(
-            "model-only checkpoint has no trainer state".into(),
-        ));
-    };
-    let model = model_from_parsed(parsed.config, parsed.params)?;
-    let shapes: Vec<(usize, usize)> = model.store.iter().map(|(_, t)| t.shape()).collect();
-    if meta.best_params.len() != shapes.len() {
-        return Err(CheckpointError::ShapeMismatch(format!(
-            "best snapshot has {} tensors, model expects {}",
-            meta.best_params.len(),
-            shapes.len()
-        )));
-    }
-    for (i, t) in meta.best_params.iter().enumerate() {
-        if t.shape() != shapes[i] {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "best snapshot tensor {i} is {:?}, model expects {:?}",
-                t.shape(),
-                shapes[i]
-            )));
-        }
-    }
-    for moments in [&meta.optim.m, &meta.optim.v] {
-        for (idx, t) in moments {
-            if *idx >= shapes.len() || t.shape() != shapes[*idx] {
-                return Err(CheckpointError::ShapeMismatch(format!(
-                    "optimizer moment for parameter {idx} does not match the model layout"
-                )));
-            }
-        }
-    }
-    Ok((model, meta))
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint directory management: naming, retention, recovery.
-// ---------------------------------------------------------------------------
-
-/// Canonical file name for the trainer checkpoint at `step`.
-pub fn checkpoint_file_name(step: usize) -> String {
-    format!("ckpt-{step:09}.gpck")
-}
-
-fn parse_checkpoint_step(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("ckpt-")?.strip_suffix(".gpck")?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// Trainer checkpoints in `dir`, sorted ascending by step. Non-matching
-/// files are ignored; a missing directory yields an empty list.
-pub fn list_checkpoints(dir: &Path) -> Vec<(usize, PathBuf)> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out: Vec<(usize, PathBuf)> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            let step = parse_checkpoint_step(name.to_str()?)?;
-            Some((step, e.path()))
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Delete all but the newest `keep_last` checkpoints in `dir`. Returns
-/// the number of files removed. Deletion failures are ignored (retention
-/// is advisory; recovery copes with extra files).
-pub fn prune_checkpoints(dir: &Path, keep_last: usize) -> usize {
-    let all = list_checkpoints(dir);
-    let keep = keep_last.max(1);
-    if all.len() <= keep {
-        return 0;
-    }
-    let mut removed = 0;
-    for (_, path) in &all[..all.len() - keep] {
-        if std::fs::remove_file(path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// Result of scanning a directory for the newest recoverable checkpoint.
-pub struct RecoveryScan {
-    /// The newest checkpoint that loaded cleanly, if any.
-    pub recovered: Option<(usize, PathBuf, GraphPrompterModel, TrainerMeta)>,
-    /// Newer checkpoints that failed validation and were skipped,
-    /// newest first, with the typed reason each was rejected.
-    pub skipped: Vec<(PathBuf, CheckpointError)>,
-}
-
-/// Walk `dir` newest-first and return the first checkpoint that passes
-/// full validation, recording every corrupt/truncated file skipped on
-/// the way. Never panics; a missing or empty directory recovers nothing.
-pub fn scan_for_recovery(dir: &Path) -> RecoveryScan {
-    let mut skipped = Vec::new();
-    for (step, path) in list_checkpoints(dir).into_iter().rev() {
-        match load_trainer_checkpoint(&path) {
-            Ok((model, meta)) => {
-                return RecoveryScan {
-                    recovered: Some((step, path, model, meta)),
-                    skipped,
-                }
-            }
-            Err(e) => skipped.push((path, e)),
-        }
-    }
-    RecoveryScan {
-        recovered: None,
-        skipped,
-    }
+    let (config, params) = parse_payload(container_payload(&bytes)?)?;
+    model_from_parsed(config, params)
 }
 
 // ---------------------------------------------------------------------------
 // Inspection (the `gp inspect` command).
 // ---------------------------------------------------------------------------
 
-/// What kind of checkpoint a file holds.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// GPCK v2, model-only payload.
-    ModelV2,
-    /// GPCK v2, trainer payload (model + training state).
-    TrainerV2,
-}
-
 /// Header/validity report for `gp inspect`.
 pub struct CheckpointSummary {
-    /// Payload kind.
-    pub kind: CheckpointKind,
     /// Total file size in bytes.
     pub file_len: u64,
     /// Model architecture stored in the checkpoint.
@@ -863,8 +569,6 @@ pub struct CheckpointSummary {
     pub num_tensors: usize,
     /// Total scalar parameter count.
     pub num_scalars: usize,
-    /// Trainer bookkeeping, when the payload carries it.
-    pub trainer: Option<(usize, f32, usize, usize)>,
 }
 
 /// Fully validate a checkpoint file (magic, version, length, CRC,
@@ -873,29 +577,20 @@ pub struct CheckpointSummary {
 pub fn inspect_checkpoint(path: &Path) -> Result<CheckpointSummary, CheckpointError> {
     let bytes = std::fs::read(path).map_err(CheckpointError::Io)?;
     let file_len = bytes.len() as u64;
-    let payload = container_payload(&bytes)?;
-    let parsed = parse_payload(payload)?;
-    check_param_shapes(&parsed.config, &parsed.params)?;
-    let num_tensors = parsed.params.len();
-    let num_scalars = parsed.params.iter().map(|(_, t)| t.len()).sum();
+    let (config, params) = parse_payload(container_payload(&bytes)?)?;
+    check_param_shapes(&config, &params)?;
     Ok(CheckpointSummary {
-        kind: if parsed.trainer.is_some() {
-            CheckpointKind::TrainerV2
-        } else {
-            CheckpointKind::ModelV2
-        },
         file_len,
-        config: parsed.config,
-        num_tensors,
-        num_scalars,
-        trainer: parsed
-            .trainer
-            .map(|t| (t.step, t.best_acc, t.best_step, t.curve.steps.len())),
+        config,
+        num_tensors: params.len(),
+        num_scalars: params.iter().map(|(_, t)| t.len()).sum(),
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
     use crate::config::ModelConfig;
 
@@ -960,56 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn trainer_roundtrip_preserves_all_state() {
-        let dir = tmpdir("trainer");
-        let path = dir.join(checkpoint_file_name(40));
-        let model = small_model(3);
-        let meta = TrainerMeta {
-            step: 40,
-            best_acc: 0.75,
-            best_step: 30,
-            best_params: model.store.snapshot(),
-            optim: OptimState {
-                t: 40,
-                m: vec![(0, Tensor::full(1, 2, 0.5))],
-                v: vec![(0, Tensor::full(1, 2, 0.25))],
-            },
-            curve: TrainingCurve {
-                steps: vec![0, 20],
-                loss: vec![2.0, 1.0],
-                accuracy: vec![0.3, 0.6],
-            },
-            guard_window: vec![2.0, 1.5, 1.0],
-        };
-        // Moment shapes must match parameter 0's shape to pass validation.
-        let shape0 = model.store.iter().next().unwrap().1.shape();
-        let meta = TrainerMeta {
-            optim: OptimState {
-                t: 40,
-                m: vec![(0, Tensor::zeros(shape0.0, shape0.1))],
-                v: vec![(0, Tensor::zeros(shape0.0, shape0.1))],
-            },
-            ..meta
-        };
-        save_trainer_checkpoint(&path, &model, &meta).unwrap();
-        let (loaded, back) = load_trainer_checkpoint(&path).unwrap();
-        assert_eq!(loaded.config(), model.config());
-        assert_eq!(back.step, 40);
-        assert_eq!(back.best_acc, 0.75);
-        assert_eq!(back.best_step, 30);
-        assert_eq!(back.curve.steps, vec![0, 20]);
-        assert_eq!(back.curve.loss, vec![2.0, 1.0]);
-        assert_eq!(back.guard_window, vec![2.0, 1.5, 1.0]);
-        assert_eq!(back.optim.t, 40);
-        assert_eq!(back.best_params.len(), model.store.len());
-
-        let summary = inspect_checkpoint(&path).unwrap();
-        assert_eq!(summary.kind, CheckpointKind::TrainerV2);
-        assert_eq!(summary.trainer, Some((40, 0.75, 30, 2)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn truncation_and_garbage_are_typed_errors() {
         let dir = tmpdir("trunc");
         let path = dir.join("m.gpck");
@@ -1051,44 +696,6 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn retention_prunes_oldest_and_recovery_prefers_newest_valid() {
-        let dir = tmpdir("retain");
-        let model = small_model(7);
-        for step in [10usize, 20, 30, 40] {
-            let meta = TrainerMeta {
-                step,
-                best_params: model.store.snapshot(),
-                ..TrainerMeta::default()
-            };
-            save_trainer_checkpoint(&dir.join(checkpoint_file_name(step)), &model, &meta).unwrap();
-        }
-        assert_eq!(list_checkpoints(&dir).len(), 4);
-        assert_eq!(prune_checkpoints(&dir, 3), 1);
-        let steps: Vec<usize> = list_checkpoints(&dir).into_iter().map(|(s, _)| s).collect();
-        assert_eq!(steps, vec![20, 30, 40]);
-
-        // Corrupt the newest: recovery must fall back to step 30.
-        let newest = dir.join(checkpoint_file_name(40));
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&newest, &bytes).unwrap();
-        let scan = scan_for_recovery(&dir);
-        let (step, _, _, meta) = scan.recovered.expect("should recover");
-        assert_eq!(step, 30);
-        assert_eq!(meta.step, 30);
-        assert_eq!(scan.skipped.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_from_missing_or_empty_dir_is_none() {
-        let scan = scan_for_recovery(Path::new("/nonexistent/gp_ckpt_dir"));
-        assert!(scan.recovered.is_none());
-        assert!(scan.skipped.is_empty());
     }
 
     #[test]

@@ -38,6 +38,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -54,7 +55,9 @@ use crate::guard::DivergenceError;
 use crate::infer::{evaluate_episode, run_episodes, EpisodeResult};
 use crate::model::GraphPrompterModel;
 use crate::planner::EpisodeRequest;
-use crate::pretrain::{pretrain, try_pretrain, TrainingCurve};
+use crate::pretrain::{
+    pretrain, try_pretrain, try_pretrain_validated, PretrainReport, TrainingCurve,
+};
 
 /// Default capacity of the cross-episode embedding cache.
 pub const DEFAULT_EMBED_CACHE_CAPACITY: usize = 4096;
@@ -393,6 +396,27 @@ impl Engine {
             dataset,
             &self.pretrain_cfg,
             self.infer_cfg.stages,
+        )
+    }
+
+    /// As [`Engine::try_pretrain`], scoring held-out episodes after every
+    /// `validate_every` steps and after the last, and restoring the
+    /// best-scoring snapshot (see [`try_pretrain_validated`]). Runs under
+    /// the same worker pool and backend as [`Engine::try_pretrain`].
+    pub fn try_pretrain_validated(
+        &mut self,
+        dataset: &Dataset,
+        validate_every: NonZeroUsize,
+    ) -> Result<PretrainReport, DivergenceError> {
+        let pool = self.thread_pool();
+        let _ctx = pool.install();
+        let _be = self.backend.install();
+        try_pretrain_validated(
+            &mut self.model,
+            dataset,
+            &self.pretrain_cfg,
+            self.infer_cfg.stages,
+            validate_every,
         )
     }
 

@@ -200,7 +200,7 @@ impl GuardRail {
     /// A guard rail with the given policy and an empty trailing window.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the trailing window is trimmed to cfg.window on every push and restore"
+        reason = "the trailing window is trimmed to cfg.window on every push"
     )]
     pub fn new(cfg: GuardRailConfig) -> Self {
         Self {
@@ -214,19 +214,6 @@ impl GuardRail {
     /// The policy this rail enforces.
     pub fn config(&self) -> &GuardRailConfig {
         &self.cfg
-    }
-
-    /// Trailing healthy-loss window, oldest first (for checkpointing).
-    pub fn window(&self) -> Vec<f32> {
-        self.window.iter().copied().collect()
-    }
-
-    /// Restore a window exported with [`GuardRail::window`] (resume path).
-    pub fn restore_window(&mut self, window: &[f32]) {
-        self.window = window.iter().copied().collect();
-        while self.window.len() > self.cfg.window.max(1) {
-            self.window.pop_front();
-        }
     }
 
     /// Median of the trailing window; `None` before warmup.
@@ -376,7 +363,7 @@ mod tests {
             let mut g = grads_of(&[0.1, -0.2]);
             assert_eq!(rail.check(step, 1.0, &mut g).unwrap(), StepVerdict::Proceed);
         }
-        assert_eq!(rail.window().len(), 10);
+        assert_eq!(rail.window.len(), 10);
         assert_eq!(rail.skipped, 0);
     }
 
@@ -390,7 +377,7 @@ mod tests {
         }
         assert_eq!(rail.skipped, 1);
         // The NaN must not enter the trailing window.
-        assert!(rail.window().is_empty());
+        assert!(rail.window.is_empty());
     }
 
     #[test]
@@ -446,19 +433,6 @@ mod tests {
             StepVerdict::Skip(DivergenceError::NonFiniteGrad { .. }) => {}
             v => panic!("expected skip, got {v:?}"),
         }
-    }
-
-    #[test]
-    fn window_roundtrip_for_resume() {
-        let mut rail = GuardRail::new(GuardRailConfig::default());
-        for step in 0..8 {
-            let mut g = grads_of(&[0.1]);
-            rail.check(step, step as f32, &mut g).unwrap();
-        }
-        let saved = rail.window();
-        let mut fresh = GuardRail::new(GuardRailConfig::default());
-        fresh.restore_window(&saved);
-        assert_eq!(fresh.window(), saved);
     }
 
     #[test]

@@ -72,10 +72,7 @@ pub mod selector;
 pub use augmenter::{CacheEntry, PromptAugmenter};
 pub use batch::SubgraphBatch;
 pub use cache::{Cache, CachePolicy};
-pub use checkpoint::{
-    inspect_checkpoint, list_checkpoints, scan_for_recovery, CheckpointError, CheckpointKind,
-    CheckpointSummary, RecoveryScan, TrainerMeta,
-};
+pub use checkpoint::{inspect_checkpoint, CheckpointError, CheckpointSummary};
 pub use config::{
     ConfigError, GeneratorKind, InferenceConfig, ModelConfig, PretrainConfig, PseudoLabelPolicy,
     StageConfig,
@@ -88,8 +85,5 @@ pub use guard::{DivergenceError, GuardAction, GuardRail, GuardRailConfig, StepVe
 pub use infer::EpisodeResult;
 pub use model::{sample_datapoint_subgraph, sample_datapoint_subgraphs, GraphPrompterModel};
 pub use planner::{BatchKey, EpisodeRequest};
-pub use pretrain::{
-    pretrain, pretrain_resumable, try_pretrain, CheckpointConfig, PretrainError, PretrainReport,
-    TrainingCurve,
-};
+pub use pretrain::{pretrain, try_pretrain, try_pretrain_validated, PretrainReport, TrainingCurve};
 pub use selector::{select_prompts, DistanceMetric, SelectionOutcome};

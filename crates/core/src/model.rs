@@ -183,9 +183,9 @@ impl GraphPrompterModel {
         crate::checkpoint::save_model(path.as_ref(), self)
     }
 
-    /// Load a GPCK v2 checkpoint (model or trainer kind). The config is
-    /// read first, the architecture rebuilt deterministically, then the
-    /// trained parameter values are validated against it and installed.
+    /// Load a GPCK v2 model file. The config is read first, the
+    /// architecture rebuilt deterministically, then the trained
+    /// parameter values are validated against it and installed.
     /// Foreign, corrupt, truncated or mismatched files yield a typed
     /// [`crate::checkpoint::CheckpointError`]; the stored tensors are
     /// checked against the config's [`GraphPrompterModel::param_shapes`]

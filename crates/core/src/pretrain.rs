@@ -2,14 +2,11 @@
 //! `GNN_D`, selection layer and task-graph GNN on in-context episodes,
 //! with the loss `L = L_NM + L_MT` (Eqs. 12–14).
 //!
-//! Training is organized in deterministic *chunks* whose boundaries fall
-//! on validation and checkpoint cadences; each chunk reseeds the episode
-//! stream from `cfg.seed + steps_done`, so a run killed between chunks
-//! and resumed from a [`crate::checkpoint`] trainer checkpoint reproduces
-//! the uninterrupted run bit for bit (parameters, optimizer moments and
-//! training curve alike).
+//! One loop serves every entry point. [`try_pretrain_validated`] adds
+//! held-out validation with best-snapshot restore (§V-A4); validation
+//! draws from its own RNG, so it never moves the training episode stream.
 
-use std::path::PathBuf;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use gp_datasets::{sample_few_shot_from_splits, DataPoint, Dataset, Split, Task};
@@ -19,7 +16,6 @@ use gp_tensor::rng::StdRng;
 use gp_tensor::{Tensor, Var};
 
 use crate::batch::SubgraphBatch;
-use crate::checkpoint::{self, CheckpointError, TrainerMeta};
 use crate::config::{PretrainConfig, StageConfig};
 use crate::guard::{DivergenceError, GuardAction, GuardRail, StepVerdict};
 use crate::model::{sample_datapoint_subgraphs, GraphPrompterModel};
@@ -27,8 +23,6 @@ use crate::model::{sample_datapoint_subgraphs, GraphPrompterModel};
 static LOSS_MILLI: gp_obs::Histogram = gp_obs::Histogram::new("pretrain.loss_milli");
 static GRAD_NORM_MILLI: gp_obs::Histogram = gp_obs::Histogram::new("pretrain.grad_norm_milli");
 static STEP_MICROS: gp_obs::Histogram = gp_obs::Histogram::new("pretrain.step_micros");
-static CHECKPOINT_WRITE_MICROS: gp_obs::Histogram =
-    gp_obs::Histogram::new("pretrain.checkpoint_write_micros");
 
 /// Loss/accuracy trajectory recorded during pre-training (Fig. 9).
 #[derive(Clone, Debug, Default)]
@@ -169,271 +163,82 @@ fn sample_neighbor_matching(
     Some((prompts, prompt_labels, queries, query_labels))
 }
 
-/// Everything a validated pre-training run reports back.
+/// Held-out episodes each validation scores.
+const VALID_EPISODES: usize = 4;
+
+/// What a validated pre-training run ([`try_pretrain_validated`]) reports.
 #[derive(Debug, Default)]
 pub struct PretrainReport {
-    /// Loss/accuracy trajectory over the whole run (resumed runs include
-    /// the curve recorded before the interruption).
+    /// Loss/accuracy trajectory; the same as [`try_pretrain`]'s.
     pub curve: TrainingCurve,
-    /// Best validation accuracy observed.
+    /// Best held-out accuracy observed (`-inf` when no step ran).
     pub best_acc: f32,
-    /// Step count at which `best_acc` was measured (the restored snapshot).
+    /// Steps trained when `best_acc` was measured: the restored snapshot.
     pub best_step: usize,
-    /// Step the run resumed from, when recovery found a valid checkpoint.
-    pub resumed_from: Option<usize>,
-    /// Checkpoints that failed validation during recovery, with the reason.
-    pub skipped_checkpoints: Vec<(PathBuf, String)>,
     /// Optimizer steps the guard rail skipped.
     pub guard_skipped: usize,
     /// Steps whose gradients the guard rail clipped.
     pub guard_clipped: usize,
 }
 
-/// Why a validated/resumable pre-training run stopped early.
-#[derive(Debug)]
-pub enum PretrainError {
-    /// The guard rail aborted on a divergence incident.
-    Divergence(DivergenceError),
-    /// Writing or recovering a checkpoint failed.
-    Checkpoint(CheckpointError),
+/// The episodes validation scores: prompts from the train partition,
+/// queries from the valid one. They are sampled once, from their own RNG,
+/// so every snapshot is scored on the same episodes and the training
+/// episode stream never sees a draw.
+struct HeldOut {
+    ways: usize,
+    /// Each episode's fused batch, prompt labels and query labels.
+    episodes: Vec<(SubgraphBatch, Vec<usize>, Vec<usize>)>,
 }
 
-impl std::fmt::Display for PretrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PretrainError::Divergence(e) => write!(f, "training diverged: {e}"),
-            PretrainError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PretrainError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PretrainError::Divergence(e) => Some(e),
-            PretrainError::Checkpoint(e) => Some(e),
-        }
-    }
-}
-
-impl From<DivergenceError> for PretrainError {
-    fn from(e: DivergenceError) -> Self {
-        PretrainError::Divergence(e)
-    }
-}
-
-impl From<CheckpointError> for PretrainError {
-    fn from(e: CheckpointError) -> Self {
-        PretrainError::Checkpoint(e)
-    }
-}
-
-/// Where and how often [`pretrain_resumable`] persists trainer state.
-#[derive(Clone, Debug)]
-pub struct CheckpointConfig {
-    /// Directory holding `ckpt-<step>.gpck` files (created if missing).
-    pub dir: PathBuf,
-    /// Persist trainer state every this many steps (also at run end).
-    pub every: usize,
-    /// Retain only the newest `keep_last` checkpoints (0 keeps all).
-    pub keep_last: usize,
-    /// Scan `dir` for the newest *valid* checkpoint and continue from it.
-    pub resume: bool,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint into `dir` every 100 steps, keeping the last 3.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            every: 100,
-            keep_last: 3,
-            resume: false,
-        }
-    }
-}
-
-/// As [`pretrain`], additionally evaluating held-out episodes (drawn from
-/// the valid partition) every `validate_every` steps and restoring the
-/// best-validation snapshot at the end — the checkpoint-selection practice
-/// the paper follows ("we checkpoint the model every 500 steps", §V-A4).
-///
-/// Crash-safe: when `ckpt` is set, the full trainer state (parameters,
-/// optimizer moments, best-validation snapshot, curve, guard window) is
-/// written atomically as a GPCK v2 trainer checkpoint every
-/// [`CheckpointConfig::every`] steps, old files are pruned to
-/// [`CheckpointConfig::keep_last`], and with
-/// [`CheckpointConfig::resume`] the run continues from the newest valid
-/// checkpoint — corrupt ones are skipped and reported, and the resumed
-/// run's curve and final parameters are bit-identical to an uninterrupted
-/// run with the same configuration.
-pub fn pretrain_resumable(
-    model: &mut GraphPrompterModel,
-    dataset: &Dataset,
-    cfg: &PretrainConfig,
-    stages: StageConfig,
-    validate_every: usize,
-    valid_episodes: usize,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<PretrainReport, PretrainError> {
-    assert!(validate_every > 0, "validate_every must be positive");
-    let total = cfg.steps;
-    let mut opt = AdamW::new(cfg.lr, cfg.weight_decay);
-    let mut guard = cfg.guard.clone().map(GuardRail::new);
-    let mut done = 0usize;
-    let mut best_acc = f32::NEG_INFINITY;
-    let mut best_step = 0usize;
-    let mut best_snapshot = model.store.snapshot();
-    let mut curve = TrainingCurve::default();
-    let mut resumed_from = None;
-    let mut skipped_checkpoints = Vec::new();
-
-    if let Some(c) = ckpt {
-        std::fs::create_dir_all(&c.dir).map_err(CheckpointError::from)?;
-        if c.resume {
-            let scan = checkpoint::scan_for_recovery(&c.dir);
-            skipped_checkpoints = scan
-                .skipped
-                .into_iter()
-                .map(|(p, e)| (p, e.to_string()))
-                .collect();
-            if let Some((step, _, saved, meta)) = scan.recovered {
-                if *saved.config() != *model.config() {
-                    return Err(CheckpointError::ShapeMismatch(
-                        "checkpoint was trained with a different model configuration".into(),
+impl HeldOut {
+    fn sample(model: &GraphPrompterModel, dataset: &Dataset, cfg: &PretrainConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xa111);
+        let sampler = RandomWalkSampler::new(cfg.sampler);
+        let ways = cfg.ways.min(dataset.num_classes);
+        let episodes = (0..VALID_EPISODES)
+            .map(|_| {
+                let ep = sample_few_shot_from_splits(
+                    dataset,
+                    Split::Train,
+                    Split::Valid,
+                    ways,
+                    cfg.shots,
+                    cfg.queries,
+                    &mut rng,
+                );
+                let (p_points, p_labels): (Vec<_>, Vec<_>) = ep.candidates.iter().copied().unzip();
+                let (q_points, q_labels): (Vec<_>, Vec<_>) = ep.queries.iter().copied().unzip();
+                let mut subgraphs = |points: &[DataPoint]| {
+                    sample_datapoint_subgraphs(
+                        &dataset.graph,
+                        &sampler,
+                        points,
+                        dataset.task,
+                        &mut rng,
                     )
-                    .into());
-                }
-                *model = saved;
-                opt.restore_state(&meta.optim);
-                if let Some(g) = guard.as_mut() {
-                    g.restore_window(&meta.guard_window);
-                }
-                done = meta.step.min(total);
-                best_acc = meta.best_acc;
-                best_step = meta.best_step;
-                best_snapshot = meta.best_params;
-                curve = meta.curve;
-                resumed_from = Some(step);
-            }
-        }
-    }
-
-    while done < total {
-        // Chunk boundaries are deterministic functions of the cadences, so
-        // an interrupted run and an uninterrupted one reseed the episode
-        // stream at exactly the same steps.
-        let mut boundary = done + validate_every - done % validate_every;
-        if let Some(c) = ckpt {
-            let every = c.every.max(1);
-            boundary = boundary.min(done + every - done % every);
-        }
-        let boundary = boundary.min(total);
-        let mut chunk_cfg = cfg.clone();
-        chunk_cfg.steps = boundary - done;
-        // Advance the episode stream deterministically across chunks.
-        chunk_cfg.seed = cfg.seed.wrapping_add(done as u64);
-        let part = pretrain_steps(
-            model,
-            dataset,
-            &chunk_cfg,
-            stages,
-            &mut opt,
-            guard.as_mut(),
-            done,
-        )?;
-        for (i, &s) in part.steps.iter().enumerate() {
-            curve.steps.push(done + s);
-            curve.loss.push(part.loss[i]);
-            curve.accuracy.push(part.accuracy[i]);
-        }
-        done = boundary;
-
-        if done.is_multiple_of(validate_every) || done == total {
-            let acc = validation_accuracy(model, dataset, cfg, stages, valid_episodes, done as u64);
-            if acc > best_acc {
-                best_acc = acc;
-                best_step = done;
-                best_snapshot = model.store.snapshot();
-            }
-        }
-
-        if let Some(c) = ckpt {
-            if done.is_multiple_of(c.every.max(1)) || done == total {
-                let meta = TrainerMeta {
-                    step: done,
-                    best_acc,
-                    best_step,
-                    best_params: best_snapshot.clone(),
-                    optim: opt.state(),
-                    curve: curve.clone(),
-                    guard_window: guard.as_ref().map(GuardRail::window).unwrap_or_default(),
                 };
-                let path = c.dir.join(checkpoint::checkpoint_file_name(done));
-                {
-                    let _span = CHECKPOINT_WRITE_MICROS.span();
-                    checkpoint::save_trainer_checkpoint(&path, model, &meta)?;
-                }
-                if c.keep_last > 0 {
-                    checkpoint::prune_checkpoints(&c.dir, c.keep_last);
-                }
-            }
+                let p_sgs = subgraphs(&p_points);
+                let q_sgs = subgraphs(&q_points);
+                let batch = episode_batch(model, &dataset.graph, &p_sgs, &q_sgs);
+                (batch, p_labels, q_labels)
+            })
+            .collect();
+        Self { ways, episodes }
+    }
+
+    /// Share of the held-out queries `model` classifies correctly.
+    fn accuracy(&self, model: &GraphPrompterModel, stages: StageConfig) -> f32 {
+        let mut correct = 0usize;
+        let mut total = 0usize;
+        for (batch, p_labels, q_labels) in &self.episodes {
+            let mut ev = Eval::new(&model.store);
+            let logits = episode_logits(model, &mut ev, batch, p_labels, self.ways, stages);
+            correct += count_correct(&logits, q_labels);
+            total += q_labels.len();
         }
+        correct as f32 / total.max(1) as f32
     }
-
-    model
-        .store
-        .try_restore(&best_snapshot)
-        .map_err(|e| CheckpointError::ShapeMismatch(e.to_string()))?;
-    Ok(PretrainReport {
-        curve,
-        best_acc,
-        best_step,
-        resumed_from,
-        skipped_checkpoints,
-        guard_skipped: guard.as_ref().map_or(0, |g| g.skipped),
-        guard_clipped: guard.as_ref().map_or(0, |g| g.clipped),
-    })
-}
-
-/// Mean accuracy over `episodes` held-out episodes (prompts from train,
-/// queries from valid) under the current parameters.
-fn validation_accuracy(
-    model: &GraphPrompterModel,
-    dataset: &Dataset,
-    cfg: &PretrainConfig,
-    stages: StageConfig,
-    episodes: usize,
-    salt: u64,
-) -> f32 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xa111 ^ salt);
-    let sampler = RandomWalkSampler::new(cfg.sampler);
-    let ways = cfg.ways.min(dataset.num_classes);
-    let mut correct = 0usize;
-    let mut totals = 0usize;
-    for _ in 0..episodes.max(1) {
-        let ep = sample_few_shot_from_splits(
-            dataset,
-            Split::Train,
-            Split::Valid,
-            ways,
-            cfg.shots,
-            cfg.queries,
-            &mut rng,
-        );
-        let (p_points, p_labels): (Vec<_>, Vec<_>) = ep.candidates.iter().copied().unzip();
-        let (q_points, q_labels): (Vec<_>, Vec<_>) = ep.queries.iter().copied().unzip();
-        let p_sgs =
-            sample_datapoint_subgraphs(&dataset.graph, &sampler, &p_points, dataset.task, &mut rng);
-        let q_sgs =
-            sample_datapoint_subgraphs(&dataset.graph, &sampler, &q_points, dataset.task, &mut rng);
-        let batch = episode_batch(model, &dataset.graph, &p_sgs, &q_sgs);
-        let mut ev = Eval::new(&model.store);
-        let logits = episode_logits(model, &mut ev, &batch, &p_labels, ways, stages);
-        correct += count_correct(&logits, &q_labels);
-        totals += q_labels.len();
-    }
-    correct as f32 / totals.max(1) as f32
 }
 
 /// Run Alg. 1: pre-train `model` on `dataset` and return the training
@@ -464,34 +269,51 @@ pub fn try_pretrain(
     cfg: &PretrainConfig,
     stages: StageConfig,
 ) -> Result<TrainingCurve, DivergenceError> {
-    let mut opt = AdamW::new(cfg.lr, cfg.weight_decay);
-    let mut guard = cfg.guard.clone().map(GuardRail::new);
-    pretrain_steps(model, dataset, cfg, stages, &mut opt, guard.as_mut(), 0)
+    pretrain_loop(model, dataset, cfg, stages, None).map(|report| report.curve)
 }
 
-/// The inner training loop: runs `cfg.steps` optimization steps against a
-/// caller-owned optimizer (so moments survive across chunks on resume) and
-/// an optional guard rail. `step_offset` is the absolute index of this
-/// chunk's first step, used for guard diagnostics; the returned curve's
-/// step indices stay chunk-relative.
-fn pretrain_steps(
+/// As [`try_pretrain`], also scoring held-out episodes (queries from the
+/// valid partition) after every `validate_every` steps and after the last
+/// step, then restoring the best-scoring snapshot: the checkpoint
+/// selection the paper follows ("we checkpoint the model every 500
+/// steps", §V-A4). Ties keep the earlier snapshot.
+///
+/// Validation only observes the run: the curve is [`try_pretrain`]'s,
+/// and the restored parameters are those of a plain `best_step`-step run.
+pub fn try_pretrain_validated(
     model: &mut GraphPrompterModel,
     dataset: &Dataset,
     cfg: &PretrainConfig,
     stages: StageConfig,
-    opt: &mut AdamW,
-    mut guard: Option<&mut GuardRail>,
-    step_offset: usize,
-) -> Result<TrainingCurve, DivergenceError> {
+    validate_every: NonZeroUsize,
+) -> Result<PretrainReport, DivergenceError> {
+    pretrain_loop(model, dataset, cfg, stages, Some(validate_every))
+}
+
+/// The training loop behind every entry point: `cfg.steps` optimization
+/// steps under an optional guard rail. Without `validate_every` it scores
+/// nothing and takes no snapshot.
+fn pretrain_loop(
+    model: &mut GraphPrompterModel,
+    dataset: &Dataset,
+    cfg: &PretrainConfig,
+    stages: StageConfig,
+    validate_every: Option<NonZeroUsize>,
+) -> Result<PretrainReport, DivergenceError> {
+    let mut opt = AdamW::new(cfg.lr, cfg.weight_decay);
+    let mut guard = cfg.guard.clone().map(GuardRail::new);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let sampler = RandomWalkSampler::new(cfg.sampler);
     let mut curve = TrainingCurve::default();
+    let validation =
+        validate_every.map(|every| (every.get(), HeldOut::sample(model, dataset, cfg)));
+    // Accuracy, step and parameters of the best-scoring snapshot.
+    let mut best: Option<(f32, usize, Vec<Tensor>)> = None;
 
     let ways = cfg.ways.min(dataset.num_classes);
     for step in 0..cfg.steps {
-        let _step_span = STEP_MICROS.span();
+        let step_span = STEP_MICROS.span();
         let mut sess = Session::new(&model.store);
-
         // Multi-Task episode (Eq. 13): real labels, few-shot prompt format.
         let mt = sample_few_shot_from_splits(
             dataset,
@@ -583,27 +405,21 @@ fn pretrain_steps(
             LOSS_MILLI.record_f64(f64::from(loss_value) * 1000.0);
             GRAD_NORM_MILLI.record_f64(f64::from(crate::guard::grad_l2_norm(&grads)) * 1000.0);
         }
-        let abs_step = step_offset + step;
         let mut apply = true;
-        if let Some(rail) = guard.as_deref_mut() {
-            match rail.check(abs_step, loss_value, &mut grads)? {
+        if let Some(rail) = guard.as_mut() {
+            match rail.check(step, loss_value, &mut grads)? {
                 StepVerdict::Proceed => {}
                 StepVerdict::Skip(_) => apply = false,
             }
         }
         if apply {
-            if guard.is_some() {
+            if let Some(rail) = guard.as_mut() {
                 // Guarded runs keep a pre-step snapshot so an update that
                 // still yields non-finite weights can be rolled back.
                 let pre = model.store.snapshot();
                 opt.step(&mut model.store, &grads);
                 let finite = model.store.iter().all(|(_, t)| t.all_finite());
-                #[expect(
-                    clippy::expect_used,
-                    reason = "this branch runs only when guard.is_some()"
-                )]
-                let rail = guard.as_deref_mut().expect("guard checked above");
-                if let Some(err) = rail.after_step(abs_step, finite) {
+                if let Some(err) = rail.after_step(step, finite) {
                     model.store.restore(&pre);
                     if rail.config().action == GuardAction::Abort {
                         return Err(err);
@@ -621,8 +437,33 @@ fn pretrain_steps(
                 .accuracy
                 .push(mt_correct as f32 / mt_total.max(1) as f32);
         }
+        drop(step_span);
+
+        let done = step + 1;
+        if let Some((every, held_out)) = &validation {
+            if done.is_multiple_of(*every) || done == cfg.steps {
+                let acc = held_out.accuracy(model, stages);
+                if best.as_ref().is_none_or(|&(best_acc, ..)| acc > best_acc) {
+                    best = Some((acc, done, model.store.snapshot()));
+                }
+            }
+        }
     }
-    Ok(curve)
+
+    let (best_acc, best_step) = match best {
+        Some((acc, step, params)) => {
+            model.store.restore(&params);
+            (acc, step)
+        }
+        None => (f32::NEG_INFINITY, 0),
+    };
+    Ok(PretrainReport {
+        curve,
+        best_acc,
+        best_step,
+        guard_skipped: guard.as_ref().map_or(0, |g| g.skipped),
+        guard_clipped: guard.as_ref().map_or(0, |g| g.clipped),
+    })
 }
 
 #[cfg(test)]
@@ -707,41 +548,55 @@ mod tests {
     #[test]
     fn validation_pretraining_restores_best_snapshot() {
         let ds = CitationConfig::new("t", 300, 5, 25).generate();
-        let mut model = GraphPrompterModel::new(ModelConfig {
-            embed_dim: 16,
-            hidden_dim: 24,
-            ..ModelConfig::default()
-        });
-        let report = pretrain_resumable(
-            &mut model,
-            &ds,
-            &quick_cfg(40),
-            StageConfig::full(),
-            20,
-            2,
-            None,
-        )
-        .expect("unguarded pretraining cannot fail");
-        assert!(report.curve.loss.iter().all(|l| l.is_finite()));
-        let best = report.best_acc;
-        assert!((0.0..=1.0).contains(&best), "best acc {best}");
-        // The snapshot's step index must be one of the validation points.
+        let mk = || {
+            GraphPrompterModel::new(ModelConfig {
+                embed_dim: 16,
+                hidden_dim: 24,
+                ..ModelConfig::default()
+            })
+        };
+        let cfg = quick_cfg(40);
+        let every = NonZeroUsize::new(10).unwrap();
+        let mut validated = mk();
+        let report = try_pretrain_validated(&mut validated, &ds, &cfg, StageConfig::full(), every)
+            .expect("unguarded pretraining cannot fail");
         assert!(
-            report.best_step.is_multiple_of(20) && report.best_step <= 40,
+            (0.0..=1.0).contains(&report.best_acc),
+            "{}",
+            report.best_acc
+        );
+        // On this data an earlier snapshot wins, so the restore moves the
+        // weights away from the last step's.
+        assert!(
+            report.best_step.is_multiple_of(10) && (10..40).contains(&report.best_step),
             "{}",
             report.best_step
         );
-        assert!(report.resumed_from.is_none());
-        // The restored parameters must reproduce the best validation
-        // accuracy exactly (same seed & salt ⇒ same episodes).
-        // A weaker but robust check: the model is usable for inference.
-        let cfg = crate::config::InferenceConfig {
-            shots: 2,
-            candidates_per_class: 4,
-            ..crate::config::InferenceConfig::default()
+
+        // Validation only observes: the curve is the plain run's.
+        let mut plain = mk();
+        let curve = try_pretrain(&mut plain, &ds, &cfg, StageConfig::full()).unwrap();
+        let bits = |c: &TrainingCurve| {
+            let loss = c.loss.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            let acc = c.accuracy.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            (c.steps.clone(), loss, acc)
         };
-        let acc = crate::infer::evaluate_episode(&model, &ds, 3, 8, &cfg, None, 0);
-        assert!((0.0..=100.0).contains(&acc), "accuracy {acc}%");
+        assert_eq!(bits(&report.curve), bits(&curve));
+
+        // The restored snapshot is a plain run of `best_step` steps.
+        let mut at_best = mk();
+        let best_cfg = PretrainConfig {
+            steps: report.best_step,
+            ..cfg
+        };
+        try_pretrain(&mut at_best, &ds, &best_cfg, StageConfig::full()).unwrap();
+        let params = |m: &GraphPrompterModel| {
+            m.store
+                .iter()
+                .flat_map(|(_, t)| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(params(&validated), params(&at_best));
     }
 
     #[test]
@@ -793,38 +648,6 @@ mod tests {
             matches!(err, DivergenceError::GradNormExceeded { step: 0, .. }),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn resumable_writes_and_prunes_checkpoints() {
-        let dir = std::env::temp_dir().join(format!("gp-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ds = CitationConfig::new("t", 300, 5, 28).generate();
-        let mut model = GraphPrompterModel::new(ModelConfig {
-            embed_dim: 16,
-            hidden_dim: 24,
-            ..ModelConfig::default()
-        });
-        let ckpt = CheckpointConfig {
-            every: 10,
-            keep_last: 2,
-            ..CheckpointConfig::new(&dir)
-        };
-        let report = pretrain_resumable(
-            &mut model,
-            &ds,
-            &quick_cfg(30),
-            StageConfig::full(),
-            15,
-            2,
-            Some(&ckpt),
-        )
-        .unwrap();
-        assert!(report.curve.loss.iter().all(|l| l.is_finite()));
-        let found = checkpoint::list_checkpoints(&dir);
-        let steps: Vec<usize> = found.iter().map(|(s, _)| *s).collect();
-        assert_eq!(steps, vec![20, 30], "retention should keep the newest 2");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

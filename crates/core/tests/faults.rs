@@ -1,24 +1,16 @@
-//! Fault-injection harness for the GPCK v2 checkpoint subsystem.
+//! Fault-injection harness for the GPCK v2 model files and GPES
+//! embedding shards.
 //!
-//! Simulates the ways checkpoints die in the wild — truncated writes,
-//! bit rot at arbitrary offsets, processes killed mid-run, stale temp
-//! files — and asserts that (a) corruption is always detected as a typed
-//! [`CheckpointError`], never a panic or a silently-wrong model, and
-//! (b) a killed-and-resumed pre-training run reproduces the uninterrupted
-//! run bit for bit.
+//! Simulates the ways files die in the wild — truncated writes, bit rot
+//! at arbitrary offsets, a writer killed mid-write — and asserts that
+//! corruption is always detected as a typed [`CheckpointError`], never a
+//! panic or a silently-wrong model, and that a crashed write never costs
+//! the file already under the final name.
 
 use std::path::{Path, PathBuf};
 
-use gp_core::checkpoint::{
-    checkpoint_file_name, list_checkpoints, load_trainer_checkpoint, read_container, save_model,
-    save_trainer_checkpoint, save_trainer_checkpoint_faulty, scan_for_recovery, TrainerMeta,
-    WriteFault,
-};
-use gp_core::{
-    pretrain_resumable, CheckpointConfig, GraphPrompterModel, ModelConfig, PretrainConfig,
-    StageConfig, TrainingCurve,
-};
-use gp_datasets::CitationConfig;
+use gp_core::checkpoint::{read_container, save_model, write_container_faulty, WriteFault};
+use gp_core::{GraphPrompterModel, ModelConfig};
 use gp_graph::SamplerConfig;
 use gp_tensor::rng::check;
 
@@ -36,33 +28,6 @@ fn tiny_model_cfg(embed: usize, hidden: usize, seed: u64) -> ModelConfig {
         seed,
         ..ModelConfig::default()
     }
-}
-
-fn tiny_pretrain_cfg(steps: usize) -> PretrainConfig {
-    PretrainConfig {
-        steps,
-        ways: 3,
-        shots: 2,
-        queries: 3,
-        nm_ways: 3,
-        nm_shots: 2,
-        nm_queries: 3,
-        log_every: 5,
-        sampler: SamplerConfig {
-            hops: 1,
-            max_nodes: 10,
-            neighbors_per_node: 5,
-        },
-        ..PretrainConfig::default()
-    }
-}
-
-fn curve_bits(c: &TrainingCurve) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
-    (
-        c.steps.clone(),
-        c.loss.iter().map(|l| l.to_bits()).collect(),
-        c.accuracy.iter().map(|a| a.to_bits()).collect(),
-    )
 }
 
 fn param_bits(m: &GraphPrompterModel) -> Vec<Vec<u32>> {
@@ -134,24 +99,19 @@ fn any_single_byte_corruption_is_detected() {
 
 /// A file cut off at any point must load as a typed error, never hang
 /// or panic — the torn-write scenario atomic renames protect against,
-/// still exercised in case a checkpoint is copied around by hand.
+/// still exercised in case a model file is copied around by hand.
 #[test]
 fn any_truncation_is_detected() {
     check(24, |rng| {
         let model = GraphPrompterModel::new(tiny_model_cfg(6, 8, rng.next_u64()));
         let dir = tmpdir("cut");
-        let path = dir.join(checkpoint_file_name(10));
-        let meta = TrainerMeta {
-            step: 10,
-            best_params: model.store.snapshot(),
-            ..TrainerMeta::default()
-        };
-        save_trainer_checkpoint(&path, &model, &meta).unwrap();
+        let path = dir.join("m.gpck");
+        save_model(&path, &model).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = rng.gen_range(0..bytes.len());
         std::fs::write(&path, &bytes[..cut]).unwrap();
         assert!(
-            load_trainer_checkpoint(&path).is_err(),
+            GraphPrompterModel::load(&path).is_err(),
             "cut at {} undetected",
             cut
         );
@@ -160,286 +120,56 @@ fn any_truncation_is_detected() {
 }
 
 // ---------------------------------------------------------------------------
-// Kill/resume integration tests.
+// Crash injection inside the atomic writer.
 // ---------------------------------------------------------------------------
 
-/// The tentpole guarantee: a run killed at a checkpoint boundary and
-/// resumed reproduces the uninterrupted run bit for bit — same curve,
-/// same best snapshot, same final parameters.
-#[test]
-fn resumed_run_is_bit_identical_to_uninterrupted() {
-    let ds = CitationConfig::new("t", 300, 5, 31).generate();
-    let mk = || GraphPrompterModel::new(tiny_model_cfg(16, 24, 0));
-
-    // Uninterrupted reference run: 40 steps, checkpoint+validate every 10.
-    let dir_a = tmpdir("resume_a");
-    let mut model_a = mk();
-    let ckpt_a = CheckpointConfig {
-        every: 10,
-        keep_last: 0,
-        ..CheckpointConfig::new(&dir_a)
-    };
-    let report_a = pretrain_resumable(
-        &mut model_a,
-        &ds,
-        &tiny_pretrain_cfg(40),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt_a),
-    )
-    .unwrap();
-
-    // "Killed" run: the same configuration stopped after 20 steps — the
-    // checkpoint at step 20 is written before the end-of-run best-snapshot
-    // restore, so it is exactly the mid-run trainer state.
-    let dir_b = tmpdir("resume_b");
-    let mut model_b = mk();
-    let ckpt_b = CheckpointConfig {
-        every: 10,
-        keep_last: 0,
-        ..CheckpointConfig::new(&dir_b)
-    };
-    pretrain_resumable(
-        &mut model_b,
-        &ds,
-        &tiny_pretrain_cfg(20),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt_b),
-    )
-    .unwrap();
-
-    // Resume with the full step budget from the step-20 checkpoint.
-    let mut model_r = mk();
-    let ckpt_r = CheckpointConfig {
-        every: 10,
-        keep_last: 0,
-        resume: true,
-        ..CheckpointConfig::new(&dir_b)
-    };
-    let report_r = pretrain_resumable(
-        &mut model_r,
-        &ds,
-        &tiny_pretrain_cfg(40),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt_r),
-    )
-    .unwrap();
-
-    assert_eq!(report_r.resumed_from, Some(20));
-    assert_eq!(curve_bits(&report_r.curve), curve_bits(&report_a.curve));
-    assert_eq!(report_r.best_acc.to_bits(), report_a.best_acc.to_bits());
-    assert_eq!(report_r.best_step, report_a.best_step);
-    assert_eq!(param_bits(&model_r), param_bits(&model_a));
-
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
-}
-
-/// Recovery must skip a corrupted newest checkpoint and resume from the
-/// previous valid one, reporting what it skipped.
-#[test]
-fn resume_skips_corrupt_newest_checkpoint() {
-    let ds = CitationConfig::new("t", 300, 5, 32).generate();
-    let dir = tmpdir("skipcorrupt");
-    let mut model = GraphPrompterModel::new(tiny_model_cfg(16, 24, 0));
-    let ckpt = CheckpointConfig {
-        every: 10,
-        keep_last: 0,
-        ..CheckpointConfig::new(&dir)
-    };
-    pretrain_resumable(
-        &mut model,
-        &ds,
-        &tiny_pretrain_cfg(20),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt),
-    )
-    .unwrap();
-
-    // Flip a payload byte in the newest checkpoint (step 20).
-    let newest = dir.join(checkpoint_file_name(20));
-    let mut bytes = std::fs::read(&newest).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&newest, &bytes).unwrap();
-
-    let mut resumed = GraphPrompterModel::new(tiny_model_cfg(16, 24, 0));
-    let ckpt_r = CheckpointConfig {
-        resume: true,
-        ..ckpt
-    };
-    let report = pretrain_resumable(
-        &mut resumed,
-        &ds,
-        &tiny_pretrain_cfg(20),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt_r),
-    )
-    .unwrap();
-    assert_eq!(
-        report.resumed_from,
-        Some(10),
-        "must fall back to the step-10 checkpoint"
-    );
-    assert_eq!(report.skipped_checkpoints.len(), 1);
-    assert!(
-        report.skipped_checkpoints[0].1.contains("checksum"),
-        "{:?}",
-        report.skipped_checkpoints
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Debris a killed process can leave behind — stale temp files from
-/// interrupted atomic writes, an empty final-name file, junk — must not
-/// confuse directory listing or recovery.
-#[test]
-fn recovery_ignores_kill_debris() {
-    let dir = tmpdir("debris");
-    let model = GraphPrompterModel::new(tiny_model_cfg(8, 12, 9));
-    let meta = TrainerMeta {
-        step: 10,
-        best_params: model.store.snapshot(),
-        ..TrainerMeta::default()
-    };
-    save_trainer_checkpoint(&dir.join(checkpoint_file_name(10)), &model, &meta).unwrap();
-
-    // A torn temp file (interrupted before rename) and assorted junk.
-    std::fs::write(
-        dir.join(format!("{}.tmp.12345", checkpoint_file_name(20))),
-        b"torn",
-    )
-    .unwrap();
-    std::fs::write(dir.join("notes.txt"), b"hello").unwrap();
-    // A zero-byte file under a checkpoint name (e.g. `touch`ed by hand).
-    std::fs::write(dir.join(checkpoint_file_name(30)), b"").unwrap();
-
-    let listed: Vec<usize> = list_checkpoints(&dir).into_iter().map(|(s, _)| s).collect();
-    assert_eq!(listed, vec![10, 30], "temp/junk files must not be listed");
-
-    let scan = scan_for_recovery(&dir);
-    let (step, _, _, recovered_meta) = scan.recovered.expect("valid checkpoint must recover");
-    assert_eq!(step, 10);
-    assert_eq!(recovered_meta.step, 10);
-    assert_eq!(
-        scan.skipped.len(),
-        1,
-        "only the empty ckpt-30 file is skipped"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Injected crashes inside the atomic writer itself — mid-`write` before
-/// any fsync, and between fsync and rename — must leave the newest valid
-/// checkpoint recoverable and must never surface a partial file under a
-/// final checkpoint name.
+/// any fsync, and between fsync and rename — must leave the old model
+/// file under the final name loadable bit for bit, and must never surface
+/// a partial file there.
 #[test]
 fn injected_writer_crash_never_loses_newest_valid_checkpoint() {
     let dir = tmpdir("faultywrite");
-    let model = GraphPrompterModel::new(tiny_model_cfg(8, 12, 9));
-    let meta_at = |step: usize| TrainerMeta {
-        step,
-        best_params: model.store.snapshot(),
-        ..TrainerMeta::default()
-    };
-    save_trainer_checkpoint(&dir.join(checkpoint_file_name(10)), &model, &meta_at(10)).unwrap();
+    let path = dir.join("m.gpck");
+    let old = GraphPrompterModel::new(tiny_model_cfg(8, 12, 9));
+    let new = GraphPrompterModel::new(tiny_model_cfg(8, 12, 10));
+    assert_ne!(param_bits(&old), param_bits(&new));
+    // The new model's payload, as `save_model` would write it.
+    let staged = dir.join("staged.gpck");
+    save_model(&staged, &new).unwrap();
+    let new_payload = read_container(&staged).unwrap();
+    save_model(&path, &old).unwrap();
 
     for fault in [WriteFault::TornWrite, WriteFault::BeforeRename] {
-        let newer = dir.join(checkpoint_file_name(20));
-        let err = save_trainer_checkpoint_faulty(&newer, &model, &meta_at(20), fault)
+        let err = write_container_faulty(&path, &new_payload, fault)
             .expect_err("an injected crash must report failure");
         assert!(err.to_string().contains("injected fault"), "{err}");
-
-        // The final name must not exist at all: the crash happened before
-        // the rename, so there is nothing — partial or whole — to load.
-        assert!(
-            !newer.exists(),
-            "{fault:?} must never materialize the final checkpoint name"
-        );
-        let listed: Vec<usize> = list_checkpoints(&dir).into_iter().map(|(s, _)| s).collect();
-        assert_eq!(listed, vec![10], "{fault:?} residue must not be listed");
-
-        let scan = scan_for_recovery(&dir);
-        let (step, _, _, meta) = scan.recovered.expect("step 10 must survive the crash");
-        assert_eq!(
-            (step, meta.step),
-            (10, 10),
-            "{fault:?} lost the newest valid checkpoint"
-        );
-        assert!(
-            scan.skipped.is_empty(),
-            "{fault:?} residue reached recovery"
-        );
+        // The crash happened before the rename: the final name still
+        // holds the old file, whole.
+        let loaded = GraphPrompterModel::load(&path)
+            .unwrap_or_else(|e| panic!("{fault:?} lost the old model file: {e}"));
+        assert_eq!(param_bits(&loaded), param_bits(&old), "{fault:?}");
     }
 
     // The post-fsync orphan temp file is a *complete* container (that is
-    // what "synced before rename" means) — recovery just never looks at
-    // temp names, so it cannot be half-adopted.
-    let orphan = dir.join(format!(
-        "{}.tmp.{}",
-        checkpoint_file_name(20),
-        std::process::id()
-    ));
+    // what "synced before rename" means), holding the new model.
+    let orphan = dir.join(format!("m.gpck.tmp.{}", std::process::id()));
     assert!(orphan.exists(), "BeforeRename must leave its temp file");
-    read_container(&orphan).expect("the synced orphan is internally complete");
+    assert_eq!(
+        read_container(&orphan).expect("the synced orphan is internally complete"),
+        new_payload
+    );
+    assert_eq!(
+        param_bits(&GraphPrompterModel::load(&orphan).unwrap()),
+        param_bits(&new)
+    );
 
-    // A later healthy write at the same step goes through cleanly and
-    // becomes the recovery target.
-    save_trainer_checkpoint(&dir.join(checkpoint_file_name(20)), &model, &meta_at(20)).unwrap();
-    let scan = scan_for_recovery(&dir);
-    assert_eq!(scan.recovered.expect("recovers").0, 20);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Resuming against a model built with a different architecture must be a
-/// typed error, not a silent shape-corrupted merge.
-#[test]
-fn resume_rejects_mismatched_model_config() {
-    let ds = CitationConfig::new("t", 300, 5, 33).generate();
-    let dir = tmpdir("mismatch");
-    let mut model = GraphPrompterModel::new(tiny_model_cfg(16, 24, 0));
-    let ckpt = CheckpointConfig {
-        every: 10,
-        keep_last: 0,
-        ..CheckpointConfig::new(&dir)
-    };
-    pretrain_resumable(
-        &mut model,
-        &ds,
-        &tiny_pretrain_cfg(10),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt),
-    )
-    .unwrap();
-
-    // Different embed width: the checkpoint must be refused.
-    let mut other = GraphPrompterModel::new(tiny_model_cfg(8, 24, 0));
-    let ckpt_r = CheckpointConfig {
-        resume: true,
-        ..ckpt
-    };
-    let err = pretrain_resumable(
-        &mut other,
-        &ds,
-        &tiny_pretrain_cfg(10),
-        StageConfig::full(),
-        10,
-        2,
-        Some(&ckpt_r),
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("configuration"), "{err}");
+    // A later healthy write goes through cleanly.
+    save_model(&path, &new).unwrap();
+    assert_eq!(
+        param_bits(&GraphPrompterModel::load(&path).unwrap()),
+        param_bits(&new)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -32,7 +32,7 @@ pub mod task_graph;
 pub use forward::{Eval, Forward, RowMap};
 pub use gnn::{EncodeGraph, Gat, Gcn, GnnEncoder, GraphSage};
 pub use linear::{Activation, Linear, Mlp};
-pub use optim::{AdamW, OptimState, Optimizer, Sgd};
+pub use optim::{AdamW, Optimizer, Sgd};
 pub use params::{ParamError, ParamId, ParamStore};
 pub use session::Session;
 pub use task_graph::TaskGraphAttention;

@@ -14,32 +14,6 @@ pub trait Optimizer {
     fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]);
 }
 
-/// Serializable snapshot of an Adam-family optimizer's mutable state
-/// (step counter plus first/second moments), keyed by parameter index.
-///
-/// Entries are sorted by parameter index so the encoding is deterministic;
-/// restoring a state and continuing training is bit-identical to never
-/// having paused (moment tensors round-trip exactly through `f32` bytes).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct OptimState {
-    /// Number of steps taken so far (`t` in the Adam bias correction).
-    pub t: u64,
-    /// First-moment estimates, `(param_index, m)` sorted by index.
-    pub m: Vec<(usize, Tensor)>,
-    /// Second-moment estimates, `(param_index, v)` sorted by index.
-    pub v: Vec<(usize, Tensor)>,
-}
-
-fn sorted_moments(map: &HashMap<usize, Tensor>) -> Vec<(usize, Tensor)> {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "collected then sorted by param index on the next line, so map order never escapes"
-    )]
-    let mut out: Vec<(usize, Tensor)> = map.iter().map(|(k, t)| (*k, t.clone())).collect();
-    out.sort_by_key(|(k, _)| *k);
-    out
-}
-
 /// Plain SGD.
 pub struct Sgd {
     /// Learning rate.
@@ -93,24 +67,6 @@ impl AdamW {
             m: HashMap::new(),
             v: HashMap::new(),
         }
-    }
-
-    /// Export the mutable state (step counter + moments) for checkpointing.
-    pub fn state(&self) -> OptimState {
-        OptimState {
-            t: self.t,
-            m: sorted_moments(&self.m),
-            v: sorted_moments(&self.v),
-        }
-    }
-
-    /// Restore state exported with [`AdamW::state`], replacing any
-    /// accumulated moments. Resuming from a restored state reproduces the
-    /// exact update sequence of an uninterrupted run.
-    pub fn restore_state(&mut self, state: &OptimState) {
-        self.t = state.t;
-        self.m = state.m.iter().map(|(k, t)| (*k, t.clone())).collect();
-        self.v = state.v.iter().map(|(k, t)| (*k, t.clone())).collect();
     }
 }
 
@@ -188,41 +144,6 @@ mod tests {
         // Weight decay biases slightly toward 0; allow a loose tolerance.
         let w = converges(AdamW::new(0.05, 1e-3));
         assert!((w - 3.0).abs() < 0.1, "w = {w}");
-    }
-
-    #[test]
-    fn adamw_state_roundtrip_resumes_bit_identically() {
-        // Train 10 steps, snapshot, train 10 more; versus snapshot-restore
-        // into a fresh optimizer and train the same 10: bit-identical.
-        let run = |resume: bool| -> f32 {
-            let mut store = ParamStore::new();
-            let w = store.add("w", Tensor::scalar(0.0));
-            let mut opt = AdamW::new(0.05, 1e-3);
-            let step = |opt: &mut AdamW, store: &mut ParamStore| {
-                let mut sess = Session::new(store);
-                let wv = sess.param(w);
-                let target = sess.data(Tensor::scalar(3.0));
-                let diff = sess.tape.sub(wv, target);
-                let sq = sess.tape.mul(diff, diff);
-                let loss = sess.tape.sum_all(sq);
-                let (_, grads) = sess.grads(loss);
-                opt.step(store, &grads);
-            };
-            for _ in 0..10 {
-                step(&mut opt, &mut store);
-            }
-            if resume {
-                let state = opt.state();
-                let mut fresh = AdamW::new(0.05, 1e-3);
-                fresh.restore_state(&state);
-                opt = fresh;
-            }
-            for _ in 0..10 {
-                step(&mut opt, &mut store);
-            }
-            store.get(w).item()
-        };
-        assert_eq!(run(false).to_bits(), run(true).to_bits());
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! ```text
 //! gp datasets                               # preset statistics
 //! gp pretrain  --source wiki --steps 400 --out model.gpck
-//!              [--checkpoint-dir ./ckpts] [--checkpoint-every 100]
-//!              [--keep-last 3] [--validate-every 100] [--resume]
+//!              [--validate-every 100]     # keep the best held-out snapshot
 //! gp evaluate  --model model.gpck --dataset fb15k237 --ways 10 [--episodes 5]
 //!              [--prodigy]                  # random-selection baseline stages
 //! gp episode   --model model.gpck --dataset conceptnet --ways 4 [--seed 7]
 //!              # pretrain/evaluate/episode/serve also take
 //!              # --backend {reference,fast} (default reference)
 //! gp export    --dataset arxiv --dir ./my_arxiv       # dump to TSV
-//! gp inspect   model.gpck                   # validate + describe a checkpoint
+//! gp inspect   model.gpck                   # validate + describe a model file
 //! gp serve     --dataset wiki [--model model.gpck] [--addr 127.0.0.1:7431]
 //!              [--workers 4] [--queue 64] [--deadline-ms 30000]
 //!              [--max-sessions 64] [--threads 2]
@@ -61,17 +60,20 @@
 //! the `gp-obs` registry. Collection is off unless one of the flags is
 //! given, and enabling it never changes any result (asserted in tests).
 //!
-//! With `--checkpoint-dir`, `pretrain` runs crash-safe: full trainer state
-//! is written atomically every `--checkpoint-every` steps and `--resume`
-//! continues from the newest valid checkpoint (corrupt files are skipped
-//! and reported).
+//! With `--validate-every N`, `pretrain` scores held-out episodes after
+//! every `N` steps and after the last, and writes the best-scoring
+//! snapshot (the paper's checkpoint selection, §V-A4). Validation only
+//! observes: the file equals a plain run of the reported best step. Model
+//! files are GPCK v2 (checksummed, written atomically).
 //!
 //! Dataset names: mag240m, wiki, arxiv, conceptnet, fb15k237, nell.
 
+use std::num::NonZeroUsize;
+
 use gp_tensor::rng::StdRng;
 use graphprompter::core::{
-    inspect_checkpoint, pretrain_resumable, CheckpointConfig, CheckpointKind, GraphPrompterModel,
-    InferenceConfig, ModelConfig, PretrainConfig, StageConfig,
+    inspect_checkpoint, GraphPrompterModel, InferenceConfig, ModelConfig, PretrainConfig,
+    StageConfig,
 };
 use graphprompter::datasets::{presets, sample_few_shot_task, Dataset, Task};
 use graphprompter::eval::{ConfusionMatrix, MeanStd, Table};
@@ -277,12 +279,9 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
             "--seed",
             "--threads",
             "--backend",
-            "--checkpoint-dir",
-            "--checkpoint-every",
-            "--keep-last",
             "--validate-every",
         ],
-        &["--resume"],
+        &[],
     )?;
     let source = flag(args, "--source").ok_or("missing --source <dataset>")?;
     let out = flag(args, "--out").unwrap_or_else(|| "model.gpck".into());
@@ -294,19 +293,26 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
         .unwrap_or_else(|| "0".into())
         .parse()
         .map_err(|_| "--seed must be an integer")?;
+    let validate_every = flag(args, "--validate-every")
+        .map(|s| {
+            s.parse()
+                .ok()
+                .and_then(NonZeroUsize::new)
+                .ok_or("--validate-every must be a positive integer")
+        })
+        .transpose()?;
 
     let ds = dataset_by_name(&source, seed)?;
-    let cfg = PretrainConfig {
-        steps,
-        seed,
-        ..PretrainConfig::default()
-    };
     let mut engine = Engine::builder()
         .model_config(ModelConfig {
             seed,
             ..ModelConfig::default()
         })
-        .pretrain_config(cfg.clone())
+        .pretrain_config(PretrainConfig {
+            steps,
+            seed,
+            ..PretrainConfig::default()
+        })
         .parallelism(parallelism(args)?)
         .backend(backend(args)?)
         .try_build()
@@ -318,48 +324,18 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
     )]
     let started = std::time::Instant::now();
 
-    let curve = if let Some(dir) = flag(args, "--checkpoint-dir") {
-        let every: usize = flag(args, "--checkpoint-every")
-            .unwrap_or_else(|| "100".into())
-            .parse()
-            .map_err(|_| "--checkpoint-every must be an integer")?;
-        let keep_last: usize = flag(args, "--keep-last")
-            .unwrap_or_else(|| "3".into())
-            .parse()
-            .map_err(|_| "--keep-last must be an integer")?;
-        let validate_every: usize = flag(args, "--validate-every")
-            .unwrap_or_else(|| every.to_string())
-            .parse()
-            .map_err(|_| "--validate-every must be an integer")?;
-        let ckpt = CheckpointConfig {
-            every: every.max(1),
-            keep_last,
-            resume: has_flag(args, "--resume"),
-            ..CheckpointConfig::new(&dir)
-        };
-        let report = pretrain_resumable(
-            engine.model_mut(),
-            &ds,
-            &cfg,
-            StageConfig::full(),
-            validate_every.max(1),
-            4,
-            Some(&ckpt),
-        )
-        .map_err(|e| e.to_string())?;
-        for (path, why) in &report.skipped_checkpoints {
-            eprintln!("skipped corrupt checkpoint {}: {why}", path.display());
+    let curve = match validate_every {
+        Some(every) => {
+            let report = engine
+                .try_pretrain_validated(&ds, every)
+                .map_err(|e| format!("training diverged: {e}"))?;
+            eprintln!(
+                "best validation accuracy {:.3} at step {} (snapshot restored)",
+                report.best_acc, report.best_step
+            );
+            report.curve
         }
-        if let Some(step) = report.resumed_from {
-            eprintln!("resumed from checkpoint at step {step}");
-        }
-        eprintln!(
-            "best validation accuracy {:.3} at step {} (snapshot restored)",
-            report.best_acc, report.best_step
-        );
-        report.curve
-    } else {
-        engine.pretrain(&ds)
+        None => engine.pretrain(&ds),
     };
 
     eprintln!(
@@ -527,12 +503,8 @@ fn inspect_cmd(args: &[String]) -> CliResult {
         .ok_or("usage: gp inspect <checkpoint.gpck>")?;
     let summary = inspect_checkpoint(std::path::Path::new(path))
         .map_err(|e| format!("{path}: INVALID: {e}"))?;
-    let kind = match summary.kind {
-        CheckpointKind::ModelV2 => "model (GPCK v2)",
-        CheckpointKind::TrainerV2 => "trainer state (GPCK v2)",
-    };
     println!("{path}: VALID");
-    println!("  kind        {kind}");
+    println!("  kind        model (GPCK v2)");
     println!("  file size   {} bytes", summary.file_len);
     let c = &summary.config;
     println!(
@@ -543,10 +515,6 @@ fn inspect_cmd(args: &[String]) -> CliResult {
         "  parameters  {} tensors, {} scalars",
         summary.num_tensors, summary.num_scalars
     );
-    if let Some((step, best_acc, best_step, curve_points)) = summary.trainer {
-        println!("  trainer     step {step}, curve points {curve_points}");
-        println!("  best        acc {best_acc:.3} at step {best_step}");
-    }
     Ok(())
 }
 

@@ -179,3 +179,124 @@ fn oversized_v2_model_config_is_an_error_not_an_abort() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn validated_pretraining_honours_the_backend() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-valbe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let runs: [(&str, &[&str]); 3] = [
+        ("val", &["--validate-every", "30", "--backend", "fast"]),
+        ("fast", &["--backend", "fast"]),
+        ("ref", &["--backend", "reference"]),
+    ];
+    // The three runs are independent, so they run side by side.
+    let children: Vec<_> = runs
+        .iter()
+        .map(|(name, args)| {
+            Command::new(env!("CARGO_BIN_EXE_gp"))
+                .args(["pretrain", "--source", "wiki", "--steps", "30", "--out"])
+                .arg(dir.join(name))
+                .args(*args)
+                .stderr(std::process::Stdio::piped())
+                .stdout(std::process::Stdio::null())
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    for ((name, args), child) in runs.iter().zip(children) {
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "gp pretrain {name} {args:?}: {stderr}"
+        );
+    }
+    let file = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    assert!(
+        file("val") == file("fast"),
+        "validation must not change a fast run"
+    );
+    assert!(
+        file("fast") != file("ref"),
+        "--backend fast must reach the kernels"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn bad_validate_every_and_removed_resume_flags_are_errors() {
+    let cases: [&[&str]; 5] = [
+        &["--validate-every", "0"],
+        &["--checkpoint-dir", "ckpts"],
+        &["--checkpoint-every", "10"],
+        &["--keep-last", "9"],
+        &["--resume"],
+    ];
+    for extra in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+            .args(["pretrain", "--source", "wiki", "--steps", "1"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "gp pretrain {extra:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "gp pretrain {extra:?}: {stderr}"
+        );
+        let expected = if extra[0] == "--validate-every" {
+            "--validate-every must be a positive integer".to_string()
+        } else {
+            format!("unknown flag {}", extra[0])
+        };
+        assert!(
+            stderr.contains(&expected),
+            "gp pretrain {extra:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn old_trainer_checkpoint_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-trainer-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ckpt-000000010.gpck");
+    // A well-formed, checksummed v2 payload of the retired trainer kind:
+    // kind 2, a small config (feat, rel, embed and hidden dims, generator
+    // and two flag bytes, seed), zero tensors, then trainer state (step,
+    // best accuracy, best step, and empty snapshot, optimizer, curve and
+    // guard-window sections).
+    let mut payload = vec![2u8];
+    for dim in [8u64, 8, 16, 24] {
+        payload.extend_from_slice(&dim.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0, 1, 0]);
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&10u64.to_le_bytes());
+    payload.extend_from_slice(&0.5f32.to_le_bytes());
+    payload.extend_from_slice(&10u64.to_le_bytes());
+    for _ in 0..6 {
+        payload.extend_from_slice(&0u64.to_le_bytes());
+    }
+    graphprompter::core::checkpoint::write_container(&path, &payload).unwrap();
+
+    let err = GraphPrompterModel::load(&path)
+        .err()
+        .expect("load must fail");
+    assert!(err.to_string().contains("unknown payload kind 2"), "{err}");
+    let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+        .arg("inspect")
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "gp inspect: {stderr}");
+    assert!(!stderr.contains("panicked"), "gp inspect: {stderr}");
+    assert!(stderr.contains("INVALID"), "gp inspect: {stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
