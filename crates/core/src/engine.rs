@@ -32,7 +32,8 @@
 //! Kernel numerics are selected per engine with
 //! [`EngineBuilder::backend`]: [`gp_tensor::Backend::Reference`] (the
 //! default) keeps the historical bit-exact accumulation order, while
-//! [`gp_tensor::Backend::Fast`] swaps in the tiled/SIMD kernels. Every
+//! [`gp_tensor::Backend::Fast`] swaps in an AVX2 matmul row with the
+//! same bits except where a zero meets `inf` or NaN. Every
 //! entry point installs the engine's backend alongside its worker pool,
 //! so episode fan-out runs under the same kernels.
 
@@ -167,10 +168,11 @@ impl EngineBuilder {
 
     /// Compute backend for every tensor kernel the engine runs:
     /// [`Backend::Reference`] (the default) is the bit-exact ground
-    /// truth, [`Backend::Fast`] the tiled/SIMD implementation that is
-    /// tolerance-equal to it. Both are bit-identical across worker
-    /// counts; only Reference is bit-identical across *backends* of
-    /// historical runs, so CI accuracy pins stay on Reference.
+    /// truth, [`Backend::Fast`] an AVX2 matmul row that gives its bits
+    /// except where a zero `a` entry meets an `inf` or NaN `b` entry
+    /// (Fast gives NaN, Reference skips the step). Both are
+    /// bit-identical across worker counts; CI accuracy pins stay on
+    /// Reference.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -304,7 +306,9 @@ impl Engine {
     /// the current revision. Revision counters are process-local, so
     /// shards persisted by a *previous* process cannot be validated by
     /// revision alone — they carry this fingerprint (parameter bits +
-    /// backend name) and are trusted only when it matches. The hash walks
+    /// backend name) and are trusted only when it matches. The backend is
+    /// in it because Fast's rows can differ from Reference's where a zero
+    /// meets `inf` or NaN in a matmul. The hash walks
     /// every parameter tensor, so it is cached until the revision moves.
     /// A no-op without a disk tier: the pure in-memory path keeps its
     /// hash-free revision check.
@@ -645,9 +649,10 @@ impl Engine {
     /// Switch the compute backend. Takes effect on the next
     /// `pretrain`/`evaluate`/`run_episode` call. The disk tier's weight
     /// fingerprint hashes the backend name, so it is recomputed; the
-    /// in-memory cache is keyed by protocol + weights only and Fast is
-    /// only tolerance-equal to Reference, so callers that flip backends
-    /// on one engine should clear it between runs.
+    /// in-memory cache is keyed by protocol + weights only and Fast's
+    /// rows can differ from Reference's where a zero meets `inf` or NaN
+    /// in a matmul, so callers that flip backends on one engine should
+    /// clear it between runs.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
         *self.weights_fp.lock() = None;

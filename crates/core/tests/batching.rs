@@ -5,9 +5,8 @@
 //! results**. On `Backend::Reference` a fused member must be
 //! bit-identical to running the same episode alone — same predictions,
 //! same labels, confidences equal to the bit — for every batch size,
-//! any mix of member shapes, and any mix of deadlines. On
-//! `Backend::Fast` the fused pass must stay within the same numeric
-//! tolerance the backend already promises for solo runs.
+//! any mix of member shapes, and any mix of deadlines. The same holds
+//! on `Backend::Fast`.
 
 use gp_core::{Deadline, Engine, EpisodeRequest, EpisodeResult};
 use gp_datasets::{sample_few_shot_task, CitationConfig, DataPoint, Dataset, FewShotTask};
@@ -246,8 +245,7 @@ fn expired_member_does_not_poison_the_batch() {
     });
 }
 
-/// Fast backend: fused members stay within the backend's own solo
-/// tolerance — same predictions, confidences within 1e-4.
+/// Fast backend: fused members are bit-identical to serial runs too.
 #[test]
 fn batched_fast_matches_serial_within_tolerance() {
     check(12, |rng| {
@@ -269,18 +267,7 @@ fn batched_fast_matches_serial_within_tolerance() {
         let batched = engine.run_episodes_batched(&source, &requests);
         for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
             let b = b.as_ref().expect("no deadline must not expire");
-            assert_eq!(&b.predictions, &s.predictions, "fast member {}", i);
-            assert_eq!(&b.query_labels, &s.query_labels, "fast member {}", i);
-            for (j, (bc, sc)) in b.confidences.iter().zip(&s.confidences).enumerate() {
-                assert!(
-                    (bc - sc).abs() <= 1e-4,
-                    "fast member {} confidence {}: {} vs {}",
-                    i,
-                    j,
-                    bc,
-                    sc
-                );
-            }
+            assert_bit_identical(b, s, &format!("fast member {i}"));
         }
     });
 }

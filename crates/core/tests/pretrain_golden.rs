@@ -4,8 +4,8 @@
 //! The forward oracles pin inference; this pins the whole training step
 //! (forward, backward, AdamW) bit for bit, so a kernel or tape change
 //! that moves any gradient bit fails here instead of in a manual
-//! comparison of model files. Only Reference is pinned: Fast's SIMD
-//! path depends on the host.
+//! comparison of model files. Only Reference is pinned here; Fast
+//! writes the same model file (`tests/cli.rs`).
 
 use gp_core::{pretrain, GraphPrompterModel, ModelConfig, PretrainConfig, StageConfig};
 use gp_tensor::WorkerPool;

@@ -126,9 +126,10 @@ impl SessionHost {
     /// Fetch or lazily build the engine for `session`. A `Some(backend)`
     /// request pins a *new* session to that backend; on an existing
     /// session it must match the backend the session was created with
-    /// (answers within a session stay mutually consistent — Fast is only
-    /// tolerance-equal to Reference, so silently flipping mid-session
-    /// would break the bit-exact replay guarantee).
+    /// (answers within a session stay mutually consistent — Fast's rows
+    /// can differ from Reference's where a zero meets `inf` or NaN in a
+    /// matmul, so silently flipping mid-session could break the
+    /// bit-exact replay guarantee).
     fn engine_for(
         &self,
         session: &str,
@@ -748,7 +749,7 @@ mod tests {
 
         // A fresh session can pick the fast kernels; replays on that
         // session are still bit-identical (Fast is deterministic within
-        // itself, only tolerance-equal to Reference).
+        // itself).
         let f1 = post_classify(&app, r#"{"session": "f", "seed": 3, "backend": "fast"}"#);
         let f2 = post_classify(&app, r#"{"session": "f", "seed": 3, "backend": "fast"}"#);
         assert_eq!(f1.status, 200, "{}", f1.body);

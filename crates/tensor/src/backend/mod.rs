@@ -1,10 +1,12 @@
 //! Pluggable compute backends behind one dispatch trait.
 //!
-//! Every dense/sparse kernel in this crate ([`Tensor::matmul`],
-//! [`Tensor::matmul_tb`], [`Tensor::matmul_ta`], `Tape::spmm`,
-//! `Tape::edge_softmax`, and the [`cosine_slices`](crate::cosine_slices)
-//! / [`l2_norm`](crate::l2_norm) helper family) routes through the
-//! thread's **active backend**:
+//! The kernels live in `reference.rs`. One of them, `matmul_block` (the
+//! row fold behind [`Tensor::matmul`] and [`Tensor::matmul_onto`]), is
+//! a [`ComputeBackend`] method and routes through the thread's
+//! **active backend**; every other kernel ([`Tensor::matmul_tb`],
+//! [`Tensor::matmul_ta`], `Tape::spmm`, `Tape::edge_softmax` and the
+//! [`cosine_slices`](crate::cosine_slices) / [`l2_norm`](crate::l2_norm)
+//! family) is one function that both backends run.
 //!
 //! * [`ReferenceBackend`] — the bit-exact scalar kernels this crate has
 //!   always shipped, as order-preserving tiled loops: every output
@@ -13,29 +15,37 @@
 //!   thread budgets, and machines, which is what the parallel
 //!   proptests and the `WorkerPool` bit-identity tests pin.
 //!   Reference is the default and stays the truth for CI.
-//! * [`FastBackend`] — register-tiled kernels with `std::arch` SIMD
-//!   (AVX2 on x86_64, NEON on aarch64) selected once per process by
-//!   runtime feature detection, with a scalar-tiled fallback that is
-//!   safe on any host. Fast reorders float accumulation (SIMD lanes sum
-//!   in parallel), so it is only *tolerance*-equal to Reference — but it
-//!   is still deterministic run-to-run and across worker counts, because
-//!   each output row is produced by one fixed-order kernel regardless of
-//!   how rows are blocked over the pool.
+//! * [`FastBackend`] — Reference plus one `std::arch` kernel: on x86_64
+//!   hosts with AVX2 (detected at run time) its `matmul_block` runs an
+//!   AVX2 row that folds each element like Reference but without
+//!   Reference's zero skip; elsewhere it runs Reference's.
+//!
+//! **The contract: Fast equals Reference bit for bit**, on every kernel
+//! and every host, with one exception. Where a zero `a` entry (`0.0` or
+//! `-0.0`) meets a non-finite `b` entry in `matmul_block`, Fast's AVX2
+//! row multiplies and gives NaN, while Reference skips the step. A
+//! `-0.0` partial is the only other case where the two could differ
+//! (Fast's `-0.0 + 0.0` is `+0.0`), and no caller makes one: every
+//! block starts at `+0.0` ([`Tensor::matmul`]) or at a partial of such
+//! a fold ([`Tensor::matmul_onto`]), and a fold from `+0.0` never
+//! reaches `-0.0`. That exception is why the embedding-store
+//! fingerprint still names the backend and gp-serve still pins a
+//! session to one.
 //!
 //! The active backend is a thread-local, installed RAII-style exactly
 //! like [`WorkerPool::install`](crate::WorkerPool::install):
 //!
 //! ```
 //! use gp_tensor::{Backend, Tensor};
-//! let a = Tensor::from_vec(2, 3, vec![1.0; 6]);
-//! let b = Tensor::from_vec(3, 2, vec![2.0; 6]);
+//! let a = Tensor::from_vec(2, 3, vec![1.0, 0.0, -0.5, 0.25, 3.0, 0.0]);
+//! let b = Tensor::from_vec(3, 2, vec![2.0, -1.0, 0.5, 4.0, 1.5, 0.75]);
 //! let fast = {
 //!     let _guard = Backend::Fast.install();
-//!     a.matmul(&b) // tiled/SIMD kernels
+//!     a.matmul(&b) // the AVX2 row, where the host has AVX2
 //! }; // guard dropped: this thread is back on Reference
 //! let reference = a.matmul(&b);
 //! for (x, y) in fast.as_slice().iter().zip(reference.as_slice()) {
-//!     assert!((x - y).abs() <= 1e-5 * x.abs().max(1.0));
+//!     assert_eq!(x.to_bits(), y.to_bits());
 //! }
 //! ```
 //!
@@ -44,7 +54,7 @@
 //! kernel, not the worker's own default.
 
 mod fast;
-mod reference;
+pub(crate) mod reference;
 
 pub use fast::FastBackend;
 pub use reference::ReferenceBackend;
@@ -55,7 +65,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::str::FromStr;
 
-use crate::sparse::EdgeList;
+#[cfg(doc)]
 use crate::tensor::Tensor;
 
 /// Which kernel implementation a thread dispatches to.
@@ -68,7 +78,9 @@ pub enum Backend {
     /// Bit-exact scalar kernels; the determinism contract and CI truth.
     #[default]
     Reference,
-    /// Register-tiled + SIMD kernels; tolerance-equal to Reference.
+    /// Reference plus an AVX2 `matmul_block`; bit-equal to Reference
+    /// but for the zero × non-finite exception in the [module
+    /// docs](self).
     Fast,
 }
 
@@ -86,17 +98,6 @@ impl Backend {
         match self {
             Backend::Reference => &ReferenceBackend,
             Backend::Fast => &FastBackend,
-        }
-    }
-
-    /// Whether this backend will actually run `std::arch` SIMD on this
-    /// host (runtime feature detection): always `false` for Reference,
-    /// and `false` for Fast on hosts where it falls back to the
-    /// scalar-tiled kernels.
-    pub fn is_simd_accelerated(self) -> bool {
-        match self {
-            Backend::Reference => false,
-            Backend::Fast => fast::simd_active(),
         }
     }
 
@@ -164,18 +165,18 @@ impl Drop for BackendGuard {
     }
 }
 
-/// One kernel implementation. All methods operate on raw row-major
-/// slices (shape checks stay in the public [`Tensor`] entry points) so
-/// both `Tensor` and `Tape` can dispatch without exposing internals.
+/// One implementation of the kernel the backends do not share. It
+/// works on raw row-major slices (shape checks stay in the public
+/// [`Tensor`] entry points).
 ///
-/// The three matmul `*_block` methods receive a disjoint range of
-/// output rows plus the backing sub-slice for exactly those rows — the
-/// shape handed out by `parallel::for_row_blocks` — so one trait
-/// implementation serves the serial path (`rows = 0..n`) and every
-/// pool-blocked fan-out alike. Implementations must compute each row
-/// with a fixed, row-local operation order: that is what makes results
-/// independent of the worker count for *both* backends (bit-identical
-/// blocking is a structural property, not a Reference-only one).
+/// `matmul_block` receives a disjoint range of output rows plus the
+/// backing sub-slice for exactly those rows — the shape handed out by
+/// `parallel::for_row_blocks` — so one implementation serves the serial
+/// path (`rows = 0..n`) and every pool-blocked fan-out alike.
+/// Implementations must compute each row with a fixed, row-local
+/// operation order: that is what makes results independent of the
+/// worker count for *both* backends (bit-identical blocking is a
+/// structural property, not a Reference-only one).
 pub trait ComputeBackend: Sync {
     /// Which [`Backend`] this implementation is.
     fn kind(&self) -> Backend;
@@ -187,12 +188,11 @@ pub trait ComputeBackend: Sync {
     /// from [`Tensor::matmul`]) and folds `kk` ascending onto it, so a
     /// fold split at any `kk` and continued from the stored partial (see
     /// [`Tensor::matmul_onto`]) gives the unsplit result bit for bit.
-    /// On [`ReferenceBackend`] each step skips `a[i][kk] == 0.0` (`-0.0`
-    /// too) and otherwise does one rounded multiply then one rounded
-    /// add; no FMA, `std::arch` or reassociation, pinned bit for bit by
-    /// its oracle test against the original loop. [`FastBackend`] keeps
-    /// one SIMD lane per element, so its sequence differs from
-    /// Reference's only in rounding (NEON fuses the multiply-add).
+    /// Each step does one rounded multiply then one rounded add; no FMA
+    /// or reassociation. [`ReferenceBackend`] skips the steps where
+    /// `a[i][kk] == 0.0` (`-0.0` too), pinned bit for bit by its oracle
+    /// test against the original loop; [`FastBackend`]'s AVX2 row does
+    /// not, which is the one exception in the [module docs](self).
     fn matmul_block(
         &self,
         a: &[f32],
@@ -202,55 +202,6 @@ pub trait ComputeBackend: Sync {
         rows: Range<usize>,
         block: &mut [f32],
     );
-
-    /// `block[local][j] = a[i] · b[j]` (dot of rows): `a` is `n×k`,
-    /// `b` is `m×k` interpreted transposed.
-    fn matmul_tb_block(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        m: usize,
-        rows: Range<usize>,
-        block: &mut [f32],
-    );
-
-    /// Whole-output `a^T (k×n) · b (k×m) -> n×m` for the serial path.
-    fn matmul_ta_serial(&self, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]);
-
-    /// Row-blocked `a^T · b`: output rows `rows` of the `n×m` result.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the other block kernels' flat slice-and-dims shape; `n` strides `a`"
-    )]
-    fn matmul_ta_block(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        rows: Range<usize>,
-        block: &mut [f32],
-    );
-
-    /// Dot product `Σ a[i]·b[i]` (slices already length-checked).
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32;
-
-    /// Sum of squares `Σ a[i]²` (the pre-sqrt half of
-    /// [`l2_norm`](crate::l2_norm)).
-    fn sum_sq(&self, a: &[f32]) -> f32;
-
-    /// Cosine similarity with the `1e-12` zero-norm guard of
-    /// [`cosine_slices`](crate::cosine_slices).
-    fn cosine(&self, a: &[f32], b: &[f32]) -> f32;
-
-    /// Sparse aggregate `out[dst] += w_e · x[src]` over `edges`, in
-    /// edge order (`w = None` means unit weights).
-    fn spmm(&self, edges: &EdgeList, x: &Tensor, w: Option<&[f32]>, out: &mut Tensor);
-
-    /// Grouped-by-destination softmax of `E×1` edge `scores` into `out`.
-    fn edge_softmax(&self, edges: &EdgeList, scores: &[f32], out: &mut [f32]);
 }
 
 #[cfg(test)]
@@ -299,16 +250,5 @@ mod tests {
             assert_eq!(b.to_string(), b.name());
         }
         assert!("avx512".parse::<Backend>().is_err());
-    }
-
-    #[test]
-    fn reference_never_reports_simd() {
-        assert!(!Backend::Reference.is_simd_accelerated());
-        // Fast may or may not, depending on the host; the call just must
-        // not panic and must be stable.
-        assert_eq!(
-            Backend::Fast.is_simd_accelerated(),
-            Backend::Fast.is_simd_accelerated()
-        );
     }
 }

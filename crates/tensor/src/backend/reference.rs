@@ -2,6 +2,10 @@
 //! implementations; the three matmul kernels are register-tiled, every
 //! other kernel is the original loop.
 //!
+//! [`ReferenceBackend`] implements `matmul_block`, the one kernel the
+//! backends do not share. Every other kernel is a plain function here,
+//! which `Tensor` and `EdgeList` call on both backends.
+//!
 //! **The contract is the per-element float sequence, not the loop.**
 //! Every output element of every kernel here runs a pinned sequence of
 //! IEEE operations, and that sequence *is* the determinism contract:
@@ -24,8 +28,9 @@
 //! pairwise or lane sums): each is mathematically neutral but changes
 //! bits of every previously committed prediction and pre-trained model.
 //! The tests hold each kernel to its original loop, kept verbatim in
-//! the test module, bit for bit. Speed that needs a different sequence
-//! belongs in [`FastBackend`](super::FastBackend).
+//! the test module, bit for bit. [`FastBackend`](super::FastBackend)
+//! keeps this sequence too, except for the zero skip (see the
+//! [backend docs](super)).
 
 use std::ops::Range;
 
@@ -61,131 +66,121 @@ impl ComputeBackend for ReferenceBackend {
     ) {
         fold_block::<true>(a, b, k, m, rows, block);
     }
+}
 
-    /// `b` is transposed once per call, so each output row takes
-    /// [`matmul_block`](Self::matmul_block)'s tiles over `bᵀ`, from a
-    /// zeroed row and without the zero skip: one `kk`-ascending dot per
-    /// element, several per pass.
-    fn matmul_tb_block(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        m: usize,
-        rows: Range<usize>,
-        block: &mut [f32],
-    ) {
-        block.fill(0.0);
-        if k == 0 {
-            return;
-        }
-        let mut bt = vec![0.0f32; k * m];
-        for (j, b_row) in b[..m * k].chunks_exact(k).enumerate() {
-            for (kk, &v) in b_row.iter().enumerate() {
-                bt[kk * m + j] = v;
-            }
-        }
-        fold_block::<false>(a, &bt, k, m, rows, block);
+/// `block[local][j] = a[i] · b[j]` (dot of rows) for `i` in `rows`:
+/// `a` is `n×k`, `b` is `m×k` interpreted transposed.
+///
+/// `b` is transposed once per call, so each output row takes
+/// [`ReferenceBackend`]'s `matmul_block` tiles over `bᵀ`, from a
+/// zeroed row and without the zero skip: one `kk`-ascending dot per
+/// element, several per pass.
+pub(crate) fn matmul_tb_block(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    rows: Range<usize>,
+    block: &mut [f32],
+) {
+    block.fill(0.0);
+    if k == 0 {
+        return;
     }
-
-    /// [`matmul_ta_block`](Self::matmul_ta_block) over every output row.
-    fn matmul_ta_serial(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        out: &mut [f32],
-    ) {
-        ta_block(a, b, n, k, m, 0..n, out);
-    }
-
-    /// Output row `i` is `matmul_block`'s zero-skipping fold with column
-    /// `i` of `a` as its `a` row: wide rows take it in `kk` chunks, each
-    /// gathering the chunk's columns of `a` into contiguous rows and
-    /// keeping a column tile in registers across the chunk; narrow
-    /// outputs put one output row in each lane.
-    fn matmul_ta_block(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        rows: Range<usize>,
-        block: &mut [f32],
-    ) {
-        ta_block(a, b, n, k, m, rows, block);
-    }
-
-    /// Ascending-index sum — the exact loop `cosine` runs for its `dot`
-    /// accumulator, so precomputed-norm cosine stays bit-identical.
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        let mut dot = 0.0f32;
-        for kk in 0..a.len() {
-            dot += a[kk] * b[kk];
-        }
-        dot
-    }
-
-    /// Ascending-index sum of squares (the pre-sqrt half of `l2_norm`).
-    fn sum_sq(&self, a: &[f32]) -> f32 {
-        let mut n = 0.0f32;
-        for &x in a {
-            n += x * x;
-        }
-        n
-    }
-
-    /// Three independent `k`-ascending accumulators in one pass; each
-    /// matches the corresponding standalone [`dot`](Self::dot)/
-    /// [`sum_sq`](Self::sum_sq) sum bit-for-bit.
-    fn cosine(&self, a: &[f32], b: &[f32]) -> f32 {
-        let (mut dot, mut na, mut nb) = (0.0f32, 0.0f32, 0.0f32);
-        for k in 0..a.len() {
-            dot += a[k] * b[k];
-            na += a[k] * a[k];
-            nb += b[k] * b[k];
-        }
-        let denom = (na.sqrt() * nb.sqrt()).max(1e-12);
-        dot / denom
-    }
-
-    /// Edge-order scatter; zero-weight edges are skipped entirely.
-    fn spmm(&self, edges: &EdgeList, x: &Tensor, w: Option<&[f32]>, out: &mut Tensor) {
-        for e in 0..edges.len() {
-            let (s, t) = (edges.src(e), edges.dst(e));
-            let we = w.map_or(1.0, |ws| ws[e]);
-            if we == 0.0 {
-                continue;
-            }
-            let src_row = x.row(s);
-            let dst_row = out.row_mut(t);
-            for (o, &v) in dst_row.iter_mut().zip(src_row) {
-                *o += we * v;
-            }
+    let mut bt = vec![0.0f32; k * m];
+    for (j, b_row) in b[..m * k].chunks_exact(k).enumerate() {
+        for (kk, &v) in b_row.iter().enumerate() {
+            bt[kk * m + j] = v;
         }
     }
+    fold_block::<false>(a, &bt, k, m, rows, block);
+}
 
-    /// Stable grouped softmax: per-destination max subtraction, then
-    /// edge-order exp/sum/normalize with the `1e-12` empty-group guard.
-    fn edge_softmax(&self, edges: &EdgeList, scores: &[f32], out: &mut [f32]) {
-        let n = edges.min_num_nodes();
-        let mut gmax = vec![f32::NEG_INFINITY; n];
-        for (e, &score) in scores[..edges.len()].iter().enumerate() {
-            let d = edges.dst(e);
-            gmax[d] = gmax[d].max(score);
+/// Whole-output `aᵀ (k×n) · b (k×m) -> n×m` for the serial path:
+/// [`matmul_ta_block`] over every output row.
+pub(crate) fn matmul_ta_serial(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    k: usize,
+    m: usize,
+    out: &mut [f32],
+) {
+    matmul_ta_block(a, b, n, k, m, 0..n, out);
+}
+
+/// Dot product `Σ a[i]·b[i]` (slices already length-checked), as an
+/// ascending-index sum — the exact loop [`cosine`] runs for its `dot`
+/// accumulator, so precomputed-norm cosine stays bit-identical.
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut dot = 0.0f32;
+    for kk in 0..a.len() {
+        dot += a[kk] * b[kk];
+    }
+    dot
+}
+
+/// Ascending-index sum of squares `Σ a[i]²` (the pre-sqrt half of
+/// [`l2_norm`](crate::l2_norm)).
+pub(crate) fn sum_sq(a: &[f32]) -> f32 {
+    let mut n = 0.0f32;
+    for &x in a {
+        n += x * x;
+    }
+    n
+}
+
+/// Cosine similarity with the `1e-12` zero-norm guard of
+/// [`cosine_slices`](crate::cosine_slices): three independent
+/// `k`-ascending accumulators in one pass; each matches the
+/// corresponding standalone [`dot`]/[`sum_sq`] sum bit-for-bit.
+pub(crate) fn cosine(a: &[f32], b: &[f32]) -> f32 {
+    let (mut dot, mut na, mut nb) = (0.0f32, 0.0f32, 0.0f32);
+    for k in 0..a.len() {
+        dot += a[k] * b[k];
+        na += a[k] * a[k];
+        nb += b[k] * b[k];
+    }
+    let denom = (na.sqrt() * nb.sqrt()).max(1e-12);
+    dot / denom
+}
+
+/// Sparse aggregate `out[dst] += w_e · x[src]` over `edges`, in edge
+/// order (`w = None` means unit weights); zero-weight edges are skipped
+/// entirely.
+pub(crate) fn spmm(edges: &EdgeList, x: &Tensor, w: Option<&[f32]>, out: &mut Tensor) {
+    for e in 0..edges.len() {
+        let (s, t) = (edges.src(e), edges.dst(e));
+        let we = w.map_or(1.0, |ws| ws[e]);
+        if we == 0.0 {
+            continue;
         }
-        let mut gsum = vec![0.0f32; n];
-        for (e, x) in out.iter_mut().enumerate() {
-            let d = edges.dst(e);
-            *x = (scores[e] - gmax[d]).exp();
-            gsum[d] += *x;
+        let src_row = x.row(s);
+        let dst_row = out.row_mut(t);
+        for (o, &v) in dst_row.iter_mut().zip(src_row) {
+            *o += we * v;
         }
-        for (e, x) in out.iter_mut().enumerate() {
-            *x /= gsum[edges.dst(e)].max(1e-12);
-        }
+    }
+}
+
+/// Stable grouped-by-destination softmax of `E×1` edge `scores` into
+/// `out`: per-destination max subtraction, then edge-order
+/// exp/sum/normalize with the `1e-12` empty-group guard.
+pub(crate) fn edge_softmax(edges: &EdgeList, scores: &[f32], out: &mut [f32]) {
+    let n = edges.min_num_nodes();
+    let mut gmax = vec![f32::NEG_INFINITY; n];
+    for (e, &score) in scores[..edges.len()].iter().enumerate() {
+        let d = edges.dst(e);
+        gmax[d] = gmax[d].max(score);
+    }
+    let mut gsum = vec![0.0f32; n];
+    for (e, x) in out.iter_mut().enumerate() {
+        let d = edges.dst(e);
+        *x = (scores[e] - gmax[d]).exp();
+        gsum[d] += *x;
+    }
+    for (e, x) in out.iter_mut().enumerate() {
+        *x /= gsum[edges.dst(e)].max(1e-12);
     }
 }
 
@@ -198,8 +193,8 @@ const NARROW_BELOW: usize = 8;
 /// tiles. Also the lane count of [`ta_lanes`]' row tiles.
 const TILE: usize = 32;
 
-/// `kk` rows per pass of [`ta_block`]'s wide path: the pass's slice of
-/// `b` stays in L1 while every output row takes it.
+/// `kk` rows per pass of [`matmul_ta_block`]'s wide path: the pass's
+/// slice of `b` stays in L1 while every output row takes it.
 const TA_CHUNK: usize = 32;
 
 /// One step of an element's fold: `acc + av * bv`, or `acc` unchanged
@@ -332,12 +327,19 @@ fn matmul_block_narrow<const SKIP: bool>(
     }
 }
 
-/// `block[local] += (column i of a) · b` for `i` in `rows`: `a` is
+/// Row-blocked `aᵀ · b`, output rows `rows` of the `n×m` result:
+/// `block[local] += (column i of a) · b` for `i` in `rows`. `a` is
 /// `k×n`, `b` is `k×m`, each element folds `kk` ascending from the
-/// block's value and skips `a[kk][i] == 0.0`. A wide element's fold is
+/// block's value and skips `a[kk][i] == 0.0`.
+///
+/// Output row `i` is `matmul_block`'s zero-skipping fold with column
+/// `i` of `a` as its `a` row: wide rows take it in `kk` chunks, each
+/// gathering the chunk's columns of `a` into contiguous rows and
+/// keeping a column tile in registers across the chunk; narrow
+/// outputs put one output row in each lane. A wide element's fold is
 /// stored at the end of each `kk` chunk and reloaded at the start of
 /// the next, which rounds nothing.
-fn ta_block(
+pub(crate) fn matmul_ta_block(
     a: &[f32],
     b: &[f32],
     n: usize,
@@ -631,7 +633,7 @@ mod tests {
                         let init = noise(rng, (end - start) * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_tb_loop(&a, &b, k, m, start..end, &mut want);
-                        ReferenceBackend.matmul_tb_block(&a, &b, k, m, start..end, &mut got);
+                        matmul_tb_block(&a, &b, k, m, start..end, &mut got);
                         for x in want.iter_mut().chain(&mut got) {
                             if x.is_nan() {
                                 *x = f32::NAN;
@@ -661,7 +663,7 @@ mod tests {
                         let init = noise(rng, n * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_ta_serial(&a, &b, n, k, m, &mut want);
-                        ReferenceBackend.matmul_ta_serial(&a, &b, n, k, m, &mut got);
+                        matmul_ta_serial(&a, &b, n, k, m, &mut got);
                         assert_bits(&want, &got, &format!("serial n={n} k={k} m={m} {zeros:?}"));
 
                         let start = rng.gen_range(0..=n);
@@ -669,7 +671,7 @@ mod tests {
                         let init = noise(rng, (end - start) * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_ta_block(&a, &b, n, k, m, start..end, &mut want);
-                        ReferenceBackend.matmul_ta_block(&a, &b, n, k, m, start..end, &mut got);
+                        matmul_ta_block(&a, &b, n, k, m, start..end, &mut got);
                         let case = format!("block n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
                         assert_bits(&want, &got, &case);
                     }

@@ -24,13 +24,14 @@
 //! ≤ 128, subgraphs ≤ a few hundred nodes) keep tensors simple; see
 //! DESIGN.md.
 //!
-//! Kernels are **pluggable**: every dense/sparse op dispatches through the
-//! thread's active [`ComputeBackend`] (see [`backend`]). The default
-//! [`Backend::Reference`] keeps the historical bit-exact accumulation
-//! order — results bit-identical across runs, hosts, and worker counts —
-//! while [`Backend::Fast`] swaps in register-tiled `std::arch` SIMD
-//! kernels (AVX2/NEON behind runtime detection, scalar-tiled fallback)
-//! that are tolerance-equal to Reference. Heavy row-parallel kernels
+//! Kernels keep the historical bit-exact accumulation order — results
+//! bit-identical across runs, hosts, and worker counts. The one
+//! pluggable kernel is `matmul_block`, which dispatches through the
+//! thread's active [`ComputeBackend`] (see [`backend`]): the default
+//! [`Backend::Reference`] runs the pinned order, and [`Backend::Fast`]
+//! an AVX2 row (behind runtime detection) with the same bits except
+//! where a zero entry of `a` meets an `inf` or NaN entry of `b`. Heavy
+//! row-parallel kernels
 //! (`matmul` and friends) additionally fan out over a persistent,
 //! budget-bounded [`parallel::WorkerPool`] — see [`parallel`] — and both
 //! backends stay bit-identical to their own serial path for every worker

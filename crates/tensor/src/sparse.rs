@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use crate::backend::reference;
 use crate::Tensor;
 
 /// A static edge list `(src, dst)` describing a sparse matrix pattern.
@@ -84,7 +85,7 @@ impl EdgeList {
 
     /// Sparse aggregate over these edges: `out[dst] += w_e · x[src]` into
     /// an `out_rows×d` result. `w` is an optional `E×1` weight column (all
-    /// ones when absent). The loop runs in the active backend.
+    /// ones when absent), in edge order; zero-weight edges are skipped.
     ///
     /// # Panics
     /// Panics if `w` is not `E×1`.
@@ -98,12 +99,12 @@ impl EdgeList {
             );
         }
         let mut out = Tensor::zeros(out_rows, x.cols());
-        crate::backend::active_backend().spmm(self, x, w.map(Tensor::as_slice), &mut out);
+        reference::spmm(self, x, w.map(Tensor::as_slice), &mut out);
         out
     }
 
     /// Softmax of `E×1` edge scores grouped by destination node (stable:
-    /// per-group max subtraction). The loop runs in the active backend.
+    /// per-group max subtraction).
     ///
     /// # Panics
     /// Panics if `scores` is not `E×1`.
@@ -114,7 +115,7 @@ impl EdgeList {
             "edge_softmax: scores must be E×1"
         );
         let mut exp = vec![0.0f32; self.len()];
-        crate::backend::active_backend().edge_softmax(self, scores.as_slice(), &mut exp);
+        reference::edge_softmax(self, scores.as_slice(), &mut exp);
         Tensor::from_vec(self.len(), 1, exp)
     }
 }

@@ -7,6 +7,8 @@
 
 use std::ops::Range;
 
+use crate::backend::reference;
+
 /// A dense row-major matrix of `f32`.
 ///
 /// Vectors are represented as `n×1` (column) or `1×d` (row) matrices.
@@ -146,8 +148,8 @@ impl Tensor {
     /// Matrix multiply `self (n×k) · other (k×m) -> n×m`.
     ///
     /// Dispatches to the thread's active [`ComputeBackend`](crate::ComputeBackend)
-    /// (see [`crate::backend`]): Reference runs the cache-friendly
-    /// `i-k-j` scalar loop, Fast the register-tiled SIMD kernel. Fans
+    /// (see [`crate::backend`]): Reference runs its register-tiled
+    /// `i-k-j` loop, Fast its AVX2 row where the host has AVX2. Fans
     /// out over output-row blocks when [`crate::parallel`] is enabled;
     /// for either backend every worker count produces bit-identical
     /// results, because rows are never split across workers.
@@ -237,9 +239,8 @@ impl Tensor {
         let mut out = Tensor::zeros(n, m);
         let a_data = &self.data;
         let b_data = &other.data;
-        let be = crate::backend::active_backend();
         crate::parallel::for_row_blocks(&mut out.data, n, m, workers, |rows, block| {
-            be.matmul_tb_block(a_data, b_data, k, m, rows, block);
+            reference::matmul_tb_block(a_data, b_data, k, m, rows, block);
         });
         out
     }
@@ -247,8 +248,8 @@ impl Tensor {
     /// `self^T (k×n) · other (k×m) -> n×m` without materializing the transpose.
     ///
     /// The serial path runs each output element's accumulation as the
-    /// row-blocked one does (on Reference, `kk`-ascending and
-    /// zero-skipping), so both produce bit-identical sums.
+    /// row-blocked one does (`kk`-ascending and zero-skipping), so both
+    /// produce bit-identical sums.
     pub fn matmul_ta(&self, other: &Tensor) -> Tensor {
         let (k, n, m) = (self.rows, self.cols, other.cols);
         self.matmul_ta_workers(other, crate::parallel::workers_for(n, k * n * m))
@@ -264,15 +265,14 @@ impl Tensor {
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Tensor::zeros(n, m);
-        let be = crate::backend::active_backend();
         if workers <= 1 {
-            be.matmul_ta_serial(&self.data, &other.data, n, k, m, &mut out.data);
+            reference::matmul_ta_serial(&self.data, &other.data, n, k, m, &mut out.data);
             return out;
         }
         let a_data = &self.data;
         let b_data = &other.data;
         crate::parallel::for_row_blocks(&mut out.data, n, m, workers, |rows, block| {
-            be.matmul_ta_block(a_data, b_data, n, k, m, rows, block);
+            reference::matmul_ta_block(a_data, b_data, n, k, m, rows, block);
         });
         out
     }
@@ -598,25 +598,24 @@ impl Tensor {
 /// delegates to, so callers holding plain `&[f32]` embeddings (e.g. the
 /// Prompt Augmenter's cache) get identical scores with no allocation.
 ///
-/// Dispatches to the active [`ComputeBackend`](crate::ComputeBackend);
-/// under the default Reference backend the three accumulators (`dot`,
-/// `na`, `nb`) are `k`-ascending scalar sums, bit-identical to the
-/// historical implementation.
+/// The three accumulators (`dot`, `na`, `nb`) are `k`-ascending scalar
+/// sums on both backends, bit-identical to the historical
+/// implementation.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn cosine_slices(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "cosine_slices: length mismatch");
-    crate::backend::active_backend().cosine(a, b)
+    reference::cosine(a, b)
 }
 
 /// L2 norm of a slice — the exact summation [`cosine_slices`] performs
-/// internally for each operand under the same backend, so
+/// internally for each operand, so
 /// `cosine_slices_with_norms(a, b, l2_norm(a), l2_norm(b))` is
-/// bit-identical to `cosine_slices(a, b)` (for Reference: a
-/// `k`-ascending scalar sum of squares, then sqrt).
+/// bit-identical to `cosine_slices(a, b)` (a `k`-ascending scalar sum
+/// of squares, then sqrt).
 pub fn l2_norm(a: &[f32]) -> f32 {
-    crate::backend::active_backend().sum_sq(a).sqrt()
+    reference::sum_sq(a).sqrt()
 }
 
 /// [`cosine_slices`] with both row norms precomputed (via [`l2_norm`]).
@@ -625,10 +624,9 @@ pub fn l2_norm(a: &[f32]) -> f32 {
 /// (`P×N` combinations) recompute each row's norm `N` (resp. `P`) times
 /// through `cosine_slices`; hoisting the norms cuts the inner loop to the
 /// dot product alone — ~3× fewer flops — without changing a single bit:
-/// each accumulator (`dot`, `na`, `nb`) is an independent sum under the
-/// active backend, so splitting them across loops preserves every
-/// rounding step. This holds for Fast too (its fused cosine runs the
-/// same SIMD reduction per accumulator).
+/// each accumulator (`dot`, `na`, `nb`) is an independent
+/// `k`-ascending sum, so splitting them across loops preserves every
+/// rounding step.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -638,7 +636,7 @@ pub fn cosine_slices_with_norms(a: &[f32], b: &[f32], a_norm: f32, b_norm: f32) 
         b.len(),
         "cosine_slices_with_norms: length mismatch"
     );
-    let dot = crate::backend::active_backend().dot(a, b);
+    let dot = reference::dot(a, b);
     dot / (a_norm * b_norm).max(1e-12)
 }
 

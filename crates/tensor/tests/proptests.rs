@@ -311,28 +311,37 @@ fn edge_softmax_is_shift_invariant_per_group() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence: the Fast (tiled/SIMD) kernels must stay within
-// float tolerance of the bit-exact Reference kernels on every shape —
-// rectangular, tile-sized, and degenerate (0-row, 1-col, non-multiples
-// of the 8/16-lane tiles) — and stay bit-identical to themselves across
-// worker counts.
+// Backend equivalence: on finite operands the Fast kernels give the
+// bit-exact Reference kernels' bits on every shape — rectangular,
+// tile-sized, and degenerate (0-row, 1-col, non-multiples of the
+// 8/16-lane tiles) — and stay bit-identical to themselves across worker
+// counts. Fast runs Reference's code for every kernel but `matmul`, so
+// the other tests pin that no kernel dispatches anywhere else.
 
 use gp_tensor::Backend;
 
-/// |fast - reference| within mixed absolute/relative tolerance.
-fn close_enough(fast: f32, reference: f32) -> bool {
-    (fast - reference).abs() <= 1e-4 + 1e-4 * reference.abs()
+fn bits(t: &[f32]) -> Vec<u32> {
+    t.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
 fn fast_matmul_is_tolerance_equal_to_reference() {
+    // The tolerance is zero. Half the cases put ReLU zeros of both
+    // signs in `a`, which Reference skips and Fast's AVX2 row folds in.
     check(64, |rng| {
         let (n, k, m) = (
             rng.gen_range(0..34),
             rng.gen_range(0..34),
             rng.gen_range(0..34),
         );
-        let a = tensor(rng, n, k);
+        let mut a = tensor(rng, n, k);
+        if rng.gen_range(0..2usize) == 0 {
+            a = a.map(|x| match x {
+                x if x < -1.0 => 0.0,
+                x if x < 0.0 => -0.0,
+                x => x,
+            });
+        }
         let b = tensor(rng, k, m);
         let reference = {
             let _g = Backend::Reference.install();
@@ -342,9 +351,11 @@ fn fast_matmul_is_tolerance_equal_to_reference() {
             let _g = Backend::Fast.install();
             a.matmul(&b)
         };
-        for (f, r) in fast.as_slice().iter().zip(reference.as_slice()) {
-            assert!(close_enough(*f, *r), "{f} vs {r} ({n}x{k}x{m})");
-        }
+        assert_eq!(
+            bits(fast.as_slice()),
+            bits(reference.as_slice()),
+            "{n}x{k}x{m}"
+        );
     });
 }
 
@@ -368,12 +379,8 @@ fn fast_matmul_tb_and_ta_are_tolerance_equal_to_reference() {
             let _g = Backend::Fast.install();
             (a.matmul_tb(&bt), at.matmul_ta(&b))
         };
-        for (f, r) in tb_fast.as_slice().iter().zip(tb_ref.as_slice()) {
-            assert!(close_enough(*f, *r), "tb: {f} vs {r}");
-        }
-        for (f, r) in ta_fast.as_slice().iter().zip(ta_ref.as_slice()) {
-            assert!(close_enough(*f, *r), "ta: {f} vs {r}");
-        }
+        assert_eq!(bits(tb_fast.as_slice()), bits(tb_ref.as_slice()), "tb");
+        assert_eq!(bits(ta_fast.as_slice()), bits(ta_ref.as_slice()), "ta");
     });
 }
 
@@ -391,9 +398,14 @@ fn fast_cosine_and_norm_are_tolerance_equal_to_reference() {
             let _g = Backend::Fast.install();
             (gp_tensor::cosine_slices(&xs, &ys), gp_tensor::l2_norm(&xs))
         };
-        assert!(close_enough(cos_fast, cos_ref), "{cos_fast} vs {cos_ref}");
-        assert!(
-            close_enough(norm_fast, norm_ref),
+        assert_eq!(
+            cos_fast.to_bits(),
+            cos_ref.to_bits(),
+            "{cos_fast} vs {cos_ref}"
+        );
+        assert_eq!(
+            norm_fast.to_bits(),
+            norm_ref.to_bits(),
             "{norm_fast} vs {norm_ref}"
         );
     });
@@ -444,11 +456,11 @@ fn fast_spmm_and_edge_softmax_are_tolerance_equal_to_reference() {
         };
         let (agg_ref, soft_ref) = run(Backend::Reference);
         let (agg_fast, soft_fast) = run(Backend::Fast);
-        for (f, r) in agg_fast.as_slice().iter().zip(agg_ref.as_slice()) {
-            assert!(close_enough(*f, *r), "spmm: {f} vs {r}");
-        }
-        for (f, r) in soft_fast.as_slice().iter().zip(soft_ref.as_slice()) {
-            assert!(close_enough(*f, *r), "edge_softmax: {f} vs {r}");
-        }
+        assert_eq!(bits(agg_fast.as_slice()), bits(agg_ref.as_slice()), "spmm");
+        assert_eq!(
+            bits(soft_fast.as_slice()),
+            bits(soft_ref.as_slice()),
+            "edge_softmax"
+        );
     });
 }

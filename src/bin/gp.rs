@@ -45,9 +45,10 @@
 //! warm. Rows are stored as f32, so a warm answer is bit-identical to a
 //! cold one. See README § "Embedding tiers & persistence".
 //!
-//! `--backend {reference,fast}` selects the tensor kernels: `reference`
-//! (default) is the bit-exact ground truth, `fast` the tiled/SIMD
-//! implementation with tolerance-equal results. For `serve` this sets
+//! `--backend {reference,fast}` selects the matmul row kernel:
+//! `reference` (default) is the bit-exact ground truth, `fast` an AVX2
+//! row with the same bits except where a zero meets `inf` or NaN, so
+//! the two write the same model files. For `serve` this sets
 //! the default; a request's `"backend"` body field can pin a new
 //! session to either.
 //!
@@ -164,9 +165,9 @@ fn parallelism(args: &[String]) -> Result<Parallelism, String> {
 }
 
 /// Parse `--backend <name>` into a compute backend. Absent →
-/// `reference`, the bit-exact default; `fast` swaps every tensor kernel
-/// for the tiled/SIMD implementation (tolerance-equal results, still
-/// bit-identical across `--threads` values and across replays).
+/// `reference`, the bit-exact default; `fast` swaps the matmul row for
+/// an AVX2 one with the same bits except where a zero meets `inf` or
+/// NaN (bit-identical across `--threads` values and across replays).
 fn backend(args: &[String]) -> Result<Backend, String> {
     match flag(args, "--backend") {
         None => Ok(Backend::Reference),

@@ -181,7 +181,7 @@ fn oversized_v2_model_config_is_an_error_not_an_abort() {
 }
 
 #[test]
-fn validated_pretraining_honours_the_backend() {
+fn pretraining_writes_the_same_file_on_both_backends() {
     let dir = std::env::temp_dir().join(format!("gp-cli-valbe-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let runs: [(&str, &[&str]); 3] = [
@@ -211,14 +211,16 @@ fn validated_pretraining_honours_the_backend() {
             "gp pretrain {name} {args:?}: {stderr}"
         );
     }
+    // Fast differs from Reference only where a zero meets `inf` or NaN
+    // in a matmul, which a finite pre-training run never does.
     let file = |name: &str| std::fs::read(dir.join(name)).unwrap();
     assert!(
         file("val") == file("fast"),
         "validation must not change a fast run"
     );
     assert!(
-        file("fast") != file("ref"),
-        "--backend fast must reach the kernels"
+        file("fast") == file("ref"),
+        "--backend fast must write reference's file"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
