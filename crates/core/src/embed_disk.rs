@@ -17,14 +17,13 @@
 //!   like the RAM tier.
 //! * **Weights fingerprint in the payload**: across restarts the revision
 //!   counter restarts too, so the store also records a fingerprint of the
-//!   actual parameter bits (plus the compute backend, whose accumulation
-//!   order changes embedding bits). A shard whose fingerprint does not
+//!   actual parameter bits. A shard whose fingerprint does not
 //!   match the live weights is stale, not corrupt — it is discarded the
 //!   same way.
 //!
 //! Rows are stored as raw little-endian f32 bits, so a demote → flush →
 //! load → promote roundtrip is bit-exact and the disk tier is invisible to
-//! `Backend::Reference` determinism checks. A shard holds the same
+//! the determinism checks. A shard holds the same
 //! `Entry` values as the RAM tier: demotion moves the evicted entry in,
 //! promotion clones it back out.
 //!
@@ -309,7 +308,7 @@ impl DiskTier {
             Ok((shard, file_fp)) if file_fp == weights_fp => shard,
             Ok(_) => {
                 // Structurally valid but computed under different weights
-                // (a restart with another checkpoint, or another backend):
+                // (a restart with another checkpoint):
                 // stale, not corrupt. Cold-start and reclaim the file.
                 STALE_SHARDS.inc();
                 #[expect(

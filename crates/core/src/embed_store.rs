@@ -24,7 +24,7 @@
 //!   ([`crate::embed_disk`]), one per `(dataset, revision)`, holding the
 //!   same f32 entries. L0 evictions *demote* into L1; an L1 hit is copied
 //!   and *promoted* back into L0. Shards survive the process, so a
-//!   restarted engine (same weights, same backend) warm-starts instead of
+//!   restarted engine (same weights) warm-starts instead of
 //!   re-embedding its prompt pool.
 //!
 //! The dataset enters the key as a fingerprint
@@ -306,7 +306,7 @@ impl EmbeddingStore {
 
     /// Install the fingerprint of the weight bits backing `revision`,
     /// arming the disk tier. Revision counters are process-local, so the
-    /// fingerprint (weight bits + compute backend) is what lets a shard
+    /// fingerprint of the weight bits is what lets a shard
     /// written by a previous process be trusted — or rejected — on a warm
     /// start. The owning engine calls this before every episode batch;
     /// external callers only need it when driving the store directly.

@@ -29,13 +29,10 @@
 //! assert_eq!(accs.len(), 2);
 //! ```
 //!
-//! Kernel numerics are selected per engine with
-//! [`EngineBuilder::backend`]: [`gp_tensor::Backend::Reference`] (the
-//! default) keeps the historical bit-exact accumulation order, while
-//! [`gp_tensor::Backend::Fast`] swaps in an AVX2 matmul row with the
-//! same bits except where a zero meets `inf` or NaN. Every
-//! entry point installs the engine's backend alongside its worker pool,
-//! so episode fan-out runs under the same kernels.
+//! Kernel numerics are not a choice: every kernel runs one pinned float
+//! sequence (see [`gp_tensor::backend`]), compiled for AVX2 where the
+//! host has it, with the same bits. [`EngineBuilder::backend`] accepts
+//! a [`gp_tensor::Backend`] name and changes nothing.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -74,7 +71,6 @@ pub struct EngineBuilder {
     embed_cache: Option<usize>,
     embed_store_dir: Option<PathBuf>,
     shared_pool: Option<Arc<WorkerPool>>,
-    backend: Backend,
 }
 
 impl Default for EngineBuilder {
@@ -89,7 +85,6 @@ impl Default for EngineBuilder {
             embed_cache: Some(DEFAULT_EMBED_CACHE_CAPACITY),
             embed_store_dir: None,
             shared_pool: None,
-            backend: Backend::default(),
         }
     }
 }
@@ -166,15 +161,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Compute backend for every tensor kernel the engine runs:
-    /// [`Backend::Reference`] (the default) is the bit-exact ground
-    /// truth, [`Backend::Fast`] an AVX2 matmul row that gives its bits
-    /// except where a zero `a` entry meets an `inf` or NaN `b` entry
-    /// (Fast gives NaN, Reference skips the step). Both are
-    /// bit-identical across worker counts; CI accuracy pins stay on
-    /// Reference.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+    /// Accepts a compute backend name and changes nothing: both names
+    /// run the same kernels and give the same bits.
+    pub fn backend(self, _backend: Backend) -> Self {
         self
     }
 
@@ -238,7 +227,6 @@ impl EngineBuilder {
             shared_pool: self.shared_pool,
             embed_store,
             weights_fp: Mutex::new(Rank::WeightsFingerprint, None),
-            backend: self.backend,
         })
     }
 }
@@ -264,7 +252,6 @@ pub struct Engine {
     /// for the disk tier — hashing every parameter is O(weights), so it
     /// is cached until the revision moves.
     weights_fp: Mutex<Option<(u64, u64)>>,
-    backend: Backend,
 }
 
 impl Engine {
@@ -305,11 +292,9 @@ impl Engine {
     /// Arm the embedding store's disk tier with the weight fingerprint of
     /// the current revision. Revision counters are process-local, so
     /// shards persisted by a *previous* process cannot be validated by
-    /// revision alone — they carry this fingerprint (parameter bits +
-    /// backend name) and are trusted only when it matches. The backend is
-    /// in it because Fast's rows can differ from Reference's where a zero
-    /// meets `inf` or NaN in a matmul. The hash walks
-    /// every parameter tensor, so it is cached until the revision moves.
+    /// revision alone — they carry this fingerprint of the parameter
+    /// bits and are trusted only when it matches. The hash walks every
+    /// parameter tensor, so it is cached until the revision moves.
     /// A no-op without a disk tier: the pure in-memory path keeps its
     /// hash-free revision check.
     fn prepare_embed_store(&self) {
@@ -325,7 +310,6 @@ impl Engine {
             Some((rev, fp)) if rev == revision => fp,
             _ => {
                 let mut h = DefaultHasher::new();
-                self.backend.name().hash(&mut h);
                 for (_, tensor) in self.model.store.iter() {
                     for &x in tensor.as_slice() {
                         x.to_bits().hash(&mut h);
@@ -339,13 +323,12 @@ impl Engine {
         store.set_weights_context(revision, fp);
     }
 
-    /// Run `f` with the engine's worker pool and backend installed and
-    /// its embedding store armed: the preamble of every inference entry
+    /// Run `f` with the engine's worker pool installed and its embedding
+    /// store armed: the preamble of every inference entry
     /// point. `f` receives the installed pool.
     fn with_runtime<T>(&self, f: impl FnOnce(&WorkerPool) -> T) -> T {
         let pool = self.thread_pool();
         let _ctx = pool.install();
-        let _be = self.backend.install();
         self.prepare_embed_store();
         f(&pool)
     }
@@ -380,7 +363,6 @@ impl Engine {
     pub fn pretrain(&mut self, dataset: &Dataset) -> TrainingCurve {
         let pool = self.thread_pool();
         let _ctx = pool.install();
-        let _be = self.backend.install();
         pretrain(
             &mut self.model,
             dataset,
@@ -394,7 +376,6 @@ impl Engine {
     pub fn try_pretrain(&mut self, dataset: &Dataset) -> Result<TrainingCurve, DivergenceError> {
         let pool = self.thread_pool();
         let _ctx = pool.install();
-        let _be = self.backend.install();
         try_pretrain(
             &mut self.model,
             dataset,
@@ -406,7 +387,7 @@ impl Engine {
     /// As [`Engine::try_pretrain`], scoring held-out episodes after every
     /// `validate_every` steps and after the last, and restoring the
     /// best-scoring snapshot (see [`try_pretrain_validated`]). Runs under
-    /// the same worker pool and backend as [`Engine::try_pretrain`].
+    /// the same worker pool as [`Engine::try_pretrain`].
     pub fn try_pretrain_validated(
         &mut self,
         dataset: &Dataset,
@@ -414,7 +395,6 @@ impl Engine {
     ) -> Result<PretrainReport, DivergenceError> {
         let pool = self.thread_pool();
         let _ctx = pool.install();
-        let _be = self.backend.install();
         try_pretrain_validated(
             &mut self.model,
             dataset,
@@ -488,9 +468,6 @@ impl Engine {
                 .map(|acc| Mutex::new(Rank::ResultSlot, acc))
                 .collect();
             pool.for_each_index(episodes, |i| {
-                // Pool workers have their own thread-local backend slot;
-                // without this, pooled episodes would run on Reference.
-                let _be = self.backend.install();
                 let acc = one(i);
                 // Each slot is touched by exactly one task; a poisoned lock
                 // can only mean that task already panicked, so `lock`'s
@@ -541,8 +518,8 @@ impl Engine {
     /// embedding runs once over the deduplicated union of every member's
     /// candidates, and all live members' queries go through a single
     /// stacked [`crate::SubgraphBatch`] pass — amortizing the per-request
-    /// embed cost without changing any member's result: on
-    /// [`Backend::Reference`] every member is **bit-identical** to a solo
+    /// embed cost without changing any member's result: every member is
+    /// **bit-identical** to a solo
     /// [`Engine::run_episode_deadline`] call (per-datapoint RNG streams +
     /// row-local embedding; asserted by the property tests in
     /// `crates/core/tests/batching.rs`). A solo call is the same code
@@ -638,24 +615,6 @@ impl Engine {
     /// ([`EngineBuilder::timing_mode`]).
     pub fn timing_mode(&self) -> bool {
         self.timing_mode
-    }
-
-    /// The compute backend this engine installs around every call
-    /// ([`EngineBuilder::backend`]).
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Switch the compute backend. Takes effect on the next
-    /// `pretrain`/`evaluate`/`run_episode` call. The disk tier's weight
-    /// fingerprint hashes the backend name, so it is recomputed; the
-    /// in-memory cache is keyed by protocol + weights only and Fast's
-    /// rows can differ from Reference's where a zero meets `inf` or NaN
-    /// in a matmul, so callers that flip backends on one engine should
-    /// clear it between runs.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-        *self.weights_fp.lock() = None;
     }
 
     /// Counters of the engine's worker pool (budget, spawned workers,

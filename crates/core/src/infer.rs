@@ -312,7 +312,7 @@ fn check_deadline(
 ///    passes, gathered by index.
 ///
 /// Subgraph RNGs derive per datapoint and embedding is row/graph-local,
-/// so on `Backend::Reference` a member's result is bit-identical whatever
+/// so a member's result is bit-identical whatever
 /// else shares its batch. Deadlines stay per member, enforced at the
 /// stage boundaries above and after each chunk's selection and task
 /// graph: an expired member yields its own [`DeadlineExceeded`] without

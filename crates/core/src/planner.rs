@@ -4,11 +4,10 @@
 //! [`crate::Engine::run_episodes_batched`] call. A [`BatchKey`] names the
 //! work a request maps onto; only requests with equal keys may share a
 //! fused pass. Batch membership never affects results: per-datapoint RNG
-//! streams and row-local embedding make every member bit-identical on
-//! `Backend::Reference` to a solo run (see `crates/core/tests/batching.rs`).
+//! streams and row-local embedding make every member bit-identical to a
+//! solo run (see `crates/core/tests/batching.rs`).
 
 use gp_datasets::FewShotTask;
-use gp_tensor::Backend;
 
 use crate::deadline::Deadline;
 
@@ -24,14 +23,11 @@ pub struct EpisodeRequest<'a> {
 
 /// Identity of the work a request maps onto. Only requests with an equal
 /// key may share a fused pass: a different dataset names different
-/// subgraphs, a different revision different weights, and a different
-/// backend different kernel semantics.
+/// subgraphs, and a different revision different weights.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchKey {
     /// Content hash of the dataset ([`crate::EmbeddingStore::dataset_id`]).
     pub dataset_id: u64,
     /// Model parameter-store revision.
     pub revision: u64,
-    /// Compute backend the member's session is pinned to.
-    pub backend: Backend,
 }

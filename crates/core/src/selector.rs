@@ -122,9 +122,8 @@ pub fn select_prompts(
     // its ablation toggle. Cosine takes every `q·p` dot from one `Q×P`
     // `matmul_tb` and divides it by the hoisted row norms as
     // `gp_tensor::cosine_slices_with_norms` does, so each score keeps the
-    // per-pair form's bits: Reference's `matmul_tb` element is `dot`'s
-    // `k`-ascending fold from `+0.0` with no zero skip, Fast's calls its
-    // own `dot`, and `q·p = p·q` exactly.
+    // per-pair form's bits: a `matmul_tb` element is `dot`'s
+    // `k`-ascending fold from `+0.0`, and `q·p = p·q` exactly.
     let cosine = (use_knn && metric == DistanceMetric::Cosine).then(|| {
         let norms = |t: &Tensor| -> Vec<f32> {
             (0..t.rows())

@@ -2,11 +2,10 @@
 //! `run_episodes_batched` layer behind `gp serve --max-batch`).
 //!
 //! The contract under test: **batch membership is invisible in
-//! results**. On `Backend::Reference` a fused member must be
-//! bit-identical to running the same episode alone — same predictions,
-//! same labels, confidences equal to the bit — for every batch size,
-//! any mix of member shapes, and any mix of deadlines. The same holds
-//! on `Backend::Fast`.
+//! results**. A fused member must be bit-identical to running the same
+//! episode alone — same predictions, same labels, confidences equal to
+//! the bit — for every batch size, any mix of member shapes, and any mix
+//! of deadlines, whichever backend name the engine was built with.
 
 use gp_core::{Deadline, Engine, EpisodeRequest, EpisodeResult};
 use gp_datasets::{sample_few_shot_task, CitationConfig, DataPoint, Dataset, FewShotTask};
@@ -80,7 +79,7 @@ fn assert_bit_identical(batched: &EpisodeResult, serial: &EpisodeResult, label: 
     );
 }
 
-/// Reference backend: any batch size from 1 to all members, over
+/// Any batch size from 1 to all members, over
 /// randomly-shaped episodes, is bit-identical to serial runs.
 #[test]
 fn batched_reference_is_bit_identical_to_serial() {
@@ -245,7 +244,8 @@ fn expired_member_does_not_poison_the_batch() {
     });
 }
 
-/// Fast backend: fused members are bit-identical to serial runs too.
+/// An engine built with `Backend::Fast` (an accepted name that changes
+/// nothing): fused members are bit-identical to serial runs too.
 #[test]
 fn batched_fast_matches_serial_within_tolerance() {
     check(12, |rng| {

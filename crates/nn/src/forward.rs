@@ -13,8 +13,7 @@
 //!   is freed as soon as its last reader is done with it.
 //!
 //! Both contexts compute every value with the same gp-tensor functions,
-//! so an [`Eval`] pass is bit-identical to a [`Session`](crate::Session) pass on every
-//! backend.
+//! so an [`Eval`] pass is bit-identical to a [`Session`](crate::Session) pass.
 //!
 //! Ownership follows the ops: an input an op may overwrite is taken by
 //! value, one it only reads (or that its caller reads again) by
@@ -37,7 +36,7 @@
 //! each output row may depend only on its own input row (gathers,
 //! [`Forward::concat_cols`], a `Linear`, elementwise activations), never
 //! on which other rows are computed with it. gp-tensor's `matmul` and
-//! `matmul_tb` compute each output row on its own, on both backends, so
+//! `matmul_tb` compute each output row on its own, so
 //! a row's bits do not change with the row count.
 //!
 //! A second op shares work inside a row: [`Forward::gather_concat_matmul`]
@@ -50,7 +49,7 @@
 //! per distinct key onto a zeroed output, gathers those partial sums to
 //! every row, and continues each row's fold with `B · W[c..]` through
 //! [`Tensor::matmul_onto`]. The two agree bit for bit because gp-tensor's
-//! `matmul_block` is, on both backends, a `k`-ascending left fold per
+//! `matmul` is a `k`-ascending left fold per
 //! output element that starts from the block's value: stopping after
 //! step `c`, storing the partial sum and resuming from it runs the same
 //! float operations in the same order. `W`'s gradient is `catᵀ·g` over

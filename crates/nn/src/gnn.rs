@@ -10,8 +10,7 @@
 //! minibatch forward does (Hamilton et al. 2017, Alg. 2). Every layer but
 //! the last runs over all nodes of the [`EncodeGraph`]; the last runs at
 //! its read rows only, over their in-edges. The read rows get the bits
-//! the all-rows pass gives them, on both backends and in both
-//! [`Forward`] contexts:
+//! the all-rows pass gives them, in both [`Forward`] contexts:
 //!
 //! * `spmm` is an edge-order scatter and `edge_softmax` a per-dst fold
 //!   in edge order, so aggregating over a read row's in-edges, kept in

@@ -16,7 +16,7 @@
 //! each edge's `src` is its message's built row, so the label `spmm`
 //! reads the `2P` rows in place, and only the `P·m×1` scores are
 //! gathered to the edges for `edge_softmax`. The bits are the expanded
-//! pass's: `spmm` is an edge-order scatter on both backends and reads
+//! pass's: `spmm` is an edge-order scatter and reads
 //! the same row values in the same edge order.
 
 use gp_tensor::rng::StdRng;
@@ -222,7 +222,6 @@ mod tests {
     use crate::optim::{AdamW, Optimizer};
     use crate::{Eval, Session};
     use gp_tensor::rng::check;
-    use gp_tensor::Backend;
 
     fn setup(dim: usize) -> (ParamStore, TaskGraphAttention) {
         let mut store = ParamStore::new();
@@ -355,22 +354,18 @@ mod tests {
             let queries = gp_tensor::rng::randn(rng, n, dim, 1.0);
             let mut store = ParamStore::new();
             let mut tg = TaskGraphAttention::new(&mut store, rng, "tg", dim, hidden, edge_dim);
-            for backend in [Backend::Reference, Backend::Fast] {
-                let _backend = backend.install();
-                for residual in [true, false] {
-                    tg.set_prototype_residual(residual);
-                    let tape = logit_bits(
-                        &tg,
-                        &mut Session::new(&store),
-                        &prompts,
-                        &labels,
-                        &queries,
-                        m,
-                    );
-                    let eval =
-                        logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
-                    assert_eq!(tape, eval, "{backend:?} m {m} P {p} residual {residual}");
-                }
+            for residual in [true, false] {
+                tg.set_prototype_residual(residual);
+                let tape = logit_bits(
+                    &tg,
+                    &mut Session::new(&store),
+                    &prompts,
+                    &labels,
+                    &queries,
+                    m,
+                );
+                let eval = logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
+                assert_eq!(tape, eval, "m {m} P {p} residual {residual}");
             }
         });
     }
@@ -406,27 +401,23 @@ mod tests {
             let queries = gp_tensor::rng::randn(rng, n, dim, 1.0);
             let mut store = ParamStore::new();
             let mut tg = TaskGraphAttention::new(&mut store, rng, "tg", dim, hidden, edge_dim);
-            for backend in [Backend::Reference, Backend::Fast] {
-                let _backend = backend.install();
-                for residual in [true, false] {
-                    tg.set_prototype_residual(residual);
-                    let tape = logit_bits(
-                        &tg,
-                        &mut Session::new(&store),
-                        &prompts,
-                        &labels,
-                        &queries,
-                        m,
-                    );
-                    let eval =
-                        logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
-                    assert_eq!(
-                        tape,
-                        eval,
-                        "{backend:?} m {m} k {k} P {p} held {} residual {residual}",
-                        held.len()
-                    );
-                }
+            for residual in [true, false] {
+                tg.set_prototype_residual(residual);
+                let tape = logit_bits(
+                    &tg,
+                    &mut Session::new(&store),
+                    &prompts,
+                    &labels,
+                    &queries,
+                    m,
+                );
+                let eval = logit_bits(&tg, &mut Eval::new(&store), &prompts, &labels, &queries, m);
+                assert_eq!(
+                    tape,
+                    eval,
+                    "m {m} k {k} P {p} held {} residual {residual}",
+                    held.len()
+                );
             }
         });
     }

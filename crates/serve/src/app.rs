@@ -53,7 +53,6 @@ pub struct SessionHost {
     dataset: Dataset,
     dataset_fingerprint: u64,
     max_sessions: usize,
-    default_backend: Backend,
     /// Root of the persistent embedding disk tier; each session engine
     /// gets its own shard subdirectory under it.
     embed_store: Option<PathBuf>,
@@ -65,27 +64,18 @@ pub struct SessionHost {
 impl SessionHost {
     /// Capture `model`'s weights as the base snapshot and eagerly build
     /// the `"default"` session so configuration errors surface at
-    /// startup, not on the first request. `default_backend` is the
-    /// compute backend sessions run on unless a request picks one
-    /// explicitly (`"backend"` body field) when a session is first
-    /// created; a session's backend is fixed for its lifetime.
+    /// startup, not on the first request. `_backend` is an accepted
+    /// compute backend name that changes nothing (see
+    /// [`gp_tensor::Backend`]).
     pub fn new(
         model: &GraphPrompterModel,
         dataset: Dataset,
         infer: InferenceConfig,
         pool: Arc<WorkerPool>,
         max_sessions: usize,
-        default_backend: Backend,
+        _backend: Backend,
     ) -> Result<Self, String> {
-        Self::with_embed_store(
-            model,
-            dataset,
-            infer,
-            pool,
-            max_sessions,
-            default_backend,
-            None,
-        )
+        Self::with_embed_store(model, dataset, infer, pool, max_sessions, None)
     }
 
     /// As [`SessionHost::new`], optionally attaching a persistent
@@ -102,7 +92,6 @@ impl SessionHost {
         infer: InferenceConfig,
         pool: Arc<WorkerPool>,
         max_sessions: usize,
-        default_backend: Backend,
         embed_store: Option<PathBuf>,
     ) -> Result<Self, String> {
         let dataset_fingerprint = EmbeddingStore::dataset_id(&dataset);
@@ -114,68 +103,34 @@ impl SessionHost {
             dataset,
             dataset_fingerprint,
             max_sessions: max_sessions.max(1),
-            default_backend,
             embed_store,
             sessions: Mutex::new(Rank::Sessions, HashMap::new()),
         };
-        host.engine_for("default", None)
-            .map_err(|e| e.to_string())?;
+        host.engine_for("default").map_err(|e| e.to_string())?;
         Ok(host)
     }
 
-    /// Fetch or lazily build the engine for `session`. A `Some(backend)`
-    /// request pins a *new* session to that backend; on an existing
-    /// session it must match the backend the session was created with
-    /// (answers within a session stay mutually consistent — Fast's rows
-    /// can differ from Reference's where a zero meets `inf` or NaN in a
-    /// matmul, so silently flipping mid-session could break the
-    /// bit-exact replay guarantee).
-    fn engine_for(
-        &self,
-        session: &str,
-        backend: Option<Backend>,
-    ) -> Result<Arc<Engine>, SessionError> {
+    /// Fetch or lazily build the engine for `session`.
+    fn engine_for(&self, session: &str) -> Result<Arc<Engine>, SessionError> {
         if let Some(engine) = self.sessions.lock().get(session).cloned() {
-            if let Some(want) = backend {
-                if want != engine.backend() {
-                    return Err(SessionError::BackendConflict {
-                        session: session.to_string(),
-                        have: engine.backend(),
-                        want,
-                    });
-                }
-            }
             return Ok(engine);
         }
         // Build outside the lock: engine construction embeds nothing
         // but does clone the weight snapshot, and serving must not
         // stall on it. Two racers may build twice; the first insert wins
-        // and both replicas are identical by construction (racers with
-        // conflicting explicit backends are resolved the same way: the
-        // losing insert re-validates against the engine already there).
-        let engine =
-            Arc::new(self.build_replica(session, backend.unwrap_or(self.default_backend))?);
+        // and both replicas are identical by construction.
+        let engine = Arc::new(self.build_replica(session)?);
         let mut sessions = self.sessions.lock();
         if !sessions.contains_key(session) && sessions.len() >= self.max_sessions {
             return Err(SessionError::TooManySessions(self.max_sessions));
         }
-        let engine = sessions
+        Ok(sessions
             .entry(session.to_string())
             .or_insert(engine)
-            .clone();
-        if let Some(want) = backend {
-            if want != engine.backend() {
-                return Err(SessionError::BackendConflict {
-                    session: session.to_string(),
-                    have: engine.backend(),
-                    want,
-                });
-            }
-        }
-        Ok(engine)
+            .clone())
     }
 
-    fn build_replica(&self, session: &str, backend: Backend) -> Result<Engine, SessionError> {
+    fn build_replica(&self, session: &str) -> Result<Engine, SessionError> {
         let mut model = GraphPrompterModel::new(self.model_config.clone());
         model
             .store
@@ -184,8 +139,7 @@ impl SessionHost {
         let mut builder = Engine::builder()
             .model(model)
             .inference_config(self.infer.clone())
-            .worker_pool(Arc::clone(&self.pool))
-            .backend(backend);
+            .worker_pool(Arc::clone(&self.pool));
         if let Some(root) = &self.embed_store {
             // Session names arrive verbatim from request bodies; hashing
             // them into the directory name makes traversal impossible and
@@ -244,11 +198,6 @@ impl SessionHost {
 enum SessionError {
     TooManySessions(usize),
     Build(String),
-    BackendConflict {
-        session: String,
-        have: Backend,
-        want: Backend,
-    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -261,15 +210,6 @@ impl std::fmt::Display for SessionError {
                 )
             }
             SessionError::Build(why) => write!(f, "building session engine: {why}"),
-            SessionError::BackendConflict {
-                session,
-                have,
-                want,
-            } => write!(
-                f,
-                "session '{session}' runs backend '{have}' but the request asked for \
-                 '{want}'; a session's backend is fixed at creation — use another session"
-            ),
         }
     }
 }
@@ -279,7 +219,6 @@ impl SessionError {
         match self {
             SessionError::TooManySessions(_) => 429,
             SessionError::Build(_) => 500,
-            SessionError::BackendConflict { .. } => 400,
         }
     }
 }
@@ -301,10 +240,10 @@ impl ClassifyApp {
     }
 
     /// Enable cross-request batching: concurrent classify requests with
-    /// the same `(dataset, revision, backend)` are fused — up to
-    /// `max_batch` members, collected for at most `window_ms` — into one
+    /// the same `(dataset, revision)` are fused — up to `max_batch`
+    /// members, collected for at most `window_ms` — into one
     /// [`Engine::run_episodes_batched`] pass. Results are bit-identical
-    /// to solo runs on `Backend::Reference`; only timings and the
+    /// to solo runs; only timings and the
     /// reported `batch_size` change.
     pub fn with_batching(mut self, max_batch: usize, window_ms: u64) -> Self {
         self.coalescer = Coalescer::new(max_batch, Duration::from_millis(window_ms));
@@ -384,16 +323,15 @@ impl ClassifyApp {
                 Some(ms) => ms,
             },
         };
-        let backend = match doc.get("backend") {
-            None => None,
-            Some(v) => match v.as_str() {
+        // `backend` names one of the accepted compute backends, which
+        // all run the same kernels: checked, then ignored.
+        if let Some(v) = doc.get("backend") {
+            match v.as_str().map(str::parse::<Backend>) {
                 None => return field_error("backend", "must be a string"),
-                Some(name) => match name.parse::<Backend>() {
-                    Ok(b) => Some(b),
-                    Err(e) => return field_error("backend", &e),
-                },
-            },
-        };
+                Some(Err(e)) => return field_error("backend", &e),
+                Some(Ok(_)) => {}
+            }
+        }
 
         // Range checks against the effective caps: the server config's,
         // clamped by the crate hard limits.
@@ -413,7 +351,7 @@ impl ClassifyApp {
             return field_error("queries", &format!("must be in 1..={max_queries}"));
         }
 
-        let engine = match self.host.engine_for(&session, backend) {
+        let engine = match self.host.engine_for(&session) {
             Ok(engine) => engine,
             Err(e) => return Response::error(e.status(), &e.to_string()),
         };
@@ -438,19 +376,12 @@ impl ClassifyApp {
         let key = BatchKey {
             dataset_id: self.host.dataset_fingerprint(),
             revision: engine.revision(),
-            backend: engine.backend(),
         };
         match self.coalescer.submit(key, &engine, dataset, task, deadline) {
             CoalesceOutcome::Done { result, batch_size } => match *result {
                 Ok(result) => Response::json(
                     200,
-                    render_episode(
-                        &result,
-                        &session,
-                        engine.revision(),
-                        engine.backend(),
-                        batch_size,
-                    ),
+                    render_episode(&result, &session, engine.revision(), batch_size),
                 ),
                 Err(d) => deadline_response(&d),
             },
@@ -536,13 +467,7 @@ fn render_u64s(xs: impl Iterator<Item = u64>) -> String {
     out
 }
 
-fn render_episode(
-    r: &EpisodeResult,
-    session: &str,
-    revision: u64,
-    backend: Backend,
-    batch_size: usize,
-) -> String {
+fn render_episode(r: &EpisodeResult, session: &str, revision: u64, batch_size: usize) -> String {
     let confidences = {
         let mut out = String::from("[");
         for (i, c) in r.confidences.iter().enumerate() {
@@ -558,12 +483,11 @@ fn render_episode(
     // timing tail is the deterministic replay surface, and batch
     // membership (like wall-clock) must never be part of it.
     format!(
-        "{{\"session\":\"{}\",\"engine_revision\":{},\"backend\":\"{}\",\"correct\":{},\
+        "{{\"session\":\"{}\",\"engine_revision\":{},\"correct\":{},\
          \"total\":{},\"accuracy\":{:.6},\"predictions\":{},\"labels\":{},\"confidences\":{},\
          \"per_query_micros\":{:.1},\"batch_size\":{}}}",
         escape_json(session),
         revision,
-        backend.name(),
         r.correct,
         r.total,
         r.accuracy(),
@@ -679,16 +603,8 @@ mod tests {
             ..InferenceConfig::default()
         };
         let pool = Arc::new(WorkerPool::with_budget(2));
-        SessionHost::with_embed_store(
-            &model,
-            dataset,
-            infer,
-            pool,
-            3,
-            Backend::Reference,
-            Some(dir.to_path_buf()),
-        )
-        .expect("host with embed store builds")
+        SessionHost::with_embed_store(&model, dataset, infer, pool, 3, Some(dir.to_path_buf()))
+            .expect("host with embed store builds")
     }
 
     #[test]
@@ -740,46 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_is_pinned_per_session_and_reported() {
-        let app = ClassifyApp::new(tiny_host());
-        // Default session was built on the host's default backend.
-        let a = post_classify(&app, r#"{"seed": 3, "backend": "reference"}"#);
-        assert_eq!(a.status, 200, "{}", a.body);
-        assert!(a.body.contains("\"backend\":\"reference\""), "{}", a.body);
-
-        // A fresh session can pick the fast kernels; replays on that
-        // session are still bit-identical (Fast is deterministic within
-        // itself).
-        let f1 = post_classify(&app, r#"{"session": "f", "seed": 3, "backend": "fast"}"#);
-        let f2 = post_classify(&app, r#"{"session": "f", "seed": 3, "backend": "fast"}"#);
-        assert_eq!(f1.status, 200, "{}", f1.body);
-        assert!(f1.body.contains("\"backend\":\"fast\""), "{}", f1.body);
-        assert_eq!(sans_timing(&f1.body), sans_timing(&f2.body));
-
-        // Asking an existing session for the other backend is a 400;
-        // omitting the field keeps working.
-        let conflict = post_classify(&app, r#"{"session": "f", "backend": "reference"}"#);
-        assert_eq!(conflict.status, 400, "{}", conflict.body);
-        assert!(
-            conflict.body.contains("fixed at creation"),
-            "{}",
-            conflict.body
-        );
-        let sticky = post_classify(&app, r#"{"session": "f", "seed": 3}"#);
-        assert_eq!(sticky.status, 200);
-        assert!(
-            sticky.body.contains("\"backend\":\"fast\""),
-            "{}",
-            sticky.body
-        );
-
-        // Unknown backend names are rejected before any work.
-        let bad = post_classify(&app, r#"{"backend": "gpu"}"#);
-        assert_eq!(bad.status, 400, "{}", bad.body);
-        assert!(bad.body.contains("unknown backend"), "{}", bad.body);
-    }
-
-    #[test]
     fn invalid_parameters_are_400_naming_the_field() {
         let app = ClassifyApp::new(tiny_host());
         for (body, field) in [
@@ -797,6 +673,7 @@ mod tests {
             ("{\"seed\": 18446744073709551616}", Some("seed")),
             ("{\"session\": 7}", Some("session")),
             ("{\"backend\": 1}", Some("backend")),
+            ("{\"backend\": \"gpu\"}", Some("backend")),
             ("not json", None),
         ] {
             let resp = post_classify(&app, body);

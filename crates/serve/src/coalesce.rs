@@ -14,8 +14,7 @@
 //!
 //! Batch membership is invisible in results by construction
 //! (per-datapoint RNG streams, row-local embedding — see
-//! `gp_core::planner`): on `Backend::Reference` a fused member is
-//! bit-identical to a solo run, proven end-to-end by
+//! `gp_core::planner`): a fused member is bit-identical to a solo run, proven end-to-end by
 //! `batched_classify_matches_serial` in `tests/pipeline.rs`.
 //!
 //! Concurrency safety: every lock acquisition recovers from poisoning,

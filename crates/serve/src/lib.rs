@@ -45,8 +45,7 @@
 //! only ever *cut off* work at stage boundaries (completed stages are
 //! bit-identical to an undeadlined run), and session replicas share
 //! one revision. Cross-request batching ([`coalesce`]) keeps that
-//! contract — fused members are bit-identical on `Backend::Reference`
-//! to solo runs, so batching is purely a throughput knob
+//! contract — fused members are bit-identical to solo runs, so batching is purely a throughput knob
 //! (`gp serve --max-batch/--batch-window-ms`). See `README.md`
 //! § "Request batching".
 

@@ -1,71 +1,84 @@
-//! The Fast backend: Reference plus one AVX2 kernel.
+//! The AVX2 compilation of the kernels, and the one dispatch to it.
 //!
-//! Fast overrides only `matmul_block`. On an x86_64 host with AVX2 it
-//! runs [`x86::matmul_row`], which keeps one lane per output element:
-//! each element starts from the block's value and, for `kk` ascending,
-//! does one rounded multiply and one rounded add, like Reference's
-//! fold, but with no zero skip. Elsewhere it runs Reference's
-//! `matmul_block`. Every other kernel is Reference's on both backends.
-//! The contract this gives, and its one exception, are stated in the
-//! [backend docs](super).
+//! [`Kernel::run`] runs every call of a [`Kernel`]. On an x86_64 host
+//! with AVX2 (detected at run time) `Matmul` runs [`x86::matmul_row`],
+//! an intrinsics row that keeps one lane per output element: each
+//! element starts from the block's value and, for `kk` ascending, does
+//! one rounded multiply and one rounded add, Reference's sequence.
+//! `MatmulTb`, `MatmulTa` and `Spmm` run Reference's own source, the
+//! `#[inline(always)]` bodies behind [`Kernel::baseline`], compiled
+//! inside a `#[target_feature(enable = "avx2")]` fn. Elsewhere every
+//! kernel runs its baseline compilation. Both compilations give the same
+//! bits, which `avx2_kernels_are_bit_identical_to_the_baseline` holds.
 //!
 //! This module is the **only** place in the workspace allowed to touch
 //! `std::arch`: `tests/arch_fence.rs` fails on an `arch` path anywhere
 //! else, and the workspace denies `unsafe_code`, which the loads,
-//! stores and `#[target_feature]` call here need, everywhere but this
+//! stores and `#[target_feature]` calls here need, everywhere but this
 //! module and the worker pool.
 
 #![expect(
     unsafe_code,
-    reason = "one #[target_feature] AVX2 kernel, entered only after runtime feature detection"
+    reason = "the AVX2 kernels, entered only after runtime feature detection"
 )]
 
-use std::ops::Range;
+use super::reference::Kernel;
 
-use super::{Backend, ComputeBackend, ReferenceBackend};
-
-/// Reference plus the AVX2 `matmul_block`; bit-equal to Reference but
-/// for the exception the [backend docs](super) state.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastBackend;
-
-impl ComputeBackend for FastBackend {
-    fn kind(&self) -> Backend {
-        Backend::Fast
-    }
-
-    fn matmul_block(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        m: usize,
-        rows: Range<usize>,
-        block: &mut [f32],
-    ) {
-        // std caches the detection: one load per block.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert!(b.len() >= k * m, "matmul_block: b holds fewer than k×m");
-            for (local, i) in rows.enumerate() {
-                let a_row = &a[i * k..(i + 1) * k];
-                let o_row = &mut block[local * m..(local + 1) * m];
-                // SAFETY: AVX2 was detected above; `a_row` holds k
-                // entries, `o_row` m, and `b` at least k×m.
-                unsafe { x86::matmul_row(a_row, b, m, o_row) };
-            }
-            return;
+impl Kernel<'_> {
+    /// Runs the kernel: its AVX2 compilation where the host has AVX2,
+    /// its baseline compilation elsewhere.
+    pub(crate) fn run(self) {
+        if let Some(kernel) = avx2(self) {
+            kernel.baseline();
         }
-        ReferenceBackend.matmul_block(a, b, k, m, rows, block);
     }
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 kernel (x86_64, runtime-detected).
+/// Runs `kernel`'s AVX2 compilation and returns `None`, or returns the
+/// kernel unrun on a host without AVX2.
+fn avx2(kernel: Kernel<'_>) -> Option<Kernel<'_>> {
+    // std caches the detection: one load per call.
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected just above.
+        unsafe { x86::run(kernel) };
+        return None;
+    }
+    Some(kernel)
+}
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
+
+    use super::Kernel;
+
+    /// `kernel` compiled for AVX2: `Matmul` row by row through
+    /// [`matmul_row`], every other kernel through its inlined
+    /// [`Kernel::baseline`] source.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn run(kernel: Kernel<'_>) {
+        match kernel {
+            Kernel::Matmul {
+                a,
+                b,
+                k,
+                m,
+                rows,
+                block,
+            } => {
+                assert!(b.len() >= k * m, "matmul: b holds fewer than k×m");
+                for (local, i) in rows.enumerate() {
+                    let a_row = &a[i * k..(i + 1) * k];
+                    let o_row = &mut block[local * m..(local + 1) * m];
+                    // SAFETY: this fn runs only on AVX2 hosts; `a_row`
+                    // holds k entries, `o_row` m, and `b` at least k×m.
+                    unsafe { matmul_row(a_row, b, m, o_row) };
+                }
+            }
+            other => other.baseline(),
+        }
+    }
 
     /// One output row with 16-wide register tiles (two accumulators,
     /// loaded from `o_row`, held across the whole `k` loop), 8-wide then
@@ -75,7 +88,7 @@ mod x86 {
     /// Caller must have verified AVX2 support; `b.len() >= k*m`,
     /// `o_row.len() == m`, `a_row.len() == k`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_row(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
+    unsafe fn matmul_row(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
         let k = a_row.len();
         let bp = b.as_ptr();
         let op = o_row.as_mut_ptr();
@@ -114,7 +127,12 @@ mod x86 {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
+    use crate::rng::StdRng;
+    use crate::sparse::EdgeList;
+    use crate::tensor::Tensor;
 
     /// Deterministic pseudo-random fill (seeded LCG; no entropy).
     fn fill(seed: u64, len: usize) -> Vec<f32> {
@@ -145,6 +163,19 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `Matmul` over rows `rows` of `a` into `block`, through the dispatch.
+    fn matmul(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
+        Kernel::Matmul {
+            a,
+            b,
+            k,
+            m,
+            rows,
+            block,
+        }
+        .run();
+    }
+
     /// Both sides of the 8-lane tail, the 16-lane tile and Reference's
     /// 32-lane tile, degenerate empties, and multi-tile rows.
     const SHAPES: [(usize, usize, usize); 16] = [
@@ -169,25 +200,36 @@ mod tests {
     #[test]
     fn fast_matmul_block_matches_reference_within_tolerance() {
         // The tolerance is zero: on finite operands, with ReLU zeros of
-        // both signs in `a`, Fast's bits are Reference's, from a zeroed
-        // block (`Tensor::matmul`) and from a noise block (a partial
-        // fold continued by `Tensor::matmul_onto`).
+        // both signs in `a`, the dispatched `Matmul` (the AVX2 row on
+        // AVX2 hosts) gives the baseline compilation's bits, from a
+        // zeroed block (`Tensor::matmul`) and from a noise block (a
+        // partial fold continued by `Tensor::matmul_onto`).
         for (n, k, m) in SHAPES {
             let a = relu_fill(1 + n as u64, n * k);
             let b = fill(2 + m as u64, k * m);
             for init in [vec![0.0f32; n * m], fill(3, n * m)] {
                 let mut want = init.clone();
                 let mut got = init;
-                ReferenceBackend.matmul_block(&a, &b, k, m, 0..n, &mut want);
-                FastBackend.matmul_block(&a, &b, k, m, 0..n, &mut got);
+                let (a, b, rows) = (&a[..], &b[..], 0..n);
+                let block = &mut want[..];
+                Kernel::Matmul {
+                    a,
+                    b,
+                    k,
+                    m,
+                    rows,
+                    block,
+                }
+                .baseline();
+                matmul(a, b, k, m, 0..n, &mut got);
                 assert_eq!(bits(&want), bits(&got), "matmul {n}x{k}x{m}");
             }
         }
     }
 
-    /// The per-element sequence `matmul_row` runs: start from the
+    /// The per-element sequence of every `Matmul` path: start from the
     /// block's value, then for `kk` ascending one rounded multiply and
-    /// one rounded add, with no zero skip.
+    /// one rounded add.
     fn kept_fold(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
         for (local, i) in rows.enumerate() {
             for j in 0..m {
@@ -211,37 +253,218 @@ mod tests {
                 let mut want = init.clone();
                 let mut got = init;
                 kept_fold(&a, &b, k, m, 0..n, &mut want);
-                FastBackend.matmul_block(&a, &b, k, m, 0..n, &mut got);
+                matmul(&a, &b, k, m, 0..n, &mut got);
                 assert_eq!(bits(&want), bits(&got), "matmul {n}x{k}x{m}");
             }
         }
     }
 
+    /// Output widths of the baseline/AVX2 comparison: both sides of the
+    /// 8- and 16-lane AVX2 tiles, of the 8-wide narrow split and of the
+    /// 32-lane tile.
+    const WIDTHS: [usize; 11] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 64, 65];
+
+    /// `len` entries in `[-2, 2)`, about a quarter of them `0.0` or
+    /// `-0.0`.
+    fn sparse(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..8usize) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    /// `sparse`, with `inf`, `-inf` or NaN at the positions `poisoned`
+    /// picks.
+    fn poisoned(rng: &mut StdRng, len: usize, poisoned: bool) -> Vec<f32> {
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut v = sparse(rng, len);
+        if poisoned {
+            for x in &mut v {
+                if rng.gen_range(0..16usize) == 0 {
+                    *x = poison[rng.gen_range(0..poison.len())];
+                }
+            }
+        }
+        v
+    }
+
+    /// Runs `kernel` by its baseline compilation, or through
+    /// [`Kernel::run`] (the AVX2 compilation on AVX2 hosts).
+    fn go(kernel: Kernel<'_>, baseline: bool) {
+        if baseline {
+            kernel.baseline();
+        } else {
+            kernel.run();
+        }
+    }
+
+    /// Runs `kernel` on two copies of `out`, by both compilations
+    /// ([`go`]), and asserts equal bits, with every NaN compared as one:
+    /// an add of two NaNs returns one of them, the first operand on
+    /// x86, and the two compilations may order an add's operands
+    /// differently.
+    fn assert_both(out: &[f32], case: &str, kernel: impl Fn(&mut [f32], bool)) {
+        let (mut want, mut got) = (out.to_vec(), out.to_vec());
+        kernel(&mut want, true);
+        kernel(&mut got, false);
+        let class = |x: f32| if x.is_nan() { f32::NAN } else { x }.to_bits();
+        for (e, (&w, &g)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(class(w), class(g), "{case} element {e}: {w} vs {g}");
+        }
+    }
+
     #[test]
-    fn fast_zero_times_non_finite_is_the_one_exception() {
+    fn avx2_kernels_are_bit_identical_to_the_baseline() {
+        // Zeros of both signs in `a` meet `inf` and NaN in `b` (and in
+        // the prior block, for the kernels that accumulate); a skipped
+        // zero, an FMA or a reassociated sum in either compilation moves
+        // bits here. On a host without AVX2 both sides are the baseline.
+        let rng = &mut StdRng::seed_from_u64(0x5eed);
+        let n = 5usize;
+        for m in WIDTHS {
+            for k in [0usize, 1, 3, 8, 33, 72] {
+                for poison in [false, true] {
+                    let case = format!("m={m} k={k} poison={poison}");
+                    let a = poisoned(rng, n * k, false);
+                    let at = poisoned(rng, k * n, false);
+                    let b = poisoned(rng, k * m, poison);
+                    let init = poisoned(rng, n * m, poison);
+                    assert_both(&init, &format!("matmul {case}"), |block, baseline| {
+                        let block = &mut block[..3 * m];
+                        let (a, b, rows) = (&a[..], &b[..], 1..4);
+                        go(
+                            Kernel::Matmul {
+                                a,
+                                b,
+                                k,
+                                m,
+                                rows,
+                                block,
+                            },
+                            baseline,
+                        );
+                    });
+                    assert_both(&init, &format!("matmul_tb {case}"), |block, baseline| {
+                        let (a, bt, rows) = (&a[..], &b[..], 0..n);
+                        go(
+                            Kernel::MatmulTb {
+                                a,
+                                bt,
+                                k,
+                                m,
+                                rows,
+                                block,
+                            },
+                            baseline,
+                        );
+                    });
+                    assert_both(&init, &format!("matmul_ta {case}"), |block, baseline| {
+                        let block = &mut block[..(n - 1) * m];
+                        let (a, b, rows) = (&at[..], &b[..], 1..n);
+                        go(
+                            Kernel::MatmulTa {
+                                a,
+                                b,
+                                n,
+                                k,
+                                m,
+                                rows,
+                                block,
+                            },
+                            baseline,
+                        );
+                    });
+                    // Edges with repeats and self-loops, weights with
+                    // signed zeros (skipped) and non-finite entries.
+                    let pairs = (0..3 * n).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)));
+                    let edges = EdgeList::from_pairs(pairs.map(|(s, t)| (s as u32, t as u32)));
+                    let w = poisoned(rng, edges.len(), poison);
+                    let x = Tensor::from_vec(n, m, poisoned(rng, n * m, poison));
+                    assert_both(&init, &format!("spmm {case}"), |block, baseline| {
+                        let mut out = Tensor::from_vec(n, m, block.to_vec());
+                        let (edges, x, w) = (&edges, &x, Some(&w[..]));
+                        go(
+                            Kernel::Spmm {
+                                edges,
+                                x,
+                                w,
+                                out: &mut out,
+                            },
+                            baseline,
+                        );
+                        block.copy_from_slice(out.as_slice());
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_times_non_finite_is_nan_on_every_path() {
         // A zero `a` entry (either sign) meeting an `inf` or NaN `b`
-        // entry: Reference skips the step, the AVX2 row multiplies and
-        // stores NaN. Without AVX2, Fast runs Reference's fold.
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
+        // entry multiplies, so the element is NaN, in `matmul`,
+        // `matmul_tb` and `matmul_ta`, in both compilations.
         for m in [1usize, 8, 16, 17] {
             for zero in [0.0f32, -0.0] {
                 for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
                     let (k, n) = (3usize, 1usize);
-                    let a = vec![1.5, zero, -2.0];
+                    let a = [1.5, zero, -2.0];
                     let mut b = fill(61, k * m);
                     b[m..2 * m].fill(poison);
-                    let mut want = vec![0.0f32; n * m];
-                    let mut got = want.clone();
-                    ReferenceBackend.matmul_block(&a, &b, k, m, 0..n, &mut want);
-                    FastBackend.matmul_block(&a, &b, k, m, 0..n, &mut got);
-                    assert!(want.iter().all(|x| x.is_finite()), "Reference skips");
-                    if avx2 {
-                        assert!(got.iter().all(|x| x.is_nan()), "m={m} {zero} × {poison}");
-                    } else {
-                        assert_eq!(bits(&want), bits(&got), "m={m} {zero} × {poison}");
+                    // `a` as a `k×1` column is its own `aᵀ` for `MatmulTa`.
+                    let kernel = |which: usize, baseline: bool| {
+                        let (a, b, rows) = (&a[..], &b[..], 0..n);
+                        let mut out = vec![0.0f32; m];
+                        let block = &mut out[..];
+                        match which {
+                            0 => go(
+                                Kernel::Matmul {
+                                    a,
+                                    b,
+                                    k,
+                                    m,
+                                    rows,
+                                    block,
+                                },
+                                baseline,
+                            ),
+                            1 => go(
+                                Kernel::MatmulTb {
+                                    a,
+                                    bt: b,
+                                    k,
+                                    m,
+                                    rows,
+                                    block,
+                                },
+                                baseline,
+                            ),
+                            _ => go(
+                                Kernel::MatmulTa {
+                                    a,
+                                    b,
+                                    n,
+                                    k,
+                                    m,
+                                    rows,
+                                    block,
+                                },
+                                baseline,
+                            ),
+                        }
+                        out
+                    };
+                    for which in 0..3 {
+                        for baseline in [true, false] {
+                            let got = kernel(which, baseline);
+                            assert!(
+                                got.iter().all(|x| x.is_nan()),
+                                "kernel {which} baseline {baseline} m={m} {zero} × {poison}: {got:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -250,18 +473,18 @@ mod tests {
 
     #[test]
     fn fast_rows_are_bit_identical_across_block_splits() {
-        // The worker-count invariance Fast promises: a row's bits do not
-        // depend on which block computed it.
+        // The worker-count invariance the dispatch promises: a row's bits
+        // do not depend on which block computed it.
         let (n, k, m) = (6usize, 21usize, 19usize);
         let a = fill(21, n * k);
         let b = fill(22, k * m);
         let mut whole = vec![0.0f32; n * m];
-        FastBackend.matmul_block(&a, &b, k, m, 0..n, &mut whole);
+        matmul(&a, &b, k, m, 0..n, &mut whole);
         let mut split = vec![0.0f32; n * m];
         let cut = 2usize;
         let (lo, hi) = split.split_at_mut(cut * m);
-        FastBackend.matmul_block(&a, &b, k, m, 0..cut, lo);
-        FastBackend.matmul_block(&a, &b, k, m, cut..n, hi);
+        matmul(&a, &b, k, m, 0..cut, lo);
+        matmul(&a, &b, k, m, cut..n, hi);
         assert_eq!(bits(&whole), bits(&split));
     }
 }

@@ -2,111 +2,130 @@
 //! implementations; the three matmul kernels are register-tiled, every
 //! other kernel is the original loop.
 //!
-//! [`ReferenceBackend`] implements `matmul_block`, the one kernel the
-//! backends do not share. Every other kernel is a plain function here,
-//! which `Tensor` and `EdgeList` call on both backends.
+//! [`Kernel`] names the four kernels that also have an AVX2
+//! compilation (`matmul`, `matmul_tb`, `matmul_ta` and `spmm`);
+//! [`Kernel::baseline`] runs the source here as the target's baseline
+//! compiles it, and the [arch module](super::fast) runs it, or for
+//! `matmul` an intrinsics row with the same sequence, on AVX2 hosts.
+//! Every other kernel is a plain function here.
 //!
 //! **The contract is the per-element float sequence, not the loop.**
 //! Every output element of every kernel here runs a pinned sequence of
 //! IEEE operations, and that sequence *is* the determinism contract:
 //! it is what the kernel unit tests, the parallel bit-identity
-//! proptests and the end-to-end pipeline tests pin. For
-//! `matmul_block`, element `(i, j)` starts from the block's value and,
-//! for `kk` ascending, skips the step when `a[i][kk] == 0.0` (so
-//! `-0.0` too) and otherwise does one rounded multiply `a[i][kk] *
-//! b[kk][j]` followed by one rounded add onto the accumulator.
-//! `matmul_ta` (`aᵀ · b`, `a` is `k×n`) is the same fold with `a[kk][i]`
-//! in place of `a[i][kk]`: from the output's value, `kk` ascending,
-//! skipping `a[kk][i] == 0.0`. `matmul_tb` (`a · bᵀ`, `b` is `m×k`)
-//! overwrites: element `(i, j)` starts at `+0.0` and, for `kk`
-//! ascending, does one rounded multiply `a[i][kk] * b[j][kk]` and one
-//! rounded add, with **no** zero skip (so a zero times `inf` is NaN).
+//! proptests and the end-to-end pipeline tests pin. For `matmul`,
+//! element `(i, j)` starts from the block's value and, for `kk`
+//! ascending, does one rounded multiply `a[i][kk] * b[kk][j]` followed
+//! by one rounded add onto the accumulator. `matmul_ta` (`aᵀ · b`, `a`
+//! is `k×n`) is the same fold with `a[kk][i]` in place of `a[i][kk]`.
+//! `matmul_tb` (`a · bᵀ`) is the same fold over `bᵀ` from `+0.0`. None
+//! skips a zero `a` entry, so a zero times `inf` or NaN is NaN on every
+//! path.
 //!
-//! Loop nesting and what stays in registers may change; the sequence
-//! may not. So no FMA (`mul_add`), no `std::arch` or
-//! `#[target_feature]`, and no reassociation (split accumulators,
-//! pairwise or lane sums): each is mathematically neutral but changes
-//! bits of every previously committed prediction and pre-trained model.
-//! The tests hold each kernel to its original loop, kept verbatim in
-//! the test module, bit for bit. [`FastBackend`](super::FastBackend)
-//! keeps this sequence too, except for the zero skip (see the
-//! [backend docs](super)).
+//! Loop nesting, what stays in registers and the instruction set may
+//! change; the sequence may not. So no FMA (`mul_add`) and no
+//! reassociation (split accumulators, pairwise or lane sums): each is
+//! mathematically neutral but changes bits of every previously
+//! committed prediction and pre-trained model. Rust neither contracts
+//! `a * b + c` into an FMA nor reassociates, so compiling this source
+//! for AVX2 keeps the sequence. The tests hold each kernel to its
+//! original loop, kept in the test module, bit for bit.
 
 use std::ops::Range;
 
-use super::{Backend, ComputeBackend};
 use crate::sparse::EdgeList;
 use crate::tensor::Tensor;
 
-/// The default backend: scalar kernels with a pinned accumulation
-/// order, bit-identical across runs, hosts, and worker counts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReferenceBackend;
-
-impl ComputeBackend for ReferenceBackend {
-    fn kind(&self) -> Backend {
-        Backend::Reference
-    }
-
-    /// Register-tiled `i-k-j` order, chosen by the output width `m`:
-    /// wide rows keep a column tile in a local array across the whole
-    /// `kk` loop (one load and one store per tile instead of one per
-    /// `kk`), narrow outputs interleave four rows' accumulators. Zero
-    /// `a` entries skip their `b` row (subgraph one-hots and ReLU
-    /// outputs are sparse); see the module docs for the per-element
-    /// sequence both paths keep.
-    fn matmul_block(
-        &self,
-        a: &[f32],
-        b: &[f32],
+/// One call of a kernel with an AVX2 compilation, with its operands.
+/// Row-blocked variants take a disjoint range of output `rows` plus the
+/// backing sub-slice for exactly those rows (the shape
+/// `parallel::for_row_blocks` hands out), so one call serves the serial
+/// path (`rows = 0..n`) and every fan-out alike: each row is computed
+/// on its own, whatever block it lands in.
+pub(crate) enum Kernel<'a> {
+    /// `block[local] += a[i] · b` for `i` in `rows`: `a` is `n×k`, `b`
+    /// is `k×m`, each element folding `kk` ascending from the block's
+    /// value. A fold split at any `kk` and continued from the stored
+    /// partial (see [`Tensor::matmul_onto`]) gives the unsplit result.
+    Matmul {
+        a: &'a [f32],
+        b: &'a [f32],
         k: usize,
         m: usize,
         rows: Range<usize>,
-        block: &mut [f32],
-    ) {
-        fold_block::<true>(a, b, k, m, rows, block);
-    }
+        block: &'a mut [f32],
+    },
+    /// `block[local] = a[i] · bt` for `i` in `rows`: `Matmul` from a
+    /// zeroed block, where `bt` is the transpose (`k×m`) of
+    /// [`Tensor::matmul_tb`]'s `m×k` right operand. It differs from
+    /// `Matmul` only in its AVX2 compilation.
+    MatmulTb {
+        a: &'a [f32],
+        bt: &'a [f32],
+        k: usize,
+        m: usize,
+        rows: Range<usize>,
+        block: &'a mut [f32],
+    },
+    /// `block[local] += (column i of a) · b` for `i` in `rows` of the
+    /// `n×m` result: `a` is `k×n`, `b` is `k×m` (see [`matmul_ta_block`]).
+    MatmulTa {
+        a: &'a [f32],
+        b: &'a [f32],
+        n: usize,
+        k: usize,
+        m: usize,
+        rows: Range<usize>,
+        block: &'a mut [f32],
+    },
+    /// `out[dst] += w_e · x[src]` over `edges` (see [`spmm`]).
+    Spmm {
+        edges: &'a EdgeList,
+        x: &'a Tensor,
+        w: Option<&'a [f32]>,
+        out: &'a mut Tensor,
+    },
 }
 
-/// `block[local][j] = a[i] · b[j]` (dot of rows) for `i` in `rows`:
-/// `a` is `n×k`, `b` is `m×k` interpreted transposed.
-///
-/// `b` is transposed once per call, so each output row takes
-/// [`ReferenceBackend`]'s `matmul_block` tiles over `bᵀ`, from a
-/// zeroed row and without the zero skip: one `kk`-ascending dot per
-/// element, several per pass.
-pub(crate) fn matmul_tb_block(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    block: &mut [f32],
-) {
-    block.fill(0.0);
-    if k == 0 {
-        return;
-    }
-    let mut bt = vec![0.0f32; k * m];
-    for (j, b_row) in b[..m * k].chunks_exact(k).enumerate() {
-        for (kk, &v) in b_row.iter().enumerate() {
-            bt[kk * m + j] = v;
+impl Kernel<'_> {
+    /// Runs the kernel's source as the caller's target features compile
+    /// it: the baseline from [`Kernel::run`](super::fast), AVX2 from
+    /// inside the arch module's `#[target_feature]` fn. Every kernel
+    /// body below is `#[inline(always)]` so that it is compiled there.
+    #[inline(always)]
+    pub(crate) fn baseline(self) {
+        match self {
+            Kernel::Matmul {
+                a,
+                b,
+                k,
+                m,
+                rows,
+                block,
+            } => fold_block(a, b, k, m, rows, block),
+            Kernel::MatmulTb {
+                a,
+                bt,
+                k,
+                m,
+                rows,
+                block,
+            } => {
+                block.fill(0.0);
+                fold_block(a, bt, k, m, rows, block);
+            }
+            Kernel::MatmulTa {
+                a,
+                b,
+                n,
+                k,
+                m,
+                rows,
+                block,
+            } => matmul_ta_block(a, b, n, k, m, rows, block),
+            Kernel::Spmm { edges, x, w, out } => spmm(edges, x, w, out),
         }
     }
-    fold_block::<false>(a, &bt, k, m, rows, block);
-}
-
-/// Whole-output `aᵀ (k×n) · b (k×m) -> n×m` for the serial path:
-/// [`matmul_ta_block`] over every output row.
-pub(crate) fn matmul_ta_serial(
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    out: &mut [f32],
-) {
-    matmul_ta_block(a, b, n, k, m, 0..n, out);
 }
 
 /// Dot product `Σ a[i]·b[i]` (slices already length-checked), as an
@@ -148,7 +167,8 @@ pub(crate) fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// Sparse aggregate `out[dst] += w_e · x[src]` over `edges`, in edge
 /// order (`w = None` means unit weights); zero-weight edges are skipped
 /// entirely.
-pub(crate) fn spmm(edges: &EdgeList, x: &Tensor, w: Option<&[f32]>, out: &mut Tensor) {
+#[inline(always)]
+fn spmm(edges: &EdgeList, x: &Tensor, w: Option<&[f32]>, out: &mut Tensor) {
     for e in 0..edges.len() {
         let (s, t) = (edges.src(e), edges.dst(e));
         let we = w.map_or(1.0, |ws| ws[e]);
@@ -197,55 +217,35 @@ const TILE: usize = 32;
 /// slice of `b` stays in L1 while every output row takes it.
 const TA_CHUNK: usize = 32;
 
-/// One step of an element's fold: `acc + av * bv`, or `acc` unchanged
-/// when `SKIP` and `av == 0.0`. The skip is a select, so the sum may be
-/// computed and discarded; the value is the branching loop's even when
-/// `bv` is `inf` or NaN.
-#[inline(always)]
-fn step<const SKIP: bool>(acc: f32, av: f32, bv: f32) -> f32 {
-    if SKIP && av == 0.0 {
-        acc
-    } else {
-        acc + av * bv
-    }
-}
-
 /// `block[local] += a[i] · b` for `i` in `rows` (`a` is `n×k`, `b` is
-/// `k×m`), each element folding `kk` ascending from the block's value;
-/// `SKIP` skips the steps where `a[i][kk] == 0.0`.
-fn fold_block<const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    block: &mut [f32],
-) {
+/// `k×m`), each element folding `kk` ascending from the block's value:
+/// wide rows keep a column tile in a local array across the whole `kk`
+/// loop (one load and one store per tile instead of one per `kk`),
+/// narrow outputs interleave four rows' accumulators.
+#[inline(always)]
+fn fold_block(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
     if m < NARROW_BELOW {
-        matmul_block_narrow::<SKIP>(a, b, k, m, rows, block);
+        matmul_block_narrow(a, b, k, m, rows, block);
         return;
     }
     for (local, i) in rows.enumerate() {
         let a_row = &a[i * k..(i + 1) * k];
-        fold_row::<SKIP>(a_row, b, m, &mut block[local * m..(local + 1) * m]);
+        fold_row(a_row, b, m, &mut block[local * m..(local + 1) * m]);
     }
 }
 
 /// `o_row += a_row · b`: whole column tiles by [`row_tile`], the rest
 /// by the untiled loop.
 #[inline(always)]
-fn fold_row<const SKIP: bool>(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
+fn fold_row(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f32]) {
     let mut j0 = 0;
     while j0 + TILE <= m {
-        row_tile::<SKIP>(a_row, b, m, j0, &mut o_row[j0..j0 + TILE]);
+        row_tile(a_row, b, m, j0, &mut o_row[j0..j0 + TILE]);
         j0 += TILE;
     }
     if j0 < m {
         let o_tail = &mut o_row[j0..];
         for (kk, &av) in a_row.iter().enumerate() {
-            if SKIP && av == 0.0 {
-                continue;
-            }
             let b_tail = &b[kk * m + j0..(kk + 1) * m];
             for (o, &bv) in o_tail.iter_mut().zip(b_tail) {
                 *o += av * bv;
@@ -255,17 +255,14 @@ fn fold_row<const SKIP: bool>(a_row: &[f32], b: &[f32], m: usize, o_row: &mut [f
 }
 
 /// Columns `j0..j0 + TILE` of one output row: the tile is loaded once
-/// into `acc`, takes every (nonzero, when `SKIP`) `a_row[kk]`'s `b` row
-/// slice in `kk` order, and is stored once. Each lane is its own
-/// accumulator, so the per-element sequence is the untiled loop's.
+/// into `acc`, takes every `a_row[kk]`'s `b` row slice in `kk` order,
+/// and is stored once. Each lane is its own accumulator, so the
+/// per-element sequence is the untiled loop's.
 #[inline(always)]
-fn row_tile<const SKIP: bool>(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
+fn row_tile(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
     let mut acc = [0.0f32; TILE];
     acc.copy_from_slice(out);
     for (kk, &av) in a_row.iter().enumerate() {
-        if SKIP && av == 0.0 {
-            continue;
-        }
         let bt = &b[kk * m + j0..kk * m + j0 + TILE];
         for (l, &bv) in bt.iter().enumerate() {
             acc[l] += av * bv;
@@ -275,9 +272,9 @@ fn row_tile<const SKIP: bool>(a_row: &[f32], b: &[f32], m: usize, j0: usize, out
 }
 
 /// `m < 8` (the 64→1 score heads): four rows per pass, each with its
-/// own accumulator, so their add chains overlap; the zero skip is
-/// [`step`]'s select.
-fn matmul_block_narrow<const SKIP: bool>(
+/// own accumulator, so their add chains overlap.
+#[inline(always)]
+fn matmul_block_narrow(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -305,10 +302,10 @@ fn matmul_block_narrow<const SKIP: bool>(
             let mut acc = [0usize, 1, 2, 3].map(|r| block[(local + r) * m + j]);
             let b_col = b[j..].iter().step_by(m);
             for ((((&x0, &x1), &x2), &x3), &bv) in a0.iter().zip(a1).zip(a2).zip(a3).zip(b_col) {
-                acc[0] = step::<SKIP>(acc[0], x0, bv);
-                acc[1] = step::<SKIP>(acc[1], x1, bv);
-                acc[2] = step::<SKIP>(acc[2], x2, bv);
-                acc[3] = step::<SKIP>(acc[3], x3, bv);
+                acc[0] += x0 * bv;
+                acc[1] += x1 * bv;
+                acc[2] += x2 * bv;
+                acc[3] += x3 * bv;
             }
             for (r, v) in acc.into_iter().enumerate() {
                 block[(local + r) * m + j] = v;
@@ -320,7 +317,7 @@ fn matmul_block_narrow<const SKIP: bool>(
         for j in 0..m {
             let mut acc = block[local * m + j];
             for (&x0, &bv) in a0.iter().zip(b[j..].iter().step_by(m)) {
-                acc = step::<SKIP>(acc, x0, bv);
+                acc += x0 * bv;
             }
             block[local * m + j] = acc;
         }
@@ -330,16 +327,16 @@ fn matmul_block_narrow<const SKIP: bool>(
 /// Row-blocked `aᵀ · b`, output rows `rows` of the `n×m` result:
 /// `block[local] += (column i of a) · b` for `i` in `rows`. `a` is
 /// `k×n`, `b` is `k×m`, each element folds `kk` ascending from the
-/// block's value and skips `a[kk][i] == 0.0`.
+/// block's value.
 ///
-/// Output row `i` is `matmul_block`'s zero-skipping fold with column
-/// `i` of `a` as its `a` row: wide rows take it in `kk` chunks, each
-/// gathering the chunk's columns of `a` into contiguous rows and
-/// keeping a column tile in registers across the chunk; narrow
-/// outputs put one output row in each lane. A wide element's fold is
-/// stored at the end of each `kk` chunk and reloaded at the start of
-/// the next, which rounds nothing.
-pub(crate) fn matmul_ta_block(
+/// Output row `i` is `matmul`'s fold with column `i` of `a` as its `a`
+/// row: wide rows take it in `kk` chunks, each gathering the chunk's
+/// columns of `a` into contiguous rows and keeping a column tile in
+/// registers across the chunk; narrow outputs put one output row in
+/// each lane. A wide element's fold is stored at the end of each `kk`
+/// chunk and reloaded at the start of the next, which rounds nothing.
+#[inline(always)]
+fn matmul_ta_block(
     a: &[f32],
     b: &[f32],
     n: usize,
@@ -374,15 +371,14 @@ pub(crate) fn matmul_ta_block(
         let b_chunk = &b[kc * m..ke * m];
         for (local, o_row) in block.chunks_exact_mut(m).enumerate() {
             let a_col = &at[local * TA_CHUNK..local * TA_CHUNK + c];
-            fold_row::<true>(a_col, b_chunk, m, o_row);
+            fold_row(a_col, b_chunk, m, o_row);
         }
     }
 }
 
 /// `m < 8` (the gradients of the 64→1 heads' weights): output rows
 /// `i0..i0 + L`, the first `L` rows of `out`, side by side, one lane
-/// each. Every `kk` loads `L` contiguous `a[kk][i]` and one `b[kk][j]`,
-/// and each lane takes [`step`]'s zero-skipping select.
+/// each. Every `kk` loads `L` contiguous `a[kk][i]` and one `b[kk][j]`.
 #[inline(always)]
 fn ta_lanes<const L: usize>(a: &[f32], b: &[f32], n: usize, m: usize, i0: usize, out: &mut [f32]) {
     for j in 0..m {
@@ -393,7 +389,7 @@ fn ta_lanes<const L: usize>(a: &[f32], b: &[f32], n: usize, m: usize, i0: usize,
         for (a_row, b_row) in a.chunks_exact(n).zip(b.chunks_exact(m)) {
             let bv = b_row[j];
             for (x, &av) in acc.iter_mut().zip(&a_row[i0..i0 + L]) {
-                *x = step::<true>(*x, av, bv);
+                *x += av * bv;
             }
         }
         for (l, &x) in acc.iter().enumerate() {
@@ -407,16 +403,14 @@ mod tests {
     use super::*;
     use crate::rng::{check, StdRng};
 
-    /// The untiled `matmul_block` loop this kernel replaced, kept
-    /// verbatim as the oracle for its per-element float sequence.
+    /// The untiled `matmul_block` loop this kernel replaced, kept as the
+    /// oracle for its per-element float sequence (without the zero skip
+    /// it once had).
     fn kept_loop(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
         for (local, i) in rows.enumerate() {
             let a_row = &a[i * k..(i + 1) * k];
             let o_row = &mut block[local * m..(local + 1) * m];
             for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
                 let b_row = &b[kk * m..(kk + 1) * m];
                 for (o, &bv) in o_row.iter_mut().zip(b_row) {
                     *o += av * bv;
@@ -450,15 +444,12 @@ mod tests {
     }
 
     /// The `k`-outer `matmul_ta_serial` loop before it was tiled, kept
-    /// verbatim as an oracle.
+    /// as an oracle (without the zero skip it once had).
     fn kept_ta_serial(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
         for kk in 0..k {
             let a_row = &a[kk * n..(kk + 1) * n];
             let b_row = &b[kk * m..(kk + 1) * m];
             for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
                 let o_row = &mut out[i * m..(i + 1) * m];
                 for (o, &bv) in o_row.iter_mut().zip(b_row) {
                     *o += av * bv;
@@ -467,8 +458,8 @@ mod tests {
         }
     }
 
-    /// The per-row `matmul_ta_block` loop before it was tiled, kept
-    /// verbatim as an oracle.
+    /// The per-row `matmul_ta_block` loop before it was tiled, kept as
+    /// an oracle (without the zero skip it once had).
     fn kept_ta_block(
         a: &[f32],
         b: &[f32],
@@ -482,9 +473,6 @@ mod tests {
             let o_row = &mut block[local * m..(local + 1) * m];
             for kk in 0..k {
                 let av = a[kk * n + i];
-                if av == 0.0 {
-                    continue;
-                }
                 let b_row = &b[kk * m..(kk + 1) * m];
                 for (o, &bv) in o_row.iter_mut().zip(b_row) {
                     *o += av * bv;
@@ -501,7 +489,7 @@ mod tests {
         All,
     }
 
-    /// A signed zero: `-0.0` must be skipped exactly like `0.0`.
+    /// A signed zero: `-0.0` must fold exactly like `0.0`.
     fn zero(rng: &mut StdRng) -> f32 {
         if rng.gen_range(0..2usize) == 0 {
             0.0
@@ -512,8 +500,9 @@ mod tests {
 
     /// `n×k` `A` with the given zero pattern and `k×m` `B`. In the
     /// sparse patterns some columns of `A` are zero in every row (dead
-    /// ReLU units), and the matching `B` rows hold `inf`/NaN: a kernel
-    /// that multiplies instead of skipping turns them into NaN.
+    /// ReLU units), and the matching `B` rows hold `inf`/NaN: the loops
+    /// multiply there and store NaN, so a kernel that skips zeros stores
+    /// a number instead.
     fn operands(
         rng: &mut StdRng,
         n: usize,
@@ -581,10 +570,14 @@ mod tests {
         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
+    /// Bit equality, with every NaN compared as one: which NaN an add of
+    /// two NaNs returns is not specified (it follows the operand order
+    /// the compiler picks).
     fn assert_bits(want: &[f32], got: &[f32], case: &str) {
         assert_eq!(want.len(), got.len(), "{case}");
-        for (e, (w, g)) in want.iter().zip(got).enumerate() {
-            assert_eq!(w.to_bits(), g.to_bits(), "{case} element {e}: {w} vs {g}");
+        let class = |x: f32| if x.is_nan() { f32::NAN } else { x }.to_bits();
+        for (e, (&w, &g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(class(w), class(g), "{case} element {e}: {w} vs {g}");
         }
     }
 
@@ -603,7 +596,15 @@ mod tests {
                         let init = noise(rng, (end - start) * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_loop(&a, &b, k, m, start..end, &mut want);
-                        ReferenceBackend.matmul_block(&a, &b, k, m, start..end, &mut got);
+                        Kernel::Matmul {
+                            a: &a,
+                            b: &b,
+                            k,
+                            m,
+                            rows: start..end,
+                            block: &mut got,
+                        }
+                        .baseline();
                         let case = format!("n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
                         assert_bits(&want, &got, &case);
                     }
@@ -614,31 +615,31 @@ mod tests {
 
     #[test]
     fn matmul_tb_block_is_bit_identical_to_the_kept_loop() {
-        // `b` is `operands`' `k×m` matrix transposed, so its `inf`/NaN
-        // poison sits where `a` is zero: the kept loop multiplies there
-        // (no skip), so a kernel that skips zeros stores a number where
-        // it stores NaN. Which NaN an add of two NaNs returns is not
-        // specified (it follows the operand order the compiler picks),
-        // so every NaN is compared as one. The block starts as noise:
-        // the kernel overwrites.
+        // The kept loop takes `b` as `m×k`, the kernel its transpose
+        // (`operands`' `k×m` matrix), so the `inf`/NaN poison sits
+        // where `a` is zero. The block starts as noise: the kernel
+        // overwrites.
         check(2, |rng| {
             for m in MS {
                 for k in 0..=140 {
                     for zeros in [Zeros::None, Zeros::Relu, Zeros::All] {
                         let n = rng.gen_range(0..8usize);
-                        let (a, b) = operands(rng, n, k, m, zeros);
-                        let b = transpose(&b, k, m);
+                        let (a, bt) = operands(rng, n, k, m, zeros);
+                        let b = transpose(&bt, k, m);
                         let start = rng.gen_range(0..=n);
                         let end = rng.gen_range(start..=n);
                         let init = noise(rng, (end - start) * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_tb_loop(&a, &b, k, m, start..end, &mut want);
-                        matmul_tb_block(&a, &b, k, m, start..end, &mut got);
-                        for x in want.iter_mut().chain(&mut got) {
-                            if x.is_nan() {
-                                *x = f32::NAN;
-                            }
+                        Kernel::MatmulTb {
+                            a: &a,
+                            bt: &bt,
+                            k,
+                            m,
+                            rows: start..end,
+                            block: &mut got,
                         }
+                        .baseline();
                         let case = format!("n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
                         assert_bits(&want, &got, &case);
                     }
@@ -650,9 +651,9 @@ mod tests {
     #[test]
     fn matmul_ta_is_bit_identical_to_the_kept_loops() {
         // `a` is `operands`' `n×k` matrix transposed (`k×n`), so an
-        // all-zero `a` row `kk` meets a poisoned `b` row `kk`, which the
-        // kept loops skip. Narrow outputs take up to 71 rows, so lane
-        // tiles (32 rows) and their remainders both run.
+        // all-zero `a` row `kk` meets a poisoned `b` row `kk`. Narrow
+        // outputs take up to 71 rows, so lane tiles (32 rows) and their
+        // remainders both run.
         check(2, |rng| {
             for m in MS {
                 for k in 0..=140 {
@@ -663,15 +664,34 @@ mod tests {
                         let init = noise(rng, n * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_ta_serial(&a, &b, n, k, m, &mut want);
-                        matmul_ta_serial(&a, &b, n, k, m, &mut got);
+                        let (a, b) = (&a[..], &b[..]);
+                        Kernel::MatmulTa {
+                            a,
+                            b,
+                            n,
+                            k,
+                            m,
+                            rows: 0..n,
+                            block: &mut got,
+                        }
+                        .baseline();
                         assert_bits(&want, &got, &format!("serial n={n} k={k} m={m} {zeros:?}"));
 
                         let start = rng.gen_range(0..=n);
                         let end = rng.gen_range(start..=n);
                         let init = noise(rng, (end - start) * m);
                         let (mut want, mut got) = (init.clone(), init);
-                        kept_ta_block(&a, &b, n, k, m, start..end, &mut want);
-                        matmul_ta_block(&a, &b, n, k, m, start..end, &mut got);
+                        kept_ta_block(a, b, n, k, m, start..end, &mut want);
+                        Kernel::MatmulTa {
+                            a,
+                            b,
+                            n,
+                            k,
+                            m,
+                            rows: start..end,
+                            block: &mut got,
+                        }
+                        .baseline();
                         let case = format!("block n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
                         assert_bits(&want, &got, &case);
                     }

@@ -24,18 +24,15 @@
 //! ≤ 128, subgraphs ≤ a few hundred nodes) keep tensors simple; see
 //! DESIGN.md.
 //!
-//! Kernels keep the historical bit-exact accumulation order — results
-//! bit-identical across runs, hosts, and worker counts. The one
-//! pluggable kernel is `matmul_block`, which dispatches through the
-//! thread's active [`ComputeBackend`] (see [`backend`]): the default
-//! [`Backend::Reference`] runs the pinned order, and [`Backend::Fast`]
-//! an AVX2 row (behind runtime detection) with the same bits except
-//! where a zero entry of `a` meets an `inf` or NaN entry of `b`. Heavy
-//! row-parallel kernels
-//! (`matmul` and friends) additionally fan out over a persistent,
-//! budget-bounded [`parallel::WorkerPool`] — see [`parallel`] — and both
-//! backends stay bit-identical to their own serial path for every worker
-//! count, because rows are never split across workers.
+//! Kernels keep the historical bit-exact accumulation order, results
+//! bit-identical across runs, hosts, and worker counts: every output
+//! element runs one pinned float sequence (see [`backend`]), which
+//! `matmul` and friends also run compiled for AVX2 on hosts that have it
+//! (detected at run time), with the same bits. Heavy row-parallel
+//! kernels (`matmul` and friends) additionally fan out over a
+//! persistent, budget-bounded [`parallel::WorkerPool`] — see
+//! [`parallel`] — and stay bit-identical to their serial path for every
+//! worker count, because rows are never split across workers.
 
 pub mod backend;
 pub mod parallel;
@@ -44,10 +41,7 @@ pub mod sparse;
 pub mod tape;
 pub mod tensor;
 
-pub use backend::{
-    active_backend, installed_backend, Backend, BackendGuard, ComputeBackend, FastBackend,
-    ReferenceBackend,
-};
+pub use backend::{Backend, BackendGuard};
 pub use parallel::{
     configured_workers, workers_for_budget, Parallelism, PoolGuard, PoolStats, WorkerPool,
 };

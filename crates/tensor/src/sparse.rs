@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::backend::reference;
+use crate::backend::{reference, Kernel};
 use crate::Tensor;
 
 /// A static edge list `(src, dst)` describing a sparse matrix pattern.
@@ -99,7 +99,13 @@ impl EdgeList {
             );
         }
         let mut out = Tensor::zeros(out_rows, x.cols());
-        reference::spmm(self, x, w.map(Tensor::as_slice), &mut out);
+        Kernel::Spmm {
+            edges: self,
+            x,
+            w: w.map(Tensor::as_slice),
+            out: &mut out,
+        }
+        .run();
         out
     }
 

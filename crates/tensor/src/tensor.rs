@@ -7,7 +7,7 @@
 
 use std::ops::Range;
 
-use crate::backend::reference;
+use crate::backend::{reference, Kernel};
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -147,12 +147,13 @@ impl Tensor {
 
     /// Matrix multiply `self (n×k) · other (k×m) -> n×m`.
     ///
-    /// Dispatches to the thread's active [`ComputeBackend`](crate::ComputeBackend)
-    /// (see [`crate::backend`]): Reference runs its register-tiled
-    /// `i-k-j` loop, Fast its AVX2 row where the host has AVX2. Fans
-    /// out over output-row blocks when [`crate::parallel`] is enabled;
-    /// for either backend every worker count produces bit-identical
-    /// results, because rows are never split across workers.
+    /// Each element is a `k`-ascending fold of rounded multiplies and
+    /// adds from `+0.0`, with no zero skip (see [`crate::backend`]):
+    /// an AVX2 row where the host has AVX2, the register-tiled `i-k-j`
+    /// loop elsewhere, with the same bits. Fans out over output-row
+    /// blocks when [`crate::parallel`] is enabled; every worker count
+    /// produces bit-identical results, because rows are never split
+    /// across workers.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let work = self.rows * self.cols * other.cols;
         self.matmul_workers(other, crate::parallel::workers_for(self.rows, work))
@@ -175,12 +176,11 @@ impl Tensor {
     }
 
     /// `self += a · w[w_rows]`: continues every element's
-    /// [`ComputeBackend::matmul_block`](crate::ComputeBackend::matmul_block)
-    /// fold from its current value over rows `w_rows` of `w` (`a` is
-    /// `n×w_rows.len()`, `self` is `n×w.cols()`).
+    /// [`Tensor::matmul`] fold from its current value over rows `w_rows`
+    /// of `w` (`a` is `n×w_rows.len()`, `self` is `n×w.cols()`).
     ///
-    /// The fold is a `k`-ascending left fold on both backends, so
-    /// splitting it at any `c` changes no bit: seeded with
+    /// The fold is a `k`-ascending left fold, so splitting it at any `c`
+    /// changes no bit: seeded with
     /// `x[.., ..c] · w[..c]` (this call on a zeroed tensor), the call
     /// with `x[.., c..]` and `c..k` gives exactly `x.matmul(w)`. Fans out
     /// over row blocks like [`Tensor::matmul`].
@@ -212,16 +212,22 @@ impl Tensor {
     /// `workers` row blocks.
     fn matmul_block_onto(&mut self, a: &Tensor, b: &[f32], workers: usize) {
         let (n, k, m) = (self.rows, a.cols, self.cols);
-        let a_data = &a.data;
-        // Captured here: pool workers run the block under the backend of
-        // the thread that *submitted* the kernel, not their own default.
-        let be = crate::backend::active_backend();
+        let a = &a.data;
         crate::parallel::for_row_blocks(&mut self.data, n, m, workers, |rows, block| {
-            be.matmul_block(a_data, b, k, m, rows, block);
+            Kernel::Matmul {
+                a,
+                b,
+                k,
+                m,
+                rows,
+                block,
+            }
+            .run();
         });
     }
 
-    /// `self (n×k) · other^T (m×k) -> n×m` without materializing the transpose.
+    /// `self (n×k) · other^T (m×k) -> n×m`: `other` is transposed once,
+    /// then each element is [`Tensor::matmul`]'s fold from `+0.0`.
     pub fn matmul_tb(&self, other: &Tensor) -> Tensor {
         let work = self.rows * self.cols * other.rows;
         self.matmul_tb_workers(other, crate::parallel::workers_for(self.rows, work))
@@ -237,19 +243,27 @@ impl Tensor {
         );
         let (n, k, m) = (self.rows, self.cols, other.rows);
         let mut out = Tensor::zeros(n, m);
-        let a_data = &self.data;
-        let b_data = &other.data;
+        let a = &self.data;
+        let bt = &other.transpose().data;
         crate::parallel::for_row_blocks(&mut out.data, n, m, workers, |rows, block| {
-            reference::matmul_tb_block(a_data, b_data, k, m, rows, block);
+            Kernel::MatmulTb {
+                a,
+                bt,
+                k,
+                m,
+                rows,
+                block,
+            }
+            .run();
         });
         out
     }
 
     /// `self^T (k×n) · other (k×m) -> n×m` without materializing the transpose.
     ///
-    /// The serial path runs each output element's accumulation as the
-    /// row-blocked one does (`kk`-ascending and zero-skipping), so both
-    /// produce bit-identical sums.
+    /// Each element is [`Tensor::matmul`]'s fold with column `i` of
+    /// `self` as its `a` row; every worker count runs the same per-row
+    /// kernel, so all produce bit-identical sums.
     pub fn matmul_ta(&self, other: &Tensor) -> Tensor {
         let (k, n, m) = (self.rows, self.cols, other.cols);
         self.matmul_ta_workers(other, crate::parallel::workers_for(n, k * n * m))
@@ -265,15 +279,24 @@ impl Tensor {
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Tensor::zeros(n, m);
+        let (a, b) = (&self.data, &other.data);
+        let run = |rows: Range<usize>, block: &mut [f32]| {
+            Kernel::MatmulTa {
+                a,
+                b,
+                n,
+                k,
+                m,
+                rows,
+                block,
+            }
+            .run();
+        };
         if workers <= 1 {
-            reference::matmul_ta_serial(&self.data, &other.data, n, k, m, &mut out.data);
-            return out;
+            run(0..n, &mut out.data);
+        } else {
+            crate::parallel::for_row_blocks(&mut out.data, n, m, workers, run);
         }
-        let a_data = &self.data;
-        let b_data = &other.data;
-        crate::parallel::for_row_blocks(&mut out.data, n, m, workers, |rows, block| {
-            reference::matmul_ta_block(a_data, b_data, n, k, m, rows, block);
-        });
         out
     }
 
@@ -599,7 +622,7 @@ impl Tensor {
 /// Prompt Augmenter's cache) get identical scores with no allocation.
 ///
 /// The three accumulators (`dot`, `na`, `nb`) are `k`-ascending scalar
-/// sums on both backends, bit-identical to the historical
+/// sums, bit-identical to the historical
 /// implementation.
 ///
 /// # Panics
@@ -986,25 +1009,22 @@ mod tests {
         // output and continued with `b·w[c..]`, is `matmul` bit for bit.
         const MS: [usize; 12] = [1, 3, 4, 7, 8, 9, 16, 17, 32, 33, 64, 65];
         crate::rng::check(32, |rng| {
-            for backend in [crate::Backend::Reference, crate::Backend::Fast] {
-                let _backend = backend.install();
-                let n = rng.gen_range(0..7usize);
-                let k = rng.gen_range(0..80usize);
-                let m = MS[rng.gen_range(0..MS.len())];
-                let x = Tensor::from_vec(n, k, (0..n * k).map(|_| sparse(rng)).collect());
-                let w = Tensor::from_vec(k, m, (0..k * m).map(|_| sparse(rng)).collect());
-                let want = x.matmul(&w);
-                for c in 0..=k {
-                    let mut got = Tensor::zeros(n, m);
-                    got.matmul_onto(&cols(&x, 0..c), &w, 0..c);
-                    got.matmul_onto(&cols(&x, c..k), &w, c..k);
-                    for (e, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{backend} n={n} k={k} m={m} c={c} element {e}: {a} vs {b}"
-                        );
-                    }
+            let n = rng.gen_range(0..7usize);
+            let k = rng.gen_range(0..80usize);
+            let m = MS[rng.gen_range(0..MS.len())];
+            let x = Tensor::from_vec(n, k, (0..n * k).map(|_| sparse(rng)).collect());
+            let w = Tensor::from_vec(k, m, (0..k * m).map(|_| sparse(rng)).collect());
+            let want = x.matmul(&w);
+            for c in 0..=k {
+                let mut got = Tensor::zeros(n, m);
+                got.matmul_onto(&cols(&x, 0..c), &w, 0..c);
+                got.matmul_onto(&cols(&x, c..k), &w, c..k);
+                for (e, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n={n} k={k} m={m} c={c} element {e}: {a} vs {b}"
+                    );
                 }
             }
         });

@@ -141,8 +141,8 @@ fn l2_normalized_rows_are_unit_or_zero() {
 #[test]
 fn blocked_matmul_is_bit_identical_to_serial() {
     // `m` spans the narrow path (< 8) and both column-tile widths (8,
-    // 32) with remainders; half the cases are ReLU outputs, whose exact
-    // zeros take the zero skip.
+    // 32) with remainders; half the cases are ReLU outputs, with exact
+    // zeros of both signs.
     check(48, |rng| {
         let (n, k, m) = (
             rng.gen_range(1..24),
@@ -311,23 +311,38 @@ fn edge_softmax_is_shift_invariant_per_group() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence: on finite operands the Fast kernels give the
-// bit-exact Reference kernels' bits on every shape — rectangular,
-// tile-sized, and degenerate (0-row, 1-col, non-multiples of the
-// 8/16-lane tiles) — and stay bit-identical to themselves across worker
-// counts. Fast runs Reference's code for every kernel but `matmul`, so
-// the other tests pin that no kernel dispatches anywhere else.
-
-use gp_tensor::Backend;
+// One float sequence: the public kernels (on AVX2 hosts, their AVX2
+// compilation) give the bits of the plain loops written out below on
+// every shape — rectangular, tile-sized, and degenerate (0-row, 1-col,
+// non-multiples of the 8/16/32-lane tiles) — and stay bit-identical to
+// themselves across worker counts. Each loop is the kernel's pinned
+// sequence: one rounded multiply and one rounded add per step, in
+// ascending order, with no zero skip in the matmuls.
 
 fn bits(t: &[f32]) -> Vec<u32> {
     t.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `a (n×k) · b (k×m)`: each element folds `kk` ascending from `+0.0`.
+fn loop_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (n, k, m) = (a.rows(), a.cols(), b.cols());
+    let mut out = Tensor::zeros(n, m);
+    for i in 0..n {
+        for j in 0..m {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a.row(i)[kk] * b.row(kk)[j];
+            }
+            out.row_mut(i)[j] = acc;
+        }
+    }
+    out
+}
+
 #[test]
 fn fast_matmul_is_tolerance_equal_to_reference() {
     // The tolerance is zero. Half the cases put ReLU zeros of both
-    // signs in `a`, which Reference skips and Fast's AVX2 row folds in.
+    // signs in `a`, which the kernels fold in like any other entry.
     check(64, |rng| {
         let (n, k, m) = (
             rng.gen_range(0..34),
@@ -343,17 +358,9 @@ fn fast_matmul_is_tolerance_equal_to_reference() {
             });
         }
         let b = tensor(rng, k, m);
-        let reference = {
-            let _g = Backend::Reference.install();
-            a.matmul(&b)
-        };
-        let fast = {
-            let _g = Backend::Fast.install();
-            a.matmul(&b)
-        };
         assert_eq!(
-            bits(fast.as_slice()),
-            bits(reference.as_slice()),
+            bits(a.matmul(&b).as_slice()),
+            bits(loop_matmul(&a, &b).as_slice()),
             "{n}x{k}x{m}"
         );
     });
@@ -371,16 +378,10 @@ fn fast_matmul_tb_and_ta_are_tolerance_equal_to_reference() {
         let bt = tensor(rng, m, k);
         let at = tensor(rng, k, n);
         let b = tensor(rng, k, m);
-        let (tb_ref, ta_ref) = {
-            let _g = Backend::Reference.install();
-            (a.matmul_tb(&bt), at.matmul_ta(&b))
-        };
-        let (tb_fast, ta_fast) = {
-            let _g = Backend::Fast.install();
-            (a.matmul_tb(&bt), at.matmul_ta(&b))
-        };
-        assert_eq!(bits(tb_fast.as_slice()), bits(tb_ref.as_slice()), "tb");
-        assert_eq!(bits(ta_fast.as_slice()), bits(ta_ref.as_slice()), "ta");
+        let tb = loop_matmul(&a, &bt.transpose());
+        let ta = loop_matmul(&at.transpose(), &b);
+        assert_eq!(bits(a.matmul_tb(&bt).as_slice()), bits(tb.as_slice()), "tb");
+        assert_eq!(bits(at.matmul_ta(&b).as_slice()), bits(ta.as_slice()), "ta");
     });
 }
 
@@ -390,23 +391,21 @@ fn fast_cosine_and_norm_are_tolerance_equal_to_reference() {
         let len = rng.gen_range(1..70);
         let xs: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let ys: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let (cos_ref, norm_ref) = {
-            let _g = Backend::Reference.install();
-            (gp_tensor::cosine_slices(&xs, &ys), gp_tensor::l2_norm(&xs))
-        };
-        let (cos_fast, norm_fast) = {
-            let _g = Backend::Fast.install();
-            (gp_tensor::cosine_slices(&xs, &ys), gp_tensor::l2_norm(&xs))
-        };
+        let (mut dot, mut nx, mut ny) = (0.0f32, 0.0f32, 0.0f32);
+        for (&x, &y) in xs.iter().zip(&ys) {
+            dot += x * y;
+            nx += x * x;
+            ny += y * y;
+        }
+        let cos = dot / (nx.sqrt() * ny.sqrt()).max(1e-12);
+        let got = gp_tensor::cosine_slices(&xs, &ys);
+        assert_eq!(got.to_bits(), cos.to_bits(), "{got} vs {cos}");
+        let norm = gp_tensor::l2_norm(&xs);
         assert_eq!(
-            cos_fast.to_bits(),
-            cos_ref.to_bits(),
-            "{cos_fast} vs {cos_ref}"
-        );
-        assert_eq!(
-            norm_fast.to_bits(),
-            norm_ref.to_bits(),
-            "{norm_fast} vs {norm_ref}"
+            norm.to_bits(),
+            nx.sqrt().to_bits(),
+            "{norm} vs {}",
+            nx.sqrt()
         );
     });
 }
@@ -422,7 +421,6 @@ fn fast_is_bit_identical_across_worker_counts() {
         let workers = rng.gen_range(2..6);
         let a = tensor(rng, n, k);
         let b = tensor(rng, k, m);
-        let _g = Backend::Fast.install();
         let serial = a.matmul_workers(&b, 1);
         let pool = gp_tensor::WorkerPool::with_budget(workers);
         let _ctx = pool.install();
@@ -431,7 +429,7 @@ fn fast_is_bit_identical_across_worker_counts() {
             assert_eq!(
                 s.to_bits(),
                 p.to_bits(),
-                "fast kernels must not let worker count change bits"
+                "worker count must not change bits"
             );
         }
     });
@@ -445,21 +443,50 @@ fn fast_spmm_and_edge_softmax_are_tolerance_equal_to_reference() {
         let n = edges.min_num_nodes();
         let x = tensor(rng, n, 3);
         let w = tensor(rng, e, 1);
-        let run = |backend: Backend| {
-            let _g = backend.install();
-            let mut tape = Tape::new();
-            let xi = tape.input(x.clone());
-            let wi = tape.input(w.clone());
-            let agg = tape.spmm(edges.clone(), xi, Some(wi), n);
-            let soft = tape.edge_softmax(edges.clone(), wi);
-            (tape.value(agg).clone(), tape.value(soft).clone())
-        };
-        let (agg_ref, soft_ref) = run(Backend::Reference);
-        let (agg_fast, soft_fast) = run(Backend::Fast);
-        assert_eq!(bits(agg_fast.as_slice()), bits(agg_ref.as_slice()), "spmm");
+        let mut tape = Tape::new();
+        let xi = tape.input(x.clone());
+        let wi = tape.input(w.clone());
+        let agg = tape.spmm(edges.clone(), xi, Some(wi), n);
+        let soft = tape.edge_softmax(edges.clone(), wi);
+
+        // Edge order; zero weights skipped.
+        let mut want_agg = Tensor::zeros(n, 3);
+        for (i, (s, t)) in edges.iter().enumerate() {
+            let we = w.as_slice()[i];
+            if we != 0.0 {
+                for (o, &v) in want_agg.row_mut(t).iter_mut().zip(x.row(s)) {
+                    *o += we * v;
+                }
+            }
+        }
+        // Per-destination max, then edge-order exp, sum and divide.
+        let mut max = vec![f32::NEG_INFINITY; n];
+        let mut sum = vec![0.0f32; n];
+        for (i, (_, t)) in edges.iter().enumerate() {
+            max[t] = max[t].max(w.as_slice()[i]);
+        }
+        let exp: Vec<f32> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, (_, t))| {
+                let v = (w.as_slice()[i] - max[t]).exp();
+                sum[t] += v;
+                v
+            })
+            .collect();
+        let want_soft: Vec<f32> = edges
+            .iter()
+            .zip(&exp)
+            .map(|((_, t), v)| v / sum[t].max(1e-12))
+            .collect();
         assert_eq!(
-            bits(soft_fast.as_slice()),
-            bits(soft_ref.as_slice()),
+            bits(tape.value(agg).as_slice()),
+            bits(want_agg.as_slice()),
+            "spmm"
+        );
+        assert_eq!(
+            bits(tape.value(soft).as_slice()),
+            bits(&want_soft),
             "edge_softmax"
         );
     });

@@ -7,8 +7,8 @@
 //! gp evaluate  --model model.gpck --dataset fb15k237 --ways 10 [--episodes 5]
 //!              [--prodigy]                  # random-selection baseline stages
 //! gp episode   --model model.gpck --dataset conceptnet --ways 4 [--seed 7]
-//!              # pretrain/evaluate/episode/serve also take
-//!              # --backend {reference,fast} (default reference)
+//!              # pretrain/evaluate/episode/serve also accept
+//!              # --backend {reference,fast}, which changes nothing
 //! gp export    --dataset arxiv --dir ./my_arxiv       # dump to TSV
 //! gp inspect   model.gpck                   # validate + describe a model file
 //! gp serve     --dataset wiki [--model model.gpck] [--addr 127.0.0.1:7431]
@@ -24,7 +24,7 @@
 //! then the process exits. See README § "Serving & overload behavior".
 //!
 //! `--max-batch N` (N > 1) turns on cross-request batching: concurrent
-//! classify requests against the same dataset/revision/backend are
+//! classify requests against the same dataset/revision are
 //! coalesced for up to `--batch-window-ms` and run as one fused
 //! inference pass, amortizing the candidate-embedding stage. Results
 //! are bit-identical to `--max-batch 1`; only throughput changes. See
@@ -45,12 +45,10 @@
 //! warm. Rows are stored as f32, so a warm answer is bit-identical to a
 //! cold one. See README § "Embedding tiers & persistence".
 //!
-//! `--backend {reference,fast}` selects the matmul row kernel:
-//! `reference` (default) is the bit-exact ground truth, `fast` an AVX2
-//! row with the same bits except where a zero meets `inf` or NaN, so
-//! the two write the same model files. For `serve` this sets
-//! the default; a request's `"backend"` body field can pin a new
-//! session to either.
+//! `--backend {reference,fast}` is accepted and changes nothing: every
+//! kernel runs one float sequence, compiled for AVX2 where the host has
+//! it, so both names write the same model files. An unknown name exits
+//! 1, as a request's unknown `"backend"` body field is a 400.
 //!
 //! A command exits 1 on any `--flag` it does not read (`unknown flag
 //! --x`), so a typo never falls back to a default silently.
@@ -164,10 +162,9 @@ fn parallelism(args: &[String]) -> Result<Parallelism, String> {
     }
 }
 
-/// Parse `--backend <name>` into a compute backend. Absent →
-/// `reference`, the bit-exact default; `fast` swaps the matmul row for
-/// an AVX2 one with the same bits except where a zero meets `inf` or
-/// NaN (bit-identical across `--threads` values and across replays).
+/// Parse `--backend <name>` into a compute backend name (absent →
+/// `reference`). Both names run the same kernels; only an unknown name
+/// matters, as an error.
 fn backend(args: &[String]) -> Result<Backend, String> {
     match flag(args, "--backend") {
         None => Ok(Backend::Reference),
@@ -440,6 +437,7 @@ fn serve_cmd(args: &[String]) -> CliResult {
         ..ServerConfig::default()
     };
 
+    backend(args)?; // accepted and checked, but every name runs the same kernels
     let pool = Arc::new(graphprompter::prelude::WorkerPool::with_budget(budget));
     let infer = InferenceConfig {
         seed,
@@ -451,7 +449,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
         infer,
         pool,
         parse_or("--max-sessions", 64)? as usize,
-        backend(args)?,
         store_dir.clone(),
     )?;
     let revision = host.revision();

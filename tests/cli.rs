@@ -211,8 +211,7 @@ fn pretraining_writes_the_same_file_on_both_backends() {
             "gp pretrain {name} {args:?}: {stderr}"
         );
     }
-    // Fast differs from Reference only where a zero meets `inf` or NaN
-    // in a matmul, which a finite pre-training run never does.
+    // `--backend` is an accepted name that changes nothing.
     let file = |name: &str| std::fs::read(dir.join(name)).unwrap();
     assert!(
         file("val") == file("fast"),
