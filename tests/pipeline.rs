@@ -554,9 +554,7 @@ fn f32_disk_tier_is_bit_invisible_to_predictions() {
 }
 
 /// A restarted engine over the same directory answers from the shards
-/// the first one persisted. The first engine names `Backend::Fast` and
-/// the restarted one `Backend::Reference`: both names run the same
-/// kernels, so the weight fingerprint leaves the name out.
+/// the first one persisted.
 #[test]
 fn embedding_store_warm_starts_a_fresh_engine() {
     let source = CitationConfig::new("src", 300, 6, 101).generate();
@@ -566,6 +564,51 @@ fn embedding_store_warm_starts_a_fresh_engine() {
     // Identical construction both times: deterministic pretrain gives
     // bit-identical weights, so the restarted engine carries the same
     // weight fingerprint (and revision) the shards were written under.
+    let build = || {
+        let mut e = Engine::builder()
+            .model_config(tiny_model())
+            .pretrain_config(tiny_pretrain(40))
+            .inference_config(tiny_infer())
+            .embed_store_dir(&dir)
+            .try_build()
+            .expect("tiny configs are valid");
+        e.pretrain(&source);
+        e
+    };
+    let first = build();
+    let cold = first.evaluate(&target, 3, 12, 2);
+    let cold_episode = first.run_episode(&target, &task);
+    assert!(
+        first.flush_embed_store() > 0,
+        "the first engine must persist its embeddings"
+    );
+    drop(first);
+
+    let restarted = build();
+    let warm = restarted.evaluate(&target, 3, 12, 2);
+    let warm_episode = restarted.run_episode(&target, &task);
+    assert_eq!(cold, warm, "a warm start must not change any accuracy");
+    assert_eq!(
+        cold_episode.predictions, warm_episode.predictions,
+        "a warm start must not change any prediction"
+    );
+    let stats = restarted.embed_cache_stats().expect("cache is on");
+    assert!(
+        stats.disk_hits > 0,
+        "the restarted engine must answer from the persisted shards: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shards written by an engine named `Backend::Fast` warm-start a fresh
+/// engine named `Backend::Reference` over the same directory: both names
+/// run the same kernels, so the weight fingerprint leaves the name out
+/// and the reader answers from disk with the writer's predictions.
+#[test]
+fn disk_tier_takes_shards_written_under_the_other_backend_name() {
+    let source = CitationConfig::new("src", 300, 6, 101).generate();
+    let target = CitationConfig::new("tgt", 250, 4, 102).generate();
+    let dir = scratch_store("backend_names");
     let build = |backend: Backend| {
         let mut e = Engine::builder()
             .model_config(tiny_model())
@@ -578,27 +621,24 @@ fn embedding_store_warm_starts_a_fresh_engine() {
         e.pretrain(&source);
         e
     };
-    let first = build(Backend::Fast);
-    let cold = first.evaluate(&target, 3, 12, 2);
-    let cold_episode = first.run_episode(&target, &task);
+    let writer = build(Backend::Fast);
+    let written = writer.evaluate(&target, 3, 12, 2);
     assert!(
-        first.flush_embed_store() > 0,
-        "the first engine must persist its embeddings"
+        writer.flush_embed_store() > 0,
+        "the writer must persist its embeddings"
     );
-    drop(first);
+    drop(writer);
 
-    let restarted = build(Backend::Reference);
-    let warm = restarted.evaluate(&target, 3, 12, 2);
-    let warm_episode = restarted.run_episode(&target, &task);
-    assert_eq!(cold, warm, "a warm start must not change any accuracy");
+    let reader = build(Backend::Reference);
+    let read = reader.evaluate(&target, 3, 12, 2);
     assert_eq!(
-        cold_episode.predictions, warm_episode.predictions,
-        "a warm start must not change any prediction"
+        written, read,
+        "reading the shards must not change any accuracy"
     );
-    let stats = restarted.embed_cache_stats().expect("cache is on");
+    let stats = reader.embed_cache_stats().expect("cache is on");
     assert!(
         stats.disk_hits > 0,
-        "the restarted engine must answer from the persisted shards: {stats:?}"
+        "a Reference engine must read Fast-written shards: {stats:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
