@@ -4,9 +4,10 @@
 //! fixes the engine's **thread budget** ([`Parallelism`]) and decides
 //! whether the cross-episode [`EmbeddingStore`] is wired in. The built
 //! [`Engine`] owns a persistent [`gp_tensor::WorkerPool`] sized to that
-//! budget — episode fan-out and tensor-kernel row-blocks all draw from
-//! the one pool, so `--threads n` really means at most `n` live threads
-//! — and exposes the whole lifecycle:
+//! budget, on which [`Engine::evaluate`] runs its episodes (the one
+//! fan-out; kernels run whole on their calling thread, and pre-training
+//! and single episodes run on the caller alone) — and exposes the whole
+//! lifecycle:
 //!
 //! ```
 //! use gp_core::{Engine, InferenceConfig, PretrainConfig};
@@ -121,12 +122,10 @@ impl EngineBuilder {
         self
     }
 
-    /// The engine's **thread budget** — the total number of threads its
-    /// [`gp_tensor::WorkerPool`] may occupy across *every* parallelism
-    /// layer: episode fan-out in [`Engine::evaluate`] and tensor-kernel
-    /// row-blocks alike draw from this one allowance, so
-    /// `Parallelism::Threads(n)` means at most `n` live threads, not
-    /// `n × n`. Every budget produces bit-identical results — this is
+    /// The engine's **thread budget** — the number of threads its
+    /// [`gp_tensor::WorkerPool`] may occupy while [`Engine::evaluate`]
+    /// runs its episodes, the engine's one fan-out. Nothing else runs on
+    /// the pool. Every budget produces bit-identical results — this is
     /// purely a throughput knob.
     ///
     /// The pool is per-engine: two engines with different settings no
@@ -139,12 +138,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Timing mode: pin [`Engine::evaluate`]'s episode-level fan-out to 1,
-    /// so the whole budget goes to the kernels of one episode at a time
-    /// instead of episodes competing for it. Only `evaluate` and
-    /// [`Engine::evaluate_with`] read it; [`Engine::run_episode`] and
-    /// [`Engine::run_episodes_batched`] never fan episodes out, so the
-    /// flag does not change them. Results are bit-identical either way.
+    /// Timing mode: [`Engine::evaluate`] runs its episodes one at a time.
+    /// Results are bit-identical either way.
     pub fn timing_mode(mut self, on: bool) -> Self {
         self.timing_mode = on;
         self
@@ -196,8 +191,8 @@ impl EngineBuilder {
     }
 
     /// Validate all configs and build the engine. The worker pool itself
-    /// is created lazily on the first `pretrain`/`evaluate`/`run_episode`
-    /// call (a budget of 1 never spawns any thread at all).
+    /// is created lazily on the first `evaluate` call (a budget of 1
+    /// never spawns any thread at all).
     pub fn try_build(self) -> Result<Engine, ConfigError> {
         let model = match self.model {
             Some(model) => {
@@ -263,8 +258,7 @@ impl Engine {
     /// The engine's worker pool at the currently resolved budget
     /// (explicit [`Parallelism`] if set, else the ambient
     /// [`gp_tensor::configured_workers`]), creating or resizing it as
-    /// needed. Every entry point installs this pool for the duration of
-    /// the call, so all kernel and episode fan-out shares one budget.
+    /// needed. Only [`Engine::evaluate_with`] asks for it.
     fn thread_pool(&self) -> Arc<WorkerPool> {
         if let Some(shared) = &self.shared_pool {
             return Arc::clone(shared);
@@ -323,16 +317,6 @@ impl Engine {
         store.set_weights_context(revision, fp);
     }
 
-    /// Run `f` with the engine's worker pool installed and its embedding
-    /// store armed: the preamble of every inference entry
-    /// point. `f` receives the installed pool.
-    fn with_runtime<T>(&self, f: impl FnOnce(&WorkerPool) -> T) -> T {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
-        self.prepare_embed_store();
-        f(&pool)
-    }
-
     /// Alg. 2 over `requests` under `cfg`, one fused batch.
     fn run_batch(
         &self,
@@ -340,15 +324,14 @@ impl Engine {
         requests: &[EpisodeRequest<'_>],
         cfg: &InferenceConfig,
     ) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
-        self.with_runtime(|_| {
-            run_episodes(
-                &self.model,
-                dataset,
-                requests,
-                cfg,
-                self.embed_store.as_ref(),
-            )
-        })
+        self.prepare_embed_store();
+        run_episodes(
+            &self.model,
+            dataset,
+            requests,
+            cfg,
+            self.embed_store.as_ref(),
+        )
     }
 
     /// Pre-train on `dataset` (Alg. 1) with the engine's pretrain config;
@@ -361,8 +344,6 @@ impl Engine {
     /// Panics if the configured guard rail aborts; use
     /// [`Engine::try_pretrain`] for a recoverable error.
     pub fn pretrain(&mut self, dataset: &Dataset) -> TrainingCurve {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
         pretrain(
             &mut self.model,
             dataset,
@@ -374,8 +355,6 @@ impl Engine {
     /// As [`Engine::pretrain`], surfacing guard-rail aborts as a typed
     /// [`DivergenceError`].
     pub fn try_pretrain(&mut self, dataset: &Dataset) -> Result<TrainingCurve, DivergenceError> {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
         try_pretrain(
             &mut self.model,
             dataset,
@@ -386,15 +365,12 @@ impl Engine {
 
     /// As [`Engine::try_pretrain`], scoring held-out episodes after every
     /// `validate_every` steps and after the last, and restoring the
-    /// best-scoring snapshot (see [`try_pretrain_validated`]). Runs under
-    /// the same worker pool as [`Engine::try_pretrain`].
+    /// best-scoring snapshot (see [`try_pretrain_validated`]).
     pub fn try_pretrain_validated(
         &mut self,
         dataset: &Dataset,
         validate_every: NonZeroUsize,
     ) -> Result<PretrainReport, DivergenceError> {
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
         try_pretrain_validated(
             &mut self.model,
             dataset,
@@ -434,10 +410,9 @@ impl Engine {
     /// never collide.
     ///
     /// Outside timing mode the episodes run as tasks on the engine's
-    /// pool, whose queue also executes the kernel fan-out inside them, so
-    /// total live threads never exceed the budget. Results land in fixed
-    /// per-episode slots: accuracies are bit-identical to a sequential
-    /// run for any budget.
+    /// pool, installed for the call, so live threads never exceed the
+    /// budget. Results land in fixed per-episode slots: accuracies are
+    /// bit-identical to a sequential run for any budget.
     pub fn evaluate_with(
         &self,
         dataset: &Dataset,
@@ -458,25 +433,26 @@ impl Engine {
                 i,
             )
         };
-        self.with_runtime(|pool| {
-            if self.timing_mode {
-                return (0..episodes).map(one).collect();
-            }
-            let mut accs = vec![0.0f32; episodes];
-            let slots: Vec<Mutex<&mut f32>> = accs
-                .iter_mut()
-                .map(|acc| Mutex::new(Rank::ResultSlot, acc))
-                .collect();
-            pool.for_each_index(episodes, |i| {
-                let acc = one(i);
-                // Each slot is touched by exactly one task; a poisoned lock
-                // can only mean that task already panicked, so `lock`'s
-                // recovery is safe.
-                **slots[i].lock() = acc;
-            });
-            drop(slots);
-            accs
-        })
+        let pool = self.thread_pool();
+        let _ctx = pool.install();
+        self.prepare_embed_store();
+        if self.timing_mode {
+            return (0..episodes).map(one).collect();
+        }
+        let mut accs = vec![0.0f32; episodes];
+        let slots: Vec<Mutex<&mut f32>> = accs
+            .iter_mut()
+            .map(|acc| Mutex::new(Rank::ResultSlot, acc))
+            .collect();
+        pool.for_each_index(episodes, |i| {
+            let acc = one(i);
+            // Each slot is touched by exactly one task; a poisoned lock
+            // can only mean that task already panicked, so `lock`'s
+            // recovery is safe.
+            **slots[i].lock() = acc;
+        });
+        drop(slots);
+        accs
     }
 
     /// Run Alg. 2 over one explicit episode.
@@ -489,8 +465,8 @@ impl Engine {
     /// reports the expiring stage, the queries completed, and the partial
     /// per-stage wall-clock — gp-serve maps it to HTTP 504. An expired
     /// deadline never corrupts engine state: the episode aborts between
-    /// stages, the shared embedding cache keeps whatever was memoized,
-    /// and the worker pool releases every thread it borrowed.
+    /// stages, and the shared embedding cache keeps whatever was
+    /// memoized.
     pub fn run_episode_deadline(
         &self,
         dataset: &Dataset,
@@ -594,24 +570,25 @@ impl Engine {
         &self.pretrain_cfg
     }
 
-    /// The thread budget this engine was built with, or `None` when it
-    /// inherits the ambient [`gp_tensor::configured_workers`] at each
-    /// call. The budget is per-engine: it sizes this engine's own
-    /// [`WorkerPool`] and never touches process-wide state.
+    /// The thread budget [`Engine::evaluate`] runs its episodes under, or
+    /// `None` when it inherits the ambient
+    /// [`gp_tensor::configured_workers`] at each call. The budget is
+    /// per-engine: it sizes this engine's own [`WorkerPool`] and never
+    /// touches process-wide state.
     pub fn parallelism(&self) -> Option<Parallelism> {
         self.parallelism
     }
 
     /// Change the thread budget. The cached worker pool is dropped (its
     /// threads join) and a pool at the new budget is built lazily on the
-    /// next `pretrain`/`evaluate`/`run_episode` call. Results are
-    /// bit-identical across budgets — this only changes throughput.
+    /// next `evaluate` call. Results are bit-identical across budgets —
+    /// this only changes throughput.
     pub fn set_parallelism(&mut self, p: Option<Parallelism>) {
         self.parallelism = p;
         *self.pool.lock() = None;
     }
 
-    /// Whether episode-level fan-out is pinned to 1
+    /// Whether [`Engine::evaluate`] runs its episodes one at a time
     /// ([`EngineBuilder::timing_mode`]).
     pub fn timing_mode(&self) -> bool {
         self.timing_mode
@@ -619,9 +596,10 @@ impl Engine {
 
     /// Counters of the engine's worker pool (budget, spawned workers,
     /// peak concurrently active tasks, executed/stolen task counts), or
-    /// `None` before the first `pretrain`/`evaluate`/`run_episode` call
-    /// builds the pool. The regression tests use `peak_active ≤ budget`
-    /// to pin down that nested fan-out cannot oversubscribe.
+    /// `None` before the first `evaluate` call builds the pool (a shared
+    /// [`EngineBuilder::worker_pool`] reports from the start). The
+    /// regression tests use `peak_active ≤ budget` to pin down that the
+    /// episode fan-out cannot oversubscribe.
     pub fn pool_stats(&self) -> Option<PoolStats> {
         if let Some(shared) = &self.shared_pool {
             return Some(shared.stats());
@@ -829,9 +807,9 @@ mod tests {
         assert_eq!(engine.model().config().embed_dim, 16);
     }
 
-    /// The tentpole invariant, engine-level: one budget bounds *total*
-    /// thread use across episode fan-out and kernel fan-out, a Serial
-    /// engine never spawns a worker, and every budget is bit-identical.
+    /// One budget bounds the threads `evaluate`'s episodes run on, a
+    /// Serial engine never spawns a worker, and every budget is
+    /// bit-identical.
     #[test]
     fn thread_budget_bounds_total_threads_and_preserves_bits() {
         let ds = CitationConfig::new("t", 300, 5, 31).generate();
@@ -867,8 +845,8 @@ mod tests {
         assert_eq!(bits(&base), bits(&accs), "budget must not change results");
     }
 
-    /// Timing mode pins episode fan-out to 1 while keeping the budget for
-    /// kernels — and `set_parallelism` rebuilds the pool at the new size.
+    /// Timing mode runs episodes one at a time, and `set_parallelism`
+    /// rebuilds the pool at the new size.
     #[test]
     fn timing_mode_and_set_parallelism_resize_pool() {
         let ds = CitationConfig::new("t", 300, 5, 31).generate();
@@ -894,7 +872,7 @@ mod tests {
     /// A generous deadline is invisible (bit-identical results, populated
     /// confidences); an already-expired one aborts at the first stage
     /// boundary with a typed diagnosis, and the engine stays fully
-    /// usable afterwards — no poisoned lock, no leaked pool thread.
+    /// usable afterwards — no poisoned lock.
     #[test]
     fn deadline_episode_matches_undeadlined_and_expires_cleanly() {
         use gp_tensor::rng::StdRng;
@@ -933,11 +911,6 @@ mod tests {
 
         let again = engine.run_episode(&ds, &task);
         assert_eq!(bits(&[again.accuracy()]), bits(&[plain.accuracy()]));
-        let stats = engine.pool_stats().expect("pool built");
-        assert!(
-            stats.peak_active <= stats.budget,
-            "aborted episodes must release their pool slots"
-        );
     }
 
     /// Engines sharing one pool ([`EngineBuilder::worker_pool`]) draw

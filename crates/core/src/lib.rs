@@ -26,7 +26,7 @@
 //! The public entry point is the [`Engine`], built through the fallible
 //! [`EngineBuilder`]: it validates every config, owns the model, owns a
 //! [`gp_tensor::WorkerPool`] sized to one [`gp_tensor::Parallelism`]
-//! thread budget shared by episode and kernel fan-out, and memoizes
+//! thread budget, on which [`Engine::evaluate`] runs its episodes, and memoizes
 //! candidate embeddings across episodes in an [`EmbeddingStore`]
 //! (invalidated automatically whenever the weights change).
 //!

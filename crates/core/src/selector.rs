@@ -748,8 +748,8 @@ mod tests {
     }
 
     /// The ranked selection picks the same prompts and casts the same
-    /// vote bits as the sort-based oracle, on both backends, every metric
-    /// and every toggle pair: with ties at the top-`m·k` boundary (coarse
+    /// vote bits as the sort-based oracle, for every metric and every
+    /// toggle pair: with ties at the top-`m·k` boundary (coarse
     /// values and copied rows), NaN and `±0.0` scores, zero-norm rows,
     /// `top ≥ P`, and classes with fewer than `shots` candidates.
     #[test]
@@ -770,40 +770,37 @@ mod tests {
             let used = rng.gen_range(1..=num_classes);
             let labels: Vec<usize> = (0..p).map(|_| rng.gen_range(0..used)).collect();
             let seed = rng.next_u64();
-            for backend in [gp_tensor::Backend::Reference, gp_tensor::Backend::Fast] {
-                let _backend = backend.install();
-                for metric in [
-                    DistanceMetric::Cosine,
-                    DistanceMetric::Euclidean,
-                    DistanceMetric::Manhattan,
-                ] {
-                    for (use_knn, use_selection) in
-                        [(true, true), (true, false), (false, true), (false, false)]
-                    {
-                        let run = |f: Select| {
-                            f(
-                                &prompts,
-                                &imps,
-                                &labels,
-                                &queries,
-                                &q_imps,
-                                num_classes,
-                                shots,
-                                use_knn,
-                                use_selection,
-                                metric,
-                                &mut StdRng::seed_from_u64(seed),
-                            )
-                        };
-                        let got = run(select_prompts);
-                        let want = run(sorting::select_prompts);
-                        let case = format!(
-                            "{backend:?} {metric:?} knn {use_knn} sel {use_selection} \
-                             P {p} Q {n} d {d} m {num_classes} k {shots}"
-                        );
-                        assert_eq!(got.selected, want.selected, "selected: {case}");
-                        assert_eq!(bits(&got.votes), bits(&want.votes), "votes: {case}");
-                    }
+            for metric in [
+                DistanceMetric::Cosine,
+                DistanceMetric::Euclidean,
+                DistanceMetric::Manhattan,
+            ] {
+                for (use_knn, use_selection) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let run = |f: Select| {
+                        f(
+                            &prompts,
+                            &imps,
+                            &labels,
+                            &queries,
+                            &q_imps,
+                            num_classes,
+                            shots,
+                            use_knn,
+                            use_selection,
+                            metric,
+                            &mut StdRng::seed_from_u64(seed),
+                        )
+                    };
+                    let got = run(select_prompts);
+                    let want = run(sorting::select_prompts);
+                    let case = format!(
+                        "{metric:?} knn {use_knn} sel {use_selection} \
+                         P {p} Q {n} d {d} m {num_classes} k {shots}"
+                    );
+                    assert_eq!(got.selected, want.selected, "selected: {case}");
+                    assert_eq!(bits(&got.votes), bits(&want.votes), "votes: {case}");
                 }
             }
         });

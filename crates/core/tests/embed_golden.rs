@@ -1,7 +1,7 @@
 //! Golden digests of inference embeddings: an FNV-1a hash over the bits
 //! of `embed_batch`'s embeddings and importances on a fixed 40-way
 //! FB15K-237-like batch, for every `GNN_D`, with reconstruction on and
-//! off, on both backends and in both forward contexts.
+//! off, in both forward contexts.
 //!
 //! `forward_oracle` holds `Eval` to the `Session` tape and
 //! `pretrain_golden` pins training; this pins what inference returns,
@@ -18,7 +18,7 @@ use gp_datasets::Dataset;
 use gp_graph::{RandomWalkSampler, SamplerConfig, Subgraph};
 use gp_nn::{Eval, Forward, Session};
 use gp_tensor::rng::StdRng;
-use gp_tensor::{Backend, Tensor};
+use gp_tensor::Tensor;
 
 /// Members of the batch: one training point per class.
 const WAYS: usize = 40;
@@ -26,9 +26,7 @@ const WAYS: usize = 40;
 /// `(generator, reconstruction, batch variant)` → digest, computed
 /// before `GNN_D` learned to skip rows its readout does not read.
 ///
-/// Fast gives the same bits on every host: it runs Reference's kernels
-/// but for `matmul_block`, whose AVX2 row is Reference's per-element
-/// fold without the zero skip, and this pass has no `inf` or NaN.
+/// One run covers both backend names: they run the same kernels.
 const GOLDEN: [(GeneratorKind, bool, Variant, u64); 18] = [
     (
         GeneratorKind::Sage,
@@ -253,23 +251,13 @@ fn digests(ds: &Dataset) -> Vec<(GeneratorKind, bool, Variant, u64)> {
     out
 }
 
-fn check(backend: Backend, golden: &[(GeneratorKind, bool, Variant, u64)]) {
+#[test]
+fn reference_embeddings_match_the_golden_digests() {
     let ds = gp_datasets::presets::fb15k237_like(0);
-    let _backend = backend.install();
     let got = digests(&ds);
     let table: Vec<String> = got
         .iter()
         .map(|(g, r, v, d)| format!("(GeneratorKind::{g:?}, {r}, Variant::{v:?}, {d:#018x}),"))
         .collect();
-    assert_eq!(got, golden, "{backend:?} digests:\n{}", table.join("\n"));
-}
-
-#[test]
-fn reference_embeddings_match_the_golden_digests() {
-    check(Backend::Reference, &GOLDEN);
-}
-
-#[test]
-fn fast_embeddings_match_the_golden_digests() {
-    check(Backend::Fast, &GOLDEN);
+    assert_eq!(got, GOLDEN, "digests:\n{}", table.join("\n"));
 }

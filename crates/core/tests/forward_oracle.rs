@@ -1,6 +1,6 @@
 //! Oracle for the tape-free forward pass: on random subgraph batches,
 //! `gp_nn::Eval` gives the same bits as a `gp_nn::Session` tape for every
-//! model variant, on both compute backends.
+//! model variant.
 
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use gp_datasets::{CitationConfig, KgConfig};
 use gp_graph::{RandomWalkSampler, SamplerConfig};
 use gp_nn::{Eval, Forward, Session};
 use gp_tensor::rng::check;
-use gp_tensor::{Backend, Tensor};
+use gp_tensor::Tensor;
 
 /// Embeddings, importances and task-graph logits of one forward pass:
 /// the batch's first `labels.len()` graphs are the prompts (importance-
@@ -70,38 +70,34 @@ fn eval_matches_the_tape_bit_for_bit() {
             .collect();
         let seed = rng.next_u64();
 
-        for backend in [Backend::Reference, Backend::Fast] {
-            let _backend = backend.install();
-            for generator in [GeneratorKind::Sage, GeneratorKind::Gat, GeneratorKind::Gcn] {
-                for recon_normalize in [true, false] {
-                    for proto_residual in [true, false] {
-                        let model = GraphPrompterModel::new(ModelConfig {
-                            embed_dim: 8,
-                            hidden_dim: 12,
-                            generator,
-                            recon_normalize,
-                            proto_residual,
-                            seed,
-                            ..ModelConfig::default()
-                        });
-                        for use_reconstruction in [true, false] {
-                            let mut sess = Session::new(&model.store);
-                            let tape =
-                                pass(&model, &mut sess, &batch, use_reconstruction, &labels, ways);
-                            let mut ev = Eval::new(&model.store);
-                            let eval =
-                                pass(&model, &mut ev, &batch, use_reconstruction, &labels, ways);
-                            for (name, (t, e)) in ["embeddings", "importance", "logits"]
-                                .iter()
-                                .zip(tape.iter().zip(&eval))
-                            {
-                                assert_eq!(
-                                    bits(t),
-                                    bits(e),
-                                    "{name}: {backend:?} {generator:?} recon {use_reconstruction} \
-                                     normalize {recon_normalize} proto {proto_residual}"
-                                );
-                            }
+        for generator in [GeneratorKind::Sage, GeneratorKind::Gat, GeneratorKind::Gcn] {
+            for recon_normalize in [true, false] {
+                for proto_residual in [true, false] {
+                    let model = GraphPrompterModel::new(ModelConfig {
+                        embed_dim: 8,
+                        hidden_dim: 12,
+                        generator,
+                        recon_normalize,
+                        proto_residual,
+                        seed,
+                        ..ModelConfig::default()
+                    });
+                    for use_reconstruction in [true, false] {
+                        let mut sess = Session::new(&model.store);
+                        let tape =
+                            pass(&model, &mut sess, &batch, use_reconstruction, &labels, ways);
+                        let mut ev = Eval::new(&model.store);
+                        let eval = pass(&model, &mut ev, &batch, use_reconstruction, &labels, ways);
+                        for (name, (t, e)) in ["embeddings", "importance", "logits"]
+                            .iter()
+                            .zip(tape.iter().zip(&eval))
+                        {
+                            assert_eq!(
+                                bits(t),
+                                bits(e),
+                                "{name}: {generator:?} recon {use_reconstruction} \
+                                 normalize {recon_normalize} proto {proto_residual}"
+                            );
                         }
                     }
                 }

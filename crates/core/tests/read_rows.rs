@@ -6,7 +6,7 @@
 //! Every encoder runs on random graphs (self-loops and repeated edges
 //! included) read at random row subsets, with no edge weights or with
 //! learned ones (renormalized per destination or not, `0.0` and `-0.0`
-//! among them), on both backends. An `Eval` pass is compared by value; a
+//! among them). An `Eval` pass is compared by value; a
 //! `Session` pass by value and by every parameter gradient of a loss
 //! over the read rows. A second property runs the same comparison on
 //! sampled subgraph batches, with [`SubgraphBatch::build`]'s read rows
@@ -21,7 +21,7 @@ use gp_nn::{
     EncodeGraph, Eval, Forward, Gat, Gcn, GnnEncoder, GraphSage, ParamId, ParamStore, Session,
 };
 use gp_tensor::rng::{self as trng, check, StdRng};
-use gp_tensor::{Backend, EdgeList, Tensor};
+use gp_tensor::{EdgeList, Tensor};
 
 /// One encoder input: features whose equal keys mark equal rows, a
 /// graph read at some rows, and optional learned edge weights (a
@@ -136,7 +136,7 @@ enum Weights {
     Multiplied,
 }
 
-/// Runs every encoder over `x`/`keys` and `read` on both backends.
+/// Runs every encoder over `x`/`keys` and `read`.
 fn assert_encoders_agree(
     rng: &mut StdRng,
     x: &Tensor,
@@ -149,35 +149,32 @@ fn assert_encoders_agree(
     let mut dims = vec![d];
     dims.extend((0..depth).map(|_| 2 * rng.gen_range(1..5)));
     let seed = rng.next_u64();
-    for backend in [Backend::Reference, Backend::Fast] {
-        let _backend = backend.install();
-        for weights in [Weights::None, Weights::Normalized, Weights::Multiplied] {
-            let mut store = ParamStore::new();
-            let mut init = StdRng::seed_from_u64(seed);
-            let mut sage = GraphSage::new(&mut store, &mut init, "sage", &dims);
-            sage.set_normalize_learned(!matches!(weights, Weights::Multiplied));
-            let gcn = Gcn::new(&mut store, &mut init, "gcn", &dims);
-            let gat = Gat::new(&mut store, &mut init, "gat", &dims);
-            let gat2 = Gat::with_heads(&mut store, &mut init, "gat2", &dims, 2);
-            let w = store.add("w", learned.clone());
-            let case = Case {
-                x,
-                keys,
-                read,
-                weights: (!matches!(weights, Weights::None)).then_some(w),
-            };
-            let what = |name: &str| {
-                format!(
-                    "{name} {dims:?} {backend:?} {weights:?}, {} of {} rows read",
-                    read.read_rows().len(),
-                    read.num_nodes()
-                )
-            };
-            assert_read_rows_agree(&sage, &store, &case, &what("sage"));
-            assert_read_rows_agree(&gcn, &store, &case, &what("gcn"));
-            assert_read_rows_agree(&gat, &store, &case, &what("gat"));
-            assert_read_rows_agree(&gat2, &store, &case, &what("gat2"));
-        }
+    for weights in [Weights::None, Weights::Normalized, Weights::Multiplied] {
+        let mut store = ParamStore::new();
+        let mut init = StdRng::seed_from_u64(seed);
+        let mut sage = GraphSage::new(&mut store, &mut init, "sage", &dims);
+        sage.set_normalize_learned(!matches!(weights, Weights::Multiplied));
+        let gcn = Gcn::new(&mut store, &mut init, "gcn", &dims);
+        let gat = Gat::new(&mut store, &mut init, "gat", &dims);
+        let gat2 = Gat::with_heads(&mut store, &mut init, "gat2", &dims, 2);
+        let w = store.add("w", learned.clone());
+        let case = Case {
+            x,
+            keys,
+            read,
+            weights: (!matches!(weights, Weights::None)).then_some(w),
+        };
+        let what = |name: &str| {
+            format!(
+                "{name} {dims:?} {weights:?}, {} of {} rows read",
+                read.read_rows().len(),
+                read.num_nodes()
+            )
+        };
+        assert_read_rows_agree(&sage, &store, &case, &what("sage"));
+        assert_read_rows_agree(&gcn, &store, &case, &what("gcn"));
+        assert_read_rows_agree(&gat, &store, &case, &what("gat"));
+        assert_read_rows_agree(&gat2, &store, &case, &what("gat2"));
     }
 }
 

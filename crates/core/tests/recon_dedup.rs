@@ -2,7 +2,7 @@
 //! to repeat, `gp_nn::Eval` (one row per distinct `(u, v, rel)` triple,
 //! one first-layer share per distinct source node) gives the same bits
 //! as a `gp_nn::Session` tape (every union edge) for the embeddings,
-//! importances and edge weights, on both compute backends.
+//! importances and edge weights.
 
 use gp_core::{
     sample_datapoint_subgraph, sample_datapoint_subgraphs, GeneratorKind, GraphPrompterModel,
@@ -13,7 +13,7 @@ use gp_datasets::{sample_few_shot_task, Dataset, KgConfig};
 use gp_graph::{RandomWalkSampler, SamplerConfig, Subgraph};
 use gp_nn::{Eval, Forward, Session};
 use gp_tensor::rng::StdRng;
-use gp_tensor::{Backend, EdgeList, Tensor};
+use gp_tensor::{EdgeList, Tensor};
 
 /// Embeddings, importances and reconstruction edge weights of one pass.
 fn pass<'a, F: Forward<'a>>(
@@ -36,35 +36,32 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 /// Holds `Eval` to `Session` on `batch` for every generator, with
-/// `recon_normalize` on and off, on both backends.
+/// `recon_normalize` on and off.
 fn assert_eval_matches_the_tape(ds: &Dataset, batch: &SubgraphBatch, what: &str) {
-    for backend in [Backend::Reference, Backend::Fast] {
-        let _backend = backend.install();
-        for generator in [GeneratorKind::Sage, GeneratorKind::Gat, GeneratorKind::Gcn] {
-            for recon_normalize in [true, false] {
-                let model = GraphPrompterModel::new(ModelConfig {
-                    feat_dim: ds.graph.feature_dim(),
-                    rel_dim: gp_datasets::REL_FEAT_DIM,
-                    embed_dim: 8,
-                    hidden_dim: 12,
-                    generator,
-                    recon_normalize,
-                    seed: 5,
-                    ..ModelConfig::default()
-                });
-                let tape = pass(&model, &mut Session::new(&model.store), batch);
-                let eval = pass(&model, &mut Eval::new(&model.store), batch);
-                for (part, (t, e)) in ["embeddings", "importance", "edge weights"]
-                    .iter()
-                    .zip(tape.iter().zip(&eval))
-                {
-                    assert_eq!(t.shape(), e.shape(), "{what}: {part} shape");
-                    assert_eq!(
-                        bits(t),
-                        bits(e),
-                        "{what}: {part} ({backend}, {generator:?}, recon_normalize {recon_normalize})"
-                    );
-                }
+    for generator in [GeneratorKind::Sage, GeneratorKind::Gat, GeneratorKind::Gcn] {
+        for recon_normalize in [true, false] {
+            let model = GraphPrompterModel::new(ModelConfig {
+                feat_dim: ds.graph.feature_dim(),
+                rel_dim: gp_datasets::REL_FEAT_DIM,
+                embed_dim: 8,
+                hidden_dim: 12,
+                generator,
+                recon_normalize,
+                seed: 5,
+                ..ModelConfig::default()
+            });
+            let tape = pass(&model, &mut Session::new(&model.store), batch);
+            let eval = pass(&model, &mut Eval::new(&model.store), batch);
+            for (part, (t, e)) in ["embeddings", "importance", "edge weights"]
+                .iter()
+                .zip(tape.iter().zip(&eval))
+            {
+                assert_eq!(t.shape(), e.shape(), "{what}: {part} shape");
+                assert_eq!(
+                    bits(t),
+                    bits(e),
+                    "{what}: {part} ({generator:?}, recon_normalize {recon_normalize})"
+                );
             }
         }
     }

@@ -1,13 +1,13 @@
 //! The classify application: routes the three endpoints onto a
 //! [`SessionHost`] of per-session [`Engine`]s that all share ONE
-//! `WorkerPool` thread budget.
+//! `WorkerPool`.
 //!
-//! Sharing the pool is the robustness point, not a convenience: when a
-//! request times out at a stage boundary (504) its engine keeps its
-//! handle on the *same* budgeted pool, so deadline churn cannot
-//! accumulate threads — `PoolStats::peak_active ≤ budget` holds across
-//! any mix of sessions, timeouts and panics (asserted by
-//! `deadline_exhaustion_leaks_no_pool_threads` in `tests/overload.rs`).
+//! A request runs its episode on the server worker that handles it:
+//! `run_episode_deadline` and `run_episodes_batched` queue nothing on
+//! the pool (only `Engine::evaluate` does), so deadline churn cannot
+//! accumulate threads, and `gp serve` passes a budget-1 pool that spawns
+//! none (asserted by `deadline_exhaustion_leaks_no_pool_threads` in
+//! `tests/overload.rs`).
 //!
 //! Sessions are deterministic replicas: every session engine is
 //! `GraphPrompterModel::new(config)` (same seed → same Xavier init)

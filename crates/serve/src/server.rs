@@ -191,7 +191,7 @@ impl Server {
                 let stop = Arc::clone(&stop);
                 #[expect(
                     clippy::disallowed_methods,
-                    reason = "connection workers block on sockets; engine compute still fans out through the pool"
+                    reason = "connection workers block on sockets and run each request's episode themselves"
                 )]
                 std::thread::Builder::new()
                     .name(format!("gp-serve-worker-{i}"))

@@ -414,7 +414,7 @@ fn deadline_exhaustion_leaks_no_pool_threads() {
 
     // Hammer with already-expired deadlines (budget burned in
     // admission, see `post_json_stale`) interleaved with real work
-    // across 4 server workers sharing the budget-2 engine pool.
+    // across 4 server workers sharing one engine pool.
     for round in 0..6 {
         let resp = post_json_stale(
             addr,
@@ -442,6 +442,10 @@ fn deadline_exhaustion_leaks_no_pool_threads() {
         stats.budget
     );
     assert_eq!(stats.budget, budget, "budget must never change");
+    assert_eq!(
+        stats.tasks_executed, 0,
+        "a request must never queue on the pool"
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! [`Kernel::run`] runs every call of a [`Kernel`]. On an x86_64 host
 //! with AVX2 (detected at run time) `Matmul` runs [`x86::matmul_row`],
 //! an intrinsics row that keeps one lane per output element: each
-//! element starts from the block's value and, for `kk` ascending, does
+//! element starts from the output's value and, for `kk` ascending, does
 //! one rounded multiply and one rounded add, Reference's sequence.
 //! `MatmulTb`, `MatmulTa` and `Spmm` run Reference's own source, the
 //! `#[inline(always)]` bodies behind [`Kernel::baseline`], compiled
@@ -59,18 +59,13 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) fn run(kernel: Kernel<'_>) {
         match kernel {
-            Kernel::Matmul {
-                a,
-                b,
-                k,
-                m,
-                rows,
-                block,
-            } => {
+            Kernel::Matmul { a, b, k, m, out } => {
                 assert!(b.len() >= k * m, "matmul: b holds fewer than k×m");
-                for (local, i) in rows.enumerate() {
+                if m == 0 {
+                    return; // no output element
+                }
+                for (i, o_row) in out.chunks_exact_mut(m).enumerate() {
                     let a_row = &a[i * k..(i + 1) * k];
-                    let o_row = &mut block[local * m..(local + 1) * m];
                     // SAFETY: this fn runs only on AVX2 hosts; `a_row`
                     // holds k entries, `o_row` m, and `b` at least k×m.
                     unsafe { matmul_row(a_row, b, m, o_row) };
@@ -127,8 +122,6 @@ mod x86 {
 
 #[cfg(test)]
 mod tests {
-    use std::ops::Range;
-
     use super::*;
     use crate::rng::StdRng;
     use crate::sparse::EdgeList;
@@ -163,17 +156,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `Matmul` over rows `rows` of `a` into `block`, through the dispatch.
-    fn matmul(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
-        Kernel::Matmul {
-            a,
-            b,
-            k,
-            m,
-            rows,
-            block,
-        }
-        .run();
+    /// `Matmul` of `a` onto `out`, through the dispatch.
+    fn matmul(a: &[f32], b: &[f32], k: usize, m: usize, out: &mut [f32]) {
+        Kernel::Matmul { a, b, k, m, out }.run();
     }
 
     /// Both sides of the 8-lane tail, the 16-lane tile and Reference's
@@ -202,7 +187,7 @@ mod tests {
         // The tolerance is zero: on finite operands, with ReLU zeros of
         // both signs in `a`, the dispatched `Matmul` (the AVX2 row on
         // AVX2 hosts) gives the baseline compilation's bits, from a
-        // zeroed block (`Tensor::matmul`) and from a noise block (a
+        // zeroed output (`Tensor::matmul`) and from a noise output (a
         // partial fold continued by `Tensor::matmul_onto`).
         for (n, k, m) in SHAPES {
             let a = relu_fill(1 + n as u64, n * k);
@@ -210,30 +195,22 @@ mod tests {
             for init in [vec![0.0f32; n * m], fill(3, n * m)] {
                 let mut want = init.clone();
                 let mut got = init;
-                let (a, b, rows) = (&a[..], &b[..], 0..n);
-                let block = &mut want[..];
-                Kernel::Matmul {
-                    a,
-                    b,
-                    k,
-                    m,
-                    rows,
-                    block,
-                }
-                .baseline();
-                matmul(a, b, k, m, 0..n, &mut got);
+                let (a, b) = (&a[..], &b[..]);
+                let out = &mut want[..];
+                Kernel::Matmul { a, b, k, m, out }.baseline();
+                matmul(a, b, k, m, &mut got);
                 assert_eq!(bits(&want), bits(&got), "matmul {n}x{k}x{m}");
             }
         }
     }
 
     /// The per-element sequence of every `Matmul` path: start from the
-    /// block's value, then for `kk` ascending one rounded multiply and
+    /// output's value, then for `kk` ascending one rounded multiply and
     /// one rounded add.
-    fn kept_fold(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
-        for (local, i) in rows.enumerate() {
+    fn kept_fold(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
+        for i in 0..n {
             for j in 0..m {
-                let o = &mut block[local * m + j];
+                let o = &mut out[i * m + j];
                 for kk in 0..k {
                     *o += a[i * k + kk] * b[kk * m + j];
                 }
@@ -243,17 +220,17 @@ mod tests {
 
     #[test]
     fn fast_matmul_block_is_a_left_fold_from_the_block() {
-        // On a zeroed block (what `Tensor::matmul` passes) this is the
+        // On a zeroed output (what `Tensor::matmul` passes) this is the
         // output the kernels gave when they zeroed their accumulators;
-        // on any other block the fold continues from its value.
+        // on any other output the fold continues from its value.
         for (n, k, m) in SHAPES {
             let a = relu_fill(51 + n as u64, n * k);
             let b = fill(52 + m as u64, k * m);
             for init in [vec![0.0f32; n * m], fill(53, n * m)] {
                 let mut want = init.clone();
                 let mut got = init;
-                kept_fold(&a, &b, k, m, 0..n, &mut want);
-                matmul(&a, &b, k, m, 0..n, &mut got);
+                kept_fold(&a, &b, k, m, n, &mut want);
+                matmul(&a, &b, k, m, &mut got);
                 assert_eq!(bits(&want), bits(&got), "matmul {n}x{k}x{m}");
             }
         }
@@ -319,7 +296,7 @@ mod tests {
     #[test]
     fn avx2_kernels_are_bit_identical_to_the_baseline() {
         // Zeros of both signs in `a` meet `inf` and NaN in `b` (and in
-        // the prior block, for the kernels that accumulate); a skipped
+        // the prior output, for the kernels that accumulate); a skipped
         // zero, an FMA or a reassociated sum in either compilation moves
         // bits here. On a host without AVX2 both sides are the baseline.
         let rng = &mut StdRng::seed_from_u64(0x5eed);
@@ -332,50 +309,19 @@ mod tests {
                     let at = poisoned(rng, k * n, false);
                     let b = poisoned(rng, k * m, poison);
                     let init = poisoned(rng, n * m, poison);
-                    assert_both(&init, &format!("matmul {case}"), |block, baseline| {
-                        let block = &mut block[..3 * m];
-                        let (a, b, rows) = (&a[..], &b[..], 1..4);
-                        go(
-                            Kernel::Matmul {
-                                a,
-                                b,
-                                k,
-                                m,
-                                rows,
-                                block,
-                            },
-                            baseline,
-                        );
+                    assert_both(&init, &format!("matmul {case}"), |out, baseline| {
+                        // Rows 1..4 of `a`.
+                        let out = &mut out[..3 * m];
+                        let (a, b) = (&a[k..4 * k], &b[..]);
+                        go(Kernel::Matmul { a, b, k, m, out }, baseline);
                     });
-                    assert_both(&init, &format!("matmul_tb {case}"), |block, baseline| {
-                        let (a, bt, rows) = (&a[..], &b[..], 0..n);
-                        go(
-                            Kernel::MatmulTb {
-                                a,
-                                bt,
-                                k,
-                                m,
-                                rows,
-                                block,
-                            },
-                            baseline,
-                        );
+                    assert_both(&init, &format!("matmul_tb {case}"), |out, baseline| {
+                        let (a, bt) = (&a[..], &b[..]);
+                        go(Kernel::MatmulTb { a, bt, k, m, out }, baseline);
                     });
-                    assert_both(&init, &format!("matmul_ta {case}"), |block, baseline| {
-                        let block = &mut block[..(n - 1) * m];
-                        let (a, b, rows) = (&at[..], &b[..], 1..n);
-                        go(
-                            Kernel::MatmulTa {
-                                a,
-                                b,
-                                n,
-                                k,
-                                m,
-                                rows,
-                                block,
-                            },
-                            baseline,
-                        );
+                    assert_both(&init, &format!("matmul_ta {case}"), |out, baseline| {
+                        let (a, b) = (&at[..], &b[..]);
+                        go(Kernel::MatmulTa { a, b, n, k, m, out }, baseline);
                     });
                     // Edges with repeats and self-loops, weights with
                     // signed zeros (skipped) and non-finite entries.
@@ -416,46 +362,24 @@ mod tests {
                     b[m..2 * m].fill(poison);
                     // `a` as a `k×1` column is its own `aᵀ` for `MatmulTa`.
                     let kernel = |which: usize, baseline: bool| {
-                        let (a, b, rows) = (&a[..], &b[..], 0..n);
-                        let mut out = vec![0.0f32; m];
-                        let block = &mut out[..];
+                        let (a, b) = (&a[..], &b[..]);
+                        let mut got = vec![0.0f32; m];
+                        let out = &mut got[..];
                         match which {
-                            0 => go(
-                                Kernel::Matmul {
-                                    a,
-                                    b,
-                                    k,
-                                    m,
-                                    rows,
-                                    block,
-                                },
-                                baseline,
-                            ),
+                            0 => go(Kernel::Matmul { a, b, k, m, out }, baseline),
                             1 => go(
                                 Kernel::MatmulTb {
                                     a,
                                     bt: b,
                                     k,
                                     m,
-                                    rows,
-                                    block,
+                                    out,
                                 },
                                 baseline,
                             ),
-                            _ => go(
-                                Kernel::MatmulTa {
-                                    a,
-                                    b,
-                                    n,
-                                    k,
-                                    m,
-                                    rows,
-                                    block,
-                                },
-                                baseline,
-                            ),
+                            _ => go(Kernel::MatmulTa { a, b, n, k, m, out }, baseline),
                         }
-                        out
+                        got
                     };
                     for which in 0..3 {
                         for baseline in [true, false] {
@@ -473,18 +397,19 @@ mod tests {
 
     #[test]
     fn fast_rows_are_bit_identical_across_block_splits() {
-        // The worker-count invariance the dispatch promises: a row's bits
-        // do not depend on which block computed it.
+        // Rows are computed on their own: a row's bits do not depend on
+        // which other rows the call covers, which the read-rows pass and
+        // `keyed_rows` (each computing a subset of rows) rely on.
         let (n, k, m) = (6usize, 21usize, 19usize);
         let a = fill(21, n * k);
         let b = fill(22, k * m);
         let mut whole = vec![0.0f32; n * m];
-        matmul(&a, &b, k, m, 0..n, &mut whole);
+        matmul(&a, &b, k, m, &mut whole);
         let mut split = vec![0.0f32; n * m];
         let cut = 2usize;
         let (lo, hi) = split.split_at_mut(cut * m);
-        matmul(&a, &b, k, m, 0..cut, lo);
-        matmul(&a, &b, k, m, cut..n, hi);
+        matmul(&a[..cut * k], &b, k, m, lo);
+        matmul(&a[cut * k..], &b, k, m, hi);
         assert_eq!(bits(&whole), bits(&split));
     }
 }

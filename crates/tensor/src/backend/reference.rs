@@ -12,9 +12,9 @@
 //! **The contract is the per-element float sequence, not the loop.**
 //! Every output element of every kernel here runs a pinned sequence of
 //! IEEE operations, and that sequence *is* the determinism contract:
-//! it is what the kernel unit tests, the parallel bit-identity
-//! proptests and the end-to-end pipeline tests pin. For `matmul`,
-//! element `(i, j)` starts from the block's value and, for `kk`
+//! it is what the kernel unit tests, the golden digests and the
+//! end-to-end pipeline tests pin. For `matmul`,
+//! element `(i, j)` starts from the output's value and, for `kk`
 //! ascending, does one rounded multiply `a[i][kk] * b[kk][j]` followed
 //! by one rounded add onto the accumulator. `matmul_ta` (`aᵀ · b`, `a`
 //! is `k×n`) is the same fold with `a[kk][i]` in place of `a[i][kk]`.
@@ -31,52 +31,44 @@
 //! for AVX2 keeps the sequence. The tests hold each kernel to its
 //! original loop, kept in the test module, bit for bit.
 
-use std::ops::Range;
-
 use crate::sparse::EdgeList;
 use crate::tensor::Tensor;
 
 /// One call of a kernel with an AVX2 compilation, with its operands.
-/// Row-blocked variants take a disjoint range of output `rows` plus the
-/// backing sub-slice for exactly those rows (the shape
-/// `parallel::for_row_blocks` hands out), so one call serves the serial
-/// path (`rows = 0..n`) and every fan-out alike: each row is computed
-/// on its own, whatever block it lands in.
+/// Each call covers its whole output. Every output row is computed on
+/// its own, so a call over some of the rows gives those rows' bits.
 pub(crate) enum Kernel<'a> {
-    /// `block[local] += a[i] · b` for `i` in `rows`: `a` is `n×k`, `b`
-    /// is `k×m`, each element folding `kk` ascending from the block's
-    /// value. A fold split at any `kk` and continued from the stored
-    /// partial (see [`Tensor::matmul_onto`]) gives the unsplit result.
+    /// `out[i] += a[i] · b` for every row `i` of the `n×m` `out`: `a` is
+    /// `n×k`, `b` is `k×m`, each element folding `kk` ascending from
+    /// `out`'s value. A fold split at any `kk` and continued from the
+    /// stored partial (see [`Tensor::matmul_onto`]) gives the unsplit
+    /// result.
     Matmul {
         a: &'a [f32],
         b: &'a [f32],
         k: usize,
         m: usize,
-        rows: Range<usize>,
-        block: &'a mut [f32],
+        out: &'a mut [f32],
     },
-    /// `block[local] = a[i] · bt` for `i` in `rows`: `Matmul` from a
-    /// zeroed block, where `bt` is the transpose (`k×m`) of
-    /// [`Tensor::matmul_tb`]'s `m×k` right operand. It differs from
-    /// `Matmul` only in its AVX2 compilation.
+    /// `out[i] = a[i] · bt`: `Matmul` from a zeroed `out`, where `bt` is
+    /// the transpose (`k×m`) of [`Tensor::matmul_tb`]'s `m×k` right
+    /// operand. It differs from `Matmul` only in its AVX2 compilation.
     MatmulTb {
         a: &'a [f32],
         bt: &'a [f32],
         k: usize,
         m: usize,
-        rows: Range<usize>,
-        block: &'a mut [f32],
+        out: &'a mut [f32],
     },
-    /// `block[local] += (column i of a) · b` for `i` in `rows` of the
-    /// `n×m` result: `a` is `k×n`, `b` is `k×m` (see [`matmul_ta_block`]).
+    /// `out[i] += (column i of a) · b` for every row `i` of the `n×m`
+    /// `out`: `a` is `k×n`, `b` is `k×m` (see [`matmul_ta_block`]).
     MatmulTa {
         a: &'a [f32],
         b: &'a [f32],
         n: usize,
         k: usize,
         m: usize,
-        rows: Range<usize>,
-        block: &'a mut [f32],
+        out: &'a mut [f32],
     },
     /// `out[dst] += w_e · x[src]` over `edges` (see [`spmm`]).
     Spmm {
@@ -95,34 +87,12 @@ impl Kernel<'_> {
     #[inline(always)]
     pub(crate) fn baseline(self) {
         match self {
-            Kernel::Matmul {
-                a,
-                b,
-                k,
-                m,
-                rows,
-                block,
-            } => fold_block(a, b, k, m, rows, block),
-            Kernel::MatmulTb {
-                a,
-                bt,
-                k,
-                m,
-                rows,
-                block,
-            } => {
-                block.fill(0.0);
-                fold_block(a, bt, k, m, rows, block);
+            Kernel::Matmul { a, b, k, m, out } => fold_block(a, b, k, m, out),
+            Kernel::MatmulTb { a, bt, k, m, out } => {
+                out.fill(0.0);
+                fold_block(a, bt, k, m, out);
             }
-            Kernel::MatmulTa {
-                a,
-                b,
-                n,
-                k,
-                m,
-                rows,
-                block,
-            } => matmul_ta_block(a, b, n, k, m, rows, block),
+            Kernel::MatmulTa { a, b, n, k, m, out } => matmul_ta_block(a, b, n, k, m, out),
             Kernel::Spmm { edges, x, w, out } => spmm(edges, x, w, out),
         }
     }
@@ -217,20 +187,19 @@ const TILE: usize = 32;
 /// slice of `b` stays in L1 while every output row takes it.
 const TA_CHUNK: usize = 32;
 
-/// `block[local] += a[i] · b` for `i` in `rows` (`a` is `n×k`, `b` is
-/// `k×m`), each element folding `kk` ascending from the block's value:
-/// wide rows keep a column tile in a local array across the whole `kk`
-/// loop (one load and one store per tile instead of one per `kk`),
-/// narrow outputs interleave four rows' accumulators.
+/// `out[i] += a[i] · b` for every row `i` of `out` (`a` is `n×k`, `b`
+/// is `k×m`, `out` is `n×m`), each element folding `kk` ascending from
+/// `out`'s value: wide rows keep a column tile in a local array across
+/// the whole `kk` loop (one load and one store per tile instead of one
+/// per `kk`), narrow outputs interleave four rows' accumulators.
 #[inline(always)]
-fn fold_block(a: &[f32], b: &[f32], k: usize, m: usize, rows: Range<usize>, block: &mut [f32]) {
+fn fold_block(a: &[f32], b: &[f32], k: usize, m: usize, out: &mut [f32]) {
     if m < NARROW_BELOW {
-        matmul_block_narrow(a, b, k, m, rows, block);
+        matmul_block_narrow(a, b, k, m, out);
         return;
     }
-    for (local, i) in rows.enumerate() {
-        let a_row = &a[i * k..(i + 1) * k];
-        fold_row(a_row, b, m, &mut block[local * m..(local + 1) * m]);
+    for (i, o_row) in out.chunks_exact_mut(m).enumerate() {
+        fold_row(&a[i * k..(i + 1) * k], b, m, o_row);
     }
 }
 
@@ -274,32 +243,17 @@ fn row_tile(a_row: &[f32], b: &[f32], m: usize, j0: usize, out: &mut [f32]) {
 /// `m < 8` (the 64→1 score heads): four rows per pass, each with its
 /// own accumulator, so their add chains overlap.
 #[inline(always)]
-fn matmul_block_narrow(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    block: &mut [f32],
-) {
-    if k == 0 {
-        return; // nothing accumulates, and `b` is empty
+fn matmul_block_narrow(a: &[f32], b: &[f32], k: usize, m: usize, out: &mut [f32]) {
+    if k == 0 || m == 0 {
+        return; // nothing accumulates
     }
-    let a_row = |local: usize| {
-        let i = rows.start + local;
-        &a[i * k..(i + 1) * k]
-    };
-    let n = rows.len();
+    let a_row = |i: usize| &a[i * k..(i + 1) * k];
+    let n = out.len() / m;
     let quads = n - n % 4;
-    for local in (0..quads).step_by(4) {
-        let (a0, a1, a2, a3) = (
-            a_row(local),
-            a_row(local + 1),
-            a_row(local + 2),
-            a_row(local + 3),
-        );
+    for i in (0..quads).step_by(4) {
+        let (a0, a1, a2, a3) = (a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3));
         for j in 0..m {
-            let mut acc = [0usize, 1, 2, 3].map(|r| block[(local + r) * m + j]);
+            let mut acc = [0usize, 1, 2, 3].map(|r| out[(i + r) * m + j]);
             let b_col = b[j..].iter().step_by(m);
             for ((((&x0, &x1), &x2), &x3), &bv) in a0.iter().zip(a1).zip(a2).zip(a3).zip(b_col) {
                 acc[0] += x0 * bv;
@@ -308,26 +262,25 @@ fn matmul_block_narrow(
                 acc[3] += x3 * bv;
             }
             for (r, v) in acc.into_iter().enumerate() {
-                block[(local + r) * m + j] = v;
+                out[(i + r) * m + j] = v;
             }
         }
     }
-    for local in quads..n {
-        let a0 = a_row(local);
+    for i in quads..n {
+        let a0 = a_row(i);
         for j in 0..m {
-            let mut acc = block[local * m + j];
+            let mut acc = out[i * m + j];
             for (&x0, &bv) in a0.iter().zip(b[j..].iter().step_by(m)) {
                 acc += x0 * bv;
             }
-            block[local * m + j] = acc;
+            out[i * m + j] = acc;
         }
     }
 }
 
-/// Row-blocked `aᵀ · b`, output rows `rows` of the `n×m` result:
-/// `block[local] += (column i of a) · b` for `i` in `rows`. `a` is
-/// `k×n`, `b` is `k×m`, each element folds `kk` ascending from the
-/// block's value.
+/// `out += aᵀ · b`: `out[i] += (column i of a) · b` for every row `i`
+/// of the `n×m` `out`. `a` is `k×n`, `b` is `k×m`, each element folds
+/// `kk` ascending from `out`'s value.
 ///
 /// Output row `i` is `matmul`'s fold with column `i` of `a` as its `a`
 /// row: wide rows take it in `kk` chunks, each gathering the chunk's
@@ -336,41 +289,33 @@ fn matmul_block_narrow(
 /// each lane. A wide element's fold is stored at the end of each `kk`
 /// chunk and reloaded at the start of the next, which rounds nothing.
 #[inline(always)]
-fn matmul_ta_block(
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    block: &mut [f32],
-) {
+fn matmul_ta_block(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     if k == 0 {
         return; // nothing accumulates, and `a` is empty
     }
     if m < NARROW_BELOW {
-        let mut i0 = rows.start;
-        while i0 + TILE <= rows.end {
-            ta_lanes::<TILE>(a, b, n, m, i0, &mut block[(i0 - rows.start) * m..]);
+        let mut i0 = 0;
+        while i0 + TILE <= n {
+            ta_lanes::<TILE>(a, b, n, m, i0, &mut out[i0 * m..]);
             i0 += TILE;
         }
-        for i in i0..rows.end {
-            ta_lanes::<1>(a, b, n, m, i, &mut block[(i - rows.start) * m..]);
+        for i in i0..n {
+            ta_lanes::<1>(a, b, n, m, i, &mut out[i * m..]);
         }
         return;
     }
-    let mut at = vec![0.0f32; rows.len() * TA_CHUNK];
+    let mut at = vec![0.0f32; n * TA_CHUNK];
     for kc in (0..k).step_by(TA_CHUNK) {
         let ke = (kc + TA_CHUNK).min(k);
         let c = ke - kc;
         for kk in kc..ke {
-            for (local, &v) in a[kk * n + rows.start..kk * n + rows.end].iter().enumerate() {
-                at[local * TA_CHUNK + kk - kc] = v;
+            for (i, &v) in a[kk * n..(kk + 1) * n].iter().enumerate() {
+                at[i * TA_CHUNK + kk - kc] = v;
             }
         }
         let b_chunk = &b[kc * m..ke * m];
-        for (local, o_row) in block.chunks_exact_mut(m).enumerate() {
-            let a_col = &at[local * TA_CHUNK..local * TA_CHUNK + c];
+        for (i, o_row) in out.chunks_exact_mut(m).enumerate() {
+            let a_col = &at[i * TA_CHUNK..i * TA_CHUNK + c];
             fold_row(a_col, b_chunk, m, o_row);
         }
     }
@@ -400,6 +345,8 @@ fn ta_lanes<const L: usize>(a: &[f32], b: &[f32], n: usize, m: usize, i0: usize,
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
     use crate::rng::{check, StdRng};
 
@@ -451,29 +398,6 @@ mod tests {
             let b_row = &b[kk * m..(kk + 1) * m];
             for (i, &av) in a_row.iter().enumerate() {
                 let o_row = &mut out[i * m..(i + 1) * m];
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-
-    /// The per-row `matmul_ta_block` loop before it was tiled, kept as
-    /// an oracle (without the zero skip it once had).
-    fn kept_ta_block(
-        a: &[f32],
-        b: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        rows: Range<usize>,
-        block: &mut [f32],
-    ) {
-        for (local, i) in rows.enumerate() {
-            let o_row = &mut block[local * m..(local + 1) * m];
-            for kk in 0..k {
-                let av = a[kk * n + i];
-                let b_row = &b[kk * m..(kk + 1) * m];
                 for (o, &bv) in o_row.iter_mut().zip(b_row) {
                     *o += av * bv;
                 }
@@ -583,29 +507,25 @@ mod tests {
 
     #[test]
     fn matmul_block_is_bit_identical_to_the_kept_loop() {
-        // k from empty to past two 64-wide hidden layers; empty and
-        // offset row ranges.
+        // k from empty to past two 64-wide hidden layers; empty outputs.
         check(2, |rng| {
             for m in MS {
                 for k in 0..=140 {
                     for zeros in [Zeros::None, Zeros::Relu, Zeros::All] {
                         let n = rng.gen_range(0..8usize);
                         let (a, b) = operands(rng, n, k, m, zeros);
-                        let start = rng.gen_range(0..=n);
-                        let end = rng.gen_range(start..=n);
-                        let init = noise(rng, (end - start) * m);
+                        let init = noise(rng, n * m);
                         let (mut want, mut got) = (init.clone(), init);
-                        kept_loop(&a, &b, k, m, start..end, &mut want);
+                        kept_loop(&a, &b, k, m, 0..n, &mut want);
                         Kernel::Matmul {
                             a: &a,
                             b: &b,
                             k,
                             m,
-                            rows: start..end,
-                            block: &mut got,
+                            out: &mut got,
                         }
                         .baseline();
-                        let case = format!("n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
+                        let case = format!("n={n} k={k} m={m} {zeros:?}");
                         assert_bits(&want, &got, &case);
                     }
                 }
@@ -617,7 +537,7 @@ mod tests {
     fn matmul_tb_block_is_bit_identical_to_the_kept_loop() {
         // The kept loop takes `b` as `m×k`, the kernel its transpose
         // (`operands`' `k×m` matrix), so the `inf`/NaN poison sits
-        // where `a` is zero. The block starts as noise: the kernel
+        // where `a` is zero. The output starts as noise: the kernel
         // overwrites.
         check(2, |rng| {
             for m in MS {
@@ -626,21 +546,18 @@ mod tests {
                         let n = rng.gen_range(0..8usize);
                         let (a, bt) = operands(rng, n, k, m, zeros);
                         let b = transpose(&bt, k, m);
-                        let start = rng.gen_range(0..=n);
-                        let end = rng.gen_range(start..=n);
-                        let init = noise(rng, (end - start) * m);
+                        let init = noise(rng, n * m);
                         let (mut want, mut got) = (init.clone(), init);
-                        kept_tb_loop(&a, &b, k, m, start..end, &mut want);
+                        kept_tb_loop(&a, &b, k, m, 0..n, &mut want);
                         Kernel::MatmulTb {
                             a: &a,
                             bt: &bt,
                             k,
                             m,
-                            rows: start..end,
-                            block: &mut got,
+                            out: &mut got,
                         }
                         .baseline();
-                        let case = format!("n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
+                        let case = format!("n={n} k={k} m={m} {zeros:?}");
                         assert_bits(&want, &got, &case);
                     }
                 }
@@ -664,36 +581,16 @@ mod tests {
                         let init = noise(rng, n * m);
                         let (mut want, mut got) = (init.clone(), init);
                         kept_ta_serial(&a, &b, n, k, m, &mut want);
-                        let (a, b) = (&a[..], &b[..]);
                         Kernel::MatmulTa {
-                            a,
-                            b,
+                            a: &a,
+                            b: &b,
                             n,
                             k,
                             m,
-                            rows: 0..n,
-                            block: &mut got,
+                            out: &mut got,
                         }
                         .baseline();
-                        assert_bits(&want, &got, &format!("serial n={n} k={k} m={m} {zeros:?}"));
-
-                        let start = rng.gen_range(0..=n);
-                        let end = rng.gen_range(start..=n);
-                        let init = noise(rng, (end - start) * m);
-                        let (mut want, mut got) = (init.clone(), init);
-                        kept_ta_block(a, b, n, k, m, start..end, &mut want);
-                        Kernel::MatmulTa {
-                            a,
-                            b,
-                            n,
-                            k,
-                            m,
-                            rows: start..end,
-                            block: &mut got,
-                        }
-                        .baseline();
-                        let case = format!("block n={n} k={k} m={m} rows={start}..{end} {zeros:?}");
-                        assert_bits(&want, &got, &case);
+                        assert_bits(&want, &got, &format!("n={n} k={k} m={m} {zeros:?}"));
                     }
                 }
             }

@@ -25,14 +25,13 @@
 //! DESIGN.md.
 //!
 //! Kernels keep the historical bit-exact accumulation order, results
-//! bit-identical across runs, hosts, and worker counts: every output
+//! bit-identical across runs, hosts and thread budgets: every output
 //! element runs one pinned float sequence (see [`backend`]), which
 //! `matmul` and friends also run compiled for AVX2 on hosts that have it
-//! (detected at run time), with the same bits. Heavy row-parallel
-//! kernels (`matmul` and friends) additionally fan out over a
-//! persistent, budget-bounded [`parallel::WorkerPool`] — see
-//! [`parallel`] — and stay bit-identical to their serial path for every
-//! worker count, because rows are never split across workers.
+//! (detected at run time), with the same bits. Each kernel runs whole on
+//! its calling thread; the one fan-out, `gp_core`'s episode evaluation,
+//! runs on a persistent, budget-bounded [`parallel::WorkerPool`] (see
+//! [`parallel`]).
 
 pub mod backend;
 pub mod parallel;
@@ -42,9 +41,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use backend::{Backend, BackendGuard};
-pub use parallel::{
-    configured_workers, workers_for_budget, Parallelism, PoolGuard, PoolStats, WorkerPool,
-};
+pub use parallel::{configured_workers, Parallelism, PoolGuard, PoolStats, WorkerPool};
 pub use sparse::EdgeList;
 pub use tape::{Op, Tape, Var};
 pub use tensor::{cosine_slices, cosine_slices_with_norms, l2_norm, rank_asc, rank_desc, Tensor};

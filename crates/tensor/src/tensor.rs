@@ -150,28 +150,15 @@ impl Tensor {
     /// Each element is a `k`-ascending fold of rounded multiplies and
     /// adds from `+0.0`, with no zero skip (see [`crate::backend`]):
     /// an AVX2 row where the host has AVX2, the register-tiled `i-k-j`
-    /// loop elsewhere, with the same bits. Fans out over output-row
-    /// blocks when [`crate::parallel`] is enabled; every worker count
-    /// produces bit-identical results, because rows are never split
-    /// across workers.
+    /// loop elsewhere, with the same bits.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let work = self.rows * self.cols * other.cols;
-        self.matmul_workers(other, crate::parallel::workers_for(self.rows, work))
-    }
-
-    /// As [`Tensor::matmul`] with an explicit worker count (`1` = serial).
-    ///
-    /// Output rows are computed by the same per-row kernel regardless of
-    /// how they are blocked across workers, so any `workers` value yields
-    /// bit-identical results (asserted by the parallel proptests).
-    pub fn matmul_workers(&self, other: &Tensor, workers: usize) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        out.matmul_block_onto(self, &other.data, workers);
+        out.matmul_block_onto(self, &other.data);
         out
     }
 
@@ -182,8 +169,7 @@ impl Tensor {
     /// The fold is a `k`-ascending left fold, so splitting it at any `c`
     /// changes no bit: seeded with
     /// `x[.., ..c] · w[..c]` (this call on a zeroed tensor), the call
-    /// with `x[.., c..]` and `c..k` gives exactly `x.matmul(w)`. Fans out
-    /// over row blocks like [`Tensor::matmul`].
+    /// with `x[.., c..]` and `c..k` gives exactly `x.matmul(w)`.
     ///
     /// # Panics
     /// Panics on mismatched shapes or when `w_rows` leaves `w`.
@@ -203,100 +189,61 @@ impl Tensor {
             w.cols
         );
         let m = w.cols;
-        let work = a.rows * a.cols * m;
-        let b = &w.data[w_rows.start * m..w_rows.end * m];
-        self.matmul_block_onto(a, b, crate::parallel::workers_for(a.rows, work));
+        self.matmul_block_onto(a, &w.data[w_rows.start * m..w_rows.end * m]);
     }
 
-    /// `self += a · b` for a row-major `b` of `a.cols × self.cols`, over
-    /// `workers` row blocks.
-    fn matmul_block_onto(&mut self, a: &Tensor, b: &[f32], workers: usize) {
-        let (n, k, m) = (self.rows, a.cols, self.cols);
-        let a = &a.data;
-        crate::parallel::for_row_blocks(&mut self.data, n, m, workers, |rows, block| {
-            Kernel::Matmul {
-                a,
-                b,
-                k,
-                m,
-                rows,
-                block,
-            }
-            .run();
-        });
+    /// `self += a · b` for a row-major `b` of `a.cols × self.cols`.
+    fn matmul_block_onto(&mut self, a: &Tensor, b: &[f32]) {
+        Kernel::Matmul {
+            a: &a.data,
+            b,
+            k: a.cols,
+            m: self.cols,
+            out: &mut self.data,
+        }
+        .run();
     }
 
     /// `self (n×k) · other^T (m×k) -> n×m`: `other` is transposed once,
     /// then each element is [`Tensor::matmul`]'s fold from `+0.0`.
     pub fn matmul_tb(&self, other: &Tensor) -> Tensor {
-        let work = self.rows * self.cols * other.rows;
-        self.matmul_tb_workers(other, crate::parallel::workers_for(self.rows, work))
-    }
-
-    /// As [`Tensor::matmul_tb`] with an explicit worker count (`1` = serial);
-    /// bit-identical for every `workers` value.
-    pub fn matmul_tb_workers(&self, other: &Tensor, workers: usize) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
             "matmul_tb: {}x{} · ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (n, k, m) = (self.rows, self.cols, other.rows);
-        let mut out = Tensor::zeros(n, m);
-        let a = &self.data;
-        let bt = &other.transpose().data;
-        crate::parallel::for_row_blocks(&mut out.data, n, m, workers, |rows, block| {
-            Kernel::MatmulTb {
-                a,
-                bt,
-                k,
-                m,
-                rows,
-                block,
-            }
-            .run();
-        });
+        let mut out = Tensor::zeros(self.rows, other.rows);
+        Kernel::MatmulTb {
+            a: &self.data,
+            bt: &other.transpose().data,
+            k: self.cols,
+            m: other.rows,
+            out: &mut out.data,
+        }
+        .run();
         out
     }
 
     /// `self^T (k×n) · other (k×m) -> n×m` without materializing the transpose.
     ///
     /// Each element is [`Tensor::matmul`]'s fold with column `i` of
-    /// `self` as its `a` row; every worker count runs the same per-row
-    /// kernel, so all produce bit-identical sums.
+    /// `self` as its `a` row.
     pub fn matmul_ta(&self, other: &Tensor) -> Tensor {
-        let (k, n, m) = (self.rows, self.cols, other.cols);
-        self.matmul_ta_workers(other, crate::parallel::workers_for(n, k * n * m))
-    }
-
-    /// As [`Tensor::matmul_ta`] with an explicit worker count (`1` =
-    /// serial); bit-identical for every `workers` value.
-    pub fn matmul_ta_workers(&self, other: &Tensor, workers: usize) -> Tensor {
         assert_eq!(
             self.rows, other.rows,
             "matmul_ta: ({}x{})^T · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k, n, m) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(n, m);
-        let (a, b) = (&self.data, &other.data);
-        let run = |rows: Range<usize>, block: &mut [f32]| {
-            Kernel::MatmulTa {
-                a,
-                b,
-                n,
-                k,
-                m,
-                rows,
-                block,
-            }
-            .run();
-        };
-        if workers <= 1 {
-            run(0..n, &mut out.data);
-        } else {
-            crate::parallel::for_row_blocks(&mut out.data, n, m, workers, run);
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        Kernel::MatmulTa {
+            a: &self.data,
+            b: &other.data,
+            n: self.cols,
+            k: self.rows,
+            m: other.cols,
+            out: &mut out.data,
         }
+        .run();
         out
     }
 
@@ -950,39 +897,6 @@ mod tests {
             )
             .to_bits()
         );
-    }
-
-    #[test]
-    fn matmul_ta_workers_is_bit_identical_to_serial() {
-        let k = 67;
-        let n = 9;
-        let m = 7;
-        let a = t(
-            k,
-            n,
-            &(0..k * n)
-                .map(|i| ((i * 31 % 17) as f32 - 8.0) / 7.0)
-                .collect::<Vec<_>>(),
-        );
-        let b = t(
-            k,
-            m,
-            &(0..k * m)
-                .map(|i| ((i * 13 % 23) as f32 - 11.0) / 9.0)
-                .collect::<Vec<_>>(),
-        );
-        let serial = a.matmul_ta_workers(&b, 1);
-        for workers in [2usize, 3, 8] {
-            let blocked = a.matmul_ta_workers(&b, workers);
-            for (x, y) in serial.as_slice().iter().zip(blocked.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "workers={workers}");
-            }
-        }
-        // And against the transpose-based reference.
-        let reference = a.transpose().matmul_workers(&b, 1);
-        for (x, y) in serial.as_slice().iter().zip(reference.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
     }
 
     /// Columns `cols` of `x`.

@@ -13,7 +13,7 @@
 //! gp inspect   model.gpck                   # validate + describe a model file
 //! gp serve     --dataset wiki [--model model.gpck] [--addr 127.0.0.1:7431]
 //!              [--workers 4] [--queue 64] [--deadline-ms 30000]
-//!              [--max-sessions 64] [--threads 2]
+//!              [--max-sessions 64]
 //!              [--max-batch 1] [--batch-window-ms 2]
 //!              # evaluate/episode/serve also take --embed-store-dir <dir>
 //! ```
@@ -31,11 +31,12 @@
 //! README § "Request batching".
 //!
 //! `evaluate`/`episode` also accept `--dataset-path <dir>` to run on a
-//! directory in the `gp export` TSV format (bring your own graph), and
-//! `--threads <n>` as the engine's **thread budget**: at most `n` live
-//! threads in total, shared by episode fan-out and tensor-kernel
-//! row-blocks (`--threads 0` = one per core; `--threads 1` spawns no
-//! worker threads at all; results are bit-identical either way).
+//! directory in the `gp export` TSV format (bring your own graph).
+//! `evaluate` takes `--threads <n>` as the engine's **thread budget**:
+//! its episodes run on at most `n` threads (`--threads 0` = one per
+//! core; `--threads 1` spawns no worker threads at all; results are
+//! bit-identical either way). `pretrain`, `episode` and `serve` run
+//! nothing on a pool, so they do not take `--threads`.
 //!
 //! `--embed-store-dir <dir>` attaches a persistent disk tier to the
 //! engine's embedding cache: embeddings demoted from RAM are written to
@@ -148,9 +149,9 @@ fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> CliResult
     Ok(())
 }
 
-/// Parse `--threads <n>` into the engine's thread budget. Absent → the
-/// serial default; `0` → one worker per core. The budget bounds *total*
-/// threads: episodes and kernels share one worker pool.
+/// Parse `gp evaluate`'s `--threads <n>` into the engine's thread
+/// budget, the threads its episodes run on. Absent → the serial default;
+/// `0` → one worker per core.
 fn parallelism(args: &[String]) -> Result<Parallelism, String> {
     match flag(args, "--threads") {
         None => Ok(Parallelism::Serial),
@@ -275,7 +276,6 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
             "--out",
             "--steps",
             "--seed",
-            "--threads",
             "--backend",
             "--validate-every",
         ],
@@ -311,7 +311,6 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
             seed,
             ..PretrainConfig::default()
         })
-        .parallelism(parallelism(args)?)
         .backend(backend(args)?)
         .try_build()
         .map_err(|e| format!("invalid configuration: {e}"))?;
@@ -395,7 +394,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
             "--queue",
             "--deadline-ms",
             "--max-sessions",
-            "--threads",
             "--max-batch",
             "--batch-window-ms",
             "--embed-store-dir",
@@ -423,11 +421,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
             .map(|s| s.parse().map_err(|_| format!("{name} must be an integer")))
             .unwrap_or(Ok(default))
     };
-    let budget = match parallelism(args)? {
-        Parallelism::Serial => 2,
-        Parallelism::Auto => std::thread::available_parallelism().map_or(2, |n| n.get()),
-        Parallelism::Threads(n) => n.max(1),
-    };
     let store_dir = flag(args, "--embed-store-dir").map(std::path::PathBuf::from);
     let config = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7431".into()),
@@ -438,7 +431,9 @@ fn serve_cmd(args: &[String]) -> CliResult {
     };
 
     backend(args)?; // accepted and checked, but every name runs the same kernels
-    let pool = Arc::new(graphprompter::prelude::WorkerPool::with_budget(budget));
+                    // Requests run their episodes on the server workers and never queue
+                    // on the pool, so it needs no threads of its own.
+    let pool = Arc::new(graphprompter::prelude::WorkerPool::with_budget(1));
     let infer = InferenceConfig {
         seed,
         ..InferenceConfig::default()
@@ -600,7 +595,6 @@ fn episode_cmd(args: &[String]) -> CliResult {
             "--seed",
             "--dataset",
             "--dataset-path",
-            "--threads",
             "--backend",
             "--embed-store-dir",
         ],
@@ -624,7 +618,6 @@ fn episode_cmd(args: &[String]) -> CliResult {
             seed,
             ..InferenceConfig::default()
         })
-        .parallelism(parallelism(args)?)
         .backend(backend(args)?);
     if let Some(dir) = flag(args, "--embed-store-dir") {
         builder = builder.embed_store_dir(dir);

@@ -226,38 +226,45 @@ fn pretraining_writes_the_same_file_on_both_backends() {
 
 #[test]
 fn bad_validate_every_and_removed_resume_flags_are_errors() {
-    let cases: [&[&str]; 5] = [
-        &["--validate-every", "0"],
-        &["--checkpoint-dir", "ckpts"],
-        &["--checkpoint-every", "10"],
-        &["--keep-last", "9"],
-        &["--resume"],
+    let pretrain: &[&str] = &["pretrain", "--source", "wiki", "--steps", "1"];
+    // `--threads` stays on `evaluate` alone: nothing else runs on a pool.
+    let cases: [(&[&str], &[&str]); 8] = [
+        (pretrain, &["--validate-every", "0"]),
+        (pretrain, &["--checkpoint-dir", "ckpts"]),
+        (pretrain, &["--checkpoint-every", "10"]),
+        (pretrain, &["--keep-last", "9"]),
+        (pretrain, &["--resume"]),
+        (pretrain, &["--threads", "2"]),
+        (
+            &[
+                "episode",
+                "--model",
+                "m.gpck",
+                "--dataset",
+                "wiki",
+                "--ways",
+                "3",
+            ],
+            &["--threads", "2"],
+        ),
+        (&["serve", "--dataset", "wiki"], &["--threads", "2"]),
     ];
-    for extra in cases {
+    for (command, extra) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_gp"))
-            .args(["pretrain", "--source", "wiki", "--steps", "1"])
+            .args(command)
             .args(extra)
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "gp pretrain {extra:?}: {stderr}"
-        );
-        assert!(
-            !stderr.contains("panicked"),
-            "gp pretrain {extra:?}: {stderr}"
-        );
+        let case = format!("gp {} {extra:?}", command[0]);
+        assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
         let expected = if extra[0] == "--validate-every" {
             "--validate-every must be a positive integer".to_string()
         } else {
             format!("unknown flag {}", extra[0])
         };
-        assert!(
-            stderr.contains(&expected),
-            "gp pretrain {extra:?}: {stderr}"
-        );
+        assert!(stderr.contains(&expected), "{case}: {stderr}");
     }
 }
 

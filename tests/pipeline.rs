@@ -191,9 +191,9 @@ fn fast_backend_is_tolerance_equal_and_deterministic_end_to_end() {
     );
 }
 
-/// The oversubscription regression test: one budget bounds *all* threads
-/// — episode fan-out and kernel fan-out share the engine's worker pool,
-/// `--threads 1` spawns nothing, and every budget is bit-identical.
+/// The oversubscription regression test: one budget bounds the threads
+/// `evaluate`'s episodes run on, `--threads 1` spawns nothing, and every
+/// budget is bit-identical.
 #[test]
 fn thread_budget_bounds_total_threads_end_to_end() {
     let source = CitationConfig::new("src", 250, 4, 109).generate();
