@@ -3,10 +3,10 @@
 //! [`EngineBuilder`] validates every config up front ([`ConfigError`]),
 //! fixes the engine's **thread budget** ([`Parallelism`]) and decides
 //! whether the cross-episode [`EmbeddingStore`] is wired in. The built
-//! [`Engine`] owns a persistent [`gp_tensor::WorkerPool`] sized to that
-//! budget, on which [`Engine::evaluate`] runs its episodes (the one
-//! fan-out; kernels run whole on their calling thread, and pre-training
-//! and single episodes run on the caller alone) — and exposes the whole
+//! [`Engine`] runs [`Engine::evaluate`]'s episodes on up to that many
+//! threads through [`gp_tensor::WorkerPool::map`] (the one fan-out;
+//! kernels run whole on their calling thread, and pre-training and
+//! single episodes run on the caller alone) — and exposes the whole
 //! lifecycle:
 //!
 //! ```
@@ -39,12 +39,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use gp_obs::sync::{Mutex, Rank};
 
 use gp_datasets::{Dataset, FewShotTask};
-use gp_tensor::{Backend, Parallelism, PoolStats, WorkerPool};
+use gp_tensor::{Backend, Parallelism, WorkerPool};
 
 use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
@@ -67,11 +66,10 @@ pub struct EngineBuilder {
     model: Option<GraphPrompterModel>,
     pretrain_cfg: PretrainConfig,
     infer_cfg: InferenceConfig,
-    parallelism: Option<Parallelism>,
+    parallelism: Parallelism,
     timing_mode: bool,
     embed_cache: Option<usize>,
     embed_store_dir: Option<PathBuf>,
-    shared_pool: Option<Arc<WorkerPool>>,
 }
 
 impl Default for EngineBuilder {
@@ -81,11 +79,10 @@ impl Default for EngineBuilder {
             model: None,
             pretrain_cfg: PretrainConfig::default(),
             infer_cfg: InferenceConfig::default(),
-            parallelism: None,
+            parallelism: Parallelism::Serial,
             timing_mode: false,
             embed_cache: Some(DEFAULT_EMBED_CACHE_CAPACITY),
             embed_store_dir: None,
-            shared_pool: None,
         }
     }
 }
@@ -122,37 +119,20 @@ impl EngineBuilder {
         self
     }
 
-    /// The engine's **thread budget** — the number of threads its
-    /// [`gp_tensor::WorkerPool`] may occupy while [`Engine::evaluate`]
-    /// runs its episodes, the engine's one fan-out. Nothing else runs on
-    /// the pool. Every budget produces bit-identical results — this is
-    /// purely a throughput knob.
-    ///
-    /// The pool is per-engine: two engines with different settings no
-    /// longer stomp a process-wide atomic. When not set, the engine
-    /// resolves its budget from the ambient
-    /// [`gp_tensor::configured_workers`] at each call (so transient
-    /// engines, e.g. inside baselines, inherit the caller's choice).
+    /// The engine's **thread budget** — the number of threads
+    /// [`Engine::evaluate`] runs its episodes on, the engine's one
+    /// fan-out (default [`Parallelism::Serial`]). Every budget produces
+    /// bit-identical results — this is purely a throughput knob.
     pub fn parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = Some(p);
+        self.parallelism = p;
         self
     }
 
-    /// Timing mode: [`Engine::evaluate`] runs its episodes one at a time.
-    /// Results are bit-identical either way.
+    /// Timing mode: [`Engine::evaluate`] runs its episodes one at a time
+    /// on the caller, whatever the budget. Results are bit-identical
+    /// either way.
     pub fn timing_mode(mut self, on: bool) -> Self {
         self.timing_mode = on;
-        self
-    }
-
-    /// Share an existing [`WorkerPool`] instead of owning one: every
-    /// engine built with the same `Arc` draws from that pool's single
-    /// thread budget, so N engines in one process (e.g. gp-serve's
-    /// per-session engines) together never exceed the pool's budget.
-    /// Takes precedence over [`EngineBuilder::parallelism`], and
-    /// [`Engine::set_parallelism`] becomes a no-op on the pool.
-    pub fn worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.shared_pool = Some(pool);
         self
     }
 
@@ -190,9 +170,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Validate all configs and build the engine. The worker pool itself
-    /// is created lazily on the first `evaluate` call (a budget of 1
-    /// never spawns any thread at all).
+    /// Validate all configs and build the engine.
     pub fn try_build(self) -> Result<Engine, ConfigError> {
         let model = match self.model {
             Some(model) => {
@@ -218,30 +196,21 @@ impl EngineBuilder {
             infer_cfg: self.infer_cfg,
             parallelism: self.parallelism,
             timing_mode: self.timing_mode,
-            pool: Mutex::new(Rank::EnginePool, None),
-            shared_pool: self.shared_pool,
             embed_store,
             weights_fp: Mutex::new(Rank::WeightsFingerprint, None),
         })
     }
 }
 
-/// Owns a [`GraphPrompterModel`], its validated configs, a budgeted
-/// [`WorkerPool`] and the cross-episode [`EmbeddingStore`]; the one place
-/// the pretrain → evaluate lifecycle happens.
+/// Owns a [`GraphPrompterModel`], its validated configs, a thread budget
+/// and the cross-episode [`EmbeddingStore`]; the one place the
+/// pretrain → evaluate lifecycle happens.
 pub struct Engine {
     model: GraphPrompterModel,
     pretrain_cfg: PretrainConfig,
     infer_cfg: InferenceConfig,
-    parallelism: Option<Parallelism>,
+    parallelism: Parallelism,
     timing_mode: bool,
-    /// Lazily built, cached worker pool; rebuilt when the resolved budget
-    /// changes (e.g. an inherited ambient setting moved, or
-    /// [`Engine::set_parallelism`] was called).
-    pool: Mutex<Option<Arc<WorkerPool>>>,
-    /// Externally owned pool shared across engines
-    /// ([`EngineBuilder::worker_pool`]); takes precedence over `pool`.
-    shared_pool: Option<Arc<WorkerPool>>,
     embed_store: Option<EmbeddingStore>,
     /// `(revision, fingerprint)` of the last weight fingerprint computed
     /// for the disk tier — hashing every parameter is O(weights), so it
@@ -253,34 +222,6 @@ impl Engine {
     /// Start building an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// The engine's worker pool at the currently resolved budget
-    /// (explicit [`Parallelism`] if set, else the ambient
-    /// [`gp_tensor::configured_workers`]), creating or resizing it as
-    /// needed. Only [`Engine::evaluate_with`] asks for it.
-    fn thread_pool(&self) -> Arc<WorkerPool> {
-        if let Some(shared) = &self.shared_pool {
-            return Arc::clone(shared);
-        }
-        let want = self
-            .parallelism
-            .map_or_else(gp_tensor::configured_workers, Parallelism::workers)
-            .max(1);
-        // A poisoned slot only means a panicking thread held the lock; the
-        // cached pool handle inside is still valid, so `lock` recovers it
-        // rather than cascading the panic into every later request.
-        let mut slot = self.pool.lock();
-        match slot.as_ref() {
-            Some(pool) if pool.budget() == want => Arc::clone(pool),
-            _ => {
-                // Pool construction happens once per budget change; the slot lock guards exactly
-                // this memoization and is never nested.
-                let pool = Arc::new(WorkerPool::with_budget(want));
-                *slot = Some(Arc::clone(&pool));
-                pool
-            }
-        }
     }
 
     /// Arm the embedding store's disk tier with the weight fingerprint of
@@ -409,10 +350,10 @@ impl Engine {
     /// configs — or from different datasets evaluated on one engine —
     /// never collide.
     ///
-    /// Outside timing mode the episodes run as tasks on the engine's
-    /// pool, installed for the call, so live threads never exceed the
-    /// budget. Results land in fixed per-episode slots: accuracies are
-    /// bit-identical to a sequential run for any budget.
+    /// Outside timing mode the episodes run on up to the engine's thread
+    /// budget ([`WorkerPool::map`]); each accuracy lands at its episode's
+    /// index, so the result is bit-identical to a sequential run for any
+    /// budget.
     pub fn evaluate_with(
         &self,
         dataset: &Dataset,
@@ -433,26 +374,13 @@ impl Engine {
                 i,
             )
         };
-        let pool = self.thread_pool();
-        let _ctx = pool.install();
         self.prepare_embed_store();
-        if self.timing_mode {
-            return (0..episodes).map(one).collect();
-        }
-        let mut accs = vec![0.0f32; episodes];
-        let slots: Vec<Mutex<&mut f32>> = accs
-            .iter_mut()
-            .map(|acc| Mutex::new(Rank::ResultSlot, acc))
-            .collect();
-        pool.for_each_index(episodes, |i| {
-            let acc = one(i);
-            // Each slot is touched by exactly one task; a poisoned lock
-            // can only mean that task already panicked, so `lock`'s
-            // recovery is safe.
-            **slots[i].lock() = acc;
-        });
-        drop(slots);
-        accs
+        let budget = if self.timing_mode {
+            1
+        } else {
+            self.parallelism.workers()
+        };
+        WorkerPool::with_budget(budget).map(episodes, one)
     }
 
     /// Run Alg. 2 over one explicit episode.
@@ -570,41 +498,22 @@ impl Engine {
         &self.pretrain_cfg
     }
 
-    /// The thread budget [`Engine::evaluate`] runs its episodes under, or
-    /// `None` when it inherits the ambient
-    /// [`gp_tensor::configured_workers`] at each call. The budget is
-    /// per-engine: it sizes this engine's own [`WorkerPool`] and never
-    /// touches process-wide state.
-    pub fn parallelism(&self) -> Option<Parallelism> {
+    /// The thread budget [`Engine::evaluate`] runs its episodes under.
+    /// It is per-engine and never touches process-wide state.
+    pub fn parallelism(&self) -> Parallelism {
         self.parallelism
     }
 
-    /// Change the thread budget. The cached worker pool is dropped (its
-    /// threads join) and a pool at the new budget is built lazily on the
-    /// next `evaluate` call. Results are bit-identical across budgets —
-    /// this only changes throughput.
-    pub fn set_parallelism(&mut self, p: Option<Parallelism>) {
+    /// Change the thread budget for later `evaluate` calls. Results are
+    /// bit-identical across budgets — this only changes throughput.
+    pub fn set_parallelism(&mut self, p: Parallelism) {
         self.parallelism = p;
-        *self.pool.lock() = None;
     }
 
     /// Whether [`Engine::evaluate`] runs its episodes one at a time
     /// ([`EngineBuilder::timing_mode`]).
     pub fn timing_mode(&self) -> bool {
         self.timing_mode
-    }
-
-    /// Counters of the engine's worker pool (budget, spawned workers,
-    /// peak concurrently active tasks, executed/stolen task counts), or
-    /// `None` before the first `evaluate` call builds the pool (a shared
-    /// [`EngineBuilder::worker_pool`] reports from the start). The
-    /// regression tests use `peak_active ≤ budget` to pin down that the
-    /// episode fan-out cannot oversubscribe.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        if let Some(shared) = &self.shared_pool {
-            return Some(shared.stats());
-        }
-        self.pool.lock().as_ref().map(|p| p.stats())
     }
 
     /// Usage counters of the embedding cache, or `None` when disabled.
@@ -807,9 +716,9 @@ mod tests {
         assert_eq!(engine.model().config().embed_dim, 16);
     }
 
-    /// One budget bounds the threads `evaluate`'s episodes run on, a
-    /// Serial engine never spawns a worker, and every budget is
-    /// bit-identical.
+    /// Every budget `evaluate` runs its episodes under gives the serial
+    /// run's bits. That one map call stays within its budget is
+    /// `gp_tensor`'s `map_runs_on_at_most_budget_threads`.
     #[test]
     fn thread_budget_bounds_total_threads_and_preserves_bits() {
         let ds = CitationConfig::new("t", 300, 5, 31).generate();
@@ -821,32 +730,17 @@ mod tests {
                 .try_build()
                 .expect("valid engine")
         };
-
-        let serial = build(Parallelism::Serial);
-        let base = serial.evaluate(&ds, 3, 8, 4);
-        let stats = serial.pool_stats().expect("pool built by evaluate");
-        assert_eq!(stats.budget, 1);
-        assert_eq!(stats.spawned_workers, 0, "budget 1 must not spawn");
-        assert_eq!(stats.peak_active, 0, "budget 1 must run inline");
-
-        let budgeted = build(Parallelism::Threads(3));
-        let accs = budgeted.evaluate(&ds, 3, 8, 4);
-        let stats = budgeted.pool_stats().expect("pool built by evaluate");
-        assert_eq!(stats.budget, 3);
-        assert_eq!(stats.spawned_workers, 2, "budget B spawns B-1 workers");
-        assert!(
-            stats.peak_active <= 3,
-            "peak active tasks {} exceeded budget 3",
-            stats.peak_active
-        );
-        assert!(stats.tasks_executed >= 4, "episodes should ride the pool");
-
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&base), bits(&accs), "budget must not change results");
+
+        let base = build(Parallelism::Serial).evaluate(&ds, 3, 8, 4);
+        for budget in [2usize, 3, 8] {
+            let accs = build(Parallelism::Threads(budget)).evaluate(&ds, 3, 8, 4);
+            assert_eq!(bits(&base), bits(&accs), "budget {budget} changed results");
+        }
     }
 
-    /// Timing mode runs episodes one at a time, and `set_parallelism`
-    /// rebuilds the pool at the new size.
+    /// Timing mode keeps a `Threads` engine's bits, and `set_parallelism`
+    /// resizes the budget later `evaluate` calls run under.
     #[test]
     fn timing_mode_and_set_parallelism_resize_pool() {
         let ds = CitationConfig::new("t", 300, 5, 31).generate();
@@ -858,13 +752,12 @@ mod tests {
             .try_build()
             .expect("valid engine");
         assert!(engine.timing_mode());
+        assert_eq!(engine.parallelism(), Parallelism::Threads(2));
         let base = engine.evaluate(&ds, 3, 8, 2);
-        assert_eq!(engine.pool_stats().expect("pool").budget, 2);
 
-        engine.set_parallelism(Some(Parallelism::Serial));
-        assert_eq!(engine.pool_stats(), None, "set_parallelism drops pool");
+        engine.set_parallelism(Parallelism::Serial);
+        assert_eq!(engine.parallelism(), Parallelism::Serial);
         let again = engine.evaluate(&ds, 3, 8, 2);
-        assert_eq!(engine.pool_stats().expect("pool").budget, 1);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&base), bits(&again));
     }
@@ -911,35 +804,5 @@ mod tests {
 
         let again = engine.run_episode(&ds, &task);
         assert_eq!(bits(&[again.accuracy()]), bits(&[plain.accuracy()]));
-    }
-
-    /// Engines sharing one pool ([`EngineBuilder::worker_pool`]) draw
-    /// from a single thread budget — the gp-serve sessions model.
-    #[test]
-    fn shared_worker_pool_bounds_engines_jointly() {
-        let ds = CitationConfig::new("t", 300, 5, 31).generate();
-        let pool = Arc::new(WorkerPool::with_budget(2));
-        let build = || {
-            Engine::builder()
-                .model_config(tiny_model())
-                .inference_config(tiny_infer())
-                .worker_pool(Arc::clone(&pool))
-                .try_build()
-                .expect("valid engine")
-        };
-        let a = build();
-        let b = build();
-        let ra = a.evaluate(&ds, 3, 6, 2);
-        let rb = b.evaluate(&ds, 3, 6, 2);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&ra), bits(&rb), "same pool, same weights, same task");
-        let stats = pool.stats();
-        assert_eq!(stats.budget, 2);
-        assert!(
-            stats.peak_active <= 2,
-            "shared budget must bound both engines"
-        );
-        assert_eq!(a.pool_stats().expect("shared").budget, 2);
-        assert_eq!(a.revision(), b.revision());
     }
 }

@@ -24,9 +24,9 @@
 //! Prodigy baseline.
 //!
 //! The public entry point is the [`Engine`], built through the fallible
-//! [`EngineBuilder`]: it validates every config, owns the model, owns a
-//! [`gp_tensor::WorkerPool`] sized to one [`gp_tensor::Parallelism`]
-//! thread budget, on which [`Engine::evaluate`] runs its episodes, and memoizes
+//! [`EngineBuilder`]: it validates every config, owns the model, holds
+//! one [`gp_tensor::Parallelism`] thread budget that [`Engine::evaluate`]
+//! maps its episodes over ([`gp_tensor::WorkerPool::map`]), and memoizes
 //! candidate embeddings across episodes in an [`EmbeddingStore`]
 //! (invalidated automatically whenever the weights change).
 //!

@@ -38,18 +38,10 @@ pub enum Rank {
     Coalescer,
     /// `gp_serve` `BoundedQueue::inner`: the admission queue.
     AdmissionQueue,
-    /// `gp_core` `Engine::pool`: the memoized worker pool.
-    EnginePool,
     /// `gp_core` `Engine::weights_fp`: the cached weight fingerprint.
     WeightsFingerprint,
     /// `gp_core` `EmbeddingStore::inner`: the RAM and disk tiers.
     EmbeddingStore,
-    /// One pooled task's result cell, written by exactly one task.
-    ResultSlot,
-    /// `gp_tensor::parallel` `PoolShared::queue`: pending pool tasks.
-    PoolQueue,
-    /// `gp_tensor::parallel` `JobState::done`: one fan-out's completion.
-    JobDone,
     /// `gp_obs` registry maps (counters, gauges, histograms).
     ObsRegistry,
     /// One `gp_obs` histogram's buckets.
@@ -245,13 +237,13 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        should_panic(expected = "condvar wait on EmbeddingStore while holding [EnginePool]")
+        should_panic(expected = "condvar wait on EmbeddingStore while holding [Coalescer]")
     )]
     fn waiting_under_a_second_guard_panics() {
-        let pool = Mutex::new(Rank::EnginePool, ());
+        let coalescer = Mutex::new(Rank::Coalescer, ());
         let store = Mutex::new(Rank::EmbeddingStore, ());
         let cv = Condvar::new();
-        let _p = pool.lock();
+        let _c = coalescer.lock();
         let s = store.lock();
         drop(s.wait_timeout(&cv, Duration::from_millis(1)));
     }

@@ -1,12 +1,11 @@
 //! The classify application: routes the three endpoints onto a
-//! [`SessionHost`] of per-session [`Engine`]s that all share ONE
-//! `WorkerPool`.
+//! [`SessionHost`] of per-session [`Engine`]s.
 //!
 //! A request runs its episode on the server worker that handles it:
-//! `run_episode_deadline` and `run_episodes_batched` queue nothing on
-//! the pool (only `Engine::evaluate` does), so deadline churn cannot
-//! accumulate threads, and `gp serve` passes a budget-1 pool that spawns
-//! none (asserted by `deadline_exhaustion_leaks_no_pool_threads` in
+//! `run_episode_deadline` and `run_episodes_batched` spawn no thread
+//! (only `Engine::evaluate` fans out), so deadline churn cannot
+//! accumulate threads and a server keeps answering after a burst of
+//! 504s (`deadline_exhaustion_504s_then_serves_200` in
 //! `tests/overload.rs`).
 //!
 //! Sessions are deterministic replicas: every session engine is
@@ -44,12 +43,11 @@ pub const MAX_QUERIES: usize = 512;
 pub const MAX_QUEUE_CAPACITY: usize = 65_536;
 
 /// Owns the base model weights and builds per-session engine replicas
-/// on demand, all sharing one worker pool.
+/// on demand.
 pub struct SessionHost {
     model_config: ModelConfig,
     base_snapshot: Vec<gp_tensor::Tensor>,
     infer: InferenceConfig,
-    pool: Arc<WorkerPool>,
     dataset: Dataset,
     dataset_fingerprint: u64,
     max_sessions: usize,
@@ -64,18 +62,19 @@ pub struct SessionHost {
 impl SessionHost {
     /// Capture `model`'s weights as the base snapshot and eagerly build
     /// the `"default"` session so configuration errors surface at
-    /// startup, not on the first request. `_backend` is an accepted
-    /// compute backend name that changes nothing (see
-    /// [`gp_tensor::Backend`]).
+    /// startup, not on the first request. `_pool` and `_backend` are
+    /// accepted and change nothing: requests run on the server's own
+    /// workers, and every [`gp_tensor::Backend`] name runs the same
+    /// kernels.
     pub fn new(
         model: &GraphPrompterModel,
         dataset: Dataset,
         infer: InferenceConfig,
-        pool: Arc<WorkerPool>,
+        _pool: Arc<WorkerPool>,
         max_sessions: usize,
         _backend: Backend,
     ) -> Result<Self, String> {
-        Self::with_embed_store(model, dataset, infer, pool, max_sessions, None)
+        Self::with_embed_store(model, dataset, infer, max_sessions, None)
     }
 
     /// As [`SessionHost::new`], optionally attaching a persistent
@@ -90,7 +89,6 @@ impl SessionHost {
         model: &GraphPrompterModel,
         dataset: Dataset,
         infer: InferenceConfig,
-        pool: Arc<WorkerPool>,
         max_sessions: usize,
         embed_store: Option<PathBuf>,
     ) -> Result<Self, String> {
@@ -99,7 +97,6 @@ impl SessionHost {
             model_config: model.config().clone(),
             base_snapshot: model.store.snapshot(),
             infer,
-            pool,
             dataset,
             dataset_fingerprint,
             max_sessions: max_sessions.max(1),
@@ -138,8 +135,7 @@ impl SessionHost {
             .map_err(|e| SessionError::Build(e.to_string()))?;
         let mut builder = Engine::builder()
             .model(model)
-            .inference_config(self.infer.clone())
-            .worker_pool(Arc::clone(&self.pool));
+            .inference_config(self.infer.clone());
         if let Some(root) = &self.embed_store {
             // Session names arrive verbatim from request bodies; hashing
             // them into the directory name makes traversal impossible and
@@ -177,10 +173,6 @@ impl SessionHost {
             .get("default")
             .map(|e| e.revision())
             .unwrap_or(0)
-    }
-
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     pub fn dataset(&self) -> &Dataset {
@@ -517,8 +509,7 @@ mod tests {
             candidates_per_class: 4,
             ..InferenceConfig::default()
         };
-        let pool = Arc::new(WorkerPool::with_budget(2));
-        SessionHost::new(&model, dataset, infer, pool, 3, Backend::Reference).expect("host builds")
+        SessionHost::with_embed_store(&model, dataset, infer, 3, None).expect("host builds")
     }
 
     #[expect(
@@ -602,8 +593,7 @@ mod tests {
             candidates_per_class: 4,
             ..InferenceConfig::default()
         };
-        let pool = Arc::new(WorkerPool::with_budget(2));
-        SessionHost::with_embed_store(&model, dataset, infer, pool, 3, Some(dir.to_path_buf()))
+        SessionHost::with_embed_store(&model, dataset, infer, 3, Some(dir.to_path_buf()))
             .expect("host with embed store builds")
     }
 

@@ -17,7 +17,7 @@
 //! |------------------------------------------|------------------------------|------------------------------------------------|
 //! | bounded admission, 503 + `Retry-After`   | [`queue::BoundedQueue`]      | `saturated_queue_sheds_immediately_with_503`   |
 //! | deadline at Alg. 2 stage boundaries, 504 | `gp_core::Engine::run_episode_deadline` | `deadline_returns_504_with_partial_stage_timing` |
-//! | no thread leak across 504s               | no request queues on the pool | `deadline_exhaustion_leaks_no_pool_threads`   |
+//! | 504 bursts leave the server serving      | requests spawn no thread     | `deadline_exhaustion_504s_then_serves_200`     |
 //! | panic isolation per request, 500         | `catch_unwind` in [`server`] | `panicking_request_gets_500_and_server_survives` |
 //! | slow-loris / truncated-body defence      | [`http::read_request`]       | `slow_and_malformed_clients_are_bounded`       |
 //! | header/body size caps, 431/413           | [`http::Limits`]             | `slow_and_malformed_clients_are_bounded`       |

@@ -7,7 +7,7 @@
 //!   worker) and [`crate::metrics::SHED_TOTAL`] ticks;
 //! * handler panic → contained by `catch_unwind`, answered with 500;
 //!   nothing is poisoned because every lock in the path recovers
-//!   ([`crate::queue`], `gp-core`'s engine/pool);
+//!   ([`crate::queue`], `gp-core`'s engine);
 //! * slow or hostile client → the read/write timeouts in
 //!   [`crate::http`] bound how long a worker can be held;
 //! * shutdown → accept stops, the listener closes, queued connections

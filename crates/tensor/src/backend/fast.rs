@@ -15,7 +15,7 @@
 //! `std::arch`: `tests/arch_fence.rs` fails on an `arch` path anywhere
 //! else, and the workspace denies `unsafe_code`, which the loads,
 //! stores and `#[target_feature]` calls here need, everywhere but this
-//! module and the worker pool.
+//! module and the `gp` binary's `signal(2)` call.
 
 #![expect(
     unsafe_code,

@@ -30,8 +30,8 @@
 //! `matmul` and friends also run compiled for AVX2 on hosts that have it
 //! (detected at run time), with the same bits. Each kernel runs whole on
 //! its calling thread; the one fan-out, `gp_core`'s episode evaluation,
-//! runs on a persistent, budget-bounded [`parallel::WorkerPool`] (see
-//! [`parallel`]).
+//! runs through [`parallel::WorkerPool::map`] under one thread budget
+//! (see [`parallel`]).
 
 pub mod backend;
 pub mod parallel;
@@ -41,7 +41,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use backend::{Backend, BackendGuard};
-pub use parallel::{configured_workers, Parallelism, PoolGuard, PoolStats, WorkerPool};
+pub use parallel::{Parallelism, WorkerPool};
 pub use sparse::EdgeList;
 pub use tape::{Op, Tape, Var};
 pub use tensor::{cosine_slices, cosine_slices_with_norms, l2_norm, rank_asc, rank_desc, Tensor};

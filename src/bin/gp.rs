@@ -431,9 +431,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
     };
 
     backend(args)?; // accepted and checked, but every name runs the same kernels
-                    // Requests run their episodes on the server workers and never queue
-                    // on the pool, so it needs no threads of its own.
-    let pool = Arc::new(graphprompter::prelude::WorkerPool::with_budget(1));
     let infer = InferenceConfig {
         seed,
         ..InferenceConfig::default()
@@ -442,7 +439,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
         &model,
         ds,
         infer,
-        pool,
         parse_or("--max-sessions", 64)? as usize,
         store_dir.clone(),
     )?;

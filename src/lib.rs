@@ -42,7 +42,7 @@ pub mod prelude {
     pub use gp_datasets::{presets, sample_few_shot_task, Dataset, FewShotTask};
     pub use gp_graph::SamplerConfig;
     pub use gp_obs::MetricsSnapshot;
-    pub use gp_tensor::{Backend, BackendGuard, Parallelism, PoolStats, WorkerPool};
+    pub use gp_tensor::{Backend, BackendGuard, Parallelism, WorkerPool};
 }
 
 /// Workspace version, from the facade crate.
