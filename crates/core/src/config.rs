@@ -11,7 +11,6 @@
 use gp_graph::SamplerConfig;
 
 use crate::cache::CachePolicy;
-use crate::guard::GuardRailConfig;
 use crate::selector::DistanceMetric;
 
 /// Typed validation error returned by each config's `validate` (and so by
@@ -401,9 +400,6 @@ pub struct PretrainConfig {
     pub sampler: SamplerConfig,
     /// Episode-sampling seed.
     pub seed: u64,
-    /// Non-finite/divergence guard rails for the training loop (`None`
-    /// trains unguarded, the historical behavior).
-    pub guard: Option<GuardRailConfig>,
 }
 
 impl Default for PretrainConfig {
@@ -421,7 +417,6 @@ impl Default for PretrainConfig {
             log_every: 20,
             sampler: SamplerConfig::default(),
             seed: 0,
-            guard: None,
         }
     }
 }
@@ -446,33 +441,6 @@ impl PretrainConfig {
             });
         }
         require_in_range(self.weight_decay, 0.0, f32::MAX, "weight_decay")?;
-        if let Some(g) = &self.guard {
-            // The trailing median is undefined over an empty window, and a
-            // zero window would make every comparison vacuous.
-            require_nonzero(g.window, "guard.window")?;
-            // Non-positive disables spike detection (documented contract);
-            // a positive factor must be finite and above 1.0, or every
-            // healthy fluctuation would count as a spike.
-            let sf = g.spike_factor;
-            if sf.is_nan() || (sf > 0.0 && !(sf.is_finite() && sf > 1.0)) {
-                return Err(ConfigError::OutOfRange {
-                    field: "guard.spike_factor",
-                    value: sf,
-                    lo: 1.0,
-                    hi: f32::MAX,
-                });
-            }
-            if let Some(c) = g.clip_norm {
-                if !c.is_finite() || c <= 0.0 {
-                    return Err(ConfigError::OutOfRange {
-                        field: "guard.clip_norm",
-                        value: c,
-                        lo: f32::MIN_POSITIVE,
-                        hi: f32::MAX,
-                    });
-                }
-            }
-        }
         validate_sampler(&self.sampler)
     }
 }
@@ -480,49 +448,6 @@ impl PretrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pretrain_validates_guard_rail() {
-        use crate::guard::GuardRailConfig;
-        let with_guard = |g: GuardRailConfig| {
-            PretrainConfig {
-                guard: Some(g),
-                ..PretrainConfig::default()
-            }
-            .validate()
-        };
-        let skip = |window, spike_factor| GuardRailConfig {
-            window,
-            spike_factor,
-            ..GuardRailConfig::skip()
-        };
-
-        assert!(with_guard(GuardRailConfig::default()).is_ok());
-        assert!(
-            with_guard(GuardRailConfig {
-                warmup: 0,
-                ..skip(1, 10.0)
-            })
-            .is_ok(),
-            "minimal window is legal"
-        );
-        assert!(
-            with_guard(skip(25, -1.0)).is_ok(),
-            "non-positive factor disables spike detection"
-        );
-
-        assert_eq!(
-            with_guard(skip(0, 10.0)),
-            Err(ConfigError::ZeroField {
-                field: "guard.window"
-            })
-        );
-        assert!(with_guard(skip(25, f32::NAN)).is_err());
-        assert!(with_guard(skip(25, 1.0)).is_err());
-        assert!(with_guard(skip(25, f32::INFINITY)).is_err());
-        assert!(with_guard(GuardRailConfig::clip(0.0)).is_err());
-        assert!(with_guard(GuardRailConfig::clip(f32::NAN)).is_err());
-    }
 
     #[test]
     fn prodigy_config_disables_everything() {

@@ -48,8 +48,7 @@ use gp_tensor::{Backend, Parallelism, WorkerPool};
 use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
 use crate::embed_store::{EmbedCacheStats, EmbeddingStore};
-use crate::error::DeadlineExceeded;
-use crate::guard::DivergenceError;
+use crate::error::{DeadlineExceeded, DivergenceError};
 use crate::infer::{evaluate_episode, run_episodes, EpisodeResult};
 use crate::model::GraphPrompterModel;
 use crate::planner::EpisodeRequest;
@@ -282,7 +281,7 @@ impl Engine {
     /// [`Engine::evaluate`] never sees stale embeddings.
     ///
     /// # Panics
-    /// Panics if the configured guard rail aborts; use
+    /// Panics if a step's loss is not finite; use
     /// [`Engine::try_pretrain`] for a recoverable error.
     pub fn pretrain(&mut self, dataset: &Dataset) -> TrainingCurve {
         pretrain(
@@ -293,8 +292,8 @@ impl Engine {
         )
     }
 
-    /// As [`Engine::pretrain`], surfacing guard-rail aborts as a typed
-    /// [`DivergenceError`].
+    /// As [`Engine::pretrain`], surfacing a non-finite loss as a typed
+    /// [`DivergenceError`], with the last finite step's weights kept.
     pub fn try_pretrain(&mut self, dataset: &Dataset) -> Result<TrainingCurve, DivergenceError> {
         try_pretrain(
             &mut self.model,

@@ -1,11 +1,14 @@
-//! The typed error of a request that ran out of time.
+//! The typed errors of a request that ran out of time and of a
+//! pre-training run that diverged.
 //!
 //! [`crate::Engine::run_episode_deadline`] and
 //! [`crate::Engine::run_episodes_batched`] report an expired deadline as
 //! [`DeadlineExceeded`]; gp-serve maps it to 504 Gateway Timeout. Config
 //! errors surface from [`crate::EngineBuilder::try_build`] as
-//! [`crate::ConfigError`], and guard-rail aborts from
-//! [`crate::Engine::try_pretrain`] as [`crate::DivergenceError`].
+//! [`crate::ConfigError`], and a non-finite training loss from
+//! [`crate::Engine::try_pretrain`] as [`DivergenceError`]. Non-finite
+//! input features never get that far: `gp_datasets::load_dataset`
+//! rejects them at the file boundary.
 
 /// Diagnosis of a request that ran out of budget: which stage boundary
 /// observed the expiry, how much of the episode had completed, and the
@@ -50,6 +53,27 @@ impl std::fmt::Display for DeadlineExceeded {
 }
 
 impl std::error::Error for DeadlineExceeded {}
+
+/// Why pre-training stopped early. The loop checks each step's loss
+/// before the optimizer applies it, so the weights are those after the
+/// last finite step.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DivergenceError {
+    /// The step's loss `L_NM + L_MT` was NaN or ±∞.
+    NonFiniteLoss {
+        /// Index of the step whose update was not applied.
+        step: usize,
+    },
+}
+
+impl std::fmt::Display for DivergenceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let DivergenceError::NonFiniteLoss { step } = self;
+        write!(f, "non-finite loss at step {step}")
+    }
+}
+
+impl std::error::Error for DivergenceError {}
 
 #[cfg(test)]
 mod tests {

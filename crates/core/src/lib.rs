@@ -62,7 +62,6 @@ pub mod embed_disk;
 pub mod embed_store;
 pub mod engine;
 pub mod error;
-pub mod guard;
 pub mod infer;
 pub mod model;
 pub mod planner;
@@ -80,8 +79,7 @@ pub use config::{
 pub use deadline::Deadline;
 pub use embed_store::{EmbedCacheStats, EmbeddingStore};
 pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
-pub use error::DeadlineExceeded;
-pub use guard::{DivergenceError, GuardAction, GuardRail, GuardRailConfig, StepVerdict};
+pub use error::{DeadlineExceeded, DivergenceError};
 pub use infer::EpisodeResult;
 pub use model::{sample_datapoint_subgraph, sample_datapoint_subgraphs, GraphPrompterModel};
 pub use planner::{BatchKey, EpisodeRequest};

@@ -5,24 +5,40 @@
 //! One loop serves every entry point. [`try_pretrain_validated`] adds
 //! held-out validation with best-snapshot restore (§V-A4); validation
 //! draws from its own RNG, so it never moves the training episode stream.
+//! The loop is plain AdamW, as in the paper; its one check stops the run
+//! with a [`DivergenceError`] when a step's loss is not finite, before
+//! the optimizer applies that step.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use gp_datasets::{sample_few_shot_from_splits, DataPoint, Dataset, Split, Task};
 use gp_graph::{RandomWalkSampler, Subgraph};
-use gp_nn::{AdamW, Eval, Forward, Optimizer, Session};
+use gp_nn::{AdamW, Eval, Forward, Optimizer, ParamId, Session};
 use gp_tensor::rng::StdRng;
 use gp_tensor::{Tensor, Var};
 
 use crate::batch::SubgraphBatch;
 use crate::config::{PretrainConfig, StageConfig};
-use crate::guard::{DivergenceError, GuardAction, GuardRail, StepVerdict};
+use crate::error::DivergenceError;
 use crate::model::{sample_datapoint_subgraphs, GraphPrompterModel};
 
 static LOSS_MILLI: gp_obs::Histogram = gp_obs::Histogram::new("pretrain.loss_milli");
 static GRAD_NORM_MILLI: gp_obs::Histogram = gp_obs::Histogram::new("pretrain.grad_norm_milli");
 static STEP_MICROS: gp_obs::Histogram = gp_obs::Histogram::new("pretrain.step_micros");
+
+/// Global L2 norm over all gradient tensors (the
+/// `pretrain.grad_norm_milli` histogram).
+fn grad_l2_norm(grads: &[(ParamId, Tensor)]) -> f32 {
+    grads
+        .iter()
+        .map(|(_, g)| {
+            let n = g.frobenius_norm();
+            n * n
+        })
+        .sum::<f32>()
+        .sqrt()
+}
 
 /// Loss/accuracy trajectory recorded during pre-training (Fig. 9).
 #[derive(Clone, Debug, Default)]
@@ -175,10 +191,6 @@ pub struct PretrainReport {
     pub best_acc: f32,
     /// Steps trained when `best_acc` was measured: the restored snapshot.
     pub best_step: usize,
-    /// Optimizer steps the guard rail skipped.
-    pub guard_skipped: usize,
-    /// Steps whose gradients the guard rail clipped.
-    pub guard_clipped: usize,
 }
 
 /// The episodes validation scores: prompts from the train partition,
@@ -245,11 +257,11 @@ impl HeldOut {
 /// curve. Stage toggles control what is trained (the Prodigy baseline
 /// pre-trains with everything off — plain Prodigy episodes).
 ///
-/// Panics if the configured guard rail aborts; use [`try_pretrain`] for a
+/// Panics if a step's loss is not finite; use [`try_pretrain`] for a
 /// `Result`-returning variant.
 #[expect(
     clippy::panic,
-    reason = "documented panicking twin of try_pretrain; callers that must survive a guard-rail abort use try_pretrain"
+    reason = "documented panicking twin of try_pretrain; callers that must survive a non-finite loss use try_pretrain"
 )]
 pub fn pretrain(
     model: &mut GraphPrompterModel,
@@ -261,8 +273,8 @@ pub fn pretrain(
         .unwrap_or_else(|e| panic!("pre-training diverged: {e}"))
 }
 
-/// As [`pretrain`], surfacing guard-rail aborts as a typed
-/// [`DivergenceError`] instead of panicking.
+/// As [`pretrain`], returning a non-finite loss as a typed
+/// [`DivergenceError`] (with the last finite step's weights kept).
 pub fn try_pretrain(
     model: &mut GraphPrompterModel,
     dataset: &Dataset,
@@ -291,8 +303,8 @@ pub fn try_pretrain_validated(
 }
 
 /// The training loop behind every entry point: `cfg.steps` optimization
-/// steps under an optional guard rail. Without `validate_every` it scores
-/// nothing and takes no snapshot.
+/// steps, stopping before the first whose loss is not finite. Without
+/// `validate_every` it scores nothing and takes no snapshot.
 fn pretrain_loop(
     model: &mut GraphPrompterModel,
     dataset: &Dataset,
@@ -301,7 +313,6 @@ fn pretrain_loop(
     validate_every: Option<NonZeroUsize>,
 ) -> Result<PretrainReport, DivergenceError> {
     let mut opt = AdamW::new(cfg.lr, cfg.weight_decay);
-    let mut guard = cfg.guard.clone().map(GuardRail::new);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let sampler = RandomWalkSampler::new(cfg.sampler);
     let mut curve = TrainingCurve::default();
@@ -398,37 +409,17 @@ fn pretrain_loop(
             Some(nm) => sess.tape.add(mt_loss, nm),
             None => mt_loss,
         };
-        let (loss_value, mut grads) = sess.grads(total);
+        let (loss_value, grads) = sess.grads(total);
         if gp_obs::enabled() {
             // The grad-norm pass is only worth its O(params) cost when
             // someone is actually collecting metrics.
             LOSS_MILLI.record_f64(f64::from(loss_value) * 1000.0);
-            GRAD_NORM_MILLI.record_f64(f64::from(crate::guard::grad_l2_norm(&grads)) * 1000.0);
+            GRAD_NORM_MILLI.record_f64(f64::from(grad_l2_norm(&grads)) * 1000.0);
         }
-        let mut apply = true;
-        if let Some(rail) = guard.as_mut() {
-            match rail.check(step, loss_value, &mut grads)? {
-                StepVerdict::Proceed => {}
-                StepVerdict::Skip(_) => apply = false,
-            }
+        if !loss_value.is_finite() {
+            return Err(DivergenceError::NonFiniteLoss { step });
         }
-        if apply {
-            if let Some(rail) = guard.as_mut() {
-                // Guarded runs keep a pre-step snapshot so an update that
-                // still yields non-finite weights can be rolled back.
-                let pre = model.store.snapshot();
-                opt.step(&mut model.store, &grads);
-                let finite = model.store.iter().all(|(_, t)| t.all_finite());
-                if let Some(err) = rail.after_step(step, finite) {
-                    model.store.restore(&pre);
-                    if rail.config().action == GuardAction::Abort {
-                        return Err(err);
-                    }
-                }
-            } else {
-                opt.step(&mut model.store, &grads);
-            }
-        }
+        opt.step(&mut model.store, &grads);
 
         if step % cfg.log_every == 0 || step + 1 == cfg.steps {
             curve.steps.push(step);
@@ -461,8 +452,6 @@ fn pretrain_loop(
         curve,
         best_acc,
         best_step,
-        guard_skipped: guard.as_ref().map_or(0, |g| g.skipped),
-        guard_clipped: guard.as_ref().map_or(0, |g| g.clipped),
     })
 }
 
@@ -470,7 +459,6 @@ fn pretrain_loop(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::guard::GuardRailConfig;
     use gp_datasets::CitationConfig;
     use gp_graph::SamplerConfig;
 
@@ -493,14 +481,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pretrain_reduces_loss() {
-        let ds = CitationConfig::new("t", 300, 6, 21).generate();
-        let mut model = GraphPrompterModel::new(ModelConfig {
+    fn small_model() -> GraphPrompterModel {
+        GraphPrompterModel::new(ModelConfig {
             embed_dim: 16,
             hidden_dim: 24,
             ..ModelConfig::default()
-        });
+        })
+    }
+
+    /// Every parameter's bits, in store order.
+    fn param_bits(m: &GraphPrompterModel) -> Vec<u32> {
+        m.store
+            .iter()
+            .flat_map(|(_, t)| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn pretrain_reduces_loss() {
+        let ds = CitationConfig::new("t", 300, 6, 21).generate();
+        let mut model = small_model();
         let curve = pretrain(&mut model, &ds, &quick_cfg(60), StageConfig::full());
         assert!(curve.loss.len() >= 3);
         let head: f32 = curve.loss[..2].iter().sum::<f32>() / 2.0;
@@ -535,11 +535,7 @@ mod tests {
     #[test]
     fn pretrain_works_on_edge_task_dataset() {
         let ds = gp_datasets::KgConfig::new("t", 300, 6, 5, 23).generate();
-        let mut model = GraphPrompterModel::new(ModelConfig {
-            embed_dim: 16,
-            hidden_dim: 24,
-            ..ModelConfig::default()
-        });
+        let mut model = small_model();
         let curve = pretrain(&mut model, &ds, &quick_cfg(10), StageConfig::full());
         assert_eq!(curve.steps.len(), curve.loss.len());
         assert!(curve.loss.iter().all(|l| l.is_finite()));
@@ -548,18 +544,11 @@ mod tests {
     #[test]
     fn validation_pretraining_restores_best_snapshot() {
         let ds = CitationConfig::new("t", 300, 5, 25).generate();
-        let mk = || {
-            GraphPrompterModel::new(ModelConfig {
-                embed_dim: 16,
-                hidden_dim: 24,
-                ..ModelConfig::default()
-            })
-        };
         let cfg = quick_cfg(40);
         let every = NonZeroUsize::new(10).unwrap();
-        let mut validated = mk();
+        let mut validated = small_model();
         let report = try_pretrain_validated(&mut validated, &ds, &cfg, StageConfig::full(), every)
-            .expect("unguarded pretraining cannot fail");
+            .expect("a healthy run has finite losses");
         assert!(
             (0.0..=1.0).contains(&report.best_acc),
             "{}",
@@ -574,7 +563,7 @@ mod tests {
         );
 
         // Validation only observes: the curve is the plain run's.
-        let mut plain = mk();
+        let mut plain = small_model();
         let curve = try_pretrain(&mut plain, &ds, &cfg, StageConfig::full()).unwrap();
         let bits = |c: &TrainingCurve| {
             let loss = c.loss.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
@@ -584,80 +573,69 @@ mod tests {
         assert_eq!(bits(&report.curve), bits(&curve));
 
         // The restored snapshot is a plain run of `best_step` steps.
-        let mut at_best = mk();
+        let mut at_best = small_model();
         let best_cfg = PretrainConfig {
             steps: report.best_step,
             ..cfg
         };
         try_pretrain(&mut at_best, &ds, &best_cfg, StageConfig::full()).unwrap();
-        let params = |m: &GraphPrompterModel| {
-            m.store
-                .iter()
-                .flat_map(|(_, t)| t.as_slice().iter().map(|v| v.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(params(&validated), params(&at_best));
+        assert_eq!(param_bits(&validated), param_bits(&at_best));
     }
 
+    /// A run pushed to divergence by a huge (but valid) learning rate stops
+    /// at its first non-finite step and keeps the weights of the step
+    /// before. Release builds return the typed error, and the panicking
+    /// twin panics with it; debug builds stop at the same step one check
+    /// earlier, on the first non-finite forward value
+    /// (`Tensor::debug_assert_finite`).
     #[test]
-    fn guarded_pretraining_matches_unguarded_when_healthy() {
-        let ds = CitationConfig::new("t", 300, 5, 26).generate();
-        let cfg_plain = quick_cfg(15);
-        let mut cfg_guarded = cfg_plain.clone();
-        // A permissive rail: nothing in a healthy run should trip it.
-        cfg_guarded.guard = Some(GuardRailConfig {
-            spike_factor: 1e6,
-            ..GuardRailConfig::skip()
-        });
-        let mk = || {
-            GraphPrompterModel::new(ModelConfig {
-                embed_dim: 16,
-                hidden_dim: 24,
-                ..ModelConfig::default()
-            })
-        };
-        let mut a = mk();
-        let mut b = mk();
-        let curve_a = pretrain(&mut a, &ds, &cfg_plain, StageConfig::full());
-        let curve_b = try_pretrain(&mut b, &ds, &cfg_guarded, StageConfig::full()).unwrap();
-        let bits = |c: &TrainingCurve| c.loss.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&curve_a), bits(&curve_b));
-        for ((_, ta), (_, tb)) in a.store.iter().zip(b.store.iter()) {
-            assert_eq!(ta.as_slice(), tb.as_slice());
-        }
-    }
-
-    #[test]
-    fn abort_guard_surfaces_divergence_error() {
+    fn diverging_run_stops_before_its_first_non_finite_step() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let ds = CitationConfig::new("t", 300, 5, 27).generate();
-        let mut cfg = quick_cfg(12);
-        // An absurdly small grad-norm ceiling: any real step exceeds it,
-        // so the rail must abort on the very first step.
-        cfg.guard = Some(GuardRailConfig {
-            action: GuardAction::Abort,
-            clip_norm: Some(1e-12),
-            ..GuardRailConfig::default()
-        });
-        let mut model = GraphPrompterModel::new(ModelConfig {
-            embed_dim: 16,
-            hidden_dim: 24,
-            ..ModelConfig::default()
-        });
-        let err = try_pretrain(&mut model, &ds, &cfg, StageConfig::full()).unwrap_err();
-        assert!(
-            matches!(err, DivergenceError::GradNormExceeded { step: 0, .. }),
-            "{err:?}"
+        let cfg = PretrainConfig {
+            lr: 1e30,
+            ..quick_cfg(12)
+        };
+        cfg.validate().unwrap();
+
+        // Step 0 trains the initial weights, so its loss is finite.
+        let mut one_step = small_model();
+        let one_cfg = PretrainConfig {
+            steps: 1,
+            ..cfg.clone()
+        };
+        try_pretrain(&mut one_step, &ds, &one_cfg, StageConfig::full()).unwrap();
+
+        let mut diverged = small_model();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            try_pretrain(&mut diverged, &ds, &cfg, StageConfig::full())
+        }));
+        assert_eq!(param_bits(&diverged), param_bits(&one_step));
+        if cfg!(debug_assertions) {
+            let payload = run.expect_err("debug builds assert every forward value");
+            let msg = payload.downcast::<String>().unwrap();
+            assert!(msg.contains("non-finite forward value"), "{msg}");
+            return;
+        }
+        let err = run.expect("release builds return the error").unwrap_err();
+        assert_eq!(err, DivergenceError::NonFiniteLoss { step: 1 });
+
+        let mut engine = crate::Engine::builder()
+            .model_config(small_model().config().clone())
+            .pretrain_config(cfg)
+            .try_build()
+            .unwrap();
+        let payload = catch_unwind(AssertUnwindSafe(|| engine.pretrain(&ds))).unwrap_err();
+        assert_eq!(
+            *payload.downcast::<String>().unwrap(),
+            format!("pre-training diverged: {err}")
         );
     }
 
     #[test]
     fn prodigy_stages_also_train() {
         let ds = CitationConfig::new("t", 250, 4, 24).generate();
-        let mut model = GraphPrompterModel::new(ModelConfig {
-            embed_dim: 16,
-            hidden_dim: 24,
-            ..ModelConfig::default()
-        });
+        let mut model = small_model();
         let curve = pretrain(&mut model, &ds, &quick_cfg(10), StageConfig::prodigy());
         assert!(curve.loss.iter().all(|l| l.is_finite()));
     }

@@ -15,6 +15,11 @@
 //! Relation features (needed by the reconstruction layer) are generated
 //! deterministically from the relation id when absent, so exported and
 //! hand-written datasets work identically.
+//!
+//! Features must be finite. A value that parses to NaN or ±∞ (`nan`,
+//! `inf`, or an overflowing literal such as `1e39`) is a format error
+//! that names its `nodes.tsv` line and feature index, so non-finite
+//! numbers never reach the model.
 
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -225,6 +230,13 @@ pub fn load_dataset(dir: impl AsRef<Path>) -> Result<Dataset, IoError> {
                 feats.len()
             )));
         }
+        if let Some(i) = feats.iter().position(|v| !v.is_finite()) {
+            return Err(fmt_err(format!(
+                "nodes.tsv:{}: feature {i} is {}; features must be finite",
+                lineno + 1,
+                feats[i]
+            )));
+        }
         features.extend(feats);
         node_splits.push(cols.get(3).unwrap_or(&"-").to_string());
         count += 1;
@@ -413,6 +425,17 @@ mod tests {
         std::fs::write(dir.join("edges.tsv"), "").unwrap();
         // Non-dense node ids.
         assert!(load_dataset(&dir).is_err());
+
+        // Features that parse to NaN or ±∞, overflow included.
+        for bad in ["nan", "-inf", "1e39"] {
+            let nodes = format!("0\t0\t0.5 0.5\t-\n1\t1\t1 {bad}\t-\n");
+            std::fs::write(dir.join("nodes.tsv"), nodes).unwrap();
+            let err = load_dataset(&dir).err().expect(bad).to_string();
+            assert!(
+                err.starts_with("format: nodes.tsv:2: feature 1 is "),
+                "{bad}: {err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for dataset generation and episode sampling.
 
-use gp_datasets::{sample_few_shot_task, CitationConfig, KgConfig};
-use gp_tensor::rng::check;
+use gp_datasets::{load_dataset, sample_few_shot_task, CitationConfig, KgConfig};
+use gp_tensor::rng::{check, StdRng};
 
 #[test]
 fn citation_splits_partition_the_datapoints() {
@@ -90,4 +90,65 @@ fn label_noise_keeps_corrupted_out_of_test() {
         let total = ds.train.len() + ds.valid.len() + ds.test.len();
         assert_eq!(total, ds.graph.num_edges());
     });
+}
+
+/// One `nodes.tsv` feature token: mostly a finite decimal (so about a
+/// fifth of the six-token files load), else a NaN or ∞ spelling, a
+/// decimal whose exponent may overflow `f32`, or arbitrary bytes (biased
+/// towards number characters). Separators are left out, so the token
+/// stays one token.
+fn feature_token(rng: &mut StdRng) -> Vec<u8> {
+    const SPECIAL: &[&str] = &["nan", "NaN", "inf", "Infinity", "-inf", "+infinity", "INF"];
+    const NUMBERISH: &[u8] = b"0123456789.eE+-nafiINF";
+    match rng.gen_range(0..10) {
+        0..=6 => format!("{}", rng.gen_range(-1e3f32..1e3)).into_bytes(),
+        7 => SPECIAL[rng.gen_range(0..SPECIAL.len())].as_bytes().to_vec(),
+        8 => format!(
+            "{}e{}",
+            rng.gen_range(-9.9f32..9.9),
+            rng.gen_range(0..81) as i64 - 20
+        )
+        .into_bytes(),
+        _ => (0..rng.gen_range(0..6))
+            .map(|_| match rng.gen_range(0..2) {
+                0 => NUMBERISH[rng.gen_range(0..NUMBERISH.len())],
+                _ => rng.next_u64() as u8,
+            })
+            .filter(|b| !b" \t\n".contains(b))
+            .collect(),
+    }
+}
+
+#[test]
+fn feature_tokens_load_exactly_when_all_parse_finite() {
+    let dir = std::env::temp_dir().join(format!("gp-fuzz-features-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("meta.tsv"),
+        "task\tnode\nclasses\t2\nrelations\t1\nfeat_dim\t3\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("edges.tsv"), "0\t0\t1\t-\n").unwrap();
+    let parse = |t: &[u8]| std::str::from_utf8(t).ok()?.parse::<f32>().ok();
+    check(256, |rng| {
+        let mut nodes = Vec::new();
+        let mut all_finite = true;
+        for id in 0..2 {
+            let tokens: Vec<Vec<u8>> = (0..3).map(|_| feature_token(rng)).collect();
+            all_finite &= tokens.iter().all(|t| parse(t).is_some_and(f32::is_finite));
+            nodes.extend(format!("{id}\t{id}\t").bytes());
+            nodes.extend(tokens.join(&b' '));
+            nodes.extend(b"\ttrain\n");
+        }
+        std::fs::write(dir.join("nodes.tsv"), &nodes).unwrap();
+        let loaded = load_dataset(&dir);
+        assert_eq!(
+            loaded.is_ok(),
+            all_finite,
+            "{:?}: {:?}",
+            String::from_utf8_lossy(&nodes),
+            loaded.err()
+        );
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }

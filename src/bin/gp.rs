@@ -322,18 +322,16 @@ fn pretrain_cmd(args: &[String]) -> CliResult {
     let started = std::time::Instant::now();
 
     let curve = match validate_every {
-        Some(every) => {
-            let report = engine
-                .try_pretrain_validated(&ds, every)
-                .map_err(|e| format!("training diverged: {e}"))?;
+        Some(every) => engine.try_pretrain_validated(&ds, every).map(|report| {
             eprintln!(
                 "best validation accuracy {:.3} at step {} (snapshot restored)",
                 report.best_acc, report.best_step
             );
             report.curve
-        }
-        None => engine.pretrain(&ds),
-    };
+        }),
+        None => engine.try_pretrain(&ds),
+    }
+    .map_err(|e| format!("training diverged: {e}"))?;
 
     eprintln!(
         "done in {:?}; loss {:.3} → {:.3}, train acc {:.2}",

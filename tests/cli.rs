@@ -308,3 +308,44 @@ fn old_trainer_checkpoint_is_an_error_not_a_panic() {
     assert!(stderr.contains("INVALID"), "gp inspect: {stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn non_finite_dataset_feature_is_an_error_not_chance_accuracy() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-inf-{}", std::process::id()));
+    let (data, model) = (dir.join("data"), dir.join("model.gpck"));
+    let (data, model) = (data.to_str().unwrap(), model.to_str().unwrap());
+    let export = Command::new(env!("CARGO_BIN_EXE_gp"))
+        .args(["export", "--dataset", "conceptnet", "--dir", data])
+        .output()
+        .unwrap();
+    assert!(export.status.success());
+    GraphPrompterModel::new(ModelConfig::default())
+        .save(model)
+        .unwrap();
+    // `inf` as the first feature of every fifth node, from line 5 on.
+    let nodes_tsv = std::path::Path::new(data).join("nodes.tsv");
+    let nodes = std::fs::read_to_string(&nodes_tsv).unwrap();
+    let mut edited = String::new();
+    for (i, line) in nodes.lines().enumerate() {
+        let [id, label, feats] = line.splitn(3, '\t').collect::<Vec<_>>()[..] else {
+            panic!("{line}")
+        };
+        let (f0, rest) = feats.split_once(' ').unwrap();
+        let first = if i % 5 == 4 { "inf" } else { f0 };
+        edited += &format!("{id}\t{label}\t{first} {rest}\n");
+    }
+    std::fs::write(&nodes_tsv, edited).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+        .args(["evaluate", "--model", model, "--ways", "5"])
+        .args(["--dataset-path", data])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("nodes.tsv:5: feature 0 is inf"), "{stderr}");
+    assert!(!stdout.contains('%'), "no accuracy is printed: {stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
