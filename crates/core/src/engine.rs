@@ -49,7 +49,7 @@ use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
 use crate::embed_store::{EmbedCacheStats, EmbeddingStore};
 use crate::error::{DeadlineExceeded, DivergenceError};
-use crate::infer::{evaluate_episode, run_episodes, EpisodeResult};
+use crate::infer::{evaluate_episode, run_episode, run_episodes, EpisodeResult};
 use crate::model::GraphPrompterModel;
 use crate::planner::EpisodeRequest;
 use crate::pretrain::{
@@ -257,23 +257,6 @@ impl Engine {
         store.set_weights_context(revision, fp);
     }
 
-    /// Alg. 2 over `requests` under `cfg`, one fused batch.
-    fn run_batch(
-        &self,
-        dataset: &Dataset,
-        requests: &[EpisodeRequest<'_>],
-        cfg: &InferenceConfig,
-    ) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
-        self.prepare_embed_store();
-        run_episodes(
-            &self.model,
-            dataset,
-            requests,
-            cfg,
-            self.embed_store.as_ref(),
-        )
-    }
-
     /// Pre-train on `dataset` (Alg. 1) with the engine's pretrain config;
     /// stage toggles follow the inference config's
     /// [`crate::StageConfig`]. Weight updates automatically invalidate
@@ -405,7 +388,7 @@ impl Engine {
             deadline: Some(deadline),
         };
         match self
-            .run_batch(dataset, std::slice::from_ref(&request), &self.infer_cfg)
+            .run_episodes_batched(dataset, std::slice::from_ref(&request))
             .pop()
         {
             Some(res) => res,
@@ -436,7 +419,14 @@ impl Engine {
         dataset: &Dataset,
         requests: &[EpisodeRequest<'_>],
     ) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
-        self.run_batch(dataset, requests, &self.infer_cfg)
+        self.prepare_embed_store();
+        run_episodes(
+            &self.model,
+            dataset,
+            requests,
+            &self.infer_cfg,
+            self.embed_store.as_ref(),
+        )
     }
 
     /// As [`Engine::run_episode`], under an explicit inference config.
@@ -446,21 +436,8 @@ impl Engine {
         task: &FewShotTask,
         cfg: &InferenceConfig,
     ) -> EpisodeResult {
-        let request = EpisodeRequest {
-            task,
-            deadline: None,
-        };
-        match self
-            .run_batch(dataset, std::slice::from_ref(&request), cfg)
-            .pop()
-        {
-            Some(Ok(res)) => res,
-            #[expect(
-                clippy::unreachable,
-                reason = "structurally impossible: a deadline-free batch of one answers its member"
-            )]
-            _ => unreachable!("an episode without a deadline cannot time out"),
-        }
+        self.prepare_embed_store();
+        run_episode(&self.model, dataset, task, cfg, self.embed_store.as_ref())
     }
 
     /// The owned model (read-only).

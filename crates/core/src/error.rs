@@ -18,9 +18,7 @@
 pub struct DeadlineExceeded {
     /// Name of the stage boundary where the expiry was observed
     /// (`"candidate_embed"`, `"query_embed"`, `"selection"`,
-    /// `"task_graph"`; a serving layer that coalesces requests may also
-    /// report `"batch_collect"` for a deadline that fired while the
-    /// request waited for batch-mates).
+    /// `"task_graph"`).
     pub stage: &'static str,
     /// Queries fully predicted before the abort.
     pub completed_queries: usize,

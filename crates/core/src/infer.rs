@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use gp_datasets::{DataPoint, Dataset};
+use gp_datasets::{DataPoint, Dataset, FewShotTask};
 use gp_graph::RandomWalkSampler;
 use gp_nn::{Eval, Forward};
 use gp_tensor::rng::StdRng;
@@ -583,20 +583,24 @@ pub(crate) fn evaluate_episode(
     );
     let mut ep_cfg = cfg.clone();
     ep_cfg.seed = cfg.seed.wrapping_add(i as u64 * 104_729);
+    run_episode(model, dataset, &task, &ep_cfg, cache).accuracy() * 100.0
+}
+
+/// One deadline-free episode under `cfg`: a batch of one, which always
+/// answers its member.
+pub(crate) fn run_episode(
+    model: &GraphPrompterModel,
+    dataset: &Dataset,
+    task: &FewShotTask,
+    cfg: &InferenceConfig,
+    cache: Option<&EmbeddingStore>,
+) -> EpisodeResult {
     let request = EpisodeRequest {
-        task: &task,
+        task,
         deadline: None,
     };
-    match run_episodes(
-        model,
-        dataset,
-        std::slice::from_ref(&request),
-        &ep_cfg,
-        cache,
-    )
-    .pop()
-    {
-        Some(Ok(res)) => res.accuracy() * 100.0,
+    match run_episodes(model, dataset, std::slice::from_ref(&request), cfg, cache).pop() {
+        Some(Ok(res)) => res,
         #[expect(
             clippy::unreachable,
             reason = "structurally impossible: a deadline-free batch of one answers its member"
@@ -639,24 +643,6 @@ mod tests {
         }
     }
 
-    /// One deadline-free episode: a batch of one.
-    fn run(
-        model: &GraphPrompterModel,
-        ds: &Dataset,
-        task: &gp_datasets::FewShotTask,
-        cfg: &InferenceConfig,
-        cache: Option<&EmbeddingStore>,
-    ) -> EpisodeResult {
-        let request = EpisodeRequest {
-            task,
-            deadline: None,
-        };
-        run_episodes(model, ds, std::slice::from_ref(&request), cfg, cache)
-            .pop()
-            .expect("one result per request")
-            .expect("no deadline")
-    }
-
     /// Accuracies of evaluation episodes `0..episodes` (3-way, 12 queries).
     fn evaluate(
         model: &GraphPrompterModel,
@@ -675,7 +661,7 @@ mod tests {
         let (model, ds) = tiny_setup();
         let mut rng = StdRng::seed_from_u64(0);
         let task = sample_few_shot_task(&ds, 3, 4, 12, &mut rng);
-        let res = run(&model, &ds, &task, &tiny_cfg(), None);
+        let res = run_episode(&model, &ds, &task, &tiny_cfg(), None);
         assert_eq!(res.total, 12);
         assert_eq!(res.predictions.len(), 12);
         assert_eq!(res.query_labels.len(), 12);
@@ -694,7 +680,7 @@ mod tests {
         let task = sample_few_shot_task(&ds, 3, 4, 9, &mut rng);
         let mut cfg = tiny_cfg();
         cfg.stages = StageConfig::prodigy();
-        let res = run(&model, &ds, &task, &cfg, None);
+        let res = run_episode(&model, &ds, &task, &cfg, None);
         assert_eq!(res.total, 9);
     }
 
@@ -704,8 +690,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let task = sample_few_shot_task(&ds, 3, 4, 10, &mut rng);
         let cfg = tiny_cfg();
-        let a = run(&model, &ds, &task, &cfg, None);
-        let b = run(&model, &ds, &task, &cfg, None);
+        let a = run_episode(&model, &ds, &task, &cfg, None);
+        let b = run_episode(&model, &ds, &task, &cfg, None);
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.correct, b.correct);
     }
@@ -743,7 +729,7 @@ mod tests {
         let task = sample_few_shot_task(&ds, 3, 4, 10, &mut rng);
         let mut cfg = tiny_cfg();
         cfg.pseudo_labels = PseudoLabelPolicy::UniformRandom;
-        let res = run(&model, &ds, &task, &cfg, None);
+        let res = run_episode(&model, &ds, &task, &cfg, None);
         assert_eq!(res.total, 10);
     }
 
@@ -815,7 +801,7 @@ mod tests {
         let task = sample_few_shot_task(&ds, 3, 4, 8, &mut rng);
         let store = EmbeddingStore::new(4096);
 
-        let before = run(&model, &ds, &task, &cfg, Some(&store));
+        let before = run_episode(&model, &ds, &task, &cfg, Some(&store));
         assert!(store.stats().len > 0);
 
         // Mutate one weight through try_set: revision bumps, and the next
@@ -829,12 +815,12 @@ mod tests {
         bumped.as_mut_slice()[0] += 0.25;
         model.store.try_set(id, bumped).expect("same shape");
 
-        let after = run(&model, &ds, &task, &cfg, Some(&store));
+        let after = run_episode(&model, &ds, &task, &cfg, Some(&store));
         assert_eq!(store.stats().invalidations, 1, "{:?}", store.stats());
 
         // Fresh embeddings under the new weights must equal a cache-less
         // run — i.e. nothing stale leaked through.
-        let reference = run(&model, &ds, &task, &cfg, None);
+        let reference = run_episode(&model, &ds, &task, &cfg, None);
         assert_eq!(after.predictions, reference.predictions);
         let to_bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
@@ -853,7 +839,7 @@ mod tests {
             m2.store.snapshot()
         };
         model.store.try_restore(&snap).expect("same layout");
-        let _ = run(&model, &ds, &task, &cfg, Some(&store));
+        let _ = run_episode(&model, &ds, &task, &cfg, Some(&store));
         assert_eq!(store.stats().invalidations, 2);
         let _ = before;
     }

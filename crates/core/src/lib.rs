@@ -82,6 +82,6 @@ pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
 pub use error::{DeadlineExceeded, DivergenceError};
 pub use infer::EpisodeResult;
 pub use model::{sample_datapoint_subgraph, sample_datapoint_subgraphs, GraphPrompterModel};
-pub use planner::{BatchKey, EpisodeRequest};
+pub use planner::EpisodeRequest;
 pub use pretrain::{pretrain, try_pretrain, try_pretrain_validated, PretrainReport, TrainingCurve};
 pub use selector::{select_prompts, DistanceMetric, SelectionOutcome};

@@ -1,11 +1,10 @@
-//! The request types of cross-request batched Alg. 2 inference.
+//! The request type of batched Alg. 2 inference.
 //!
 //! An [`EpisodeRequest`] is one member of a
-//! [`crate::Engine::run_episodes_batched`] call. A [`BatchKey`] names the
-//! work a request maps onto; only requests with equal keys may share a
-//! fused pass. Batch membership never affects results: per-datapoint RNG
-//! streams and row-local embedding make every member bit-identical to a
-//! solo run (see `crates/core/tests/batching.rs`).
+//! [`crate::Engine::run_episodes_batched`] call. Batch membership never
+//! affects results: per-datapoint RNG streams and row-local embedding
+//! make every member bit-identical to a solo run (see
+//! `crates/core/tests/batching.rs`).
 
 use gp_datasets::FewShotTask;
 
@@ -19,15 +18,4 @@ pub struct EpisodeRequest<'a> {
     pub task: &'a FewShotTask,
     /// Per-member deadline; expiry aborts this member only.
     pub deadline: Option<Deadline>,
-}
-
-/// Identity of the work a request maps onto. Only requests with an equal
-/// key may share a fused pass: a different dataset names different
-/// subgraphs, and a different revision different weights.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BatchKey {
-    /// Content hash of the dataset ([`crate::EmbeddingStore::dataset_id`]).
-    pub dataset_id: u64,
-    /// Model parameter-store revision.
-    pub revision: u64,
 }

@@ -1,5 +1,5 @@
-//! Property suite for cross-request batched inference (the
-//! `run_episodes_batched` layer behind `gp serve --max-batch`).
+//! Property suite for batched inference
+//! ([`gp_core::Engine::run_episodes_batched`]).
 //!
 //! The contract under test: **batch membership is invisible in
 //! results**. A fused member must be bit-identical to running the same

@@ -29,7 +29,8 @@ impl FewShotTask {
 /// * take up to `num_queries` test datapoints across the chosen classes.
 ///
 /// # Panics
-/// Panics if fewer than `ways` classes have support in both partitions.
+/// Panics if fewer than `ways` classes have support in both partitions
+/// ([`supported_classes`]).
 pub fn sample_few_shot_task(
     dataset: &Dataset,
     ways: usize,
@@ -75,6 +76,23 @@ pub fn episode_task(
     (task, rng)
 }
 
+/// The classes an episode drawing prompts from `prompt_split` and
+/// queries from `query_split` can use: those with at least one point in
+/// each, ascending. An episode has at most this many ways.
+pub fn supported_classes(dataset: &Dataset, prompt_split: Split, query_split: Split) -> Vec<u16> {
+    let present = |split| {
+        let mut seen = vec![false; dataset.num_classes];
+        for dp in dataset.split(split) {
+            seen[dp.label(&dataset.graph) as usize] = true;
+        }
+        seen
+    };
+    let (prompts, queries) = (present(prompt_split), present(query_split));
+    (0..dataset.num_classes as u16)
+        .filter(|&c| prompts[c as usize] && queries[c as usize])
+        .collect()
+}
+
 /// As [`sample_few_shot_task`] but with explicit source splits (pretraining
 /// episodes draw both prompts and queries from the train partition).
 pub fn sample_few_shot_from_splits(
@@ -96,11 +114,7 @@ pub fn sample_few_shot_from_splits(
         by_class_queries[dp.label(graph) as usize].push(*dp);
     }
 
-    let mut eligible: Vec<u16> = (0..dataset.num_classes as u16)
-        .filter(|&c| {
-            !by_class_prompts[c as usize].is_empty() && !by_class_queries[c as usize].is_empty()
-        })
-        .collect();
+    let mut eligible = supported_classes(dataset, prompt_split, query_split);
     assert!(
         eligible.len() >= ways,
         "{}: only {} classes have support, need {ways}",

@@ -33,7 +33,8 @@ pub mod presets;
 pub use citation::CitationConfig;
 pub use dataset::{DataPoint, Dataset, Split, Task};
 pub use fewshot::{
-    episode_seed, episode_task, sample_few_shot_from_splits, sample_few_shot_task, FewShotTask,
+    episode_seed, episode_task, sample_few_shot_from_splits, sample_few_shot_task,
+    supported_classes, FewShotTask,
 };
 pub use io::{load_dataset, save_dataset, IoError};
 pub use kg::KgConfig;

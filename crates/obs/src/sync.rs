@@ -34,8 +34,6 @@ pub enum Rank {
     Harness,
     /// `gp_serve` `SessionHost::sessions`: the session → engine table.
     Sessions,
-    /// `gp_serve` `Coalescer::state`: open batch groups.
-    Coalescer,
     /// `gp_serve` `BoundedQueue::inner`: the admission queue.
     AdmissionQueue,
     /// `gp_core` `Engine::weights_fp`: the cached weight fingerprint.
@@ -237,13 +235,13 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        should_panic(expected = "condvar wait on EmbeddingStore while holding [Coalescer]")
+        should_panic(expected = "condvar wait on EmbeddingStore while holding [Sessions]")
     )]
     fn waiting_under_a_second_guard_panics() {
-        let coalescer = Mutex::new(Rank::Coalescer, ());
+        let sessions = Mutex::new(Rank::Sessions, ());
         let store = Mutex::new(Rank::EmbeddingStore, ());
         let cv = Condvar::new();
-        let _c = coalescer.lock();
+        let _held = sessions.lock();
         let s = store.lock();
         drop(s.wait_timeout(&cv, Duration::from_millis(1)));
     }

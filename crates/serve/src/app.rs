@@ -1,9 +1,9 @@
 //! The classify application: routes the three endpoints onto a
 //! [`SessionHost`] of per-session [`Engine`]s.
 //!
-//! A request runs its episode on the server worker that handles it:
-//! `run_episode_deadline` and `run_episodes_batched` spawn no thread
-//! (only `Engine::evaluate` fans out), so deadline churn cannot
+//! A request runs its own episode on the server worker that handles it:
+//! `run_episode_deadline` spawns no thread (only `Engine::evaluate` fans
+//! out), so deadline churn cannot
 //! accumulate threads and a server keeps answering after a burst of
 //! 504s (`deadline_exhaustion_504s_then_serves_200` in
 //! `tests/overload.rs`).
@@ -20,15 +20,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gp_core::{
-    BatchKey, Deadline, DeadlineExceeded, EmbeddingStore, Engine, EpisodeResult,
-    GraphPrompterModel, InferenceConfig, ModelConfig,
+    Deadline, DeadlineExceeded, Engine, EpisodeResult, GraphPrompterModel, InferenceConfig,
+    ModelConfig,
 };
-use gp_datasets::{sample_few_shot_task, Dataset};
+use gp_datasets::{sample_few_shot_task, supported_classes, Dataset, Split};
 use gp_obs::sync::{Mutex, Rank};
 use gp_tensor::rng::StdRng;
 use gp_tensor::{Backend, WorkerPool};
 
-use crate::coalesce::{CoalesceOutcome, Coalescer};
 use crate::http::{Request, Response};
 use crate::json::{escape_json, parse, Value};
 use crate::server::{Handler, ServeContext};
@@ -49,7 +48,9 @@ pub struct SessionHost {
     base_snapshot: Vec<gp_tensor::Tensor>,
     infer: InferenceConfig,
     dataset: Dataset,
-    dataset_fingerprint: u64,
+    /// Classes with a train (prompt) and a test (query) point: the most
+    /// ways an episode over `dataset` can have.
+    episode_classes: usize,
     max_sessions: usize,
     /// Root of the persistent embedding disk tier; each session engine
     /// gets its own shard subdirectory under it.
@@ -92,13 +93,13 @@ impl SessionHost {
         max_sessions: usize,
         embed_store: Option<PathBuf>,
     ) -> Result<Self, String> {
-        let dataset_fingerprint = EmbeddingStore::dataset_id(&dataset);
+        let episode_classes = supported_classes(&dataset, Split::Train, Split::Test).len();
         let host = Self {
             model_config: model.config().clone(),
             base_snapshot: model.store.snapshot(),
             infer,
             dataset,
-            dataset_fingerprint,
+            episode_classes,
             max_sessions: max_sessions.max(1),
             embed_store,
             sessions: Mutex::new(Rank::Sessions, HashMap::new()),
@@ -178,13 +179,6 @@ impl SessionHost {
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
-
-    /// Content hash of the host's dataset, computed once at startup
-    /// ([`EmbeddingStore::dataset_id`]) — the dataset axis of the
-    /// coalescer's [`BatchKey`].
-    pub fn dataset_fingerprint(&self) -> u64 {
-        self.dataset_fingerprint
-    }
 }
 
 enum SessionError {
@@ -218,33 +212,12 @@ impl SessionError {
 /// [`Handler`] for the three serve endpoints.
 pub struct ClassifyApp {
     host: SessionHost,
-    coalescer: Coalescer,
 }
 
 impl ClassifyApp {
-    /// An app with cross-request batching OFF (every episode runs solo,
-    /// exactly the pre-batching behavior).
+    /// An app whose classify requests each run their own episode.
     pub fn new(host: SessionHost) -> Self {
-        Self {
-            host,
-            coalescer: Coalescer::new(1, Duration::from_millis(0)),
-        }
-    }
-
-    /// Enable cross-request batching: concurrent classify requests with
-    /// the same `(dataset, revision)` are fused — up to `max_batch`
-    /// members, collected for at most `window_ms` — into one
-    /// [`Engine::run_episodes_batched`] pass. Results are bit-identical
-    /// to solo runs; only timings and the
-    /// reported `batch_size` change.
-    pub fn with_batching(mut self, max_batch: usize, window_ms: u64) -> Self {
-        self.coalescer = Coalescer::new(max_batch, Duration::from_millis(window_ms));
-        self
-    }
-
-    /// The coalescer's per-batch member cap (1 = batching off).
-    pub fn max_batch(&self) -> usize {
-        self.coalescer.max_batch()
+        Self { host }
     }
 
     pub fn host(&self) -> &SessionHost {
@@ -330,12 +303,12 @@ impl ClassifyApp {
         let dataset = self.host.dataset();
         let max_ways = (ctx.max_ways.min(MAX_WAYS as u64)) as usize;
         let max_queries = (ctx.max_queries.min(MAX_QUERIES as u64)) as usize;
-        if !(2..=max_ways).contains(&ways) || ways > dataset.num_classes {
+        if !(2..=max_ways).contains(&ways) || ways > self.host.episode_classes {
             return field_error(
                 "ways",
                 &format!(
-                    "must be in 2..={} and <= dataset classes ({})",
-                    max_ways, dataset.num_classes
+                    "must be in 2..={} and <= classes with train and test points ({})",
+                    max_ways, self.host.episode_classes
                 ),
             );
         }
@@ -365,22 +338,9 @@ impl ClassifyApp {
         // of consuming compute it can no longer use. (`deadline_ms ≤
         // max_deadline_ms` keeps the add overflow-free.)
         let deadline = Deadline::at(ctx.admitted_at + Duration::from_millis(deadline_ms));
-        let key = BatchKey {
-            dataset_id: self.host.dataset_fingerprint(),
-            revision: engine.revision(),
-        };
-        match self.coalescer.submit(key, &engine, dataset, task, deadline) {
-            CoalesceOutcome::Done { result, batch_size } => match *result {
-                Ok(result) => Response::json(
-                    200,
-                    render_episode(&result, &session, engine.revision(), batch_size),
-                ),
-                Err(d) => deadline_response(&d),
-            },
-            CoalesceOutcome::LeaderFailed => Response::error(
-                500,
-                "internal error: batch leader panicked; request isolated",
-            ),
+        match engine.run_episode_deadline(dataset, &task, deadline) {
+            Ok(result) => Response::json(200, render_episode(&result, &session, engine.revision())),
+            Err(d) => deadline_response(&d),
         }
     }
 }
@@ -459,7 +419,7 @@ fn render_u64s(xs: impl Iterator<Item = u64>) -> String {
     out
 }
 
-fn render_episode(r: &EpisodeResult, session: &str, revision: u64, batch_size: usize) -> String {
+fn render_episode(r: &EpisodeResult, session: &str, revision: u64) -> String {
     let confidences = {
         let mut out = String::from("[");
         for (i, c) in r.confidences.iter().enumerate() {
@@ -471,13 +431,12 @@ fn render_episode(r: &EpisodeResult, session: &str, revision: u64, batch_size: u
         out.push(']');
         out
     };
-    // `batch_size` sits AFTER `per_query_micros`: everything before the
-    // timing tail is the deterministic replay surface, and batch
-    // membership (like wall-clock) must never be part of it.
+    // Everything before the wall-clock `per_query_micros` tail is the
+    // deterministic replay surface.
     format!(
         "{{\"session\":\"{}\",\"engine_revision\":{},\"correct\":{},\
          \"total\":{},\"accuracy\":{:.6},\"predictions\":{},\"labels\":{},\"confidences\":{},\
-         \"per_query_micros\":{:.1},\"batch_size\":{}}}",
+         \"per_query_micros\":{:.1}}}",
         escape_json(session),
         revision,
         r.correct,
@@ -487,7 +446,6 @@ fn render_episode(r: &EpisodeResult, session: &str, revision: u64, batch_size: u
         render_u64s(r.query_labels.iter().map(|l| *l as u64)),
         confidences,
         r.per_query_micros,
-        batch_size,
     )
 }
 
@@ -705,6 +663,29 @@ mod tests {
     }
 
     #[test]
+    fn ways_beyond_the_classes_with_train_points_is_400_naming_the_field() {
+        let mut dataset = CitationConfig::new("serve-test", 160, 6, 9).generate();
+        dataset.train.retain(|dp| dp.label(&dataset.graph) != 0);
+        let model = GraphPrompterModel::new(ModelConfig {
+            embed_dim: 16,
+            hidden_dim: 16,
+            seed: 7,
+            ..ModelConfig::default()
+        });
+        let host =
+            SessionHost::with_embed_store(&model, dataset, InferenceConfig::default(), 1, None)
+                .expect("host builds");
+        let app = ClassifyApp::new(host);
+        // Six classes, but class 0 has no prompt point: five ways is the most.
+        let resp = post_classify(&app, r#"{"ways": 6, "queries": 6}"#);
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(resp.body.contains("\"field\":\"ways\""), "{}", resp.body);
+        assert!(resp.body.contains("points (5)"), "{}", resp.body);
+        let ok = post_classify(&app, r#"{"ways": 5, "queries": 6}"#);
+        assert_eq!(ok.status, 200, "{}", ok.body);
+    }
+
+    #[test]
     #[expect(
         clippy::disallowed_methods,
         reason = "the test backdates admission against the real clock"
@@ -734,25 +715,6 @@ mod tests {
         // Engine still healthy afterwards.
         let ok = post_classify(&app, r#"{"ways": 3, "queries": 6}"#);
         assert_eq!(ok.status, 200, "{}", ok.body);
-    }
-
-    #[test]
-    fn batched_app_answers_bit_identically_to_solo() {
-        let solo = ClassifyApp::new(tiny_host());
-        let fused = ClassifyApp::new(tiny_host()).with_batching(4, 3);
-        assert_eq!(fused.max_batch(), 4);
-        let body = r#"{"ways": 3, "queries": 6, "seed": 11}"#;
-        let a = post_classify(&solo, body);
-        let b = post_classify(&fused, body);
-        assert_eq!(a.status, 200, "{}", a.body);
-        assert_eq!(b.status, 200, "{}", b.body);
-        assert_eq!(
-            sans_timing(&a.body),
-            sans_timing(&b.body),
-            "batch membership must be invisible in the replay surface"
-        );
-        assert!(a.body.contains("\"batch_size\":1"), "{}", a.body);
-        assert!(b.body.contains("\"batch_size\":1"), "{}", b.body);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! | admitted p99 ≤ 2× uncontended under 2× load | queue sized to the SLO    | `overload_keeps_admitted_p99_within_twice_uncontended` |
 //! | field-naming 400s, server-side caps      | `app::classify` validation   | `request_validation_is_hardened`               |
 //! | bounded keep-alive, per-request deadlines | [`server`] worker loop      | `keep_alive_connection_serves_many_requests`   |
-//! | cross-request batching, per-member 504   | [`coalesce::Coalescer`]      | `mid_collection_expiry_504s_one_member_not_the_batch` |
 //!
 //! ## Degradation ladder
 //!
@@ -44,13 +43,11 @@
 //! request `(seed, ways, queries)` and the host's weights, deadlines
 //! only ever *cut off* work at stage boundaries (completed stages are
 //! bit-identical to an undeadlined run), and session replicas share
-//! one revision. Cross-request batching ([`coalesce`]) keeps that
-//! contract — fused members are bit-identical to solo runs, so batching is purely a throughput knob
-//! (`gp serve --max-batch/--batch-window-ms`). See `README.md`
-//! § "Request batching".
+//! one revision. Each classify request runs its own episode on the
+//! worker that admitted it; nothing is shared between requests but the
+//! session's engine and its embedding store.
 
 pub mod app;
-pub mod coalesce;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -58,7 +55,6 @@ pub mod queue;
 pub mod server;
 
 pub use app::{ClassifyApp, SessionHost, MAX_QUERIES, MAX_QUEUE_CAPACITY, MAX_WAYS};
-pub use coalesce::Coalescer;
 pub use http::{Limits, Request, Response};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{DrainStats, Handler, ServeContext, Server, ServerConfig, ServerHandle};

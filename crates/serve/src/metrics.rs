@@ -26,15 +26,6 @@ pub static INFLIGHT: Gauge = Gauge::new("serve.inflight");
 pub static REQUEST_MICROS: Histogram = Histogram::new("serve.request_micros");
 /// Wall time spent queued between accept and worker pickup.
 pub static QUEUE_WAIT_MICROS: Histogram = Histogram::new("serve.queue_wait_micros");
-/// Fused batches dispatched by the classify coalescer (solo bypasses
-/// when batching is off are not counted).
-pub static BATCHES_TOTAL: Counter = Counter::new("serve.batches_total");
-/// Occupancy of each dispatched batch — the histogram shows how often
-/// the coalescer actually fused work vs. dispatched singletons.
-pub static BATCH_SIZE: Histogram = Histogram::new("serve.batch.size");
-/// Members whose deadline expired while waiting for batch-mates (504
-/// with stage `batch_collect`); the rest of their batch still ran.
-pub static BATCH_EXPIRED_TOTAL: Counter = Counter::new("serve.batch_expired_total");
 /// Worker/accept threads whose drain-time `join()` failed — the thread
 /// panicked somewhere outside the per-request `catch_unwind` (which
 /// would have answered 500 and kept it alive). Anything nonzero here

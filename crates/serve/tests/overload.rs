@@ -160,19 +160,8 @@ fn tiny_app() -> ClassifyApp {
     )
 }
 
-/// Same host, cross-request batching on.
-fn tiny_app_batched(max_batch: usize, window_ms: u64) -> ClassifyApp {
-    tiny_app().with_batching(max_batch, window_ms)
-}
-
-/// Body of a raw HTTP response (headers stripped — `Content-Length`
-/// varies with the timing digits, so comparisons must skip it).
-fn body_of(response: &str) -> &str {
-    response.split("\r\n\r\n").nth(1).unwrap_or(response)
-}
-
 /// The deterministic replay surface of a classify body — everything
-/// before the wall-clock tail (`per_query_micros`, `batch_size`).
+/// before the wall-clock tail (`per_query_micros`).
 fn sans_timing(body: &str) -> &str {
     body.split("\"per_query_micros\"").next().unwrap_or(body)
 }
@@ -589,97 +578,6 @@ fn keep_alive_connection_serves_many_requests() {
         "idle keep-alive hold must be bounded by the read deadline"
     );
     h.shutdown();
-}
-
-#[test]
-fn concurrent_requests_fuse_and_match_solo_results() {
-    // Solo baseline server (batching off) and a fused server whose
-    // 2-member batches dispatch the moment the second member joins (the
-    // 5s window is a ceiling the full-batch path never waits out).
-    let solo = Server::start(quick_config(2, 8), Arc::new(tiny_app())).expect("start solo");
-    let fused =
-        Server::start(quick_config(2, 8), Arc::new(tiny_app_batched(2, 5_000))).expect("start");
-    let solo_addr = solo.addr();
-    let fused_addr = fused.addr();
-
-    let bodies = [
-        r#"{"ways": 3, "queries": 4, "seed": 5}"#,
-        r#"{"ways": 4, "queries": 7, "seed": 6}"#,
-    ];
-    let baselines: Vec<String> = bodies
-        .iter()
-        .map(|b| {
-            let resp = post_json(solo_addr, "/v1/classify", b).expect("solo reply");
-            assert_eq!(status_of(&resp), 200, "{resp}");
-            body_of(&resp).to_string()
-        })
-        .collect();
-
-    let clients: Vec<_> = bodies
-        .iter()
-        .map(|&b| {
-            std::thread::spawn(move || post_json(fused_addr, "/v1/classify", b).unwrap_or_default())
-        })
-        .collect();
-    let fused_replies: Vec<String> = clients
-        .into_iter()
-        .map(|c| c.join().expect("client thread"))
-        .collect();
-    solo.shutdown();
-    fused.shutdown();
-
-    for (baseline, reply) in baselines.iter().zip(&fused_replies) {
-        assert_eq!(status_of(reply), 200, "{reply}");
-        assert_eq!(
-            sans_timing(baseline),
-            sans_timing(body_of(reply)),
-            "a fused member must answer bit-identically to its solo run"
-        );
-        assert!(
-            body_of(reply).contains("\"batch_size\":2"),
-            "both members were in flight, so the pass must have fused them: {reply}"
-        );
-    }
-}
-
-#[test]
-fn mid_collection_expiry_504s_one_member_not_the_batch() {
-    // max_batch 3 with only two members: the group never fills, so the
-    // leader holds until the earliest member deadline (A's 60ms), by
-    // which point A has expired mid-collection while B is still good.
-    let app = Arc::new(tiny_app_batched(3, 400));
-    let h = Server::start(quick_config(2, 8), Arc::clone(&app)).expect("start");
-    let addr = h.addr();
-
-    let a = std::thread::spawn(move || {
-        post_json(
-            addr,
-            "/v1/classify",
-            r#"{"ways": 3, "queries": 4, "seed": 5, "deadline_ms": 60}"#,
-        )
-        .unwrap_or_default()
-    });
-    std::thread::sleep(Duration::from_millis(20));
-    let b = std::thread::spawn(move || {
-        post_json(
-            addr,
-            "/v1/classify",
-            r#"{"ways": 3, "queries": 4, "seed": 6}"#,
-        )
-        .unwrap_or_default()
-    });
-    let resp_a = a.join().expect("client a");
-    let resp_b = b.join().expect("client b");
-    h.shutdown();
-
-    // A ran out while waiting for batch-mates: 504 blaming the
-    // collection stage, zero queries run.
-    assert_eq!(status_of(&resp_a), 504, "{resp_a}");
-    assert!(resp_a.contains("\"stage\":\"batch_collect\""), "{resp_a}");
-    assert!(resp_a.contains("\"completed_queries\":0"), "{resp_a}");
-    // B was not poisoned by A's expiry: it completed normally.
-    assert_eq!(status_of(&resp_b), 200, "{resp_b}");
-    assert!(body_of(&resp_b).contains("\"predictions\":["), "{resp_b}");
 }
 
 /// A handler whose service time is named by the request path

@@ -14,7 +14,6 @@
 //! gp serve     --dataset wiki [--model model.gpck] [--addr 127.0.0.1:7431]
 //!              [--workers 4] [--queue 64] [--deadline-ms 30000]
 //!              [--max-sessions 64]
-//!              [--max-batch 1] [--batch-window-ms 2]
 //!              # evaluate/episode/serve also take --embed-store-dir <dir>
 //! ```
 //!
@@ -22,16 +21,13 @@
 //! `POST /v1/classify`, `GET /v1/metrics`, `GET /v1/health`. SIGTERM
 //! or SIGINT drains gracefully — in-flight and queued requests finish,
 //! then the process exits. See README § "Serving & overload behavior".
+//! Each classify request runs its own episode.
 //!
-//! `--max-batch N` (N > 1) turns on cross-request batching: concurrent
-//! classify requests against the same dataset/revision are
-//! coalesced for up to `--batch-window-ms` and run as one fused
-//! inference pass, amortizing the candidate-embedding stage. Results
-//! are bit-identical to `--max-batch 1`; only throughput changes. See
-//! README § "Request batching".
-//!
-//! `evaluate`/`episode` also accept `--dataset-path <dir>` to run on a
-//! directory in the `gp export` TSV format (bring your own graph).
+//! `evaluate`/`episode`/`serve` also accept `--dataset-path <dir>` to run
+//! on a directory in the `gp export` TSV format (bring your own graph).
+//! They exit 1 before any episode when the dataset's feature width is
+//! not the model's, or when fewer than `--ways` classes have both a
+//! train (prompt) and a test (query) point.
 //! `evaluate` takes `--threads <n>` as the engine's **thread budget**:
 //! its episodes run on at most `n` threads (`--threads 0` = one per
 //! core; `--threads 1` spawns no worker threads at all; results are
@@ -75,7 +71,9 @@ use graphprompter::core::{
     inspect_checkpoint, GraphPrompterModel, InferenceConfig, ModelConfig, PretrainConfig,
     StageConfig,
 };
-use graphprompter::datasets::{presets, sample_few_shot_task, Dataset, Task};
+use graphprompter::datasets::{
+    presets, sample_few_shot_task, supported_classes, Dataset, Split, Task,
+};
 use graphprompter::eval::{ConfusionMatrix, MeanStd, Table};
 use graphprompter::prelude::{Backend, Engine, Parallelism};
 
@@ -185,14 +183,31 @@ fn resolve_dataset(args: &[String], seed: u64) -> Result<Dataset, String> {
 }
 
 /// An episode needs at least two classes and cannot have more than the
-/// dataset offers (the bound gp-serve enforces on `"ways"`).
+/// dataset's classes with a train (prompt) and a test (query) point (the
+/// bound gp-serve enforces on `"ways"`).
 fn check_ways(ways: usize, ds: &Dataset) -> CliResult {
-    if (2..=ds.num_classes).contains(&ways) {
+    let classes = supported_classes(ds, Split::Train, Split::Test).len();
+    if (2..=classes).contains(&ways) {
         Ok(())
     } else {
         Err(format!(
-            "--ways must be in 2..={} for {} (got {ways})",
-            ds.num_classes, ds.name
+            "--ways must be in 2..={classes} for {}: {classes} of its {} classes have \
+             train and test points (got {ways})",
+            ds.name, ds.num_classes
+        ))
+    }
+}
+
+/// The model reads node features of width `feat_dim`; a dataset of any
+/// other width would fail inside the first forward pass.
+fn check_feat_dim(model: &GraphPrompterModel, ds: &Dataset) -> CliResult {
+    let (model_dim, data_dim) = (model.config().feat_dim, ds.graph.feature_dim());
+    if model_dim == data_dim {
+        Ok(())
+    } else {
+        Err(format!(
+            "the model reads {model_dim} features per node, but {} has {data_dim}",
+            ds.name
         ))
     }
 }
@@ -392,8 +407,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
             "--queue",
             "--deadline-ms",
             "--max-sessions",
-            "--max-batch",
-            "--batch-window-ms",
             "--embed-store-dir",
             "--backend",
         ],
@@ -413,6 +426,7 @@ fn serve_cmd(args: &[String]) -> CliResult {
             ..ModelConfig::default()
         })
     };
+    check_feat_dim(&model, &ds)?;
 
     let parse_or = |name: &str, default: u64| -> Result<u64, String> {
         flag(args, name)
@@ -441,12 +455,7 @@ fn serve_cmd(args: &[String]) -> CliResult {
         store_dir.clone(),
     )?;
     let revision = host.revision();
-    let max_batch = parse_or("--max-batch", 1)? as usize;
-    let batch_window_ms = parse_or("--batch-window-ms", 2)?;
-    let app = Arc::new(ClassifyApp::new(host).with_batching(max_batch, batch_window_ms));
-    if max_batch > 1 {
-        println!("cross-request batching: up to {max_batch} fused per pass, {batch_window_ms}ms collect window");
-    }
+    let app = Arc::new(ClassifyApp::new(host));
     if let Some(dir) = &store_dir {
         println!(
             "persistent embedding store: {}; warm-starts sessions across restarts",
@@ -541,6 +550,7 @@ fn evaluate_cmd(args: &[String]) -> CliResult {
         .map_err(|_| "--seed must be an integer")?;
 
     let ds = resolve_dataset(args, seed)?;
+    check_feat_dim(&model, &ds)?;
     check_ways(ways, &ds)?;
     let stages = if has_flag(args, "--prodigy") {
         StageConfig::prodigy()
@@ -605,6 +615,7 @@ fn episode_cmd(args: &[String]) -> CliResult {
         .map_err(|_| "--seed must be an integer")?;
 
     let ds = resolve_dataset(args, 0)?;
+    check_feat_dim(&model, &ds)?;
     check_ways(ways, &ds)?;
     let mut builder = Engine::builder()
         .model(model)

@@ -222,10 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn c1_coalescer_shape_is_clean() {
-        // Leader/follower as in gp-serve's coalescer: the guard moves into
-        // a helper that waits alone, is dropped, and the lock is taken
-        // again; later ranks nest under it.
+    fn c1_wait_alone_drop_the_guard_and_relock_is_clean() {
+        // The guard moves into a helper that waits alone, is dropped, and
+        // the lock is taken again; later ranks nest under it.
         struct C {
             state: Mutex<u32>,
             cv: Condvar,
@@ -241,7 +240,7 @@ mod tests {
             }
         }
         let c = C {
-            state: Mutex::new(Rank::Coalescer, 0),
+            state: Mutex::new(Rank::Sessions, 0),
             cv: Condvar::new(),
         };
         assert_eq!(c.lead(c.state.lock()), 1);
@@ -251,12 +250,12 @@ mod tests {
     fn c1_flags_a_second_guard_held_across_a_wait() {
         // The nesting is in rank order; waiting under the outer guard is
         // not, since a notifier may need it first.
-        let outer = Mutex::new(Rank::Coalescer, ());
+        let outer = Mutex::new(Rank::Sessions, ());
         let queue = Mutex::new(Rank::AdmissionQueue, ());
         let cv = Condvar::new();
         drop(queue.lock().wait_timeout(&cv, Duration::from_millis(1)));
         assert_rank_violation(
-            "condvar wait on AdmissionQueue while holding [Coalescer]",
+            "condvar wait on AdmissionQueue while holding [Sessions]",
             || {
                 let _outer = outer.lock();
                 drop(queue.lock().wait_timeout(&cv, Duration::from_millis(1)));

@@ -227,8 +227,10 @@ fn pretraining_writes_the_same_file_on_both_backends() {
 #[test]
 fn bad_validate_every_and_removed_resume_flags_are_errors() {
     let pretrain: &[&str] = &["pretrain", "--source", "wiki", "--steps", "1"];
+    let serve: &[&str] = &["serve", "--dataset", "wiki"];
     // `--threads` stays on `evaluate` alone: nothing else runs on a pool.
-    let cases: [(&[&str], &[&str]); 8] = [
+    // `serve` runs each request alone, so it has no batching flags.
+    let cases: [(&[&str], &[&str]); 10] = [
         (pretrain, &["--validate-every", "0"]),
         (pretrain, &["--checkpoint-dir", "ckpts"]),
         (pretrain, &["--checkpoint-every", "10"]),
@@ -247,7 +249,9 @@ fn bad_validate_every_and_removed_resume_flags_are_errors() {
             ],
             &["--threads", "2"],
         ),
-        (&["serve", "--dataset", "wiki"], &["--threads", "2"]),
+        (serve, &["--threads", "2"]),
+        (serve, &["--max-batch", "2"]),
+        (serve, &["--batch-window-ms", "2"]),
     ];
     for (command, extra) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_gp"))
@@ -347,5 +351,68 @@ fn non_finite_dataset_feature_is_an_error_not_chance_accuracy() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains("nodes.tsv:5: feature 0 is inf"), "{stderr}");
     assert!(!stdout.contains('%'), "no accuracy is printed: {stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Write a 12-node, 2-class node dataset in the `gp export` format: node
+/// `i` has label `i % 2`, `feat_dim` features and the split `split(i)`,
+/// on a ring of edges.
+fn write_tiny_dataset(dir: &std::path::Path, feat_dim: usize, split: fn(usize) -> &'static str) {
+    std::fs::create_dir_all(dir).unwrap();
+    let meta = format!("task\tnode\nclasses\t2\nrelations\t1\nfeat_dim\t{feat_dim}\nname\ttiny\n");
+    std::fs::write(dir.join("meta.tsv"), meta).unwrap();
+    let (mut nodes, mut edges) = (String::new(), String::new());
+    for i in 0..12 {
+        let feats = vec![format!("{}", i as f32 / 12.0); feat_dim].join(" ");
+        nodes += &format!("{i}\t{}\t{feats}\t{}\n", i % 2, split(i));
+        edges += &format!("{i}\t0\t{}\t-\n", (i + 1) % 12);
+    }
+    std::fs::write(dir.join("nodes.tsv"), nodes).unwrap();
+    std::fs::write(dir.join("edges.tsv"), edges).unwrap();
+}
+
+#[test]
+fn dataset_path_the_model_cannot_run_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("gp-cli-unrunnable-{}", std::process::id()));
+    // Two features per node against the model's 32, and a dataset whose
+    // every node is a query, so no class has a prompt point.
+    let (narrow, all_test) = (dir.join("narrow"), dir.join("all-test"));
+    write_tiny_dataset(&narrow, 2, |i| if i < 6 { "train" } else { "test" });
+    write_tiny_dataset(&all_test, 32, |_| "test");
+    let model = dir.join("model.gpck");
+    GraphPrompterModel::new(ModelConfig::default())
+        .save(&model)
+        .unwrap();
+    let model = model.to_str().unwrap();
+    let width = "the model reads 32 features per node, but tiny has 2";
+    let classes = "0 of its 2 classes have train and test points";
+    let (evaluate, episode) = (
+        &["--ways", "2", "--episodes", "1"][..],
+        &["--ways", "2"][..],
+    );
+    let cases: [(&std::path::Path, &str, &[&str], &str); 5] = [
+        (&narrow, "evaluate", evaluate, width),
+        (&narrow, "episode", episode, width),
+        (&narrow, "serve", &["--addr", "127.0.0.1:0"], width),
+        (&all_test, "evaluate", evaluate, classes),
+        (&all_test, "episode", episode, classes),
+    ];
+    for (data, cmd, extra, expected) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+            .args([
+                cmd,
+                "--model",
+                model,
+                "--dataset-path",
+                data.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "gp {cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "gp {cmd}: {stderr}");
+        assert!(stderr.contains(expected), "gp {cmd}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
