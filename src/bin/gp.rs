@@ -26,8 +26,8 @@
 //! `evaluate`/`episode`/`serve` also accept `--dataset-path <dir>` to run
 //! on a directory in the `gp export` TSV format (bring your own graph).
 //! They exit 1 before any episode when the dataset's feature width is
-//! not the model's, or when fewer than `--ways` classes have both a
-//! train (prompt) and a test (query) point.
+//! not the model's; `evaluate` and `episode` also when fewer than
+//! `--ways` classes have both a train (prompt) and a test (query) point.
 //! `evaluate` takes `--threads <n>` as the engine's **thread budget**:
 //! its episodes run on at most `n` threads (`--threads 0` = one per
 //! core; `--threads 1` spawns no worker threads at all; results are
