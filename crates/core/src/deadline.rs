@@ -2,8 +2,8 @@
 //!
 //! A [`Deadline`] is an absolute point in time carried alongside a
 //! request. The pipeline checks it **at stage boundaries only** —
-//! between candidate embedding, per-batch query embedding, selection,
-//! and the task graph — never inside a kernel, so an expired deadline
+//! after candidate embedding, after query embedding, and after each
+//! query chunk's selection and task graph — never inside a kernel, so an expired deadline
 //! aborts cleanly with a typed [`crate::DeadlineExceeded`] carrying the
 //! partial per-stage timing collected so far. Work that completed before
 //! the deadline fired is bit-identical to an undeadlined run: the clock

@@ -49,15 +49,23 @@ use crate::config::{ConfigError, InferenceConfig, ModelConfig, PretrainConfig};
 use crate::deadline::Deadline;
 use crate::embed_store::{EmbedCacheStats, EmbeddingStore};
 use crate::error::{DeadlineExceeded, DivergenceError};
-use crate::infer::{evaluate_episode, run_episode, run_episodes, EpisodeResult};
+use crate::infer::{evaluate_episode, infer, run_episode, EpisodeResult};
 use crate::model::GraphPrompterModel;
-use crate::planner::EpisodeRequest;
 use crate::pretrain::{
     pretrain, try_pretrain, try_pretrain_validated, PretrainReport, TrainingCurve,
 };
 
 /// Default capacity of the cross-episode embedding cache.
 pub const DEFAULT_EMBED_CACHE_CAPACITY: usize = 4096;
+
+/// One member of an [`Engine::run_episodes_batched`] call: a task plus
+/// its own optional deadline.
+pub struct EpisodeRequest<'a> {
+    /// The member's few-shot task.
+    pub task: &'a FewShotTask,
+    /// The member's deadline; expiry aborts this member only.
+    pub deadline: Option<Deadline>,
+}
 
 /// Fallible builder for [`Engine`]; start from [`Engine::builder`].
 pub struct EngineBuilder {
@@ -383,50 +391,49 @@ impl Engine {
         task: &FewShotTask,
         deadline: Deadline,
     ) -> Result<EpisodeResult, DeadlineExceeded> {
-        let request = EpisodeRequest {
+        self.prepare_embed_store();
+        infer(
+            &self.model,
+            dataset,
             task,
-            deadline: Some(deadline),
-        };
-        match self
-            .run_episodes_batched(dataset, std::slice::from_ref(&request))
-            .pop()
-        {
-            Some(res) => res,
-            #[expect(
-                clippy::unreachable,
-                reason = "structurally impossible: run_episodes answers every request"
-            )]
-            None => unreachable!("a batch of one answers its member"),
-        }
+            &self.infer_cfg,
+            self.embed_store.as_ref(),
+            deadline,
+        )
     }
 
-    /// Run several episodes as one fused cross-request batch. Candidate
-    /// embedding runs once over the deduplicated union of every member's
-    /// candidates, and all live members' queries go through a single
-    /// stacked [`crate::SubgraphBatch`] pass — amortizing the per-request
-    /// embed cost without changing any member's result: every member is
-    /// **bit-identical** to a solo
-    /// [`Engine::run_episode_deadline`] call (per-datapoint RNG streams +
-    /// row-local embedding; asserted by the property tests in
-    /// `crates/core/tests/batching.rs`). A solo call is the same code
-    /// with one member.
-    ///
-    /// Deadlines stay per member: an expired member gets its own
-    /// `Err(DeadlineExceeded)` slot while the rest of the
-    /// batch completes.
+    /// Run several episodes one after another, each under its own
+    /// deadline. Every member is the same code as a solo
+    /// [`Engine::run_episode`] or [`Engine::run_episode_deadline`] call,
+    /// so it gives the same bits; an expired member gets its own
+    /// `Err(DeadlineExceeded)` slot while the rest complete.
     pub fn run_episodes_batched(
         &self,
         dataset: &Dataset,
         requests: &[EpisodeRequest<'_>],
     ) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
         self.prepare_embed_store();
-        run_episodes(
-            &self.model,
-            dataset,
-            requests,
-            &self.infer_cfg,
-            self.embed_store.as_ref(),
-        )
+        let store = self.embed_store.as_ref();
+        requests
+            .iter()
+            .map(|req| match req.deadline {
+                Some(deadline) => infer(
+                    &self.model,
+                    dataset,
+                    req.task,
+                    &self.infer_cfg,
+                    store,
+                    deadline,
+                ),
+                None => Ok(run_episode(
+                    &self.model,
+                    dataset,
+                    req.task,
+                    &self.infer_cfg,
+                    store,
+                )),
+            })
+            .collect()
     }
 
     /// As [`Engine::run_episode`], under an explicit inference config.

@@ -1,9 +1,10 @@
 //! The typed errors of a request that ran out of time and of a
 //! pre-training run that diverged.
 //!
-//! [`crate::Engine::run_episode_deadline`] and
-//! [`crate::Engine::run_episodes_batched`] report an expired deadline as
-//! [`DeadlineExceeded`]; gp-serve maps it to 504 Gateway Timeout. Config
+//! [`crate::Engine::run_episode_deadline`] reports an expired deadline as
+//! [`DeadlineExceeded`], and [`crate::Engine::run_episodes_batched`]
+//! does so for each member on its own; gp-serve maps it to 504 Gateway
+//! Timeout. Config
 //! errors surface from [`crate::EngineBuilder::try_build`] as
 //! [`crate::ConfigError`], and a non-finite training loss from
 //! [`crate::Engine::try_pretrain`] as [`DivergenceError`]. Non-finite

@@ -3,22 +3,22 @@
 //! (Eqs. 6–8), select, augment from the cache (Eq. 9), predict (Eqs.
 //! 10–11), and update the cache with high-confidence pseudo-labels.
 //!
-//! There is one episode path. It fuses the candidate and query embedding
-//! passes of every member of a batch, and a solo episode is a batch of
-//! one. The entry point is [`crate::Engine`], which owns the model, the
-//! validated configs and the cross-episode [`EmbeddingStore`].
+//! There is one episode path, and it runs one episode; it is generic over
+//! the episode's deadline. The entry point is [`crate::Engine`], which
+//! owns the model, the validated configs and the cross-episode
+//! [`EmbeddingStore`].
 //!
 //! # Determinism
 //!
 //! Candidate and query subgraphs are sampled from RNGs derived per
 //! datapoint — `mix(candidate_seed, point)` / `mix(seed, point)` — not
 //! from one shared sequential stream. A datapoint therefore embeds
-//! identically however the episode is batched, whatever the tensor-kernel
-//! worker count, and whether or not its embedding came from the
+//! identically whatever else shares its embedding pass, whatever the
+//! thread budget, and whether or not its embedding came from the
 //! [`EmbeddingStore`]: all three axes are bit-identical by construction
 //! and asserted in tests.
 
-use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::time::Instant;
 
 use gp_datasets::{DataPoint, Dataset, FewShotTask};
@@ -34,7 +34,6 @@ use crate::deadline::Deadline;
 use crate::embed_store::EmbeddingStore;
 use crate::error::DeadlineExceeded;
 use crate::model::{sample_datapoint_subgraph, GraphPrompterModel};
-use crate::planner::EpisodeRequest;
 use crate::selector::select_prompts;
 
 // Per-stage wall-clock of the Alg. 2 pipeline, recorded once per call to
@@ -67,15 +66,12 @@ pub struct EpisodeResult {
     pub correct: usize,
     /// Total queries.
     pub total: usize,
-    /// Mean wall-clock time per query over the whole pipeline, from the
-    /// start of the call that ran the episode, µs.
+    /// Mean wall-clock time per query over the whole episode, µs.
     pub per_query_micros: f64,
-    /// Mean wall-clock time per query spent in the call's two embedding
-    /// passes (candidate union and stacked queries, shared by every
-    /// member of a fused batch), µs. Always ≤
+    /// Mean wall-clock time per query spent in the episode's two
+    /// embedding passes (candidates and queries), µs. Always ≤
     /// [`EpisodeResult::per_query_micros`]; the gap is selector, task
-    /// graph and cache time, in a fused batch also that of the members
-    /// answered before this one.
+    /// graph and cache time.
     pub embed_micros: f64,
     /// Query data-graph embeddings (for the Fig. 7 embedding analysis).
     pub query_embeddings: Tensor,
@@ -236,9 +232,9 @@ fn embed_points(
 }
 
 /// Cumulative per-stage wall-clock for the partial-timing diagnostics a
-/// deadline abort carries. Only active when a deadline is present, so
-/// the deadline-free path pays no extra clock reads.
-struct StageClock {
+/// deadline abort carries. Only active under a [`Deadline`], so the
+/// deadline-free path pays no extra clock reads.
+pub(crate) struct StageClock {
     active: bool,
     stages: Vec<(&'static str, u64)>,
 }
@@ -278,60 +274,85 @@ impl StageClock {
     }
 }
 
-/// `Err` when `deadline` has expired at the boundary named `stage`,
-/// carrying progress and the partial stage timing collected so far.
-fn check_deadline(
-    deadline: Option<Deadline>,
-    stage: &'static str,
-    completed_queries: usize,
-    total_queries: usize,
-    clock: &StageClock,
-) -> Result<(), DeadlineExceeded> {
-    match deadline {
-        Some(d) if d.expired() => Err(DeadlineExceeded {
+/// What an episode checks at its stage boundaries: a [`Deadline`], whose
+/// expiry aborts the episode with [`DeadlineExceeded`], or [`NoDeadline`],
+/// which never aborts and reads no clock.
+pub(crate) trait Budget {
+    /// What an abort reports.
+    type Err;
+    /// Whether the episode collects per-stage timing for an abort.
+    const TIMED: bool;
+    /// `Err` when the budget has run out at the boundary named `stage`,
+    /// carrying progress and the partial stage timing collected so far.
+    fn check(
+        &self,
+        stage: &'static str,
+        completed_queries: usize,
+        total_queries: usize,
+        clock: &StageClock,
+    ) -> Result<(), Self::Err>;
+}
+
+/// The budget of an episode that always runs to the end.
+pub(crate) struct NoDeadline;
+
+impl Budget for NoDeadline {
+    type Err = Infallible;
+    const TIMED: bool = false;
+
+    fn check(&self, _: &'static str, _: usize, _: usize, _: &StageClock) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+impl Budget for Deadline {
+    type Err = DeadlineExceeded;
+    const TIMED: bool = true;
+
+    fn check(
+        &self,
+        stage: &'static str,
+        completed_queries: usize,
+        total_queries: usize,
+        clock: &StageClock,
+    ) -> Result<(), DeadlineExceeded> {
+        if !self.expired() {
+            return Ok(());
+        }
+        Err(DeadlineExceeded {
             stage,
             completed_queries,
             total_queries,
             stage_micros: clock.stages.clone(),
-        }),
-        _ => Ok(()),
+        })
     }
 }
 
-/// Run Alg. 2 over a batch of episodes sharing `cfg` — the one episode
-/// path: a solo episode is a batch of one.
+/// Run Alg. 2 over one episode under `cfg`.
 ///
-/// 1. The deduplicated union of every member's candidate points is
-///    embedded once through `cache` (one store lookup per distinct point).
-/// 2. Members whose deadline expired during that pass abort at
-///    `candidate_embed`.
-/// 3. Every live member's queries are embedded in one stacked pass, then
-///    checked against `query_embed`.
-/// 4. Each member runs its per-chunk selection, augmenter and task-graph
-///    loop (chunks of `cfg.query_batch`) over its own rows of the two
-///    passes, gathered by index.
+/// 1. The candidates are embedded through `cache`, then the budget is
+///    checked at `candidate_embed`.
+/// 2. The queries are embedded in one pass, then checked at
+///    `query_embed`.
+/// 3. Each chunk of `cfg.query_batch` queries runs selection, the
+///    augmenter and the task graph, with a check after selection and
+///    after the task graph.
 ///
-/// Subgraph RNGs derive per datapoint and embedding is row/graph-local,
-/// so a member's result is bit-identical whatever
-/// else shares its batch. Deadlines stay per member, enforced at the
-/// stage boundaries above and after each chunk's selection and task
-/// graph: an expired member yields its own [`DeadlineExceeded`] without
-/// poisoning the rest, and work completed before an expiry is
-/// bit-identical to an undeadlined run — the clock decides only whether
-/// to continue, never what to compute.
+/// An expired `budget` aborts at the first boundary that sees it. Work
+/// completed before an expiry is bit-identical to a deadline-free run:
+/// the clock decides only whether to continue, never what to compute.
 #[expect(
     clippy::disallowed_methods,
     reason = "wall time feeds only the EpisodeResult timing diagnostics, never a prediction"
 )]
-pub(crate) fn run_episodes(
+pub(crate) fn infer<B: Budget>(
     model: &GraphPrompterModel,
     dataset: &Dataset,
-    requests: &[EpisodeRequest<'_>],
+    task: &FewShotTask,
     cfg: &InferenceConfig,
     cache: Option<&EmbeddingStore>,
-) -> Vec<Result<EpisodeResult, DeadlineExceeded>> {
-    // Every member's clock starts here, so its per-query time covers the
-    // shared passes charged to its `embed_micros`.
+    budget: B,
+) -> Result<EpisodeResult, B::Err> {
     let started = Instant::now();
     let sampler = RandomWalkSampler::new(cfg.sampler);
     let stages = cfg.stages;
@@ -340,66 +361,32 @@ pub(crate) fn run_episodes(
         PseudoLabelPolicy::Confidence { min } => min,
         PseudoLabelPolicy::UniformRandom => 0.0,
     };
+    let total = task.queries.len();
+    let mut clock = StageClock::new(B::TIMED);
 
-    // Prompt Generator over the candidate union in first-seen order, each
-    // member's candidates kept as rows of it. Candidate subgraph RNGs
+    // Prompt Generator over the candidates. Candidate subgraph RNGs
     // derive from `candidate_seed`, not the episode seed, so the store
     // serves them across episodes.
-    let mut union_points: Vec<DataPoint> = Vec::new();
-    let mut union_rows: BTreeMap<u64, usize> = BTreeMap::new();
-    let cand_rows: Vec<Vec<usize>> = requests
-        .iter()
-        .map(|req| {
-            req.task
-                .candidates
-                .iter()
-                .map(|&(p, _)| {
-                    *union_rows.entry(point_tag(p)).or_insert_with(|| {
-                        union_points.push(p);
-                        union_points.len() - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
+    let cand_points: Vec<DataPoint> = task.candidates.iter().map(|&(p, _)| p).collect();
     let cand_started = Instant::now();
-    let (cand_all, cand_all_imps) = embed_points(
+    let (cand_embs, cand_imps) = embed_points(
         model,
         dataset,
         &sampler,
-        &union_points,
+        &cand_points,
         stages.use_reconstruction,
         cfg.candidate_seed,
         cache,
     );
     let cand_nanos = cand_started.elapsed().as_nanos();
-
-    let admitted: Vec<Result<StageClock, DeadlineExceeded>> = requests
-        .iter()
-        .map(|req| {
-            let mut clock = StageClock::new(req.deadline.is_some());
-            clock.add("candidate_embed", (cand_nanos / 1_000) as u64);
-            check_deadline(
-                req.deadline,
-                "candidate_embed",
-                0,
-                req.task.queries.len(),
-                &clock,
-            )?;
-            Ok(clock)
-        })
-        .collect();
+    clock.add("candidate_embed", (cand_nanos / 1_000) as u64);
+    budget.check("candidate_embed", 0, total, &clock)?;
 
     // Queries are never memoized: their RNG stream is the per-episode
     // `cfg.seed`, and each query appears once.
-    let q_points: Vec<DataPoint> = requests
-        .iter()
-        .zip(&admitted)
-        .filter(|(_, a)| a.is_ok())
-        .flat_map(|(req, _)| req.task.queries.iter().map(|&(p, _)| p))
-        .collect();
+    let q_points: Vec<DataPoint> = task.queries.iter().map(|&(p, _)| p).collect();
     let q_started = Instant::now();
-    let (query_all, query_all_imps) = embed_points(
+    let (query_embeddings, query_imps) = embed_points(
         model,
         dataset,
         &sampler,
@@ -409,153 +396,132 @@ pub(crate) fn run_episodes(
         None,
     );
     let q_nanos = q_started.elapsed().as_nanos();
-    let embed_nanos = cand_nanos + q_nanos;
+    clock.add("query_embed", (q_nanos / 1_000) as u64);
+    budget.check("query_embed", 0, total, &clock)?;
 
-    let mut q_next = 0usize;
-    requests
-        .iter()
-        .zip(&cand_rows)
-        .zip(admitted)
-        .map(|((req, member_cands), admitted)| {
-            let mut clock = admitted?;
-            let task = req.task;
-            let total = task.queries.len();
-            let q_first = q_next;
-            q_next += total;
-            clock.add("query_embed", (q_nanos / 1_000) as u64);
-            check_deadline(req.deadline, "query_embed", 0, total, &clock)?;
+    let cand_labels: Vec<usize> = task.candidates.iter().map(|&(_, l)| l).collect();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let m = task.ways();
+    // Per-class caches of size c; admission takes each class's most
+    // confident gated query per batch ("|Q̂| ≤ m").
+    let mut augmenter = PromptAugmenter::with_policy(cfg.cache_size.max(1), m, cfg.cache_policy)
+        .with_min_confidence(min_confidence);
+    let mut correct = 0usize;
+    let mut predictions = Vec::with_capacity(total);
+    let mut all_confidences = Vec::with_capacity(total);
+    let mut query_labels = Vec::with_capacity(total);
 
-            let cand_embs = cand_all.gather_rows(member_cands);
-            let cand_imps: Vec<f32> = member_cands.iter().map(|&r| cand_all_imps[r]).collect();
-            let cand_labels: Vec<usize> = task.candidates.iter().map(|&(_, l)| l).collect();
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let m = task.ways();
-            // Per-class caches of size c; admission takes each class's most
-            // confident gated query per batch ("|Q̂| ≤ m").
-            let mut augmenter =
-                PromptAugmenter::with_policy(cfg.cache_size.max(1), m, cfg.cache_policy)
-                    .with_min_confidence(min_confidence);
-            let mut correct = 0usize;
-            let mut predictions = Vec::with_capacity(total);
-            let mut all_confidences = Vec::with_capacity(total);
-            let mut query_labels = Vec::with_capacity(total);
+    for chunk in task.queries.chunks(cfg.query_batch.max(1)) {
+        let q_labels: Vec<usize> = chunk.iter().map(|&(_, l)| l).collect();
+        let first = predictions.len();
+        let q_rows: Vec<usize> = (first..first + chunk.len()).collect();
+        let q_embs = query_embeddings.gather_rows(&q_rows);
+        let q_imps = &query_imps[first..first + chunk.len()];
 
-            for chunk in task.queries.chunks(cfg.query_batch.max(1)) {
-                let q_labels: Vec<usize> = chunk.iter().map(|&(_, l)| l).collect();
-                let first = q_first + predictions.len();
-                let q_rows: Vec<usize> = (first..first + chunk.len()).collect();
-                let q_embs = query_all.gather_rows(&q_rows);
-                let q_imps = &query_all_imps[first..first + chunk.len()];
+        // Prompt Selector: score + vote → Ŝ (k per class).
+        if stages.use_knn || stages.use_selection_layer {
+            SELECTION_PAIRS.add((cand_embs.rows() * q_embs.rows()) as u64);
+        }
+        let selection = clock.time("selection", || {
+            let _span = SELECTION_MICROS.span();
+            select_prompts(
+                &cand_embs,
+                &cand_imps,
+                &cand_labels,
+                &q_embs,
+                q_imps,
+                m,
+                cfg.shots,
+                stages.use_knn,
+                stages.use_selection_layer,
+                cfg.knn_metric,
+                &mut rng,
+            )
+        });
+        budget.check("selection", predictions.len(), total, &clock)?;
 
-                // Prompt Selector: score + vote → Ŝ (k per class).
-                if stages.use_knn || stages.use_selection_layer {
-                    SELECTION_PAIRS.add((cand_embs.rows() * q_embs.rows()) as u64);
-                }
-                let selection = clock.time("selection", || {
-                    let _span = SELECTION_MICROS.span();
-                    select_prompts(
-                        &cand_embs,
-                        &cand_imps,
-                        &cand_labels,
-                        &q_embs,
-                        q_imps,
-                        m,
-                        cfg.shots,
-                        stages.use_knn,
-                        stages.use_selection_layer,
-                        cfg.knn_metric,
-                        &mut rng,
-                    )
-                });
-                check_deadline(req.deadline, "selection", predictions.len(), total, &clock)?;
-
-                // Assemble the task-graph prompt rows: Ŝ, importance-weighted
-                // when the selection layer is active, then Ŝ' = Ŝ ∪ C (Eq. 9).
-                let mut p_rows = cand_embs.gather_rows(&selection.selected);
-                if stages.use_selection_layer {
-                    let imps = Tensor::from_vec(
-                        selection.selected.len(),
-                        1,
-                        selection.selected.iter().map(|&i| cand_imps[i]).collect(),
-                    );
-                    p_rows = p_rows.mul_rows_by_col(&imps);
-                }
-                let mut p_labels: Vec<usize> =
-                    selection.selected.iter().map(|&i| cand_labels[i]).collect();
-                if stages.use_augmenter {
-                    let _span = AUGMENTATION_MICROS.span();
-                    if let Some((c_embs, c_labels)) = augmenter.cached_prompts(cand_embs.cols()) {
-                        p_rows = p_rows.concat_rows(&c_embs);
-                        p_labels.extend(c_labels);
-                    }
-                }
-
-                // Task graph (Eq. 10) + cosine argmax prediction (Eq. 11).
-                TASK_GRAPH_MSG_ROWS.add((p_labels.len() * m.min(2)) as u64);
-                let logits = clock.time("task_graph", || {
-                    let _span = TASK_GRAPH_MICROS.span();
-                    let mut ev = Eval::new(&model.store);
-                    let pv = ev.data(p_rows);
-                    let qv = ev.input(&q_embs);
-                    model
-                        .task_forward(&mut ev, &pv, &p_labels, &qv, m)
-                        .into_owned()
-                });
-                let preds = logits.argmax_rows();
-                let probs = logits.softmax_rows();
-                let confidences: Vec<f32> = (0..preds.len())
-                    .map(|r| {
-                        if random_pseudo_labels {
-                            rng.next_f32()
-                        } else {
-                            probs.get(r, preds[r])
-                        }
-                    })
-                    .collect();
-
-                correct += preds.iter().zip(&q_labels).filter(|(a, b)| a == b).count();
-                // Model confidence per query (always the softmax of the
-                // argmax: the pseudo-label policy above may randomize its
-                // own copy, but the reported confidence stays the model's).
-                all_confidences.extend((0..preds.len()).map(|r| probs.get(r, preds[r])));
-                predictions.extend(preds.iter().copied());
-                query_labels.extend(q_labels.iter().copied());
-
-                // Prompt Augmenter: LFU hits + high-confidence admissions.
-                // Cached embeddings are importance-weighted exactly like
-                // selected prompts (Ŝ and C must live on the same scale
-                // inside the task graph).
-                if stages.use_augmenter {
-                    let _span = AUGMENTATION_MICROS.span();
-                    let admit_embs = if stages.use_selection_layer {
-                        let imps = Tensor::from_vec(q_imps.len(), 1, q_imps.to_vec());
-                        q_embs.mul_rows_by_col(&imps)
-                    } else {
-                        q_embs
-                    };
-                    augmenter.observe(&admit_embs, &preds, &confidences);
-                }
-                // A finished episode is always returned, even if the
-                // deadline fired during its final chunk — the work is done.
-                if predictions.len() < total {
-                    check_deadline(req.deadline, "task_graph", predictions.len(), total, &clock)?;
-                }
+        // Assemble the task-graph prompt rows: Ŝ, importance-weighted
+        // when the selection layer is active, then Ŝ' = Ŝ ∪ C (Eq. 9).
+        let mut p_rows = cand_embs.gather_rows(&selection.selected);
+        if stages.use_selection_layer {
+            let imps = Tensor::from_vec(
+                selection.selected.len(),
+                1,
+                selection.selected.iter().map(|&i| cand_imps[i]).collect(),
+            );
+            p_rows = p_rows.mul_rows_by_col(&imps);
+        }
+        let mut p_labels: Vec<usize> = selection.selected.iter().map(|&i| cand_labels[i]).collect();
+        if stages.use_augmenter {
+            let _span = AUGMENTATION_MICROS.span();
+            if let Some((c_embs, c_labels)) = augmenter.cached_prompts(cand_embs.cols()) {
+                p_rows = p_rows.concat_rows(&c_embs);
+                p_labels.extend(c_labels);
             }
+        }
 
-            let q_rows: Vec<usize> = (q_first..q_first + total).collect();
-            let per_query = |nanos: u128| nanos as f64 / 1000.0 / total.max(1) as f64;
-            Ok(EpisodeResult {
-                correct,
-                total,
-                per_query_micros: per_query(started.elapsed().as_nanos()),
-                embed_micros: per_query(embed_nanos),
-                query_embeddings: query_all.gather_rows(&q_rows),
-                query_labels,
-                predictions,
-                confidences: all_confidences,
+        // Task graph (Eq. 10) + cosine argmax prediction (Eq. 11).
+        TASK_GRAPH_MSG_ROWS.add((p_labels.len() * m.min(2)) as u64);
+        let logits = clock.time("task_graph", || {
+            let _span = TASK_GRAPH_MICROS.span();
+            let mut ev = Eval::new(&model.store);
+            let pv = ev.data(p_rows);
+            let qv = ev.input(&q_embs);
+            model
+                .task_forward(&mut ev, &pv, &p_labels, &qv, m)
+                .into_owned()
+        });
+        let preds = logits.argmax_rows();
+        let probs = logits.softmax_rows();
+        let confidences: Vec<f32> = (0..preds.len())
+            .map(|r| {
+                if random_pseudo_labels {
+                    rng.next_f32()
+                } else {
+                    probs.get(r, preds[r])
+                }
             })
-        })
-        .collect()
+            .collect();
+
+        correct += preds.iter().zip(&q_labels).filter(|(a, b)| a == b).count();
+        // Model confidence per query (always the softmax of the argmax:
+        // the pseudo-label policy above may randomize its own copy, but
+        // the reported confidence stays the model's).
+        all_confidences.extend((0..preds.len()).map(|r| probs.get(r, preds[r])));
+        predictions.extend(preds.iter().copied());
+        query_labels.extend(q_labels.iter().copied());
+
+        // Prompt Augmenter: LFU hits + high-confidence admissions. Cached
+        // embeddings are importance-weighted exactly like selected prompts
+        // (Ŝ and C must live on the same scale inside the task graph).
+        if stages.use_augmenter {
+            let _span = AUGMENTATION_MICROS.span();
+            let admit_embs = if stages.use_selection_layer {
+                let imps = Tensor::from_vec(q_imps.len(), 1, q_imps.to_vec());
+                q_embs.mul_rows_by_col(&imps)
+            } else {
+                q_embs
+            };
+            augmenter.observe(&admit_embs, &preds, &confidences);
+        }
+        // A finished episode is always returned, even if the deadline
+        // fired during its final chunk — the work is done.
+        if predictions.len() < total {
+            budget.check("task_graph", predictions.len(), total, &clock)?;
+        }
+    }
+
+    let per_query = |nanos: u128| nanos as f64 / 1000.0 / total.max(1) as f64;
+    Ok(EpisodeResult {
+        correct,
+        total,
+        per_query_micros: per_query(started.elapsed().as_nanos()),
+        embed_micros: per_query(cand_nanos + q_nanos),
+        query_embeddings,
+        query_labels,
+        predictions,
+        confidences: all_confidences,
+    })
 }
 
 /// Accuracy (%) of evaluation episode `i`: the `ways`-way
@@ -586,8 +552,7 @@ pub(crate) fn evaluate_episode(
     run_episode(model, dataset, &task, &ep_cfg, cache).accuracy() * 100.0
 }
 
-/// One deadline-free episode under `cfg`: a batch of one, which always
-/// answers its member.
+/// One deadline-free episode under `cfg`.
 pub(crate) fn run_episode(
     model: &GraphPrompterModel,
     dataset: &Dataset,
@@ -595,18 +560,8 @@ pub(crate) fn run_episode(
     cfg: &InferenceConfig,
     cache: Option<&EmbeddingStore>,
 ) -> EpisodeResult {
-    let request = EpisodeRequest {
-        task,
-        deadline: None,
-    };
-    match run_episodes(model, dataset, std::slice::from_ref(&request), cfg, cache).pop() {
-        Some(Ok(res)) => res,
-        #[expect(
-            clippy::unreachable,
-            reason = "structurally impossible: a deadline-free batch of one answers its member"
-        )]
-        _ => unreachable!("an episode without a deadline cannot time out"),
-    }
+    let Ok(res) = infer(model, dataset, task, cfg, cache, NoDeadline);
+    res
 }
 
 #[cfg(test)]

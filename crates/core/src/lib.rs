@@ -64,7 +64,6 @@ pub mod engine;
 pub mod error;
 pub mod infer;
 pub mod model;
-pub mod planner;
 pub mod pretrain;
 pub mod selector;
 
@@ -78,10 +77,9 @@ pub use config::{
 };
 pub use deadline::Deadline;
 pub use embed_store::{EmbedCacheStats, EmbeddingStore};
-pub use engine::{Engine, EngineBuilder, DEFAULT_EMBED_CACHE_CAPACITY};
+pub use engine::{Engine, EngineBuilder, EpisodeRequest, DEFAULT_EMBED_CACHE_CAPACITY};
 pub use error::{DeadlineExceeded, DivergenceError};
 pub use infer::EpisodeResult;
 pub use model::{sample_datapoint_subgraph, sample_datapoint_subgraphs, GraphPrompterModel};
-pub use planner::EpisodeRequest;
 pub use pretrain::{pretrain, try_pretrain, try_pretrain_validated, PretrainReport, TrainingCurve};
 pub use selector::{select_prompts, DistanceMetric, SelectionOutcome};

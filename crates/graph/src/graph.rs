@@ -105,18 +105,12 @@ impl GraphBuilder {
         }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        #[expect(
-            clippy::unwrap_used,
-            reason = "offsets starts with 0, so it is never empty"
-        )]
+        let mut acc = 0usize;
         for d in &degree {
-            offsets.push(offsets.last().unwrap() + d);
+            acc += d;
+            offsets.push(acc);
         }
-        #[expect(
-            clippy::unwrap_used,
-            reason = "offsets starts with 0, so it is never empty"
-        )]
-        let total = *offsets.last().unwrap();
+        let total = acc;
         let mut neighbors = vec![0u32; total];
         let mut adj_rel = vec![0u16; total];
         let mut adj_edge = vec![0u32; total];

@@ -417,12 +417,10 @@ fn total_cmp_ranking_is_bit_identical_to_partial_cmp_on_nan_free_scores() {
     assert_same_order(&out.votes);
 }
 
-/// The cross-request batching contract (README § "Request batching"):
-/// every member of a fused
-/// `run_episodes_batched` pass is bit-identical to running its episode
-/// alone — batch membership must be invisible in results, only in
-/// throughput. Exercised across batch sizes, mixed shapes and mixed
-/// deadline membership.
+/// The batching contract (README § "Request batching"): every member of
+/// a `run_episodes_batched` call is bit-identical to running its episode
+/// alone. Exercised across batch sizes, mixed shapes, mixed deadline
+/// membership and a member whose deadline has already expired.
 #[test]
 fn batched_inference_is_bit_identical_to_serial() {
     use graphprompter::core::{Deadline, EpisodeRequest};
@@ -441,16 +439,19 @@ fn batched_inference_is_bit_identical_to_serial() {
         .collect();
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
+    let same = |b: &EpisodeResult, s: &EpisodeResult, label: &str| {
+        assert_eq!(b.predictions, s.predictions, "{label}");
+        assert_eq!(b.query_labels, s.query_labels, "{label}");
+        assert_eq!(
+            bits(&b.confidences),
+            bits(&s.confidences),
+            "{label}: confidences must be bit-identical"
+        );
+    };
     let check = |batched: Vec<Result<EpisodeResult, _>>, label: &str| {
         for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
             let b = b.as_ref().expect("generous/no deadline must not expire");
-            assert_eq!(b.predictions, s.predictions, "{label} member {i}");
-            assert_eq!(b.query_labels, s.query_labels, "{label} member {i}");
-            assert_eq!(
-                bits(&b.confidences),
-                bits(&s.confidences),
-                "{label} member {i}: confidences must be bit-identical"
-            );
+            same(b, s, &format!("{label} member {i}"));
         }
     };
 
@@ -481,6 +482,33 @@ fn batched_inference_is_bit_identical_to_serial() {
         engine.run_episodes_batched(&source, &requests),
         "mixed-deadline batch",
     );
+
+    // An expired member aborts alone, before any query; its live
+    // neighbours still give their solo bits.
+    let victim = 2;
+    let requests: Vec<EpisodeRequest> = tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let millis = if i == victim { 0 } else { 600_000 };
+            EpisodeRequest {
+                task: t,
+                deadline: Some(Deadline::after_millis(millis)),
+            }
+        })
+        .collect();
+    let batched = engine.run_episodes_batched(&source, &requests);
+    assert_eq!(batched.len(), tasks.len());
+    for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
+        match b {
+            Err(d) if i == victim => {
+                assert_eq!(d.completed_queries, 0);
+                assert_eq!(d.stage, "candidate_embed");
+            }
+            Ok(b) if i != victim => same(b, s, &format!("expired batch member {i}")),
+            other => panic!("member {i} (victim {victim}): {other:?}"),
+        }
+    }
 }
 
 #[test]
