@@ -788,4 +788,33 @@ mod tests {
         let again = engine.run_episode(&ds, &task);
         assert_eq!(bits(&[again.accuracy()]), bits(&[plain.accuracy()]));
     }
+
+    /// A request whose deadline has already passed aborts before the
+    /// candidate pass: the embedding store sees no lookup and no insert.
+    #[test]
+    fn expired_deadline_does_no_candidate_work() {
+        use gp_tensor::rng::StdRng;
+
+        let ds = CitationConfig::new("t", 300, 5, 31).generate();
+        let engine = Engine::builder()
+            .model_config(tiny_model())
+            .inference_config(tiny_infer())
+            .embedding_cache(64)
+            .try_build()
+            .expect("valid engine");
+        let mut rng = StdRng::seed_from_u64(9);
+        let task = gp_datasets::sample_few_shot_task(&ds, 3, 4, 8, &mut rng);
+
+        let d = engine
+            .run_episode_deadline(&ds, &task, Deadline::after_millis(0))
+            .expect_err("an expired deadline must abort");
+        assert_eq!((d.stage, d.completed_queries), ("candidate_embed", 0));
+        let stats = engine.embed_cache_stats().expect("the engine has a store");
+        assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
+
+        // The same store counts a live episode's candidates.
+        let _ = engine.run_episode(&ds, &task);
+        let stats = engine.embed_cache_stats().expect("the engine has a store");
+        assert!(stats.misses > 0 && stats.len > 0, "{stats:?}");
+    }
 }

@@ -330,8 +330,8 @@ impl Budget for Deadline {
 
 /// Run Alg. 2 over one episode under `cfg`.
 ///
-/// 1. The candidates are embedded through `cache`, then the budget is
-///    checked at `candidate_embed`.
+/// 1. The budget is checked at `candidate_embed`, the candidates are
+///    embedded through `cache`, then the budget is checked there again.
 /// 2. The queries are embedded in one pass, then checked at
 ///    `query_embed`.
 /// 3. Each chunk of `cfg.query_batch` queries runs selection, the
@@ -363,6 +363,12 @@ pub(crate) fn infer<B: Budget>(
     };
     let total = task.queries.len();
     let mut clock = StageClock::new(B::TIMED);
+
+    // A request that expired before it started (in a queue, say) pays
+    // for no candidate work. The zero entry keeps the aborting stage in
+    // the partial timing.
+    clock.add("candidate_embed", 0);
+    budget.check("candidate_embed", 0, total, &clock)?;
 
     // Prompt Generator over the candidates. Candidate subgraph RNGs
     // derive from `candidate_seed`, not the episode seed, so the store

@@ -9,9 +9,23 @@
 //!
 //! [`RandomWalkSampler`] implements exactly that, with a per-hop neighbor
 //! cap so dense hubs (MAG-style graphs) cannot blow up the subgraph.
+//!
+//! The walk hashes nothing. Whether a neighbor is already picked goes
+//! through the same stack bit filter [`Subgraph::induce`] uses, and a
+//! filter hit is confirmed by a scan of the picked nodes (at most the
+//! node cap). Each hop picks its adjacency slots by a sparse Fisher–Yates
+//! that records only the positions its swaps moved.
+//!
+//! The draws are part of the output: callers such as pre-training share
+//! one generator across many datapoints, so every hop makes exactly the
+//! draws of `partial_shuffle` over `0..deg` (`gen_range(i..deg)` for each
+//! of the `take` picks, all of them even when the cap fills midway)
+//! followed by one `gen_range(0..deg)` step, and nothing after the cap
+//! fills.
 
 use gp_tensor::rng::StdRng;
 
+use crate::subgraph::NodeFilter;
 use crate::{Graph, Subgraph};
 
 /// Knobs for [`RandomWalkSampler`].
@@ -65,10 +79,16 @@ impl RandomWalkSampler {
         assert!(!anchors.is_empty(), "at least one anchor required");
         let cap = self.config.max_nodes.max(anchors.len());
         let mut nodes: Vec<u32> = Vec::with_capacity(cap);
-        let mut in_set = std::collections::HashSet::with_capacity(cap * 2);
+        let mut filter = NodeFilter::new();
+        let mut local_anchors = Vec::with_capacity(anchors.len());
         for &a in anchors {
-            if in_set.insert(a) {
-                nodes.push(a);
+            match nodes.iter().position(|&n| n == a) {
+                Some(at) => local_anchors.push(at),
+                None => {
+                    local_anchors.push(nodes.len());
+                    nodes.push(a);
+                    filter.insert(a);
+                }
             }
         }
 
@@ -76,24 +96,37 @@ impl RandomWalkSampler {
         // sampled slice of its neighborhood into the set, then the walker
         // steps to a random neighbor.
         let mut walkers: Vec<u32> = anchors.to_vec();
+        // Sparse Fisher–Yates over the slots `0..deg`: `(position, slot)`
+        // for each position a swap moved; every other position holds its
+        // own index.
+        let mut moved: Vec<(usize, usize)> = Vec::new();
         'outer: for _hop in 0..self.config.hops {
             for w in walkers.iter_mut() {
                 let deg = graph.degree(*w);
                 if deg == 0 {
                     continue;
                 }
-                // Sample up to `neighbors_per_node` distinct adjacency slots.
+                // Sample up to `neighbors_per_node` distinct adjacency slots,
+                // drawing all `take` of them even once the set is full.
                 let take = self.config.neighbors_per_node.min(deg);
-                let mut slots: Vec<usize> = (0..deg).collect();
-                rng.partial_shuffle(&mut slots, take);
-                for &slot in slots.iter().take(take) {
-                    let (v, _r, _e) = graph.neighbor_at(*w, slot);
-                    if in_set.insert(v) {
-                        nodes.push(v);
-                        if nodes.len() >= cap {
-                            break 'outer;
-                        }
+                moved.clear();
+                let mut full = false;
+                for i in 0..take {
+                    let j = rng.gen_range(i..deg);
+                    let slot = slot_at(&moved, j);
+                    moved.push((j, slot_at(&moved, i)));
+                    if full {
+                        continue;
                     }
+                    let (v, _r, _e) = graph.neighbor_at(*w, slot);
+                    if !(filter.may_contain(v) && nodes.contains(&v)) {
+                        filter.insert(v);
+                        nodes.push(v);
+                        full = nodes.len() >= cap;
+                    }
+                }
+                if full {
+                    break 'outer;
                 }
                 // Random step.
                 let step = rng.gen_range(0..deg);
@@ -101,8 +134,18 @@ impl RandomWalkSampler {
             }
         }
 
-        Subgraph::induce(graph, nodes, anchors)
+        Subgraph::induce_at(graph, nodes, &filter, local_anchors)
     }
+}
+
+/// The slot at `position` of a sparse permutation of `0..deg`: the last
+/// slot a swap moved there, or `position` itself.
+fn slot_at(moved: &[(usize, usize)], position: usize) -> usize {
+    moved
+        .iter()
+        .rev()
+        .find(|&&(p, _)| p == position)
+        .map_or(position, |&(_, slot)| slot)
 }
 
 #[cfg(test)]

@@ -1,10 +1,45 @@
 //! Local-index subgraphs extracted around anchor nodes.
+//!
+//! Induction hashes nothing. Membership of an original id goes first
+//! through a filter of 2,048 bits on the stack, keyed by `id & 2047`,
+//! which rejects almost every neighbour of a small node set at once. A
+//! filter hit resolves through the node set's sorted `(orig, local)`
+//! pairs by binary search. Nothing allocated scales with the parent
+//! graph.
 
-use std::collections::HashMap;
-
-use gp_tensor::{EdgeList, Tensor};
+use gp_tensor::EdgeList;
 
 use crate::Graph;
+
+/// A membership filter over original node ids: 2,048 bits keyed by
+/// `id & 2047`, small enough to live on the stack.
+///
+/// A clear bit proves an id absent. A set bit only says it may be present,
+/// since ids equal modulo 2,048 share one bit; callers confirm a hit
+/// against the node set itself.
+pub(crate) struct NodeFilter([u64; 32]);
+
+impl NodeFilter {
+    /// The empty filter.
+    pub(crate) fn new() -> Self {
+        Self([0; 32])
+    }
+
+    /// Set `id`'s bit.
+    #[inline]
+    pub(crate) fn insert(&mut self, id: u32) {
+        let key = id & 2047;
+        self.0[(key >> 6) as usize] |= 1 << (key & 63);
+    }
+
+    /// False when `id` was never inserted; true when it was, or when an id
+    /// equal to it modulo 2,048 was.
+    #[inline]
+    pub(crate) fn may_contain(&self, id: u32) -> bool {
+        let key = id & 2047;
+        self.0[(key >> 6) as usize] & (1 << (key & 63)) != 0
+    }
+}
 
 /// A subgraph with its own compact node index space.
 ///
@@ -32,42 +67,68 @@ impl Subgraph {
     /// mirrored in both directions; self-loops are added for isolated-in-
     /// subgraph nodes so message passing never produces empty rows.
     ///
-    /// # Panics
-    /// Panics if an anchor is not contained in `nodes`.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic: samplers always include their anchors in the node set"
-    )]
-    pub fn induce(graph: &Graph, nodes: Vec<u32>, anchor_ids: &[u32]) -> Self {
-        let local: HashMap<u32, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    /// `nodes` must be distinct (debug builds assert it; the sampler
+    /// guarantees it). Returns `None` when an anchor is not in `nodes`.
+    pub fn induce(graph: &Graph, nodes: Vec<u32>, anchor_ids: &[u32]) -> Option<Self> {
         let anchors = anchor_ids
             .iter()
-            .map(|a| *local.get(a).expect("anchor not in node set"))
-            .collect();
+            .map(|a| nodes.iter().position(|n| n == a))
+            .collect::<Option<_>>()?;
+        let mut filter = NodeFilter::new();
+        for &n in &nodes {
+            filter.insert(n);
+        }
+        Some(Self::induce_at(graph, nodes, &filter, anchors))
+    }
+
+    /// [`Subgraph::induce`] with the anchors already located: `anchors`
+    /// are local positions, and `filter` holds every id of `nodes`.
+    ///
+    /// Edges come in the order the local nodes list them, each triple at
+    /// its first sighting. A triple sits in both endpoints' adjacency
+    /// lists, so it is kept at the endpoint with the smaller local index.
+    /// A self-loop sits twice, back to back, in one list
+    /// ([`crate::GraphBuilder::build`] writes a triple's two entries in
+    /// turn), so it is kept at its first entry. Edge order fixes the
+    /// floating-point accumulation order of every aggregation downstream,
+    /// so it must not depend on anything but `graph` and `nodes`.
+    pub(crate) fn induce_at(
+        graph: &Graph,
+        nodes: Vec<u32>,
+        filter: &NodeFilter,
+        anchors: Vec<usize>,
+    ) -> Self {
+        let mut index: Vec<(u32, u32)> = nodes.iter().copied().zip(0..).collect();
+        index.sort_unstable();
+        debug_assert!(
+            index.windows(2).all(|w| w[0].0 != w[1].0),
+            "Subgraph::induce: nodes must be distinct"
+        );
+        let local = |v: u32| {
+            if !filter.may_contain(v) {
+                return None;
+            }
+            let at = index.binary_search_by_key(&v, |&(orig, _)| orig).ok()?;
+            Some(index[at].1)
+        };
 
         let mut src = Vec::new();
         let mut dst = Vec::new();
         let mut rels = Vec::new();
-        let mut seen_edge = std::collections::HashSet::new();
-        // Iterate nodes in their (deterministic) local order, NOT the hash
-        // map: edge order fixes the floating-point accumulation order of
-        // every aggregation downstream, so it must be reproducible across
-        // runs for bit-identical inference.
-        for (lu, &orig) in nodes.iter().enumerate() {
+        for (lu, &orig) in (0u32..).zip(&nodes) {
+            let mut last_loop = None;
             for (v, r, eid) in graph.neighbors(orig) {
-                if let Some(&lv) = local.get(&v) {
-                    // Each triple appears in both endpoints' adjacency; dedupe
-                    // by edge id, then mirror explicitly.
-                    if seen_edge.insert(eid) {
-                        src.push(lu as u32);
-                        dst.push(lv as u32);
+                if v == orig {
+                    if last_loop != Some(eid) {
+                        src.push(lu);
+                        dst.push(lu);
                         rels.push(r);
-                        if lu != lv {
-                            src.push(lv as u32);
-                            dst.push(lu as u32);
-                            rels.push(r);
-                        }
                     }
+                    last_loop = Some(eid);
+                } else if let Some(lv) = local(v).filter(|&lv| lv > lu) {
+                    src.extend([lu, lv]);
+                    dst.extend([lv, lu]);
+                    rels.extend([r, r]);
                 }
             }
         }
@@ -102,17 +163,6 @@ impl Subgraph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Gather this subgraph's node features from the parent graph into a
-    /// dense `num_nodes×d` matrix (local order).
-    pub fn features(&self, graph: &Graph) -> Tensor {
-        let d = graph.feature_dim();
-        let mut data = Vec::with_capacity(self.nodes.len() * d);
-        for &n in &self.nodes {
-            data.extend_from_slice(graph.feature_row(n));
-        }
-        Tensor::from_vec(self.nodes.len(), d, data)
     }
 
     /// Remove the direct edge(s) between the first two anchors.
@@ -150,7 +200,7 @@ impl Subgraph {
                 rels.push(0);
             }
         }
-        self.edges = gp_tensor::EdgeList::new(src, dst);
+        self.edges = EdgeList::new(src, dst);
         self.rels = rels;
         self
     }
@@ -168,18 +218,17 @@ mod tests {
             .add_triple(2, 0, 3)
             .add_triple(3, 1, 4)
             .add_triple(0, 1, 4);
-        b.node_features(Tensor::from_vec(
-            5,
-            2,
-            vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0, 2.0],
-        ));
         b.build()
+    }
+
+    fn induce(g: &Graph, nodes: Vec<u32>, anchors: &[u32]) -> Subgraph {
+        Subgraph::induce(g, nodes, anchors).expect("anchors are in the node set")
     }
 
     #[test]
     fn induced_edges_stay_inside_node_set() {
         let g = toy();
-        let sg = Subgraph::induce(&g, vec![0, 1, 2], &[0]);
+        let sg = induce(&g, vec![0, 1, 2], &[0]);
         assert_eq!(sg.num_nodes(), 3);
         for (s, d) in sg.edges.iter() {
             assert!(s < 3 && d < 3);
@@ -192,7 +241,7 @@ mod tests {
     #[test]
     fn anchors_map_to_local_indices() {
         let g = toy();
-        let sg = Subgraph::induce(&g, vec![3, 0, 4], &[0, 4]);
+        let sg = induce(&g, vec![3, 0, 4], &[0, 4]);
         assert_eq!(sg.anchors, vec![1, 2]);
         assert_eq!(sg.nodes[sg.anchors[0]], 0);
     }
@@ -201,25 +250,16 @@ mod tests {
     fn isolated_node_gets_self_loop() {
         let g = toy();
         // Nodes 0 and 3 are not adjacent in the toy graph.
-        let sg = Subgraph::induce(&g, vec![0, 3], &[0]);
+        let sg = induce(&g, vec![0, 3], &[0]);
         let self_loops = sg.edges.iter().filter(|(s, d)| s == d).count();
         assert_eq!(self_loops, 2);
-    }
-
-    #[test]
-    fn features_follow_local_order() {
-        let g = toy();
-        let sg = Subgraph::induce(&g, vec![4, 0], &[4]);
-        let f = sg.features(&g);
-        assert_eq!(f.row(0), &[0.0, 2.0]); // node 4
-        assert_eq!(f.row(1), &[1.0, 0.0]); // node 0
     }
 
     #[test]
     fn without_anchor_edges_strips_target_edge() {
         let g = toy();
         // Anchors 0 and 1 share edge (0,0,1).
-        let sg = Subgraph::induce(&g, vec![0, 1, 2], &[0, 1]).without_anchor_edges();
+        let sg = induce(&g, vec![0, 1, 2], &[0, 1]).without_anchor_edges();
         for (e, (s, d)) in sg.edges.iter().enumerate() {
             let su = sg.nodes[s];
             let du = sg.nodes[d];
@@ -236,16 +276,16 @@ mod tests {
     #[test]
     fn without_anchor_edges_is_noop_for_single_anchor() {
         let g = toy();
-        let sg = Subgraph::induce(&g, vec![0, 1, 2], &[1]);
+        let sg = induce(&g, vec![0, 1, 2], &[1]);
         let before = sg.edges.len();
         let sg = sg.without_anchor_edges();
         assert_eq!(sg.edges.len(), before);
     }
 
     #[test]
-    #[should_panic(expected = "anchor not in node set")]
-    fn missing_anchor_panics() {
+    fn missing_anchor_is_none() {
         let g = toy();
-        let _ = Subgraph::induce(&g, vec![0, 1], &[4]);
+        assert!(Subgraph::induce(&g, vec![0, 1], &[4]).is_none());
+        assert!(Subgraph::induce(&g, vec![0, 1], &[0, 4]).is_none());
     }
 }

@@ -74,7 +74,8 @@ fn induced_subgraph_edges_stay_inside_and_every_node_reachable() {
         let take = (g.num_nodes() / 2).max(1);
         let subset: Vec<u32> = nodes.into_iter().take(take).collect();
         let anchor = subset[0];
-        let sg = Subgraph::induce(&g, subset.clone(), &[anchor]);
+        let sg =
+            Subgraph::induce(&g, subset.clone(), &[anchor]).expect("the anchor is in the subset");
         // All endpoints in-range, all in-degrees positive (self-loops fill).
         let deg = sg.edges.in_degrees(sg.num_nodes());
         assert!(deg.iter().all(|&d| d > 0));
